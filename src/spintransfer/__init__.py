@@ -39,6 +39,7 @@ from .dynamics import (
     propagator_at,
 )
 from .analytics import (
+    FidelityLaw,
     FidelityPdf,
     MinBranch,
     MinFidelityResult,
@@ -49,8 +50,8 @@ from .analytics import (
     TwoQubitAffine,
     affine_from_kraus,
     avg_fidelity_curve,
-    avg_fidelity_one_qubit_uniform,
     avg_fidelity_one_qubit_vacuum,
+    fidelity_law,
     find_optimal_time,
     min_fidelity_closed_form,
     pdf_from_quadratic,
@@ -61,7 +62,6 @@ from .analytics import (
     time_for_target_avg,
     time_window_ladder,
     tune_with_ladder,
-    two_qubit_affine,
     vacuum_quadratic,
 )
 from .errors import (
@@ -93,7 +93,7 @@ from .sampling import (
     sample_two_qubit_pure,
     schmidt_state,
 )
-from .sectors import SectorBasis, build_sector_basis, config_of, index_of
+from .sectors import SectorBasis, build_sector_basis
 from .certify import run_certification
 
 __version__ = "0.1.0"

@@ -1,12 +1,16 @@
-"""Closed-form fidelity statistics: quadratic/affine reductions, analytic
-probability distributions, minimum and average fidelity, and read-out timing.
+"""Closed-form fidelity statistics: fidelity laws, analytic probability
+distributions, minimum and average fidelity, and read-out timing.
 
 For one qubit the transfer fidelity reduces to a quadratic in x = cos(theta)
 of the Bloch angle; for two qubits the fidelity averaged over local unitaries
-is affine in the squared concurrence.  Both reductions are computed from the
-channel itself and yield exact distributions by a change of variables from
-the uniform-state input measures (x uniform on [-1, 1]; concurrence density
-3 C sqrt(1 - C^2)).
+is affine in the squared concurrence.  :func:`fidelity_law` evaluates both
+laws directly from rows of the sector propagators, vectorized over a time
+grid; the tuning scans use its mean and the written distributions its
+coefficients.  Distributions follow by a change of variables from the
+uniform-state input measures (x uniform on [-1, 1]; concurrence density
+3 C sqrt(1 - C^2)).  The reductions of explicit Kraus sets
+(:func:`quadratic_reduce_one_qubit`, :func:`affine_from_kraus`) are the
+independent reference that Monte Carlo and certification use.
 """
 
 from __future__ import annotations
@@ -15,21 +19,12 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .chain import ChainSpec
-from .channel import (
-    KrausSet,
-    Scenario,
-    fidelity_many,
-    kraus_for_scenario,
-)
-from .dynamics import AmplitudeTable, ChainDynamics, dynamics_for
+from .channel import KrausSet, Scenario
+from .dynamics import ChainDynamics, dynamics_for
 from .errors import ModelError, ParameterError, RangeError
 
-PHI_NODES = 64
-FIT_GRID = 201
-FIT_RESIDUAL_TOL = 1e-9
 PHI_INDEPENDENCE_TOL = 1e-10
 DELTA_COEFF_TOL = 1e-12
 TIME_CHUNK = 16384
@@ -47,7 +42,6 @@ class QuadraticFidelity:
     a: float
     b: float
     c: float
-    fit_residual: float = 0.0
 
     def __post_init__(self):
         lo, hi = self.range()
@@ -73,61 +67,43 @@ class QuadraticFidelity:
         return self.a / 3.0 + self.c
 
 
-def bloch_state(theta, phi) -> np.ndarray:
-    """Pure qubit state(s) cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    return np.stack(
-        np.broadcast_arrays(
-            np.cos(theta / 2.0) + 0.0j,
-            np.exp(1j * phi) * np.sin(theta / 2.0),
-        ),
-        axis=-1,
-    )
-
-
 def quadratic_reduce_one_qubit(kraus: KrausSet) -> QuadraticFidelity:
-    """Reduce a one-qubit channel's fidelity to a quadratic in cos(theta).
+    """Exact azimuth average of a one-qubit channel's fidelity.
 
-    Evaluates the channel fidelity on a 201-point grid in x = cos(theta),
-    averaging over the azimuthal angle with a 64-node uniform quadrature
-    (exact for the trigonometric polynomials that can appear), fits the
-    quadratic through the x = -1, 0, 1 values and verifies the residual on
-    the full grid.  For the vacuum scenario the fidelity must not depend on
-    the azimuth at all and this is asserted.
+    For the input cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> a Kraus
+    operator E contributes ``|D + h (E01 e^{i phi} + E10 e^{-i phi})|^2``
+    with ``D = E00 (1 + x)/2 + E11 (1 - x)/2`` and ``h^2 = (1 - x^2)/4``.
+    When the azimuth-dependent cross terms cancel in the sum over E, the
+    fidelity is the quadratic
+    ``F(x) = sum_E |D|^2 + (1 - x^2)/4 (|E01|^2 + |E10|^2)``.
 
     Raises
     ------
     ModelError
-        If the residual exceeds 1e-9 (the quadratic assumption failed) or a
-        vacuum channel shows azimuthal dependence.
+        If a cross-term sum exceeds 1e-10, i.e. the fidelity depends on the
+        azimuth and no quadratic in cos(theta) describes it.
     """
     if kraus.scenario is Scenario.TWO_QUBIT_VACUUM:
         raise ParameterError("quadratic reduction applies to one-qubit channels")
-    xs = np.linspace(-1.0, 1.0, FIT_GRID)
-    phis = 2.0 * np.pi * np.arange(PHI_NODES) / PHI_NODES
-    thetas = np.arccos(xs)
-    states = bloch_state(
-        thetas[:, None], phis[None, :]
-    ).reshape(-1, 2)
-    values = fidelity_many(kraus, states).reshape(FIT_GRID, PHI_NODES)
-    if kraus.scenario is Scenario.ONE_QUBIT_VACUUM:
-        spread = float((values.max(axis=1) - values.min(axis=1)).max())
-        if spread > PHI_INDEPENDENCE_TOL:
-            raise ModelError(
-                f"vacuum-channel fidelity varies with the azimuth by {spread:.3e}"
-            )
-    averaged = values.mean(axis=1)
-    f_lo, f_mid, f_hi = averaged[0], averaged[FIT_GRID // 2], averaged[-1]
-    a = 0.5 * (f_hi + f_lo) - f_mid
-    b = 0.5 * (f_hi - f_lo)
-    c = f_mid
-    residual = float(np.abs((a * xs + b) * xs + c - averaged).max())
-    if residual > FIT_RESIDUAL_TOL:
+    ops = kraus.operators
+    e00, e01, e10, e11 = ops[:, 0, 0], ops[:, 0, 1], ops[:, 1, 0], ops[:, 1, 1]
+    cross = max(
+        abs(np.sum(e00.conj() * e01 + e00 * e10.conj())),
+        abs(np.sum(e11.conj() * e01 + e11 * e10.conj())),
+        abs(np.sum(e01 * e10.conj())),
+    )
+    if cross > PHI_INDEPENDENCE_TOL:
         raise ModelError(
-            f"quadratic fit residual {residual:.3e} exceeds {FIT_RESIDUAL_TOL:.0e}"
+            f"channel fidelity varies with the azimuth: cross term {cross:.3e}"
         )
-    return QuadraticFidelity(float(a), float(b), float(c), residual)
+    s = 0.5 * (e00 + e11)
+    d = 0.5 * (e00 - e11)
+    off = float(np.sum(np.abs(e01) ** 2 + np.abs(e10) ** 2))
+    return QuadraticFidelity(
+        float(np.sum(np.abs(d) ** 2)) - off / 4.0,
+        2.0 * float(np.sum((s * d.conj()).real)),
+        float(np.sum(np.abs(s) ** 2)) + off / 4.0,
+    )
 
 
 def vacuum_quadratic(r: float, phi: float) -> QuadraticFidelity:
@@ -195,25 +171,6 @@ def avg_fidelity_one_qubit_vacuum(r: float, phi: float) -> float:
     return 0.5 + r * np.cos(phi) / 3.0 + r * r / 6.0
 
 
-def avg_fidelity_one_qubit_uniform(amps: AmplitudeTable, n_sites: int) -> float:
-    """Average fidelity of the uniformly-spread-excitation channel.
-
-    Evaluates ``1/3 + sum_k |sum_j (a_j^k + b_{1j}^{kN})|^2 / (6 (N - 2))``
-    with j running over the initially occupied sites 2..N-1 and k over the
-    complement of the receiver.
-    """
-    if n_sites < 4:
-        raise ParameterError(f"uniform channel requires n_sites >= 4, got {n_sites}")
-    n = n_sites
-    a_sum = amps.one_exc[1 : n - 1, :].sum(axis=0)
-    pair_rows = [amps.pair_basis.index_of((1, j)) for j in range(2, n)]
-    b_flat = amps.two_exc[pair_rows, :].sum(axis=0)
-    total = 0.0
-    for k in range(1, n):
-        total += abs(a_sum[k - 1] + b_flat[amps.pair_basis.index_of((k, n))]) ** 2
-    return 1.0 / 3.0 + total / (6.0 * (n - 2))
-
-
 # ---------------------------------------------------------------------------
 # two-qubit affine reduction
 # ---------------------------------------------------------------------------
@@ -268,15 +225,6 @@ def affine_from_kraus(kraus: KrausSet) -> TwoQubitAffine:
     t4 = float((np.abs(tr_q1) ** 2).sum())
     a_val, b_val = _affine_from_traces(t1, t2, t3, t4)
     return TwoQubitAffine(float(a_val), float(b_val))
-
-
-def two_qubit_affine(amps: AmplitudeTable, n_sites: int) -> TwoQubitAffine:
-    """Affine coefficients A(t), B(t) of two-qubit transfer at one time."""
-    if n_sites < 5:
-        raise ParameterError(f"two-qubit transfer requires n_sites >= 5, got {n_sites}")
-    return affine_from_kraus(
-        kraus_for_scenario(amps, Scenario.TWO_QUBIT_VACUUM, n_sites)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +282,8 @@ class FidelityPdf:
 
     def normalization(self) -> float:
         """Integral of the density over the support (adaptive quadrature)."""
+        from scipy.integrate import quad
+
         if self.kind is PdfKind.DELTA:
             return 1.0
         lo, hi = self.support
@@ -493,87 +443,102 @@ def pdf_two_qubit(affine: TwoQubitAffine) -> FidelityPdf:
 
 
 # ---------------------------------------------------------------------------
-# read-out timing
+# fidelity laws from amplitude rows
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ProtocolTuning:
-    """Optimal read-out time of a protocol and the phase-nulling field."""
+class FidelityLaw:
+    """Fidelity laws of one scenario on a time grid.
 
-    t_opt: float
-    b_aux: float
-    achieved_avg_fidelity: float
-
-
-def phase_null_field(spec: ChainSpec, t: float, receiver_site: int | None = None) -> float:
-    """Uniform field making the transfer amplitude real positive at ``t``.
-
-    Adding a uniform field b shifts the one-excitation sector diagonal by
-    -2b under the vacuum gauge, multiplying one-excitation amplitudes by
-    exp(2 i b t) (and two-excitation ones by its square); the value returned
-    cancels the arrival phase of ``a_1^receiver_site`` at ``t`` and is the
-    smallest such field in magnitude.  The receiver site defaults to N
-    (single-qubit transfer); block transfer nulls the site-1 -> site-(N-1)
-    amplitude instead.
+    Row k of ``coefficients`` is the law at the k-th time: (a, b, c) of
+    ``F(x) = a x^2 + b x + c`` for one qubit, (A, B) of ``F(C) = A - B C^2``
+    for two qubits.  ``mean`` is each law's average over uniformly random
+    inputs, evaluated from the same amplitude rows in the closed form of
+    the average (equal to the coefficients' mean up to rounding); the
+    tuning scans maximize it.
     """
-    if t <= 0.0 or not np.isfinite(t):
-        raise ParameterError(f"phase correction needs a positive time, got {t}")
-    dyn = dynamics_for(spec)
-    site = spec.n_sites if receiver_site is None else int(receiver_site)
-    if not 1 <= site <= spec.n_sites:
-        raise ParameterError(f"receiver_site {site} outside 1..{spec.n_sites}")
-    row = dyn.one_exc_rows(np.array([1]), np.array([t]))[0, 0, :]
-    amp = complex(row[site - 1])
-    return float(-np.angle(amp) / (2.0 * t))
+
+    scenario: Scenario
+    coefficients: np.ndarray
+    mean: np.ndarray
+
+    def pdf(self, k: int = 0) -> FidelityPdf:
+        """Fidelity distribution of the law at the k-th time."""
+        row = [float(v) for v in self.coefficients[k]]
+        if self.scenario is Scenario.TWO_QUBIT_VACUUM:
+            return pdf_two_qubit(TwoQubitAffine(*row))
+        return pdf_from_quadratic(QuadraticFidelity(*row))
 
 
-def avg_fidelity_curve(
+def fidelity_law(
     spec: ChainSpec,
     scenario: Scenario,
-    times: np.ndarray,
+    times,
     phase_corrected: bool = False,
-) -> np.ndarray:
-    """Average fidelity on a time grid (vectorized, chunked).
+) -> FidelityLaw:
+    """Fidelity law of ``scenario`` at each of ``times`` (1-D) from propagator rows.
 
-    ``phase_corrected`` evaluates the average reachable once the arrival
-    phase is nulled by a uniform field: it replaces the end-to-end amplitude
-    by its modulus in the vacuum scenario and rotates the two-qubit channel
+    The vacuum law needs only the end-to-end amplitude a_1^N.  The uniform
+    law sums the one- and two-excitation rows out of the occupied sites
+    2..N-1; the weight of the double excitations that avoid the receiver
+    follows from unitarity of the normalized pair row.  The two-qubit law
+    uses the rows of :func:`_two_qubit_law`.  Memory grows as len(times)
+    times the sector size; :func:`avg_fidelity_curve` feeds long grids in
+    chunks.
+
+    ``phase_corrected`` evaluates the law reachable once the arrival phase
+    is nulled by a uniform field: it replaces the end-to-end amplitude by
+    its modulus in the vacuum scenario and rotates the two-qubit channel
     entries by the phase of the site-1 -> site-(N-1) amplitude (sector-two
     entries by its square, exactly as a uniform field would).  The flag has
-    no effect on the uniform-channel scenario, whose average is not a
-    function of a single arrival phase.
+    no effect on the uniform-channel scenario, whose law is not a function
+    of a single arrival phase.
     """
+    if not isinstance(scenario, Scenario):
+        raise ParameterError(f"unknown scenario {scenario!r}")
+    n = spec.n_sites
+    if n < scenario.min_sites:
+        raise ParameterError(
+            f"{scenario.value} transfer requires n_sites >= {scenario.min_sites}, got {n}"
+        )
     times = np.asarray(times, dtype=float)
     dyn = dynamics_for(spec)
-    n = spec.n_sites
-    out = np.empty(times.shape, dtype=float)
-    for start in range(0, times.size, TIME_CHUNK):
-        sl = slice(start, min(start + TIME_CHUNK, times.size))
-        chunk = times[sl]
-        if scenario is Scenario.ONE_QUBIT_VACUUM:
-            amp = dyn.end_to_end_amplitude(chunk)
-            re = np.abs(amp) if phase_corrected else amp.real
-            out[sl] = 0.5 + re / 3.0 + np.abs(amp) ** 2 / 6.0
-        elif scenario is Scenario.ONE_QUBIT_UNIFORM:
-            a_sums = dyn.one_exc_summed_row(range(2, n), chunk)[:, : n - 1]
-            b_sums = dyn.two_exc_summed_row_to(
-                [(1, j) for j in range(2, n)],
-                [(k, n) for k in range(1, n)],
-                chunk,
-            )
-            out[sl] = (
-                1.0 / 3.0
-                + (np.abs(a_sums + b_sums) ** 2).sum(axis=1) / (6.0 * (n - 2))
-            )
-        elif scenario is Scenario.TWO_QUBIT_VACUUM:
-            a_mat, b_mat = _two_qubit_curve(dyn, chunk, phase_corrected)
-            out[sl] = a_mat - 0.4 * b_mat
-        else:
-            raise ParameterError(f"unknown scenario {scenario!r}")
-    return out
+    if scenario is Scenario.ONE_QUBIT_VACUUM:
+        amp = dyn.end_to_end_amplitude(times)
+        r2 = np.abs(amp) ** 2
+        re = np.abs(amp) if phase_corrected else amp.real
+        coefficients = ((r2 - re) / 2.0, (1.0 - r2) / 2.0, (1.0 + re) / 2.0)
+        mean = 0.5 + re / 3.0 + r2 / 6.0
+    elif scenario is Scenario.ONE_QUBIT_UNIFORM:
+        # Kraus diagonals (alpha_k, beta_k), k = 1..N-1, unnormalized by
+        # the sqrt(N - 2) of the initial state
+        alpha = dyn.one_exc_summed_row(range(2, n), times)
+        beta = dyn.two_exc_summed_row_to(
+            [(1, j) for j in range(2, n)],
+            [(k, n) for k in range(1, n)],
+            times,
+        )
+        weight = 1.0 / (n - 2)
+        plus = (np.abs(alpha[:, : n - 1] + beta) ** 2).sum(axis=1)
+        minus = (np.abs(alpha[:, : n - 1] - beta) ** 2).sum(axis=1)
+        excess = (np.abs(alpha[:, : n - 1]) ** 2 - np.abs(beta) ** 2).sum(axis=1)
+        # off-diagonal weight: excitation alone at N, or both away from N
+        leak = np.clip((n - 2) - (np.abs(beta) ** 2).sum(axis=1), 0.0, None)
+        off = weight * (np.abs(alpha[:, n - 1]) ** 2 + leak)
+        coefficients = (
+            (weight * minus - off) / 4.0,
+            weight * excess / 2.0,
+            (weight * plus + off) / 4.0,
+        )
+        mean = 1.0 / 3.0 + plus / (6.0 * (n - 2))
+    else:
+        a_val, b_val = _two_qubit_law(dyn, times, phase_corrected)
+        coefficients = (a_val, b_val)
+        mean = a_val - 0.4 * b_val
+    return FidelityLaw(scenario, np.stack(coefficients, axis=-1), mean)
 
 
-def _two_qubit_curve(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool = False):
+def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool = False):
     """A(t) and B(t) on a time grid via the channel trace sums.
 
     Uses unitarity of the pair-sector propagator to account for the leak
@@ -628,6 +593,78 @@ def _two_qubit_curve(dyn: ChainDynamics, times: np.ndarray, phase_corrected: boo
     return _affine_from_traces(t1, t2, t3, t4)
 
 
+# ---------------------------------------------------------------------------
+# read-out timing
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ProtocolTuning:
+    """Optimal read-out time of a protocol and the phase-nulling field.
+
+    ``phase_corrected`` records whether the maximized average was the
+    phase-corrected one (see :func:`phase_correction_applies`).
+    """
+
+    t_opt: float
+    b_aux: float
+    achieved_avg_fidelity: float
+    phase_corrected: bool
+
+
+def phase_correction_applies(scenario: Scenario, aux_field: bool) -> bool:
+    """Whether an auxiliary field nulls the arrival phase in ``scenario``.
+
+    The uniform-channel average is not a function of a single arrival
+    phase, so no field is applied there.
+    """
+    return aux_field and scenario is not Scenario.ONE_QUBIT_UNIFORM
+
+
+def correction_site(spec: ChainSpec, scenario: Scenario) -> int:
+    """Receiver site whose arrival phase the auxiliary field nulls."""
+    return spec.n_sites - 1 if scenario is Scenario.TWO_QUBIT_VACUUM else spec.n_sites
+
+
+def phase_null_field(spec: ChainSpec, t: float, receiver_site: int | None = None) -> float:
+    """Uniform field making the transfer amplitude real positive at ``t``.
+
+    Adding a uniform field b shifts the one-excitation sector diagonal by
+    -2b under the vacuum gauge, multiplying one-excitation amplitudes by
+    exp(2 i b t) (and two-excitation ones by its square); the value returned
+    cancels the arrival phase of ``a_1^receiver_site`` at ``t`` and is the
+    smallest such field in magnitude.  The receiver site defaults to N
+    (single-qubit transfer); block transfer nulls the site-1 -> site-(N-1)
+    amplitude instead.
+    """
+    if t <= 0.0 or not np.isfinite(t):
+        raise ParameterError(f"phase correction needs a positive time, got {t}")
+    dyn = dynamics_for(spec)
+    site = spec.n_sites if receiver_site is None else int(receiver_site)
+    if not 1 <= site <= spec.n_sites:
+        raise ParameterError(f"receiver_site {site} outside 1..{spec.n_sites}")
+    row = dyn.one_exc_rows(np.array([1]), np.array([t]))[0, 0, :]
+    amp = complex(row[site - 1])
+    return float(-np.angle(amp) / (2.0 * t))
+
+
+def avg_fidelity_curve(
+    spec: ChainSpec,
+    scenario: Scenario,
+    times: np.ndarray,
+    phase_corrected: bool = False,
+) -> np.ndarray:
+    """Average fidelity on a time grid: the mean of :func:`fidelity_law`.
+
+    The grid is evaluated in chunks of 16384 times to bound memory.
+    """
+    times = np.asarray(times, dtype=float)
+    out = np.empty(times.shape, dtype=float)
+    for start in range(0, times.size, TIME_CHUNK):
+        sl = slice(start, min(start + TIME_CHUNK, times.size))
+        out[sl] = fidelity_law(spec, scenario, times[sl], phase_corrected).mean
+    return out
+
+
 def find_optimal_time(
     spec: ChainSpec,
     scenario: Scenario,
@@ -661,9 +698,11 @@ def find_optimal_time(
     t_opt, f_opt = _golden_max(objective, lo, hi, rel_tol=1e-8)
     if curve[best] > f_opt:
         t_opt, f_opt = float(ts[best]), float(curve[best])
-    site = spec.n_sites - 1 if scenario is Scenario.TWO_QUBIT_VACUUM else spec.n_sites
+    site = correction_site(spec, scenario)
     b_aux = phase_null_field(spec, t_opt, site) if t_opt > 0.0 else 0.0
-    return ProtocolTuning(t_opt, b_aux, f_opt)
+    return ProtocolTuning(
+        t_opt, b_aux, f_opt, phase_correction_applies(scenario, phase_corrected)
+    )
 
 
 def _golden_max(func, lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
@@ -815,37 +854,30 @@ class ReadoutPlan:
     t_read: float
     b_aux: float
     achieved_avg_fidelity: float
-    window: tuple[float, float]
-
-
-def _correction_site(spec: ChainSpec, scenario: Scenario) -> int:
-    return spec.n_sites - 1 if scenario is Scenario.TWO_QUBIT_VACUUM else spec.n_sites
 
 
 def plan_readout(
     spec: ChainSpec,
     scenario: Scenario,
+    tuning: ProtocolTuning,
     *,
-    window: tuple[float, float],
-    grid: int = 2000,
-    aux_field: bool = True,
     timing_fraction: float | None = None,
     target_avg: float | None = None,
 ) -> ReadoutPlan:
-    """Resolve the read-out time and auxiliary field for an experiment.
+    """Resolve the read-out time and auxiliary field from a finished tuning.
 
-    Exactly one of the three modes applies: read at the optimum (neither
-    ``timing_fraction`` nor ``target_avg`` given), read with a relative
-    timing error, or read at the early-flank time hitting a target average.
-    With ``aux_field`` the tuning maximizes the phase-corrected average and
-    the uniform field that nulls the arrival phase is folded into the
-    returned spec; the field is computed at the planned optimum, except in
+    ``tuning`` is the result of :func:`find_optimal_time` (or
+    :func:`tune_with_ladder`) for ``spec`` and ``scenario``.  Exactly one of
+    three modes applies: read at the optimum (neither ``timing_fraction``
+    nor ``target_avg`` given), read with a relative timing error, or read
+    at the early-flank time hitting a target average.  A phase-corrected
+    tuning folds the uniform field that nulls the arrival phase into the
+    returned spec; the field is computed at the tuned optimum, except in
     target mode where it nulls the phase at the read-out time itself.
     """
     if timing_fraction is not None and target_avg is not None:
         raise ParameterError("timing_fraction and target_avg are exclusive")
-    corrected = aux_field and scenario is not Scenario.ONE_QUBIT_UNIFORM
-    tuning = find_optimal_time(spec, scenario, window, grid, phase_corrected=corrected)
+    corrected = tuning.phase_corrected
     if target_avg is not None:
         t_read = time_for_target_avg(
             spec, scenario, target_avg, tuning.t_opt, phase_corrected=corrected
@@ -863,8 +895,8 @@ def plan_readout(
         t_null = tuning.t_opt
     b_aux = 0.0
     spec_eff = spec
-    if aux_field and scenario is not Scenario.ONE_QUBIT_UNIFORM and t_null > 0.0:
-        b_aux = phase_null_field(spec, t_null, _correction_site(spec, scenario))
+    if corrected and t_null > 0.0:
+        b_aux = phase_null_field(spec, t_null, correction_site(spec, scenario))
         spec_eff = spec.with_uniform_field(b_aux)
     return ReadoutPlan(
         spec=spec_eff,
@@ -873,5 +905,4 @@ def plan_readout(
         t_read=float(t_read),
         b_aux=b_aux,
         achieved_avg_fidelity=tuning.achieved_avg_fidelity,
-        window=(float(window[0]), float(window[1])),
     )

@@ -23,8 +23,7 @@ from .oracle import MAX_ORACLE_SITES, evolve_full, reduced_density, transfer_ini
 from .sectors import build_sector_basis
 from .analytics import (
     affine_from_kraus,
-    avg_fidelity_one_qubit_uniform,
-    pdf_from_quadratic,
+    fidelity_law,
     quadratic_reduce_one_qubit,
     vacuum_quadratic,
 )
@@ -212,31 +211,39 @@ def check_channels_against_oracle(
 
 
 def check_quadratic_reduction(seed: int = 15) -> CheckResult:
+    """Row-based fidelity laws vs the exact reductions of the Kraus sets.
+
+    Covers the coefficients of all three scenarios, the mean the tuning
+    scans maximize, and the closed-form vacuum quadratic.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in (6, 9):
         spec = random_spec(rng, n)
         t = float(rng.uniform(1.0, 8.0))
         tab = amplitudes_at(spec, t)
-        kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_VACUUM, n)
-        fitted = quadratic_reduce_one_qubit(kraus)
-        amp = tab.one_amplitude(1, n)
-        closed = vacuum_quadratic(abs(amp), float(np.angle(amp)))
-        worst = max(
-            worst,
-            abs(fitted.a - closed.a),
-            abs(fitted.b - closed.b),
-            abs(fitted.c - closed.c),
-            fitted.fit_residual,
-        )
-        uniform_kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_UNIFORM, n)
-        uniform_fit = quadratic_reduce_one_qubit(uniform_kraus)
-        worst = max(
-            worst,
-            abs(uniform_fit.mean() - avg_fidelity_one_qubit_uniform(tab, n)),
-        )
+        for scenario in Scenario:
+            kraus = kraus_for_scenario(tab, scenario, n)
+            if scenario is Scenario.TWO_QUBIT_VACUUM:
+                reduced = affine_from_kraus(kraus)
+                reference = (reduced.A, reduced.B)
+            else:
+                reduced = quadratic_reduce_one_qubit(kraus)
+                reference = (reduced.a, reduced.b, reduced.c)
+            if scenario is Scenario.ONE_QUBIT_VACUUM:
+                amp = tab.one_amplitude(1, n)
+                closed = vacuum_quadratic(abs(amp), float(np.angle(amp)))
+                closed_gap = np.subtract(reference, (closed.a, closed.b, closed.c))
+                worst = max(worst, float(np.abs(closed_gap).max()))
+            law = fidelity_law(spec, scenario, [t])
+            worst = max(
+                worst,
+                float(np.abs(law.coefficients[0] - reference).max()),
+                abs(float(law.mean[0]) - reduced.mean()),
+            )
     return CheckResult(
-        "quadratic_reduction_closed_forms", worst <= 1e-9, worst, "vacuum + uniform"
+        "fidelity_law_rows_vs_kraus", worst <= 1e-9, worst,
+        "all scenarios + vacuum closed form",
     )
 
 
@@ -245,10 +252,9 @@ def check_pdf_normalization(seed: int = 16) -> CheckResult:
     worst = 0.0
     for n in (6, 9):
         spec = random_spec(rng, n)
-        tab = amplitudes_at(spec, float(rng.uniform(1.0, 8.0)))
+        t = float(rng.uniform(1.0, 8.0))
         for scenario in (Scenario.ONE_QUBIT_VACUUM, Scenario.ONE_QUBIT_UNIFORM):
-            kraus = kraus_for_scenario(tab, scenario, n)
-            pdf = pdf_from_quadratic(quadratic_reduce_one_qubit(kraus))
+            pdf = fidelity_law(spec, scenario, [t]).pdf()
             worst = max(worst, abs(pdf.normalization() - 1.0))
     return CheckResult("pdf_normalization", worst <= 1e-6, worst, "random channels")
 

@@ -23,14 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import (
+    ProtocolTuning,
     ReadoutPlan,
-    affine_from_kraus,
+    fidelity_law,
     find_optimal_time,
-    pdf_from_quadratic,
-    pdf_two_qubit,
-    phase_null_field,
+    phase_correction_applies,
     plan_readout,
-    quadratic_reduce_one_qubit,
     tune_with_ladder,
 )
 from .chain import Barrier, ChainSpec, Perfect, ProtocolKind, Weak, protocol_preset
@@ -287,45 +285,40 @@ def _build_spec(config: ExperimentConfig) -> ChainSpec:
     return protocol_preset(config.kind(), config.n_sites, n_senders)
 
 
-def _resolve_plan(config: ExperimentConfig) -> tuple[ReadoutPlan, tuple]:
-    spec = _build_spec(config)
+def _tune(
+    config: ExperimentConfig, spec: ChainSpec, corrected: bool
+) -> tuple[ProtocolTuning, tuple[float, float, int]]:
+    """Tuning of ``spec`` and the (lo, hi, grid) window it scanned.
+
+    An explicit window is scanned at the configured grid (200 000 points by
+    default).  Otherwise the ladder picks the window, and a configured grid
+    that differs from the ladder's rescans that window at that grid.
+    """
     scenario = config.scenario_enum()
-    aux = config.resolved_aux()
-    mode_type = config.mode.get("type")
     if config.window is not None:
         window = (config.window[0], config.window[1], config.grid or 200_000)
     else:
-        _, window = tune_with_ladder(
-            spec,
-            scenario,
-            config.kind(),
-            phase_corrected=aux and scenario is not Scenario.ONE_QUBIT_UNIFORM,
-        )
-        if config.grid:
-            window = (window[0], window[1], config.grid)
+        tuning, window = tune_with_ladder(spec, scenario, config.kind(), corrected)
+        if not config.grid or config.grid == window[2]:
+            return tuning, window
+        window = (window[0], window[1], config.grid)
+    tuning = find_optimal_time(spec, scenario, window[:2], window[2], corrected)
+    return tuning, window
+
+
+def _resolve_plan(config: ExperimentConfig) -> ReadoutPlan:
+    spec = _build_spec(config)
+    scenario = config.scenario_enum()
+    tuning, _ = _tune(
+        config, spec, phase_correction_applies(scenario, config.resolved_aux())
+    )
+    mode_type = config.mode.get("type")
     kwargs = {}
     if mode_type == "timing_error":
         kwargs["timing_fraction"] = float(config.mode.get("fraction", DEFAULT_TIMING_FRACTION))
     elif mode_type == "target_avg":
         kwargs["target_avg"] = float(config.mode["value"])
-    plan = plan_readout(
-        spec,
-        scenario,
-        window=window[:2],
-        grid=window[2],
-        aux_field=aux,
-        **kwargs,
-    )
-    return plan, window
-
-
-def _analytic_pdf(plan: ReadoutPlan, t_read: float, n_sites: int):
-    """Analytic pdf of the planned scenario at one read-out time."""
-    tab = amplitudes_at(plan.spec, t_read)
-    kraus = kraus_for_scenario(tab, plan.scenario, n_sites)
-    if plan.scenario is Scenario.TWO_QUBIT_VACUUM:
-        return pdf_two_qubit(affine_from_kraus(kraus)), kraus
-    return pdf_from_quadratic(quadratic_reduce_one_qubit(kraus)), kraus
+    return plan_readout(spec, scenario, tuning, **kwargs)
 
 
 def _result_record(config, plan, pdf, avg, ks, files) -> dict:
@@ -349,63 +342,30 @@ def cmd_tune(config: ExperimentConfig) -> dict:
     started = time.perf_counter()
     spec = _build_spec(config)
     scenario = config.scenario_enum()
-    use_correction = (
-        config.resolved_aux() and scenario is not Scenario.ONE_QUBIT_UNIFORM
-    )
-    if config.window is not None:
-        window = (config.window[0], config.window[1], config.grid or 200_000)
-    else:
-        # the window must contain the peak of the objective actually used,
-        # so ladder on the corrected curve whenever the field will be applied
-        _, window = tune_with_ladder(
-            spec, scenario, config.kind(), phase_corrected=use_correction
-        )
-        if config.grid:
-            window = (window[0], window[1], config.grid)
-    raw = find_optimal_time(spec, scenario, window[:2], window[2], phase_corrected=False)
-    result = {
-        "t_opt": raw.t_opt,
-        "b_aux": 0.0,
-        "avg_fidelity": raw.achieved_avg_fidelity,
-        "avg_fidelity_no_aux": raw.achieved_avg_fidelity,
-    }
+    corrected = phase_correction_applies(scenario, config.resolved_aux())
+    # the window must contain the peak of the objective actually used, so
+    # the ladder runs on the corrected curve whenever the field is applied
+    tuning, window = _tune(config, spec, corrected)
+    raw = final = tuning
     spec_eff = spec
-    if use_correction:
-        site = spec.n_sites - 1 if scenario is Scenario.TWO_QUBIT_VACUUM else spec.n_sites
-        corrected = find_optimal_time(
-            spec, scenario, window[:2], window[2], phase_corrected=True
-        )
-        b_aux = phase_null_field(spec, corrected.t_opt, site)
-        spec_eff = spec.with_uniform_field(b_aux)
-        retuned = find_optimal_time(
+    if corrected:
+        raw = find_optimal_time(spec, scenario, window[:2], window[2], phase_corrected=False)
+        spec_eff = spec.with_uniform_field(tuning.b_aux)
+        final = find_optimal_time(
             spec_eff, scenario, window[:2], window[2], phase_corrected=False
         )
-        result.update(
-            t_opt=retuned.t_opt,
-            b_aux=b_aux,
-            avg_fidelity=retuned.achieved_avg_fidelity,
-        )
-    tab = amplitudes_at(spec_eff, result["t_opt"])
-    kraus = kraus_for_scenario(tab, scenario, config.n_sites)
-    if scenario is Scenario.TWO_QUBIT_VACUUM:
-        pdf = pdf_two_qubit(affine_from_kraus(kraus))
-    else:
-        pdf = pdf_from_quadratic(quadratic_reduce_one_qubit(kraus))
+    plan = ReadoutPlan(
+        spec=spec_eff,
+        scenario=scenario,
+        t_opt=final.t_opt,
+        t_read=final.t_opt,
+        b_aux=tuning.b_aux if corrected else 0.0,
+        achieved_avg_fidelity=final.achieved_avg_fidelity,
+    )
+    pdf = fidelity_law(spec_eff, scenario, [final.t_opt]).pdf()
     os.makedirs(config.output_dir, exist_ok=True)
-    record = {
-        "schema_version": RESULT_SCHEMA_VERSION,
-        "config": config.to_echo(),
-        "t_opt": result["t_opt"],
-        "t_readout": result["t_opt"],
-        "b_aux": result["b_aux"],
-        "avg_fidelity": result["avg_fidelity"],
-        "avg_fidelity_no_aux": result["avg_fidelity_no_aux"],
-        "f_min": pdf.support[0],
-        "f_max": pdf.support[1],
-        "pdf_curve": None,
-        "histogram": None,
-        "ks_distance": None,
-    }
+    record = _result_record(config, plan, pdf, final.achieved_avg_fidelity, None, {})
+    record["avg_fidelity_no_aux"] = raw.achieved_avg_fidelity
     write_json(os.path.join(config.output_dir, "result.json"), record)
     elapsed = time.perf_counter() - started
     print(
@@ -420,16 +380,13 @@ def cmd_tune(config: ExperimentConfig) -> dict:
 def cmd_pdf(config: ExperimentConfig) -> dict:
     """Analytic pdf + optional MC histogram at the resolved read-out time."""
     started = time.perf_counter()
-    plan, window = _resolve_plan(config)
-    scenario = config.scenario_enum()
-    if config.jitter and config.mode.get("type") == "timing_error":
-        fraction = float(config.mode.get("fraction", DEFAULT_TIMING_FRACTION))
-        t_nodes = plan.t_opt * np.linspace(1.0 - fraction, 1.0 + fraction, JITTER_MIX_NODES)
-        members = [_analytic_pdf(plan, float(t), config.n_sites)[0] for t in t_nodes]
-        pdf = JitterMixturePdf(members)
-        kraus_for_mc = None
+    plan = _resolve_plan(config)
+    jitter = config.jitter and config.mode.get("type") == "timing_error"
+    if jitter:
+        law = fidelity_law(plan.spec, plan.scenario, _jitter_times(plan, config))
+        pdf = JitterMixturePdf([law.pdf(k) for k in range(JITTER_MIX_NODES)])
     else:
-        pdf, kraus_for_mc = _analytic_pdf(plan, plan.t_read, config.n_sites)
+        pdf = fidelity_law(plan.spec, plan.scenario, [plan.t_read]).pdf()
     avg = pdf.mean()
 
     os.makedirs(config.output_dir, exist_ok=True)
@@ -443,12 +400,13 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
     if config.mc_samples > 0:
         stream = RandomStream(config.seed)
         edges = default_bin_edges(pdf, config.bins)
-        if config.jitter and config.mode.get("type") == "timing_error":
-            hist, samples = _jitter_histogram(plan, config, edges, stream)
+        if jitter:
+            hist = _jitter_histogram(plan, config, edges, stream)
         else:
-            hist = mc_fidelity_histogram(kraus_for_mc, config.mc_samples, edges, stream)
-            samples = None
-        ks = ks_distance(hist if samples is None else samples, pdf)
+            tab = amplitudes_at(plan.spec, plan.t_read)
+            kraus = kraus_for_scenario(tab, plan.scenario, config.n_sites)
+            hist = mc_fidelity_histogram(kraus, config.mc_samples, edges, stream)
+        ks = ks_distance(hist, pdf)
         files["histogram"] = "histogram.csv"
         write_csv(
             os.path.join(config.output_dir, "histogram.csv"),
@@ -467,15 +425,24 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
     return record
 
 
-def _jitter_histogram(plan: ReadoutPlan, config: ExperimentConfig, edges, stream):
-    """MC with per-sample read-out jitter, uniform in the timing window."""
+def _jitter_times(plan: ReadoutPlan, config: ExperimentConfig) -> np.ndarray:
+    """The equal-weight read-out times of the jitter mixture around t_opt."""
     fraction = float(config.mode.get("fraction", DEFAULT_TIMING_FRACTION))
+    return plan.t_opt * np.linspace(1.0 - fraction, 1.0 + fraction, JITTER_MIX_NODES)
+
+
+def _jitter_histogram(plan: ReadoutPlan, config: ExperimentConfig, edges, stream):
+    """MC with per-sample read-out jitter over the mixture's time nodes.
+
+    Each sample draws one of the JITTER_MIX_NODES equal-weight times of
+    :func:`_jitter_times` (the same nodes as the analytic mixture), not a
+    continuous time in the window.
+    """
     rng = stream.generator()
     n = config.mc_samples
-    node_times = plan.t_opt * np.linspace(1.0 - fraction, 1.0 + fraction, JITTER_MIX_NODES)
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     node_of = rng.integers(0, JITTER_MIX_NODES, size=n)
-    for node, t in enumerate(node_times):
+    for node, t in enumerate(_jitter_times(plan, config)):
         n_here = int((node_of == node).sum())
         if n_here == 0:
             continue
@@ -483,7 +450,7 @@ def _jitter_histogram(plan: ReadoutPlan, config: ExperimentConfig, edges, stream
         kraus = kraus_for_scenario(tab, plan.scenario, config.n_sites)
         hist = mc_fidelity_histogram(kraus, n_here, edges, stream.substream(node + 1))
         counts += hist.counts
-    return Histogram(edges, counts, n), None
+    return Histogram(edges, counts, n)
 
 
 def cmd_certify(n_max: int, output_dir: str | None) -> dict:
@@ -542,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jitter",
             action="store_true",
-            help="timing_error mode: uniform read-out jitter instead of a fixed offset",
+            help="timing_error mode: per-sample read-out jitter over the window "
+            "instead of a fixed offset",
         )
     p = sub.add_parser("certify", help="run the brute-force cross-check suite")
     p.add_argument("--n-max", type=int, default=10, dest="n_max")

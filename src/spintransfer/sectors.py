@@ -100,12 +100,3 @@ def build_sector_basis(n_sites: int, n_excitations: int) -> SectorBasis:
     assert len(configs) == comb(n_sites, n_excitations)
     return SectorBasis(n_sites, n_excitations, configs)
 
-
-def index_of(basis: SectorBasis, config) -> int:
-    """Functional form of :meth:`SectorBasis.index_of`."""
-    return basis.index_of(config)
-
-
-def config_of(basis: SectorBasis, index: int) -> tuple[int, ...]:
-    """Functional form of :meth:`SectorBasis.config_of`."""
-    return basis.config_of(index)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spintransfer.chain import ChainSpec
+
+# Property tests draw a fixed example sequence, so failures reproduce and
+# the suite's run time stays flat.
+settings.register_profile(
+    "spintransfer", derandomize=True, database=None, max_examples=25, deadline=None
+)
+settings.load_profile("spintransfer")
 
 
 def make_random_chain(rng: np.random.Generator, n_sites: int, long_range: bool = False) -> ChainSpec:

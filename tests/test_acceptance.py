@@ -16,8 +16,9 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from spintransfer.analytics import (
-    avg_fidelity_one_qubit_uniform,
+    avg_fidelity_curve,
     avg_fidelity_one_qubit_vacuum,
+    find_optimal_time,
     min_fidelity_closed_form,
     pdf_from_quadratic,
     pdf_two_qubit,
@@ -26,7 +27,6 @@ from spintransfer.analytics import (
     quadratic_reduce_one_qubit,
     affine_from_kraus,
     tune_with_ladder,
-    two_qubit_affine,
     vacuum_quadratic,
 )
 from spintransfer.certify import check_channels_against_oracle
@@ -89,16 +89,11 @@ def single_qubit_plan(name: str):
     if key not in _PLAN_CACHE:
         kind, aux = SINGLE_N22[name]
         spec = protocol_preset(kind, 22)
-        _, window = tune_with_ladder(
+        tuning, _ = tune_with_ladder(
             spec, Scenario.ONE_QUBIT_VACUUM, kind, phase_corrected=aux
         )
         plan = plan_readout(
-            spec,
-            Scenario.ONE_QUBIT_VACUUM,
-            window=window[:2],
-            grid=window[2],
-            aux_field=aux,
-            target_avg=TARGET,
+            spec, Scenario.ONE_QUBIT_VACUUM, tuning, target_avg=TARGET
         )
         tab = amplitudes_at(plan.spec, plan.t_read)
         kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_VACUUM, 22)
@@ -111,19 +106,15 @@ def two_qubit_plan(name: str):
     if key not in _PLAN_CACHE:
         kind, aux = TWO_QUBIT_N9[name]
         spec = protocol_preset(kind, 9, n_senders=2)
-        _, window = tune_with_ladder(
+        tuning, _ = tune_with_ladder(
             spec, Scenario.TWO_QUBIT_VACUUM, kind, phase_corrected=aux
         )
         plan = plan_readout(
-            spec,
-            Scenario.TWO_QUBIT_VACUUM,
-            window=window[:2],
-            grid=window[2],
-            aux_field=aux,
-            target_avg=TARGET,
+            spec, Scenario.TWO_QUBIT_VACUUM, tuning, target_avg=TARGET
         )
         tab = amplitudes_at(plan.spec, plan.t_read)
-        _PLAN_CACHE[key] = (plan, two_qubit_affine(tab, 9))
+        kraus = kraus_for_scenario(tab, Scenario.TWO_QUBIT_VACUUM, 9)
+        _PLAN_CACHE[key] = (plan, affine_from_kraus(kraus))
     return _PLAN_CACHE[key]
 
 
@@ -162,9 +153,10 @@ def test_criterion_2_kraus_completeness(oracle_sweep):
 def test_criterion_3_perfect_transfer_delta():
     kind, _ = SINGLE_N22["perfect"]
     spec = protocol_preset(kind, 22)
-    plan = plan_readout(
-        spec, Scenario.ONE_QUBIT_VACUUM, window=(0.0, 2.0), grid=20_000, aux_field=True
+    tuning = find_optimal_time(
+        spec, Scenario.ONE_QUBIT_VACUUM, (0.0, 2.0), 20_000, phase_corrected=True
     )
+    plan = plan_readout(spec, Scenario.ONE_QUBIT_VACUUM, tuning)
     tab = amplitudes_at(plan.spec, plan.t_read)
     kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_VACUUM, 22)
     theta, phi = sample_bloch(RandomStream(303), 100_000)
@@ -222,10 +214,11 @@ def test_criterion_5_closed_form_averages():
     for _ in range(20):
         n = int(rng.integers(5, 9))
         spec = make_random_chain(rng, n, long_range=bool(rng.integers(0, 2)))
-        tab = amplitudes_at(spec, float(rng.uniform(0.3, 9.0)))
+        t = float(rng.uniform(0.3, 9.0))
+        tab = amplitudes_at(spec, t)
         kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_UNIFORM, n)
         gap = abs(
-            avg_fidelity_one_qubit_uniform(tab, n)
+            avg_fidelity_curve(spec, Scenario.ONE_QUBIT_UNIFORM, [t])[0]
             - quadratic_reduce_one_qubit(kraus).mean()
         )
         worst_formula = max(worst_formula, gap)
@@ -269,10 +262,13 @@ def test_criterion_6_pdf_correctness_vs_mc():
     # is validated at that protocol's own optimum instead
     kind, _ = TWO_QUBIT_N9["perfect"]
     spec = protocol_preset(kind, 9)
-    plan = plan_readout(
-        spec, Scenario.TWO_QUBIT_VACUUM, window=(0.0, 2.0), grid=20_000, aux_field=True
+    tuning = find_optimal_time(
+        spec, Scenario.TWO_QUBIT_VACUUM, (0.0, 2.0), 20_000, phase_corrected=True
     )
-    affine = two_qubit_affine(amplitudes_at(plan.spec, plan.t_read), 9)
+    plan = plan_readout(spec, Scenario.TWO_QUBIT_VACUUM, tuning)
+    affine = affine_from_kraus(
+        kraus_for_scenario(amplitudes_at(plan.spec, plan.t_read), Scenario.TWO_QUBIT_VACUUM, 9)
+    )
     pdf = pdf_two_qubit(affine)
     states = sample_two_qubit_pure(RandomStream(616, 9), MC_SAMPLES)
     samples = affine.evaluate(concurrence(states))
@@ -341,18 +337,15 @@ def test_criterion_7_companion_table_at_implied_means():
         implied_mean = expected_a - 0.4 * expected_b
         kind, aux = TWO_QUBIT_N9[name]
         spec = protocol_preset(kind, 9, n_senders=2)
-        _, window = tune_with_ladder(
+        tuning, _ = tune_with_ladder(
             spec, Scenario.TWO_QUBIT_VACUUM, kind, phase_corrected=aux
         )
         plan = plan_readout(
-            spec,
-            Scenario.TWO_QUBIT_VACUUM,
-            window=window[:2],
-            grid=window[2],
-            aux_field=aux,
-            target_avg=implied_mean,
+            spec, Scenario.TWO_QUBIT_VACUUM, tuning, target_avg=implied_mean
         )
-        affine = two_qubit_affine(amplitudes_at(plan.spec, plan.t_read), 9)
+        affine = affine_from_kraus(
+            kraus_for_scenario(amplitudes_at(plan.spec, plan.t_read), Scenario.TWO_QUBIT_VACUUM, 9)
+        )
         gap = max(abs(affine.A - expected_a), abs(affine.B - expected_b))
         worst = max(worst, gap)
         details.append(f"{name} gap {gap:.1e}")
@@ -381,16 +374,11 @@ def test_criterion_8_qualitative_orderings():
     uniform_mins = {}
     for name, (kind, aux) in UNIFORM_N15.items():
         spec = protocol_preset(kind, 15)
-        _, window = tune_with_ladder(
+        tuning, _ = tune_with_ladder(
             spec, Scenario.ONE_QUBIT_UNIFORM, kind, phase_corrected=False
         )
         plan = plan_readout(
-            spec,
-            Scenario.ONE_QUBIT_UNIFORM,
-            window=window[:2],
-            grid=window[2],
-            aux_field=aux,
-            target_avg=TARGET,
+            spec, Scenario.ONE_QUBIT_UNIFORM, tuning, target_avg=TARGET
         )
         tab = amplitudes_at(plan.spec, plan.t_read)
         kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_UNIFORM, 15)

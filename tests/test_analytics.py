@@ -10,7 +10,6 @@ from spintransfer.analytics import (
     TwoQubitAffine,
     affine_from_kraus,
     avg_fidelity_curve,
-    avg_fidelity_one_qubit_uniform,
     avg_fidelity_one_qubit_vacuum,
     find_optimal_time,
     min_fidelity_closed_form,
@@ -21,7 +20,6 @@ from spintransfer.analytics import (
     quadratic_reduce_one_qubit,
     time_for_target_avg,
     tune_with_ladder,
-    two_qubit_affine,
     vacuum_quadratic,
 )
 from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
@@ -41,7 +39,6 @@ def test_vacuum_quadratic_closed_form(rng):
     assert fitted.a == pytest.approx(closed.a, abs=1e-12)
     assert fitted.b == pytest.approx(closed.b, abs=1e-12)
     assert fitted.c == pytest.approx(closed.c, abs=1e-12)
-    assert fitted.fit_residual <= 1e-9
 
 
 def test_uniform_quadratic_matches_channel_grid(rng):
@@ -49,9 +46,8 @@ def test_uniform_quadratic_matches_channel_grid(rng):
     tab = amplitudes_at(spec, 3.7)
     kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_UNIFORM, 8)
     fitted = quadratic_reduce_one_qubit(kraus)
-    assert fitted.fit_residual <= 1e-9
     assert fitted.mean() == pytest.approx(
-        avg_fidelity_one_qubit_uniform(tab, 8), abs=1e-9
+        avg_fidelity_curve(spec, Scenario.ONE_QUBIT_UNIFORM, [3.7])[0], abs=1e-9
     )
 
 
@@ -60,10 +56,11 @@ def test_uniform_average_formula_many_specs(rng):
     for _ in range(20):
         n = int(rng.integers(5, 9))
         spec = make_random_chain(rng, n, long_range=bool(rng.integers(0, 2)))
-        tab = amplitudes_at(spec, float(rng.uniform(0.3, 9.0)))
+        t = float(rng.uniform(0.3, 9.0))
+        tab = amplitudes_at(spec, t)
         kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_UNIFORM, n)
         channel_mean = quadratic_reduce_one_qubit(kraus).mean()
-        assert avg_fidelity_one_qubit_uniform(tab, n) == pytest.approx(
+        assert avg_fidelity_curve(spec, Scenario.ONE_QUBIT_UNIFORM, [t])[0] == pytest.approx(
             channel_mean, abs=1e-9
         )
 
@@ -71,7 +68,7 @@ def test_uniform_average_formula_many_specs(rng):
 def test_uniform_average_at_zero_is_half(rng):
     for n in (5, 8, 11):
         spec = make_random_chain(rng, n)
-        assert avg_fidelity_one_qubit_uniform(amplitudes_at(spec, 0.0), n) == (
+        assert avg_fidelity_curve(spec, Scenario.ONE_QUBIT_UNIFORM, [0.0])[0] == (
             pytest.approx(0.5, abs=1e-12)
         )
 
@@ -192,8 +189,8 @@ def test_quadratic_range_invariant():
 def test_two_qubit_affine_matches_unitary_mc(rng):
     spec = make_random_chain(rng, 7)
     tab = amplitudes_at(spec, 2.8)
-    affine = two_qubit_affine(tab, 7)
     kraus = kraus_for_scenario(tab, Scenario.TWO_QUBIT_VACUUM, 7)
+    affine = affine_from_kraus(kraus)
     for k, conc in enumerate((0.0, 0.5, 1.0)):
         mean, err = mc_local_unitary_fidelity(kraus, conc, 40_000, RandomStream(30 + k))
         assert abs(mean - affine.evaluate(conc)) <= 3.0 * err
@@ -202,8 +199,8 @@ def test_two_qubit_affine_matches_unitary_mc(rng):
 def test_two_qubit_affine_at_zero(rng):
     spec = make_random_chain(rng, 6)
     tab = amplitudes_at(spec, 0.0)
-    affine = two_qubit_affine(tab, 6)
     kraus = kraus_for_scenario(tab, Scenario.TWO_QUBIT_VACUUM, 6)
+    affine = affine_from_kraus(kraus)
     for conc, stream in ((0.0, 41), (1.0, 42)):
         mean, err = mc_local_unitary_fidelity(kraus, conc, 40_000, RandomStream(stream))
         assert abs(mean - affine.evaluate(conc)) <= 3.0 * max(err, 1e-12)
@@ -342,26 +339,17 @@ def test_plan_readout_modes():
     kind = Perfect()
     spec = protocol_preset(kind, 10)
     window = (0.0, 2.0)
-    plan_opt = plan_readout(
-        spec, Scenario.ONE_QUBIT_VACUUM, window=window, grid=2000, aux_field=True
+    tuning = find_optimal_time(
+        spec, Scenario.ONE_QUBIT_VACUUM, window, 2000, phase_corrected=True
     )
+    plan_opt = plan_readout(spec, Scenario.ONE_QUBIT_VACUUM, tuning)
     assert plan_opt.t_read == plan_opt.t_opt
     plan_err = plan_readout(
-        spec,
-        Scenario.ONE_QUBIT_VACUUM,
-        window=window,
-        grid=2000,
-        aux_field=True,
-        timing_fraction=0.02,
+        spec, Scenario.ONE_QUBIT_VACUUM, tuning, timing_fraction=0.02
     )
     assert plan_err.t_read == pytest.approx(1.02 * plan_err.t_opt)
     plan_target = plan_readout(
-        spec,
-        Scenario.ONE_QUBIT_VACUUM,
-        window=window,
-        grid=2000,
-        aux_field=True,
-        target_avg=0.99,
+        spec, Scenario.ONE_QUBIT_VACUUM, tuning, target_avg=0.99
     )
     tab = amplitudes_at(plan_target.spec, plan_target.t_read)
     amp = tab.one_amplitude(1, 10)
@@ -379,16 +367,11 @@ def test_two_percent_timing_error_keeps_high_average():
     ]
     for kind, aux in cases:
         spec = protocol_preset(kind, 22)
-        _, window = tune_with_ladder(
+        tuning, _ = tune_with_ladder(
             spec, Scenario.ONE_QUBIT_VACUUM, kind, phase_corrected=aux
         )
         plan = plan_readout(
-            spec,
-            Scenario.ONE_QUBIT_VACUUM,
-            window=window[:2],
-            grid=window[2],
-            aux_field=aux,
-            timing_fraction=0.02,
+            spec, Scenario.ONE_QUBIT_VACUUM, tuning, timing_fraction=0.02
         )
         late = avg_fidelity_curve(
             plan.spec, Scenario.ONE_QUBIT_VACUUM, np.array([plan.t_read])

@@ -289,3 +289,29 @@ def test_tune_examples_at_working_settings(tmp_path):
     weak = rec[("weak", "on")]
     assert weak["avg_fidelity"] > 0.99
     assert weak["avg_fidelity_no_aux"] < weak["avg_fidelity"]
+
+
+@pytest.mark.parametrize("command", ["pdf", "tune"])
+def test_each_scan_runs_once(tmp_path, monkeypatch, command):
+    # every multi-point scan (spec, scenario, correction, window, grid) of a
+    # run is evaluated once: the planned read-out reuses the tuning's scan
+    from spintransfer import analytics
+
+    counts: dict = {}
+    curve = analytics.avg_fidelity_curve
+
+    def counting(spec, scenario, times, phase_corrected=False):
+        times = np.asarray(times, dtype=float)
+        if times.size > 1:
+            key = (spec.cache_key(), scenario, bool(phase_corrected),
+                   float(times[0]), float(times[-1]), times.size)
+            counts[key] = counts.get(key, 0) + 1
+        return curve(spec, scenario, times, phase_corrected)
+
+    monkeypatch.setattr(analytics, "avg_fidelity_curve", counting)
+    args = [command, "--protocol", "perfect", "--n-sites", "10",
+            "--scenario", "one_qubit_vacuum", "--out", str(tmp_path / "run")]
+    if command == "pdf":
+        args += ["--mode", "target_avg:0.99", "--mc-samples", "0"]
+    assert main(args) == 0
+    assert counts and max(counts.values()) == 1

@@ -3,10 +3,10 @@ import pytest
 
 from conftest import make_random_chain
 from spintransfer.analytics import (
+    affine_from_kraus,
     pdf_from_quadratic,
     pdf_two_qubit,
     quadratic_reduce_one_qubit,
-    two_qubit_affine,
     vacuum_quadratic,
 )
 from spintransfer.channel import KrausSet, Scenario, kraus_for_scenario
@@ -139,7 +139,7 @@ def test_two_qubit_histogram_matches_transform(rng):
     spec = make_random_chain(rng, 6)
     tab = amplitudes_at(spec, 2.7)
     kraus = kraus_for_scenario(tab, Scenario.TWO_QUBIT_VACUUM, 6)
-    pdf = pdf_two_qubit(two_qubit_affine(tab, 6))
+    pdf = pdf_two_qubit(affine_from_kraus(kraus))
     edges = default_bin_edges(pdf, 200)
     hist = mc_fidelity_histogram(kraus, 200_000, edges, RandomStream(13))
     assert ks_distance(hist, pdf) <= 0.01

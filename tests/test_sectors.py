@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from spintransfer.errors import ParameterError
-from spintransfer.sectors import build_sector_basis, config_of, index_of
+from spintransfer.sectors import build_sector_basis
 
 
 def test_one_excitation_ordering():
@@ -22,13 +22,13 @@ def test_vacuum_sector():
     basis = build_sector_basis(2, 0)
     assert basis.dimension == 1
     assert basis.configurations == ((),)
-    assert index_of(basis, ()) == 0
+    assert basis.index_of(()) == 0
 
 
 def test_index_examples():
-    assert index_of(build_sector_basis(4, 2), (1, 3)) == 1
-    assert index_of(build_sector_basis(4, 1), (4,)) == 3
-    assert index_of(build_sector_basis(5, 2), (4, 5)) == 9
+    assert build_sector_basis(4, 2).index_of((1, 3)) == 1
+    assert build_sector_basis(4, 1).index_of((4,)) == 3
+    assert build_sector_basis(5, 2).index_of((4, 5)) == 9
 
 
 def test_round_trip_and_dimensions():
@@ -39,7 +39,7 @@ def test_round_trip_and_dimensions():
             basis = build_sector_basis(n, q)
             assert basis.dimension == comb(n, q)
             for k in range(basis.dimension):
-                assert index_of(basis, config_of(basis, k)) == k
+                assert basis.index_of(basis.config_of(k)) == k
 
 
 @pytest.mark.parametrize(
