@@ -37,6 +37,7 @@ from .dynamics import (
     diagonalize,
     dynamics_for,
     propagator_at,
+    propagator_rows,
 )
 from .analytics import (
     FidelityLaw,

@@ -22,13 +22,15 @@ import numpy as np
 
 from .chain import ChainSpec
 from .channel import KrausSet, Scenario
-from .dynamics import ChainDynamics, dynamics_for
+from .dynamics import ChainDynamics, dynamics_for, propagator_rows
 from .errors import ModelError, ParameterError, RangeError
 
 PHI_INDEPENDENCE_TOL = 1e-10
 DELTA_COEFF_TOL = 1e-12
 TIME_CHUNK = 16384
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+TARGET_WALK_STEP = 1e-4
+LADDER_STOP_AVG = 0.995
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +506,7 @@ def fidelity_law(
     times = np.asarray(times, dtype=float)
     dyn = dynamics_for(spec)
     if scenario is Scenario.ONE_QUBIT_VACUUM:
-        amp = dyn.end_to_end_amplitude(times)
+        amp = propagator_rows(dyn.one, [[1]], [n], times)[:, 0, 0]
         r2 = np.abs(amp) ** 2
         re = np.abs(amp) if phase_corrected else amp.real
         coefficients = ((r2 - re) / 2.0, (1.0 - r2) / 2.0, (1.0 + re) / 2.0)
@@ -512,12 +514,13 @@ def fidelity_law(
     elif scenario is Scenario.ONE_QUBIT_UNIFORM:
         # Kraus diagonals (alpha_k, beta_k), k = 1..N-1, unnormalized by
         # the sqrt(N - 2) of the initial state
-        alpha = dyn.one_exc_summed_row(range(2, n), times)
-        beta = dyn.two_exc_summed_row_to(
-            [(1, j) for j in range(2, n)],
+        alpha = propagator_rows(dyn.one, [range(2, n)], range(1, n + 1), times)[:, 0]
+        beta = propagator_rows(
+            dyn.two,
+            [[(1, j) for j in range(2, n)]],
             [(k, n) for k in range(1, n)],
             times,
-        )
+        )[:, 0]
         weight = 1.0 / (n - 2)
         plus = (np.abs(alpha[:, : n - 1] + beta) ** 2).sum(axis=1)
         minus = (np.abs(alpha[:, : n - 1] - beta) ** 2).sum(axis=1)
@@ -545,15 +548,17 @@ def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool 
     into pairs that exclude the receiver without enumerating them.
     """
     n = dyn.spec.n_sites
-    rows = dyn.one_exc_rows(np.array([1, 2]), times)
+    rows = propagator_rows(dyn.one, [[1], [2]], range(1, n + 1), times)
     u = rows[:, 0, :]  # a_1^j
     v = rows[:, 1, :]  # a_2^j
-    w_n = dyn.two_exc_summed_row_to(
-        [(1, 2)], [(j, n) for j in range(1, n)], times
-    )  # b_12^{(j, N)}, j = 1..N-1
-    w_m = dyn.two_exc_summed_row_to(
-        [(1, 2)], [(j, n - 1) for j in range(1, n - 1)], times
-    )  # b_12^{(j, N-1)}, j = 1..N-2
+    pair = propagator_rows(
+        dyn.two,
+        [[(1, 2)]],
+        [(j, n) for j in range(1, n)] + [(j, n - 1) for j in range(1, n - 1)],
+        times,
+    )[:, 0, :]
+    w_n = pair[:, : n - 1]  # b_12^{(j, N)}, j = 1..N-1
+    w_m = pair[:, n - 1 :]  # b_12^{(j, N-1)}, j = 1..N-2
     if phase_corrected:
         block_amp = u[:, n - 2]
         safe = np.where(np.abs(block_amp) > 0.0, block_amp, 1.0)
@@ -642,8 +647,7 @@ def phase_null_field(spec: ChainSpec, t: float, receiver_site: int | None = None
     site = spec.n_sites if receiver_site is None else int(receiver_site)
     if not 1 <= site <= spec.n_sites:
         raise ParameterError(f"receiver_site {site} outside 1..{spec.n_sites}")
-    row = dyn.one_exc_rows(np.array([1]), np.array([t]))[0, 0, :]
-    amp = complex(row[site - 1])
+    amp = complex(propagator_rows(dyn.one, [[1]], [site], [t])[0, 0, 0])
     return float(-np.angle(amp) / (2.0 * t))
 
 
@@ -730,15 +734,15 @@ def time_for_target_avg(
     scenario: Scenario,
     target: float,
     t_opt: float,
-    step: float | None = None,
     phase_corrected: bool = True,
 ) -> float:
     """Largest read-out time below ``t_opt`` with the target average fidelity.
 
-    Walks backwards from the optimum until the average drops below the
-    target, then bisects the bracket to |<F> - target| <= 1e-9.  Approaching
-    from the early-time flank keeps the result deterministic and mimics a
-    read-out slightly before the peak.
+    Walks backwards from the optimum in steps of TARGET_WALK_STEP * t_opt
+    until the average drops below the target, then bisects the bracket to
+    |<F> - target| <= 1e-9.  Approaching from the early-time flank keeps
+    the result deterministic and mimics a read-out slightly before the
+    peak.
 
     Raises
     ------
@@ -760,8 +764,7 @@ def time_for_target_avg(
         )
     if abs(f_peak - target) <= 1e-9:
         return float(t_opt)
-    if step is None:
-        step = max(t_opt * 1e-4, 1e-9)
+    step = max(t_opt * TARGET_WALK_STEP, 1e-9)
     hi = t_opt
     lo = t_opt - step
     while lo > 0.0 and objective(lo) >= target:
@@ -825,12 +828,11 @@ def tune_with_ladder(
     scenario: Scenario,
     kind,
     phase_corrected: bool,
-    threshold: float = 0.995,
 ) -> tuple[ProtocolTuning, tuple[float, float, int]]:
-    """Tune over the default window ladder, widening until ``threshold``.
+    """Tune over the default window ladder, widening until LADDER_STOP_AVG.
 
-    Returns the tuning of the first window whose peak reaches the
-    threshold, or the best over the whole ladder.
+    Returns the tuning of the first window whose peak average reaches
+    LADDER_STOP_AVG, or the best over the whole ladder.
     """
     best: tuple[ProtocolTuning, tuple[float, float, int]] | None = None
     for window in time_window_ladder(kind):
@@ -839,7 +841,7 @@ def tune_with_ladder(
         )
         if best is None or tuning.achieved_avg_fidelity > best[0].achieved_avg_fidelity:
             best = (tuning, window)
-        if tuning.achieved_avg_fidelity >= threshold:
+        if tuning.achieved_avg_fidelity >= LADDER_STOP_AVG:
             break
     return best
 

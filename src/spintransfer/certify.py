@@ -29,6 +29,7 @@ from .analytics import (
 )
 
 REPORT_SCHEMA_VERSION = 1
+ORACLE_TIMES_PER_CASE = 10
 
 SCENARIO_SETUP = {
     Scenario.ONE_QUBIT_VACUUM: ((1,), ChannelInit.VACUUM),
@@ -162,10 +163,12 @@ def check_oracle_amplitudes(n_max: int, seed: int = 13) -> CheckResult:
     )
 
 
-def check_channels_against_oracle(
-    n_max: int, times_per_case: int = 10, seed: int = 14
-) -> list[CheckResult]:
-    """Completeness, oracle equivalence and fidelity duality in one sweep."""
+def check_channels_against_oracle(n_max: int, seed: int = 14) -> list[CheckResult]:
+    """Completeness, oracle equivalence and fidelity duality in one sweep.
+
+    Each (N, protocol, scenario) case is checked at ORACLE_TIMES_PER_CASE
+    random times.
+    """
     rng = np.random.default_rng(seed)
     worst_defect = 0.0
     worst_distance = 0.0
@@ -180,7 +183,7 @@ def check_channels_against_oracle(
                 for scenario, (sites, init) in SCENARIO_SETUP.items():
                     if n < scenario.min_sites:
                         continue
-                    for t in rng.uniform(0.0, 12.0, times_per_case):
+                    for t in rng.uniform(0.0, 12.0, ORACLE_TIMES_PER_CASE):
                         tab = amplitudes_at(spec, float(t))
                         kraus = kraus_for_scenario(tab, scenario, n)
                         worst_defect = max(worst_defect, kraus.completeness_defect)
@@ -329,7 +332,7 @@ def _clifford_group_su2() -> list[np.ndarray]:
     return group
 
 
-def run_certification(n_max: int = 10, times_per_case: int = 10) -> dict:
+def run_certification(n_max: int = 10) -> dict:
     """Run every check and return the report as a JSON-friendly dict."""
     if n_max > MAX_ORACLE_SITES:
         raise CapacityError(
@@ -341,7 +344,7 @@ def run_certification(n_max: int = 10, times_per_case: int = 10) -> dict:
         check_perfect_spectrum(),
         check_amplitude_unitarity(),
         check_oracle_amplitudes(n_max),
-        *check_channels_against_oracle(n_max, times_per_case),
+        *check_channels_against_oracle(n_max),
         check_quadratic_reduction(),
         check_pdf_normalization(),
         check_two_qubit_twirl(),

@@ -53,6 +53,8 @@ DEFAULT_BINS = 200
 DEFAULT_SEED = 0
 DEFAULT_TIMING_FRACTION = 0.02
 JITTER_MIX_NODES = 41
+PDF_CURVE_CELLS = 2001
+PDF_CURVE_PAD_CELLS = 4
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -221,10 +223,11 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def pdf_curve_rows(pdf, resolution: int = 2001, pad_cells: int = 4):
+def pdf_curve_rows(pdf):
     """Cell-averaged density curve rows (f, density, cdf).
 
-    The grid extends a few empty cells past the support so that even the
+    The grid of PDF_CURVE_CELLS cells spanning the support extends
+    PDF_CURVE_PAD_CELLS empty cells past each end so that even the
     integrable edge singularities keep their mass under trapezoidal
     integration of the emitted samples; the density column is the exact
     per-cell probability mass divided by the cell width; the cdf column is
@@ -232,10 +235,10 @@ def pdf_curve_rows(pdf, resolution: int = 2001, pad_cells: int = 4):
     """
     lo, hi = pdf.support
     span = max(hi - lo, 1e-6)  # point masses get a narrow but resolvable window
-    step = span / max(resolution - 1, 1)
-    start = lo - pad_cells * step
-    stop = hi + pad_cells * step
-    edges = np.linspace(start, stop, resolution + 2 * pad_cells)
+    step = span / (PDF_CURVE_CELLS - 1)
+    start = lo - PDF_CURVE_PAD_CELLS * step
+    stop = hi + PDF_CURVE_PAD_CELLS * step
+    edges = np.linspace(start, stop, PDF_CURVE_CELLS + 2 * PDF_CURVE_PAD_CELLS)
     cdf_edges = pdf.cdf(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     density = np.diff(cdf_edges) / np.diff(edges)
@@ -338,7 +341,12 @@ def _result_record(config, plan, pdf, avg, ks, files) -> dict:
 
 
 def cmd_tune(config: ExperimentConfig) -> dict:
-    """Tune the read-out time; with the auxiliary field, re-tune after it."""
+    """Tune the read-out time, with and without the auxiliary field.
+
+    The reported optimum and field are those of the tuning (the field is
+    folded into the chain); ``avg_fidelity_no_aux`` comes from a separate
+    scan of the uncorrected average over the same window.
+    """
     started = time.perf_counter()
     spec = _build_spec(config)
     scenario = config.scenario_enum()
@@ -346,25 +354,13 @@ def cmd_tune(config: ExperimentConfig) -> dict:
     # the window must contain the peak of the objective actually used, so
     # the ladder runs on the corrected curve whenever the field is applied
     tuning, window = _tune(config, spec, corrected)
-    raw = final = tuning
-    spec_eff = spec
+    raw = tuning
     if corrected:
         raw = find_optimal_time(spec, scenario, window[:2], window[2], phase_corrected=False)
-        spec_eff = spec.with_uniform_field(tuning.b_aux)
-        final = find_optimal_time(
-            spec_eff, scenario, window[:2], window[2], phase_corrected=False
-        )
-    plan = ReadoutPlan(
-        spec=spec_eff,
-        scenario=scenario,
-        t_opt=final.t_opt,
-        t_read=final.t_opt,
-        b_aux=tuning.b_aux if corrected else 0.0,
-        achieved_avg_fidelity=final.achieved_avg_fidelity,
-    )
-    pdf = fidelity_law(spec_eff, scenario, [final.t_opt]).pdf()
+    plan = plan_readout(spec, scenario, tuning)
+    law = fidelity_law(plan.spec, scenario, [plan.t_opt])
     os.makedirs(config.output_dir, exist_ok=True)
-    record = _result_record(config, plan, pdf, final.achieved_avg_fidelity, None, {})
+    record = _result_record(config, plan, law.pdf(), float(law.mean[0]), None, {})
     record["avg_fidelity_no_aux"] = raw.achieved_avg_fidelity
     write_json(os.path.join(config.output_dir, "result.json"), record)
     elapsed = time.perf_counter() - started

@@ -4,14 +4,17 @@ Time evolution is evaluated from a one-off dense eigendecomposition of each
 sector Hamiltonian rather than by time stepping: the protocols of interest
 reach their working point at long times (weak effective couplings), where
 steppers accumulate error but the spectral form stays exact.  Spectral data
-is cached per chain spec behind a lock; evaluation at a time point is two
-dense multiplications.
+is cached per chain spec behind a lock, and each sector is diagonalised the
+first time something reads it.  A full propagator at a time point is two
+dense multiplications; :func:`propagator_rows` evaluates only the summed
+rows a fidelity law needs, on a whole time grid.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,35 +42,6 @@ class SpectralPropagator:
     @property
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
-
-
-@dataclass(frozen=True)
-class AmplitudeTable:
-    """One- and two-excitation transition amplitudes at a fixed time.
-
-    ``one_exc[i, j]`` is the amplitude to go from site i+1 to site j+1;
-    ``two_exc[p, q]`` the amplitude between the pair configurations at
-    indices p and q of the two-excitation basis.  Both matrices are unitary
-    and symmetric (the sector Hamiltonians are real symmetric).
-    """
-
-    time: float
-    one_exc: np.ndarray
-    two_exc: np.ndarray
-    pair_basis: SectorBasis
-
-    def one_amplitude(self, i: int, j: int) -> complex:
-        """Amplitude a_i^j(t) between sites i and j (1-based)."""
-        return complex(self.one_exc[i - 1, j - 1])
-
-    def two_amplitude(self, src: tuple[int, int], dst: tuple[int, int]) -> complex:
-        """Amplitude b_{src}^{dst}(t) between sorted site pairs (1-based)."""
-        return complex(
-            self.two_exc[
-                self.pair_basis.index_of(tuple(sorted(src))),
-                self.pair_basis.index_of(tuple(sorted(dst))),
-            ]
-        )
 
 
 def diagonalize(matrix: np.ndarray, basis: SectorBasis | None = None) -> SpectralPropagator:
@@ -116,90 +90,100 @@ def propagator_at(prop: SpectralPropagator, t: float) -> np.ndarray:
     return (prop.eigenvectors * phases) @ prop.eigenvectors.T
 
 
-class ChainDynamics:
-    """Cached spectral data of one chain spec, for all sectors up to q = 2.
+def propagator_rows(prop: SpectralPropagator, sources, targets, times) -> np.ndarray:
+    """Summed propagator rows of one sector on a time grid.
 
-    Construction performs the (eager) eigendecompositions; evaluation methods
-    are pure and safe to call concurrently afterwards.
+    A configuration is a sorted tuple of sites of ``prop.basis``; a bare
+    site stands for a one-excitation configuration.  ``sources`` is a list
+    of groups of configurations and ``targets`` a list of configurations.
+
+    Returns
+    -------
+    ndarray, shape (T, len(sources), len(targets))
+        ``out[k, g, j]`` is the sum over the configurations s of group g of
+        the amplitude from s to ``targets[j]`` at ``times[k]``.  The phases
+        exp(-i L t) are computed once, and the rows are one complex matrix
+        product of the phases with the mode weights v[s, m] v[target, m].
+    """
+    v = prop.eigenvectors
+
+    def rows_of(configs) -> np.ndarray:
+        return v[[prop.basis.index_of(c if isinstance(c, tuple) else (c,)) for c in configs]]
+
+    weights = np.array([rows_of(group).sum(axis=0) for group in sources])
+    modes = (weights[:, None, :] * rows_of(targets)).reshape(-1, prop.dimension)
+    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), prop.eigenvalues))
+    return (phases @ modes.T).reshape(phases.shape[0], len(sources), -1)
+
+
+class ChainDynamics:
+    """Spectral data of one chain spec for the sectors q = 1 and q = 2.
+
+    Each sector is diagonalised the first time ``one`` or ``two`` is read,
+    so a run that reads only one-excitation amplitudes (the one-qubit
+    vacuum law) never builds the C(N, 2)-dimensional pair sector.  All
+    methods are safe to call concurrently: two threads that read a sector
+    first at the same time may both diagonalise it, but both store the same
+    deterministic result.
     """
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
         self.one_basis = build_sector_basis(spec.n_sites, 1)
-        self.pair_basis = build_sector_basis(spec.n_sites, 2)
-        self.one = diagonalize(sector_hamiltonian(spec, self.one_basis), self.one_basis)
-        self.two = diagonalize(sector_hamiltonian(spec, self.pair_basis), self.pair_basis)
+
+    @cached_property
+    def pair_basis(self) -> SectorBasis:
+        return build_sector_basis(self.spec.n_sites, 2)
+
+    @cached_property
+    def one(self) -> SpectralPropagator:
+        return diagonalize(sector_hamiltonian(self.spec, self.one_basis), self.one_basis)
+
+    @cached_property
+    def two(self) -> SpectralPropagator:
+        return diagonalize(sector_hamiltonian(self.spec, self.pair_basis), self.pair_basis)
 
     def amplitudes_at(self, t: float) -> AmplitudeTable:
-        """Full one- and two-excitation amplitude tables at time ``t``."""
-        return AmplitudeTable(
-            time=float(t),
-            one_exc=propagator_at(self.one, t),
-            two_exc=propagator_at(self.two, t),
-            pair_basis=self.pair_basis,
+        """One- and two-excitation amplitude tables at time ``t``."""
+        return AmplitudeTable(self, t)
+
+
+class AmplitudeTable:
+    """One- and two-excitation transition amplitudes at a fixed time.
+
+    ``one_exc[i, j]`` is the amplitude to go from site i+1 to site j+1;
+    ``two_exc[p, q]`` the amplitude between the pair configurations at
+    indices p and q of the two-excitation basis.  Both matrices are unitary
+    and symmetric (the sector Hamiltonians are real symmetric).
+    ``two_exc`` is computed on first read, so a table whose reader needs
+    only one-excitation amplitudes never builds the pair sector.
+    """
+
+    def __init__(self, dynamics: ChainDynamics, t: float):
+        self.time = float(t)
+        self.one_exc = propagator_at(dynamics.one, t)
+        self._dynamics = dynamics
+
+    @cached_property
+    def two_exc(self) -> np.ndarray:
+        return propagator_at(self._dynamics.two, self.time)
+
+    @property
+    def pair_basis(self) -> SectorBasis:
+        return self._dynamics.pair_basis
+
+    def one_amplitude(self, i: int, j: int) -> complex:
+        """Amplitude a_i^j(t) between sites i and j (1-based)."""
+        return complex(self.one_exc[i - 1, j - 1])
+
+    def two_amplitude(self, src: tuple[int, int], dst: tuple[int, int]) -> complex:
+        """Amplitude b_{src}^{dst}(t) between sorted site pairs (1-based)."""
+        return complex(
+            self.two_exc[
+                self.pair_basis.index_of(tuple(sorted(src))),
+                self.pair_basis.index_of(tuple(sorted(dst))),
+            ]
         )
-
-    # -- vectorized row evaluations used by the tuning sweeps ---------------
-
-    def one_exc_rows(self, rows: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Selected rows of the one-excitation propagator on a time grid.
-
-        Parameters
-        ----------
-        rows : array of int
-            1-based source sites.
-        times : array of float, shape (T,)
-
-        Returns
-        -------
-        ndarray, shape (T, len(rows), N)
-            ``out[k, r, j]`` is the amplitude from site rows[r] to site j+1.
-        """
-        v = self.one.eigenvectors
-        src = v[np.asarray(rows) - 1, :]  # (R, M)
-        phases = np.exp(-1j * np.outer(np.asarray(times), self.one.eigenvalues))
-        return np.einsum("tm,rm,jm->trj", phases, src, v, optimize=True)
-
-    def two_exc_row(self, src_pair: tuple[int, int], times: np.ndarray) -> np.ndarray:
-        """One row of the two-excitation propagator on a time grid.
-
-        Returns an array of shape (T, P) with P the pair-sector dimension;
-        column q is the amplitude from ``src_pair`` to the pair configuration
-        at index q.
-        """
-        row = self.pair_basis.index_of(tuple(sorted(src_pair)))
-        v = self.two.eigenvectors
-        weights = v[row, :]
-        phases = np.exp(-1j * np.outer(np.asarray(times), self.two.eigenvalues))
-        return (phases * weights) @ v.T
-
-    def end_to_end_amplitude(self, times: np.ndarray) -> np.ndarray:
-        """Amplitude from site 1 to site N on a time grid, shape (T,)."""
-        v = self.one.eigenvectors
-        weights = v[0, :] * v[-1, :]
-        phases = np.exp(-1j * np.outer(np.asarray(times), self.one.eigenvalues))
-        return phases @ weights
-
-    def one_exc_summed_row(self, sources, times: np.ndarray) -> np.ndarray:
-        """``sum_{i in sources} a_i^k(t)`` for every site k, shape (T, N)."""
-        v = self.one.eigenvectors
-        weights = v[np.asarray(sources) - 1, :].sum(axis=0)
-        phases = np.exp(-1j * np.outer(np.asarray(times), self.one.eigenvalues))
-        return (phases * weights) @ v.T
-
-    def two_exc_summed_row_to(
-        self, src_pairs, dst_pairs, times: np.ndarray
-    ) -> np.ndarray:
-        """``sum_{p in src_pairs} b_p^q(t)`` for the listed target pairs.
-
-        Returns shape (T, len(dst_pairs)).
-        """
-        v = self.two.eigenvectors
-        src_rows = [self.pair_basis.index_of(tuple(sorted(p))) for p in src_pairs]
-        dst_rows = [self.pair_basis.index_of(tuple(sorted(p))) for p in dst_pairs]
-        weights = v[src_rows, :].sum(axis=0)
-        phases = np.exp(-1j * np.outer(np.asarray(times), self.two.eigenvalues))
-        return (phases * weights) @ v[dst_rows, :].T
 
 
 _CACHE_LOCK = threading.Lock()

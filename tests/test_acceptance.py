@@ -121,7 +121,7 @@ def two_qubit_plan(name: str):
 @pytest.fixture(scope="module")
 def oracle_sweep():
     started = time.perf_counter()
-    results = check_channels_against_oracle(n_max=10, times_per_case=10)
+    results = check_channels_against_oracle(n_max=10)
     elapsed = time.perf_counter() - started
     return {r.name: r for r in results}, elapsed
 

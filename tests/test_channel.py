@@ -13,7 +13,7 @@ from spintransfer.channel import (
     kraus_one_qubit_vacuum,
     kraus_two_qubit_vacuum,
 )
-from spintransfer.dynamics import amplitudes_at, dynamics_for
+from spintransfer.dynamics import amplitudes_at, dynamics_for, propagator_rows
 from spintransfer.errors import ParameterError
 from spintransfer.oracle import evolve_full, reduced_density, transfer_initial_state
 
@@ -200,7 +200,7 @@ def test_perfect_transfer_is_pure_phase():
     spec = protocol_preset(Perfect(), 8)
     dyn = dynamics_for(spec)
     ts = np.linspace(0.7, 0.9, 5001)
-    t_opt = ts[np.argmax(np.abs(dyn.end_to_end_amplitude(ts)))]
+    t_opt = ts[np.argmax(np.abs(propagator_rows(dyn.one, [[1]], [8], ts)[:, 0, 0]))]
     kraus = kraus_one_qubit_vacuum(amplitudes_at(spec, float(t_opt)), 8)
     amp = kraus.operators[0][1, 1]
     assert abs(amp) == pytest.approx(1.0, abs=1e-8)

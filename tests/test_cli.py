@@ -315,3 +315,39 @@ def test_each_scan_runs_once(tmp_path, monkeypatch, command):
         args += ["--mode", "target_avg:0.99", "--mc-samples", "0"]
     assert main(args) == 0
     assert counts and max(counts.values()) == 1
+
+
+def test_vacuum_pdf_never_builds_pair_sector(tmp_path, monkeypatch):
+    # the one-qubit vacuum law and its Monte Carlo read only one-excitation
+    # amplitudes, so no matrix larger than the N x N sector is diagonalised
+    from spintransfer import dynamics
+
+    sizes = []
+    diagonalize = dynamics.diagonalize
+
+    def recording(matrix, basis=None):
+        sizes.append(np.shape(matrix)[0])
+        return diagonalize(matrix, basis)
+
+    monkeypatch.setattr(dynamics, "diagonalize", recording)
+    monkeypatch.setattr(dynamics, "_DYNAMICS_CACHE", {})
+    args = [a for a in BASE]
+    args[args.index("--n-sites") + 1] = "12"
+    args[args.index("--mode") + 1] = "at_optimal"
+    assert run_cli(*args, "--out", str(tmp_path / "run")) == 0
+    assert sizes and max(sizes) <= 12
+
+
+def test_tune_and_pdf_agree_on_optimum(tmp_path):
+    # tune reports the optimum and field of its tuning instead of re-finding
+    # the peak on the field-shifted chain, so it matches pdf at_optimal
+    setting = ["--protocol", "weak", "--j0", "0.01", "--n-sites", "15",
+               "--scenario", "one_qubit_vacuum"]
+    assert run_cli("tune", *setting, "--out", str(tmp_path / "tune")) == 0
+    assert run_cli("pdf", *setting, "--mode", "at_optimal", "--mc-samples", "0",
+                   "--out", str(tmp_path / "pdf")) == 0
+    tuned = read_json(tmp_path / "tune" / "result.json")
+    planned = read_json(tmp_path / "pdf" / "result.json")
+    assert tuned["t_opt"] == planned["t_opt"]
+    assert tuned["b_aux"] == planned["b_aux"]
+    assert tuned["avg_fidelity"] == pytest.approx(planned["avg_fidelity"], abs=1e-15)

@@ -9,6 +9,7 @@ from spintransfer.dynamics import (
     diagonalize,
     dynamics_for,
     propagator_at,
+    propagator_rows,
 )
 from spintransfer.errors import ParameterError
 from spintransfer.sectors import build_sector_basis
@@ -91,24 +92,40 @@ def test_perfect_transfer_amplitude_sweep():
     spec = protocol_preset(Perfect(), 22)
     dyn = dynamics_for(spec)
     ts = np.linspace(0.7, 0.9, 20001)
-    r = np.abs(dyn.end_to_end_amplitude(ts))
+    r = np.abs(propagator_rows(dyn.one, [[1]], [22], ts)[:, 0, 0])
     t_best = ts[np.argmax(r)]
-    assert abs(dyn.end_to_end_amplitude(np.array([t_best]))[0]) >= 1.0 - 1e-8
+    assert abs(propagator_rows(dyn.one, [[1]], [22], [t_best])[0, 0, 0]) >= 1.0 - 1e-8
 
 
 def test_summed_rows_match_tables(rng):
-    spec = make_random_chain(rng, 7)
-    dyn = dynamics_for(spec)
-    times = np.array([0.9, 2.3])
-    summed = dyn.one_exc_summed_row([2, 3, 4], times)
-    pair_summed = dyn.two_exc_summed_row_to([(1, 2), (1, 3)], [(2, 7), (4, 6)], times)
-    for k, t in enumerate(times):
-        tab = amplitudes_at(spec, float(t))
-        expected = tab.one_exc[1:4, :].sum(axis=0)
-        assert np.abs(summed[k] - expected).max() < 1e-12
-        for col, dst in enumerate([(2, 7), (4, 6)]):
-            expected_pair = tab.two_amplitude((1, 2), dst) + tab.two_amplitude((1, 3), dst)
-            assert abs(pair_summed[k, col] - expected_pair) < 1e-12
+    # the row evaluator against full propagators, on nearest-neighbour,
+    # long-range and ZZ chains, in both sectors, with several source groups
+    n = 7
+    nearest = make_random_chain(rng, n)
+    anis = np.zeros((n, n))
+    for i in range(n - 1):
+        anis[i, i + 1] = anis[i + 1, i] = rng.uniform(-1.0, 1.0)
+    zz = ChainSpec(n, nearest.couplings, anis, nearest.fields)
+    one_sources = [[1], [2, 3, 4], [7, 5]]
+    one_targets = [3, 7, 1]
+    pair_sources = [[(1, 2), (1, 3)], [(4, 6)], [(2, 7), (3, 5), (1, 6)]]
+    pair_targets = [(2, 7), (4, 6), (1, 2), (5, 6)]
+    times = np.array([0.9, 2.3, 7.7])
+    for spec in (nearest, make_random_chain(rng, n, long_range=True), zz):
+        dyn = dynamics_for(spec)
+        for prop, sources, targets in (
+            (dyn.one, one_sources, one_targets),
+            (dyn.two, pair_sources, pair_targets),
+        ):
+            rows = propagator_rows(prop, sources, targets, times)
+            assert rows.shape == (times.size, len(sources), len(targets))
+            cols = [prop.basis.index_of(np.atleast_1d(c)) for c in targets]
+            for k, t in enumerate(times):
+                full = propagator_at(prop, float(t))
+                for g, group in enumerate(sources):
+                    src = [prop.basis.index_of(np.atleast_1d(c)) for c in group]
+                    expected = full[src, :].sum(axis=0)[cols]
+                    assert np.abs(rows[k, g] - expected).max() < 1e-12
 
 
 def test_csv_export(tmp_path, rng):
