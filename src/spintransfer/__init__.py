@@ -36,6 +36,8 @@ from .dynamics import (
     amplitudes_at,
     diagonalize,
     dynamics_for,
+    is_free_fermion,
+    pair_rows,
     propagator_at,
     propagator_rows,
 )

@@ -6,11 +6,15 @@ of the Bloch angle; for two qubits the fidelity averaged over local unitaries
 is affine in the squared concurrence.  :func:`fidelity_law` evaluates both
 laws directly from rows of the sector propagators, vectorized over a time
 grid; the tuning scans use its mean and the written distributions its
-coefficients.  Distributions follow by a change of variables from the
-uniform-state input measures (x uniform on [-1, 1]; concurrence density
-3 C sqrt(1 - C^2)).  The reductions of explicit Kraus sets
-(:func:`quadratic_reduce_one_qubit`, :func:`affine_from_kraus`) are the
-independent reference that Monte Carlo and certification use.
+coefficients.  The two-excitation rows of the occupied-channel and
+two-qubit laws come from :func:`~spintransfer.dynamics.pair_rows`: 2x2
+determinants of one-excitation rows on nearest-neighbour XX chains (every
+preset), the pair-sector propagator otherwise.  Distributions follow by
+a change of variables from the uniform-state input measures (x uniform on
+[-1, 1]; concurrence density 3 C sqrt(1 - C^2)).  The reductions of
+explicit Kraus sets (:func:`quadratic_reduce_one_qubit`,
+:func:`affine_from_kraus`) are the independent reference that Monte Carlo
+and certification use.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .channel import KrausSet, Scenario
-from .dynamics import ChainDynamics, dynamics_for, propagator_rows
+from .dynamics import ChainDynamics, dynamics_for, pair_rows, propagator_rows
 from .errors import ModelError, ParameterError, RangeError
 
 PHI_INDEPENDENCE_TOL = 1e-10
@@ -465,11 +469,21 @@ class FidelityLaw:
     mean: np.ndarray
 
     def pdf(self, k: int = 0) -> FidelityPdf:
-        """Fidelity distribution of the law at the k-th time."""
+        """Fidelity distribution of the law at the k-th time.
+
+        A law that collapses to a point mass sits at its mean, so the mean
+        and the support reported for it agree to the last bit (the
+        coefficients' c alone can differ from the mean by rounding).
+        """
         row = [float(v) for v in self.coefficients[k]]
         if self.scenario is Scenario.TWO_QUBIT_VACUUM:
-            return pdf_two_qubit(TwoQubitAffine(*row))
-        return pdf_from_quadratic(QuadraticFidelity(*row))
+            pdf = pdf_two_qubit(TwoQubitAffine(*row))
+        else:
+            pdf = pdf_from_quadratic(QuadraticFidelity(*row))
+        if pdf.kind is PdfKind.DELTA:
+            mean = float(self.mean[k])
+            return FidelityPdf(PdfKind.DELTA, (mean,), (mean, mean))
+        return pdf
 
 
 def fidelity_law(
@@ -482,8 +496,10 @@ def fidelity_law(
 
     The vacuum law needs only the end-to-end amplitude a_1^N.  The uniform
     law sums the one- and two-excitation rows out of the occupied sites
-    2..N-1; the weight of the double excitations that avoid the receiver
-    follows from unitarity of the normalized pair row.  The two-qubit law
+    2..N-1 (the latter from :func:`pair_rows`, which on a free-fermion
+    chain reads the site-1 row of the same one-excitation call); the weight
+    of the double excitations that avoid the receiver follows from
+    unitarity of the normalized pair row.  The two-qubit law
     uses the rows of :func:`_two_qubit_law`.  Memory grows as len(times)
     times the sector size; :func:`avg_fidelity_curve` feeds long grids in
     chunks.
@@ -514,13 +530,9 @@ def fidelity_law(
     elif scenario is Scenario.ONE_QUBIT_UNIFORM:
         # Kraus diagonals (alpha_k, beta_k), k = 1..N-1, unnormalized by
         # the sqrt(N - 2) of the initial state
-        alpha = propagator_rows(dyn.one, [range(2, n)], range(1, n + 1), times)[:, 0]
-        beta = propagator_rows(
-            dyn.two,
-            [[(1, j) for j in range(2, n)]],
-            [(k, n) for k in range(1, n)],
-            times,
-        )[:, 0]
+        rows = propagator_rows(dyn.one, [[1], range(2, n)], range(1, n + 1), times)
+        alpha = rows[:, 1]
+        beta = pair_rows(dyn, range(2, n), [(k, n) for k in range(1, n)], times, rows)
         weight = 1.0 / (n - 2)
         plus = (np.abs(alpha[:, : n - 1] + beta) ** 2).sum(axis=1)
         minus = (np.abs(alpha[:, : n - 1] - beta) ** 2).sum(axis=1)
@@ -544,19 +556,22 @@ def fidelity_law(
 def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool = False):
     """A(t) and B(t) on a time grid via the channel trace sums.
 
-    Uses unitarity of the pair-sector propagator to account for the leak
-    into pairs that exclude the receiver without enumerating them.
+    The pair rows b_12^{(j, N)} and b_12^{(j, N-1)} come from
+    :func:`pair_rows` (2x2 determinants of the u, v rows on a free-fermion
+    chain).  Unitarity of the pair row accounts for the leak into pairs
+    that exclude the receiver without enumerating them.
     """
     n = dyn.spec.n_sites
     rows = propagator_rows(dyn.one, [[1], [2]], range(1, n + 1), times)
     u = rows[:, 0, :]  # a_1^j
     v = rows[:, 1, :]  # a_2^j
-    pair = propagator_rows(
-        dyn.two,
-        [[(1, 2)]],
+    pair = pair_rows(
+        dyn,
+        [2],
         [(j, n) for j in range(1, n)] + [(j, n - 1) for j in range(1, n - 1)],
         times,
-    )[:, 0, :]
+        rows,
+    )
     w_n = pair[:, : n - 1]  # b_12^{(j, N)}, j = 1..N-1
     w_m = pair[:, n - 1 :]  # b_12^{(j, N-1)}, j = 1..N-2
     if phase_corrected:

@@ -11,13 +11,14 @@ custom chain specs via the command line.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .chain import Barrier, ChainSpec, ChannelInit, Perfect, Weak, protocol_preset, sector_hamiltonian
 from .channel import Scenario, apply_channel, fidelity, kraus_for_scenario
-from .dynamics import amplitudes_at, dynamics_for
+from .dynamics import amplitudes_at, dynamics_for, pair_rows, propagator_rows
 from .errors import CapacityError
 from .oracle import MAX_ORACLE_SITES, evolve_full, reduced_density, transfer_initial_state
 from .sectors import build_sector_basis
@@ -160,6 +161,38 @@ def check_oracle_amplitudes(n_max: int, seed: int = 13) -> CheckResult:
                         )
     return CheckResult(
         "oracle_amplitude_equivalence", worst <= 1e-9, worst, f"N up to {min(n_max, 8)}"
+    )
+
+
+def check_pair_rows(seed: int = 18) -> CheckResult:
+    """Determinant pair rows vs the pair-sector propagator.
+
+    On the presets the fidelity laws and the Kraus sets both take their
+    two-excitation amplitudes from :func:`pair_rows`, i.e. from 2x2
+    determinants of one-excitation amplitudes, so the laws-vs-Kraus checks
+    cannot see an error in that shared path.  This check, which compares it
+    with rows of the diagonalised pair sector, and
+    ``channel_oracle_equivalence`` (Kraus sets vs the 2^N evolution) are
+    what pin it.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n in (6, 9):
+        specs = [random_spec(rng, n), *protocol_specs(n).values(),
+                 *protocol_specs(n, n_senders=2).values()]
+        targets = list(combinations(range(1, n + 1), 2))
+        times = rng.uniform(0.0, 12.0, 8)
+        for spec in specs:
+            dyn = dynamics_for(spec)
+            for group in ([2], range(2, n)):
+                sector = propagator_rows(
+                    dyn.two, [[(1, j) for j in group]], targets, times
+                )[:, 0]
+                err = np.abs(pair_rows(dyn, group, targets, times) - sector).max()
+                worst = max(worst, float(err))
+    return CheckResult(
+        "pair_rows_vs_sector", worst <= 1e-10, worst,
+        "random and preset chains, N in {6, 9}",
     )
 
 
@@ -344,6 +377,7 @@ def run_certification(n_max: int = 10) -> dict:
         check_perfect_spectrum(),
         check_amplitude_unitarity(),
         check_oracle_amplitudes(n_max),
+        check_pair_rows(),
         *check_channels_against_oracle(n_max),
         check_quadratic_reduction(),
         check_pdf_normalization(),

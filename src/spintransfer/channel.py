@@ -5,9 +5,13 @@ fixed initial channel state and one basis state of everything-but-the-
 receiver.  Conservation of total magnetization restricts which entries can
 be non-zero, so every operator is assembled from one- and two-excitation
 transition amplitudes.  Operators are built from this first-principles
-definition with the sector propagators; trace preservation then holds by
-unitarity and the cached completeness defect only measures floating-point
-error.
+definition: the one-excitation propagator of an :class:`AmplitudeTable`
+and the few two-excitation rows out of the initially occupied pairs
+(:meth:`AmplitudeTable.pair_row`, 2x2 determinants of one-excitation
+amplitudes on a nearest-neighbour XX chain, pair-sector rows otherwise);
+the full pair propagator is never formed.  Trace preservation then holds
+by unitarity and the cached completeness defect only measures
+floating-point error.
 
 Receiver conventions: single-qubit transfer reads site N in the basis
 |0>, |1>; two-qubit transfer reads sites (N-1, N) in the basis
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -119,8 +124,8 @@ def kraus_one_qubit_uniform(amps: AmplitudeTable, n_sites: int) -> KrausSet:
     norm = 1.0 / np.sqrt(n - 2)
     # sums over the initially occupied sites j = 2..N-1
     a_sum = amps.one_exc[1 : n - 1, :].sum(axis=0) * norm  # -> site k+1
-    pair_rows = [amps.pair_basis.index_of((1, j)) for j in range(2, n)]
-    b_sum_flat = amps.two_exc[pair_rows, :].sum(axis=0) * norm  # -> pair q
+    pairs = list(combinations(range(1, n + 1), 2))
+    b_sum = dict(zip(pairs, amps.pair_row(range(2, n), pairs) * norm))
 
     ops: list[np.ndarray] = []
     # no excitation left outside the receiver: arrival amplitude at site N
@@ -131,13 +136,13 @@ def kraus_one_qubit_uniform(amps: AmplitudeTable, n_sites: int) -> KrausSet:
     for k in range(1, n):
         e1 = np.zeros((2, 2), dtype=complex)
         e1[0, 0] = a_sum[k - 1]
-        e1[1, 1] = b_sum_flat[amps.pair_basis.index_of((k, n))]
+        e1[1, 1] = b_sum[(k, n)]
         ops.append(e1)
     # two excitations at k < l <= N-1
     for k in range(1, n):
         for l in range(k + 1, n):
             e2 = np.zeros((2, 2), dtype=complex)
-            e2[0, 1] = b_sum_flat[amps.pair_basis.index_of((k, l))]
+            e2[0, 1] = b_sum[(k, l)]
             ops.append(e2)
     return _finish(ops, Scenario.ONE_QUBIT_UNIFORM, amps.time)
 
@@ -156,9 +161,8 @@ def kraus_two_qubit_vacuum(amps: AmplitudeTable, n_sites: int) -> KrausSet:
     n = n_sites
     a1 = amps.one_exc[0, :]  # from site 1
     a2 = amps.one_exc[1, :]  # from site 2
-    src = amps.pair_basis.index_of((1, 2))
-    b12 = amps.two_exc[src, :]
-    pair_index = amps.pair_basis.index_of
+    pairs = list(combinations(range(1, n + 1), 2))
+    b12 = dict(zip(pairs, amps.pair_row([2], pairs)))
 
     ops: list[np.ndarray] = []
     e0 = np.zeros((4, 4), dtype=complex)
@@ -167,19 +171,19 @@ def kraus_two_qubit_vacuum(amps: AmplitudeTable, n_sites: int) -> KrausSet:
     e0[1, 2] = a1[n - 1]      # site 1 -> site N
     e0[2, 1] = a2[n - 2]      # site 2 -> site N-1
     e0[2, 2] = a1[n - 2]      # site 1 -> site N-1
-    e0[3, 3] = b12[pair_index((n - 1, n))]
+    e0[3, 3] = b12[(n - 1, n)]
     ops.append(e0)
     for j in range(1, n - 1):
         e1 = np.zeros((4, 4), dtype=complex)
         e1[0, 1] = a2[j - 1]
         e1[0, 2] = a1[j - 1]
-        e1[1, 3] = b12[pair_index((j, n))]
-        e1[2, 3] = b12[pair_index((j, n - 1))]
+        e1[1, 3] = b12[(j, n)]
+        e1[2, 3] = b12[(j, n - 1)]
         ops.append(e1)
     for k in range(1, n - 1):
         for j in range(k + 1, n - 1):
             e2 = np.zeros((4, 4), dtype=complex)
-            e2[0, 3] = b12[pair_index((k, j))]
+            e2[0, 3] = b12[(k, j)]
             ops.append(e2)
     return _finish(ops, Scenario.TWO_QUBIT_VACUUM, amps.time)
 

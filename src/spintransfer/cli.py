@@ -274,9 +274,6 @@ class JitterMixturePdf:
     def cdf(self, f):
         return sum(p.cdf(f) for p in self._pdfs) / len(self._pdfs)
 
-    def mean(self) -> float:
-        return sum(p.mean() for p in self._pdfs) / len(self._pdfs)
-
 
 # ---------------------------------------------------------------------------
 # commands
@@ -382,8 +379,10 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
         law = fidelity_law(plan.spec, plan.scenario, _jitter_times(plan, config))
         pdf = JitterMixturePdf([law.pdf(k) for k in range(JITTER_MIX_NODES)])
     else:
-        pdf = fidelity_law(plan.spec, plan.scenario, [plan.t_read]).pdf()
-    avg = pdf.mean()
+        law = fidelity_law(plan.spec, plan.scenario, [plan.t_read])
+        pdf = law.pdf()
+    # the closed-form mean that tuning and the target bisection evaluate
+    avg = float(law.mean.mean())
 
     os.makedirs(config.output_dir, exist_ok=True)
     files = {"pdf_curve": "pdf_curve.csv"}

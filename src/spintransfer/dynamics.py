@@ -8,6 +8,15 @@ is cached per chain spec behind a lock, and each sector is diagonalised the
 first time something reads it.  A full propagator at a time point is two
 dense multiplications; :func:`propagator_rows` evaluates only the summed
 rows a fidelity law needs, on a whole time grid.
+
+For a nearest-neighbour XX chain (no coupling beyond adjacent sites, no
+ZZ term; any local fields) the Jordan-Wigner transformation maps the
+dynamics to free fermions, and a two-excitation amplitude is the 2x2
+determinant b_{(i1,i2)}^{(j1,j2)} = a_{i1}^{j1} a_{i2}^{j2} - a_{i1}^{j2}
+a_{i2}^{j1} of one-excitation amplitudes (Lieb, Schultz and Mattis, Ann.
+Phys. 16, 407 (1961)).  :func:`pair_rows` uses it whenever the spec allows
+(:func:`is_free_fermion`), so the C(N, 2)-dimensional pair sector is
+diagonalised only for long-range or ZZ-coupled chains.
 """
 
 from __future__ import annotations
@@ -116,12 +125,53 @@ def propagator_rows(prop: SpectralPropagator, sources, targets, times) -> np.nda
     return (phases @ modes.T).reshape(phases.shape[0], len(sources), -1)
 
 
+def is_free_fermion(spec: ChainSpec) -> bool:
+    """Whether pair amplitudes are determinants of one-excitation amplitudes.
+
+    True when every coupling between sites more than one apart is zero and
+    every ZZ weight J_ij D_ij is zero: then no hop crosses another
+    excitation and pair energies are sums of single-excitation energies.
+    """
+    return not (
+        np.triu(spec.couplings, 2).any() or (spec.couplings * spec.anisotropies).any()
+    )
+
+
+def pair_rows(dyn: ChainDynamics, group, targets, times, one_rows=None) -> np.ndarray:
+    """Summed two-excitation rows out of the pairs (1, j), j in ``group``.
+
+    ``group`` holds sites j > 1 and ``targets`` sorted site pairs (k, l).
+
+    Returns
+    -------
+    ndarray, shape (T, len(targets))
+        ``out[t, p]`` is the sum over j in ``group`` of b_{(1,j)}^{targets[p]}
+        at ``times[t]``.  On a free-fermion chain (:func:`is_free_fermion`)
+        it is the determinant a_1^k S_l - a_1^l S_k with S the row summed
+        over ``group``, and the pair sector is never built; otherwise it
+        is :func:`propagator_rows` of the pair sector.  ``one_rows`` may
+        pass the rows the determinant reads when the caller already has
+        them: shape (T, 2, N), a_1^j and sum_{i in group} a_i^j for j = 1..N,
+        i.e. ``propagator_rows(dyn.one, [[1], group], range(1, N + 1), times)``.
+    """
+    if not is_free_fermion(dyn.spec):
+        sources = [[(1, j) for j in group]]
+        return propagator_rows(dyn.two, sources, targets, times)[:, 0]
+    if one_rows is None:
+        sites = range(1, dyn.spec.n_sites + 1)
+        one_rows = propagator_rows(dyn.one, [[1], group], sites, times)
+    k, l = (np.asarray(targets, dtype=int).reshape(-1, 2) - 1).T
+    a1, s = one_rows[:, 0], one_rows[:, 1]
+    return a1[:, k] * s[:, l] - a1[:, l] * s[:, k]
+
+
 class ChainDynamics:
     """Spectral data of one chain spec for the sectors q = 1 and q = 2.
 
     Each sector is diagonalised the first time ``one`` or ``two`` is read,
     so a run that reads only one-excitation amplitudes (the one-qubit
-    vacuum law) never builds the C(N, 2)-dimensional pair sector.  All
+    vacuum law, and every law of a free-fermion chain through
+    :func:`pair_rows`) never builds the C(N, 2)-dimensional pair sector.  All
     methods are safe to call concurrently: two threads that read a sector
     first at the same time may both diagonalise it, but both store the same
     deterministic result.
@@ -155,8 +205,9 @@ class AmplitudeTable:
     ``two_exc[p, q]`` the amplitude between the pair configurations at
     indices p and q of the two-excitation basis.  Both matrices are unitary
     and symmetric (the sector Hamiltonians are real symmetric).
-    ``two_exc`` is computed on first read, so a table whose reader needs
-    only one-excitation amplitudes never builds the pair sector.
+    ``two_exc`` is computed on first read; the Kraus builders read
+    :meth:`pair_row` instead, which on a free-fermion chain never builds
+    the pair sector.
     """
 
     def __init__(self, dynamics: ChainDynamics, t: float):
@@ -171,6 +222,13 @@ class AmplitudeTable:
     @property
     def pair_basis(self) -> SectorBasis:
         return self._dynamics.pair_basis
+
+    def pair_row(self, group, targets) -> np.ndarray:
+        """:func:`pair_rows` at this table's time, from its own ``one_exc``."""
+        one_rows = np.stack(
+            [self.one_exc[0], self.one_exc[np.asarray(group, dtype=int) - 1].sum(axis=0)]
+        )
+        return pair_rows(self._dynamics, group, targets, [self.time], one_rows[None])[0]
 
     def one_amplitude(self, i: int, j: int) -> complex:
         """Amplitude a_i^j(t) between sites i and j (1-based)."""

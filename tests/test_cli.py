@@ -317,9 +317,8 @@ def test_each_scan_runs_once(tmp_path, monkeypatch, command):
     assert counts and max(counts.values()) == 1
 
 
-def test_vacuum_pdf_never_builds_pair_sector(tmp_path, monkeypatch):
-    # the one-qubit vacuum law and its Monte Carlo read only one-excitation
-    # amplitudes, so no matrix larger than the N x N sector is diagonalised
+def diagonalised_sizes(monkeypatch, args) -> list[int]:
+    """Dimensions of the matrices one CLI run diagonalises, from a cold cache."""
     from spintransfer import dynamics
 
     sizes = []
@@ -331,11 +330,31 @@ def test_vacuum_pdf_never_builds_pair_sector(tmp_path, monkeypatch):
 
     monkeypatch.setattr(dynamics, "diagonalize", recording)
     monkeypatch.setattr(dynamics, "_DYNAMICS_CACHE", {})
+    assert run_cli(*args) == 0
+    return sizes
+
+
+def test_vacuum_pdf_never_builds_pair_sector(tmp_path, monkeypatch):
+    # the one-qubit vacuum law and its Monte Carlo read only one-excitation
+    # amplitudes, so no matrix larger than the N x N sector is diagonalised
     args = [a for a in BASE]
     args[args.index("--n-sites") + 1] = "12"
     args[args.index("--mode") + 1] = "at_optimal"
-    assert run_cli(*args, "--out", str(tmp_path / "run")) == 0
+    sizes = diagonalised_sizes(monkeypatch, [*args, "--out", str(tmp_path / "run")])
     assert sizes and max(sizes) <= 12
+
+
+@pytest.mark.parametrize(("scenario", "n_sites"), [("one_qubit_uniform", 12), ("two_qubit", 9)])
+def test_pair_law_pdf_never_builds_pair_sector(tmp_path, monkeypatch, scenario, n_sites):
+    # on a nearest-neighbour preset the occupied-channel and two-qubit laws
+    # and their Kraus sets take pair amplitudes as determinants of
+    # one-excitation amplitudes, so the pair sector is never diagonalised
+    args = [a for a in BASE]
+    args[args.index("--n-sites") + 1] = str(n_sites)
+    args[args.index("--scenario") + 1] = scenario
+    args[args.index("--mode") + 1] = "at_optimal"
+    sizes = diagonalised_sizes(monkeypatch, [*args, "--out", str(tmp_path / "run")])
+    assert sizes and max(sizes) <= n_sites
 
 
 def test_tune_and_pdf_agree_on_optimum(tmp_path):
@@ -351,3 +370,5 @@ def test_tune_and_pdf_agree_on_optimum(tmp_path):
     assert tuned["t_opt"] == planned["t_opt"]
     assert tuned["b_aux"] == planned["b_aux"]
     assert tuned["avg_fidelity"] == pytest.approx(planned["avg_fidelity"], abs=1e-15)
+    # both report the same closed-form law mean at the same read-out
+    assert tuned["avg_fidelity"] == planned["avg_fidelity"]

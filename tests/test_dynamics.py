@@ -8,6 +8,8 @@ from spintransfer.dynamics import (
     amplitudes_at,
     diagonalize,
     dynamics_for,
+    is_free_fermion,
+    pair_rows,
     propagator_at,
     propagator_rows,
 )
@@ -126,6 +128,29 @@ def test_summed_rows_match_tables(rng):
                     src = [prop.basis.index_of(np.atleast_1d(c)) for c in group]
                     expected = full[src, :].sum(axis=0)[cols]
                     assert np.abs(rows[k, g] - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("extra", ["next_nearest", "zz"])
+def test_pair_rows_gate(rng, extra):
+    # one next-nearest-neighbour bond or one ZZ bond breaks the determinant
+    # form; pair_rows then returns the pair-sector rows themselves
+    n = 7
+    nearest = make_random_chain(rng, n)
+    assert is_free_fermion(nearest)
+    couplings = np.array(nearest.couplings)
+    anis = np.zeros((n, n))
+    if extra == "next_nearest":
+        couplings[2, 4] = couplings[4, 2] = 0.4
+    else:
+        anis[2, 3] = anis[3, 2] = 0.7
+    spec = ChainSpec(n, couplings, anis, nearest.fields)
+    assert not is_free_fermion(spec)
+    dyn = dynamics_for(spec)
+    targets = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    times = np.array([0.4, 3.1, 9.5])
+    for group in ([2], range(2, n)):
+        sector = propagator_rows(dyn.two, [[(1, j) for j in group]], targets, times)[:, 0]
+        assert np.array_equal(pair_rows(dyn, group, targets, times), sector)
 
 
 def test_csv_export(tmp_path, rng):
