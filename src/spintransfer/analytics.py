@@ -674,7 +674,11 @@ def avg_fidelity_curve(
 ) -> np.ndarray:
     """Average fidelity on a time grid: the mean of :func:`fidelity_law`.
 
-    The grid is evaluated in chunks of 16384 times to bound memory.
+    The grid is evaluated in chunks of TIME_CHUNK (16384) times, which
+    bound the law's arrays of one row per time and site.  The propagator
+    rows of a chunk of a uniform grid come from giant-step x baby-step
+    phase tables (:func:`~spintransfer.dynamics.propagator_rows`), so no
+    time x mode phase matrix is formed.
     """
     times = np.asarray(times, dtype=float)
     out = np.empty(times.shape, dtype=float)

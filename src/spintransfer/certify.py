@@ -196,6 +196,44 @@ def check_pair_rows(seed: int = 18) -> CheckResult:
     )
 
 
+def check_grid_rows(seed: int = 19) -> CheckResult:
+    """Factored scan rows vs per-point :func:`propagator_rows` calls.
+
+    Every tuning scan evaluates its grid as giant-step x baby-step phase
+    products (see :func:`~spintransfer.dynamics.propagator_rows`), while a
+    single time takes the direct phase matrix.  The rows of a 4096-point
+    grid on [0, 1e4] are compared with single-point calls at sampled grid
+    points; ``max_error`` is the worst deviation in units of the rounding
+    scale both paths share, 4 eps max|L| max|t| sum_m |w_m| per column, and
+    the check passes at 1.
+    """
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 1e4, 4096)
+    worst = 0.0
+    for n in (6, 9):
+        sources, targets = [[1], [2], range(2, n)], range(1, n + 1)
+        for spec in (random_spec(rng, n), *protocol_specs(n).values()):
+            prop = dynamics_for(spec).one
+            rows = propagator_rows(prop, sources, targets, times)
+            picks = np.unique(np.r_[0, times.size - 1, rng.integers(0, times.size, 30)])
+            point = np.concatenate(
+                [propagator_rows(prop, sources, targets, [times[k]]) for k in picks]
+            )
+            v = prop.eigenvectors
+            weights = np.stack([v[np.asarray(g) - 1].sum(axis=0) for g in sources])
+            column_l1 = np.abs(weights[:, None, :] * v[np.asarray(targets) - 1]).sum(axis=-1)
+            scale = (
+                4.0 * np.finfo(float).eps * np.abs(prop.eigenvalues).max() * times[-1]
+                * column_l1
+            )
+            worst = max(worst, float((np.abs(rows[picks] - point) / scale).max()))
+    return CheckResult(
+        "grid_rows_vs_pointwise", worst <= 1.0, worst,
+        "4096-point grid on [0, 1e4] vs single times, random and preset chains, "
+        "N in {6, 9}; error in units of 4 eps max|L| max|t| sum|w|",
+    )
+
+
 def check_channels_against_oracle(n_max: int, seed: int = 14) -> list[CheckResult]:
     """Completeness, oracle equivalence and fidelity duality in one sweep.
 
@@ -378,6 +416,7 @@ def run_certification(n_max: int = 10) -> dict:
         check_amplitude_unitarity(),
         check_oracle_amplitudes(n_max),
         check_pair_rows(),
+        check_grid_rows(),
         *check_channels_against_oracle(n_max),
         check_quadratic_reduction(),
         check_pdf_normalization(),

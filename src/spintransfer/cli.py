@@ -83,9 +83,9 @@ class ExperimentConfig:
     def kind(self) -> ProtocolKind:
         kind = self.protocol.get("kind")
         if kind == "weak":
-            return Weak(float(self.protocol["j0"]))
+            return Weak(_number("protocol j0", self.protocol.get("j0")))
         if kind == "barrier":
-            return Barrier(float(self.protocol["h0"]))
+            return Barrier(_number("protocol h0", self.protocol.get("h0")))
         if kind == "perfect":
             return Perfect()
         raise ParameterError(f"unknown protocol kind {kind!r}")
@@ -106,13 +106,13 @@ class ExperimentConfig:
             raise ParameterError(f"n_sites must be >= 4, got {self.n_sites}")
         mode_type = self.mode.get("type")
         if mode_type == "timing_error":
-            fraction = float(self.mode.get("fraction", DEFAULT_TIMING_FRACTION))
+            fraction = _number("mode fraction", self.mode.get("fraction", DEFAULT_TIMING_FRACTION))
             if not 0.0 <= fraction <= 0.5:
                 raise ParameterError(
                     f"timing_error fraction must lie in [0, 0.5], got {fraction}"
                 )
         elif mode_type == "target_avg":
-            value = float(self.mode["value"])
+            value = _number("mode value", self.mode.get("value"))
             if not 0.5 < value < 1.0:
                 raise ParameterError(
                     f"target_avg value must lie in (0.5, 1), got {value}"
@@ -148,12 +148,46 @@ class ExperimentConfig:
         }
 
 
+def _number(field: str, value, kind=float):
+    """``kind(value)``, or a ParameterError naming ``field``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ParameterError(f"{field} must be {noun}, got {value!r}") from exc
+
+
+def _window(value) -> tuple[float, float]:
+    """A (lo, hi) scan window from ``lo:hi`` text or a two-entry list."""
+    if isinstance(value, str):
+        lo, sep, hi = value.partition(":")
+        value = [lo, hi] if sep else [value]
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ParameterError(f"window must be lo:hi (two numbers), got {value!r}")
+    return _number("window lo", value[0]), _number("window hi", value[1])
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge the JSON config file (if any) with command-line overrides."""
+    """Merge the JSON config file (if any) with command-line overrides.
+
+    Raises
+    ------
+    ParameterError
+        If the config file cannot be read or a numeric field does not
+        parse; the message names the file or the field.
+    """
     data: dict = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ParameterError(f"cannot read config {args.config!r}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ParameterError(f"config {args.config!r} must hold a JSON object")
+        for field in ("protocol", "mode"):
+            if not isinstance(data.get(field, {}), dict):
+                raise ParameterError(f"config field {field} must be a JSON object")
     protocol = dict(data.get("protocol", {}))
     if args.protocol:
         protocol["kind"] = args.protocol
@@ -166,35 +200,39 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         parts = args.mode.split(":", 1)
         mode = {"type": parts[0]}
         if parts[0] == "timing_error":
-            mode["fraction"] = float(parts[1]) if len(parts) > 1 else DEFAULT_TIMING_FRACTION
+            mode["fraction"] = (
+                _number("mode fraction", parts[1]) if len(parts) > 1 else DEFAULT_TIMING_FRACTION
+            )
         elif parts[0] == "target_avg":
             if len(parts) < 2:
                 raise ParameterError("--mode target_avg:<value> needs a value")
-            mode["value"] = float(parts[1])
+            mode["value"] = _number("mode value", parts[1])
     if not mode:
         mode = {"type": "at_optimal"}
-    window = data.get("window")
-    if args.window:
-        lo, _, hi = args.window.partition(":")
-        window = [float(lo), float(hi)]
+    window = args.window or data.get("window")
+    grid = args.grid if args.grid is not None else data.get("grid")
     output_dir = args.out or data.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV, "")
     aux = data.get("aux_field", None)
     if args.aux_field is not None:
         aux = args.aux_field == "on"
     config = ExperimentConfig(
         protocol=protocol,
-        n_sites=int(args.n_sites if args.n_sites is not None else data.get("n_sites", 0)),
+        n_sites=_number(
+            "n_sites", args.n_sites if args.n_sites is not None else data.get("n_sites", 0), int
+        ),
         scenario=str(args.scenario or data.get("scenario", "")),
         mode=mode,
-        mc_samples=int(
-            args.mc_samples if args.mc_samples is not None else data.get("mc_samples", DEFAULT_MC_SAMPLES)
+        mc_samples=_number(
+            "mc_samples",
+            args.mc_samples if args.mc_samples is not None else data.get("mc_samples", DEFAULT_MC_SAMPLES),
+            int,
         ),
-        seed=int(args.seed if args.seed is not None else data.get("seed", DEFAULT_SEED)),
-        bins=int(args.bins if args.bins is not None else data.get("bins", DEFAULT_BINS)),
+        seed=_number("seed", args.seed if args.seed is not None else data.get("seed", DEFAULT_SEED), int),
+        bins=_number("bins", args.bins if args.bins is not None else data.get("bins", DEFAULT_BINS), int),
         output_dir=str(output_dir),
         aux_field=aux,
-        window=tuple(window) if window else None,
-        grid=int(args.grid) if args.grid is not None else data.get("grid"),
+        window=_window(window) if window else None,
+        grid=None if grid is None else _number("grid", grid, int),
         jitter=bool(args.jitter or data.get("jitter", False)),
     )
     config.validate()

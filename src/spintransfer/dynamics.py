@@ -7,7 +7,12 @@ steppers accumulate error but the spectral form stays exact.  Spectral data
 is cached per chain spec behind a lock, and each sector is diagonalised the
 first time something reads it.  A full propagator at a time point is two
 dense multiplications; :func:`propagator_rows` evaluates only the summed
-rows a fidelity law needs, on a whole time grid.
+rows a fidelity law needs, on a whole time grid.  The tuning scans hand it
+arithmetic grids, which it evaluates as products of a giant-step and a
+baby-step phase table; single times, short or non-uniform grids take the
+full phase matrix.  Both paths round the phase arguments L t alike, so
+they agree to 4 eps max|L| max|t| sum_m |w_m| per row, w being the row's
+mode weights.
 
 For a nearest-neighbour XX chain (no coupling beyond adjacent sites, no
 ZZ term; any local fields) the Jordan-Wigner transformation maps the
@@ -34,6 +39,11 @@ from .sectors import SectorBasis, build_sector_basis
 ORTHOGONALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
+# Arithmetic grids of at least GRID_FACTOR_MIN points are factored.  Below
+# it the per-call overhead dominates and both paths cost about the same
+# (30-column occupied-channel rows, N = 15); every scan chunk is far longer.
+GRID_FACTOR_MIN = 256
+GRID_STEP_TOL = 2.0
 
 
 @dataclass(frozen=True)
@@ -110,9 +120,18 @@ def propagator_rows(prop: SpectralPropagator, sources, targets, times) -> np.nda
     -------
     ndarray, shape (T, len(sources), len(targets))
         ``out[k, g, j]`` is the sum over the configurations s of group g of
-        the amplitude from s to ``targets[j]`` at ``times[k]``.  The phases
-        exp(-i L t) are computed once, and the rows are one complex matrix
-        product of the phases with the mode weights v[s, m] v[target, m].
+        the amplitude from s to ``targets[j]`` at ``times[k]``: the phases
+        exp(-i L t) times the mode weights w_m = v[s, m] v[target, m].
+
+    The path follows from ``times`` alone.  An arithmetic grid of at least
+    GRID_FACTOR_MIN points (every time within GRID_STEP_TOL eps max|t| of
+    times[0] + k step) is factored into giant and baby steps (see
+    :func:`_factored_rows`), which needs (K + B) M exponentials for
+    T <= K B times and M modes.  Any other input (a single time, fewer points, a
+    non-uniform grid) computes the T x M phase matrix and takes one complex
+    matrix product with the weights.  The two paths agree to the rounding
+    of the phase arguments they share, 4 eps max|L| max|t| sum_m |w_m| per
+    row.
     """
     v = prop.eigenvectors
 
@@ -121,8 +140,49 @@ def propagator_rows(prop: SpectralPropagator, sources, targets, times) -> np.nda
 
     weights = np.array([rows_of(group).sum(axis=0) for group in sources])
     modes = (weights[:, None, :] * rows_of(targets)).reshape(-1, prop.dimension)
-    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), prop.eigenvalues))
-    return (phases @ modes.T).reshape(phases.shape[0], len(sources), -1)
+    times = np.asarray(times, dtype=float).ravel()
+    step = _grid_step(times)
+    if step is None:
+        phases = np.exp(-1j * np.outer(times, prop.eigenvalues))
+        rows = phases @ modes.T
+    else:
+        rows = _factored_rows(prop.eigenvalues, modes, times, step)
+    return rows.reshape(times.size, len(sources), -1)
+
+
+def _grid_step(times: np.ndarray) -> float | None:
+    """Step of ``times`` if it is an arithmetic grid worth factoring, else None.
+
+    The grid qualifies with at least GRID_FACTOR_MIN points when every time
+    lies within GRID_STEP_TOL * eps * max|t| of times[0] + k * step, i.e.
+    within the rounding the times themselves carry (``np.linspace`` grids
+    and their slices stay within 1 eps * max|t|).
+    """
+    if times.size < GRID_FACTOR_MIN:
+        return None
+    step = (times[-1] - times[0]) / (times.size - 1)
+    drift = np.abs(times[0] + step * np.arange(times.size) - times).max()
+    scale = GRID_STEP_TOL * np.finfo(float).eps * np.abs(times).max()
+    return float(step) if drift <= scale else None
+
+
+def _factored_rows(eigenvalues, modes, times, step) -> np.ndarray:
+    """``exp(-i t_k L) @ modes.T`` on an arithmetic grid, shape (T, columns).
+
+    With k = j B + r and B = ceil(sqrt(T)), exp(-i L t_k) is the product of
+    a giant step exp(-i L times[j B]), anchored at the grid's own times, and
+    a baby step exp(-i L r step).  Each column is then one complex matrix
+    product (giant table x mode weights) @ (baby table), so the grid costs
+    (K + B) M exponentials instead of T M, and the T x M phase matrix is
+    never formed.
+    """
+    n_times = times.size
+    baby_steps = int(np.ceil(np.sqrt(n_times)))
+    giant = np.exp(-1j * np.outer(times[::baby_steps], eigenvalues))
+    baby = np.exp(-1j * np.outer(eigenvalues, step * np.arange(baby_steps)))
+    weighted = (giant[None] * modes[:, None, :]).reshape(-1, eigenvalues.size)
+    rows = (weighted @ baby).reshape(modes.shape[0], -1)[:, :n_times]
+    return rows.T
 
 
 def is_free_fermion(spec: ChainSpec) -> bool:

@@ -24,6 +24,18 @@ def make_random_chain(rng: np.random.Generator, n_sites: int, long_range: bool =
     return ChainSpec(n_sites, couplings, np.zeros((n_sites, n_sites)), fields)
 
 
+def seeded_chain(seed: int, n_sites: int, kind: str) -> ChainSpec:
+    """Nearest-neighbour, long-range or ZZ-anisotropic random chain."""
+    rng = np.random.default_rng(seed)
+    spec = make_random_chain(rng, n_sites, long_range=kind == "long_range")
+    if kind != "zz":
+        return spec
+    anis = np.zeros((n_sites, n_sites))
+    for i in range(n_sites - 1):
+        anis[i, i + 1] = anis[i + 1, i] = rng.uniform(-1.0, 1.0)
+    return ChainSpec(n_sites, spec.couplings, anis, spec.fields)
+
+
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     eigenvalues = np.linalg.eigvalsh(rho_a - rho_b)
     return 0.5 * float(np.abs(eigenvalues).sum())

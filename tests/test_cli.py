@@ -123,6 +123,38 @@ def test_parameter_error_exit_code(tmp_path):
     assert code == 2
 
 
+MALFORMED = {
+    "window_without_colon": (["--window", "5"], "window"),
+    "window_not_numbers": (["--window", "a:b"], "window lo"),
+    "target_not_a_number": (["--mode", "target_avg:abc"], "mode value"),
+    "fraction_not_a_number": (["--mode", "timing_error:x"], "mode fraction"),
+    "config_grid_not_a_number": ({"grid": "many"}, "grid"),
+    "config_target_not_a_number": ({"mode": {"type": "target_avg", "value": "x"}}, "mode value"),
+    "config_not_json": ("{", "config"),
+    "config_protocol_not_an_object": ({"protocol": "perfect"}, "protocol"),
+}
+
+
+@pytest.mark.parametrize(("malformed", "field"), list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_input_exit_code(tmp_path, capsys, malformed, field):
+    args = [
+        "pdf",
+        "--protocol", "perfect",
+        "--n-sites", "8",
+        "--scenario", "one_qubit_vacuum",
+        "--mc-samples", "0",
+        "--out", str(tmp_path / "x"),
+    ]
+    if isinstance(malformed, list):
+        args += malformed
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(malformed if isinstance(malformed, str) else json.dumps(malformed))
+        args += ["--config", str(path)]
+    assert run_cli(*args) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_output_dir_env_default(tmp_path, monkeypatch):
     out = tmp_path / "envout"
     monkeypatch.setenv("SPINTRANSFER_OUT", str(out))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import make_random_chain
+from conftest import make_random_chain, seeded_chain
 from spintransfer.chain import ChainSpec, Perfect, protocol_preset, sector_hamiltonian
 from spintransfer.dynamics import (
+    GRID_FACTOR_MIN,
     amplitude_table_to_csv,
     amplitudes_at,
     diagonalize,
@@ -128,6 +131,68 @@ def test_summed_rows_match_tables(rng):
                     src = [prop.basis.index_of(np.atleast_1d(c)) for c in group]
                     expected = full[src, :].sum(axis=0)[cols]
                     assert np.abs(rows[k, g] - expected).max() < 1e-12
+
+
+def mode_weights(prop, sources, targets) -> np.ndarray:
+    """v[s, m] v[target, m] summed over each source group, one row per column."""
+    v = prop.eigenvectors
+
+    def rows_of(configs):
+        return v[[prop.basis.index_of(np.atleast_1d(c)) for c in configs]]
+
+    weights = np.array([rows_of(group).sum(axis=0) for group in sources])
+    return (weights[:, None, :] * rows_of(targets)).reshape(-1, prop.dimension)
+
+
+def direct_rows(prop, modes, times) -> np.ndarray:
+    """Rows from the full T x M phase matrix: the pointwise reference."""
+    return np.exp(-1j * np.outer(times, prop.eigenvalues)) @ modes.T
+
+
+def sector_cases(dyn, n):
+    pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    yield dyn.one, [[1], range(2, n)], list(range(1, n + 1))
+    yield dyn.two, [[(1, 2)], [(1, j) for j in range(2, n + 1)]], pairs
+
+
+@given(
+    st.builds(
+        seeded_chain,
+        st.integers(0, 2**31 - 1),
+        st.integers(4, 8),
+        st.sampled_from(["nearest", "long_range", "zz"]),
+    ),
+    st.sampled_from([GRID_FACTOR_MIN - 1, GRID_FACTOR_MIN, 1000, 16384 + 500]),
+    st.floats(0.5, 100.0),
+    st.floats(50.0, 2e4),
+)
+def test_factored_rows_match_direct_rows(spec, n_times, t0, span):
+    # arithmetic grids of GRID_FACTOR_MIN points or more take the giant-step x
+    # baby-step product; both paths round the phase arguments L t alike, so
+    # they agree to 4 eps max|L| max|t| sum_m |w_m| in each column
+    times = np.linspace(t0, t0 + span, n_times)
+    dyn = dynamics_for(spec)
+    for prop, sources, targets in sector_cases(dyn, spec.n_sites):
+        modes = mode_weights(prop, sources, targets)
+        rows = propagator_rows(prop, sources, targets, times).reshape(n_times, -1)
+        scale = (
+            4.0 * np.finfo(float).eps * np.abs(prop.eigenvalues).max() * times.max()
+            * np.abs(modes).sum(axis=1)
+        )
+        assert np.all(np.abs(rows - direct_rows(prop, modes, times)) <= scale)
+
+
+def test_non_uniform_grid_takes_the_direct_path(rng):
+    spec = make_random_chain(rng, 6, long_range=True)
+    dyn = dynamics_for(spec)
+    uniform = np.linspace(3.0, 5000.0, 2000)
+    perturbed = uniform.copy()
+    perturbed[777] += 1e-3 * (uniform[1] - uniform[0])
+    for prop, sources, targets in sector_cases(dyn, 6):
+        modes = mode_weights(prop, sources, targets)
+        for times, direct in ((uniform, False), (perturbed, True)):
+            rows = propagator_rows(prop, sources, targets, times).reshape(times.size, -1)
+            assert np.array_equal(rows, direct_rows(prop, modes, times)) == direct
 
 
 @pytest.mark.parametrize("extra", ["next_nearest", "zz"])

@@ -1,23 +1,34 @@
 """Property tests of the fidelity laws: the row-based laws used by tuning
 and the written distributions against the exact reductions of the Kraus
-sets, those reductions against a brute-force input average, and the
-determinant pair rows the laws read against the pair sector."""
+sets, those reductions against a brute-force input average, the
+determinant pair rows the laws read against the pair sector, the
+distributions' densities against their cdfs, and the minimum-fidelity
+branches against a brute-force minimum."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_random_chain
+from conftest import make_random_chain, seeded_chain
+from scipy.integrate import quad
+
 from spintransfer.analytics import (
+    MinBranch,
     PdfKind,
+    QuadraticFidelity,
+    TwoQubitAffine,
     affine_from_kraus,
     correction_site,
     fidelity_law,
+    min_fidelity_closed_form,
+    pdf_from_quadratic,
+    pdf_two_qubit,
     phase_null_field,
     quadratic_reduce_one_qubit,
+    vacuum_quadratic,
 )
-from spintransfer.chain import Barrier, ChainSpec, Perfect, Weak, protocol_preset
+from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
 from spintransfer.channel import KrausSet, Scenario, fidelity_many, kraus_for_scenario
 from spintransfer import dynamics
 from spintransfer.dynamics import (
@@ -33,20 +44,8 @@ from spintransfer.sampling import bloch_states
 ONE_QUBIT = (Scenario.ONE_QUBIT_VACUUM, Scenario.ONE_QUBIT_UNIFORM)
 
 
-def random_spec(seed: int, n_sites: int, kind: str) -> ChainSpec:
-    """Nearest-neighbour, long-range or ZZ-anisotropic random chain."""
-    rng = np.random.default_rng(seed)
-    spec = make_random_chain(rng, n_sites, long_range=kind == "long_range")
-    if kind != "zz":
-        return spec
-    anis = np.zeros((n_sites, n_sites))
-    for i in range(n_sites - 1):
-        anis[i, i + 1] = anis[i + 1, i] = rng.uniform(-1.0, 1.0)
-    return ChainSpec(n_sites, spec.couplings, anis, spec.fields)
-
-
 specs = st.builds(
-    random_spec,
+    seeded_chain,
     st.integers(0, 2**31 - 1),
     st.integers(5, 8),
     st.sampled_from(["nearest", "long_range", "zz"]),
@@ -160,3 +159,90 @@ def test_azimuth_dependent_channel_is_rejected():
     assert np.ptp(equator) > 0.1
     with pytest.raises(ModelError):
         quadratic_reduce_one_qubit(kraus)
+
+
+def quadratic_law(a: float, b: float, position: float) -> QuadraticFidelity:
+    """a x^2 + b x + c with c placing the range at ``position`` of its slack in [0, 1]."""
+    xs = [-1.0, 1.0] + ([-b / (2.0 * a)] if a and abs(b / (2.0 * a)) < 1.0 else [])
+    values = [(a * x + b) * x for x in xs]
+    lo, hi = min(values), max(values)
+    return QuadraticFidelity(a, b, -lo + position * (1.0 - (hi - lo)))
+
+
+quadratic_laws = st.builds(
+    quadratic_law,
+    st.one_of(st.just(0.0), st.floats(1e-3, 0.5), st.floats(-0.5, -1e-3)),
+    st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+    st.floats(0.0, 1.0),
+)
+affine_laws = st.builds(
+    lambda b_val, position: TwoQubitAffine(max(b_val, 0.0) + position * (1.0 - abs(b_val)), b_val),
+    st.one_of(st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3)),
+    st.floats(0.0, 1.0),
+)
+
+
+def assert_pdf_consistent(pdf, kinks):
+    """cdf monotone, 0 below and 1 from f_max on, cell masses = cdf steps."""
+    lo, hi = pdf.support
+    span = max(hi - lo, 1e-9)
+    grid = np.linspace(lo - 0.1 * span, hi + 0.1 * span, 4001)
+    cdf = pdf.cdf(grid)
+    assert np.all(np.diff(cdf) >= -1e-12)
+    assert np.all(cdf[grid < lo] == 0.0)
+    assert pdf.cdf(hi) == 1.0 and np.all(cdf[grid >= hi] == 1.0)
+    if pdf.kind is PdfKind.DELTA:
+        return
+    # integrable 1/sqrt singularities sit at the kinks, so they end cells
+    edges = np.unique(np.clip(np.r_[np.linspace(lo, hi, 9), kinks], lo, hi))
+    total = 0.0
+    for left, right in zip(edges[:-1], edges[1:]):
+        mass, _ = quad(lambda f: float(pdf.density(f)), left, right, limit=200)
+        assert mass == pytest.approx(float(pdf.cdf(right) - pdf.cdf(left)), abs=1e-7)
+        total += mass
+    assert total == pytest.approx(1.0, abs=1e-7)
+
+
+@given(quadratic_laws)
+def test_quadratic_pdf_matches_its_cdf(quad_form):
+    a, b = quad_form.a, quad_form.b
+    xs = [-1.0, 1.0] + ([-b / (2.0 * a)] if a and abs(b / (2.0 * a)) < 1.0 else [])
+    assert_pdf_consistent(pdf_from_quadratic(quad_form), quad_form.evaluate(np.array(xs)))
+
+
+@given(affine_laws)
+def test_affine_pdf_matches_its_cdf(affine):
+    assert_pdf_consistent(pdf_two_qubit(affine), [affine.A, affine.A - affine.B])
+
+
+def phase_bound(r: float) -> float:
+    """arccos((3 r^2 - 1) / (2 r)): the vertex enters [-1, 1] for |phi| beyond it."""
+    return float(np.arccos(np.clip((3.0 * r * r - 1.0) / (2.0 * r), -1.0, 1.0)))
+
+
+BRANCH_INPUTS = {
+    MinBranch.POLE_SMALL_AMPLITUDE: st.tuples(st.floats(0.0, 1.0 / 3.0), st.floats(-np.pi, np.pi)),
+    MinBranch.POLE_PHASE: st.builds(
+        lambda r, u, sign: (r, sign * u * phase_bound(r)),
+        st.floats(0.34, 1.0), st.floats(0.0, 0.999), st.sampled_from([-1.0, 1.0]),
+    ),
+    MinBranch.INTERIOR_VERTEX: st.builds(
+        lambda r, u, sign: (r, sign * (phase_bound(r) + u * (np.pi - phase_bound(r)))),
+        st.floats(0.34, 1.0), st.floats(1e-3, 1.0), st.sampled_from([-1.0, 1.0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", list(BRANCH_INPUTS), ids=lambda b: b.value)
+@given(data=st.data())
+def test_min_fidelity_branches_match_brute_force(branch, data):
+    r, phi = data.draw(BRANCH_INPUTS[branch])
+    result = min_fidelity_closed_form(r, phi)
+    quad_form = vacuum_quadratic(r, phi)
+    # r = 1, phi = 0 is the identity channel: no vertex, the pole is reported
+    assert result.branch is branch or (quad_form.a <= 0.0 and result.branch is MinBranch.POLE_PHASE)
+    xs = np.linspace(-1.0, 1.0, 200001)
+    brute = float(quad_form.evaluate(xs).min())
+    # the grid minimum overshoots the true one by at most a (dx / 2)^2
+    assert brute - 1e-10 - abs(quad_form.a) * 1e-10 <= result.f_min <= brute + 1e-12
+    assert float(quad_form.evaluate(np.cos(result.theta_star))) == pytest.approx(result.f_min, abs=1e-12)
