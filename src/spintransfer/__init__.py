@@ -78,8 +78,8 @@ from .errors import (
 )
 from .oracle import (
     FullState,
+    block_hamiltonian,
     evolve_full,
-    full_hamiltonian,
     reduced_density,
     transfer_initial_state,
 )

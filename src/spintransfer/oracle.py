@@ -1,11 +1,19 @@
 """Brute-force full-Hilbert-space reference for certification.
 
-Everything here works on the complete 2^N state space with no sector
-shortcuts, so it can certify the sector dynamics and the channel
-construction independently.  The same Z-sign convention and the same
-vacuum-energy gauge shift as the sector machinery are applied, which makes
-amplitude phases directly comparable.  Capped at N = 12; the oracle exists
-for certification, never for production runs.
+The oracle works on the complete 2^N state space and imports nothing from
+``sectors``, ``dynamics`` or ``channel``, so it can certify the sector
+dynamics and the channel construction independently.
+
+Every chain Hamiltonian (XX+YY hopping, J*D ZZ terms, Z fields) conserves
+the excitation number, so it is block-diagonal in the popcount q of the
+basis index.  :func:`block_hamiltonian` builds the popcount-q block from bit
+operations on the sorted integers of popcount q, and :func:`evolve_full`
+diagonalises and evolves only the blocks the initial state occupies; its
+output is still the full 2^N state vector.  The same Z-sign convention and
+the same vacuum-energy gauge shift as the sector machinery are applied,
+which makes amplitude phases directly comparable.  Capped at N =
+``MAX_ORACLE_SITES`` = 12; the oracle exists for certification, never for
+production runs.
 """
 
 from __future__ import annotations
@@ -52,57 +60,76 @@ def _check_capacity(n_sites: int) -> None:
         )
 
 
-def full_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Dense 2^N x 2^N Hamiltonian by direct Pauli-term summation.
+def _popcount_indices(n_sites: int, q: int) -> np.ndarray:
+    """Sorted full-space indices whose popcount is ``q``."""
+    idx = np.arange(1 << n_sites)
+    return idx[np.bitwise_count(idx) == q]
 
-    Includes the vacuum-energy gauge shift; commutes with the total
-    magnetization by construction.
+
+def block_hamiltonian(spec: ChainSpec, q: int) -> np.ndarray:
+    """Popcount-``q`` block of the 2^N Hamiltonian, rows ordered by index.
+
+    Row k belongs to the k-th smallest full-space index with ``q`` set bits.
+    Includes the vacuum-energy gauge shift.  A hopping term moves one
+    excitation from bit i to bit j, so its partner's row is found by
+    ``searchsorted`` in the sorted index list.
     """
     _check_capacity(spec.n_sites)
     n = spec.n_sites
-    dim = 1 << n
-    idx = np.arange(dim)
-    bits = (idx[:, None] >> np.arange(n)[None, :]) & 1  # column i-1 = site i
+    if not 0 <= q <= n:
+        raise ParameterError(f"popcount must lie in 0..{n}, got {q}")
+    states = _popcount_indices(n, q)
+    bits = (states[:, None] >> np.arange(n)[None, :]) & 1  # column i-1 = site i
     z = 1.0 - 2.0 * bits
     jd = spec.couplings * spec.anisotropies
     diag = z @ spec.fields
     if np.any(jd != 0.0):
         diag = diag + 0.5 * np.einsum("ki,ij,kj->k", z, jd, z)
-    h = np.zeros((dim, dim))
-    h[idx, idx] = diag - spec.vacuum_energy()
+    rows = np.arange(states.size)
+    h = np.zeros((states.size, states.size))
+    h[rows, rows] = diag - spec.vacuum_energy()
     for i in range(n):
         for j in range(i + 1, n):
             j_val = spec.couplings[i, j]
             if j_val == 0.0:
                 continue
-            moving = idx[(bits[:, i] == 1) & (bits[:, j] == 0)]
-            partner = moving ^ ((1 << i) | (1 << j))
+            moving = rows[(bits[:, i] == 1) & (bits[:, j] == 0)]
+            partner = np.searchsorted(states, states[moving] ^ ((1 << i) | (1 << j)))
             h[partner, moving] += 2.0 * j_val
             h[moving, partner] += 2.0 * j_val
     return h
 
 
-_SPECTRUM_LOCK = threading.Lock()
-_SPECTRUM_CACHE: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-_SPECTRUM_LIMIT = 16
+_BLOCK_LOCK = threading.Lock()
+_BLOCK_CACHE: dict[tuple[bytes, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_BLOCK_LIMIT = 16
 
 
-def _full_spectrum(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
-    key = spec.cache_key()
-    with _SPECTRUM_LOCK:
-        hit = _SPECTRUM_CACHE.get(key)
+def _block_spectrum(
+    spec: ChainSpec, q: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(full-space indices, eigenvalues, eigenvectors) of one popcount block."""
+    key = (spec.cache_key(), q)
+    with _BLOCK_LOCK:
+        hit = _BLOCK_CACHE.get(key)
     if hit is not None:
         return hit
-    evals, evecs = np.linalg.eigh(full_hamiltonian(spec))
-    with _SPECTRUM_LOCK:
-        if len(_SPECTRUM_CACHE) >= _SPECTRUM_LIMIT:
-            _SPECTRUM_CACHE.clear()
-        _SPECTRUM_CACHE[key] = (evals, evecs)
-    return evals, evecs
+    evals, evecs = np.linalg.eigh(block_hamiltonian(spec, q))
+    entry = (_popcount_indices(spec.n_sites, q), evals, evecs)
+    with _BLOCK_LOCK:
+        if len(_BLOCK_CACHE) >= _BLOCK_LIMIT:
+            _BLOCK_CACHE.clear()
+        _BLOCK_CACHE[key] = entry
+    return entry
 
 
 def evolve_full(spec: ChainSpec, initial: FullState, t: float) -> FullState:
-    """Evolve a full state by exact spectral evolution of the dense matrix."""
+    """Evolve a full state by exact spectral evolution, block by block.
+
+    Only the popcount blocks holding a nonzero amplitude of ``initial`` are
+    diagonalised (once per spec and popcount) and evolved; the others stay
+    zero, since the Hamiltonian never leaves a block.
+    """
     _check_capacity(spec.n_sites)
     if initial.n_sites != spec.n_sites:
         raise ParameterError(
@@ -110,9 +137,12 @@ def evolve_full(spec: ChainSpec, initial: FullState, t: float) -> FullState:
         )
     if not np.isfinite(t):
         raise ParameterError(f"time must be finite, got {t}")
-    evals, evecs = _full_spectrum(spec)
-    coeff = evecs.T @ initial.amplitudes
-    evolved = evecs @ (np.exp(-1j * evals * t) * coeff)
+    amps = initial.amplitudes
+    evolved = np.zeros_like(amps)
+    for q in np.unique(np.bitwise_count(np.flatnonzero(amps))):
+        idx, evals, evecs = _block_spectrum(spec, int(q))
+        coeff = evecs.T @ amps[idx]
+        evolved[idx] = evecs @ (np.exp(-1j * evals * t) * coeff)
     evolved /= np.linalg.norm(evolved)
     return FullState(evolved, spec.n_sites)
 

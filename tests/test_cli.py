@@ -197,6 +197,12 @@ def test_certify_rejects_oversize():
     assert run_cli("certify", "--n-max", "13") == 2
 
 
+@pytest.mark.parametrize("n_max", ["3", "0", "-1"])
+def test_certify_rejects_small_n_max(n_max):
+    # below N = 4 the oracle sweeps would check zero cases and pass vacuously
+    assert run_cli("certify", "--n-max", n_max) == 2
+
+
 def test_jitter_flag(tmp_path):
     out = tmp_path / "jit"
     assert (

@@ -1,20 +1,56 @@
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from conftest import make_random_chain, random_state, trace_distance
+from conftest import make_random_chain, random_state, seeded_chain
+from spintransfer import oracle
 from spintransfer.chain import ChainSpec, ChannelInit
 from spintransfer.dynamics import amplitudes_at, dynamics_for, propagator_at
 from spintransfer.errors import CapacityError, ParameterError
 from spintransfer.oracle import (
     FullState,
     basis_index,
+    block_hamiltonian,
     evolve_full,
-    full_hamiltonian,
     reduced_density,
     transfer_initial_state,
 )
 
 BOND = ChainSpec(2, np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2)), np.zeros(2))
+
+
+def full_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """Dense 2^N x 2^N Hamiltonian by direct Pauli-term summation.
+
+    The reference the popcount blocks of :func:`block_hamiltonian` are
+    checked against.  Includes the vacuum-energy gauge shift; commutes with
+    the total magnetization by construction.
+    """
+    n = spec.n_sites
+    dim = 1 << n
+    idx = np.arange(dim)
+    bits = (idx[:, None] >> np.arange(n)[None, :]) & 1  # column i-1 = site i
+    z = 1.0 - 2.0 * bits
+    jd = spec.couplings * spec.anisotropies
+    diag = z @ spec.fields
+    if np.any(jd != 0.0):
+        diag = diag + 0.5 * np.einsum("ki,ij,kj->k", z, jd, z)
+    h = np.zeros((dim, dim))
+    h[idx, idx] = diag - spec.vacuum_energy()
+    for i in range(n):
+        for j in range(i + 1, n):
+            j_val = spec.couplings[i, j]
+            if j_val == 0.0:
+                continue
+            moving = idx[(bits[:, i] == 1) & (bits[:, j] == 0)]
+            partner = moving ^ ((1 << i) | (1 << j))
+            h[partner, moving] += 2.0 * j_val
+            h[moving, partner] += 2.0 * j_val
+    return h
 
 
 def test_two_site_full_hamiltonian():
@@ -44,10 +80,92 @@ def test_block_structure(rng):
     assert np.abs(h[differ]).max() == 0.0
 
 
+@given(
+    st.builds(
+        seeded_chain,
+        st.integers(0, 2**31 - 1),
+        st.integers(2, 10),
+        st.sampled_from(["nearest", "long_range", "zz"]),
+    )
+)
+def test_blocks_match_dense_reference(spec):
+    n = spec.n_sites
+    h = full_hamiltonian(spec)
+    popcount = np.bitwise_count(np.arange(1 << n))
+    assert np.all(h[popcount[:, None] != popcount[None, :]] == 0.0)
+    # Both builds sum each diagonal energy with `z @ fields`, but BLAS orders
+    # that sum by the row's place in the matrix, so the diagonals may differ
+    # by rounding; every hopping entry is one product and must match exactly.
+    jd = spec.couplings * spec.anisotropies
+    energy_scale = (
+        np.abs(spec.fields).sum() + 0.5 * np.abs(jd).sum() + abs(spec.vacuum_energy())
+    )
+    for q in range(n + 1):
+        block = block_hamiltonian(spec, q)
+        dense = h[np.ix_(popcount == q, popcount == q)]
+        off_diagonal = ~np.eye(block.shape[0], dtype=bool)
+        assert np.array_equal(block[off_diagonal], dense[off_diagonal])
+        diagonal_gap = np.abs(np.diag(block) - np.diag(dense)).max()
+        assert diagonal_gap <= n * np.finfo(float).eps * energy_scale
+
+
 def test_capacity_cap():
     spec = make_random_chain(np.random.default_rng(0), 13)
     with pytest.raises(CapacityError):
-        full_hamiltonian(spec)
+        block_hamiltonian(spec, 1)
+    vacuum = np.zeros(1 << 13, dtype=complex)
+    vacuum[0] = 1.0
+    with pytest.raises(CapacityError):
+        evolve_full(spec, FullState(vacuum, 13), 1.0)
+
+
+def test_block_popcount_validated():
+    for q in (-1, 3):
+        with pytest.raises(ParameterError):
+            block_hamiltonian(BOND, q)
+
+
+def test_all_popcount_evolution_matches_expm(rng):
+    # a random full-space state occupies every popcount block, including
+    # the q > 2 blocks that the transfer scenarios never reach
+    spec = make_random_chain(rng, 6, long_range=True)
+    anis = np.zeros((6, 6))
+    for i in range(5):
+        anis[i, i + 1] = anis[i + 1, i] = rng.uniform(-1.0, 1.0)
+    spec = ChainSpec(6, spec.couplings, anis, spec.fields)
+    psi = random_state(rng, 1 << 6)
+    t = 1.7
+    expected = expm(-1j * t * full_hamiltonian(spec)) @ psi
+    out = evolve_full(spec, FullState(psi, 6), t)
+    assert np.abs(out.amplitudes - expected).max() <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "senders, init",
+    [
+        ((1,), ChannelInit.VACUUM),
+        ((1,), ChannelInit.UNIFORM_ONE_EXCITATION),
+        ((1, 2), ChannelInit.VACUUM),
+    ],
+    ids=["one_qubit_vacuum", "one_qubit_uniform", "two_qubit"],
+)
+def test_oracle_diagonalises_only_occupied_blocks(monkeypatch, rng, senders, init):
+    # transfer inputs live in popcounts 0..2, so no matrix larger than the
+    # C(N, 2) pair block is diagonalised, where a dense build needs 2^N
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(matrix, *args, **kwargs):
+        sizes.append(np.shape(matrix)[0])
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(oracle, "_BLOCK_CACHE", {})
+    n = 12
+    spec = make_random_chain(rng, n, long_range=True)
+    psi = random_state(rng, 1 << len(senders))
+    evolve_full(spec, transfer_initial_state(n, senders, psi, init), 2.3)
+    assert sizes and max(sizes) <= comb(n, 2)
 
 
 def test_evolution_identity_at_zero(rng):
