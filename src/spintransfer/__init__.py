@@ -43,10 +43,10 @@ from .dynamics import (
 )
 from .analytics import (
     FidelityLaw,
-    FidelityPdf,
     MinBranch,
     MinFidelityResult,
-    PdfKind,
+    Mixture,
+    PointMass,
     ProtocolTuning,
     QuadraticFidelity,
     ReadoutPlan,
@@ -57,8 +57,6 @@ from .analytics import (
     fidelity_law,
     find_optimal_time,
     min_fidelity_closed_form,
-    pdf_from_quadratic,
-    pdf_two_qubit,
     phase_null_field,
     plan_readout,
     quadratic_reduce_one_qubit,

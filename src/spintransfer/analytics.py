@@ -9,10 +9,17 @@ grid; the tuning scans use its mean and the written distributions its
 coefficients.  The two-excitation rows of the occupied-channel and
 two-qubit laws come from :func:`~spintransfer.dynamics.pair_rows`: 2x2
 determinants of one-excitation rows on nearest-neighbour XX chains (every
-preset), the pair-sector propagator otherwise.  Distributions follow by
-a change of variables from the uniform-state input measures (x uniform on
-[-1, 1]; concurrence density 3 C sqrt(1 - C^2)).  The reductions of
-explicit Kraus sets (:func:`quadratic_reduce_one_qubit`,
+preset), the pair-sector propagator otherwise.
+
+Each law is its own distribution: :class:`QuadraticFidelity` and
+:class:`TwoQubitAffine` carry the support, density and CDF that follow by a
+change of variables from the uniform-state input measures (x uniform on
+[-1, 1]; concurrence density 3 C sqrt(1 - C^2)).  :meth:`FidelityLaw.pdf`
+turns rows of coefficients into a distribution: a collapsed row becomes a
+:class:`PointMass` at its mean, and several rows (read-out jitter) an
+equal-weight :class:`Mixture`.
+
+The reductions of explicit Kraus sets (:func:`quadratic_reduce_one_qubit`,
 :func:`affine_from_kraus`) are the independent reference that Monte Carlo
 and certification use.
 """
@@ -38,19 +45,61 @@ LADDER_STOP_AVG = 0.995
 
 
 # ---------------------------------------------------------------------------
+# fidelity distributions
+# ---------------------------------------------------------------------------
+
+class _Distribution:
+    """Support and normalization of a fidelity distribution.
+
+    A subclass provides ``breakpoints`` (the fidelity values where the
+    density kinks or has an integrable singularity, both ends of the support
+    among them), ``density`` and ``cdf``.
+    """
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """(min, max) of the breakpoints: the range of fidelity values."""
+        points = self.breakpoints()
+        return float(min(points)), float(max(points))
+
+    def normalization(self) -> float:
+        """Integral of the density over the support (adaptive quadrature)."""
+        from scipy.integrate import quad
+
+        lo, hi = self.support
+        if hi - lo <= 0.0:
+            return 1.0
+        total, _ = quad(
+            lambda f: float(self.density(f)),
+            lo,
+            hi,
+            points=sorted(set(self.breakpoints())),
+            limit=200,
+        )
+        return float(total)
+
+
+# ---------------------------------------------------------------------------
 # quadratic reduction (one qubit)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QuadraticFidelity:
-    """Fidelity as ``F(x) = a x^2 + b x + c`` with x = cos(theta)."""
+class QuadraticFidelity(_Distribution):
+    """Fidelity as ``F(x) = a x^2 + b x + c`` with x = cos(theta), and its
+    distribution under x uniform on [-1, 1].
+
+    Each value F with real preimages in [-1, 1] receives density
+    ``1 / (2 sqrt(disc(F)))`` per preimage; a = 0 gives the uniform image of
+    an affine map.  A constant law (a = b = 0) has no density here:
+    :meth:`FidelityLaw.pdf` gives it as a :class:`PointMass`.
+    """
 
     a: float
     b: float
     c: float
 
     def __post_init__(self):
-        lo, hi = self.range()
+        lo, hi = self.support
         if lo < -1e-9 or hi > 1.0 + 1e-9:
             raise ModelError(
                 f"quadratic fidelity leaves [0, 1]: range [{lo:.3e}, {hi:.3e}]"
@@ -59,18 +108,82 @@ class QuadraticFidelity:
     def evaluate(self, x):
         return (self.a * np.asarray(x) + self.b) * np.asarray(x) + self.c
 
-    def range(self) -> tuple[float, float]:
-        """Exact (min, max) of F over x in [-1, 1]."""
-        candidates = [self.evaluate(-1.0), self.evaluate(1.0)]
+    def breakpoints(self) -> list[float]:
+        """F(-1), F(1) and, when the vertex lies in (-1, 1), F(vertex)."""
+        xs = [-1.0, 1.0]
         if abs(self.a) > 0.0:
             vertex = -self.b / (2.0 * self.a)
             if -1.0 < vertex < 1.0:
-                candidates.append(self.evaluate(vertex))
-        return float(min(candidates)), float(max(candidates))
+                xs.append(vertex)
+        return [float(self.evaluate(x)) for x in xs]
 
     def mean(self) -> float:
         """Average over x uniform on [-1, 1]."""
         return self.a / 3.0 + self.c
+
+    def _roots(self, f):
+        """Stable roots of a x^2 + b x + (c - f) = 0 for array f."""
+        a, b, c = self.a, self.b, self.c
+        disc = b * b - 4.0 * a * (c - f)
+        valid = disc >= 0.0
+        sqrt_disc = np.sqrt(np.where(valid, disc, 0.0))
+        sign_b = np.where(b >= 0.0, 1.0, -1.0)
+        u = -0.5 * (b + sign_b * sqrt_disc)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r1 = np.where(valid, u / a, np.nan)
+            r2 = np.where(valid & (u != 0.0), (c - f) / u, np.nan)
+        # u == 0 happens only when b == 0 and disc == 0: double root at 0
+        r2 = np.where(valid & (u == 0.0), 0.0, r2)
+        r1 = np.where(valid & np.isnan(r1), 0.0, r1)
+        return r1, r2, disc, valid
+
+    def density(self, f):
+        a, b = self.a, self.b
+        scalar = np.ndim(f) == 0
+        f = np.atleast_1d(np.asarray(f, dtype=float))
+        if a == 0.0:
+            lo, hi = self.support
+            out = np.where((f >= lo) & (f <= hi), 1.0 / (2.0 * abs(b)), 0.0)
+            return float(out[0]) if scalar else out
+        r1, r2, disc, valid = self._roots(f)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weight = np.where(valid & (disc > 0.0), 0.5 / np.sqrt(disc), np.inf)
+        out = np.zeros_like(f)
+        for root in (r1, r2):
+            inside = valid & (np.abs(root) <= 1.0)
+            out = np.where(inside, out + weight, out)
+        lo, hi = self.support
+        out = np.where((f < lo) | (f > hi), 0.0, out)
+        return float(out[0]) if scalar else out
+
+    def cdf(self, f):
+        a, b, c = self.a, self.b, self.c
+        scalar = np.ndim(f) == 0
+        f = np.atleast_1d(np.asarray(f, dtype=float))
+        if a == 0.0:
+            # affine image of the uniform variable
+            x = (f - c) / b
+            if b >= 0.0:
+                frac = np.clip((x + 1.0) / 2.0, 0.0, 1.0)
+            else:
+                frac = np.clip((1.0 - x) / 2.0, 0.0, 1.0)
+            out = frac
+        else:
+            r1, r2, disc, valid = self._roots(f)
+            lo_root = np.minimum(r1, r2)
+            hi_root = np.maximum(r1, r2)
+            inter = np.clip(np.minimum(hi_root, 1.0) - np.maximum(lo_root, -1.0), 0.0, 2.0)
+            if a > 0.0:
+                # sublevel set is between the roots (empty when disc < 0)
+                measure = np.where(valid, inter, 0.0)
+            else:
+                # sublevel set is outside the roots (everything when disc < 0)
+                measure = np.where(valid, 2.0 - inter, 2.0)
+            out = measure / 2.0
+        lo, hi = self.support
+        out = np.where(f < lo, 0.0, out)
+        out = np.where(f >= hi, 1.0, out)
+        return float(out[0]) if scalar else out
 
 
 def quadratic_reduce_one_qubit(kraus: KrausSet) -> QuadraticFidelity:
@@ -182,8 +295,14 @@ def avg_fidelity_one_qubit_vacuum(r: float, phi: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TwoQubitAffine:
-    """Local-unitary-averaged fidelity ``F(C) = A - B C^2``."""
+class TwoQubitAffine(_Distribution):
+    """Local-unitary-averaged fidelity ``F(C) = A - B C^2``, and its
+    distribution under the concurrence law pdf(C) = 3C sqrt(1-C^2).
+
+    The change of variables gives density ``(3 / (2|B|)) sqrt(1 - (A-F)/B)``
+    between A and A - B; for B = 0, :meth:`FidelityLaw.pdf` gives a
+    :class:`PointMass`.
+    """
 
     A: float
     B: float
@@ -198,9 +317,41 @@ class TwoQubitAffine:
     def evaluate(self, conc):
         return self.A - self.B * np.square(np.asarray(conc, dtype=float))
 
+    def breakpoints(self) -> list[float]:
+        """F(0) = A and F(1) = A - B."""
+        return [self.A, self.A - self.B]
+
     def mean(self) -> float:
         """Average over Haar-random two-qubit states (uses <C^2> = 2/5)."""
         return self.A - 0.4 * self.B
+
+    def density(self, f):
+        a_val, b_val = self.A, self.B
+        scalar = np.ndim(f) == 0
+        f = np.atleast_1d(np.asarray(f, dtype=float))
+        ratio = (a_val - f) / b_val
+        inside = (ratio >= 0.0) & (ratio <= 1.0)
+        out = np.where(
+            inside,
+            1.5 / abs(b_val) * np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0)),
+            0.0,
+        )
+        return float(out[0]) if scalar else out
+
+    def cdf(self, f):
+        a_val, b_val = self.A, self.B
+        scalar = np.ndim(f) == 0
+        f = np.atleast_1d(np.asarray(f, dtype=float))
+        if b_val < 0.0:
+            csq = np.clip((f - a_val) / (-b_val), 0.0, 1.0)
+            out = 1.0 - np.power(1.0 - csq, 1.5)
+        else:
+            csq = np.clip((a_val - f) / b_val, 0.0, 1.0)
+            out = np.power(1.0 - csq, 1.5)
+        lo, hi = self.support
+        out = np.where(f < lo, 0.0, out)
+        out = np.where(f >= hi, 1.0, out)
+        return float(out[0]) if scalar else out
 
 
 def _affine_from_traces(t1, t2, t3, t4) -> tuple:
@@ -233,219 +384,39 @@ def affine_from_kraus(kraus: KrausSet) -> TwoQubitAffine:
     return TwoQubitAffine(float(a_val), float(b_val))
 
 
-# ---------------------------------------------------------------------------
-# analytic fidelity distributions
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class PointMass(_Distribution):
+    """Every input transfers with the same fidelity ``value``."""
 
-class PdfKind(enum.Enum):
-    ONE_QUBIT_QUADRATIC = "one_qubit_quadratic"
-    TWO_QUBIT_AFFINE = "two_qubit_affine"
-    DELTA = "delta"
+    value: float
+
+    def breakpoints(self) -> list[float]:
+        return [self.value]
+
+    def mean(self) -> float:
+        return self.value
+
+    def density(self, f):
+        return np.where(np.asarray(f, dtype=float) == self.value, np.inf, 0.0)
+
+    def cdf(self, f):
+        return np.where(np.asarray(f, dtype=float) >= self.value, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
-class FidelityPdf:
-    """Analytic fidelity distribution with evaluable density and CDF."""
+class Mixture(_Distribution):
+    """Equal-weight mixture of fidelity distributions."""
 
-    kind: PdfKind
-    parameters: tuple[float, ...]
-    support: tuple[float, float]
+    parts: tuple
 
-    @property
-    def f_min(self) -> float:
-        return self.support[0]
-
-    @property
-    def f_max(self) -> float:
-        return self.support[1]
-
-    # -- evaluation ---------------------------------------------------------
+    def breakpoints(self) -> list[float]:
+        return [p for part in self.parts for p in part.breakpoints()]
 
     def density(self, f):
-        f = np.asarray(f, dtype=float)
-        if self.kind is PdfKind.DELTA:
-            return np.where(f == self.parameters[0], np.inf, 0.0)
-        if self.kind is PdfKind.TWO_QUBIT_AFFINE:
-            return self._affine_density(f)
-        return self._quadratic_density(f)
+        return sum(part.density(f) for part in self.parts) / len(self.parts)
 
     def cdf(self, f):
-        f = np.asarray(f, dtype=float)
-        if self.kind is PdfKind.DELTA:
-            return np.where(f >= self.parameters[0], 1.0, 0.0)
-        if self.kind is PdfKind.TWO_QUBIT_AFFINE:
-            return self._affine_cdf(f)
-        return self._quadratic_cdf(f)
-
-    def mean(self) -> float:
-        if self.kind is PdfKind.DELTA:
-            return self.parameters[0]
-        if self.kind is PdfKind.TWO_QUBIT_AFFINE:
-            a_val, b_val = self.parameters
-            return a_val - 0.4 * b_val
-        a, _, c = self.parameters
-        return a / 3.0 + c
-
-    def normalization(self) -> float:
-        """Integral of the density over the support (adaptive quadrature)."""
-        from scipy.integrate import quad
-
-        if self.kind is PdfKind.DELTA:
-            return 1.0
-        lo, hi = self.support
-        if hi - lo <= 0.0:
-            return 1.0
-        breaks = sorted(
-            {float(np.clip(b, lo, hi)) for b in self._breakpoints()}
-        )
-        total, _ = quad(
-            lambda f: float(self.density(f)),
-            lo,
-            hi,
-            points=breaks,
-            limit=200,
-        )
-        return float(total)
-
-    # -- internals ----------------------------------------------------------
-
-    def _breakpoints(self):
-        if self.kind is PdfKind.ONE_QUBIT_QUADRATIC:
-            a, b, c = self.parameters
-            pts = [
-                (a - b + c),
-                (a + b + c),
-            ]
-            if abs(a) > 0.0 and -1.0 < -b / (2.0 * a) < 1.0:
-                pts.append(c - b * b / (4.0 * a))
-            return pts
-        return list(self.support)
-
-    def _quadratic_roots(self, f):
-        """Stable roots of a x^2 + b x + (c - f) = 0 for array f."""
-        a, b, c = self.parameters
-        disc = b * b - 4.0 * a * (c - f)
-        valid = disc >= 0.0
-        sqrt_disc = np.sqrt(np.where(valid, disc, 0.0))
-        sign_b = np.where(b >= 0.0, 1.0, -1.0)
-        u = -0.5 * (b + sign_b * sqrt_disc)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = np.where(valid, u / a, np.nan)
-            r2 = np.where(valid & (u != 0.0), (c - f) / u, np.nan)
-        # u == 0 happens only when b == 0 and disc == 0: double root at 0
-        r2 = np.where(valid & (u == 0.0), 0.0, r2)
-        r1 = np.where(valid & np.isnan(r1), 0.0, r1)
-        return r1, r2, disc, valid
-
-    def _quadratic_density(self, f):
-        a, b, c = self.parameters
-        scalar = np.ndim(f) == 0
-        f = np.atleast_1d(f)
-        if abs(a) <= DELTA_COEFF_TOL:
-            lo, hi = self.support
-            out = np.where((f >= lo) & (f <= hi), 1.0 / (2.0 * abs(b)), 0.0)
-            return float(out[0]) if scalar else out
-        r1, r2, disc, valid = self._quadratic_roots(f)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weight = np.where(valid & (disc > 0.0), 0.5 / np.sqrt(disc), np.inf)
-        out = np.zeros_like(f)
-        for root in (r1, r2):
-            inside = valid & (np.abs(root) <= 1.0)
-            out = np.where(inside, out + weight, out)
-        lo, hi = self.support
-        out = np.where((f < lo) | (f > hi), 0.0, out)
-        return float(out[0]) if scalar else out
-
-    def _quadratic_cdf(self, f):
-        a, b, c = self.parameters
-        scalar = np.ndim(f) == 0
-        f = np.atleast_1d(np.asarray(f, dtype=float))
-        if abs(a) <= DELTA_COEFF_TOL:
-            # affine image of the uniform variable
-            x = (f - c) / b
-            if b >= 0.0:
-                frac = np.clip((x + 1.0) / 2.0, 0.0, 1.0)
-            else:
-                frac = np.clip((1.0 - x) / 2.0, 0.0, 1.0)
-            out = frac
-        else:
-            r1, r2, disc, valid = self._quadratic_roots(f)
-            lo_root = np.minimum(r1, r2)
-            hi_root = np.maximum(r1, r2)
-            inter = np.clip(np.minimum(hi_root, 1.0) - np.maximum(lo_root, -1.0), 0.0, 2.0)
-            if a > 0.0:
-                # sublevel set is between the roots (empty when disc < 0)
-                measure = np.where(valid, inter, 0.0)
-            else:
-                # sublevel set is outside the roots (everything when disc < 0)
-                measure = np.where(valid, 2.0 - inter, 2.0)
-            out = measure / 2.0
-        lo, hi = self.support
-        out = np.where(f < lo, 0.0, out)
-        out = np.where(f >= hi, 1.0, out)
-        return float(out[0]) if scalar else out
-
-    def _affine_density(self, f):
-        a_val, b_val = self.parameters
-        scalar = np.ndim(f) == 0
-        f = np.atleast_1d(f)
-        ratio = (a_val - f) / b_val
-        inside = (ratio >= 0.0) & (ratio <= 1.0)
-        out = np.where(
-            inside,
-            1.5 / abs(b_val) * np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0)),
-            0.0,
-        )
-        return float(out[0]) if scalar else out
-
-    def _affine_cdf(self, f):
-        a_val, b_val = self.parameters
-        scalar = np.ndim(f) == 0
-        f = np.atleast_1d(np.asarray(f, dtype=float))
-        if b_val < 0.0:
-            csq = np.clip((f - a_val) / (-b_val), 0.0, 1.0)
-            out = 1.0 - np.power(1.0 - csq, 1.5)
-        else:
-            csq = np.clip((a_val - f) / b_val, 0.0, 1.0)
-            out = np.power(1.0 - csq, 1.5)
-        lo, hi = self.support
-        out = np.where(f < lo, 0.0, out)
-        out = np.where(f >= hi, 1.0, out)
-        return float(out[0]) if scalar else out
-
-
-def pdf_from_quadratic(quad_form: QuadraticFidelity) -> FidelityPdf:
-    """Fidelity distribution of a quadratic reduction under uniform cos(theta).
-
-    Each value F with real preimages in [-1, 1] receives density
-    ``1 / (2 sqrt(disc(F)))`` per preimage.  Degenerate coefficients are
-    legal: a = 0 gives the uniform image of an affine map, a = b = 0 a point
-    mass at c.
-    """
-    a, b, c = quad_form.a, quad_form.b, quad_form.c
-    if abs(a) <= DELTA_COEFF_TOL and abs(b) <= DELTA_COEFF_TOL:
-        return FidelityPdf(PdfKind.DELTA, (c,), (c, c))
-    if abs(a) <= DELTA_COEFF_TOL:
-        support = (c - abs(b), c + abs(b))
-        return FidelityPdf(
-            PdfKind.ONE_QUBIT_QUADRATIC, (0.0, b, c), support
-        )
-    return FidelityPdf(
-        PdfKind.ONE_QUBIT_QUADRATIC, (a, b, c), quad_form.range()
-    )
-
-
-def pdf_two_qubit(affine: TwoQubitAffine) -> FidelityPdf:
-    """Fidelity distribution of ``F = A - B C^2`` under pdf(C) = 3C sqrt(1-C^2).
-
-    The change of variables gives density ``(3 / (2|B|)) sqrt(1 - (A-F)/B)``
-    between A and A - B; B = 0 collapses to a point mass at A.
-    """
-    a_val, b_val = affine.A, affine.B
-    if abs(b_val) <= 1e-13:
-        return FidelityPdf(PdfKind.DELTA, (a_val,), (a_val, a_val))
-    support = (min(a_val, a_val - b_val), max(a_val, a_val - b_val))
-    return FidelityPdf(PdfKind.TWO_QUBIT_AFFINE, (a_val, b_val), support)
+        return sum(part.cdf(f) for part in self.parts) / len(self.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -468,22 +439,28 @@ class FidelityLaw:
     coefficients: np.ndarray
     mean: np.ndarray
 
-    def pdf(self, k: int = 0) -> FidelityPdf:
-        """Fidelity distribution of the law at the k-th time.
+    def pdf(self) -> _Distribution:
+        """Fidelity distribution of the law; several rows mix with equal weight.
 
-        A law that collapses to a point mass sits at its mean, so the mean
-        and the support reported for it agree to the last bit (the
-        coefficients' c alone can differ from the mean by rounding).
+        A row whose a and b (one qubit) or B (two qubits) vanish collapses
+        to a point mass, which sits at the row's mean so that the mean and
+        the support reported for it agree to the last bit (the coefficients'
+        c alone can differ from the mean by rounding).  A row whose a alone
+        vanishes is the uniform law of its linear part.
         """
-        row = [float(v) for v in self.coefficients[k]]
-        if self.scenario is Scenario.TWO_QUBIT_VACUUM:
-            pdf = pdf_two_qubit(TwoQubitAffine(*row))
-        else:
-            pdf = pdf_from_quadratic(QuadraticFidelity(*row))
-        if pdf.kind is PdfKind.DELTA:
-            mean = float(self.mean[k])
-            return FidelityPdf(PdfKind.DELTA, (mean,), (mean, mean))
-        return pdf
+        parts = []
+        for row, mean in zip(self.coefficients, self.mean):
+            row = [float(v) for v in row]
+            if self.scenario is Scenario.TWO_QUBIT_VACUUM:
+                law = TwoQubitAffine(*row)
+                collapsed = abs(law.B) <= 1e-13
+            else:
+                law = QuadraticFidelity(*row)
+                if abs(law.a) <= DELTA_COEFF_TOL:
+                    law = QuadraticFidelity(0.0, law.b, law.c)
+                collapsed = law.a == 0.0 and abs(law.b) <= DELTA_COEFF_TOL
+            parts.append(PointMass(float(mean)) if collapsed else law)
+        return parts[0] if len(parts) == 1 else Mixture(tuple(parts))
 
 
 def fidelity_law(
@@ -619,14 +596,14 @@ def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool 
 
 @dataclass(frozen=True)
 class ProtocolTuning:
-    """Optimal read-out time of a protocol and the phase-nulling field.
+    """Optimal read-out time of a protocol and the average it achieves.
 
     ``phase_corrected`` records whether the maximized average was the
-    phase-corrected one (see :func:`phase_correction_applies`).
+    phase-corrected one (see :func:`phase_correction_applies`); the field
+    that realizes it is resolved by :func:`plan_readout`.
     """
 
     t_opt: float
-    b_aux: float
     achieved_avg_fidelity: float
     phase_corrected: bool
 
@@ -699,8 +676,6 @@ def find_optimal_time(
 
     A coarse grid scan over ``window`` picks the best sample; golden-section
     refinement around it narrows the time to a relative resolution of 1e-8.
-    The reported auxiliary field nulls the arrival phase at the optimum (it
-    is what makes the phase-corrected average physically reachable).
     """
     t_lo, t_hi = float(window[0]), float(window[1])
     if not (np.isfinite(t_lo) and np.isfinite(t_hi)) or t_lo >= t_hi:
@@ -721,11 +696,7 @@ def find_optimal_time(
     t_opt, f_opt = _golden_max(objective, lo, hi, rel_tol=1e-8)
     if curve[best] > f_opt:
         t_opt, f_opt = float(ts[best]), float(curve[best])
-    site = correction_site(spec, scenario)
-    b_aux = phase_null_field(spec, t_opt, site) if t_opt > 0.0 else 0.0
-    return ProtocolTuning(
-        t_opt, b_aux, f_opt, phase_correction_applies(scenario, phase_corrected)
-    )
+    return ProtocolTuning(t_opt, f_opt, phase_correction_applies(scenario, phase_corrected))
 
 
 def _golden_max(func, lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
@@ -874,7 +845,6 @@ class ReadoutPlan:
     t_opt: float
     t_read: float
     b_aux: float
-    achieved_avg_fidelity: float
 
 
 def plan_readout(
@@ -925,5 +895,4 @@ def plan_readout(
         t_opt=tuning.t_opt,
         t_read=float(t_read),
         b_aux=b_aux,
-        achieved_avg_fidelity=tuning.achieved_avg_fidelity,
     )

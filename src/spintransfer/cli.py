@@ -119,6 +119,10 @@ class ExperimentConfig:
                 )
         elif mode_type != "at_optimal":
             raise ParameterError(f"unknown mode type {mode_type!r}")
+        if self.jitter and mode_type != "timing_error":
+            raise ParameterError(f"jitter applies to the timing_error mode, not {mode_type}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.mc_samples < 0:
             raise ParameterError("mc_samples must be >= 0 (0 = analytic only)")
         if self.bins < 2:
@@ -293,27 +297,6 @@ def histogram_rows(hist: Histogram):
 
 
 # ---------------------------------------------------------------------------
-# jitter mixture (alternative reading of the timing-error mode)
-# ---------------------------------------------------------------------------
-
-class JitterMixturePdf:
-    """Equal-weight mixture of analytic pdfs over a read-out time grid."""
-
-    def __init__(self, pdfs: list):
-        self._pdfs = pdfs
-        self.support = (
-            min(p.support[0] for p in pdfs),
-            max(p.support[1] for p in pdfs),
-        )
-
-    def density(self, f):
-        return sum(p.density(f) for p in self._pdfs) / len(self._pdfs)
-
-    def cdf(self, f):
-        return sum(p.cdf(f) for p in self._pdfs) / len(self._pdfs)
-
-
-# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
@@ -412,13 +395,9 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
     """Analytic pdf + optional MC histogram at the resolved read-out time."""
     started = time.perf_counter()
     plan = _resolve_plan(config)
-    jitter = config.jitter and config.mode.get("type") == "timing_error"
-    if jitter:
-        law = fidelity_law(plan.spec, plan.scenario, _jitter_times(plan, config))
-        pdf = JitterMixturePdf([law.pdf(k) for k in range(JITTER_MIX_NODES)])
-    else:
-        law = fidelity_law(plan.spec, plan.scenario, [plan.t_read])
-        pdf = law.pdf()
+    times = _jitter_times(plan, config) if config.jitter else [plan.t_read]
+    law = fidelity_law(plan.spec, plan.scenario, times)
+    pdf = law.pdf()
     # the closed-form mean that tuning and the target bisection evaluate
     avg = float(law.mean.mean())
 
@@ -433,7 +412,7 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
     if config.mc_samples > 0:
         stream = RandomStream(config.seed)
         edges = default_bin_edges(pdf, config.bins)
-        if jitter:
+        if config.jitter:
             hist = _jitter_histogram(plan, config, edges, stream)
         else:
             tab = amplitudes_at(plan.spec, plan.t_read)

@@ -14,8 +14,6 @@ from math import comb
 
 from .errors import ParameterError
 
-MAX_EXCITATIONS = 2
-
 
 @dataclass(frozen=True)
 class SectorBasis:

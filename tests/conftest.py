@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from spintransfer.analytics import FidelityLaw, TwoQubitAffine
 from spintransfer.chain import ChainSpec
+from spintransfer.channel import Scenario
 
 # Property tests draw a fixed example sequence, so failures reproduce and
 # the suite's run time stays flat.
@@ -34,6 +36,17 @@ def seeded_chain(seed: int, n_sites: int, kind: str) -> ChainSpec:
     for i in range(n_sites - 1):
         anis[i, i + 1] = anis[i + 1, i] = rng.uniform(-1.0, 1.0)
     return ChainSpec(n_sites, spec.couplings, anis, spec.fields)
+
+
+def one_row_law(law) -> FidelityLaw:
+    """The one-row FidelityLaw of a quadratic or affine law, at the law's mean."""
+    if isinstance(law, TwoQubitAffine):
+        return FidelityLaw(
+            Scenario.TWO_QUBIT_VACUUM, np.array([[law.A, law.B]]), np.array([law.mean()])
+        )
+    return FidelityLaw(
+        Scenario.ONE_QUBIT_VACUUM, np.array([[law.a, law.b, law.c]]), np.array([law.mean()])
+    )
 
 
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:

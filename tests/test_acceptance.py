@@ -20,8 +20,6 @@ from spintransfer.analytics import (
     avg_fidelity_one_qubit_vacuum,
     find_optimal_time,
     min_fidelity_closed_form,
-    pdf_from_quadratic,
-    pdf_two_qubit,
     phase_null_field,
     plan_readout,
     quadratic_reduce_one_qubit,
@@ -242,7 +240,7 @@ def test_criterion_6_pdf_correctness_vs_mc():
     details = []
     for seed_offset, name in enumerate(SINGLE_N22):
         plan, tab, kraus = single_qubit_plan(name)
-        pdf = pdf_from_quadratic(quadratic_reduce_one_qubit(kraus))
+        pdf = quadratic_reduce_one_qubit(kraus)
         samples = _fidelity_samples_one_qubit(
             kraus, MC_SAMPLES, RandomStream(606, seed_offset)
         )
@@ -251,10 +249,9 @@ def test_criterion_6_pdf_correctness_vs_mc():
         worst = max(worst, distance)
     for seed_offset, name in enumerate(("barrier", "weak")):
         plan, affine = two_qubit_plan(name)
-        pdf = pdf_two_qubit(affine)
         states = sample_two_qubit_pure(RandomStream(616, seed_offset), MC_SAMPLES)
         samples = affine.evaluate(concurrence(states))
-        distance = ks_distance(samples, pdf)
+        distance = ks_distance(samples, affine)
         details.append(f"{name} 2q {distance:.4f}")
         worst = max(worst, distance)
     # the engineered chain cannot be tuned to the 0.99 two-qubit average
@@ -269,10 +266,9 @@ def test_criterion_6_pdf_correctness_vs_mc():
     affine = affine_from_kraus(
         kraus_for_scenario(amplitudes_at(plan.spec, plan.t_read), Scenario.TWO_QUBIT_VACUUM, 9)
     )
-    pdf = pdf_two_qubit(affine)
     states = sample_two_qubit_pure(RandomStream(616, 9), MC_SAMPLES)
     samples = affine.evaluate(concurrence(states))
-    distance = ks_distance(samples, pdf)
+    distance = ks_distance(samples, affine)
     details.append(f"perfect 2q(at own optimum) {distance:.4f}")
     worst = max(worst, distance)
     ok = worst <= 0.01
@@ -382,8 +378,7 @@ def test_criterion_8_qualitative_orderings():
         )
         tab = amplitudes_at(plan.spec, plan.t_read)
         kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_UNIFORM, 15)
-        pdf = pdf_from_quadratic(quadratic_reduce_one_qubit(kraus))
-        uniform_mins[name] = pdf.support[0]
+        uniform_mins[name] = quadratic_reduce_one_qubit(kraus).support[0]
     uniform_ok = (
         uniform_mins["barrier"] > uniform_mins["weak"]
         and uniform_mins["barrier"] > uniform_mins["perfect"]

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import make_random_chain, random_state
+from conftest import make_random_chain, one_row_law, random_state
 from spintransfer.analytics import (
     MinBranch,
-    PdfKind,
+    PointMass,
     QuadraticFidelity,
     TwoQubitAffine,
     affine_from_kraus,
@@ -13,8 +13,6 @@ from spintransfer.analytics import (
     avg_fidelity_one_qubit_vacuum,
     find_optimal_time,
     min_fidelity_closed_form,
-    pdf_from_quadratic,
-    pdf_two_qubit,
     phase_null_field,
     plan_readout,
     quadratic_reduce_one_qubit,
@@ -122,15 +120,15 @@ def test_min_fidelity_rejects_bad_r():
 # -- one-qubit pdf -----------------------------------------------------------
 
 def test_pdf_delta_case():
-    pdf = pdf_from_quadratic(QuadraticFidelity(0.0, 0.0, 1.0))
-    assert pdf.kind is PdfKind.DELTA
+    pdf = one_row_law(QuadraticFidelity(0.0, 0.0, 1.0)).pdf()
+    assert isinstance(pdf, PointMass)
     assert pdf.support == (1.0, 1.0)
     assert pdf.cdf(1.0) == 1.0 and pdf.cdf(0.999999) == 0.0
 
 
 def test_pdf_uniform_case():
     # r = 0 limit: F = (1 + x)/2 uniform on [0, 1]
-    pdf = pdf_from_quadratic(QuadraticFidelity(0.0, 0.5, 0.5))
+    pdf = QuadraticFidelity(0.0, 0.5, 0.5)
     assert pdf.support == (0.0, 1.0)
     fs = np.linspace(0.01, 0.99, 17)
     assert np.allclose(pdf.density(fs), 1.0)
@@ -146,8 +144,8 @@ def test_pdf_normalization_and_cdf(rng):
             Scenario.ONE_QUBIT_VACUUM if rng.integers(0, 2) else Scenario.ONE_QUBIT_UNIFORM
         )
         kraus = kraus_for_scenario(tab, scenario, n)
-        pdf = pdf_from_quadratic(quadratic_reduce_one_qubit(kraus))
-        if pdf.kind is PdfKind.DELTA:
+        pdf = one_row_law(quadratic_reduce_one_qubit(kraus)).pdf()
+        if isinstance(pdf, PointMass):
             continue
         assert pdf.normalization() == pytest.approx(1.0, abs=1e-6)
         fs = np.linspace(pdf.support[0], pdf.support[1], 101)
@@ -162,12 +160,19 @@ def test_pdf_mean_matches_quadrature(rng):
     tab = amplitudes_at(spec, 1.9)
     kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_VACUUM, 6)
     quad_form = quadratic_reduce_one_qubit(kraus)
-    pdf = pdf_from_quadratic(quad_form)
-    lo, hi = pdf.support
-    breaks = [p for p in pdf._breakpoints() if lo < p < hi]
-    numeric, _ = quad(lambda f: f * float(pdf.density(f)), lo, hi, points=breaks, limit=200)
+    lo, hi = quad_form.support
+    breaks = [p for p in quad_form.breakpoints() if lo < p < hi]
+    numeric, _ = quad(lambda f: f * float(quad_form.density(f)), lo, hi, points=breaks, limit=200)
     assert numeric == pytest.approx(quad_form.mean(), abs=1e-7)
-    assert pdf.mean() == pytest.approx(quad_form.mean(), abs=1e-12)
+    assert one_row_law(quad_form).pdf().mean() == pytest.approx(quad_form.mean(), abs=1e-12)
+
+
+def test_pdf_normalization_when_vertex_value_rounds_apart():
+    # c - b^2 / 4a and F(vertex) differ by one ulp for these coefficients; a
+    # breakpoint one ulp inside the support once made the quadrature infinite
+    quad_form = QuadraticFidelity(0.24651300518755553, 0.433285931041082, 0.3202010637713625)
+    assert quad_form.support == (min(quad_form.breakpoints()), max(quad_form.breakpoints()))
+    assert quad_form.normalization() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_pdf_support_top_is_one_for_vacuum(rng):
@@ -175,7 +180,7 @@ def test_pdf_support_top_is_one_for_vacuum(rng):
     spec = make_random_chain(rng, 7)
     tab = amplitudes_at(spec, 4.2)
     kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_VACUUM, 7)
-    pdf = pdf_from_quadratic(quadratic_reduce_one_qubit(kraus))
+    pdf = quadratic_reduce_one_qubit(kraus)
     assert pdf.support[1] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -228,14 +233,13 @@ def test_schmidt_sign_is_immaterial(rng):
 
 
 def test_pdf_two_qubit_delta():
-    pdf = pdf_two_qubit(TwoQubitAffine(1.0, 0.0))
-    assert pdf.kind is PdfKind.DELTA
+    pdf = one_row_law(TwoQubitAffine(1.0, 0.0)).pdf()
+    assert isinstance(pdf, PointMass)
     assert pdf.support == (1.0, 1.0)
 
 
 def test_pdf_two_qubit_shape_and_moments():
-    affine = TwoQubitAffine(0.9904, -0.0006)
-    pdf = pdf_two_qubit(affine)
+    pdf = affine = TwoQubitAffine(0.9904, -0.0006)
     assert pdf.support == (pytest.approx(0.9904), pytest.approx(0.9910))
     # the Jacobian compresses the concurrence origin into F = A, so the
     # density is largest there and falls to zero at F = A - B (the Monte
@@ -248,11 +252,11 @@ def test_pdf_two_qubit_shape_and_moments():
     assert norm == pytest.approx(1.0, abs=1e-9)
     mean_num, _ = quad(lambda f: f * float(pdf.density(f)), lo, hi, limit=200)
     assert mean_num == pytest.approx(affine.A - 0.4 * affine.B, abs=1e-9)
-    assert pdf.mean() == pytest.approx(affine.A - 0.4 * affine.B, abs=1e-12)
+    assert one_row_law(affine).pdf().mean() == pytest.approx(affine.A - 0.4 * affine.B, abs=1e-12)
 
 
 def test_pdf_two_qubit_cdf_consistency():
-    pdf = pdf_two_qubit(TwoQubitAffine(0.95, 0.03))  # positive B branch
+    pdf = TwoQubitAffine(0.95, 0.03)  # positive B branch
     lo, hi = pdf.support
     assert (lo, hi) == (pytest.approx(0.92), pytest.approx(0.95))
     for f in np.linspace(lo, hi, 7)[1:-1]:

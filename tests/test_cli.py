@@ -132,6 +132,8 @@ MALFORMED = {
     "config_target_not_a_number": ({"mode": {"type": "target_avg", "value": "x"}}, "mode value"),
     "config_not_json": ("{", "config"),
     "config_protocol_not_an_object": ({"protocol": "perfect"}, "protocol"),
+    "negative_seed": (["--seed", "-1"], "seed"),
+    "jitter_outside_timing_error": (["--mode", "at_optimal", "--jitter"], "jitter"),
 }
 
 

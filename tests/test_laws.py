@@ -10,20 +10,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_random_chain, seeded_chain
+from conftest import make_random_chain, one_row_law, seeded_chain
 from scipy.integrate import quad
 
 from spintransfer.analytics import (
+    DELTA_COEFF_TOL,
+    FidelityLaw,
     MinBranch,
-    PdfKind,
+    Mixture,
+    PointMass,
     QuadraticFidelity,
     TwoQubitAffine,
     affine_from_kraus,
     correction_site,
     fidelity_law,
     min_fidelity_closed_form,
-    pdf_from_quadratic,
-    pdf_two_qubit,
     phase_null_field,
     quadratic_reduce_one_qubit,
     vacuum_quadratic,
@@ -83,7 +84,8 @@ def test_row_law_matches_kraus_reduction(spec, t, scenario):
         coefficients, mean = kraus_reduction(spec, scenario, float(t_k))
         assert np.abs(law.coefficients[k] - coefficients).max() <= 1e-12
         assert abs(law.mean[k] - mean) <= 1e-12
-        assert law.pdf(k).mean() == pytest.approx(mean, abs=1e-12)
+        row = FidelityLaw(scenario, law.coefficients[k : k + 1], law.mean[k : k + 1])
+        assert row.pdf().mean() == pytest.approx(mean, abs=1e-12)
 
 
 @given(
@@ -105,7 +107,7 @@ def test_point_mass_law_sits_at_its_mean(n_sites):
     spec = protocol_preset(Perfect(), n_sites)
     law = fidelity_law(spec, Scenario.ONE_QUBIT_VACUUM, [np.pi / 4], phase_corrected=True)
     pdf = law.pdf()
-    assert pdf.kind is PdfKind.DELTA
+    assert isinstance(pdf, PointMass)
     assert pdf.support == (law.mean[0], law.mean[0])
 
 
@@ -162,8 +164,15 @@ def test_azimuth_dependent_channel_is_rejected():
 
 
 def quadratic_law(a: float, b: float, position: float) -> QuadraticFidelity:
-    """a x^2 + b x + c with c placing the range at ``position`` of its slack in [0, 1]."""
+    """a x^2 + b x + c with c placing the range at ``position`` of its slack in [0, 1].
+
+    a and b shrink by a common factor where their range is wider than 1
+    (a = b = 1/2 spans 9/8), so every law drawn is a valid fidelity.
+    """
     xs = [-1.0, 1.0] + ([-b / (2.0 * a)] if a and abs(b / (2.0 * a)) < 1.0 else [])
+    spread = np.ptp([(a * x + b) * x for x in xs])
+    if spread > 1.0:
+        a, b = a / spread, b / spread
     values = [(a * x + b) * x for x in xs]
     lo, hi = min(values), max(values)
     return QuadraticFidelity(a, b, -lo + position * (1.0 - (hi - lo)))
@@ -191,7 +200,7 @@ def assert_pdf_consistent(pdf, kinks):
     assert np.all(np.diff(cdf) >= -1e-12)
     assert np.all(cdf[grid < lo] == 0.0)
     assert pdf.cdf(hi) == 1.0 and np.all(cdf[grid >= hi] == 1.0)
-    if pdf.kind is PdfKind.DELTA:
+    if isinstance(pdf, PointMass):
         return
     # integrable 1/sqrt singularities sit at the kinks, so they end cells
     edges = np.unique(np.clip(np.r_[np.linspace(lo, hi, 9), kinks], lo, hi))
@@ -207,12 +216,69 @@ def assert_pdf_consistent(pdf, kinks):
 def test_quadratic_pdf_matches_its_cdf(quad_form):
     a, b = quad_form.a, quad_form.b
     xs = [-1.0, 1.0] + ([-b / (2.0 * a)] if a and abs(b / (2.0 * a)) < 1.0 else [])
-    assert_pdf_consistent(pdf_from_quadratic(quad_form), quad_form.evaluate(np.array(xs)))
+    assert_pdf_consistent(one_row_law(quad_form).pdf(), quad_form.evaluate(np.array(xs)))
 
 
 @given(affine_laws)
 def test_affine_pdf_matches_its_cdf(affine):
-    assert_pdf_consistent(pdf_two_qubit(affine), [affine.A, affine.A - affine.B])
+    assert_pdf_consistent(affine, [affine.A, affine.A - affine.B])
+
+
+@given(st.one_of(quadratic_laws, affine_laws))
+def test_support_is_the_extreme_breakpoints(law):
+    # the breakpoints are the law at its candidate extremes, through evaluate
+    if isinstance(law, TwoQubitAffine):
+        xs = [0.0, 1.0]
+    else:
+        a, b = law.a, law.b
+        xs = [-1.0, 1.0] + ([-b / (2.0 * a)] if a and abs(b / (2.0 * a)) < 1.0 else [])
+    points = law.breakpoints()
+    assert points == [float(law.evaluate(x)) for x in xs]
+    assert law.support == (min(points), max(points))
+
+
+def row_distribution(law):
+    """What a one-row FidelityLaw of ``law`` must give: the law itself, its
+    uniform linear part when a vanishes, a point mass when it is constant."""
+    if isinstance(law, TwoQubitAffine):
+        return PointMass(law.mean()) if abs(law.B) <= 1e-13 else law
+    if abs(law.a) > DELTA_COEFF_TOL:
+        return law
+    if abs(law.b) > DELTA_COEFF_TOL:
+        return QuadraticFidelity(0.0, law.b, law.c)
+    return PointMass(law.mean())
+
+
+@given(st.one_of(quadratic_laws, affine_laws))
+def test_one_row_law_is_that_rows_distribution(law):
+    assert one_row_law(law).pdf() == row_distribution(law)
+
+
+@given(specs, st.floats(0.1, 12.0), st.sampled_from(list(Scenario)))
+def test_fidelity_law_rows_are_their_distributions(spec, t, scenario):
+    law = fidelity_law(spec, scenario, [t])
+    row = [float(v) for v in law.coefficients[0]]
+    expected = TwoQubitAffine(*row) if scenario is Scenario.TWO_QUBIT_VACUUM else QuadraticFidelity(*row)
+    assert law.pdf() == expected
+
+
+@given(specs, st.floats(0.1, 12.0), st.sampled_from(list(Scenario)), st.integers(2, 5))
+def test_several_rows_mix_with_equal_weight(spec, t, scenario, n_rows):
+    law = fidelity_law(spec, scenario, t * np.linspace(0.9, 1.1, n_rows))
+    rows = [
+        FidelityLaw(scenario, law.coefficients[k : k + 1], law.mean[k : k + 1]).pdf()
+        for k in range(n_rows)
+    ]
+    mixture = law.pdf()
+    assert isinstance(mixture, Mixture)
+    assert mixture.support == (min(r.support[0] for r in rows), max(r.support[1] for r in rows))
+    lo, hi = mixture.support
+    fs = np.linspace(lo - 0.01, hi + 0.01, 257)
+    assert np.abs(mixture.cdf(fs) - np.mean([r.cdf(fs) for r in rows], axis=0)).max() <= 1e-14
+    inner = fs[(fs > lo) & (fs < hi)]
+    assert np.abs(
+        mixture.density(inner) - np.mean([r.density(inner) for r in rows], axis=0)
+    ).max() <= 1e-12 * np.abs(mixture.density(inner)).max()
 
 
 def phase_bound(r: float) -> float:

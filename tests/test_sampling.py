@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import make_random_chain
+from conftest import make_random_chain, one_row_law
 from spintransfer.analytics import (
     affine_from_kraus,
-    pdf_from_quadratic,
-    pdf_two_qubit,
     quadratic_reduce_one_qubit,
     vacuum_quadratic,
 )
@@ -129,7 +127,7 @@ def test_histogram_determinism(rng):
 def test_mc_histogram_matches_analytic_pdf(rng):
     spec = make_random_chain(rng, 7)
     kraus = kraus_for_scenario(amplitudes_at(spec, 3.1), Scenario.ONE_QUBIT_VACUUM, 7)
-    pdf = pdf_from_quadratic(quadratic_reduce_one_qubit(kraus))
+    pdf = quadratic_reduce_one_qubit(kraus)
     edges = default_bin_edges(pdf, 200)
     hist = mc_fidelity_histogram(kraus, 200_000, edges, RandomStream(12))
     assert ks_distance(hist, pdf) <= 0.01
@@ -139,7 +137,7 @@ def test_two_qubit_histogram_matches_transform(rng):
     spec = make_random_chain(rng, 6)
     tab = amplitudes_at(spec, 2.7)
     kraus = kraus_for_scenario(tab, Scenario.TWO_QUBIT_VACUUM, 6)
-    pdf = pdf_two_qubit(affine_from_kraus(kraus))
+    pdf = affine_from_kraus(kraus)
     edges = default_bin_edges(pdf, 200)
     hist = mc_fidelity_histogram(kraus, 200_000, edges, RandomStream(13))
     assert ks_distance(hist, pdf) <= 0.01
@@ -148,15 +146,14 @@ def test_two_qubit_histogram_matches_transform(rng):
 def test_ks_distance_self_samples():
     # draws from the law itself: KS below the 1% Kolmogorov critical value
     quad_form = vacuum_quadratic(0.9, 0.4)
-    pdf = pdf_from_quadratic(quad_form)
     rng = RandomStream(21).generator()
     samples = quad_form.evaluate(rng.uniform(-1.0, 1.0, N_MOMENT))
-    assert ks_distance(samples, pdf) <= 1.628 / np.sqrt(N_MOMENT)
-    assert ks_distance(samples, pdf) <= 0.002
+    assert ks_distance(samples, quad_form) <= 1.628 / np.sqrt(N_MOMENT)
+    assert ks_distance(samples, quad_form) <= 0.002
 
 
 def test_ks_distance_delta_vs_spread():
-    pdf = pdf_from_quadratic(vacuum_quadratic(1.0, 0.0))  # delta at 1
+    pdf = one_row_law(vacuum_quadratic(1.0, 0.0)).pdf()  # point mass at 1
     samples = np.linspace(0.0, 0.999, 1000)
     assert ks_distance(samples, pdf) > 0.99
 
