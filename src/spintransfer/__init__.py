@@ -2,9 +2,11 @@
 Monte Carlo validation and a brute-force reference.
 
 The package splits along the physics pipeline: sector bases and chain
-Hamiltonians -> spectral dynamics -> Kraus transfer channels -> closed-form
-fidelity statistics -> sampling/goodness-of-fit, with an independent
-full-Hilbert-space oracle used to certify everything.
+Hamiltonians -> spectral dynamics, whose amplitude rows feed both the
+closed-form fidelity laws and the Kraus transfer channels -> sampling and
+goodness-of-fit through the channels, with an independent
+full-Hilbert-space oracle that certifies the shared rows and everything
+built on them.
 """
 
 from .chain import (
@@ -29,11 +31,9 @@ from .channel import (
     kraus_two_qubit_vacuum,
 )
 from .dynamics import (
-    AmplitudeTable,
     ChainDynamics,
     SpectralPropagator,
     amplitude_table_to_csv,
-    amplitudes_at,
     diagonalize,
     dynamics_for,
     is_free_fermion,

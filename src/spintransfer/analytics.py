@@ -20,8 +20,10 @@ turns rows of coefficients into a distribution: a collapsed row becomes a
 equal-weight :class:`Mixture`.
 
 The reductions of explicit Kraus sets (:func:`quadratic_reduce_one_qubit`,
-:func:`affine_from_kraus`) are the independent reference that Monte Carlo
-and certification use.
+:func:`affine_from_kraus`) are the reference that Monte Carlo and
+certification use.  The Kraus sets read the same propagator rows as the
+laws, so the reductions check the laws' arithmetic; the 2^N oracle checks
+the rows.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ TIME_CHUNK = 16384
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 TARGET_WALK_STEP = 1e-4
 LADDER_STOP_AVG = 0.995
+MIN_SCAN_GRID = 100
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +494,8 @@ def fidelity_law(
     """
     if not isinstance(scenario, Scenario):
         raise ParameterError(f"unknown scenario {scenario!r}")
+    scenario.check_sites(spec.n_sites)
     n = spec.n_sites
-    if n < scenario.min_sites:
-        raise ParameterError(
-            f"{scenario.value} transfer requires n_sites >= {scenario.min_sites}, got {n}"
-        )
     times = np.asarray(times, dtype=float)
     dyn = dynamics_for(spec)
     if scenario is Scenario.ONE_QUBIT_VACUUM:
@@ -665,6 +665,12 @@ def avg_fidelity_curve(
     return out
 
 
+def check_grid(grid: int) -> None:
+    """Raise ParameterError for a scan grid of fewer than MIN_SCAN_GRID points."""
+    if grid < MIN_SCAN_GRID:
+        raise ParameterError(f"grid must be at least {MIN_SCAN_GRID} points, got {grid}")
+
+
 def find_optimal_time(
     spec: ChainSpec,
     scenario: Scenario,
@@ -680,8 +686,7 @@ def find_optimal_time(
     t_lo, t_hi = float(window[0]), float(window[1])
     if not (np.isfinite(t_lo) and np.isfinite(t_hi)) or t_lo >= t_hi:
         raise ParameterError(f"invalid time window {window}")
-    if grid < 100:
-        raise ParameterError(f"grid must be at least 100 points, got {grid}")
+    check_grid(grid)
     ts = np.linspace(t_lo, t_hi, int(grid))
     curve = avg_fidelity_curve(spec, scenario, ts, phase_corrected)
     best = int(np.argmax(curve))

@@ -4,14 +4,19 @@ Each Kraus operator is the matrix element of the full evolution between the
 fixed initial channel state and one basis state of everything-but-the-
 receiver.  Conservation of total magnetization restricts which entries can
 be non-zero, so every operator is assembled from one- and two-excitation
-transition amplitudes.  Operators are built from this first-principles
-definition: the one-excitation propagator of an :class:`AmplitudeTable`
-and the few two-excitation rows out of the initially occupied pairs
-(:meth:`AmplitudeTable.pair_row`, 2x2 determinants of one-excitation
-amplitudes on a nearest-neighbour XX chain, pair-sector rows otherwise);
-the full pair propagator is never formed.  Trace preservation then holds
-by unitarity and the cached completeness defect only measures
-floating-point error.
+transition amplitudes.  The builders take a chain spec and a time, the
+order :func:`~spintransfer.analytics.fidelity_law` uses, and read the same
+amplitude rows the laws read: :func:`~spintransfer.dynamics.propagator_rows`
+of the one-excitation sector out of the sender (and, for the occupied
+channel, the initially occupied sites) and
+:func:`~spintransfer.dynamics.pair_rows` out of the initially occupied
+pairs (2x2 determinants of one-excitation amplitudes on a nearest-neighbour
+XX chain, pair-sector rows otherwise).  Each builder fills its operator
+stack by index from those rows; no full propagator is formed.  Trace
+preservation then holds by unitarity and the cached completeness defect
+only measures floating-point error.  Since laws and Kraus sets share these
+rows, the 2^N oracle of :mod:`~spintransfer.oracle` is the independent
+check on them (``channel_oracle_equivalence`` in certification).
 
 Receiver conventions: single-qubit transfer reads site N in the basis
 |0>, |1>; two-qubit transfer reads sites (N-1, N) in the basis
@@ -27,7 +32,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .dynamics import AmplitudeTable
+from .chain import ChainSpec
+from .dynamics import dynamics_for, pair_rows, propagator_rows
 from .errors import ParameterError
 
 COMPLETENESS_TOL = 1e-9
@@ -53,6 +59,13 @@ class Scenario(enum.Enum):
             return 5
         return 2
 
+    def check_sites(self, n_sites: int) -> None:
+        """Raise ParameterError when a chain of ``n_sites`` is below ``min_sites``."""
+        if n_sites < self.min_sites:
+            raise ParameterError(
+                f"{self.value} transfer requires n_sites >= {self.min_sites}, got {n_sites}"
+            )
+
 
 @dataclass(frozen=True)
 class KrausSet:
@@ -77,8 +90,7 @@ class KrausSet:
         return self.operators.shape[0]
 
 
-def _finish(stack: list[np.ndarray], scenario: Scenario, t: float) -> KrausSet:
-    ops = np.asarray(stack, dtype=complex)
+def _finish(ops: np.ndarray, scenario: Scenario, t: float) -> KrausSet:
     n_constructed = ops.shape[0]
     keep = np.abs(ops).max(axis=(1, 2)) > DROP_THRESHOLD
     ops = ops[keep]
@@ -88,117 +100,109 @@ def _finish(stack: list[np.ndarray], scenario: Scenario, t: float) -> KrausSet:
     if defect > COMPLETENESS_TOL:
         raise ParameterError(
             f"Kraus completeness defect {defect:.3e} exceeds "
-            f"{COMPLETENESS_TOL:.0e}; amplitude table is not unitary enough"
+            f"{COMPLETENESS_TOL:.0e}; amplitude rows are not unitary enough"
         )
     return KrausSet(ops, scenario, float(t), defect, n_constructed)
 
 
-def kraus_one_qubit_vacuum(amps: AmplitudeTable, n_sites: int) -> KrausSet:
+def _rows_at(spec: ChainSpec, scenario: Scenario, sources, targets, t: float):
+    """Chain dynamics and one-excitation rows (1, len(sources), len(targets)) at ``t``.
+
+    Checks the chain size for ``scenario`` and that ``t`` is finite first.
+    """
+    scenario.check_sites(spec.n_sites)
+    if not np.isfinite(t):
+        raise ParameterError(f"time must be finite, got {t}")
+    dyn = dynamics_for(spec)
+    return dyn, propagator_rows(dyn.one, sources, targets, [t])
+
+
+def kraus_one_qubit_vacuum(spec: ChainSpec, t: float) -> KrausSet:
     """Channel for one-qubit transfer with the chain starting empty.
 
     Two operators: the excitation-preserving block ``diag(1, a_1^N)`` and a
     single lumped loss operator carrying the weight that leaked anywhere
     else, ``sqrt(1 - |a_1^N|^2)``.
     """
-    if n_sites < 2:
-        raise ParameterError(f"n_sites must be >= 2, got {n_sites}")
-    a_end = amps.one_amplitude(1, n_sites)
-    e0 = np.array([[1.0, 0.0], [0.0, a_end]], dtype=complex)
-    loss = np.sqrt(max(0.0, 1.0 - abs(a_end) ** 2))
-    e1 = np.array([[0.0, loss], [0.0, 0.0]], dtype=complex)
-    return _finish([e0, e1], Scenario.ONE_QUBIT_VACUUM, amps.time)
+    _, rows = _rows_at(spec, Scenario.ONE_QUBIT_VACUUM, [[1]], [spec.n_sites], t)
+    a_end = rows[0, 0, 0]
+    ops = np.zeros((2, 2, 2), dtype=complex)
+    ops[0, 0, 0] = 1.0
+    ops[0, 1, 1] = a_end
+    ops[1, 0, 1] = np.sqrt(max(0.0, 1.0 - abs(a_end) ** 2))
+    return _finish(ops, Scenario.ONE_QUBIT_VACUUM, t)
 
 
-def kraus_one_qubit_uniform(amps: AmplitudeTable, n_sites: int) -> KrausSet:
+def kraus_one_qubit_uniform(spec: ChainSpec, t: float) -> KrausSet:
     """Channel for one-qubit transfer with one excitation spread over 2..N-1.
 
     The environment basis states carry 0, 1 or 2 excitations, giving
     ``1 + (N-1) + (N-1)(N-2)/2`` operators whose entries are sums of one-
-    and two-excitation amplitudes out of the initially occupied sites.
+    and two-excitation amplitudes out of the initially occupied sites: the
+    arrival operator (excitation at N), one operator per site k <= N-1
+    holding the excitation, one per pair k < l <= N-1.
     """
-    if n_sites < 4:
-        raise ParameterError(
-            f"uniform channel requires n_sites >= 4, got {n_sites}"
-        )
-    n = n_sites
+    n = spec.n_sites
+    occupied = range(2, n)
+    dyn, rows = _rows_at(spec, Scenario.ONE_QUBIT_UNIFORM, [[1], occupied], range(1, n + 1), t)
     norm = 1.0 / np.sqrt(n - 2)
-    # sums over the initially occupied sites j = 2..N-1
-    a_sum = amps.one_exc[1 : n - 1, :].sum(axis=0) * norm  # -> site k+1
-    pairs = list(combinations(range(1, n + 1), 2))
-    b_sum = dict(zip(pairs, amps.pair_row(range(2, n), pairs) * norm))
-
-    ops: list[np.ndarray] = []
-    # no excitation left outside the receiver: arrival amplitude at site N
-    e0 = np.zeros((2, 2), dtype=complex)
-    e0[1, 0] = a_sum[n - 1]
-    ops.append(e0)
-    # one excitation at site k <= N-1
-    for k in range(1, n):
-        e1 = np.zeros((2, 2), dtype=complex)
-        e1[0, 0] = a_sum[k - 1]
-        e1[1, 1] = b_sum[(k, n)]
-        ops.append(e1)
-    # two excitations at k < l <= N-1
-    for k in range(1, n):
-        for l in range(k + 1, n):
-            e2 = np.zeros((2, 2), dtype=complex)
-            e2[0, 1] = b_sum[(k, l)]
-            ops.append(e2)
-    return _finish(ops, Scenario.ONE_QUBIT_UNIFORM, amps.time)
+    a_sum = rows[0, 1] * norm  # summed over the occupied sites, to site k
+    # pair targets in operator order: (k, N) for k <= N-1, then k < l <= N-1
+    targets = [(k, n) for k in range(1, n)] + list(combinations(range(1, n), 2))
+    b_sum = pair_rows(dyn, occupied, targets, [t], rows)[0] * norm
+    ops = np.zeros((1 + len(targets), 2, 2), dtype=complex)
+    ops[0, 1, 0] = a_sum[n - 1]
+    ops[1:n, 0, 0] = a_sum[: n - 1]
+    ops[1:n, 1, 1] = b_sum[: n - 1]
+    ops[n:, 0, 1] = b_sum[n - 1 :]
+    return _finish(ops, Scenario.ONE_QUBIT_UNIFORM, t)
 
 
-def kraus_two_qubit_vacuum(amps: AmplitudeTable, n_sites: int) -> KrausSet:
+def kraus_two_qubit_vacuum(spec: ChainSpec, t: float) -> KrausSet:
     """Channel for two-qubit transfer {1,2} -> {N-1,N}, chain starting empty.
 
     Operators split by the excitation count left outside the receiver pair:
-    one excitation-conserving operator, N-2 single-leak operators and
-    (N-2)(N-3)/2 double-leak operators.
+    one excitation-conserving operator, N-2 single-leak operators (leak to
+    site j <= N-2) and (N-2)(N-3)/2 double-leak operators (pairs
+    k < j <= N-2).
     """
-    if n_sites < 5:
-        raise ParameterError(
-            f"two-qubit transfer requires n_sites >= 5, got {n_sites}"
-        )
-    n = n_sites
-    a1 = amps.one_exc[0, :]  # from site 1
-    a2 = amps.one_exc[1, :]  # from site 2
-    pairs = list(combinations(range(1, n + 1), 2))
-    b12 = dict(zip(pairs, amps.pair_row([2], pairs)))
-
-    ops: list[np.ndarray] = []
-    e0 = np.zeros((4, 4), dtype=complex)
-    e0[0, 0] = 1.0
-    e0[1, 1] = a2[n - 1]      # site 2 -> site N
-    e0[1, 2] = a1[n - 1]      # site 1 -> site N
-    e0[2, 1] = a2[n - 2]      # site 2 -> site N-1
-    e0[2, 2] = a1[n - 2]      # site 1 -> site N-1
-    e0[3, 3] = b12[(n - 1, n)]
-    ops.append(e0)
-    for j in range(1, n - 1):
-        e1 = np.zeros((4, 4), dtype=complex)
-        e1[0, 1] = a2[j - 1]
-        e1[0, 2] = a1[j - 1]
-        e1[1, 3] = b12[(j, n)]
-        e1[2, 3] = b12[(j, n - 1)]
-        ops.append(e1)
-    for k in range(1, n - 1):
-        for j in range(k + 1, n - 1):
-            e2 = np.zeros((4, 4), dtype=complex)
-            e2[0, 3] = b12[(k, j)]
-            ops.append(e2)
-    return _finish(ops, Scenario.TWO_QUBIT_VACUUM, amps.time)
+    n = spec.n_sites
+    dyn, rows = _rows_at(spec, Scenario.TWO_QUBIT_VACUUM, [[1], [2]], range(1, n + 1), t)
+    a1, a2 = rows[0, 0], rows[0, 1]  # from sites 1 and 2
+    m = n - 2  # sites outside the receiver pair
+    outside = range(1, n - 1)
+    # pair targets in operator order: the receiver pair, (j, N), (j, N-1), k < j <= N-2
+    targets = (
+        [(n - 1, n)] + [(j, n) for j in outside] + [(j, n - 1) for j in outside]
+        + list(combinations(outside, 2))
+    )
+    b12 = pair_rows(dyn, [2], targets, [t], rows)[0]
+    ops = np.zeros((len(targets) - m, 4, 4), dtype=complex)
+    ops[0, 0, 0] = 1.0
+    ops[0, 1:3, 1:3] = [[a2[n - 1], a1[n - 1]], [a2[n - 2], a1[n - 2]]]
+    ops[0, 3, 3] = b12[0]
+    single = ops[1 : 1 + m]
+    single[:, 0, 1] = a2[:m]
+    single[:, 0, 2] = a1[:m]
+    single[:, 1, 3] = b12[1 : 1 + m]
+    single[:, 2, 3] = b12[1 + m : 1 + 2 * m]
+    ops[1 + m :, 0, 3] = b12[1 + 2 * m :]
+    return _finish(ops, Scenario.TWO_QUBIT_VACUUM, t)
 
 
-def kraus_for_scenario(
-    amps: AmplitudeTable, scenario: Scenario, n_sites: int
-) -> KrausSet:
-    """Dispatch to the Kraus builder of ``scenario``."""
-    if scenario is Scenario.ONE_QUBIT_VACUUM:
-        return kraus_one_qubit_vacuum(amps, n_sites)
-    if scenario is Scenario.ONE_QUBIT_UNIFORM:
-        return kraus_one_qubit_uniform(amps, n_sites)
-    if scenario is Scenario.TWO_QUBIT_VACUUM:
-        return kraus_two_qubit_vacuum(amps, n_sites)
-    raise ParameterError(f"unknown scenario {scenario!r}")
+_BUILDERS = {
+    Scenario.ONE_QUBIT_VACUUM: kraus_one_qubit_vacuum,
+    Scenario.ONE_QUBIT_UNIFORM: kraus_one_qubit_uniform,
+    Scenario.TWO_QUBIT_VACUUM: kraus_two_qubit_vacuum,
+}
+
+
+def kraus_for_scenario(spec: ChainSpec, scenario: Scenario, t: float) -> KrausSet:
+    """Kraus set of ``scenario`` on ``spec`` at time ``t``."""
+    builder = _BUILDERS.get(scenario)
+    if builder is None:
+        raise ParameterError(f"unknown scenario {scenario!r}")
+    return builder(spec, t)
 
 
 def _check_input(kraus: KrausSet, state: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ import numpy as np
 from .analytics import (
     ProtocolTuning,
     ReadoutPlan,
+    check_grid,
     fidelity_law,
     find_optimal_time,
     phase_correction_applies,
@@ -34,7 +35,6 @@ from .analytics import (
 from .chain import Barrier, ChainSpec, Perfect, ProtocolKind, Weak, protocol_preset
 from .channel import Scenario, kraus_for_scenario
 from .certify import run_certification
-from .dynamics import amplitudes_at
 from .errors import (
     CapacityError,
     CertificationError,
@@ -127,6 +127,8 @@ class ExperimentConfig:
             raise ParameterError("mc_samples must be >= 0 (0 = analytic only)")
         if self.bins < 2:
             raise ParameterError(f"bins must be >= 2, got {self.bins}")
+        if self.grid is not None:
+            check_grid(self.grid)
         if not self.output_dir:
             raise ParameterError(
                 "output_dir is required (flag --out, config field, or "
@@ -363,8 +365,12 @@ def cmd_tune(config: ExperimentConfig) -> dict:
 
     The reported optimum and field are those of the tuning (the field is
     folded into the chain); ``avg_fidelity_no_aux`` comes from a separate
-    scan of the uncorrected average over the same window.
+    scan of the uncorrected average over the same window.  ``tune`` reads
+    out at the optimum, so any other configured mode is a ParameterError.
     """
+    mode_type = config.mode.get("type")
+    if mode_type != "at_optimal":
+        raise ParameterError(f"tune takes mode at_optimal only, got mode {mode_type}")
     started = time.perf_counter()
     spec = _build_spec(config)
     scenario = config.scenario_enum()
@@ -415,8 +421,7 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
         if config.jitter:
             hist = _jitter_histogram(plan, config, edges, stream)
         else:
-            tab = amplitudes_at(plan.spec, plan.t_read)
-            kraus = kraus_for_scenario(tab, plan.scenario, config.n_sites)
+            kraus = kraus_for_scenario(plan.spec, plan.scenario, plan.t_read)
             hist = mc_fidelity_histogram(kraus, config.mc_samples, edges, stream)
         ks = ks_distance(hist, pdf)
         files["histogram"] = "histogram.csv"
@@ -458,8 +463,7 @@ def _jitter_histogram(plan: ReadoutPlan, config: ExperimentConfig, edges, stream
         n_here = int((node_of == node).sum())
         if n_here == 0:
             continue
-        tab = amplitudes_at(plan.spec, float(t))
-        kraus = kraus_for_scenario(tab, plan.scenario, config.n_sites)
+        kraus = kraus_for_scenario(plan.spec, plan.scenario, float(t))
         hist = mc_fidelity_histogram(kraus, n_here, edges, stream.substream(node + 1))
         counts += hist.counts
     return Histogram(edges, counts, n)

@@ -1,18 +1,22 @@
-"""Exact sector propagators and transition-amplitude tables.
+"""Exact sector propagators and the transition-amplitude rows.
 
 Time evolution is evaluated from a one-off dense eigendecomposition of each
 sector Hamiltonian rather than by time stepping: the protocols of interest
 reach their working point at long times (weak effective couplings), where
 steppers accumulate error but the spectral form stays exact.  Spectral data
 is cached per chain spec behind a lock, and each sector is diagonalised the
-first time something reads it.  A full propagator at a time point is two
-dense multiplications; :func:`propagator_rows` evaluates only the summed
-rows a fidelity law needs, on a whole time grid.  The tuning scans hand it
-arithmetic grids, which it evaluates as products of a giant-step and a
-baby-step phase table; single times, short or non-uniform grids take the
-full phase matrix.  Both paths round the phase arguments L t alike, so
-they agree to 4 eps max|L| max|t| sum_m |w_m| per row, w being the row's
-mode weights.
+first time something reads it.  :func:`propagator_rows` (with
+:func:`pair_rows` for two excitations) is the one amplitude evaluator of
+the package: the fidelity laws read it on whole time grids and the Kraus
+sets of :mod:`~spintransfer.channel` read it at single times, so a law
+and a Kraus set at the same time read identical amplitudes.
+:func:`propagator_at`, the full propagator of a sector at one time, is
+kept as the full-sector reference for certification and the CSV dump.
+The tuning scans hand :func:`propagator_rows` arithmetic grids, which it
+evaluates as products of a giant-step and a baby-step phase table; single
+times, short or non-uniform grids take the full phase matrix.  Both paths
+round the phase arguments L t alike, so they agree to
+4 eps max|L| max|t| sum_m |w_m| per row, w being the row's mode weights.
 
 For a nearest-neighbour XX chain (no coupling beyond adjacent sites, no
 ZZ term; any local fields) the Jordan-Wigner transformation maps the
@@ -253,56 +257,6 @@ class ChainDynamics:
     def two(self) -> SpectralPropagator:
         return diagonalize(sector_hamiltonian(self.spec, self.pair_basis), self.pair_basis)
 
-    def amplitudes_at(self, t: float) -> AmplitudeTable:
-        """One- and two-excitation amplitude tables at time ``t``."""
-        return AmplitudeTable(self, t)
-
-
-class AmplitudeTable:
-    """One- and two-excitation transition amplitudes at a fixed time.
-
-    ``one_exc[i, j]`` is the amplitude to go from site i+1 to site j+1;
-    ``two_exc[p, q]`` the amplitude between the pair configurations at
-    indices p and q of the two-excitation basis.  Both matrices are unitary
-    and symmetric (the sector Hamiltonians are real symmetric).
-    ``two_exc`` is computed on first read; the Kraus builders read
-    :meth:`pair_row` instead, which on a free-fermion chain never builds
-    the pair sector.
-    """
-
-    def __init__(self, dynamics: ChainDynamics, t: float):
-        self.time = float(t)
-        self.one_exc = propagator_at(dynamics.one, t)
-        self._dynamics = dynamics
-
-    @cached_property
-    def two_exc(self) -> np.ndarray:
-        return propagator_at(self._dynamics.two, self.time)
-
-    @property
-    def pair_basis(self) -> SectorBasis:
-        return self._dynamics.pair_basis
-
-    def pair_row(self, group, targets) -> np.ndarray:
-        """:func:`pair_rows` at this table's time, from its own ``one_exc``."""
-        one_rows = np.stack(
-            [self.one_exc[0], self.one_exc[np.asarray(group, dtype=int) - 1].sum(axis=0)]
-        )
-        return pair_rows(self._dynamics, group, targets, [self.time], one_rows[None])[0]
-
-    def one_amplitude(self, i: int, j: int) -> complex:
-        """Amplitude a_i^j(t) between sites i and j (1-based)."""
-        return complex(self.one_exc[i - 1, j - 1])
-
-    def two_amplitude(self, src: tuple[int, int], dst: tuple[int, int]) -> complex:
-        """Amplitude b_{src}^{dst}(t) between sorted site pairs (1-based)."""
-        return complex(
-            self.two_exc[
-                self.pair_basis.index_of(tuple(sorted(src))),
-                self.pair_basis.index_of(tuple(sorted(dst))),
-            ]
-        )
-
 
 _CACHE_LOCK = threading.Lock()
 _DYNAMICS_CACHE: dict[bytes, ChainDynamics] = {}
@@ -324,33 +278,22 @@ def dynamics_for(spec: ChainSpec) -> ChainDynamics:
     return built
 
 
-def amplitudes_at(spec: ChainSpec, t: float) -> AmplitudeTable:
-    """Amplitude tables of ``spec`` at time ``t`` (cached spectral data)."""
-    return dynamics_for(spec).amplitudes_at(t)
-
-
-def amplitude_table_to_csv(table: AmplitudeTable, path, which: str = "one") -> None:
-    """Write an amplitude matrix as CSV for debugging.
+def amplitude_table_to_csv(spec: ChainSpec, t: float, path, which: str = "one") -> None:
+    """Write the full propagator of one sector of ``spec`` at ``t`` as CSV.
 
     ``which="one"`` writes columns ``i,j,re,im`` over site pairs;
     ``which="two"`` writes ``i1,i2,j1,j2,re,im`` over configuration pairs.
+    Rows follow the sector basis order, source outer.
     """
-    lines = []
-    if which == "one":
-        lines.append("i,j,re,im")
-        n = table.one_exc.shape[0]
-        for i in range(n):
-            for j in range(n):
-                z = table.one_exc[i, j]
-                lines.append(f"{i + 1},{j + 1},{z.real:.17g},{z.imag:.17g}")
-    elif which == "two":
-        lines.append("i1,i2,j1,j2,re,im")
-        configs = table.pair_basis.configurations
-        for p, (i1, i2) in enumerate(configs):
-            for q, (j1, j2) in enumerate(configs):
-                z = table.two_exc[p, q]
-                lines.append(f"{i1},{i2},{j1},{j2},{z.real:.17g},{z.imag:.17g}")
-    else:
+    headers = {"one": "i,j,re,im", "two": "i1,i2,j1,j2,re,im"}
+    if which not in headers:
         raise ParameterError(f"which must be 'one' or 'two', got {which!r}")
+    dyn = dynamics_for(spec)
+    prop = dyn.one if which == "one" else dyn.two
+    matrix = propagator_at(prop, t)
+    labels = [",".join(map(str, c)) for c in prop.basis.configurations]
+    lines = [headers[which]]
+    for src, row in zip(labels, matrix):
+        lines.extend(f"{src},{dst},{z.real:.17g},{z.imag:.17g}" for dst, z in zip(labels, row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

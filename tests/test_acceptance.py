@@ -31,7 +31,7 @@ from spintransfer.certify import check_channels_against_oracle
 from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
 from spintransfer.channel import Scenario, fidelity_many, kraus_for_scenario
 from spintransfer.cli import main as cli_main
-from spintransfer.dynamics import amplitudes_at
+from spintransfer.dynamics import dynamics_for, propagator_at
 from spintransfer.errors import RangeError
 from spintransfer.sampling import (
     RandomStream,
@@ -93,9 +93,9 @@ def single_qubit_plan(name: str):
         plan = plan_readout(
             spec, Scenario.ONE_QUBIT_VACUUM, tuning, target_avg=TARGET
         )
-        tab = amplitudes_at(plan.spec, plan.t_read)
-        kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_VACUUM, 22)
-        _PLAN_CACHE[key] = (plan, tab, kraus)
+        kraus = kraus_for_scenario(plan.spec, Scenario.ONE_QUBIT_VACUUM, plan.t_read)
+        amp = propagator_at(dynamics_for(plan.spec).one, plan.t_read)[0, 21]
+        _PLAN_CACHE[key] = (plan, amp, kraus)
     return _PLAN_CACHE[key]
 
 
@@ -110,8 +110,7 @@ def two_qubit_plan(name: str):
         plan = plan_readout(
             spec, Scenario.TWO_QUBIT_VACUUM, tuning, target_avg=TARGET
         )
-        tab = amplitudes_at(plan.spec, plan.t_read)
-        kraus = kraus_for_scenario(tab, Scenario.TWO_QUBIT_VACUUM, 9)
+        kraus = kraus_for_scenario(plan.spec, Scenario.TWO_QUBIT_VACUUM, plan.t_read)
         _PLAN_CACHE[key] = (plan, affine_from_kraus(kraus))
     return _PLAN_CACHE[key]
 
@@ -155,8 +154,7 @@ def test_criterion_3_perfect_transfer_delta():
         spec, Scenario.ONE_QUBIT_VACUUM, (0.0, 2.0), 20_000, phase_corrected=True
     )
     plan = plan_readout(spec, Scenario.ONE_QUBIT_VACUUM, tuning)
-    tab = amplitudes_at(plan.spec, plan.t_read)
-    kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_VACUUM, 22)
+    kraus = kraus_for_scenario(plan.spec, Scenario.ONE_QUBIT_VACUUM, plan.t_read)
     theta, phi = sample_bloch(RandomStream(303), 100_000)
     values = fidelity_many(kraus, bloch_states(theta, phi))
     worst = float(values.min())
@@ -166,8 +164,7 @@ def test_criterion_3_perfect_transfer_delta():
 
 
 def test_criterion_4_minimum_fidelity_formula():
-    plan, tab, kraus = single_qubit_plan("weak")
-    amp = tab.one_amplitude(1, 22)
+    plan, amp, kraus = single_qubit_plan("weak")
     result = min_fidelity_closed_form(abs(amp), float(np.angle(amp)))
     expected = (np.sqrt(2.0 * (3.0 * TARGET - 1.0)) - 1.0) ** 2
     quad_form = quadratic_reduce_one_qubit(kraus)
@@ -213,8 +210,7 @@ def test_criterion_5_closed_form_averages():
         n = int(rng.integers(5, 9))
         spec = make_random_chain(rng, n, long_range=bool(rng.integers(0, 2)))
         t = float(rng.uniform(0.3, 9.0))
-        tab = amplitudes_at(spec, t)
-        kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_UNIFORM, n)
+        kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, t)
         gap = abs(
             avg_fidelity_curve(spec, Scenario.ONE_QUBIT_UNIFORM, [t])[0]
             - quadratic_reduce_one_qubit(kraus).mean()
@@ -239,7 +235,7 @@ def test_criterion_6_pdf_correctness_vs_mc():
     worst = 0.0
     details = []
     for seed_offset, name in enumerate(SINGLE_N22):
-        plan, tab, kraus = single_qubit_plan(name)
+        plan, _, kraus = single_qubit_plan(name)
         pdf = quadratic_reduce_one_qubit(kraus)
         samples = _fidelity_samples_one_qubit(
             kraus, MC_SAMPLES, RandomStream(606, seed_offset)
@@ -264,7 +260,7 @@ def test_criterion_6_pdf_correctness_vs_mc():
     )
     plan = plan_readout(spec, Scenario.TWO_QUBIT_VACUUM, tuning)
     affine = affine_from_kraus(
-        kraus_for_scenario(amplitudes_at(plan.spec, plan.t_read), Scenario.TWO_QUBIT_VACUUM, 9)
+        kraus_for_scenario(plan.spec, Scenario.TWO_QUBIT_VACUUM, plan.t_read)
     )
     states = sample_two_qubit_pure(RandomStream(616, 9), MC_SAMPLES)
     samples = affine.evaluate(concurrence(states))
@@ -340,7 +336,7 @@ def test_criterion_7_companion_table_at_implied_means():
             spec, Scenario.TWO_QUBIT_VACUUM, tuning, target_avg=implied_mean
         )
         affine = affine_from_kraus(
-            kraus_for_scenario(amplitudes_at(plan.spec, plan.t_read), Scenario.TWO_QUBIT_VACUUM, 9)
+            kraus_for_scenario(plan.spec, Scenario.TWO_QUBIT_VACUUM, plan.t_read)
         )
         gap = max(abs(affine.A - expected_a), abs(affine.B - expected_b))
         worst = max(worst, gap)
@@ -354,8 +350,7 @@ def test_criterion_8_qualitative_orderings():
     # single-qubit 0.99 working point: f_min(B) > f_min(W) = f_min(P)
     f_mins = {}
     for name in SINGLE_N22:
-        plan, tab, kraus = single_qubit_plan(name)
-        amp = tab.one_amplitude(1, 22)
+        plan, amp, kraus = single_qubit_plan(name)
         f_mins[name] = min_fidelity_closed_form(abs(amp), float(np.angle(amp))).f_min
     single_ok = (
         f_mins["barrier"] > f_mins["weak"]
@@ -376,8 +371,7 @@ def test_criterion_8_qualitative_orderings():
         plan = plan_readout(
             spec, Scenario.ONE_QUBIT_UNIFORM, tuning, target_avg=TARGET
         )
-        tab = amplitudes_at(plan.spec, plan.t_read)
-        kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_UNIFORM, 15)
+        kraus = kraus_for_scenario(plan.spec, Scenario.ONE_QUBIT_UNIFORM, plan.t_read)
         uniform_mins[name] = quadratic_reduce_one_qubit(kraus).support[0]
     uniform_ok = (
         uniform_mins["barrier"] > uniform_mins["weak"]

@@ -22,17 +22,16 @@ from spintransfer.analytics import (
 )
 from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
 from spintransfer.channel import Scenario, kraus_for_scenario
-from spintransfer.dynamics import amplitudes_at
+from spintransfer.dynamics import dynamics_for, propagator_at
 from spintransfer.errors import ModelError, ParameterError, RangeError
 from spintransfer.sampling import RandomStream, mc_local_unitary_fidelity
 
 
 def test_vacuum_quadratic_closed_form(rng):
     spec = make_random_chain(rng, 7)
-    tab = amplitudes_at(spec, 2.4)
-    kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_VACUUM, 7)
+    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 2.4)
     fitted = quadratic_reduce_one_qubit(kraus)
-    amp = tab.one_amplitude(1, 7)
+    amp = propagator_at(dynamics_for(spec).one, 2.4)[0, 6]
     closed = vacuum_quadratic(abs(amp), float(np.angle(amp)))
     assert fitted.a == pytest.approx(closed.a, abs=1e-12)
     assert fitted.b == pytest.approx(closed.b, abs=1e-12)
@@ -41,8 +40,7 @@ def test_vacuum_quadratic_closed_form(rng):
 
 def test_uniform_quadratic_matches_channel_grid(rng):
     spec = make_random_chain(rng, 8)
-    tab = amplitudes_at(spec, 3.7)
-    kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_UNIFORM, 8)
+    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, 3.7)
     fitted = quadratic_reduce_one_qubit(kraus)
     assert fitted.mean() == pytest.approx(
         avg_fidelity_curve(spec, Scenario.ONE_QUBIT_UNIFORM, [3.7])[0], abs=1e-9
@@ -55,8 +53,7 @@ def test_uniform_average_formula_many_specs(rng):
         n = int(rng.integers(5, 9))
         spec = make_random_chain(rng, n, long_range=bool(rng.integers(0, 2)))
         t = float(rng.uniform(0.3, 9.0))
-        tab = amplitudes_at(spec, t)
-        kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_UNIFORM, n)
+        kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, t)
         channel_mean = quadratic_reduce_one_qubit(kraus).mean()
         assert avg_fidelity_curve(spec, Scenario.ONE_QUBIT_UNIFORM, [t])[0] == pytest.approx(
             channel_mean, abs=1e-9
@@ -139,11 +136,11 @@ def test_pdf_normalization_and_cdf(rng):
     for _ in range(6):
         n = int(rng.integers(5, 9))
         spec = make_random_chain(rng, n)
-        tab = amplitudes_at(spec, float(rng.uniform(0.5, 8.0)))
+        t = float(rng.uniform(0.5, 8.0))
         scenario = (
             Scenario.ONE_QUBIT_VACUUM if rng.integers(0, 2) else Scenario.ONE_QUBIT_UNIFORM
         )
-        kraus = kraus_for_scenario(tab, scenario, n)
+        kraus = kraus_for_scenario(spec, scenario, t)
         pdf = one_row_law(quadratic_reduce_one_qubit(kraus)).pdf()
         if isinstance(pdf, PointMass):
             continue
@@ -157,8 +154,7 @@ def test_pdf_normalization_and_cdf(rng):
 
 def test_pdf_mean_matches_quadrature(rng):
     spec = make_random_chain(rng, 6)
-    tab = amplitudes_at(spec, 1.9)
-    kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_VACUUM, 6)
+    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 1.9)
     quad_form = quadratic_reduce_one_qubit(kraus)
     lo, hi = quad_form.support
     breaks = [p for p in quad_form.breakpoints() if lo < p < hi]
@@ -178,8 +174,7 @@ def test_pdf_normalization_when_vertex_value_rounds_apart():
 def test_pdf_support_top_is_one_for_vacuum(rng):
     # |0> always transfers perfectly through the vacuum channel
     spec = make_random_chain(rng, 7)
-    tab = amplitudes_at(spec, 4.2)
-    kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_VACUUM, 7)
+    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 4.2)
     pdf = quadratic_reduce_one_qubit(kraus)
     assert pdf.support[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -193,8 +188,7 @@ def test_quadratic_range_invariant():
 
 def test_two_qubit_affine_matches_unitary_mc(rng):
     spec = make_random_chain(rng, 7)
-    tab = amplitudes_at(spec, 2.8)
-    kraus = kraus_for_scenario(tab, Scenario.TWO_QUBIT_VACUUM, 7)
+    kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 2.8)
     affine = affine_from_kraus(kraus)
     for k, conc in enumerate((0.0, 0.5, 1.0)):
         mean, err = mc_local_unitary_fidelity(kraus, conc, 40_000, RandomStream(30 + k))
@@ -203,8 +197,7 @@ def test_two_qubit_affine_matches_unitary_mc(rng):
 
 def test_two_qubit_affine_at_zero(rng):
     spec = make_random_chain(rng, 6)
-    tab = amplitudes_at(spec, 0.0)
-    kraus = kraus_for_scenario(tab, Scenario.TWO_QUBIT_VACUUM, 6)
+    kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 0.0)
     affine = affine_from_kraus(kraus)
     for conc, stream in ((0.0, 41), (1.0, 42)):
         mean, err = mc_local_unitary_fidelity(kraus, conc, 40_000, RandomStream(stream))
@@ -217,7 +210,7 @@ def test_schmidt_sign_is_immaterial(rng):
     from spintransfer.sampling import sample_haar_unitary_2
 
     spec = make_random_chain(rng, 6)
-    kraus = kraus_for_scenario(amplitudes_at(spec, 1.4), Scenario.TWO_QUBIT_VACUUM, 6)
+    kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 1.4)
     n = 30_000
     means = []
     for sign in (+1.0, -1.0):
@@ -355,8 +348,7 @@ def test_plan_readout_modes():
     plan_target = plan_readout(
         spec, Scenario.ONE_QUBIT_VACUUM, tuning, target_avg=0.99
     )
-    tab = amplitudes_at(plan_target.spec, plan_target.t_read)
-    amp = tab.one_amplitude(1, 10)
+    amp = propagator_at(dynamics_for(plan_target.spec).one, plan_target.t_read)[0, 9]
     assert abs(np.angle(amp)) <= 1e-8  # aux field nulls the phase at t_read
     assert avg_fidelity_one_qubit_vacuum(abs(amp), 0.0) == pytest.approx(0.99, abs=1e-8)
 

@@ -134,6 +134,7 @@ MALFORMED = {
     "config_protocol_not_an_object": ({"protocol": "perfect"}, "protocol"),
     "negative_seed": (["--seed", "-1"], "seed"),
     "jitter_outside_timing_error": (["--mode", "at_optimal", "--jitter"], "jitter"),
+    "grid_below_minimum": (["--grid", "0"], "grid"),
 }
 
 
@@ -182,6 +183,22 @@ def test_tune_record(tmp_path):
     record = read_json(out / "result.json")
     assert record["avg_fidelity"] > record["avg_fidelity_no_aux"]
     assert record["avg_fidelity"] > 0.99
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [["--mode", "target_avg:0.95"], ["--mode", "timing_error:0.02", "--jitter"]],
+    ids=["target_avg", "timing_error_jitter"],
+)
+def test_tune_rejects_modes_it_does_not_run(tmp_path, capsys, mode):
+    # tune reads out at the optimum; echoing another mode would claim a run
+    # that never happened
+    out = tmp_path / "tune"
+    args = ["tune", "--protocol", "perfect", "--n-sites", "8",
+            "--scenario", "one_qubit_vacuum", "--out", str(out), *mode]
+    assert run_cli(*args) == 2
+    assert "mode" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
 
 
 def test_certify_cli_and_schema(tmp_path):
@@ -233,7 +250,6 @@ def test_corrupted_coupling_detected_by_spectrum_check():
     # equally-spaced spectrum of the engineered chain
     from spintransfer.chain import ChainSpec
     from spintransfer.channel import Scenario, apply_channel, kraus_for_scenario
-    from spintransfer.dynamics import amplitudes_at
     from spintransfer.oracle import evolve_full, reduced_density, transfer_initial_state
     from conftest import random_state, trace_distance
 
@@ -242,8 +258,7 @@ def test_corrupted_coupling_detected_by_spectrum_check():
     couplings[1, 2] = couplings[2, 1] = couplings[1, 2] * 1.05
     corrupted = ChainSpec(8, couplings, spec.anisotropies, spec.fields)
 
-    tab = amplitudes_at(corrupted, 1.3)
-    kraus = kraus_for_scenario(tab, Scenario.ONE_QUBIT_VACUUM, 8)
+    kraus = kraus_for_scenario(corrupted, Scenario.ONE_QUBIT_VACUUM, 1.3)
     assert kraus.completeness_defect <= 1e-9  # still a valid channel
     psi = random_state(np.random.default_rng(3), 2)
     rho = apply_channel(kraus, psi)

@@ -8,7 +8,6 @@ from spintransfer.chain import ChainSpec, Perfect, protocol_preset, sector_hamil
 from spintransfer.dynamics import (
     GRID_FACTOR_MIN,
     amplitude_table_to_csv,
-    amplitudes_at,
     diagonalize,
     dynamics_for,
     is_free_fermion,
@@ -52,16 +51,16 @@ def test_propagator_identity_at_zero(rng):
     spec = make_random_chain(rng, 5)
     dyn = dynamics_for(spec)
     assert np.abs(propagator_at(dyn.one, 0.0) - np.eye(5)).max() < 1e-14
-    tab = amplitudes_at(spec, 0.0)
-    assert np.abs(tab.one_exc - np.eye(5)).max() < 1e-14
-    assert np.abs(tab.two_exc - np.eye(10)).max() < 1e-14
+    assert np.abs(propagator_at(dyn.two, 0.0) - np.eye(10)).max() < 1e-14
+    rows = propagator_rows(dyn.one, [[1], [2]], range(1, 6), [0.0])[0]
+    assert np.abs(rows - np.eye(5)[:2]).max() < 1e-14
 
 
 def test_two_site_closed_form():
     t = 0.437
-    tab = amplitudes_at(BOND, t)
-    assert tab.one_amplitude(1, 1) == pytest.approx(np.cos(2.0 * t), abs=1e-12)
-    assert tab.one_amplitude(1, 2) == pytest.approx(-1j * np.sin(2.0 * t), abs=1e-12)
+    a11, a12 = propagator_rows(dynamics_for(BOND).one, [[1]], [1, 2], [t])[0, 0]
+    assert a11 == pytest.approx(np.cos(2.0 * t), abs=1e-12)
+    assert a12 == pytest.approx(-1j * np.sin(2.0 * t), abs=1e-12)
 
 
 def test_group_law(rng):
@@ -73,10 +72,9 @@ def test_group_law(rng):
 
 
 def test_unitarity_random_times(rng):
-    spec = make_random_chain(rng, 7)
+    dyn = dynamics_for(make_random_chain(rng, 7))
     for t in rng.uniform(0.0, 30.0, 5):
-        tab = amplitudes_at(spec, float(t))
-        for mat in (tab.one_exc, tab.two_exc):
+        for mat in (propagator_at(dyn.one, float(t)), propagator_at(dyn.two, float(t))):
             gram = mat @ mat.conj().T
             assert np.abs(gram - np.eye(mat.shape[0])).max() <= 1e-10
 
@@ -220,24 +218,23 @@ def test_pair_rows_gate(rng, extra):
 
 def test_csv_export(tmp_path, rng):
     spec = make_random_chain(rng, 4)
-    tab = amplitudes_at(spec, 1.0)
     path = tmp_path / "amps.csv"
-    amplitude_table_to_csv(tab, path, which="one")
+    amplitude_table_to_csv(spec, 1.0, path, which="one")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "i,j,re,im"
     assert len(lines) == 1 + 16
     i, j, re, im = lines[1].split(",")
     assert (i, j) == ("1", "1")
-    assert complex(float(re), float(im)) == pytest.approx(tab.one_amplitude(1, 1))
+    a11 = propagator_at(dynamics_for(spec).one, 1.0)[0, 0]
+    assert complex(float(re), float(im)) == pytest.approx(a11)
 
 
 def test_csv_export_two_excitation(tmp_path, rng):
     spec = make_random_chain(rng, 4)
-    tab = amplitudes_at(spec, 0.8)
     path = tmp_path / "pairs.csv"
-    amplitude_table_to_csv(tab, path, which="two")
+    amplitude_table_to_csv(spec, 0.8, path, which="two")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "i1,i2,j1,j2,re,im"
     assert len(lines) == 1 + 36  # 6x6 pair matrix
     with pytest.raises(ParameterError):
-        amplitude_table_to_csv(tab, path, which="three")
+        amplitude_table_to_csv(spec, 0.8, path, which="three")

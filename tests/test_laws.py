@@ -33,7 +33,6 @@ from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
 from spintransfer.channel import KrausSet, Scenario, fidelity_many, kraus_for_scenario
 from spintransfer import dynamics
 from spintransfer.dynamics import (
-    amplitudes_at,
     dynamics_for,
     is_free_fermion,
     pair_rows,
@@ -55,7 +54,7 @@ times = st.floats(0.0, 12.0)
 
 
 def kraus_reduction(spec, scenario, t):
-    kraus = kraus_for_scenario(amplitudes_at(spec, t), scenario, spec.n_sites)
+    kraus = kraus_for_scenario(spec, scenario, t)
     if scenario is Scenario.TWO_QUBIT_VACUUM:
         affine = affine_from_kraus(kraus)
         return np.array([affine.A, affine.B]), affine.mean()
@@ -65,7 +64,7 @@ def kraus_reduction(spec, scenario, t):
 
 @given(specs, times, st.sampled_from(ONE_QUBIT))
 def test_exact_reduction_matches_brute_force_average(spec, t, scenario):
-    kraus = kraus_for_scenario(amplitudes_at(spec, t), scenario, spec.n_sites)
+    kraus = kraus_for_scenario(spec, scenario, t)
     quad_form = quadratic_reduce_one_qubit(kraus)
     xs = np.linspace(-1.0, 1.0, 21)
     # 8 azimuth nodes integrate trigonometric polynomials of degree 2 exactly

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from conftest import make_random_chain, random_state, seeded_chain
 from spintransfer import oracle
 from spintransfer.chain import ChainSpec, ChannelInit
-from spintransfer.dynamics import amplitudes_at, dynamics_for, propagator_at
+from spintransfer.dynamics import dynamics_for, propagator_at
 from spintransfer.errors import CapacityError, ParameterError
 from spintransfer.oracle import (
     FullState,

@@ -8,7 +8,6 @@ from spintransfer.analytics import (
     vacuum_quadratic,
 )
 from spintransfer.channel import KrausSet, Scenario, kraus_for_scenario
-from spintransfer.dynamics import amplitudes_at
 from spintransfer.errors import ParameterError
 from spintransfer.sampling import (
     Histogram,
@@ -115,7 +114,7 @@ def test_identity_channel_histogram_all_top_bin():
 
 def test_histogram_determinism(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_for_scenario(amplitudes_at(spec, 2.2), Scenario.ONE_QUBIT_VACUUM, 6)
+    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 2.2)
     edges = np.linspace(0.0, 1.0, 201)
     h1 = mc_fidelity_histogram(kraus, 50_000, edges, RandomStream(11, 4))
     h2 = mc_fidelity_histogram(kraus, 50_000, edges, RandomStream(11, 4))
@@ -126,7 +125,7 @@ def test_histogram_determinism(rng):
 
 def test_mc_histogram_matches_analytic_pdf(rng):
     spec = make_random_chain(rng, 7)
-    kraus = kraus_for_scenario(amplitudes_at(spec, 3.1), Scenario.ONE_QUBIT_VACUUM, 7)
+    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 3.1)
     pdf = quadratic_reduce_one_qubit(kraus)
     edges = default_bin_edges(pdf, 200)
     hist = mc_fidelity_histogram(kraus, 200_000, edges, RandomStream(12))
@@ -135,8 +134,7 @@ def test_mc_histogram_matches_analytic_pdf(rng):
 
 def test_two_qubit_histogram_matches_transform(rng):
     spec = make_random_chain(rng, 6)
-    tab = amplitudes_at(spec, 2.7)
-    kraus = kraus_for_scenario(tab, Scenario.TWO_QUBIT_VACUUM, 6)
+    kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 2.7)
     pdf = affine_from_kraus(kraus)
     edges = default_bin_edges(pdf, 200)
     hist = mc_fidelity_histogram(kraus, 200_000, edges, RandomStream(13))
@@ -169,6 +167,6 @@ def test_mc_local_unitary_identity_channel():
 
 def test_mc_local_unitary_validation(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_for_scenario(amplitudes_at(spec, 1.0), Scenario.ONE_QUBIT_VACUUM, 6)
+    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 1.0)
     with pytest.raises(ParameterError):
         mc_local_unitary_fidelity(kraus, 0.5, 100, RandomStream(1))
