@@ -43,6 +43,7 @@ DELTA_COEFF_TOL = 1e-12
 TIME_CHUNK = 16384
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 TARGET_WALK_STEP = 1e-4
+TARGET_TICK_BLOCK = 512
 LADDER_STOP_AVG = 0.995
 MIN_SCAN_GRID = 100
 
@@ -596,7 +597,8 @@ def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool 
 
 @dataclass(frozen=True)
 class ProtocolTuning:
-    """Optimal read-out time of a protocol and the average it achieves.
+    """Optimal read-out time of a protocol, the average it achieves, and
+    the (lo, hi, grid) ``window`` whose scan found it.
 
     ``phase_corrected`` records whether the maximized average was the
     phase-corrected one (see :func:`phase_correction_applies`); the field
@@ -606,6 +608,7 @@ class ProtocolTuning:
     t_opt: float
     achieved_avg_fidelity: float
     phase_corrected: bool
+    window: tuple[float, float, int]
 
 
 def phase_correction_applies(scenario: Scenario, aux_field: bool) -> bool:
@@ -687,7 +690,8 @@ def find_optimal_time(
     if not (np.isfinite(t_lo) and np.isfinite(t_hi)) or t_lo >= t_hi:
         raise ParameterError(f"invalid time window {window}")
     check_grid(grid)
-    ts = np.linspace(t_lo, t_hi, int(grid))
+    scanned = (t_lo, t_hi, int(grid))
+    ts = np.linspace(*scanned)
     curve = avg_fidelity_curve(spec, scenario, ts, phase_corrected)
     best = int(np.argmax(curve))
     lo = ts[max(best - 1, 0)]
@@ -701,7 +705,7 @@ def find_optimal_time(
     t_opt, f_opt = _golden_max(objective, lo, hi, rel_tol=1e-8)
     if curve[best] > f_opt:
         t_opt, f_opt = float(ts[best]), float(curve[best])
-    return ProtocolTuning(t_opt, f_opt, phase_correction_applies(scenario, phase_corrected))
+    return ProtocolTuning(t_opt, f_opt, phase_correction_applies(scenario, phase_corrected), scanned)
 
 
 def _golden_max(func, lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
@@ -728,52 +732,53 @@ def time_for_target_avg(
     spec: ChainSpec,
     scenario: Scenario,
     target: float,
-    t_opt: float,
-    phase_corrected: bool = True,
+    tuning: ProtocolTuning,
 ) -> float:
-    """Largest read-out time below ``t_opt`` with the target average fidelity.
+    """Largest read-out time below the optimum with the target average fidelity.
 
-    Walks backwards from the optimum in steps of TARGET_WALK_STEP * t_opt
-    until the average drops below the target, then bisects the bracket to
-    |<F> - target| <= 1e-9.  Approaching from the early-time flank keeps
-    the result deterministic and mimics a read-out slightly before the
-    peak.
+    ``tuning`` is the result of :func:`find_optimal_time` for ``spec`` and
+    ``scenario``.  A clock ticks back from t_opt in steps of
+    TARGET_WALK_STEP * t_opt down to 0; the average is scanned on blocks of
+    TARGET_TICK_BLOCK ticks until one falls below the target.  That tick and
+    the one before it bracket the crossing, which bisection narrows to
+    |<F> - target| <= 1e-9.  Approaching from the
+    early-time flank keeps the result deterministic and mimics a read-out
+    slightly before the peak.  Where the average has fringes narrower than
+    a tick (two-qubit transfer through the barrier chain) the clock steps
+    over some of them; the quoted two-qubit reference table is met at the
+    crossing it finds, not at the last one before the peak.
 
     Raises
     ------
     RangeError
-        If the average at ``t_opt`` is below the target.
+        If the tuned peak average is below the target, or no tick is.
     """
     if not 0.0 < target < 1.0:
         raise ParameterError(f"target must lie in (0, 1), got {target}")
-
-    def objective(t: float) -> float:
-        return float(
-            avg_fidelity_curve(spec, scenario, np.array([t]), phase_corrected)[0]
-        )
-
-    f_peak = objective(t_opt)
+    t_opt, f_peak = tuning.t_opt, tuning.achieved_avg_fidelity
     if f_peak < target:
         raise RangeError(
             f"target average {target} is unreachable: peak value is {f_peak:.9f}"
         )
     if abs(f_peak - target) <= 1e-9:
         return float(t_opt)
+
+    def curve(times) -> np.ndarray:
+        return avg_fidelity_curve(spec, scenario, np.asarray(times), tuning.phase_corrected)
+
     step = max(t_opt * TARGET_WALK_STEP, 1e-9)
-    hi = t_opt
-    lo = t_opt - step
-    while lo > 0.0 and objective(lo) >= target:
-        hi = lo
-        lo -= step
-    if lo <= 0.0:
-        lo = 0.0
-        if objective(lo) >= target:
-            raise RangeError(
-                f"no crossing of target {target} found below the optimum"
-            )
+    ticks = np.maximum(t_opt - step * np.arange(int(np.ceil(t_opt / step)) + 1), 0.0)
+    for start in range(1, ticks.size, TARGET_TICK_BLOCK):
+        below = np.flatnonzero(curve(ticks[start : start + TARGET_TICK_BLOCK]) < target)
+        if below.size:
+            break
+    else:
+        raise RangeError(f"no crossing of target {target} found below the optimum")
+    first = start + below[0]
+    lo, hi = float(ticks[first]), float(ticks[first - 1])
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = objective(mid)
+        f_mid = float(curve([mid])[0])
         if abs(f_mid - target) <= 1e-9:
             return float(mid)
         if f_mid < target:
@@ -823,19 +828,19 @@ def tune_with_ladder(
     scenario: Scenario,
     kind,
     phase_corrected: bool,
-) -> tuple[ProtocolTuning, tuple[float, float, int]]:
+) -> ProtocolTuning:
     """Tune over the default window ladder, widening until LADDER_STOP_AVG.
 
     Returns the tuning of the first window whose peak average reaches
     LADDER_STOP_AVG, or the best over the whole ladder.
     """
-    best: tuple[ProtocolTuning, tuple[float, float, int]] | None = None
-    for window in time_window_ladder(kind):
+    best: ProtocolTuning | None = None
+    for lo, hi, grid in time_window_ladder(kind):
         tuning = find_optimal_time(
-            spec, scenario, window[:2], grid=window[2], phase_corrected=phase_corrected
+            spec, scenario, (lo, hi), grid=grid, phase_corrected=phase_corrected
         )
-        if best is None or tuning.achieved_avg_fidelity > best[0].achieved_avg_fidelity:
-            best = (tuning, window)
+        if best is None or tuning.achieved_avg_fidelity > best.achieved_avg_fidelity:
+            best = tuning
         if tuning.achieved_avg_fidelity >= LADDER_STOP_AVG:
             break
     return best
@@ -873,11 +878,8 @@ def plan_readout(
     """
     if timing_fraction is not None and target_avg is not None:
         raise ParameterError("timing_fraction and target_avg are exclusive")
-    corrected = tuning.phase_corrected
     if target_avg is not None:
-        t_read = time_for_target_avg(
-            spec, scenario, target_avg, tuning.t_opt, phase_corrected=corrected
-        )
+        t_read = time_for_target_avg(spec, scenario, target_avg, tuning)
         t_null = t_read
     elif timing_fraction is not None:
         if not 0.0 <= timing_fraction <= 0.5:
@@ -891,7 +893,7 @@ def plan_readout(
         t_null = tuning.t_opt
     b_aux = 0.0
     spec_eff = spec
-    if corrected and t_null > 0.0:
+    if tuning.phase_corrected and t_null > 0.0:
         b_aux = phase_null_field(spec, t_null, correction_site(spec, scenario))
         spec_eff = spec.with_uniform_field(b_aux)
     return ReadoutPlan(

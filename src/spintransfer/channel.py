@@ -227,27 +227,27 @@ def apply_channel(kraus: KrausSet, state: np.ndarray) -> np.ndarray:
 def fidelity(kraus: KrausSet, state: np.ndarray) -> float:
     """Transfer fidelity ``sum_k |<psi|E_k|psi>|^2`` of a pure input.
 
-    Clamped into [0, 1] only when within 1e-10 of a boundary.
+    The one-row case of :func:`fidelity_many`, after the input checks.
     """
     state = _check_input(kraus, state)
-    overlaps = (kraus.operators @ state) @ state.conj()
-    value = float((np.abs(overlaps) ** 2).sum())
-    if -1e-10 <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + 1e-10:
-        return 1.0
-    return value
+    return float(fidelity_many(kraus, state[None, :])[0])
 
 
 def fidelity_many(kraus: KrausSet, states: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`fidelity` over rows of ``states`` (n, d)."""
+    """Transfer fidelities of the rows of ``states`` (n, d).
+
+    A value above 1 by at most 1e-10 (rounding) is clamped to 1; one further
+    out is returned as it is, so that an error shows.
+    """
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2 or states.shape[1] != kraus.dim:
         raise ParameterError(
             f"states must have shape (n, {kraus.dim}), got {states.shape}"
         )
-    overlaps = np.einsum(
-        "sk,okl,sl->so", states.conj(), kraus.operators, states, optimize=True
-    )
+    # <psi|E|psi> = sum_kl conj(psi_k) E_kl psi_l: one matrix product of
+    # the flattened conj(psi) psi^T rows with the flattened operators
+    n, d = states.shape
+    rows = (states.conj()[:, :, None] * states[:, None, :]).reshape(n, d * d)
+    overlaps = rows @ kraus.operators.reshape(len(kraus), d * d).T
     values = (np.abs(overlaps) ** 2).sum(axis=1)
-    return np.clip(values, 0.0, 1.0, out=values)
+    return np.where(values <= 1.0 + 1e-10, np.minimum(values, 1.0), values)

@@ -308,10 +308,8 @@ def _build_spec(config: ExperimentConfig) -> ChainSpec:
     return protocol_preset(config.kind(), config.n_sites, n_senders)
 
 
-def _tune(
-    config: ExperimentConfig, spec: ChainSpec, corrected: bool
-) -> tuple[ProtocolTuning, tuple[float, float, int]]:
-    """Tuning of ``spec`` and the (lo, hi, grid) window it scanned.
+def _tune(config: ExperimentConfig, spec: ChainSpec, corrected: bool) -> ProtocolTuning:
+    """Tuning of ``spec``; its ``window`` is the (lo, hi, grid) it scanned.
 
     An explicit window is scanned at the configured grid (200 000 points by
     default).  Otherwise the ladder picks the window, and a configured grid
@@ -319,35 +317,31 @@ def _tune(
     """
     scenario = config.scenario_enum()
     if config.window is not None:
-        window = (config.window[0], config.window[1], config.grid or 200_000)
-    else:
-        tuning, window = tune_with_ladder(spec, scenario, config.kind(), corrected)
-        if not config.grid or config.grid == window[2]:
-            return tuning, window
-        window = (window[0], window[1], config.grid)
-    tuning = find_optimal_time(spec, scenario, window[:2], window[2], corrected)
-    return tuning, window
+        return find_optimal_time(spec, scenario, config.window, config.grid or 200_000, corrected)
+    tuning = tune_with_ladder(spec, scenario, config.kind(), corrected)
+    if not config.grid or config.grid == tuning.window[2]:
+        return tuning
+    return find_optimal_time(spec, scenario, tuning.window[:2], config.grid, corrected)
 
 
 def _resolve_plan(config: ExperimentConfig) -> ReadoutPlan:
     spec = _build_spec(config)
     scenario = config.scenario_enum()
-    tuning, _ = _tune(
-        config, spec, phase_correction_applies(scenario, config.resolved_aux())
-    )
+    tuning = _tune(config, spec, phase_correction_applies(scenario, config.resolved_aux()))
     mode_type = config.mode.get("type")
     kwargs = {}
-    if mode_type == "timing_error":
+    # jittered read-outs spread around the optimum, so they are planned there
+    if mode_type == "timing_error" and not config.jitter:
         kwargs["timing_fraction"] = float(config.mode.get("fraction", DEFAULT_TIMING_FRACTION))
     elif mode_type == "target_avg":
         kwargs["target_avg"] = float(config.mode["value"])
     return plan_readout(spec, scenario, tuning, **kwargs)
 
 
-def _result_record(config, plan, pdf, avg, ks, files) -> dict:
+def _result_record(echo, plan, pdf, avg, ks, files) -> dict:
     return {
         "schema_version": RESULT_SCHEMA_VERSION,
-        "config": config.to_echo(),
+        "config": echo,
         "t_opt": plan.t_opt,
         "t_readout": plan.t_read,
         "b_aux": plan.b_aux,
@@ -377,14 +371,17 @@ def cmd_tune(config: ExperimentConfig) -> dict:
     corrected = phase_correction_applies(scenario, config.resolved_aux())
     # the window must contain the peak of the objective actually used, so
     # the ladder runs on the corrected curve whenever the field is applied
-    tuning, window = _tune(config, spec, corrected)
+    tuning = _tune(config, spec, corrected)
     raw = tuning
     if corrected:
-        raw = find_optimal_time(spec, scenario, window[:2], window[2], phase_corrected=False)
+        lo, hi, grid = tuning.window
+        raw = find_optimal_time(spec, scenario, (lo, hi), grid, phase_corrected=False)
     plan = plan_readout(spec, scenario, tuning)
     law = fidelity_law(plan.spec, scenario, [plan.t_opt])
     os.makedirs(config.output_dir, exist_ok=True)
-    record = _result_record(config, plan, law.pdf(), float(law.mean[0]), None, {})
+    # tune never samples, so it echoes no sampling settings
+    echo = {k: v for k, v in config.to_echo().items() if k not in ("mc_samples", "seed", "bins")}
+    record = _result_record(echo, plan, law.pdf(), float(law.mean[0]), None, {})
     record["avg_fidelity_no_aux"] = raw.achieved_avg_fidelity
     write_json(os.path.join(config.output_dir, "result.json"), record)
     elapsed = time.perf_counter() - started
@@ -398,7 +395,11 @@ def cmd_tune(config: ExperimentConfig) -> dict:
 
 
 def cmd_pdf(config: ExperimentConfig) -> dict:
-    """Analytic pdf + optional MC histogram at the resolved read-out time."""
+    """Analytic pdf + optional MC histogram at the resolved read-out times.
+
+    The law and the Monte Carlo run read one list of times: the planned
+    read-out, or the jitter nodes around the optimum.
+    """
     started = time.perf_counter()
     plan = _resolve_plan(config)
     times = _jitter_times(plan, config) if config.jitter else [plan.t_read]
@@ -416,13 +417,8 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
     )
     ks = None
     if config.mc_samples > 0:
-        stream = RandomStream(config.seed)
         edges = default_bin_edges(pdf, config.bins)
-        if config.jitter:
-            hist = _jitter_histogram(plan, config, edges, stream)
-        else:
-            kraus = kraus_for_scenario(plan.spec, plan.scenario, plan.t_read)
-            hist = mc_fidelity_histogram(kraus, config.mc_samples, edges, stream)
+        hist = _mc_histogram(plan, times, config.mc_samples, edges, RandomStream(config.seed))
         ks = ks_distance(hist, pdf)
         files["histogram"] = "histogram.csv"
         write_csv(
@@ -430,7 +426,7 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
             ["bin_lo", "bin_hi", "count", "normalized_density"],
             histogram_rows(hist),
         )
-    record = _result_record(config, plan, pdf, avg, ks, files)
+    record = _result_record(config.to_echo(), plan, pdf, avg, ks, files)
     write_json(os.path.join(config.output_dir, "result.json"), record)
     elapsed = time.perf_counter() - started
     ks_text = "n/a" if ks is None else f"{ks:.5f}"
@@ -448,24 +444,20 @@ def _jitter_times(plan: ReadoutPlan, config: ExperimentConfig) -> np.ndarray:
     return plan.t_opt * np.linspace(1.0 - fraction, 1.0 + fraction, JITTER_MIX_NODES)
 
 
-def _jitter_histogram(plan: ReadoutPlan, config: ExperimentConfig, edges, stream):
-    """MC with per-sample read-out jitter over the mixture's time nodes.
+def _mc_histogram(plan: ReadoutPlan, times, n: int, edges, stream: RandomStream) -> Histogram:
+    """Monte Carlo histogram of ``n`` fidelities read out at equal-weight ``times``.
 
-    Each sample draws one of the JITTER_MIX_NODES equal-weight times of
-    :func:`_jitter_times` (the same nodes as the analytic mixture), not a
-    continuous time in the window.
+    One multinomial draw from ``stream.substream(len(times))`` splits the
+    samples over the times, and time k's share samples the Kraus set at that
+    time from ``stream.substream(k)``: a single time samples ``stream`` itself.
     """
-    rng = stream.generator()
-    n = config.mc_samples
+    weights = np.full(len(times), 1.0 / len(times))
+    shares = stream.substream(len(times)).generator().multinomial(n, weights)
     counts = np.zeros(edges.size - 1, dtype=np.int64)
-    node_of = rng.integers(0, JITTER_MIX_NODES, size=n)
-    for node, t in enumerate(_jitter_times(plan, config)):
-        n_here = int((node_of == node).sum())
-        if n_here == 0:
-            continue
-        kraus = kraus_for_scenario(plan.spec, plan.scenario, float(t))
-        hist = mc_fidelity_histogram(kraus, n_here, edges, stream.substream(node + 1))
-        counts += hist.counts
+    for k, (t, share) in enumerate(zip(times, shares)):
+        if share:
+            kraus = kraus_for_scenario(plan.spec, plan.scenario, float(t))
+            counts += mc_fidelity_histogram(kraus, int(share), edges, stream.substream(k)).counts
     return Histogram(edges, counts, n)
 
 
@@ -515,9 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--j0", type=float, help="weak-protocol end coupling")
         p.add_argument("--h0", type=float, help="barrier-protocol field strength")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--mc-samples", type=int, dest="mc_samples")
-        p.add_argument("--bins", type=int)
+        if name == "pdf":
+            p.add_argument("--seed", type=int)
+            p.add_argument("--mc-samples", type=int, dest="mc_samples")
+            p.add_argument("--bins", type=int)
+        else:
+            # tune never samples; a shared config file may still set these
+            p.set_defaults(seed=None, mc_samples=None, bins=None)
         p.add_argument("--out", help="output directory")
         p.add_argument("--aux-field", choices=["on", "off"], dest="aux_field")
         p.add_argument("--window", help="time window lo:hi for the tuning scan")

@@ -87,7 +87,7 @@ def single_qubit_plan(name: str):
     if key not in _PLAN_CACHE:
         kind, aux = SINGLE_N22[name]
         spec = protocol_preset(kind, 22)
-        tuning, _ = tune_with_ladder(
+        tuning = tune_with_ladder(
             spec, Scenario.ONE_QUBIT_VACUUM, kind, phase_corrected=aux
         )
         plan = plan_readout(
@@ -104,7 +104,7 @@ def two_qubit_plan(name: str):
     if key not in _PLAN_CACHE:
         kind, aux = TWO_QUBIT_N9[name]
         spec = protocol_preset(kind, 9, n_senders=2)
-        tuning, _ = tune_with_ladder(
+        tuning = tune_with_ladder(
             spec, Scenario.TWO_QUBIT_VACUUM, kind, phase_corrected=aux
         )
         plan = plan_readout(
@@ -329,7 +329,7 @@ def test_criterion_7_companion_table_at_implied_means():
         implied_mean = expected_a - 0.4 * expected_b
         kind, aux = TWO_QUBIT_N9[name]
         spec = protocol_preset(kind, 9, n_senders=2)
-        tuning, _ = tune_with_ladder(
+        tuning = tune_with_ladder(
             spec, Scenario.TWO_QUBIT_VACUUM, kind, phase_corrected=aux
         )
         plan = plan_readout(
@@ -365,7 +365,7 @@ def test_criterion_8_qualitative_orderings():
     uniform_mins = {}
     for name, (kind, aux) in UNIFORM_N15.items():
         spec = protocol_preset(kind, 15)
-        tuning, _ = tune_with_ladder(
+        tuning = tune_with_ladder(
             spec, Scenario.ONE_QUBIT_UNIFORM, kind, phase_corrected=False
         )
         plan = plan_readout(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import make_random_chain, one_row_law, random_state
@@ -297,7 +299,7 @@ def test_find_optimal_time_validation():
 def test_time_for_target(rng):
     spec = protocol_preset(Perfect(), 10)
     tuning = find_optimal_time(spec, Scenario.ONE_QUBIT_VACUUM, (0.0, 2.0), 2000)
-    t99 = time_for_target_avg(spec, Scenario.ONE_QUBIT_VACUUM, 0.99, tuning.t_opt)
+    t99 = time_for_target_avg(spec, Scenario.ONE_QUBIT_VACUUM, 0.99, tuning)
     assert t99 < tuning.t_opt
     value = avg_fidelity_curve(
         spec, Scenario.ONE_QUBIT_VACUUM, np.array([t99]), phase_corrected=True
@@ -307,10 +309,36 @@ def test_time_for_target(rng):
     # whose maximum sits below 1 so the peak is a legal target)
     clipped = find_optimal_time(spec, Scenario.ONE_QUBIT_VACUUM, (0.0, 0.6), 2000)
     assert time_for_target_avg(
-        spec, Scenario.ONE_QUBIT_VACUUM, clipped.achieved_avg_fidelity, clipped.t_opt
+        spec, Scenario.ONE_QUBIT_VACUUM, clipped.achieved_avg_fidelity, clipped
     ) == pytest.approx(clipped.t_opt)
     with pytest.raises(RangeError):
-        time_for_target_avg(spec, Scenario.ONE_QUBIT_VACUUM, 0.99, clipped.t_opt)
+        time_for_target_avg(spec, Scenario.ONE_QUBIT_VACUUM, 0.99, clipped)
+
+
+@given(
+    kind=st.sampled_from([Perfect(), Weak(0.1), Weak(0.3)]),
+    n_sites=st.integers(4, 9),
+    grid=st.integers(100, 3000),
+    share=st.floats(0.0, 1.0),
+)
+def test_target_crossing_is_the_last_before_the_optimum(kind, n_sites, grid, share):
+    # on these chains the average varies slowly on the scale of the
+    # crossing's clock, so the crossing is the last one before t_opt: no
+    # time the tuning scanned between it and t_opt is below the target
+    spec = protocol_preset(kind, n_sites)
+    hi = 2.0 if isinstance(kind, Perfect) else 16.0 / kind.j0
+    tuning = find_optimal_time(spec, Scenario.ONE_QUBIT_VACUUM, (0.0, hi), grid)
+    target = 0.5 + share * (tuning.achieved_avg_fidelity - 0.5)
+    assume(0.5 < target < 1.0)
+    t = time_for_target_avg(spec, Scenario.ONE_QUBIT_VACUUM, target, tuning)
+    assert t <= tuning.t_opt
+    value = avg_fidelity_curve(spec, Scenario.ONE_QUBIT_VACUUM, [t], phase_corrected=True)[0]
+    assert abs(value - target) <= 1e-9
+    scanned = np.linspace(*tuning.window)
+    between = scanned[(scanned > t) & (scanned < tuning.t_opt)]
+    if between.size:
+        curve = avg_fidelity_curve(spec, Scenario.ONE_QUBIT_VACUUM, between, phase_corrected=True)
+        assert curve.min() >= target - 1e-9
 
 
 def test_phase_null_field(rng):
@@ -328,7 +356,7 @@ def test_phase_null_field(rng):
 def test_weak_protocol_reaches_high_average():
     kind = Weak(0.05)
     spec = protocol_preset(kind, 10)
-    tuning, _ = tune_with_ladder(spec, Scenario.ONE_QUBIT_VACUUM, kind, phase_corrected=True)
+    tuning = tune_with_ladder(spec, Scenario.ONE_QUBIT_VACUUM, kind, phase_corrected=True)
     assert tuning.achieved_avg_fidelity > 0.99
 
 
@@ -363,7 +391,7 @@ def test_two_percent_timing_error_keeps_high_average():
     ]
     for kind, aux in cases:
         spec = protocol_preset(kind, 22)
-        tuning, _ = tune_with_ladder(
+        tuning = tune_with_ladder(
             spec, Scenario.ONE_QUBIT_VACUUM, kind, phase_corrected=aux
         )
         plan = plan_readout(

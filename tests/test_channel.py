@@ -4,6 +4,7 @@ import pytest
 from conftest import make_random_chain, random_state, seeded_chain, trace_distance
 from spintransfer.chain import Barrier, ChannelInit, Perfect, Weak, protocol_preset
 from spintransfer.channel import (
+    KrausSet,
     Scenario,
     apply_channel,
     fidelity,
@@ -192,6 +193,17 @@ def test_fidelity_many_matches_scalar(rng):
     batch = fidelity_many(kraus, states)
     for value, psi in zip(batch, states):
         assert value == pytest.approx(fidelity(kraus, psi), abs=1e-12)
+
+
+def test_fidelity_clamps_only_rounding():
+    # a value above 1 by at most 1e-10 is rounding and reads 1; one further
+    # out is an error and shows, in a batch as in a single-state call
+    psi = np.array([1.0, 0.0], dtype=complex)
+    for scale, expected in ((1.0 + 1e-12, 1.0), (1.001, 1.001**2)):
+        ops = scale * np.eye(2, dtype=complex)[None]
+        kraus = KrausSet(ops, Scenario.ONE_QUBIT_VACUUM, 0.0, 0.0, 1)
+        assert fidelity(kraus, psi) == pytest.approx(expected, abs=1e-15)
+        assert fidelity_many(kraus, psi[None, :])[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_perfect_transfer_is_pure_phase():

@@ -201,6 +201,20 @@ def test_tune_rejects_modes_it_does_not_run(tmp_path, capsys, mode):
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--mc-samples", "--bins", "--seed"])
+def test_tune_takes_no_sampling_flags(tmp_path, flag):
+    # tune never samples: it accepts no sampling flag and echoes no
+    # sampling setting
+    args = ["tune", "--protocol", "perfect", "--n-sites", "8",
+            "--scenario", "one_qubit_vacuum", "--out", str(tmp_path / "tune")]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*args, flag, "7")
+    assert exc.value.code == 2
+    assert run_cli(*args) == 0
+    config = read_json(tmp_path / "tune" / "result.json")["config"]
+    assert not {"mc_samples", "seed", "bins"} & set(config)
+
+
 def test_certify_cli_and_schema(tmp_path):
     out = tmp_path / "cert"
     assert run_cli("certify", "--n-max", "5", "--out", str(out)) == 0
@@ -242,6 +256,45 @@ def test_jitter_flag(tmp_path):
     assert record["ks_distance"] <= 0.02
     rows = np.loadtxt(out / "pdf_curve.csv", delimiter=",", skiprows=1)
     assert np.trapezoid(rows[:, 1], rows[:, 0]) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_jitter_reads_out_around_the_optimum(tmp_path):
+    # the jittered read-outs spread symmetrically around t_opt, so the
+    # reported read-out time and the field are those of the optimum
+    setting = ["pdf", "--protocol", "perfect", "--n-sites", "8",
+               "--scenario", "one_qubit_vacuum", "--mc-samples", "0"]
+    assert run_cli(*setting, "--mode", "timing_error:0.02", "--jitter",
+                   "--out", str(tmp_path / "jitter")) == 0
+    assert run_cli(*setting, "--mode", "at_optimal", "--out", str(tmp_path / "optimum")) == 0
+    jitter = read_json(tmp_path / "jitter" / "result.json")
+    optimum = read_json(tmp_path / "optimum" / "result.json")
+    assert jitter["t_readout"] == jitter["t_opt"] == optimum["t_readout"]
+    assert jitter["b_aux"] == optimum["b_aux"]
+
+
+def test_fixed_time_histogram_is_one_kraus_run(tmp_path):
+    # a single read-out time samples the run's own stream, exactly as a
+    # direct Monte Carlo run of the Kraus set at that time
+    from spintransfer import cli
+    from spintransfer.analytics import fidelity_law
+    from spintransfer.channel import kraus_for_scenario
+    from spintransfer.sampling import RandomStream, default_bin_edges, mc_fidelity_histogram
+
+    args = [a for a in BASE]
+    args[args.index("--mode") + 1] = "timing_error:0.02"
+    args += ["--out", str(tmp_path / "run")]
+    config = cli.load_config(cli.build_parser().parse_args(args))
+    plan = cli._resolve_plan(config)
+    pdf = fidelity_law(plan.spec, plan.scenario, [plan.t_read]).pdf()
+    expected = mc_fidelity_histogram(
+        kraus_for_scenario(plan.spec, plan.scenario, plan.t_read),
+        config.mc_samples,
+        default_bin_edges(pdf, config.bins),
+        RandomStream(config.seed),
+    )
+    assert run_cli(*args) == 0
+    rows = np.loadtxt(tmp_path / "run" / "histogram.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 2].astype(np.int64), expected.counts)
 
 
 def test_corrupted_coupling_detected_by_spectrum_check():
@@ -370,6 +423,26 @@ def test_each_scan_runs_once(tmp_path, monkeypatch, command):
         args += ["--mode", "target_avg:0.99", "--mc-samples", "0"]
     assert main(args) == 0
     assert counts and max(counts.values()) == 1
+
+
+def test_target_pdf_evaluates_few_single_times(tmp_path, monkeypatch):
+    # the target clock's ticks are evaluated as block scans, so only the
+    # golden-section and bisection steps evaluate the average at one time
+    from spintransfer import analytics
+
+    singles = []
+    curve = analytics.avg_fidelity_curve
+
+    def counting(spec, scenario, times, phase_corrected=False):
+        if np.size(times) == 1:
+            singles.append(float(np.ravel(times)[0]))
+        return curve(spec, scenario, times, phase_corrected)
+
+    monkeypatch.setattr(analytics, "avg_fidelity_curve", counting)
+    assert main(["pdf", "--protocol", "perfect", "--n-sites", "10",
+                 "--scenario", "one_qubit_vacuum", "--mode", "target_avg:0.99",
+                 "--mc-samples", "0", "--out", str(tmp_path / "run")]) == 0
+    assert 0 < len(singles) < 100
 
 
 def diagonalised_sizes(monkeypatch, args) -> list[int]:
