@@ -29,6 +29,7 @@ from .channel import (
     kraus_one_qubit_uniform,
     kraus_one_qubit_vacuum,
     kraus_two_qubit_vacuum,
+    pauli_transfer_matrix,
 )
 from .dynamics import (
     ChainDynamics,

@@ -46,6 +46,7 @@ TARGET_WALK_STEP = 1e-4
 TARGET_TICK_BLOCK = 512
 LADDER_STOP_AVG = 0.995
 MIN_SCAN_GRID = 100
+NORMALIZATION_NODES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -67,20 +68,38 @@ class _Distribution:
         return float(min(points)), float(max(points))
 
     def normalization(self) -> float:
-        """Integral of the density over the support (adaptive quadrature)."""
-        from scipy.integrate import quad
+        """Integral of the density over the support.
 
-        lo, hi = self.support
-        if hi - lo <= 0.0:
+        Each segment [p, q] between sorted breakpoints takes a
+        ``NORMALIZATION_NODES``-point Gauss-Legendre rule in tau of
+        f = l + (r - l) (1 - cos tau) / 2, over the tau that map onto
+        [p, q].  The anchors are l = p and r = q unless
+        :meth:`_anchors` moves one onto a nearby singular point outside the
+        segment.  The Jacobian (r - l) sin(tau) / 2 cancels inverse-square-
+        root singularities of the density at the anchors, so the rule sees
+        a smooth integrand; every segment is evaluated in one density call.
+        """
+        from numpy.polynomial.legendre import leggauss
+
+        points = np.array(sorted(set(self.breakpoints())))
+        if points.size < 2:
             return 1.0
-        total, _ = quad(
-            lambda f: float(self.density(f)),
-            lo,
-            hi,
-            points=sorted(set(self.breakpoints())),
-            limit=200,
-        )
-        return float(total)
+        left, right = self._anchors(points[:-1], points[1:])
+        span = right - left
+        # tau of p and q, from (1 - cos tau) / 2 = sin^2(tau / 2) = (f - l) / (r - l)
+        tau_p = 2.0 * np.arcsin(np.sqrt(np.clip((points[:-1] - left) / span, 0.0, 1.0)))
+        tau_q = 2.0 * np.arcsin(np.sqrt(np.clip((points[1:] - left) / span, 0.0, 1.0)))
+        nodes, weights = leggauss(NORMALIZATION_NODES)
+        half = 0.5 * (tau_q - tau_p)[:, None]
+        tau = tau_p[:, None] + half * (nodes + 1.0)
+        f = left[:, None] + span[:, None] * np.sin(0.5 * tau) ** 2
+        density = np.reshape(self.density(f.ravel()), f.shape)
+        jacobian = 0.5 * span[:, None] * np.sin(tau) * half * weights
+        return float((density * jacobian).sum())
+
+    def _anchors(self, lo: np.ndarray, hi: np.ndarray):
+        """Substitution anchors (l, r) of the segments [lo, hi]: the ends themselves."""
+        return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +143,24 @@ class QuadraticFidelity(_Distribution):
     def mean(self) -> float:
         """Average over x uniform on [-1, 1]."""
         return self.a / 3.0 + self.c
+
+    def _anchors(self, lo: np.ndarray, hi: np.ndarray):
+        """Segment ends, moved onto the vertex value F(-b / 2a) where it lies
+        outside a segment by at most the segment's width.
+
+        The density is singular at the vertex value only, whether or not the
+        vertex lies in [-1, 1].  A segment that ends near that value without
+        reaching it (the vertex just outside [-1, 1], or a segment next to
+        the one the vertex value ends) would otherwise see a
+        near-singularity the rule cannot resolve.
+        """
+        if self.a == 0.0:
+            return lo, hi
+        vertex = float(self.evaluate(-self.b / (2.0 * self.a)))
+        width = hi - lo
+        left = np.where((vertex <= lo) & (lo - vertex <= width), vertex, lo)
+        right = np.where((vertex >= hi) & (vertex - hi <= width), vertex, hi)
+        return left, right
 
     def _roots(self, f):
         """Stable roots of a x^2 + b x + (c - f) = 0 for array f."""
@@ -421,6 +458,10 @@ class Mixture(_Distribution):
 
     def cdf(self, f):
         return sum(part.cdf(f) for part in self.parts) / len(self.parts)
+
+    def normalization(self) -> float:
+        """Mean of the parts' normalizations, each over its own breakpoints."""
+        return sum(part.normalization() for part in self.parts) / len(self.parts)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,19 @@ from math import comb
 import numpy as np
 
 from .chain import Barrier, ChainSpec, ChannelInit, Perfect, Weak, protocol_preset, sector_hamiltonian
-from .channel import Scenario, apply_channel, fidelity, fidelity_many, kraus_for_scenario
+from .channel import (
+    KrausSet,
+    Scenario,
+    apply_channel,
+    fidelity,
+    fidelity_many,
+    kraus_for_scenario,
+    pauli_transfer_matrix,
+)
 from .dynamics import dynamics_for, pair_rows, propagator_at, propagator_rows
 from .errors import CapacityError, ParameterError
 from .oracle import MAX_ORACLE_SITES, evolve_full, reduced_density, transfer_initial_state
-from .sampling import schmidt_state
+from .sampling import bloch_fidelities, bloch_states, schmidt_state
 from .sectors import build_sector_basis
 from .analytics import (
     affine_from_kraus,
@@ -39,6 +47,7 @@ from .analytics import (
 
 REPORT_SCHEMA_VERSION = 1
 ORACLE_TIMES_PER_CASE = 10
+BLOCH_MAP_INPUTS = 1000
 
 SCENARIO_SETUP = {
     Scenario.ONE_QUBIT_VACUUM: ((1,), ChannelInit.VACUUM),
@@ -70,13 +79,43 @@ def protocol_specs(n_sites: int, n_senders: int = 1) -> dict[str, ChainSpec]:
     }
 
 
-def random_spec(rng: np.random.Generator, n_sites: int) -> ChainSpec:
-    """Random nearest-neighbour chain with fields, for convention checks."""
+def random_spec(rng: np.random.Generator, n_sites: int, kind: str = "nearest") -> ChainSpec:
+    """Random chain with fields, for convention checks.
+
+    ``kind`` "nearest" gives a nearest-neighbour XX chain; "long_range" adds
+    a bond from site 1 to site N//2 + 1; "zz" adds ZZ terms on the
+    nearest-neighbour bonds.  Either addition takes it off the free-fermion
+    path.
+    """
     couplings = np.zeros((n_sites, n_sites))
     for i in range(n_sites - 1):
         couplings[i, i + 1] = couplings[i + 1, i] = rng.uniform(0.5, 1.5)
     fields = rng.uniform(-0.5, 0.5, n_sites)
-    return ChainSpec(n_sites, couplings, np.zeros((n_sites, n_sites)), fields)
+    anisotropies = np.zeros((n_sites, n_sites))
+    if kind == "long_range":
+        j = n_sites // 2
+        couplings[0, j] = couplings[j, 0] = rng.uniform(0.2, 0.6)
+    elif kind == "zz":
+        for i in range(n_sites - 1):
+            anisotropies[i, i + 1] = anisotropies[i + 1, i] = rng.uniform(-1.0, 1.0)
+    elif kind != "nearest":
+        raise ParameterError(f"unknown chain kind {kind!r}")
+    return ChainSpec(n_sites, couplings, anisotropies, fields)
+
+
+def random_isometry_kraus(rng: np.random.Generator, n_ops: int) -> KrausSet:
+    """Kraus set of a random isometry C^2 -> C^2 (x) C^n_ops.
+
+    E_j[a, b] = V[(a, j), b] for a 2 n_ops x 2 isometry V (QR of a complex
+    Gaussian matrix).  Such a channel is in general not phase covariant, so
+    its fidelity depends on the input's azimuth.  The set carries the
+    one-qubit vacuum scenario label; no chain or time stands behind it.
+    """
+    z = rng.normal(size=(2 * n_ops, 2)) + 1j * rng.normal(size=(2 * n_ops, 2))
+    v, _ = np.linalg.qr(z)
+    ops = v.reshape(2, n_ops, 2).transpose(1, 0, 2)
+    defect = float(np.abs(np.einsum("okl,okm->lm", ops.conj(), ops) - np.eye(2)).max())
+    return KrausSet(ops, Scenario.ONE_QUBIT_VACUUM, 0.0, defect, n_ops)
 
 
 def _sender_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -320,6 +359,39 @@ def check_quadratic_reduction(seed: int = 15) -> CheckResult:
     )
 
 
+def check_bloch_map(seed: int = 20) -> CheckResult:
+    """Pauli-transfer-matrix fidelities vs :func:`fidelity_many` on states.
+
+    One-qubit Monte Carlo evaluates each sample as the quadratic form
+    1/2 r~^T R r~ of the channel's Pauli transfer matrix
+    (:func:`~spintransfer.sampling.bloch_fidelities`).  Here the same draws
+    of (x, phi) also become state vectors for the Kraus-side reference.
+    Covers both one-qubit scenarios on random chains with nearest-neighbour,
+    long-range and ZZ couplings, and random isometries C^2 -> C^2 (x) C^k,
+    which are not phase covariant; ``BLOCH_MAP_INPUTS`` inputs each.
+    """
+    rng = np.random.default_rng(seed)
+    kraus_sets = []
+    for kind in ("nearest", "long_range", "zz"):
+        spec = random_spec(rng, 7, kind)
+        t = float(rng.uniform(1.0, 8.0))
+        for scenario in (Scenario.ONE_QUBIT_VACUUM, Scenario.ONE_QUBIT_UNIFORM):
+            kraus_sets.append(kraus_for_scenario(spec, scenario, t))
+    kraus_sets += [random_isometry_kraus(rng, k) for k in (1, 2, 3, 5, 8)]
+    worst = 0.0
+    for kraus in kraus_sets:
+        x = 1.0 - 2.0 * rng.random(BLOCH_MAP_INPUTS)
+        phi = 2.0 * np.pi * rng.random(BLOCH_MAP_INPUTS)
+        form = bloch_fidelities(pauli_transfer_matrix(kraus), x, phi)
+        reference = fidelity_many(kraus, bloch_states(np.arccos(x), phi))
+        worst = max(worst, float(np.abs(form - reference).max()))
+    return CheckResult(
+        "bloch_map_vs_kraus", worst <= 1e-12, worst,
+        f"{len(kraus_sets)} Kraus sets (chains of three kinds, random isometries), "
+        f"{BLOCH_MAP_INPUTS} inputs each",
+    )
+
+
 def check_pdf_normalization(seed: int = 16) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -398,6 +470,7 @@ def run_certification(n_max: int = 10) -> dict:
         check_grid_rows(),
         *check_channels_against_oracle(n_max),
         check_quadratic_reduction(),
+        check_bloch_map(),
         check_pdf_normalization(),
         check_two_qubit_twirl(),
     ]

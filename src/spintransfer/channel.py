@@ -233,12 +233,34 @@ def fidelity(kraus: KrausSet, state: np.ndarray) -> float:
     return float(fidelity_many(kraus, state[None, :])[0])
 
 
-def fidelity_many(kraus: KrausSet, states: np.ndarray) -> np.ndarray:
-    """Transfer fidelities of the rows of ``states`` (n, d).
+_PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
+)
 
-    A value above 1 by at most 1e-10 (rounding) is clamped to 1; one further
-    out is returned as it is, so that an error shows.
+
+def pauli_transfer_matrix(kraus: KrausSet) -> np.ndarray:
+    """Real 4x4 matrix ``R_ij = 1/2 sum_k tr(s_i E_k s_j E_k^+)`` of a qubit channel.
+
+    Here s_0 = I and s_1..3 are the Pauli matrices, so R is the channel's
+    affine action on Bloch vectors (Nielsen & Chuang 8.3.2).  A pure input
+    with Bloch vector r transfers with fidelity ``1/2 r~^T R r~``, r~ =
+    (1, r), for any Kraus set: neither trace preservation nor azimuth
+    independence is assumed.
     """
+    if kraus.dim != 2:
+        raise ParameterError(
+            f"the Pauli transfer matrix is defined for one-qubit channels, got dimension {kraus.dim}"
+        )
+    ops = kraus.operators.reshape(len(kraus), 4)
+    # gram[(b, c), (a, d)] = sum_k E_k[b, c] conj(E_k[a, d])
+    gram = (ops.T @ ops.conj()).reshape(2, 2, 2, 2)
+    return 0.5 * np.einsum("iab,jcd,bcad->ij", _PAULI, _PAULI, gram).real
+
+
+def fidelity_many(kraus: KrausSet, states: np.ndarray) -> np.ndarray:
+    """Transfer fidelities of the rows of ``states`` (n, d), through
+    :func:`clamp_fidelity`."""
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2 or states.shape[1] != kraus.dim:
         raise ParameterError(
@@ -249,5 +271,12 @@ def fidelity_many(kraus: KrausSet, states: np.ndarray) -> np.ndarray:
     n, d = states.shape
     rows = (states.conj()[:, :, None] * states[:, None, :]).reshape(n, d * d)
     overlaps = rows @ kraus.operators.reshape(len(kraus), d * d).T
-    values = (np.abs(overlaps) ** 2).sum(axis=1)
+    return clamp_fidelity((np.abs(overlaps) ** 2).sum(axis=1))
+
+
+def clamp_fidelity(values: np.ndarray) -> np.ndarray:
+    """Clamp to 1 the values above 1 by at most 1e-10 (rounding).
+
+    A value further out is returned as it is, so that an error shows.
+    """
     return np.where(values <= 1.0 + 1e-10, np.minimum(values, 1.0), values)

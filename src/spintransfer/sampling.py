@@ -4,6 +4,17 @@ Every sampler draws from a :class:`RandomStream`, a thin (seed, stream_id)
 wrapper around a counter-based generator: identical stream values reproduce
 identical sample sequences, and disjoint stream ids give independent
 sub-streams whose merged statistics do not depend on evaluation order.
+
+One-qubit Monte Carlo never forms a state vector.  A qubit channel acts on
+Bloch vectors as an affine map, its Pauli transfer matrix R
+(:func:`~spintransfer.channel.pauli_transfer_matrix`, built once per Kraus
+set), so a pure input with Bloch vector r transfers with fidelity
+1/2 r~^T R r~, r~ = (1, r): one 4x4 quadratic form per sample, whatever the
+number of Kraus operators.  The form holds for any Kraus set, so the
+Monte Carlo histogram stays an independent check on the row-based laws,
+which assume azimuth independence.  :func:`~spintransfer.channel.fidelity_many`
+stays the state-vector reference that certification and the tests compare
+the form against.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausSet, Scenario, fidelity_many
+from .channel import KrausSet, Scenario, clamp_fidelity, fidelity_many, pauli_transfer_matrix
 from .errors import ParameterError
 
 MC_BATCH = 32768
@@ -141,6 +152,30 @@ def bloch_states(theta, phi) -> np.ndarray:
     )
 
 
+def bloch_fidelities(ptm: np.ndarray, x, phi) -> np.ndarray:
+    """Fidelities ``1/2 r~^T R r~`` of pure inputs at x = cos(theta) and azimuth phi.
+
+    ``ptm`` is a channel's Pauli transfer matrix R and r~ = (1, s cos(phi),
+    s sin(phi), x) with s = sqrt(1 - x^2).  Values pass through
+    :func:`~spintransfer.channel.clamp_fidelity`, as those of
+    :func:`~spintransfer.channel.fidelity_many` do.
+    """
+    x = np.asarray(x, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    s = np.sqrt(1.0 - x * x)
+    u = s * np.cos(phi)
+    v = s * np.sin(phi)
+    # 1/2 r~^T R r~ = r~^T q r~ with q symmetric, grouped by leading factor
+    q = 0.25 * (ptm + ptm.T)
+    values = (
+        q[0, 0]
+        + u * (2.0 * q[0, 1] + q[1, 1] * u + 2.0 * q[1, 2] * v + 2.0 * q[1, 3] * x)
+        + v * (2.0 * q[0, 2] + q[2, 2] * v + 2.0 * q[2, 3] * x)
+        + x * (2.0 * q[0, 3] + q[3, 3] * x)
+    )
+    return clamp_fidelity(values)
+
+
 def schmidt_state(concurrence_value: float, sign: float = 1.0) -> np.ndarray:
     """Two-qubit state sqrt((1-s)/2)|00> + sqrt((1+s)/2)|11> at fixed concurrence.
 
@@ -166,8 +201,11 @@ def mc_fidelity_histogram(
 ) -> Histogram:
     """Histogram of transfer fidelities over the scenario's input ensemble.
 
-    One-qubit scenarios draw Bloch-uniform pure inputs and evaluate the
-    channel fidelity directly.  The two-qubit scenario draws Haar-random
+    One-qubit scenarios draw Bloch-uniform pure inputs, x = cos(theta) =
+    1 - 2u and then phi = 2 pi u' per batch of ``MC_BATCH`` (the uniforms
+    :func:`sample_bloch` reads), and evaluate each fidelity as the quadratic
+    form of the channel's Pauli transfer matrix (:func:`bloch_fidelities`),
+    built once per call.  The two-qubit scenario draws Haar-random
     two-qubit states and bins the local-unitary-averaged fidelity at each
     state's concurrence (the quantity whose analytic distribution the
     two-qubit reduction describes); the per-state average is the exact
@@ -184,6 +222,8 @@ def mc_fidelity_histogram(
         from .analytics import affine_from_kraus
 
         affine = affine_from_kraus(kraus)
+    else:
+        ptm = pauli_transfer_matrix(kraus)
     done = 0
     while done < n:
         batch = min(MC_BATCH, n - done)
@@ -191,8 +231,9 @@ def mc_fidelity_histogram(
             states = sample_two_qubit_pure(rng, batch)
             values = affine.evaluate(concurrence(states))
         else:
-            theta, phi = sample_bloch(rng, batch)
-            values = fidelity_many(kraus, bloch_states(theta, phi))
+            x = 1.0 - 2.0 * rng.random(batch)
+            phi = 2.0 * np.pi * rng.random(batch)
+            values = bloch_fidelities(ptm, x, phi)
         values = np.clip(values, edges[0], edges[-1])
         hist, _ = np.histogram(values, bins=edges)
         counts += hist

@@ -4,7 +4,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import make_random_chain, one_row_law, random_state
+from conftest import make_random_chain, one_row_law, random_state, seeded_chain
 from spintransfer.analytics import (
     MinBranch,
     PointMass,
@@ -13,6 +13,7 @@ from spintransfer.analytics import (
     affine_from_kraus,
     avg_fidelity_curve,
     avg_fidelity_one_qubit_vacuum,
+    fidelity_law,
     find_optimal_time,
     min_fidelity_closed_form,
     phase_null_field,
@@ -171,6 +172,31 @@ def test_pdf_normalization_when_vertex_value_rounds_apart():
     quad_form = QuadraticFidelity(0.24651300518755553, 0.433285931041082, 0.3202010637713625)
     assert quad_form.support == (min(quad_form.breakpoints()), max(quad_form.breakpoints()))
     assert quad_form.normalization() == pytest.approx(1.0, abs=1e-6)
+
+
+def normalization_by_quad(pdf) -> float:
+    lo, hi = pdf.support
+    total, _ = quad(
+        lambda f: float(pdf.density(f)), lo, hi, points=sorted(set(pdf.breakpoints())), limit=200
+    )
+    return total
+
+
+def test_pdf_normalization_matches_adaptive_quadrature():
+    # single laws of every scenario on chains of every kind, and a vertex
+    # just outside [-1, 1] (x_v = -1.0038), whose density is nearly singular
+    # at F(-1): a rule anchored at the support end alone misses it by 7e-6
+    rng = np.random.default_rng(41)
+    laws = [QuadraticFidelity(0.20718218373703962, 0.4159514300521839, 0.3768663862107765)]
+    for kind in ("nearest", "long_range", "zz"):
+        for scenario in Scenario:
+            for _ in range(4):
+                spec = seeded_chain(int(rng.integers(2**31)), int(rng.integers(5, 9)), kind)
+                laws.append(fidelity_law(spec, scenario, [float(rng.uniform(0.5, 12.0))]).pdf())
+    for pdf in laws:
+        if isinstance(pdf, PointMass):
+            continue
+        assert pdf.normalization() == pytest.approx(normalization_by_quad(pdf), abs=1e-10)
 
 
 def test_pdf_support_top_is_one_for_vacuum(rng):

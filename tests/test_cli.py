@@ -272,6 +272,23 @@ def test_jitter_reads_out_around_the_optimum(tmp_path):
     assert jitter["b_aux"] == optimum["b_aux"]
 
 
+def test_jitter_mixture_is_normalized(tmp_path):
+    # the 41-part mixture of barrier h0=200 N=22 at 2% jitter: adaptive
+    # quadrature over all parts' breakpoints ran out of subdivisions there
+    # and returned 0.99924
+    from spintransfer import cli
+    from spintransfer.analytics import Mixture, fidelity_law
+
+    args = ["pdf", "--protocol", "barrier", "--h0", "200", "--n-sites", "22",
+            "--scenario", "one_qubit_vacuum", "--mode", "timing_error:0.02", "--jitter",
+            "--out", str(tmp_path)]
+    config = cli.load_config(cli.build_parser().parse_args(args))
+    plan = cli._resolve_plan(config)
+    pdf = fidelity_law(plan.spec, plan.scenario, cli._jitter_times(plan, config)).pdf()
+    assert isinstance(pdf, Mixture) and len(pdf.parts) == 41
+    assert pdf.normalization() == pytest.approx(1.0, abs=1e-6)
+
+
 def test_fixed_time_histogram_is_one_kraus_run(tmp_path):
     # a single read-out time samples the run's own stream, exactly as a
     # direct Monte Carlo run of the Kraus set at that time

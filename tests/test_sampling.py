@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_random_chain, one_row_law
 from spintransfer.analytics import (
@@ -7,11 +9,22 @@ from spintransfer.analytics import (
     quadratic_reduce_one_qubit,
     vacuum_quadratic,
 )
-from spintransfer.channel import KrausSet, Scenario, kraus_for_scenario
+from spintransfer.certify import random_isometry_kraus
+from spintransfer.chain import Barrier, Weak, protocol_preset
+from spintransfer.channel import (
+    KrausSet,
+    Scenario,
+    fidelity_many,
+    kraus_for_scenario,
+    pauli_transfer_matrix,
+)
 from spintransfer.errors import ParameterError
 from spintransfer.sampling import (
+    MC_BATCH,
     Histogram,
     RandomStream,
+    bloch_fidelities,
+    bloch_states,
     concurrence,
     default_bin_edges,
     ks_distance,
@@ -170,3 +183,47 @@ def test_mc_local_unitary_validation(rng):
     kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 1.0)
     with pytest.raises(ParameterError):
         mc_local_unitary_fidelity(kraus, 0.5, 100, RandomStream(1))
+
+
+@given(st.integers(1, 8), st.integers(0, 2**31 - 1))
+def test_bloch_map_matches_kraus_on_random_isometries(n_ops, seed):
+    # random isometries are not phase covariant: the azimuth matters
+    rng = np.random.default_rng(seed)
+    kraus = random_isometry_kraus(rng, n_ops)
+    x = 1.0 - 2.0 * rng.random(200)
+    phi = 2.0 * np.pi * rng.random(200)
+    form = bloch_fidelities(pauli_transfer_matrix(kraus), x, phi)
+    reference = fidelity_many(kraus, bloch_states(np.arccos(x), phi))
+    assert np.abs(form - reference).max() <= 1e-13
+
+
+def test_pauli_transfer_matrix_rejects_two_qubit_sets(rng):
+    spec = make_random_chain(rng, 6)
+    with pytest.raises(ParameterError):
+        pauli_transfer_matrix(kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 1.3))
+
+
+@pytest.mark.parametrize(
+    "spec, scenario, t",
+    [
+        (protocol_preset(Weak(0.1), 12), Scenario.ONE_QUBIT_VACUUM, 95.0),
+        (protocol_preset(Barrier(20.0), 9), Scenario.ONE_QUBIT_UNIFORM, 23.7),
+    ],
+    ids=["weak_vacuum", "barrier_occupied"],
+)
+def test_mc_histogram_matches_state_vector_histogram(spec, scenario, t):
+    # the same uniforms through state vectors and fidelity_many: the two
+    # evaluations differ by rounding, so a value on a bin edge may move
+    n = 100_000
+    kraus = kraus_for_scenario(spec, scenario, t)
+    edges = np.linspace(0.0, 1.0, 201)
+    hist = mc_fidelity_histogram(kraus, n, edges, RandomStream(31))
+    rng = RandomStream(31).generator()
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    for start in range(0, n, MC_BATCH):
+        batch = min(MC_BATCH, n - start)
+        x = 1.0 - 2.0 * rng.random(batch)
+        phi = 2.0 * np.pi * rng.random(batch)
+        values = fidelity_many(kraus, bloch_states(np.arccos(x), phi))
+        counts += np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)[0]
+    assert np.abs(hist.counts - counts).sum() <= 2
