@@ -54,7 +54,6 @@ from .analytics import (
     TwoQubitAffine,
     affine_from_kraus,
     avg_fidelity_curve,
-    avg_fidelity_one_qubit_vacuum,
     fidelity_law,
     find_optimal_time,
     min_fidelity_closed_form,

@@ -4,12 +4,16 @@ distributions, minimum and average fidelity, and read-out timing.
 For one qubit the transfer fidelity reduces to a quadratic in x = cos(theta)
 of the Bloch angle; for two qubits the fidelity averaged over local unitaries
 is affine in the squared concurrence.  :func:`fidelity_law` evaluates both
-laws directly from rows of the sector propagators, vectorized over a time
-grid; the tuning scans use its mean and the written distributions its
-coefficients.  The two-excitation rows of the occupied-channel and
-two-qubit laws come from :func:`~spintransfer.dynamics.pair_rows`: 2x2
-determinants of one-excitation rows on nearest-neighbour XX chains (every
-preset), the pair-sector propagator otherwise.
+laws directly from propagator amplitudes, vectorized over a time grid; the
+tuning scans use its mean and the written distributions its coefficients.
+On a free-fermion chain (nearest-neighbour XX with any fields, every
+preset; :func:`~spintransfer.dynamics.is_free_fermion`) each law is a
+closed form in at most four one-excitation amplitudes: the pair amplitudes
+are 2x2 determinants of one-excitation amplitudes (Lieb, Schultz and
+Mattis, Ann. Phys. 16, 407 (1961)), and row orthonormality sums them over
+the sites outside the receiver, so no pair row is read.  Other chains
+(long-range or ZZ couplings) take the N-wide one-excitation rows and the
+pair-sector rows of :func:`~spintransfer.dynamics.pair_rows`.
 
 Each law is its own distribution: :class:`QuadraticFidelity` and
 :class:`TwoQubitAffine` carry the support, density and CDF that follow by a
@@ -21,9 +25,10 @@ equal-weight :class:`Mixture`.
 
 The reductions of explicit Kraus sets (:func:`quadratic_reduce_one_qubit`,
 :func:`affine_from_kraus`) are the reference that Monte Carlo and
-certification use.  The Kraus sets read the same propagator rows as the
-laws, so the reductions check the laws' arithmetic; the 2^N oracle checks
-the rows.
+certification use.  The Kraus sets read every pair row, so on free-fermion
+chains the reductions check the closed forms, and elsewhere, where laws
+and Kraus sets read the same rows, the laws' row arithmetic; the 2^N
+oracle checks the rows.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .channel import KrausSet, Scenario
-from .dynamics import ChainDynamics, dynamics_for, pair_rows, propagator_rows
+from .dynamics import ChainDynamics, dynamics_for, is_free_fermion, pair_rows, propagator_rows
 from .errors import ModelError, ParameterError, RangeError
 
 PHI_INDEPENDENCE_TOL = 1e-10
@@ -68,22 +73,28 @@ class _Distribution:
         return float(min(points)), float(max(points))
 
     def normalization(self) -> float:
-        """Integral of the density over the support.
-
-        Each segment [p, q] between sorted breakpoints takes a
-        ``NORMALIZATION_NODES``-point Gauss-Legendre rule in tau of
-        f = l + (r - l) (1 - cos tau) / 2, over the tau that map onto
-        [p, q].  The anchors are l = p and r = q unless
-        :meth:`_anchors` moves one onto a nearby singular point outside the
-        segment.  The Jacobian (r - l) sin(tau) / 2 cancels inverse-square-
-        root singularities of the density at the anchors, so the rule sees
-        a smooth integrand; every segment is evaluated in one density call.
-        """
-        from numpy.polynomial.legendre import leggauss
-
+        """Integral of the density over the support: the sum of
+        :meth:`segment_masses` between the sorted breakpoints."""
         points = np.array(sorted(set(self.breakpoints())))
         if points.size < 2:
             return 1.0
+        return float(self.segment_masses(points).sum())
+
+    def segment_masses(self, points: np.ndarray) -> np.ndarray:
+        """Integrals of the density over the segments between sorted ``points``.
+
+        Each segment [p, q] takes a ``NORMALIZATION_NODES``-point
+        Gauss-Legendre rule in tau of f = l + (r - l) (1 - cos tau) / 2,
+        over the tau that map onto [p, q].  The anchors are l = p and r = q
+        unless :meth:`_anchors` moves one onto a nearby singular point
+        outside the segment.  The Jacobian (r - l) sin(tau) / 2 cancels
+        inverse-square-root singularities of the density at the anchors, so
+        the rule sees a smooth integrand as long as no singular point lies
+        inside a segment; every segment is evaluated in one density call.
+        """
+        from numpy.polynomial.legendre import leggauss
+
+        points = np.asarray(points, dtype=float)
         left, right = self._anchors(points[:-1], points[1:])
         span = right - left
         # tau of p and q, from (1 - cos tau) / 2 = sin^2(tau / 2) = (f - l) / (r - l)
@@ -95,7 +106,7 @@ class _Distribution:
         f = left[:, None] + span[:, None] * np.sin(0.5 * tau) ** 2
         density = np.reshape(self.density(f.ravel()), f.shape)
         jacobian = 0.5 * span[:, None] * np.sin(tau) * half * weights
-        return float((density * jacobian).sum())
+        return (density * jacobian).sum(axis=1)
 
     def _anchors(self, lo: np.ndarray, hi: np.ndarray):
         """Substitution anchors (l, r) of the segments [lo, hi]: the ends themselves."""
@@ -325,12 +336,6 @@ def min_fidelity_closed_form(r: float, phi: float) -> MinFidelityResult:
     )
 
 
-def avg_fidelity_one_qubit_vacuum(r: float, phi: float) -> float:
-    """Bloch-sphere average fidelity ``1/2 + r cos(phi)/3 + r^2/6``."""
-    _check_r(r)
-    return 0.5 + r * np.cos(phi) / 3.0 + r * r / 6.0
-
-
 # ---------------------------------------------------------------------------
 # two-qubit affine reduction
 # ---------------------------------------------------------------------------
@@ -516,15 +521,18 @@ def fidelity_law(
 ) -> FidelityLaw:
     """Fidelity law of ``scenario`` at each of ``times`` (1-D) from propagator rows.
 
-    The vacuum law needs only the end-to-end amplitude a_1^N.  The uniform
-    law sums the one- and two-excitation rows out of the occupied sites
-    2..N-1 (the latter from :func:`pair_rows`, which on a free-fermion
-    chain reads the site-1 row of the same one-excitation call); the weight
-    of the double excitations that avoid the receiver follows from
-    unitarity of the normalized pair row.  The two-qubit law
-    uses the rows of :func:`_two_qubit_law`.  Memory grows as len(times)
-    times the sector size; :func:`avg_fidelity_curve` feeds long grids in
-    chunks.
+    The vacuum law needs only the end-to-end amplitude a_1^N.  On a
+    free-fermion chain (:func:`is_free_fermion`) the occupied-channel law
+    needs only a = a_1^N and S = sum_{j=2}^{N-1} a_j^N:
+    (a, b, c) = ((|a|^2 + Re a) / 2, (1 - |a|^2) / 2 - |S|^2 / (N - 2),
+    (1 - Re a) / 2) with mean 1/3 + |1 - a|^2 / 6, and the two-qubit law
+    the four amplitudes of :func:`_two_qubit_law`; neither reads a pair
+    row.  On other chains the uniform law sums the one- and two-excitation
+    rows out of the occupied sites 2..N-1 (the latter from
+    :func:`pair_rows`, i.e. the pair sector); the weight of the double
+    excitations that avoid the receiver follows from unitarity of the
+    normalized pair row.  Memory grows as len(times) times the number of
+    amplitudes read; :func:`avg_fidelity_curve` feeds long grids in chunks.
 
     ``phase_corrected`` evaluates the law reachable once the arrival phase
     is nulled by a uniform field: it replaces the end-to-end amplitude by
@@ -546,12 +554,24 @@ def fidelity_law(
         re = np.abs(amp) if phase_corrected else amp.real
         coefficients = ((r2 - re) / 2.0, (1.0 - r2) / 2.0, (1.0 + re) / 2.0)
         mean = 0.5 + re / 3.0 + r2 / 6.0
+    elif scenario is Scenario.ONE_QUBIT_UNIFORM and is_free_fermion(spec):
+        # a = a_1^N and S = sum_{j=2}^{N-1} a_j^N; row orthonormality
+        # collapses the sums over the receiver-free sites of the row law
+        rows = propagator_rows(dyn.one, [[1], range(2, n)], [n], times)
+        amp, summed = rows[:, 0, 0], rows[:, 1, 0]
+        r2 = np.abs(amp) ** 2
+        coefficients = (
+            (r2 + amp.real) / 2.0,
+            (1.0 - r2) / 2.0 - np.abs(summed) ** 2 / (n - 2),
+            (1.0 - amp.real) / 2.0,
+        )
+        mean = 1.0 / 3.0 + np.abs(1.0 - amp) ** 2 / 6.0
     elif scenario is Scenario.ONE_QUBIT_UNIFORM:
         # Kraus diagonals (alpha_k, beta_k), k = 1..N-1, unnormalized by
         # the sqrt(N - 2) of the initial state
         rows = propagator_rows(dyn.one, [[1], range(2, n)], range(1, n + 1), times)
         alpha = rows[:, 1]
-        beta = pair_rows(dyn, range(2, n), [(k, n) for k in range(1, n)], times, rows)
+        beta = pair_rows(dyn, range(2, n), [(k, n) for k in range(1, n)], times)
         weight = 1.0 / (n - 2)
         plus = (np.abs(alpha[:, : n - 1] + beta) ** 2).sum(axis=1)
         minus = (np.abs(alpha[:, : n - 1] - beta) ** 2).sum(axis=1)
@@ -575,61 +595,62 @@ def fidelity_law(
 def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool = False):
     """A(t) and B(t) on a time grid via the channel trace sums.
 
-    The pair rows b_12^{(j, N)} and b_12^{(j, N-1)} come from
-    :func:`pair_rows` (2x2 determinants of the u, v rows on a free-fermion
-    chain).  Unitarity of the pair row accounts for the leak into pairs
-    that exclude the receiver without enumerating them.
+    With G = [[g11, g12], [g21, g22]] = [[a_1^{N-1}, a_1^N], [a_2^{N-1},
+    a_2^N]] and w = b_12^{(N-1, N)}, the trace sums are t1 = |1 + g11 +
+    g22 + w|^2, t2 = sum_E ||E||_F^2 = tr I_4 = 4 (trace preservation, on
+    every chain), t3 = |1 + g22|^2 + |g11 + w|^2 + sum_j |u_j + b_12^{(j,
+    N)}|^2 and t4 = |1 + g11|^2 + |g22 + w|^2 + sum_j |v_j + b_12^{(j,
+    N-1)}|^2, the sums over the sites j <= N-2 outside the receiver, with
+    u = a_1^j and v = a_2^j.
+
+    On a free-fermion chain (:func:`is_free_fermion`) w = det G, and the
+    pair amplitudes b_12^{(j, N)} = u_j g22 - g12 v_j and b_12^{(j, N-1)} =
+    u_j g21 - g11 v_j make both sums quadratic forms in the u, v rows, which
+    row orthonormality gives from G: sum |u_j|^2 = 1 - |g11|^2 - |g12|^2,
+    sum |v_j|^2 = 1 - |g21|^2 - |g22|^2 and sum u_j conj(v_j) = -(g11
+    conj(g21) + g12 conj(g22)).  The law then reads the four amplitudes of G
+    and no pair row.  Otherwise it reads the N-wide u, v rows and the pair
+    rows of :func:`pair_rows` (the pair sector).
     """
     n = dyn.spec.n_sites
-    rows = propagator_rows(dyn.one, [[1], [2]], range(1, n + 1), times)
-    u = rows[:, 0, :]  # a_1^j
-    v = rows[:, 1, :]  # a_2^j
-    pair = pair_rows(
-        dyn,
-        [2],
-        [(j, n) for j in range(1, n)] + [(j, n - 1) for j in range(1, n - 1)],
-        times,
-        rows,
-    )
-    w_n = pair[:, : n - 1]  # b_12^{(j, N)}, j = 1..N-1
-    w_m = pair[:, n - 1 :]  # b_12^{(j, N-1)}, j = 1..N-2
+    free = is_free_fermion(dyn.spec)
+    rows = propagator_rows(dyn.one, [[1], [2]], [n - 1, n] if free else range(1, n + 1), times)
     if phase_corrected:
-        block_amp = u[:, n - 2]
+        # rotate a_1^{N-1} real positive (sector two by the square)
+        block_amp = rows[:, 0, -2]
         safe = np.where(np.abs(block_amp) > 0.0, block_amp, 1.0)
-        omega = (np.abs(safe) / safe)[:, None]
-        u = u * omega
-        v = v * omega
-        w_n = w_n * omega**2
-        w_m = w_m * omega**2
-    p = v[:, n - 1]
-    q = u[:, n - 1]
-    uu = v[:, n - 2]
-    vv = u[:, n - 2]
-    w = w_n[:, n - 2]
-    abs2 = lambda z: np.abs(z) ** 2
-    t1 = abs2(1.0 + p + vv + w)
-    # sum_E ||E||_F^2 with the double-leak block via unitarity of the pair row
-    leak2 = 1.0 - abs2(w_n).sum(axis=1) - abs2(w_m).sum(axis=1)
-    t2 = (
-        1.0
-        + abs2(p) + abs2(q) + abs2(uu) + abs2(vv) + abs2(w)
-        + abs2(u[:, : n - 2]).sum(axis=1)
-        + abs2(v[:, : n - 2]).sum(axis=1)
-        + abs2(w_n[:, : n - 2]).sum(axis=1)
-        + abs2(w_m).sum(axis=1)
-        + np.clip(leak2, 0.0, None)
-    )
-    t3 = (
-        abs2(1.0 + p)
-        + abs2(vv + w)
-        + abs2(u[:, : n - 2] + w_n[:, : n - 2]).sum(axis=1)
-    )
-    t4 = (
-        abs2(1.0 + vv)
-        + abs2(p + w)
-        + abs2(v[:, : n - 2] + w_m).sum(axis=1)
-    )
-    return _affine_from_traces(t1, t2, t3, t4)
+        omega = np.abs(safe) / safe
+        rows = rows * omega[:, None, None]
+    g11, g12, g21, g22 = rows[:, 0, -2], rows[:, 0, -1], rows[:, 1, -2], rows[:, 1, -1]
+    if free:
+        w = g11 * g22 - g12 * g21
+        su = 1.0 - _abs2(g11) - _abs2(g12)
+        sv = 1.0 - _abs2(g21) - _abs2(g22)
+        suv = -(g11 * g21.conj() + g12 * g22.conj())
+
+        def outside(x, y):
+            # sum_{j <= N-2} |x u_j + y v_j|^2
+            return _abs2(x) * su + _abs2(y) * sv + 2.0 * (x * y.conj() * suv).real
+
+        sum_n = outside(1.0 + g22, -g12)
+        sum_m = outside(g21, 1.0 - g11)
+    else:
+        sites = range(1, n - 1)
+        targets = [(n - 1, n)] + [(j, n) for j in sites] + [(j, n - 1) for j in sites]
+        pair = pair_rows(dyn, [2], targets, times)
+        if phase_corrected:
+            pair = pair * (omega**2)[:, None]
+        w = pair[:, 0]
+        sum_n = _abs2(rows[:, 0, : n - 2] + pair[:, 1 : n - 1]).sum(axis=1)
+        sum_m = _abs2(rows[:, 1, : n - 2] + pair[:, n - 1 :]).sum(axis=1)
+    t1 = _abs2(1.0 + g11 + g22 + w)
+    t3 = _abs2(1.0 + g22) + _abs2(g11 + w) + sum_n
+    t4 = _abs2(1.0 + g11) + _abs2(g22 + w) + sum_m
+    return _affine_from_traces(t1, 4.0, t3, t4)
+
+
+def _abs2(z):
+    return np.abs(z) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,21 +4,23 @@ reference and the package's own closed forms, with a machine-readable report.
 These checks are the library's warranty seal: they re-derive the channel
 outputs from the full 2^N evolution, re-verify trace preservation, and pin
 the structural facts (perfect-chain spectrum, fidelity duality, distribution
-normalization) that the analytic layer relies on.  The fidelity laws and
-the Kraus sets read the same amplitude rows
-(:func:`~spintransfer.dynamics.propagator_rows` and
-:func:`~spintransfer.dynamics.pair_rows`), so a laws-vs-Kraus comparison
-checks only the reductions built on those rows; the rows themselves are
-pinned by the checks that reach past them: full sector propagators, the
-pair sector itself, and the 2^N oracle (``oracle_amplitude_equivalence``
-and the ``channel_oracle_equivalence`` sweep over every scenario).  The
-``certify`` subcommand runs the whole suite.
+normalization) that the analytic layer relies on.  The Kraus sets read
+amplitude rows (:func:`~spintransfer.dynamics.propagator_rows` and
+:func:`~spintransfer.dynamics.pair_rows`); the fidelity laws read the same
+rows on long-range and ZZ chains and free-fermion closed forms in at most
+four amplitudes on nearest-neighbour chains, so a laws-vs-Kraus comparison
+checks the closed forms and the reductions built on the rows, not the
+rows.  The rows are pinned by the checks that reach past them: full
+sector propagators, the pair sector itself, and the 2^N oracle
+(``oracle_amplitude_equivalence`` and the ``channel_oracle_equivalence``
+sweep over every scenario).  The ``certify`` subcommand runs the whole
+suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -203,13 +205,12 @@ def check_oracle_amplitudes(n_max: int, seed: int = 13) -> CheckResult:
 def check_pair_rows(seed: int = 18) -> CheckResult:
     """Determinant pair rows vs the pair-sector propagator.
 
-    The fidelity laws and the Kraus sets read the same rows, and on the
-    presets their two-excitation amplitudes come from :func:`pair_rows` as
-    2x2 determinants of one-excitation amplitudes, so the laws-vs-Kraus
-    check cannot see an error in that shared path.  This check, which
-    compares it with rows of the diagonalised pair sector, and
-    ``channel_oracle_equivalence`` (Kraus sets, hence the shared rows, vs
-    the 2^N evolution) are what pin it.
+    On the presets the Kraus sets' two-excitation amplitudes come from
+    :func:`pair_rows` as 2x2 determinants of one-excitation amplitudes, and
+    the fidelity laws' closed forms rest on the same determinant identity.
+    This check, which compares the determinants with rows of the
+    diagonalised pair sector, and ``channel_oracle_equivalence`` (Kraus
+    sets vs the 2^N evolution) are what pin it.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -320,19 +321,22 @@ def check_channels_against_oracle(n_max: int, seed: int = 14) -> list[CheckResul
 
 
 def check_quadratic_reduction(seed: int = 15) -> CheckResult:
-    """Row-based fidelity laws vs the exact reductions of the Kraus sets.
+    """Fidelity laws vs the exact reductions of the Kraus sets.
 
     Covers the coefficients of all three scenarios, the mean the tuning
-    scans maximize, and the closed-form vacuum quadratic.  Laws and Kraus
-    sets read the same amplitude rows, so this pins the law arithmetic (the
-    leak terms taken from unitarity, the two-qubit trace sums) against the
-    explicit reductions, not the rows; the vacuum closed form reads its
-    amplitude from the full propagator instead.
+    scans maximize, and the closed-form vacuum quadratic, on random chains
+    of each kind.  On nearest-neighbour chains the occupied-channel and
+    two-qubit laws are the free-fermion closed forms, which read at most
+    four one-excitation amplitudes while the Kraus sets read every pair
+    row; on long-range and ZZ chains both read the same rows, so there this
+    pins the row arithmetic (leak terms from unitarity, the two-qubit trace
+    sums) against the explicit reductions.  The vacuum closed form reads
+    its amplitude from the full propagator instead.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n in (6, 9):
-        spec = random_spec(rng, n)
+    for n, kind in product((6, 9), ("nearest", "long_range", "zz")):
+        spec = random_spec(rng, n, kind)
         t = float(rng.uniform(1.0, 8.0))
         for scenario in Scenario:
             kraus = kraus_for_scenario(spec, scenario, t)
@@ -355,7 +359,7 @@ def check_quadratic_reduction(seed: int = 15) -> CheckResult:
             )
     return CheckResult(
         "fidelity_law_rows_vs_kraus", worst <= 1e-9, worst,
-        "all scenarios + vacuum closed form",
+        "all scenarios + vacuum closed form, chains of three kinds, N in {6, 9}",
     )
 
 

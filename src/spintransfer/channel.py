@@ -5,18 +5,20 @@ fixed initial channel state and one basis state of everything-but-the-
 receiver.  Conservation of total magnetization restricts which entries can
 be non-zero, so every operator is assembled from one- and two-excitation
 transition amplitudes.  The builders take a chain spec and a time, the
-order :func:`~spintransfer.analytics.fidelity_law` uses, and read the same
-amplitude rows the laws read: :func:`~spintransfer.dynamics.propagator_rows`
-of the one-excitation sector out of the sender (and, for the occupied
-channel, the initially occupied sites) and
-:func:`~spintransfer.dynamics.pair_rows` out of the initially occupied
-pairs (2x2 determinants of one-excitation amplitudes on a nearest-neighbour
-XX chain, pair-sector rows otherwise).  Each builder fills its operator
-stack by index from those rows; no full propagator is formed.  Trace
-preservation then holds by unitarity and the cached completeness defect
-only measures floating-point error.  Since laws and Kraus sets share these
-rows, the 2^N oracle of :mod:`~spintransfer.oracle` is the independent
-check on them (``channel_oracle_equivalence`` in certification).
+order :func:`~spintransfer.analytics.fidelity_law` uses, and read
+:func:`~spintransfer.dynamics.propagator_rows` of the one-excitation sector
+out of the sender (and, for the occupied channel, the initially occupied
+sites) and :func:`~spintransfer.dynamics.pair_rows` out of the initially
+occupied pairs (2x2 determinants of one-excitation amplitudes on a
+nearest-neighbour XX chain, pair-sector rows otherwise).  Each builder
+fills its operator stack by index from those rows; no full propagator is
+formed.  Trace preservation then holds by unitarity and the cached
+completeness defect only measures floating-point error.  The laws of a
+nearest-neighbour chain read none of the pair rows (closed forms in at
+most four amplitudes), so there the Kraus reductions check those closed
+forms; the 2^N oracle of :mod:`~spintransfer.oracle` is the independent
+check on the rows themselves (``channel_oracle_equivalence`` in
+certification).
 
 Receiver conventions: single-qubit transfer reads site N in the basis
 |0>, |1>; two-qubit transfer reads sites (N-1, N) in the basis

@@ -8,8 +8,7 @@ is cached per chain spec behind a lock, and each sector is diagonalised the
 first time something reads it.  :func:`propagator_rows` (with
 :func:`pair_rows` for two excitations) is the one amplitude evaluator of
 the package: the fidelity laws read it on whole time grids and the Kraus
-sets of :mod:`~spintransfer.channel` read it at single times, so a law
-and a Kraus set at the same time read identical amplitudes.
+sets of :mod:`~spintransfer.channel` read it at single times.
 :func:`propagator_at`, the full propagator of a sector at one time, is
 kept as the full-sector reference for certification and the CSV dump.
 The tuning scans hand :func:`propagator_rows` arithmetic grids, which it
@@ -25,7 +24,12 @@ determinant b_{(i1,i2)}^{(j1,j2)} = a_{i1}^{j1} a_{i2}^{j2} - a_{i1}^{j2}
 a_{i2}^{j1} of one-excitation amplitudes (Lieb, Schultz and Mattis, Ann.
 Phys. 16, 407 (1961)).  :func:`pair_rows` uses it whenever the spec allows
 (:func:`is_free_fermion`), so the C(N, 2)-dimensional pair sector is
-diagonalised only for long-range or ZZ-coupled chains.
+diagonalised only for long-range or ZZ-coupled chains.  On a free-fermion
+chain the fidelity laws read no pair row at all: with row orthonormality
+the determinants reduce every law to at most four one-excitation
+amplitudes (2 sources x 2 targets of :func:`propagator_rows`), so
+:func:`pair_rows` serves the Kraus sets and the laws of long-range and ZZ
+chains.
 """
 
 from __future__ import annotations
@@ -233,12 +237,11 @@ class ChainDynamics:
     """Spectral data of one chain spec for the sectors q = 1 and q = 2.
 
     Each sector is diagonalised the first time ``one`` or ``two`` is read,
-    so a run that reads only one-excitation amplitudes (the one-qubit
-    vacuum law, and every law of a free-fermion chain through
-    :func:`pair_rows`) never builds the C(N, 2)-dimensional pair sector.  All
-    methods are safe to call concurrently: two threads that read a sector
-    first at the same time may both diagonalise it, but both store the same
-    deterministic result.
+    so a run that reads only one-excitation amplitudes (every law and Kraus
+    set of a free-fermion chain) never builds the C(N, 2)-dimensional pair
+    sector.  All methods are safe to call concurrently: two threads that
+    read a sector first at the same time may both diagonalise it, but both
+    store the same deterministic result.
     """
 
     def __init__(self, spec: ChainSpec):

@@ -5,6 +5,7 @@ from hypothesis import settings
 from spintransfer.analytics import FidelityLaw, TwoQubitAffine
 from spintransfer.chain import ChainSpec
 from spintransfer.channel import Scenario
+from spintransfer.errors import ParameterError
 
 # Property tests draw a fixed example sequence, so failures reproduce and
 # the suite's run time stays flat.
@@ -36,6 +37,15 @@ def seeded_chain(seed: int, n_sites: int, kind: str) -> ChainSpec:
     for i in range(n_sites - 1):
         anis[i, i + 1] = anis[i + 1, i] = rng.uniform(-1.0, 1.0)
     return ChainSpec(n_sites, spec.couplings, anis, spec.fields)
+
+
+def avg_fidelity_one_qubit_vacuum(r: float, phi: float) -> float:
+    """Bloch-sphere average fidelity ``1/2 + r cos(phi)/3 + r^2/6`` of the
+    vacuum channel with amplitude r e^{i phi}: the reference the law means
+    are checked against."""
+    if not 0.0 <= r <= 1.0:
+        raise ParameterError(f"amplitude modulus r must lie in [0, 1], got {r}")
+    return 0.5 + r * np.cos(phi) / 3.0 + r * r / 6.0
 
 
 def one_row_law(law) -> FidelityLaw:

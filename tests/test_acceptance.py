@@ -17,7 +17,6 @@ from scipy.optimize import minimize_scalar
 
 from spintransfer.analytics import (
     avg_fidelity_curve,
-    avg_fidelity_one_qubit_vacuum,
     find_optimal_time,
     min_fidelity_closed_form,
     phase_null_field,
@@ -42,7 +41,7 @@ from spintransfer.sampling import (
     sample_two_qubit_pure,
 )
 
-from conftest import make_random_chain
+from conftest import avg_fidelity_one_qubit_vacuum, make_random_chain
 
 MC_SAMPLES = 1_000_000
 TARGET = 0.99

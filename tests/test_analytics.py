@@ -4,7 +4,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import make_random_chain, one_row_law, random_state, seeded_chain
+from conftest import (
+    avg_fidelity_one_qubit_vacuum,
+    make_random_chain,
+    one_row_law,
+    random_state,
+    seeded_chain,
+)
 from spintransfer.analytics import (
     MinBranch,
     PointMass,
@@ -12,7 +18,6 @@ from spintransfer.analytics import (
     TwoQubitAffine,
     affine_from_kraus,
     avg_fidelity_curve,
-    avg_fidelity_one_qubit_vacuum,
     fidelity_law,
     find_optimal_time,
     min_fidelity_closed_form,

@@ -7,11 +7,10 @@ branches against a brute-force minimum."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_random_chain, one_row_law, seeded_chain
-from scipy.integrate import quad
 
 from spintransfer.analytics import (
     DELTA_COEFF_TOL,
@@ -31,7 +30,7 @@ from spintransfer.analytics import (
 )
 from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
 from spintransfer.channel import KrausSet, Scenario, fidelity_many, kraus_for_scenario
-from spintransfer import dynamics
+from spintransfer import analytics, dynamics
 from spintransfer.dynamics import (
     dynamics_for,
     is_free_fermion,
@@ -99,6 +98,25 @@ def test_phase_corrected_law_is_the_field_shifted_law(spec, t, scenario):
     assert np.abs(corrected.coefficients - shifted.coefficients).max() <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "scenario", [Scenario.ONE_QUBIT_UNIFORM, Scenario.TWO_QUBIT_VACUUM], ids=["uniform", "two_qubit"]
+)
+@given(st.integers(0, 2**31 - 1), st.integers(4, 16), st.floats(0.1, 40.0), st.booleans())
+def test_free_fermion_closed_forms_match_kraus_reduction(scenario, seed, n, t, phase_corrected):
+    # on nearest-neighbour chains the occupied-channel and two-qubit laws are
+    # closed forms in at most four amplitudes; the Kraus sets read every pair row
+    spec = make_random_chain(np.random.default_rng(seed), max(n, scenario.min_sites))
+    assert is_free_fermion(spec)
+    law = fidelity_law(spec, scenario, [t], phase_corrected=phase_corrected)
+    reference_spec = spec
+    if phase_corrected and scenario is Scenario.TWO_QUBIT_VACUUM:
+        b_aux = phase_null_field(spec, t, correction_site(spec, scenario))
+        reference_spec = spec.with_uniform_field(b_aux)
+    coefficients, mean = kraus_reduction(reference_spec, scenario, t)
+    assert np.abs(law.coefficients[0] - coefficients).max() <= 1e-12
+    assert abs(law.mean[0] - mean) <= 1e-12
+
+
 @pytest.mark.parametrize("n_sites", [8, 12, 22])
 def test_point_mass_law_sits_at_its_mean(n_sites):
     # perfect transfer at pi/4 delivers every input intact: the law is a point
@@ -139,12 +157,27 @@ def test_preset_laws_never_build_pair_sector(monkeypatch, scenario, kind):
 
     monkeypatch.setattr(dynamics, "sector_hamiltonian", one_excitation_only)
     monkeypatch.setattr(dynamics, "_DYNAMICS_CACHE", {})
+    # the closed forms read at most 2 sources x 2 targets and no pair row
+    rows = analytics.propagator_rows
+    shapes = []
+
+    def recorded_rows(prop, sources, targets, times):
+        shapes.append((len(sources), len(targets)))
+        return rows(prop, sources, targets, times)
+
+    def no_pair_rows(*args, **kwargs):
+        raise AssertionError("pair rows requested")
+
+    monkeypatch.setattr(analytics, "propagator_rows", recorded_rows)
+    monkeypatch.setattr(analytics, "pair_rows", no_pair_rows)
     n_senders = 2 if scenario is Scenario.TWO_QUBIT_VACUUM else 1
     spec = protocol_preset(kind, 200, n_senders)
-    law = fidelity_law(spec, scenario, np.linspace(0.0, 300.0, 7))
+    for phase_corrected in (False, True):
+        law = fidelity_law(spec, scenario, np.linspace(0.0, 300.0, 7), phase_corrected)
+        assert np.all((law.mean >= 0.0) & (law.mean <= 1.0))
     dyn = dynamics_for(spec)
-    assert np.all((law.mean >= 0.0) & (law.mean <= 1.0))
     assert "one" in vars(dyn) and "two" not in vars(dyn)
+    assert shapes and all(s <= 2 and t <= 2 for s, t in shapes)
 
 
 def test_azimuth_dependent_channel_is_rejected():
@@ -201,16 +234,20 @@ def assert_pdf_consistent(pdf, kinks):
     assert pdf.cdf(hi) == 1.0 and np.all(cdf[grid >= hi] == 1.0)
     if isinstance(pdf, PointMass):
         return
-    # integrable 1/sqrt singularities sit at the kinks, so they end cells
+    # integrable 1/sqrt singularities sit at the kinks, so they end cells;
+    # each cell's mass is the density integrated by the tau-substituted
+    # Gauss-Legendre rule of the normalization
     edges = np.unique(np.clip(np.r_[np.linspace(lo, hi, 9), kinks], lo, hi))
-    total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        mass, _ = quad(lambda f: float(pdf.density(f)), left, right, limit=200)
+    masses = pdf.segment_masses(edges)
+    for left, right, mass in zip(edges[:-1], edges[1:], masses):
         assert mass == pytest.approx(float(pdf.cdf(right) - pdf.cdf(left)), abs=1e-7)
-        total += mass
-    assert total == pytest.approx(1.0, abs=1e-7)
+    assert masses.sum() == pytest.approx(1.0, abs=1e-7)
 
 
+# a long-range-chain occupied-channel law whose vertex sits 2e-4 inside
+# x = -1: two breakpoints 7.4e-9 apart, where adaptive quadrature of the
+# density misses the cell mass by 1e-4
+@example(QuadraticFidelity(0.168047, 0.336023, 0.391471))
 @given(quadratic_laws)
 def test_quadratic_pdf_matches_its_cdf(quad_form):
     a, b = quad_form.a, quad_form.b
