@@ -88,9 +88,6 @@ from .sampling import (
     default_bin_edges,
     ks_distance,
     mc_fidelity_histogram,
-    mc_local_unitary_fidelity,
-    sample_bloch,
-    sample_haar_unitary_2,
     sample_two_qubit_pure,
     schmidt_state,
 )

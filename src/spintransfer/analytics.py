@@ -25,7 +25,8 @@ equal-weight :class:`Mixture`.
 
 The reductions of explicit Kraus sets (:func:`quadratic_reduce_one_qubit`,
 :func:`affine_from_kraus`) are the reference that Monte Carlo and
-certification use.  The Kraus sets read every pair row, so on free-fermion
+certification use.  Both read the channel's Pauli transfer matrix, none of
+the laws' arithmetic.  The Kraus sets read every pair row, so on free-fermion
 chains the reductions check the closed forms, and elsewhere, where laws
 and Kraus sets read the same rows, the laws' row arithmetic; the 2^N
 oracle checks the rows.
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec
-from .channel import KrausSet, Scenario
+from .channel import KrausSet, Scenario, pauli_transfer_matrix
 from .dynamics import ChainDynamics, dynamics_for, is_free_fermion, pair_rows, propagator_rows
 from .errors import ModelError, ParameterError, RangeError
 
@@ -241,39 +242,37 @@ class QuadraticFidelity(_Distribution):
 def quadratic_reduce_one_qubit(kraus: KrausSet) -> QuadraticFidelity:
     """Exact azimuth average of a one-qubit channel's fidelity.
 
-    For the input cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> a Kraus
-    operator E contributes ``|D + h (E01 e^{i phi} + E10 e^{-i phi})|^2``
-    with ``D = E00 (1 + x)/2 + E11 (1 - x)/2`` and ``h^2 = (1 - x^2)/4``.
-    When the azimuth-dependent cross terms cancel in the sum over E, the
-    fidelity is the quadratic
-    ``F(x) = sum_E |D|^2 + (1 - x^2)/4 (|E01|^2 + |E10|^2)``.
+    Reads the channel's Pauli transfer matrix R
+    (:func:`~spintransfer.channel.pauli_transfer_matrix`).  The input with
+    Bloch vector r~ = (1, s cos(phi), s sin(phi), x), s^2 = 1 - x^2,
+    transfers with fidelity 1/2 r~^T R r~.  When the azimuth-dependent
+    entries vanish, the fidelity is the quadratic
+    ``F(x) = (R33/2 - (R11 + R22)/4) x^2 + (R03 + R30)/2 x + R00/2 + (R11 + R22)/4``.
 
     Raises
     ------
     ModelError
-        If a cross-term sum exceeds 1e-10, i.e. the fidelity depends on the
+        If an entry of R + R^T at (0, 1), (0, 2), (1, 2), (1, 3) or (2, 3),
+        or R11 - R22, exceeds 1e-10, i.e. the fidelity depends on the
         azimuth and no quadratic in cos(theta) describes it.
     """
     if kraus.scenario is Scenario.TWO_QUBIT_VACUUM:
         raise ParameterError("quadratic reduction applies to one-qubit channels")
-    ops = kraus.operators
-    e00, e01, e10, e11 = ops[:, 0, 0], ops[:, 0, 1], ops[:, 1, 0], ops[:, 1, 1]
+    ptm = pauli_transfer_matrix(kraus)
+    sym = ptm + ptm.T
     cross = max(
-        abs(np.sum(e00.conj() * e01 + e00 * e10.conj())),
-        abs(np.sum(e11.conj() * e01 + e11 * e10.conj())),
-        abs(np.sum(e01 * e10.conj())),
+        *(abs(sym[i, j]) for i, j in ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))),
+        abs(ptm[1, 1] - ptm[2, 2]),
     )
     if cross > PHI_INDEPENDENCE_TOL:
         raise ModelError(
             f"channel fidelity varies with the azimuth: cross term {cross:.3e}"
         )
-    s = 0.5 * (e00 + e11)
-    d = 0.5 * (e00 - e11)
-    off = float(np.sum(np.abs(e01) ** 2 + np.abs(e10) ** 2))
+    transverse = (ptm[1, 1] + ptm[2, 2]) / 4.0
     return QuadraticFidelity(
-        float(np.sum(np.abs(d) ** 2)) - off / 4.0,
-        2.0 * float(np.sum((s * d.conj()).real)),
-        float(np.sum(np.abs(s) ** 2)) + off / 4.0,
+        float(ptm[3, 3] / 2.0 - transverse),
+        float(sym[0, 3] / 2.0),
+        float(ptm[0, 0] / 2.0 + transverse),
     )
 
 
@@ -415,19 +414,23 @@ def _affine_from_traces(t1, t2, t3, t4) -> tuple:
 
 
 def affine_from_kraus(kraus: KrausSet) -> TwoQubitAffine:
-    """Local-unitary-averaged fidelity coefficients of a two-qubit channel."""
+    """Local-unitary-averaged fidelity coefficients of a two-qubit channel.
+
+    The local twirl of the 16 x 16 Pauli transfer matrix R
+    (:func:`~spintransfer.channel.pauli_transfer_matrix`) is diagonal with
+    R00 and the means c1, c2, c3 of R's diagonal over s (x) I, I (x) s and
+    s (x) s (the single-qubit Clifford group is a unitary 2-design: Dankert,
+    Cleve, Emerson and Livine, PRA 80, 012304 (2009)).  A pure input of
+    concurrence C has weights 1 - C^2, 1 - C^2 and 1 + 2 C^2 on those
+    classes, so A = (R00 + c1 + c2 + c3) / 4 and B = (c1 + c2 - 2 c3) / 4.
+    """
     if kraus.scenario is not Scenario.TWO_QUBIT_VACUUM:
         raise ParameterError("affine reduction applies to two-qubit channels")
-    ops = kraus.operators.reshape(-1, 2, 2, 2, 2)
-    traces = np.einsum("oijij->o", ops)
-    t1 = float((np.abs(traces) ** 2).sum())
-    t2 = float((np.abs(kraus.operators) ** 2).sum())
-    tr_q2 = np.einsum("oiaja->oij", ops)
-    tr_q1 = np.einsum("oaiaj->oij", ops)
-    t3 = float((np.abs(tr_q2) ** 2).sum())
-    t4 = float((np.abs(tr_q1) ** 2).sum())
-    a_val, b_val = _affine_from_traces(t1, t2, t3, t4)
-    return TwoQubitAffine(float(a_val), float(b_val))
+    diag = np.diag(pauli_transfer_matrix(kraus)).reshape(4, 4)
+    c1, c2, c3 = diag[1:, 0].mean(), diag[0, 1:].mean(), diag[1:, 1:].mean()
+    return TwoQubitAffine(
+        float((diag[0, 0] + c1 + c2 + c3) / 4.0), float((c1 + c2 - 2.0 * c3) / 4.0)
+    )
 
 
 @dataclass(frozen=True)

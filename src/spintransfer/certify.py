@@ -9,12 +9,13 @@ amplitude rows (:func:`~spintransfer.dynamics.propagator_rows` and
 :func:`~spintransfer.dynamics.pair_rows`); the fidelity laws read the same
 rows on long-range and ZZ chains and free-fermion closed forms in at most
 four amplitudes on nearest-neighbour chains, so a laws-vs-Kraus comparison
-checks the closed forms and the reductions built on the rows, not the
-rows.  The rows are pinned by the checks that reach past them: full
-sector propagators, the pair sector itself, and the 2^N oracle
-(``oracle_amplitude_equivalence`` and the ``channel_oracle_equivalence``
-sweep over every scenario).  The ``certify`` subcommand runs the whole
-suite.
+checks the closed forms and the laws' arithmetic, not the rows.  Both
+reductions read the Pauli transfer matrix, which ``bloch_map_vs_kraus``
+pins against state vectors.  The rows are pinned by the checks that reach
+past them: full sector propagators, the pair sector itself, and the 2^N
+oracle (``oracle_amplitude_equivalence`` and the
+``channel_oracle_equivalence`` sweep over every scenario).  The ``certify``
+subcommand runs the whole suite.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ import numpy as np
 
 from .chain import Barrier, ChainSpec, ChannelInit, Perfect, Weak, protocol_preset, sector_hamiltonian
 from .channel import (
+    PAULI_STRINGS,
     KrausSet,
     Scenario,
     apply_channel,
+    clamp_fidelity,
     fidelity,
     fidelity_many,
     kraus_for_scenario,
@@ -38,11 +41,13 @@ from .channel import (
 from .dynamics import dynamics_for, pair_rows, propagator_at, propagator_rows
 from .errors import CapacityError, ParameterError
 from .oracle import MAX_ORACLE_SITES, evolve_full, reduced_density, transfer_initial_state
-from .sampling import bloch_fidelities, bloch_states, schmidt_state
+from .sampling import bloch_fidelities, bloch_states, sample_two_qubit_pure, schmidt_state
 from .sectors import build_sector_basis
 from .analytics import (
+    MinBranch,
     affine_from_kraus,
     fidelity_law,
+    min_fidelity_closed_form,
     quadratic_reduce_one_qubit,
     vacuum_quadratic,
 )
@@ -105,19 +110,20 @@ def random_spec(rng: np.random.Generator, n_sites: int, kind: str = "nearest") -
     return ChainSpec(n_sites, couplings, anisotropies, fields)
 
 
-def random_isometry_kraus(rng: np.random.Generator, n_ops: int) -> KrausSet:
-    """Kraus set of a random isometry C^2 -> C^2 (x) C^n_ops.
+def random_isometry_kraus(rng: np.random.Generator, n_ops: int, dim: int = 2) -> KrausSet:
+    """Kraus set of a random isometry C^dim -> C^dim (x) C^n_ops.
 
-    E_j[a, b] = V[(a, j), b] for a 2 n_ops x 2 isometry V (QR of a complex
-    Gaussian matrix).  Such a channel is in general not phase covariant, so
-    its fidelity depends on the input's azimuth.  The set carries the
-    one-qubit vacuum scenario label; no chain or time stands behind it.
+    E_j[a, b] = V[(a, j), b] for a dim n_ops x dim isometry V (QR of a
+    complex Gaussian matrix); for dim 2 its fidelity depends on the input's
+    azimuth.  The set carries the vacuum scenario label of its dimension (2
+    or 4); no chain or time stands behind it.
     """
-    z = rng.normal(size=(2 * n_ops, 2)) + 1j * rng.normal(size=(2 * n_ops, 2))
+    z = rng.normal(size=(dim * n_ops, dim)) + 1j * rng.normal(size=(dim * n_ops, dim))
     v, _ = np.linalg.qr(z)
-    ops = v.reshape(2, n_ops, 2).transpose(1, 0, 2)
-    defect = float(np.abs(np.einsum("okl,okm->lm", ops.conj(), ops) - np.eye(2)).max())
-    return KrausSet(ops, Scenario.ONE_QUBIT_VACUUM, 0.0, defect, n_ops)
+    ops = v.reshape(dim, n_ops, dim).transpose(1, 0, 2)
+    defect = float(np.abs(np.einsum("okl,okm->lm", ops.conj(), ops) - np.eye(dim)).max())
+    scenario = Scenario.TWO_QUBIT_VACUUM if dim == 4 else Scenario.ONE_QUBIT_VACUUM
+    return KrausSet(ops, scenario, 0.0, defect, n_ops)
 
 
 def _sender_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -330,8 +336,9 @@ def check_quadratic_reduction(seed: int = 15) -> CheckResult:
     four one-excitation amplitudes while the Kraus sets read every pair
     row; on long-range and ZZ chains both read the same rows, so there this
     pins the row arithmetic (leak terms from unitarity, the two-qubit trace
-    sums) against the explicit reductions.  The vacuum closed form reads
-    its amplitude from the full propagator instead.
+    sums) against the explicit reductions, which read the Pauli transfer
+    matrix and share no arithmetic with the laws.  The vacuum closed form
+    reads its amplitude from the full propagator instead.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -358,7 +365,7 @@ def check_quadratic_reduction(seed: int = 15) -> CheckResult:
                 abs(float(law.mean[0]) - reduced.mean()),
             )
     return CheckResult(
-        "fidelity_law_rows_vs_kraus", worst <= 1e-9, worst,
+        "fidelity_law_rows_vs_kraus", worst <= 1e-12, worst,
         "all scenarios + vacuum closed form, chains of three kinds, N in {6, 9}",
     )
 
@@ -366,33 +373,78 @@ def check_quadratic_reduction(seed: int = 15) -> CheckResult:
 def check_bloch_map(seed: int = 20) -> CheckResult:
     """Pauli-transfer-matrix fidelities vs :func:`fidelity_many` on states.
 
-    One-qubit Monte Carlo evaluates each sample as the quadratic form
-    1/2 r~^T R r~ of the channel's Pauli transfer matrix
-    (:func:`~spintransfer.sampling.bloch_fidelities`).  Here the same draws
-    of (x, phi) also become state vectors for the Kraus-side reference.
-    Covers both one-qubit scenarios on random chains with nearest-neighbour,
-    long-range and ZZ couplings, and random isometries C^2 -> C^2 (x) C^k,
-    which are not phase covariant; ``BLOCH_MAP_INPUTS`` inputs each.
+    One-qubit Monte Carlo evaluates each sample as 1/2 r~^T R r~
+    (:func:`~spintransfer.sampling.bloch_fidelities`); here the same (x,
+    phi) also become state vectors.  Two-qubit sets compare r~^T R r~ / 4,
+    r~_i = <psi|P_i|psi>, on Haar states, which pins the whole 16 x 16 R.
+    Covers every scenario on random chains with nearest-neighbour,
+    long-range and ZZ couplings, and random isometries C^d -> C^d (x) C^k
+    (d = 2, 4); ``BLOCH_MAP_INPUTS`` inputs each.
     """
     rng = np.random.default_rng(seed)
     kraus_sets = []
     for kind in ("nearest", "long_range", "zz"):
         spec = random_spec(rng, 7, kind)
         t = float(rng.uniform(1.0, 8.0))
-        for scenario in (Scenario.ONE_QUBIT_VACUUM, Scenario.ONE_QUBIT_UNIFORM):
-            kraus_sets.append(kraus_for_scenario(spec, scenario, t))
-    kraus_sets += [random_isometry_kraus(rng, k) for k in (1, 2, 3, 5, 8)]
+        kraus_sets += [kraus_for_scenario(spec, scenario, t) for scenario in Scenario]
+    kraus_sets += [random_isometry_kraus(rng, k, dim) for dim in (2, 4) for k in (1, 2, 3, 5, 8)]
     worst = 0.0
     for kraus in kraus_sets:
-        x = 1.0 - 2.0 * rng.random(BLOCH_MAP_INPUTS)
-        phi = 2.0 * np.pi * rng.random(BLOCH_MAP_INPUTS)
-        form = bloch_fidelities(pauli_transfer_matrix(kraus), x, phi)
-        reference = fidelity_many(kraus, bloch_states(np.arccos(x), phi))
-        worst = max(worst, float(np.abs(form - reference).max()))
+        ptm = pauli_transfer_matrix(kraus)
+        if kraus.dim == 2:
+            x = 1.0 - 2.0 * rng.random(BLOCH_MAP_INPUTS)
+            phi = 2.0 * np.pi * rng.random(BLOCH_MAP_INPUTS)
+            states = bloch_states(np.arccos(x), phi)
+            form = bloch_fidelities(ptm, x, phi)
+        else:
+            states = sample_two_qubit_pure(rng, BLOCH_MAP_INPUTS)
+            # r~_i = <psi|P_i psi>, with the P_i psi as rows of psi P_i^T
+            paulis_psi = states @ PAULI_STRINGS[4].transpose(0, 2, 1)
+            r = np.einsum("nk,ink->ni", states.conj(), paulis_psi).real
+            form = clamp_fidelity((r @ ptm * r).sum(axis=1) / 4.0)
+        worst = max(worst, float(np.abs(form - fidelity_many(kraus, states)).max()))
     return CheckResult(
         "bloch_map_vs_kraus", worst <= 1e-12, worst,
-        f"{len(kraus_sets)} Kraus sets (chains of three kinds, random isometries), "
-        f"{BLOCH_MAP_INPUTS} inputs each",
+        f"{len(kraus_sets)} one- and two-qubit Kraus sets (chains of three kinds, "
+        f"random isometries), {BLOCH_MAP_INPUTS} inputs each",
+    )
+
+
+def check_min_fidelity_branches(seed: int = 21) -> CheckResult:
+    """The vacuum law's minimum vs :func:`min_fidelity_closed_form`, per branch.
+
+    ``result.json`` takes f_min from the law's support.  Each branch draws
+    four amplitudes r e^{i phi} clear of its edges (the vertex enters
+    [-1, 1] for r > 1/3 and |phi| beyond arccos((3 r^2 - 1) / (2 r))), set
+    at t = 1 on a two-site chain by the coupling (|a| = sin 2J) and a
+    uniform field (the phase); the closed form reads a from the propagator.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    hits = dict.fromkeys(MinBranch, 0)
+    for branch, _ in product(MinBranch, range(4)):
+        small = branch is MinBranch.POLE_SMALL_AMPLITUDE
+        r = rng.uniform(0.05, 0.3) if small else rng.uniform(0.4, 0.95)
+        bound = np.arccos(np.clip((3.0 * r * r - 1.0) / (2.0 * r), -1.0, 1.0))
+        u = rng.uniform(0.1, 0.9)
+        phi = rng.choice([-1.0, 1.0]) * {
+            MinBranch.POLE_SMALL_AMPLITUDE: u * np.pi,
+            MinBranch.POLE_PHASE: u * bound,
+            MinBranch.INTERIOR_VERTEX: bound + u * (np.pi - bound),
+        }[branch]
+        coupling = np.arcsin(r) / 2.0 * (1.0 - np.eye(2))
+        spec = ChainSpec(2, coupling, np.zeros((2, 2)), np.zeros(2))
+        amp = propagator_at(dynamics_for(spec).one, 1.0)[0, 1]
+        spec = spec.with_uniform_field((phi - np.angle(amp)) / 2.0)
+        amp = propagator_at(dynamics_for(spec).one, 1.0)[0, 1]
+        closed = min_fidelity_closed_form(abs(amp), float(np.angle(amp)))
+        law = fidelity_law(spec, Scenario.ONE_QUBIT_VACUUM, [1.0])
+        worst = max(worst, abs(law.pdf().support[0] - closed.f_min))
+        hits[branch] += closed.branch is branch
+    return CheckResult(
+        "min_fidelity_branches", all(hits.values()) and worst <= 1e-12, worst,
+        ", ".join(f"{branch.value}: {count}" for branch, count in hits.items())
+        + " cases on two-site chains",
     )
 
 
@@ -409,7 +461,7 @@ def check_pdf_normalization(seed: int = 16) -> CheckResult:
 
 
 def check_two_qubit_twirl(seed: int = 17) -> CheckResult:
-    """Trace-formula local-unitary average vs explicit Clifford 2-design."""
+    """Pauli-transfer-matrix twirl vs the explicit Clifford 2-design (576 pairs)."""
     rng = np.random.default_rng(seed)
     group = np.asarray(_clifford_group_su2())
     worst = 0.0
@@ -475,6 +527,7 @@ def run_certification(n_max: int = 10) -> dict:
         *check_channels_against_oracle(n_max),
         check_quadratic_reduction(),
         check_bloch_map(),
+        check_min_fidelity_branches(),
         check_pdf_normalization(),
         check_two_qubit_twirl(),
     ]

@@ -239,25 +239,30 @@ _PAULI = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
     dtype=complex,
 )
+# Pauli strings by dimension: s_0..s_3, and P_(4a+b) = s_a (x) s_b for two qubits
+PAULI_STRINGS = {2: _PAULI, 4: np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)}
 
 
 def pauli_transfer_matrix(kraus: KrausSet) -> np.ndarray:
-    """Real 4x4 matrix ``R_ij = 1/2 sum_k tr(s_i E_k s_j E_k^+)`` of a qubit channel.
+    """Real d^2 x d^2 matrix ``R_ij = 1/d sum_k tr(P_i E_k P_j E_k^+)`` of a
+    one- or two-qubit channel.
 
-    Here s_0 = I and s_1..3 are the Pauli matrices, so R is the channel's
+    Here P_i are the ``PAULI_STRINGS`` (P_0 = I); for one qubit R is the
     affine action on Bloch vectors (Nielsen & Chuang 8.3.2).  A pure input
-    with Bloch vector r transfers with fidelity ``1/2 r~^T R r~``, r~ =
-    (1, r), for any Kraus set: neither trace preservation nor azimuth
-    independence is assumed.
+    psi with r~_i = <psi|P_i|psi> transfers with fidelity ``1/d r~^T R r~``
+    for any Kraus set: neither trace preservation nor azimuth independence
+    is assumed.  Both Kraus-side reductions read R.
     """
-    if kraus.dim != 2:
+    d = kraus.dim
+    if d not in PAULI_STRINGS:
         raise ParameterError(
-            f"the Pauli transfer matrix is defined for one-qubit channels, got dimension {kraus.dim}"
+            f"the Pauli transfer matrix needs a one- or two-qubit channel, got dimension {d}"
         )
-    ops = kraus.operators.reshape(len(kraus), 4)
-    # gram[(b, c), (a, d)] = sum_k E_k[b, c] conj(E_k[a, d])
-    gram = (ops.T @ ops.conj()).reshape(2, 2, 2, 2)
-    return 0.5 * np.einsum("iab,jcd,bcad->ij", _PAULI, _PAULI, gram).real
+    paulis = PAULI_STRINGS[d]
+    ops = kraus.operators.reshape(len(kraus), d * d)
+    # gram[(b, c), (a, e)] = sum_k E_k[b, c] conj(E_k[a, e])
+    gram = (ops.T @ ops.conj()).reshape(d, d, d, d)
+    return np.einsum("iab,jce,bcae->ij", paulis, paulis, gram).real / d
 
 
 def fidelity_many(kraus: KrausSet, states: np.ndarray) -> np.ndarray:

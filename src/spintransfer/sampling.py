@@ -14,7 +14,8 @@ number of Kraus operators.  The form holds for any Kraus set, so the
 Monte Carlo histogram stays an independent check on the row-based laws,
 which assume azimuth independence.  :func:`~spintransfer.channel.fidelity_many`
 stays the state-vector reference that certification and the tests compare
-the form against.
+the form against.  Two-qubit Monte Carlo reads the 16 x 16 matrix through
+:func:`~spintransfer.analytics.affine_from_kraus`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausSet, Scenario, clamp_fidelity, fidelity_many, pauli_transfer_matrix
+from .analytics import affine_from_kraus
+from .channel import KrausSet, Scenario, clamp_fidelity, pauli_transfer_matrix
 from .errors import ParameterError
 
 MC_BATCH = 32768
@@ -79,37 +81,6 @@ class Histogram:
             self.counts + other.counts,
             self.n_samples + other.n_samples,
         )
-
-
-def sample_bloch(stream: RandomStream | np.random.Generator, size: int | None = None):
-    """Angles (theta, phi) of states uniform on the Bloch sphere.
-
-    theta = arccos(1 - 2u) has density sin(theta)/2; phi is uniform on
-    [0, 2 pi).  Returns scalars for ``size=None``, else arrays.
-    """
-    rng = stream.generator() if isinstance(stream, RandomStream) else stream
-    n = 1 if size is None else int(size)
-    theta = np.arccos(1.0 - 2.0 * rng.random(n))
-    phi = 2.0 * np.pi * rng.random(n)
-    if size is None:
-        return float(theta[0]), float(phi[0])
-    return theta, phi
-
-
-def sample_haar_unitary_2(
-    stream: RandomStream | np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Haar-distributed 2x2 unitaries via QR of complex Gaussians.
-
-    The R-phase normalization makes the distribution exactly left invariant.
-    """
-    rng = stream.generator() if isinstance(stream, RandomStream) else stream
-    n = 1 if size is None else int(size)
-    z = (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("nii->ni", r)
-    u = q * (diag / np.abs(diag))[:, None, :]
-    return u[0] if size is None else u
 
 
 def sample_two_qubit_pure(
@@ -202,14 +173,15 @@ def mc_fidelity_histogram(
     """Histogram of transfer fidelities over the scenario's input ensemble.
 
     One-qubit scenarios draw Bloch-uniform pure inputs, x = cos(theta) =
-    1 - 2u and then phi = 2 pi u' per batch of ``MC_BATCH`` (the uniforms
-    :func:`sample_bloch` reads), and evaluate each fidelity as the quadratic
-    form of the channel's Pauli transfer matrix (:func:`bloch_fidelities`),
-    built once per call.  The two-qubit scenario draws Haar-random
-    two-qubit states and bins the local-unitary-averaged fidelity at each
-    state's concurrence (the quantity whose analytic distribution the
-    two-qubit reduction describes); the per-state average is the exact
-    channel twirl, not a nested Monte Carlo.  Samples outside the edges are
+    1 - 2u and then phi = 2 pi u' per batch of ``MC_BATCH``, and evaluate
+    each fidelity as the quadratic form of the channel's Pauli transfer
+    matrix (:func:`bloch_fidelities`), built once per call.  The two-qubit
+    scenario draws Haar-random two-qubit states and bins the
+    local-unitary-averaged fidelity A - B C^2 at each state's concurrence,
+    with (A, B) from :func:`~spintransfer.analytics.affine_from_kraus`: the
+    exact twirl of the Pauli transfer matrix, which shares no arithmetic
+    with the row law (the twirled 16-term form per sample would give the
+    same value at 16 times the cost).  Samples outside the edges are
     clipped into the end bins so the counts always total ``n``.
     """
     if n < 1:
@@ -219,8 +191,6 @@ def mc_fidelity_histogram(
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     two_qubit = kraus.scenario is Scenario.TWO_QUBIT_VACUUM
     if two_qubit:
-        from .analytics import affine_from_kraus
-
         affine = affine_from_kraus(kraus)
     else:
         ptm = pauli_transfer_matrix(kraus)
@@ -239,40 +209,6 @@ def mc_fidelity_histogram(
         counts += hist
         done += batch
     return Histogram(edges, counts, n)
-
-
-def mc_local_unitary_fidelity(
-    kraus: KrausSet,
-    concurrence_value: float,
-    n: int,
-    stream: RandomStream,
-) -> tuple[float, float]:
-    """Monte Carlo local-unitary average of the two-qubit fidelity.
-
-    Applies independent Haar unitaries to each receiver-bound qubit of the
-    Schmidt-form state at the given concurrence and returns (mean, stderr).
-    """
-    if kraus.scenario is not Scenario.TWO_QUBIT_VACUUM:
-        raise ParameterError("local-unitary averaging needs a two-qubit channel")
-    if n < 2:
-        raise ParameterError(f"sample count must be >= 2, got {n}")
-    base = schmidt_state(concurrence_value).reshape(2, 2)
-    rng = stream.generator()
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n:
-        batch = min(MC_BATCH, n - done)
-        u1 = sample_haar_unitary_2(rng, batch)
-        u2 = sample_haar_unitary_2(rng, batch)
-        states = np.einsum("nab,ncd,bd->nac", u1, u2, base).reshape(batch, 4)
-        values = fidelity_many(kraus, states)
-        total += float(values.sum())
-        total_sq += float((values**2).sum())
-        done += batch
-    mean = total / n
-    var = max(0.0, total_sq / n - mean * mean) * n / (n - 1)
-    return mean, float(np.sqrt(var / n))
 
 
 def ks_distance(samples, pdf) -> float:

@@ -4,8 +4,9 @@ from hypothesis import settings
 
 from spintransfer.analytics import FidelityLaw, TwoQubitAffine
 from spintransfer.chain import ChainSpec
-from spintransfer.channel import Scenario
+from spintransfer.channel import KrausSet, Scenario, fidelity_many
 from spintransfer.errors import ParameterError
+from spintransfer.sampling import MC_BATCH, RandomStream, schmidt_state
 
 # Property tests draw a fixed example sequence, so failures reproduce and
 # the suite's run time stays flat.
@@ -57,6 +58,72 @@ def one_row_law(law) -> FidelityLaw:
     return FidelityLaw(
         Scenario.ONE_QUBIT_VACUUM, np.array([[law.a, law.b, law.c]]), np.array([law.mean()])
     )
+
+
+def sample_bloch(stream: RandomStream | np.random.Generator, size: int | None = None):
+    """Angles (theta, phi) of states uniform on the Bloch sphere.
+
+    theta = arccos(1 - 2u) has density sin(theta)/2; phi is uniform on
+    [0, 2 pi).  Returns scalars for ``size=None``, else arrays.
+    """
+    rng = stream.generator() if isinstance(stream, RandomStream) else stream
+    n = 1 if size is None else int(size)
+    theta = np.arccos(1.0 - 2.0 * rng.random(n))
+    phi = 2.0 * np.pi * rng.random(n)
+    if size is None:
+        return float(theta[0]), float(phi[0])
+    return theta, phi
+
+
+def sample_haar_unitary_2(
+    stream: RandomStream | np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """Haar-distributed 2x2 unitaries via QR of complex Gaussians.
+
+    The R-phase normalization makes the distribution exactly left invariant.
+    """
+    rng = stream.generator() if isinstance(stream, RandomStream) else stream
+    n = 1 if size is None else int(size)
+    z = (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.einsum("nii->ni", r)
+    u = q * (diag / np.abs(diag))[:, None, :]
+    return u[0] if size is None else u
+
+
+def mc_local_unitary_fidelity(
+    kraus: KrausSet,
+    concurrence_value: float,
+    n: int,
+    stream: RandomStream,
+) -> tuple[float, float]:
+    """Monte Carlo local-unitary average of the two-qubit fidelity.
+
+    Applies independent Haar unitaries to each receiver-bound qubit of the
+    Schmidt-form state at the given concurrence and returns (mean, stderr):
+    the sampled reference for the exact twirl of ``affine_from_kraus``.
+    """
+    if kraus.scenario is not Scenario.TWO_QUBIT_VACUUM:
+        raise ParameterError("local-unitary averaging needs a two-qubit channel")
+    if n < 2:
+        raise ParameterError(f"sample count must be >= 2, got {n}")
+    base = schmidt_state(concurrence_value).reshape(2, 2)
+    rng = stream.generator()
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < n:
+        batch = min(MC_BATCH, n - done)
+        u1 = sample_haar_unitary_2(rng, batch)
+        u2 = sample_haar_unitary_2(rng, batch)
+        states = np.einsum("nab,ncd,bd->nac", u1, u2, base).reshape(batch, 4)
+        values = fidelity_many(kraus, states)
+        total += float(values.sum())
+        total_sq += float((values**2).sum())
+        done += batch
+    mean = total / n
+    var = max(0.0, total_sq / n - mean * mean) * n / (n - 1)
+    return mean, float(np.sqrt(var / n))
 
 
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:

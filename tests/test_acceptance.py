@@ -37,11 +37,10 @@ from spintransfer.sampling import (
     bloch_states,
     concurrence,
     ks_distance,
-    sample_bloch,
     sample_two_qubit_pure,
 )
 
-from conftest import avg_fidelity_one_qubit_vacuum, make_random_chain
+from conftest import avg_fidelity_one_qubit_vacuum, make_random_chain, sample_bloch
 
 MC_SAMPLES = 1_000_000
 TARGET = 0.99

@@ -7,8 +7,10 @@ from scipy.integrate import quad
 from conftest import (
     avg_fidelity_one_qubit_vacuum,
     make_random_chain,
+    mc_local_unitary_fidelity,
     one_row_law,
     random_state,
+    sample_haar_unitary_2,
     seeded_chain,
 )
 from spintransfer.analytics import (
@@ -29,10 +31,11 @@ from spintransfer.analytics import (
     vacuum_quadratic,
 )
 from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
-from spintransfer.channel import Scenario, kraus_for_scenario
+from spintransfer.certify import _clifford_group_su2, random_isometry_kraus
+from spintransfer.channel import Scenario, fidelity_many, kraus_for_scenario
 from spintransfer.dynamics import dynamics_for, propagator_at
 from spintransfer.errors import ModelError, ParameterError, RangeError
-from spintransfer.sampling import RandomStream, mc_local_unitary_fidelity
+from spintransfer.sampling import RandomStream, schmidt_state
 
 
 def test_vacuum_quadratic_closed_form(rng):
@@ -237,11 +240,29 @@ def test_two_qubit_affine_at_zero(rng):
         assert abs(mean - affine.evaluate(conc)) <= 3.0 * max(err, 1e-12)
 
 
-def test_schmidt_sign_is_immaterial(rng):
-    from spintransfer.sampling import schmidt_state
-    from spintransfer.channel import fidelity_many, KrausSet
-    from spintransfer.sampling import sample_haar_unitary_2
+CLIFFORD = np.asarray(_clifford_group_su2())
 
+
+@given(st.integers(1, 8), st.integers(0, 2**31 - 1))
+def test_affine_from_kraus_matches_trace_sums_and_clifford_twirl(n_ops, seed):
+    # the Pauli-transfer-matrix reading vs the trace-sum formula, written out
+    # here, and vs the exact average over all 576 local Clifford pairs
+    kraus = random_isometry_kraus(np.random.default_rng(seed), n_ops, dim=4)
+    affine = affine_from_kraus(kraus)
+    ops = kraus.operators.reshape(-1, 2, 2, 2, 2)
+    t1 = np.sum(np.abs(np.einsum("oijij->o", ops)) ** 2)  # |tr E|^2
+    t2 = np.sum(np.abs(ops) ** 2)  # ||E||_F^2
+    t3 = np.sum(np.abs(np.einsum("oiaja->oij", ops)) ** 2)  # ||tr_2 E||_F^2
+    t4 = np.sum(np.abs(np.einsum("oaiaj->oij", ops)) ** 2)  # ||tr_1 E||_F^2
+    assert abs(affine.A - (t1 + t2 + t3 + t4) / 36.0) <= 1e-13
+    assert abs(affine.B - (-2.0 * (t1 + t2) + 2.5 * (t3 + t4)) / 36.0) <= 1e-13
+    for conc in (0.0, 0.5, 1.0):
+        base = schmidt_state(conc).reshape(2, 2)
+        states = np.einsum("mab,ncd,bd->mnac", CLIFFORD, CLIFFORD, base).reshape(-1, 4)
+        assert abs(fidelity_many(kraus, states).mean() - affine.evaluate(conc)) <= 1e-13
+
+
+def test_schmidt_sign_is_immaterial(rng):
     spec = make_random_chain(rng, 6)
     kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 1.4)
     n = 30_000

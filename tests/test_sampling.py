@@ -3,9 +3,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_random_chain, one_row_law
+from conftest import (
+    make_random_chain,
+    mc_local_unitary_fidelity,
+    one_row_law,
+    sample_bloch,
+    sample_haar_unitary_2,
+)
+from spintransfer import analytics
 from spintransfer.analytics import (
     affine_from_kraus,
+    fidelity_law,
     quadratic_reduce_one_qubit,
     vacuum_quadratic,
 )
@@ -29,9 +37,6 @@ from spintransfer.sampling import (
     default_bin_edges,
     ks_distance,
     mc_fidelity_histogram,
-    mc_local_unitary_fidelity,
-    sample_bloch,
-    sample_haar_unitary_2,
     sample_two_qubit_pure,
     schmidt_state,
 )
@@ -197,10 +202,27 @@ def test_bloch_map_matches_kraus_on_random_isometries(n_ops, seed):
     assert np.abs(form - reference).max() <= 1e-13
 
 
-def test_pauli_transfer_matrix_rejects_two_qubit_sets(rng):
-    spec = make_random_chain(rng, 6)
+def test_pauli_transfer_matrix_rejects_dimension_three():
+    qutrit = KrausSet(np.eye(3, dtype=complex)[None], Scenario.ONE_QUBIT_VACUUM, 0.0, 0.0, 1)
     with pytest.raises(ParameterError):
-        pauli_transfer_matrix(kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 1.3))
+        pauli_transfer_matrix(qutrit)
+
+
+def test_kraus_side_reads_no_trace_sums(monkeypatch, rng):
+    # the reductions and the two-qubit Monte Carlo read the Pauli transfer
+    # matrix, not the trace-sum coefficients of the two-qubit row law
+    def fail(*args):
+        raise AssertionError("_affine_from_traces was called")
+
+    monkeypatch.setattr(analytics, "_affine_from_traces", fail)
+    spec = make_random_chain(rng, 6)
+    with pytest.raises(AssertionError):
+        fidelity_law(spec, Scenario.TWO_QUBIT_VACUUM, [2.7])  # the patch is live
+    kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 2.7)
+    affine_from_kraus(kraus)
+    quadratic_reduce_one_qubit(kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, 2.7))
+    hist = mc_fidelity_histogram(kraus, 1000, np.linspace(0.0, 1.0, 51), RandomStream(3))
+    assert hist.n_samples == 1000
 
 
 @pytest.mark.parametrize(
