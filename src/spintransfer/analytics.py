@@ -18,8 +18,9 @@ pair-sector rows of :func:`~spintransfer.dynamics.pair_rows`.
 Each law is its own distribution: :class:`QuadraticFidelity` and
 :class:`TwoQubitAffine` carry the support, density and CDF that follow by a
 change of variables from the uniform-state input measures (x uniform on
-[-1, 1]; concurrence density 3 C sqrt(1 - C^2)).  :meth:`FidelityLaw.pdf`
-turns rows of coefficients into a distribution: a collapsed row becomes a
+[-1, 1]; concurrence density 3 C sqrt(1 - C^2)).  :class:`FidelityLaw`
+derives every statistic from rows of coefficients: its mean from the input
+moments, and its distribution: a row at most ``COLLAPSE_WIDTH`` wide becomes a
 :class:`PointMass` at its mean, and several rows (read-out jitter) an
 equal-weight :class:`Mixture`.
 
@@ -45,7 +46,7 @@ from .dynamics import ChainDynamics, dynamics_for, is_free_fermion, pair_rows, p
 from .errors import ModelError, ParameterError, RangeError
 
 PHI_INDEPENDENCE_TOL = 1e-10
-DELTA_COEFF_TOL = 1e-12
+COLLAPSE_WIDTH = 1e-11
 TIME_CHUNK = 16384
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 TARGET_WALK_STEP = 1e-4
@@ -124,9 +125,9 @@ class QuadraticFidelity(_Distribution):
     distribution under x uniform on [-1, 1].
 
     Each value F with real preimages in [-1, 1] receives density
-    ``1 / (2 sqrt(disc(F)))`` per preimage; a = 0 gives the uniform image of
-    an affine map.  A constant law (a = b = 0) has no density here:
-    :meth:`FidelityLaw.pdf` gives it as a :class:`PointMass`.
+    ``1 / (2 sqrt(disc(F)))`` per preimage, the stable roots for every a (a = 0
+    gives the uniform image of an affine map).  A law at most ``COLLAPSE_WIDTH``
+    wide has no density here: :meth:`FidelityLaw.pdf` gives a :class:`PointMass`.
     """
 
     a: float
@@ -175,8 +176,9 @@ class QuadraticFidelity(_Distribution):
         return left, right
 
     def _roots(self, f):
-        """Stable roots of a x^2 + b x + (c - f) = 0 for array f."""
-        a, b, c = self.a, self.b, self.c
+        """Stable roots of a x^2 + b x + (c - f) = 0 for array f; at a = 0
+        (or -0.0) the first is -sign(b) inf and the second (f - c) / b."""
+        a, b, c = self.a + 0.0, self.b, self.c
         disc = b * b - 4.0 * a * (c - f)
         valid = disc >= 0.0
         sqrt_disc = np.sqrt(np.where(valid, disc, 0.0))
@@ -191,13 +193,8 @@ class QuadraticFidelity(_Distribution):
         return r1, r2, disc, valid
 
     def density(self, f):
-        a, b = self.a, self.b
         scalar = np.ndim(f) == 0
         f = np.atleast_1d(np.asarray(f, dtype=float))
-        if a == 0.0:
-            lo, hi = self.support
-            out = np.where((f >= lo) & (f <= hi), 1.0 / (2.0 * abs(b)), 0.0)
-            return float(out[0]) if scalar else out
         r1, r2, disc, valid = self._roots(f)
         with np.errstate(divide="ignore", invalid="ignore"):
             weight = np.where(valid & (disc > 0.0), 0.5 / np.sqrt(disc), np.inf)
@@ -210,29 +207,20 @@ class QuadraticFidelity(_Distribution):
         return float(out[0]) if scalar else out
 
     def cdf(self, f):
-        a, b, c = self.a, self.b, self.c
         scalar = np.ndim(f) == 0
         f = np.atleast_1d(np.asarray(f, dtype=float))
-        if a == 0.0:
-            # affine image of the uniform variable
-            x = (f - c) / b
-            if b >= 0.0:
-                frac = np.clip((x + 1.0) / 2.0, 0.0, 1.0)
-            else:
-                frac = np.clip((1.0 - x) / 2.0, 0.0, 1.0)
-            out = frac
+        r1, r2, disc, valid = self._roots(f)
+        lo_root = np.minimum(r1, r2)
+        hi_root = np.maximum(r1, r2)
+        inter = np.clip(np.minimum(hi_root, 1.0) - np.maximum(lo_root, -1.0), 0.0, 2.0)
+        if self.a >= 0.0:
+            # sublevel set is between the roots (empty when disc < 0); at
+            # a = 0 the far root is infinite and the set is a half-line
+            measure = np.where(valid, inter, 0.0)
         else:
-            r1, r2, disc, valid = self._roots(f)
-            lo_root = np.minimum(r1, r2)
-            hi_root = np.maximum(r1, r2)
-            inter = np.clip(np.minimum(hi_root, 1.0) - np.maximum(lo_root, -1.0), 0.0, 2.0)
-            if a > 0.0:
-                # sublevel set is between the roots (empty when disc < 0)
-                measure = np.where(valid, inter, 0.0)
-            else:
-                # sublevel set is outside the roots (everything when disc < 0)
-                measure = np.where(valid, 2.0 - inter, 2.0)
-            out = measure / 2.0
+            # sublevel set is outside the roots (everything when disc < 0)
+            measure = np.where(valid, 2.0 - inter, 2.0)
+        out = measure / 2.0
         lo, hi = self.support
         out = np.where(f < lo, 0.0, out)
         out = np.where(f >= hi, 1.0, out)
@@ -345,8 +333,8 @@ class TwoQubitAffine(_Distribution):
     distribution under the concurrence law pdf(C) = 3C sqrt(1-C^2).
 
     The change of variables gives density ``(3 / (2|B|)) sqrt(1 - (A-F)/B)``
-    between A and A - B; for B = 0, :meth:`FidelityLaw.pdf` gives a
-    :class:`PointMass`.
+    between A and A - B; for |B| at most ``COLLAPSE_WIDTH``,
+    :meth:`FidelityLaw.pdf` gives a :class:`PointMass`.
     """
 
     A: float
@@ -482,37 +470,36 @@ class FidelityLaw:
 
     Row k of ``coefficients`` is the law at the k-th time: (a, b, c) of
     ``F(x) = a x^2 + b x + c`` for one qubit, (A, B) of ``F(C) = A - B C^2``
-    for two qubits.  ``mean`` is each law's average over uniformly random
-    inputs, evaluated from the same amplitude rows in the closed form of
-    the average (equal to the coefficients' mean up to rounding); the
-    tuning scans maximize it.
+    for two qubits.  Every statistic is derived from these rows.
     """
 
     scenario: Scenario
     coefficients: np.ndarray
-    mean: np.ndarray
+
+    @property
+    def mean(self) -> np.ndarray:
+        """Each row's average over uniform inputs from the input moments,
+        a / 3 + c (<x^2> = 1/3) or A - 0.4 B (<C^2> = 2/5): the rows'
+        distributions' ``mean`` to the last bit.  Tuning maximizes it."""
+        rows = self.coefficients
+        if self.scenario is Scenario.TWO_QUBIT_VACUUM:
+            return rows[:, 0] - 0.4 * rows[:, 1]
+        return rows[:, 0] / 3.0 + rows[:, 2]
 
     def pdf(self) -> _Distribution:
         """Fidelity distribution of the law; several rows mix with equal weight.
 
-        A row whose a and b (one qubit) or B (two qubits) vanish collapses
-        to a point mass, which sits at the row's mean so that the mean and
-        the support reported for it agree to the last bit (the coefficients'
-        c alone can differ from the mean by rounding).  A row whose a alone
-        vanishes is the uniform law of its linear part.
+        A row whose support is at most ``COLLAPSE_WIDTH`` wide is a
+        :class:`PointMass` at its mean, any other row its own law.  Fidelities
+        lie in [0, 1], so the width is absolute: 1e-11 is 4.5e4 to 1.8e5 ulps
+        for F in [0.25, 1].
         """
+        form = TwoQubitAffine if self.scenario is Scenario.TWO_QUBIT_VACUUM else QuadraticFidelity
         parts = []
-        for row, mean in zip(self.coefficients, self.mean):
-            row = [float(v) for v in row]
-            if self.scenario is Scenario.TWO_QUBIT_VACUUM:
-                law = TwoQubitAffine(*row)
-                collapsed = abs(law.B) <= 1e-13
-            else:
-                law = QuadraticFidelity(*row)
-                if abs(law.a) <= DELTA_COEFF_TOL:
-                    law = QuadraticFidelity(0.0, law.b, law.c)
-                collapsed = law.a == 0.0 and abs(law.b) <= DELTA_COEFF_TOL
-            parts.append(PointMass(float(mean)) if collapsed else law)
+        for row in self.coefficients:
+            law = form(*(float(v) for v in row))
+            lo, hi = law.support
+            parts.append(PointMass(law.mean()) if hi - lo <= COLLAPSE_WIDTH else law)
         return parts[0] if len(parts) == 1 else Mixture(tuple(parts))
 
 
@@ -528,7 +515,7 @@ def fidelity_law(
     free-fermion chain (:func:`is_free_fermion`) the occupied-channel law
     needs only a = a_1^N and S = sum_{j=2}^{N-1} a_j^N:
     (a, b, c) = ((|a|^2 + Re a) / 2, (1 - |a|^2) / 2 - |S|^2 / (N - 2),
-    (1 - Re a) / 2) with mean 1/3 + |1 - a|^2 / 6, and the two-qubit law
+    (1 - Re a) / 2), and the two-qubit law
     the four amplitudes of :func:`_two_qubit_law`; neither reads a pair
     row.  On other chains the uniform law sums the one- and two-excitation
     rows out of the occupied sites 2..N-1 (the latter from
@@ -556,7 +543,6 @@ def fidelity_law(
         r2 = np.abs(amp) ** 2
         re = np.abs(amp) if phase_corrected else amp.real
         coefficients = ((r2 - re) / 2.0, (1.0 - r2) / 2.0, (1.0 + re) / 2.0)
-        mean = 0.5 + re / 3.0 + r2 / 6.0
     elif scenario is Scenario.ONE_QUBIT_UNIFORM and is_free_fermion(spec):
         # a = a_1^N and S = sum_{j=2}^{N-1} a_j^N; row orthonormality
         # collapses the sums over the receiver-free sites of the row law
@@ -568,7 +554,6 @@ def fidelity_law(
             (1.0 - r2) / 2.0 - np.abs(summed) ** 2 / (n - 2),
             (1.0 - amp.real) / 2.0,
         )
-        mean = 1.0 / 3.0 + np.abs(1.0 - amp) ** 2 / 6.0
     elif scenario is Scenario.ONE_QUBIT_UNIFORM:
         # Kraus diagonals (alpha_k, beta_k), k = 1..N-1, unnormalized by
         # the sqrt(N - 2) of the initial state
@@ -587,12 +572,10 @@ def fidelity_law(
             weight * excess / 2.0,
             (weight * plus + off) / 4.0,
         )
-        mean = 1.0 / 3.0 + plus / (6.0 * (n - 2))
     else:
         a_val, b_val = _two_qubit_law(dyn, times, phase_corrected)
         coefficients = (a_val, b_val)
-        mean = a_val - 0.4 * b_val
-    return FidelityLaw(scenario, np.stack(coefficients, axis=-1), mean)
+    return FidelityLaw(scenario, np.stack(coefficients, axis=-1))
 
 
 def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool = False):

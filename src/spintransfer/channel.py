@@ -251,18 +251,19 @@ def pauli_transfer_matrix(kraus: KrausSet) -> np.ndarray:
     affine action on Bloch vectors (Nielsen & Chuang 8.3.2).  A pure input
     psi with r~_i = <psi|P_i|psi> transfers with fidelity ``1/d r~^T R r~``
     for any Kraus set: neither trace preservation nor azimuth independence
-    is assumed.  Both Kraus-side reductions read R.
+    is assumed.  Both Kraus-side reductions read R.  Summed over k, the trace
+    is sum P_i[a, b] G[b, c, a, e] P_j[c, e] with G = sum_k E_k[b, c] conj(E_k[a, e]):
+    two matrix products with the Gram matrix G regrouped as [(a, b), (c, e)].
     """
     d = kraus.dim
     if d not in PAULI_STRINGS:
         raise ParameterError(
             f"the Pauli transfer matrix needs a one- or two-qubit channel, got dimension {d}"
         )
-    paulis = PAULI_STRINGS[d]
+    paulis = PAULI_STRINGS[d].reshape(d * d, d * d)
     ops = kraus.operators.reshape(len(kraus), d * d)
-    # gram[(b, c), (a, e)] = sum_k E_k[b, c] conj(E_k[a, e])
-    gram = (ops.T @ ops.conj()).reshape(d, d, d, d)
-    return np.einsum("iab,jce,bcae->ij", paulis, paulis, gram).real / d
+    gram = (ops.T @ ops.conj()).reshape(d, d, d, d).transpose(2, 0, 1, 3).reshape(d * d, d * d)
+    return (paulis @ gram @ paulis.T).real / d
 
 
 def fidelity_many(kraus: KrausSet, states: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ configuration and seed give byte-identical output files; wall-clock timing
 is printed to stdout only, never written into them.
 
 Exit codes: 0 success, 2 parameter error, 3 unreachable target average,
-4 certification failure, 5 numeric failure.
+4 certification failure (a failed ``certify`` check, or a ``pdf`` whose
+Monte Carlo KS distance exceeds its DKW bound), 5 numeric failure.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ DEFAULT_TIMING_FRACTION = 0.02
 JITTER_MIX_NODES = 41
 PDF_CURVE_CELLS = 2001
 PDF_CURVE_PAD_CELLS = 4
+# false-alarm probability of the pdf's KS gate (Dvoretzky-Kiefer-Wolfowitz)
+KS_GATE_ALPHA = 1e-9
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -398,14 +401,15 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
     """Analytic pdf + optional MC histogram at the resolved read-out times.
 
     The law and the Monte Carlo run read one list of times: the planned
-    read-out, or the jitter nodes around the optimum.
+    read-out, or the jitter nodes around the optimum.  With every file
+    written, a KS distance above the DKW bound of the samples fails the run.
     """
     started = time.perf_counter()
     plan = _resolve_plan(config)
     times = _jitter_times(plan, config) if config.jitter else [plan.t_read]
     law = fidelity_law(plan.spec, plan.scenario, times)
     pdf = law.pdf()
-    # the closed-form mean that tuning and the target bisection evaluate
+    # the rows' mean, which tuning and the target bisection evaluate
     avg = float(law.mean.mean())
 
     os.makedirs(config.output_dir, exist_ok=True)
@@ -435,6 +439,13 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
         f"t_read={plan.t_read:.9g} <F>={avg:.9f} support=[{pdf.support[0]:.9f}, "
         f"{pdf.support[1]:.9f}] ks={ks_text} [{elapsed:.2f}s]"
     )
+    if ks is not None:
+        bound = float(np.sqrt(np.log(2.0 / KS_GATE_ALPHA) / (2.0 * config.mc_samples)))
+        if ks > bound:
+            raise CertificationError(
+                f"Monte Carlo KS distance {ks:.3e} exceeds the DKW bound {bound:.3e} "
+                f"of {config.mc_samples} samples"
+            )
     return record
 
 

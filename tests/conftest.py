@@ -50,14 +50,10 @@ def avg_fidelity_one_qubit_vacuum(r: float, phi: float) -> float:
 
 
 def one_row_law(law) -> FidelityLaw:
-    """The one-row FidelityLaw of a quadratic or affine law, at the law's mean."""
+    """The one-row FidelityLaw of a quadratic or affine law."""
     if isinstance(law, TwoQubitAffine):
-        return FidelityLaw(
-            Scenario.TWO_QUBIT_VACUUM, np.array([[law.A, law.B]]), np.array([law.mean()])
-        )
-    return FidelityLaw(
-        Scenario.ONE_QUBIT_VACUUM, np.array([[law.a, law.b, law.c]]), np.array([law.mean()])
-    )
+        return FidelityLaw(Scenario.TWO_QUBIT_VACUUM, np.array([[law.A, law.B]]))
+    return FidelityLaw(Scenario.ONE_QUBIT_VACUUM, np.array([[law.a, law.b, law.c]]))
 
 
 def sample_bloch(stream: RandomStream | np.random.Generator, size: int | None = None):

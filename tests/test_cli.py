@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from spintransfer.certify import (
     check_perfect_spectrum,
     run_certification,
 )
-from spintransfer.cli import main
+from spintransfer import analytics
+from spintransfer.cli import EXIT_CERTIFY, KS_GATE_ALPHA, main
 from spintransfer.dynamics import dynamics_for
 
 
@@ -515,5 +518,47 @@ def test_tune_and_pdf_agree_on_optimum(tmp_path):
     assert tuned["t_opt"] == planned["t_opt"]
     assert tuned["b_aux"] == planned["b_aux"]
     assert tuned["avg_fidelity"] == pytest.approx(planned["avg_fidelity"], abs=1e-15)
-    # both report the same closed-form law mean at the same read-out
+    # both report the same law mean at the same read-out
     assert tuned["avg_fidelity"] == planned["avg_fidelity"]
+
+
+WEAK_TWO_QUBIT = ["pdf", "--protocol", "weak", "--j0", "0.005", "--n-sites", "9",
+                  "--scenario", "two_qubit", "--mode", "target_avg:0.99",
+                  "--mc-samples", "100000", "--seed", "1"]
+
+
+def test_pdf_ks_gate(tmp_path, monkeypatch):
+    # the two-qubit Monte Carlo reads the Kraus set's Pauli transfer matrix,
+    # the law the trace-sum twirl: a 1% error in one twirl coefficient makes
+    # them disagree, and pdf fails with every file written
+    assert run_cli(*WEAK_TWO_QUBIT, "--out", str(tmp_path / "good")) == 0
+
+    def mutated(t1, t2, t3, t4):
+        return (t1 + t2 + t3 + t4) / 36.0, (-2.0 * (t1 + t2) + 2.525 * (t3 + t4)) / 36.0
+
+    monkeypatch.setattr(analytics, "_affine_from_traces", mutated)
+    out = tmp_path / "mutated"
+    assert run_cli(*WEAK_TWO_QUBIT, "--out", str(out)) == EXIT_CERTIFY
+    for name in ("result.json", "pdf_curve.csv", "histogram.csv"):
+        assert (out / name).exists()
+    bound = np.sqrt(np.log(2.0 / KS_GATE_ALPHA) / (2.0 * 100_000))
+    assert read_json(out / "result.json")["ks_distance"] > bound
+
+
+def test_pdf_runs_without_scipy(tmp_path):
+    # nothing under src/ needs scipy: a two-qubit pdf with Monte Carlo runs
+    # with every scipy import failing
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    script = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from spintransfer.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    argv = ["pdf", "--protocol", "weak", "--j0", "0.1", "--n-sites", "6",
+            "--scenario", "two_qubit", "--mode", "at_optimal", "--window", "0:100",
+            "--grid", "1000", "--mc-samples", "5000", "--out", str(tmp_path / "run")]
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "run" / "histogram.csv").exists()

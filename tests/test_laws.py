@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import make_random_chain, one_row_law, seeded_chain
 
 from spintransfer.analytics import (
-    DELTA_COEFF_TOL,
+    COLLAPSE_WIDTH,
     FidelityLaw,
     MinBranch,
     Mixture,
@@ -82,7 +82,7 @@ def test_row_law_matches_kraus_reduction(spec, t, scenario):
         coefficients, mean = kraus_reduction(spec, scenario, float(t_k))
         assert np.abs(law.coefficients[k] - coefficients).max() <= 1e-12
         assert abs(law.mean[k] - mean) <= 1e-12
-        row = FidelityLaw(scenario, law.coefficients[k : k + 1], law.mean[k : k + 1])
+        row = FidelityLaw(scenario, law.coefficients[k : k + 1])
         assert row.pdf().mean() == pytest.approx(mean, abs=1e-12)
 
 
@@ -274,20 +274,61 @@ def test_support_is_the_extreme_breakpoints(law):
 
 
 def row_distribution(law):
-    """What a one-row FidelityLaw of ``law`` must give: the law itself, its
-    uniform linear part when a vanishes, a point mass when it is constant."""
-    if isinstance(law, TwoQubitAffine):
-        return PointMass(law.mean()) if abs(law.B) <= 1e-13 else law
-    if abs(law.a) > DELTA_COEFF_TOL:
-        return law
-    if abs(law.b) > DELTA_COEFF_TOL:
-        return QuadraticFidelity(0.0, law.b, law.c)
-    return PointMass(law.mean())
+    """What a one-row FidelityLaw of ``law`` must give: a point mass at its
+    mean when its support is at most COLLAPSE_WIDTH wide, else the law itself."""
+    lo, hi = law.support
+    return PointMass(law.mean()) if hi - lo <= COLLAPSE_WIDTH else law
 
 
 @given(st.one_of(quadratic_laws, affine_laws))
 def test_one_row_law_is_that_rows_distribution(law):
     assert one_row_law(law).pdf() == row_distribution(law)
+
+
+@given(specs, st.floats(0.1, 12.0), st.sampled_from(list(Scenario)), st.integers(1, 5))
+def test_row_means_are_their_distributions_means(spec, t, scenario, n_rows):
+    # one rule from a row to its mean: the law's mean is the mean of the
+    # distribution the row becomes, to the last bit
+    law = fidelity_law(spec, scenario, t * np.linspace(0.9, 1.1, n_rows))
+    pdf = law.pdf()
+    parts = pdf.parts if isinstance(pdf, Mixture) else (pdf,)
+    assert len(parts) == n_rows
+    for mean, part in zip(law.mean, parts):
+        assert mean == part.mean()
+
+
+# laws narrower than COLLAPSE_WIDTH: a tiny quadratic term alone, tiny
+# quadratic and linear terms, and a seeded zz-chain two-qubit law, whose own
+# densities' normalizations read inf, 1 + 2.0e-3 and 1 - 1.1e-7
+NARROW_LAWS = [
+    QuadraticFidelity(5e-12, 0.0, 0.9),
+    QuadraticFidelity(2e-12, 3e-12, 0.9),
+    TwoQubitAffine(0.25000000001621, 9.28e-12),
+]
+
+
+@pytest.mark.parametrize("law", NARROW_LAWS, ids=["a", "ab", "zz_two_qubit"])
+def test_narrow_rows_are_point_masses(law):
+    pdf = one_row_law(law).pdf()
+    assert pdf == PointMass(law.mean())
+    assert pdf.normalization() == 1.0
+
+
+@given(
+    st.one_of(st.floats(1e-20, 1e-12), st.floats(-1e-12, -1e-20)),
+    st.one_of(st.floats(1e-3, 0.5), st.floats(-0.5, -1e-3)),
+    st.floats(0.0, 1.0),
+)
+def test_tiny_quadratic_term_is_the_linear_law(a, b, position):
+    # no a = 0 branch and no snap of a tiny a to 0: the stable roots give
+    # the linear law, off by the exact root shift of at most |a| / (2 |b|)
+    linear = QuadraticFidelity(0.0, b, abs(b) + position * (1.0 - 2.0 * abs(b)))
+    tiny = QuadraticFidelity(a, b, linear.c)
+    lo, hi = tiny.support
+    fs = np.linspace(lo, hi, 1001)
+    assert np.abs(tiny.cdf(fs) - linear.cdf(fs)).max() <= 1e-12 + abs(a) / (2.0 * abs(b))
+    # a = -0.0 is the linear law too
+    assert np.array_equal(QuadraticFidelity(-0.0, b, linear.c).cdf(fs), linear.cdf(fs))
 
 
 @given(specs, st.floats(0.1, 12.0), st.sampled_from(list(Scenario)))
@@ -302,7 +343,7 @@ def test_fidelity_law_rows_are_their_distributions(spec, t, scenario):
 def test_several_rows_mix_with_equal_weight(spec, t, scenario, n_rows):
     law = fidelity_law(spec, scenario, t * np.linspace(0.9, 1.1, n_rows))
     rows = [
-        FidelityLaw(scenario, law.coefficients[k : k + 1], law.mean[k : k + 1]).pdf()
+        FidelityLaw(scenario, law.coefficients[k : k + 1]).pdf()
         for k in range(n_rows)
     ]
     mixture = law.pdf()
