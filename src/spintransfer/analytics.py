@@ -11,9 +11,10 @@ preset; :func:`~spintransfer.dynamics.is_free_fermion`) each law is a
 closed form in at most four one-excitation amplitudes: the pair amplitudes
 are 2x2 determinants of one-excitation amplitudes (Lieb, Schultz and
 Mattis, Ann. Phys. 16, 407 (1961)), and row orthonormality sums them over
-the sites outside the receiver, so no pair row is read.  Other chains
-(long-range or ZZ couplings) take the N-wide one-excitation rows and the
-pair-sector rows of :func:`~spintransfer.dynamics.pair_rows`.
+the sites outside the receiver, so no pair row is read; the two-qubit law
+is three closed terms in the 2x2 receiver block G = a_{1,2}^{N-1,N}.
+Other chains (long-range or ZZ couplings) take the N-wide one-excitation
+rows and the pair-sector rows of :func:`~spintransfer.dynamics.pair_rows`.
 
 Each law is its own distribution: :class:`QuadraticFidelity` and
 :class:`TwoQubitAffine` carry the support, density and CDF that follow by a
@@ -222,7 +223,7 @@ class QuadraticFidelity(_Distribution):
             measure = np.where(valid, 2.0 - inter, 2.0)
         out = measure / 2.0
         lo, hi = self.support
-        out = np.where(f < lo, 0.0, out)
+        out = np.where(f <= lo, 0.0, out)
         out = np.where(f >= hi, 1.0, out)
         return float(out[0]) if scalar else out
 
@@ -382,7 +383,7 @@ class TwoQubitAffine(_Distribution):
             csq = np.clip((a_val - f) / b_val, 0.0, 1.0)
             out = np.power(1.0 - csq, 1.5)
         lo, hi = self.support
-        out = np.where(f < lo, 0.0, out)
+        out = np.where(f <= lo, 0.0, out)
         out = np.where(f >= hi, 1.0, out)
         return float(out[0]) if scalar else out
 
@@ -515,22 +516,23 @@ def fidelity_law(
     free-fermion chain (:func:`is_free_fermion`) the occupied-channel law
     needs only a = a_1^N and S = sum_{j=2}^{N-1} a_j^N:
     (a, b, c) = ((|a|^2 + Re a) / 2, (1 - |a|^2) / 2 - |S|^2 / (N - 2),
-    (1 - Re a) / 2), and the two-qubit law
-    the four amplitudes of :func:`_two_qubit_law`; neither reads a pair
-    row.  On other chains the uniform law sums the one- and two-excitation
-    rows out of the occupied sites 2..N-1 (the latter from
-    :func:`pair_rows`, i.e. the pair sector); the weight of the double
-    excitations that avoid the receiver follows from unitarity of the
-    normalized pair row.  Memory grows as len(times) times the number of
-    amplitudes read; :func:`avg_fidelity_curve` feeds long grids in chunks.
+    (1 - Re a) / 2), and the two-qubit law the trace sums |det(I + G)|^2,
+    2 |1 + g22|^2 and 2 (1 + |g11|^2) + 4 Re(g22 conj(det G)) of the 2x2
+    receiver block G (:func:`_two_qubit_law`); neither reads a pair row.
+    On other chains the uniform law sums the one- and two-excitation rows
+    out of the occupied sites 2..N-1 (the latter from :func:`pair_rows`,
+    i.e. the pair sector); the weight of the double excitations that avoid
+    the receiver follows from unitarity of the normalized pair row.  Memory
+    grows as len(times) times the number of amplitudes read;
+    :func:`avg_fidelity_curve` feeds long grids in chunks.
 
     ``phase_corrected`` evaluates the law reachable once the arrival phase
     is nulled by a uniform field: it replaces the end-to-end amplitude by
     its modulus in the vacuum scenario and rotates the two-qubit channel
     entries by the phase of the site-1 -> site-(N-1) amplitude (sector-two
-    entries by its square, exactly as a uniform field would).  The flag has
-    no effect on the uniform-channel scenario, whose law is not a function
-    of a single arrival phase.
+    entries by its square), exactly as the field of :func:`phase_null_field`
+    would.  The flag has no effect on the uniform-channel scenario, whose
+    law is not a function of a single arrival phase.
     """
     if not isinstance(scenario, Scenario):
         raise ParameterError(f"unknown scenario {scenario!r}")
@@ -589,14 +591,17 @@ def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool 
     N-1)}|^2, the sums over the sites j <= N-2 outside the receiver, with
     u = a_1^j and v = a_2^j.
 
-    On a free-fermion chain (:func:`is_free_fermion`) w = det G, and the
-    pair amplitudes b_12^{(j, N)} = u_j g22 - g12 v_j and b_12^{(j, N-1)} =
-    u_j g21 - g11 v_j make both sums quadratic forms in the u, v rows, which
-    row orthonormality gives from G: sum |u_j|^2 = 1 - |g11|^2 - |g12|^2,
-    sum |v_j|^2 = 1 - |g21|^2 - |g22|^2 and sum u_j conj(v_j) = -(g11
-    conj(g21) + g12 conj(g22)).  The law then reads the four amplitudes of G
-    and no pair row.  Otherwise it reads the N-wide u, v rows and the pair
-    rows of :func:`pair_rows` (the pair sector).
+    On a free-fermion chain (:func:`is_free_fermion`) w = det G and the
+    law reads the four amplitudes of G and no pair row: t3 = 2 |1 + g22|^2
+    and t4 = 2 (1 + |g11|^2) + 4 Re(g22 conj(w)).  The pair amplitudes are
+    2x2 determinants, so the summands are |x u_j + y v_j|^2 with (x, y) =
+    (1 + g22, -g12) and (g21, 1 - g11), and orthonormality of the u, v rows
+    over all N sites gives sum_j |x u_j + y v_j|^2 = |x|^2 + |y|^2 - |x g11
+    + y g21|^2 - |x g12 + y g22|^2.  4 Re(g22 conj(w)) is evaluated by
+    polarization, |g22 + w|^2 - |g22 - w|^2, the two squares the N-wide sums
+    carry; the product form rounds differently and moves some written
+    averages by one ulp.  Otherwise the law reads the N-wide u, v rows and
+    the pair rows of :func:`pair_rows` (the pair sector).
     """
     n = dyn.spec.n_sites
     free = is_free_fermion(dyn.spec)
@@ -610,16 +615,8 @@ def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool 
     g11, g12, g21, g22 = rows[:, 0, -2], rows[:, 0, -1], rows[:, 1, -2], rows[:, 1, -1]
     if free:
         w = g11 * g22 - g12 * g21
-        su = 1.0 - _abs2(g11) - _abs2(g12)
-        sv = 1.0 - _abs2(g21) - _abs2(g22)
-        suv = -(g11 * g21.conj() + g12 * g22.conj())
-
-        def outside(x, y):
-            # sum_{j <= N-2} |x u_j + y v_j|^2
-            return _abs2(x) * su + _abs2(y) * sv + 2.0 * (x * y.conj() * suv).real
-
-        sum_n = outside(1.0 + g22, -g12)
-        sum_m = outside(g21, 1.0 - g11)
+        t3 = 2.0 * _abs2(1.0 + g22)
+        t4 = 2.0 * (1.0 + _abs2(g11)) + _abs2(g22 + w) - _abs2(g22 - w)
     else:
         sites = range(1, n - 1)
         targets = [(n - 1, n)] + [(j, n) for j in sites] + [(j, n - 1) for j in sites]
@@ -629,9 +626,9 @@ def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool 
         w = pair[:, 0]
         sum_n = _abs2(rows[:, 0, : n - 2] + pair[:, 1 : n - 1]).sum(axis=1)
         sum_m = _abs2(rows[:, 1, : n - 2] + pair[:, n - 1 :]).sum(axis=1)
+        t3 = _abs2(1.0 + g22) + _abs2(g11 + w) + sum_n
+        t4 = _abs2(1.0 + g11) + _abs2(g22 + w) + sum_m
     t1 = _abs2(1.0 + g11 + g22 + w)
-    t3 = _abs2(1.0 + g22) + _abs2(g11 + w) + sum_n
-    t4 = _abs2(1.0 + g11) + _abs2(g22 + w) + sum_m
     return _affine_from_traces(t1, 4.0, t3, t4)
 
 
@@ -668,28 +665,21 @@ def phase_correction_applies(scenario: Scenario, aux_field: bool) -> bool:
     return aux_field and scenario is not Scenario.ONE_QUBIT_UNIFORM
 
 
-def correction_site(spec: ChainSpec, scenario: Scenario) -> int:
-    """Receiver site whose arrival phase the auxiliary field nulls."""
-    return spec.n_sites - 1 if scenario is Scenario.TWO_QUBIT_VACUUM else spec.n_sites
-
-
-def phase_null_field(spec: ChainSpec, t: float, receiver_site: int | None = None) -> float:
-    """Uniform field making the transfer amplitude real positive at ``t``.
+def phase_null_field(spec: ChainSpec, scenario: Scenario, t: float) -> float:
+    """Uniform field making the arrival amplitude of ``scenario`` real positive at ``t``.
 
     Adding a uniform field b shifts the one-excitation sector diagonal by
     -2b under the vacuum gauge, multiplying one-excitation amplitudes by
     exp(2 i b t) (and two-excitation ones by its square); the value returned
-    cancels the arrival phase of ``a_1^receiver_site`` at ``t`` and is the
-    smallest such field in magnitude.  The receiver site defaults to N
-    (single-qubit transfer); block transfer nulls the site-1 -> site-(N-1)
-    amplitude instead.
+    cancels the arrival phase at ``t`` and is the smallest such field in
+    magnitude.  Block transfer (``TWO_QUBIT_VACUUM``) nulls the phase of
+    a_1^{N-1}, the amplitude :func:`fidelity_law` rotates; single-qubit
+    transfer that of a_1^N.
     """
     if t <= 0.0 or not np.isfinite(t):
         raise ParameterError(f"phase correction needs a positive time, got {t}")
     dyn = dynamics_for(spec)
-    site = spec.n_sites if receiver_site is None else int(receiver_site)
-    if not 1 <= site <= spec.n_sites:
-        raise ParameterError(f"receiver_site {site} outside 1..{spec.n_sites}")
+    site = spec.n_sites - 1 if scenario is Scenario.TWO_QUBIT_VACUUM else spec.n_sites
     amp = complex(propagator_rows(dyn.one, [[1]], [site], [t])[0, 0, 0])
     return float(-np.angle(amp) / (2.0 * t))
 
@@ -942,7 +932,7 @@ def plan_readout(
     b_aux = 0.0
     spec_eff = spec
     if tuning.phase_corrected and t_null > 0.0:
-        b_aux = phase_null_field(spec, t_null, correction_site(spec, scenario))
+        b_aux = phase_null_field(spec, scenario, t_null)
         spec_eff = spec.with_uniform_field(b_aux)
     return ReadoutPlan(
         spec=spec_eff,

@@ -13,9 +13,10 @@ checks the closed forms and the laws' arithmetic, not the rows.  Both
 reductions read the Pauli transfer matrix, which ``bloch_map_vs_kraus``
 pins against state vectors.  The rows are pinned by the checks that reach
 past them: full sector propagators, the pair sector itself, and the 2^N
-oracle (``oracle_amplitude_equivalence`` and the
-``channel_oracle_equivalence`` sweep over every scenario).  The ``certify``
-subcommand runs the whole suite.
+oracle (``oracle_amplitude_equivalence`` on nearest-neighbour, long-range
+and ZZ chains, and the ``channel_oracle_equivalence`` sweep over the
+presets' Kraus sets of every scenario).  The ``certify`` subcommand runs the
+whole suite.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def random_isometry_kraus(rng: np.random.Generator, n_ops: int, dim: int = 2) ->
     ops = v.reshape(dim, n_ops, dim).transpose(1, 0, 2)
     defect = float(np.abs(np.einsum("okl,okm->lm", ops.conj(), ops) - np.eye(dim)).max())
     scenario = Scenario.TWO_QUBIT_VACUUM if dim == 4 else Scenario.ONE_QUBIT_VACUUM
-    return KrausSet(ops, scenario, 0.0, defect, n_ops)
+    return KrausSet(ops, scenario, defect, n_ops)
 
 
 def _sender_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -187,11 +188,16 @@ def check_amplitude_unitarity(seed: int = 12) -> CheckResult:
 
 
 def check_oracle_amplitudes(n_max: int, seed: int = 13) -> CheckResult:
-    """Sector rows out of site 1 and pair (1, 2) vs the 2^N evolution."""
+    """Sector rows out of site 1 and pair (1, 2) vs the 2^N evolution.
+
+    The chains cycle through the three kinds of :func:`random_spec`
+    (nearest-neighbour, long-range and ZZ), so the sector Hamiltonians of
+    couplings the presets lack are pinned as well.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in range(4, n_max + 1):
-        spec = random_spec(rng, n)
+        spec = random_spec(rng, n, ("nearest", "long_range", "zz")[n % 3])
         t = float(rng.uniform(0.5, 5.0))
         dyn = dynamics_for(spec)
         for sites, prop in (((1,), dyn.one), ((1, 2), dyn.two)):

@@ -16,7 +16,6 @@ directly comparable across the package.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,46 +141,6 @@ class ChainSpec:
             self.fields.sum()
             + 0.5 * (self.couplings * self.anisotropies).sum()
         )
-
-    def to_dict(self) -> dict:
-        """JSON-friendly representation (sparse coupling list, 1-based sites)."""
-        pairs = [
-            [i + 1, j + 1, float(self.couplings[i, j])]
-            for i in range(self.n_sites)
-            for j in range(i + 1, self.n_sites)
-            if self.couplings[i, j] != 0.0
-        ]
-        anis = [
-            [i + 1, j + 1, float(self.anisotropies[i, j])]
-            for i in range(self.n_sites)
-            for j in range(i + 1, self.n_sites)
-            if self.anisotropies[i, j] != 0.0
-        ]
-        return {
-            "n_sites": self.n_sites,
-            "couplings": pairs,
-            "anisotropies": anis,
-            "fields": [float(b) for b in self.fields],
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ChainSpec":
-        n = int(data["n_sites"])
-        couplings = np.zeros((n, n))
-        anis = np.zeros((n, n))
-        for i, j, val in data.get("couplings", []):
-            couplings[i - 1, j - 1] = couplings[j - 1, i - 1] = float(val)
-        for i, j, val in data.get("anisotropies", []):
-            anis[i - 1, j - 1] = anis[j - 1, i - 1] = float(val)
-        fields = np.asarray(data.get("fields", np.zeros(n)), dtype=float)
-        return ChainSpec(n, couplings, anis, fields)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "ChainSpec":
-        return ChainSpec.from_dict(json.loads(text))
 
 
 def protocol_preset(

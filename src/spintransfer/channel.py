@@ -80,7 +80,6 @@ class KrausSet:
 
     operators: np.ndarray
     scenario: Scenario
-    time: float
     completeness_defect: float
     n_constructed: int
 
@@ -92,7 +91,7 @@ class KrausSet:
         return self.operators.shape[0]
 
 
-def _finish(ops: np.ndarray, scenario: Scenario, t: float) -> KrausSet:
+def _finish(ops: np.ndarray, scenario: Scenario) -> KrausSet:
     n_constructed = ops.shape[0]
     keep = np.abs(ops).max(axis=(1, 2)) > DROP_THRESHOLD
     ops = ops[keep]
@@ -104,7 +103,7 @@ def _finish(ops: np.ndarray, scenario: Scenario, t: float) -> KrausSet:
             f"Kraus completeness defect {defect:.3e} exceeds "
             f"{COMPLETENESS_TOL:.0e}; amplitude rows are not unitary enough"
         )
-    return KrausSet(ops, scenario, float(t), defect, n_constructed)
+    return KrausSet(ops, scenario, defect, n_constructed)
 
 
 def _rows_at(spec: ChainSpec, scenario: Scenario, sources, targets, t: float):
@@ -132,7 +131,7 @@ def kraus_one_qubit_vacuum(spec: ChainSpec, t: float) -> KrausSet:
     ops[0, 0, 0] = 1.0
     ops[0, 1, 1] = a_end
     ops[1, 0, 1] = np.sqrt(max(0.0, 1.0 - abs(a_end) ** 2))
-    return _finish(ops, Scenario.ONE_QUBIT_VACUUM, t)
+    return _finish(ops, Scenario.ONE_QUBIT_VACUUM)
 
 
 def kraus_one_qubit_uniform(spec: ChainSpec, t: float) -> KrausSet:
@@ -157,7 +156,7 @@ def kraus_one_qubit_uniform(spec: ChainSpec, t: float) -> KrausSet:
     ops[1:n, 0, 0] = a_sum[: n - 1]
     ops[1:n, 1, 1] = b_sum[: n - 1]
     ops[n:, 0, 1] = b_sum[n - 1 :]
-    return _finish(ops, Scenario.ONE_QUBIT_UNIFORM, t)
+    return _finish(ops, Scenario.ONE_QUBIT_UNIFORM)
 
 
 def kraus_two_qubit_vacuum(spec: ChainSpec, t: float) -> KrausSet:
@@ -189,7 +188,7 @@ def kraus_two_qubit_vacuum(spec: ChainSpec, t: float) -> KrausSet:
     single[:, 1, 3] = b12[1 : 1 + m]
     single[:, 2, 3] = b12[1 + m : 1 + 2 * m]
     ops[1 + m :, 0, 3] = b12[1 + 2 * m :]
-    return _finish(ops, Scenario.TWO_QUBIT_VACUUM, t)
+    return _finish(ops, Scenario.TWO_QUBIT_VACUUM)
 
 
 _BUILDERS = {

@@ -273,19 +273,20 @@ def write_json(path: str, payload: dict) -> None:
 def pdf_curve_rows(pdf):
     """Cell-averaged density curve rows (f, density, cdf).
 
-    The grid of PDF_CURVE_CELLS cells spanning the support extends
-    PDF_CURVE_PAD_CELLS empty cells past each end so that even the
-    integrable edge singularities keep their mass under trapezoidal
-    integration of the emitted samples; the density column is the exact
+    PDF_CURVE_CELLS edges span the support [f_min, f_max] (f_min + 1e-6 in
+    place of f_max for a point mass), so both ends are cell edges exactly,
+    and PDF_CURVE_PAD_CELLS cells of the same width extend past each end.
+    The distributions' cdfs are 0 up to f_min and 1 from f_max, so a
+    continuous distribution leaves the padding cells exactly empty and even
+    the integrable edge singularities keep their mass under trapezoidal
+    integration of the emitted samples.  The density column is the exact
     per-cell probability mass divided by the cell width; the cdf column is
     the analytic CDF at the cell midpoint.
     """
     lo, hi = pdf.support
-    span = max(hi - lo, 1e-6)  # point masses get a narrow but resolvable window
-    step = span / (PDF_CURVE_CELLS - 1)
-    start = lo - PDF_CURVE_PAD_CELLS * step
-    stop = hi + PDF_CURVE_PAD_CELLS * step
-    edges = np.linspace(start, stop, PDF_CURVE_CELLS + 2 * PDF_CURVE_PAD_CELLS)
+    hi = max(hi, lo + 1e-6)  # point masses get a narrow but resolvable window
+    pad = (hi - lo) / (PDF_CURVE_CELLS - 1) * np.arange(1, PDF_CURVE_PAD_CELLS + 1)
+    edges = np.concatenate([lo - pad[::-1], np.linspace(lo, hi, PDF_CURVE_CELLS), hi + pad])
     cdf_edges = pdf.cdf(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     density = np.diff(cdf_edges) / np.diff(edges)

@@ -73,15 +73,6 @@ class Histogram:
         widths = np.diff(self.bin_edges)
         return self.counts / (self.n_samples * widths)
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        if not np.array_equal(self.bin_edges, other.bin_edges):
-            raise ParameterError("histograms must share bin edges to merge")
-        return Histogram(
-            self.bin_edges,
-            self.counts + other.counts,
-            self.n_samples + other.n_samples,
-        )
-
 
 def sample_two_qubit_pure(
     stream: RandomStream | np.random.Generator, size: int | None = None

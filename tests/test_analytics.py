@@ -396,7 +396,7 @@ def test_target_crossing_is_the_last_before_the_optimum(kind, n_sites, grid, sha
 def test_phase_null_field(rng):
     spec = make_random_chain(rng, 6)
     t = 2.6
-    b = phase_null_field(spec, t)
+    b = phase_null_field(spec, Scenario.ONE_QUBIT_VACUUM, t)
     from spintransfer.dynamics import dynamics_for, propagator_rows
 
     corrected = propagator_rows(

@@ -118,14 +118,6 @@ def test_spec_validation():
         ChainSpec(3, np.zeros((2, 2)), np.zeros((3, 3)), np.zeros(3))
 
 
-def test_json_round_trip(rng):
-    spec = make_random_chain(rng, 6, long_range=True)
-    clone = ChainSpec.from_json(spec.to_json())
-    assert clone.n_sites == spec.n_sites
-    assert np.array_equal(clone.couplings, spec.couplings)
-    assert np.array_equal(clone.fields, spec.fields)
-
-
 def test_uniform_field_shift(rng):
     spec = make_random_chain(rng, 5)
     shifted = spec.with_uniform_field(0.25)

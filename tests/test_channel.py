@@ -43,7 +43,6 @@ def test_apply_channel_identity_kraus(rng):
         np.eye(2, dtype=complex)[None, :, :],
         Scenario.ONE_QUBIT_VACUUM,
         0.0,
-        0.0,
         1,
     )
     psi = random_state(rng, 2)
@@ -201,7 +200,7 @@ def test_fidelity_clamps_only_rounding():
     psi = np.array([1.0, 0.0], dtype=complex)
     for scale, expected in ((1.0 + 1e-12, 1.0), (1.001, 1.001**2)):
         ops = scale * np.eye(2, dtype=complex)[None]
-        kraus = KrausSet(ops, Scenario.ONE_QUBIT_VACUUM, 0.0, 0.0, 1)
+        kraus = KrausSet(ops, Scenario.ONE_QUBIT_VACUUM, 0.0, 1)
         assert fidelity(kraus, psi) == pytest.approx(expected, abs=1e-15)
         assert fidelity_many(kraus, psi[None, :])[0] == pytest.approx(expected, abs=1e-15)
 

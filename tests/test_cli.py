@@ -8,10 +8,11 @@ import pytest
 
 from spintransfer.chain import Perfect, protocol_preset
 from spintransfer.certify import (
+    check_oracle_amplitudes,
     check_perfect_spectrum,
     run_certification,
 )
-from spintransfer import analytics
+from spintransfer import analytics, dynamics
 from spintransfer.cli import EXIT_CERTIFY, KS_GATE_ALPHA, main
 from spintransfer.dynamics import dynamics_for
 
@@ -340,6 +341,23 @@ def test_corrupted_coupling_detected_by_spectrum_check():
 
     gaps = np.diff(dynamics_for(corrupted).one.eigenvalues)
     assert np.abs(gaps - gaps[0]).max() > 1e-9  # spectrum check fires
+
+
+def test_oracle_check_pins_zz_pair_sector(monkeypatch):
+    # the presets and nearest-neighbour chains have no ZZ terms, so a wrong
+    # ZZ pair-sector diagonal shows only where certify draws a ZZ chain
+    build = dynamics.sector_hamiltonian
+
+    def mutated(spec, basis):
+        h = build(spec, basis)
+        if basis.n_excitations == 2 and spec.anisotropies.any():
+            h = h + 0.01 * np.eye(len(h))
+        return h
+
+    monkeypatch.setattr(dynamics, "sector_hamiltonian", mutated)
+    monkeypatch.setattr(dynamics, "_DYNAMICS_CACHE", {})
+    result = check_oracle_amplitudes(10)
+    assert not result.passed and result.max_error > 1e-3
 
 
 def test_sign_flip_is_gauge_equivalent():

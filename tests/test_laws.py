@@ -21,7 +21,6 @@ from spintransfer.analytics import (
     QuadraticFidelity,
     TwoQubitAffine,
     affine_from_kraus,
-    correction_site,
     fidelity_law,
     min_fidelity_closed_form,
     phase_null_field,
@@ -29,6 +28,7 @@ from spintransfer.analytics import (
     vacuum_quadratic,
 )
 from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
+from spintransfer.cli import PDF_CURVE_CELLS, PDF_CURVE_PAD_CELLS, pdf_curve_rows
 from spintransfer.channel import KrausSet, Scenario, fidelity_many, kraus_for_scenario
 from spintransfer import analytics, dynamics
 from spintransfer.dynamics import (
@@ -92,7 +92,7 @@ def test_row_law_matches_kraus_reduction(spec, t, scenario):
     st.sampled_from([Scenario.ONE_QUBIT_VACUUM, Scenario.TWO_QUBIT_VACUUM]),
 )
 def test_phase_corrected_law_is_the_field_shifted_law(spec, t, scenario):
-    b_aux = phase_null_field(spec, t, correction_site(spec, scenario))
+    b_aux = phase_null_field(spec, scenario, t)
     corrected = fidelity_law(spec, scenario, [t], phase_corrected=True)
     shifted = fidelity_law(spec.with_uniform_field(b_aux), scenario, [t])
     assert np.abs(corrected.coefficients - shifted.coefficients).max() <= 1e-10
@@ -110,7 +110,7 @@ def test_free_fermion_closed_forms_match_kraus_reduction(scenario, seed, n, t, p
     law = fidelity_law(spec, scenario, [t], phase_corrected=phase_corrected)
     reference_spec = spec
     if phase_corrected and scenario is Scenario.TWO_QUBIT_VACUUM:
-        b_aux = phase_null_field(spec, t, correction_site(spec, scenario))
+        b_aux = phase_null_field(spec, scenario, t)
         reference_spec = spec.with_uniform_field(b_aux)
     coefficients, mean = kraus_reduction(reference_spec, scenario, t)
     assert np.abs(law.coefficients[0] - coefficients).max() <= 1e-12
@@ -186,7 +186,7 @@ def test_azimuth_dependent_channel_is_rejected():
     rotation = np.array(
         [[np.cos(angle), -1j * np.sin(angle)], [-1j * np.sin(angle), np.cos(angle)]]
     )
-    kraus = KrausSet(rotation[None], Scenario.ONE_QUBIT_VACUUM, 0.0, 0.0, 1)
+    kraus = KrausSet(rotation[None], Scenario.ONE_QUBIT_VACUUM, 0.0, 1)
     equator = fidelity_many(
         kraus, bloch_states(np.full(4, np.pi / 2), np.arange(4) * np.pi / 4)
     )
@@ -283,6 +283,32 @@ def row_distribution(law):
 @given(st.one_of(quadratic_laws, affine_laws))
 def test_one_row_law_is_that_rows_distribution(law):
     assert one_row_law(law).pdf() == row_distribution(law)
+
+
+continuous_laws = st.one_of(quadratic_laws, affine_laws).filter(
+    lambda law: np.ptp(law.support) > COLLAPSE_WIDTH
+)
+
+
+# the barrier h0=200 N=22 law at the read-out time of average 0.99: its
+# vertex lies inside (-1, 1), and a grid not anchored on f_min put 5.5e-3
+# of density into the last left padding cell
+@example(QuadraticFidelity(0.014661541384721644, 0.00022563891283605697, 0.9851128197024424))
+@given(st.one_of(continuous_laws, st.lists(continuous_laws, min_size=2, max_size=5).map(
+    lambda parts: Mixture(tuple(parts))
+)))
+def test_pdf_curve_padding_is_empty(pdf):
+    rows = np.array(pdf_curve_rows(pdf))
+    assert np.all(rows[:PDF_CURVE_PAD_CELLS, 1] == 0.0)
+    assert np.all(rows[-PDF_CURVE_PAD_CELLS:, 1] == 0.0)
+    # the f column is the midpoints of a grid with f_min and f_max among its
+    # edges (at least 1e-6 apart), padded by cells of the same width
+    lo, hi = pdf.support
+    hi = max(hi, lo + 1e-6)
+    pad = (hi - lo) / (PDF_CURVE_CELLS - 1) * np.arange(1, PDF_CURVE_PAD_CELLS + 1)
+    edges = np.concatenate([lo - pad[::-1], np.linspace(lo, hi, PDF_CURVE_CELLS), hi + pad])
+    assert np.array_equal(rows[:, 0], 0.5 * (edges[:-1] + edges[1:]))
+    assert abs(rows[:, 1] @ np.diff(edges) - 1.0) <= 1e-12
 
 
 @given(specs, st.floats(0.1, 12.0), st.sampled_from(list(Scenario)), st.integers(1, 5))

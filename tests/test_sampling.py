@@ -116,13 +116,11 @@ def test_histogram_invariants():
         Histogram(np.array([1.0, 0.0]), np.array([2]), 2)
     hist = Histogram(np.array([0.0, 0.5, 1.0]), np.array([1, 3]), 4)
     assert np.allclose(hist.normalized_density(), [0.5, 1.5])
-    merged = hist.merge(hist)
-    assert merged.n_samples == 8
 
 
 def test_identity_channel_histogram_all_top_bin():
     identity = KrausSet(
-        np.eye(2, dtype=complex)[None, :, :], Scenario.ONE_QUBIT_VACUUM, 0.0, 0.0, 1
+        np.eye(2, dtype=complex)[None, :, :], Scenario.ONE_QUBIT_VACUUM, 0.0, 1
     )
     edges = np.linspace(0.0, 1.0, 11)
     hist = mc_fidelity_histogram(identity, 5000, edges, RandomStream(3))
@@ -176,7 +174,7 @@ def test_ks_distance_delta_vs_spread():
 
 def test_mc_local_unitary_identity_channel():
     identity = KrausSet(
-        np.eye(4, dtype=complex)[None, :, :], Scenario.TWO_QUBIT_VACUUM, 0.0, 0.0, 1
+        np.eye(4, dtype=complex)[None, :, :], Scenario.TWO_QUBIT_VACUUM, 0.0, 1
     )
     mean, err = mc_local_unitary_fidelity(identity, 0.7, 4000, RandomStream(5))
     assert mean == pytest.approx(1.0, abs=1e-12)
@@ -203,7 +201,7 @@ def test_bloch_map_matches_kraus_on_random_isometries(n_ops, seed):
 
 
 def test_pauli_transfer_matrix_rejects_dimension_three():
-    qutrit = KrausSet(np.eye(3, dtype=complex)[None], Scenario.ONE_QUBIT_VACUUM, 0.0, 0.0, 1)
+    qutrit = KrausSet(np.eye(3, dtype=complex)[None], Scenario.ONE_QUBIT_VACUUM, 0.0, 1)
     with pytest.raises(ParameterError):
         pauli_transfer_matrix(qutrit)
 
