@@ -12,7 +12,6 @@ built on them.
 from .chain import (
     Barrier,
     ChainSpec,
-    ChannelInit,
     Perfect,
     ProtocolKind,
     Weak,

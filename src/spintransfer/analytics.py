@@ -185,7 +185,8 @@ class QuadraticFidelity(_Distribution):
         sqrt_disc = np.sqrt(np.where(valid, disc, 0.0))
         sign_b = np.where(b >= 0.0, 1.0, -1.0)
         u = -0.5 * (b + sign_b * sqrt_disc)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # the masked quotients may divide by zero or overflow where invalid
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             r1 = np.where(valid, u / a, np.nan)
             r2 = np.where(valid & (u != 0.0), (c - f) / u, np.nan)
         # u == 0 happens only when b == 0 and disc == 0: double root at 0
@@ -245,7 +246,7 @@ def quadratic_reduce_one_qubit(kraus: KrausSet) -> QuadraticFidelity:
         or R11 - R22, exceeds 1e-10, i.e. the fidelity depends on the
         azimuth and no quadratic in cos(theta) describes it.
     """
-    if kraus.scenario is Scenario.TWO_QUBIT_VACUUM:
+    if kraus.dim != 2:
         raise ParameterError("quadratic reduction applies to one-qubit channels")
     ptm = pauli_transfer_matrix(kraus)
     sym = ptm + ptm.T
@@ -413,7 +414,7 @@ def affine_from_kraus(kraus: KrausSet) -> TwoQubitAffine:
     concurrence C has weights 1 - C^2, 1 - C^2 and 1 + 2 C^2 on those
     classes, so A = (R00 + c1 + c2 + c3) / 4 and B = (c1 + c2 - 2 c3) / 4.
     """
-    if kraus.scenario is not Scenario.TWO_QUBIT_VACUUM:
+    if kraus.dim != 4:
         raise ParameterError("affine reduction applies to two-qubit channels")
     diag = np.diag(pauli_transfer_matrix(kraus)).reshape(4, 4)
     c1, c2, c3 = diag[1:, 0].mean(), diag[0, 1:].mean(), diag[1:, 1:].mean()
@@ -548,7 +549,7 @@ def fidelity_law(
     elif scenario is Scenario.ONE_QUBIT_UNIFORM and is_free_fermion(spec):
         # a = a_1^N and S = sum_{j=2}^{N-1} a_j^N; row orthonormality
         # collapses the sums over the receiver-free sites of the row law
-        rows = propagator_rows(dyn.one, [[1], range(2, n)], [n], times)
+        rows = propagator_rows(dyn.one, [[1], scenario.occupied(n)], [n], times)
         amp, summed = rows[:, 0, 0], rows[:, 1, 0]
         r2 = np.abs(amp) ** 2
         coefficients = (
@@ -559,9 +560,10 @@ def fidelity_law(
     elif scenario is Scenario.ONE_QUBIT_UNIFORM:
         # Kraus diagonals (alpha_k, beta_k), k = 1..N-1, unnormalized by
         # the sqrt(N - 2) of the initial state
-        rows = propagator_rows(dyn.one, [[1], range(2, n)], range(1, n + 1), times)
+        occupied = scenario.occupied(n)
+        rows = propagator_rows(dyn.one, [[1], occupied], range(1, n + 1), times)
         alpha = rows[:, 1]
-        beta = pair_rows(dyn, range(2, n), [(k, n) for k in range(1, n)], times)
+        beta = pair_rows(dyn, occupied, [(k, n) for k in range(1, n)], times)
         weight = 1.0 / (n - 2)
         plus = (np.abs(alpha[:, : n - 1] + beta) ** 2).sum(axis=1)
         minus = (np.abs(alpha[:, : n - 1] - beta) ** 2).sum(axis=1)
@@ -672,14 +674,14 @@ def phase_null_field(spec: ChainSpec, scenario: Scenario, t: float) -> float:
     -2b under the vacuum gauge, multiplying one-excitation amplitudes by
     exp(2 i b t) (and two-excitation ones by its square); the value returned
     cancels the arrival phase at ``t`` and is the smallest such field in
-    magnitude.  Block transfer (``TWO_QUBIT_VACUUM``) nulls the phase of
-    a_1^{N-1}, the amplitude :func:`fidelity_law` rotates; single-qubit
-    transfer that of a_1^N.
+    magnitude.  The amplitude nulled runs from site 1 to the first site of
+    ``scenario.receiver(N)``: a_1^{N-1} for block transfer, the amplitude
+    :func:`fidelity_law` rotates, and a_1^N for single-qubit transfer.
     """
     if t <= 0.0 or not np.isfinite(t):
         raise ParameterError(f"phase correction needs a positive time, got {t}")
     dyn = dynamics_for(spec)
-    site = spec.n_sites - 1 if scenario is Scenario.TWO_QUBIT_VACUUM else spec.n_sites
+    site = scenario.receiver(spec.n_sites)[0]
     amp = complex(propagator_rows(dyn.one, [[1]], [site], [t])[0, 0, 0])
     return float(-np.angle(amp) / (2.0 * t))
 

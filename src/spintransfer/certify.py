@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .chain import Barrier, ChainSpec, ChannelInit, Perfect, Weak, protocol_preset, sector_hamiltonian
+from .chain import Barrier, ChainSpec, Perfect, Weak, protocol_preset, sector_hamiltonian
 from .channel import (
     PAULI_STRINGS,
     KrausSet,
@@ -37,6 +37,7 @@ from .channel import (
     fidelity,
     fidelity_many,
     kraus_for_scenario,
+    kraus_set,
     pauli_transfer_matrix,
 )
 from .dynamics import dynamics_for, pair_rows, propagator_at, propagator_rows
@@ -56,12 +57,6 @@ from .analytics import (
 REPORT_SCHEMA_VERSION = 1
 ORACLE_TIMES_PER_CASE = 10
 BLOCH_MAP_INPUTS = 1000
-
-SCENARIO_SETUP = {
-    Scenario.ONE_QUBIT_VACUUM: ((1,), ChannelInit.VACUUM),
-    Scenario.ONE_QUBIT_UNIFORM: ((1,), ChannelInit.UNIFORM_ONE_EXCITATION),
-    Scenario.TWO_QUBIT_VACUUM: ((1, 2), ChannelInit.VACUUM),
-}
 
 
 @dataclass(frozen=True)
@@ -116,15 +111,11 @@ def random_isometry_kraus(rng: np.random.Generator, n_ops: int, dim: int = 2) ->
 
     E_j[a, b] = V[(a, j), b] for a dim n_ops x dim isometry V (QR of a
     complex Gaussian matrix); for dim 2 its fidelity depends on the input's
-    azimuth.  The set carries the vacuum scenario label of its dimension (2
-    or 4); no chain or time stands behind it.
+    azimuth.  No chain, scenario or time stands behind it.
     """
     z = rng.normal(size=(dim * n_ops, dim)) + 1j * rng.normal(size=(dim * n_ops, dim))
     v, _ = np.linalg.qr(z)
-    ops = v.reshape(dim, n_ops, dim).transpose(1, 0, 2)
-    defect = float(np.abs(np.einsum("okl,okm->lm", ops.conj(), ops) - np.eye(dim)).max())
-    scenario = Scenario.TWO_QUBIT_VACUUM if dim == 4 else Scenario.ONE_QUBIT_VACUUM
-    return KrausSet(ops, scenario, defect, n_ops)
+    return kraus_set(v.reshape(dim, n_ops, dim).transpose(1, 0, 2))
 
 
 def _sender_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -233,7 +224,7 @@ def check_pair_rows(seed: int = 18) -> CheckResult:
         times = rng.uniform(0.0, 12.0, 8)
         for spec in specs:
             dyn = dynamics_for(spec)
-            for group in ([2], range(2, n)):
+            for group in ([2], Scenario.ONE_QUBIT_UNIFORM.occupied(n)):
                 sector = propagator_rows(
                     dyn.two, [[(1, j) for j in group]], targets, times
                 )[:, 0]
@@ -260,7 +251,8 @@ def check_grid_rows(seed: int = 19) -> CheckResult:
     times = np.linspace(0.0, 1e4, 4096)
     worst = 0.0
     for n in (6, 9):
-        sources, targets = [[1], [2], range(2, n)], range(1, n + 1)
+        sources = [[1], [2], Scenario.ONE_QUBIT_UNIFORM.occupied(n)]
+        targets = range(1, n + 1)
         for spec in (random_spec(rng, n), *protocol_specs(n).values()):
             prop = dynamics_for(spec).one
             rows = propagator_rows(prop, sources, targets, times)
@@ -300,7 +292,7 @@ def check_channels_against_oracle(n_max: int, seed: int = 14) -> list[CheckResul
             variants.append(protocol_specs(n, n_senders=2))
         for spec_group in variants:
             for spec in spec_group.values():
-                for scenario, (sites, init) in SCENARIO_SETUP.items():
+                for scenario in Scenario:
                     if n < scenario.min_sites:
                         continue
                     for t in rng.uniform(0.0, 12.0, ORACLE_TIMES_PER_CASE):
@@ -310,11 +302,12 @@ def check_channels_against_oracle(n_max: int, seed: int = 14) -> list[CheckResul
                         rho = apply_channel(kraus, psi)
                         full = evolve_full(
                             spec,
-                            transfer_initial_state(n, sites, psi, init),
+                            transfer_initial_state(
+                                n, scenario.senders, psi, scenario.occupied(n)
+                            ),
                             float(t),
                         )
-                        receiver = (n,) if kraus.dim == 2 else (n - 1, n)
-                        rho_ref = reduced_density(full, receiver)
+                        rho_ref = reduced_density(full, scenario.receiver(n))
                         worst_distance = max(
                             worst_distance, trace_distance(rho, rho_ref)
                         )

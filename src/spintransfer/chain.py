@@ -15,7 +15,6 @@ directly comparable across the package.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +57,6 @@ class Perfect:
 
 
 ProtocolKind = Weak | Barrier | Perfect
-
-
-class ChannelInit(enum.Enum):
-    """Initial state of the complement of the sender block."""
-
-    VACUUM = "vacuum"
-    UNIFORM_ONE_EXCITATION = "uniform_one_excitation"
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,11 @@ forms; the 2^N oracle of :mod:`~spintransfer.oracle` is the independent
 check on the rows themselves (``channel_oracle_equivalence`` in
 certification).
 
-Receiver conventions: single-qubit transfer reads site N in the basis
-|0>, |1>; two-qubit transfer reads sites (N-1, N) in the basis
-|00>, |0 1_N>, |1_{N-1} 0>, |1_{N-1} 1_N>, i.e. sender site 1 maps to
-receiver site N-1 and sender site 2 to site N.
+Receiver conventions: :class:`Scenario` names each transfer's sites,
+``senders``, ``occupied(n)`` and ``receiver(n)``.  Single-qubit transfer
+reads site N in the basis |0>, |1>; two-qubit transfer reads sites
+(N-1, N) in the basis |00>, |0 1_N>, |1_{N-1} 0>, |1_{N-1} 1_N>, i.e.
+sender site 1 maps to receiver site N-1 and sender site 2 to site N.
 """
 
 from __future__ import annotations
@@ -36,22 +37,33 @@ import numpy as np
 
 from .chain import ChainSpec
 from .dynamics import dynamics_for, pair_rows, propagator_rows
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 
 COMPLETENESS_TOL = 1e-9
 DROP_THRESHOLD = 1e-14
 
 
 class Scenario(enum.Enum):
-    """Transfer scenario: sender size plus initial channel state."""
+    """Transfer scenario: the sites that send, start occupied and receive."""
 
     ONE_QUBIT_VACUUM = "one_qubit_vacuum"
     ONE_QUBIT_UNIFORM = "one_qubit_uniform"
     TWO_QUBIT_VACUUM = "two_qubit"
 
     @property
-    def qubit_dim(self) -> int:
-        return 4 if self is Scenario.TWO_QUBIT_VACUUM else 2
+    def senders(self) -> tuple[int, ...]:
+        """Sender sites: (1, 2) for block transfer, (1,) otherwise."""
+        return (1, 2) if self is Scenario.TWO_QUBIT_VACUUM else (1,)
+
+    def occupied(self, n_sites: int) -> range:
+        """Sites over which one excitation starts spread evenly: 2..N-1 for
+        ``ONE_QUBIT_UNIFORM``, none otherwise (the channel starts empty)."""
+        return range(2, n_sites) if self is Scenario.ONE_QUBIT_UNIFORM else range(0)
+
+    def receiver(self, n_sites: int) -> tuple[int, ...]:
+        """Receiver sites: the last ``len(senders)`` sites, sender site k
+        mapping to the k-th of them."""
+        return tuple(range(n_sites - len(self.senders) + 1, n_sites + 1))
 
     @property
     def min_sites(self) -> int:
@@ -76,10 +88,10 @@ class KrausSet:
     ``operators`` stacks the d x d Kraus matrices along axis 0 (zero
     operators are dropped); ``n_constructed`` counts the operators before
     dropping; ``completeness_defect`` caches ``max|sum E^+ E - I|``.
+    Build one with :func:`kraus_set`.
     """
 
     operators: np.ndarray
-    scenario: Scenario
     completeness_defect: float
     n_constructed: int
 
@@ -91,19 +103,21 @@ class KrausSet:
         return self.operators.shape[0]
 
 
-def _finish(ops: np.ndarray, scenario: Scenario) -> KrausSet:
+def kraus_set(ops: np.ndarray) -> KrausSet:
+    """Kraus set of the stack ``ops`` (n, d, d) less its operators below
+    ``DROP_THRESHOLD``; NumericError when the completeness defect exceeds
+    ``COMPLETENESS_TOL``."""
     n_constructed = ops.shape[0]
     keep = np.abs(ops).max(axis=(1, 2)) > DROP_THRESHOLD
     ops = ops[keep]
-    dim = scenario.qubit_dim
     gram = np.einsum("okl,okm->lm", ops.conj(), ops)
-    defect = float(np.abs(gram - np.eye(dim)).max())
+    defect = float(np.abs(gram - np.eye(ops.shape[-1])).max())
     if defect > COMPLETENESS_TOL:
-        raise ParameterError(
+        raise NumericError(
             f"Kraus completeness defect {defect:.3e} exceeds "
             f"{COMPLETENESS_TOL:.0e}; amplitude rows are not unitary enough"
         )
-    return KrausSet(ops, scenario, defect, n_constructed)
+    return KrausSet(ops, defect, n_constructed)
 
 
 def _rows_at(spec: ChainSpec, scenario: Scenario, sources, targets, t: float):
@@ -131,7 +145,7 @@ def kraus_one_qubit_vacuum(spec: ChainSpec, t: float) -> KrausSet:
     ops[0, 0, 0] = 1.0
     ops[0, 1, 1] = a_end
     ops[1, 0, 1] = np.sqrt(max(0.0, 1.0 - abs(a_end) ** 2))
-    return _finish(ops, Scenario.ONE_QUBIT_VACUUM)
+    return kraus_set(ops)
 
 
 def kraus_one_qubit_uniform(spec: ChainSpec, t: float) -> KrausSet:
@@ -144,7 +158,7 @@ def kraus_one_qubit_uniform(spec: ChainSpec, t: float) -> KrausSet:
     holding the excitation, one per pair k < l <= N-1.
     """
     n = spec.n_sites
-    occupied = range(2, n)
+    occupied = Scenario.ONE_QUBIT_UNIFORM.occupied(n)
     dyn, rows = _rows_at(spec, Scenario.ONE_QUBIT_UNIFORM, [[1], occupied], range(1, n + 1), t)
     norm = 1.0 / np.sqrt(n - 2)
     a_sum = rows[0, 1] * norm  # summed over the occupied sites, to site k
@@ -156,7 +170,7 @@ def kraus_one_qubit_uniform(spec: ChainSpec, t: float) -> KrausSet:
     ops[1:n, 0, 0] = a_sum[: n - 1]
     ops[1:n, 1, 1] = b_sum[: n - 1]
     ops[n:, 0, 1] = b_sum[n - 1 :]
-    return _finish(ops, Scenario.ONE_QUBIT_UNIFORM)
+    return kraus_set(ops)
 
 
 def kraus_two_qubit_vacuum(spec: ChainSpec, t: float) -> KrausSet:
@@ -188,7 +202,7 @@ def kraus_two_qubit_vacuum(spec: ChainSpec, t: float) -> KrausSet:
     single[:, 1, 3] = b12[1 : 1 + m]
     single[:, 2, 3] = b12[1 + m : 1 + 2 * m]
     ops[1 + m :, 0, 3] = b12[1 + 2 * m :]
-    return _finish(ops, Scenario.TWO_QUBIT_VACUUM)
+    return kraus_set(ops)
 
 
 _BUILDERS = {

@@ -307,8 +307,7 @@ def histogram_rows(hist: Histogram):
 # ---------------------------------------------------------------------------
 
 def _build_spec(config: ExperimentConfig) -> ChainSpec:
-    scenario = config.scenario_enum()
-    n_senders = 2 if scenario is Scenario.TWO_QUBIT_VACUUM else 1
+    n_senders = len(config.scenario_enum().senders)
     return protocol_preset(config.kind(), config.n_sites, n_senders)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, ChannelInit
+from .chain import ChainSpec
 from .errors import CapacityError, ParameterError
 
 MAX_ORACLE_SITES = 12
@@ -185,16 +185,18 @@ def transfer_initial_state(
     n_sites: int,
     sender_sites,
     sender_state: np.ndarray,
-    channel_init: ChannelInit = ChannelInit.VACUUM,
+    channel_sites=(),
 ) -> FullState:
     """Embed ``sender_state (x) channel state`` into the full space.
 
     ``sender_state`` is indexed with the first listed sender site as the most
     significant bit (same convention as :func:`reduced_density`).  The
-    uniform channel init spreads one excitation evenly over sites 2..N-1 and
-    is only defined for a single sender site.
+    channel state spreads one excitation evenly over ``channel_sites`` (a
+    scenario's ``occupied(n)``), which must avoid the sender sites, and is
+    the vacuum when they are empty.
     """
     sender_sites = [int(s) for s in sender_sites]
+    channel_sites = [int(s) for s in channel_sites]
     sender_state = np.asarray(sender_state, dtype=complex)
     if sender_state.shape != (1 << len(sender_sites),):
         raise ParameterError(
@@ -202,22 +204,13 @@ def transfer_initial_state(
         )
     if abs(np.linalg.norm(sender_state) - 1.0) > 1e-12:
         raise ParameterError("sender_state must be normalized to 1e-12")
+    if set(channel_sites) & set(sender_sites):
+        raise ParameterError(
+            f"channel sites {channel_sites} overlap sender sites {sender_sites}"
+        )
 
-    if channel_init is ChannelInit.VACUUM:
-        channel_terms = [(1.0, ())]
-    elif channel_init is ChannelInit.UNIFORM_ONE_EXCITATION:
-        if sender_sites != [1]:
-            raise ParameterError(
-                "uniform channel init is defined for sender_sites=(1,)"
-            )
-        if n_sites < 4:
-            raise ParameterError(
-                f"uniform channel init requires n_sites >= 4, got {n_sites}"
-            )
-        weight = 1.0 / np.sqrt(n_sites - 2)
-        channel_terms = [(weight, (j,)) for j in range(2, n_sites)]
-    else:
-        raise ParameterError(f"unknown channel init {channel_init!r}")
+    weight = 1.0 / np.sqrt(len(channel_sites)) if channel_sites else 1.0
+    channel_terms = [[j] for j in channel_sites] or [[]]
 
     amps = np.zeros(1 << n_sites, dtype=complex)
     width = len(sender_sites)
@@ -230,7 +223,6 @@ def transfer_initial_state(
             for k in range(width)
             if (sender_idx >> (width - 1 - k)) & 1
         ]
-        for weight, channel_sites in channel_terms:
-            full_idx = basis_index(n_sites, excited + list(channel_sites))
-            amps[full_idx] += coeff * weight
+        for occupied in channel_terms:
+            amps[basis_index(n_sites, excited + occupied)] += coeff * weight
     return FullState(amps, n_sites)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import affine_from_kraus
-from .channel import KrausSet, Scenario, clamp_fidelity, pauli_transfer_matrix
+from .channel import KrausSet, clamp_fidelity, pauli_transfer_matrix
 from .errors import ParameterError
 
 MC_BATCH = 32768
@@ -180,7 +180,7 @@ def mc_fidelity_histogram(
     edges = np.asarray(edges, dtype=float)
     rng = stream.generator()
     counts = np.zeros(edges.size - 1, dtype=np.int64)
-    two_qubit = kraus.scenario is Scenario.TWO_QUBIT_VACUUM
+    two_qubit = kraus.dim == 4
     if two_qubit:
         affine = affine_from_kraus(kraus)
     else:

@@ -99,7 +99,7 @@ def mc_local_unitary_fidelity(
     Schmidt-form state at the given concurrence and returns (mean, stderr):
     the sampled reference for the exact twirl of ``affine_from_kraus``.
     """
-    if kraus.scenario is not Scenario.TWO_QUBIT_VACUUM:
+    if kraus.dim != 4:
         raise ParameterError("local-unitary averaging needs a two-qubit channel")
     if n < 2:
         raise ParameterError(f"sample count must be >= 2, got {n}")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_chain, random_state, seeded_chain, trace_distance
-from spintransfer.chain import Barrier, ChannelInit, Perfect, Weak, protocol_preset
+from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
 from spintransfer.channel import (
     KrausSet,
     Scenario,
@@ -17,12 +17,6 @@ from spintransfer.channel import (
 from spintransfer.dynamics import dynamics_for, propagator_at, propagator_rows
 from spintransfer.errors import ParameterError
 from spintransfer.oracle import evolve_full, reduced_density, transfer_initial_state
-
-SCENARIO_SETUP = {
-    Scenario.ONE_QUBIT_VACUUM: ((1,), ChannelInit.VACUUM),
-    Scenario.ONE_QUBIT_UNIFORM: ((1,), ChannelInit.UNIFORM_ONE_EXCITATION),
-    Scenario.TWO_QUBIT_VACUUM: ((1, 2), ChannelInit.VACUUM),
-}
 
 
 def test_vacuum_channel_at_zero_receiver_still_empty(rng):
@@ -39,12 +33,7 @@ def test_apply_channel_identity_kraus(rng):
     # a literal identity channel reproduces the input projector exactly
     from spintransfer.channel import KrausSet
 
-    identity = KrausSet(
-        np.eye(2, dtype=complex)[None, :, :],
-        Scenario.ONE_QUBIT_VACUUM,
-        0.0,
-        1,
-    )
+    identity = KrausSet(np.eye(2, dtype=complex)[None, :, :], 0.0, 1)
     psi = random_state(rng, 2)
     rho = apply_channel(identity, psi)
     assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-15
@@ -141,18 +130,15 @@ def test_channel_matches_oracle(scenario, kind, rng):
     # the Kraus sets read the fidelity laws' rows; off the free-fermion gate
     # (long-range bond, ZZ terms) their pair rows come from the pair sector,
     # and the 2^N oracle is the independent check on both paths
-    sites, init = SCENARIO_SETUP[scenario]
     for n in (max(scenario.min_sites, 5), 8):
         spec = seeded_chain(int(rng.integers(2**31)), n, kind)
         for t in rng.uniform(0.2, 8.0, 3):
             kraus = kraus_for_scenario(spec, scenario, float(t))
             psi = random_state(rng, kraus.dim)
             rho = apply_channel(kraus, psi)
-            full = evolve_full(
-                spec, transfer_initial_state(n, sites, psi, init), float(t)
-            )
-            receiver = (n,) if kraus.dim == 2 else (n - 1, n)
-            assert trace_distance(rho, reduced_density(full, receiver)) <= 1e-9
+            initial = transfer_initial_state(n, scenario.senders, psi, scenario.occupied(n))
+            full = evolve_full(spec, initial, float(t))
+            assert trace_distance(rho, reduced_density(full, scenario.receiver(n))) <= 1e-9
 
 
 def test_fidelity_duality(rng):
@@ -200,7 +186,7 @@ def test_fidelity_clamps_only_rounding():
     psi = np.array([1.0, 0.0], dtype=complex)
     for scale, expected in ((1.0 + 1e-12, 1.0), (1.001, 1.001**2)):
         ops = scale * np.eye(2, dtype=complex)[None]
-        kraus = KrausSet(ops, Scenario.ONE_QUBIT_VACUUM, 0.0, 1)
+        kraus = KrausSet(ops, 0.0, 1)
         assert fidelity(kraus, psi) == pytest.approx(expected, abs=1e-15)
         assert fidelity_many(kraus, psi[None, :])[0] == pytest.approx(expected, abs=1e-15)
 

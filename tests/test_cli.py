@@ -12,8 +12,8 @@ from spintransfer.certify import (
     check_perfect_spectrum,
     run_certification,
 )
-from spintransfer import analytics, dynamics
-from spintransfer.cli import EXIT_CERTIFY, KS_GATE_ALPHA, main
+from spintransfer import analytics, channel, dynamics
+from spintransfer.cli import EXIT_CERTIFY, EXIT_NUMERIC, KS_GATE_ALPHA, main
 from spintransfer.dynamics import dynamics_for
 
 
@@ -125,6 +125,22 @@ def test_parameter_error_exit_code(tmp_path):
         "--out", str(tmp_path / "x"),
     )
     assert code == 2
+
+
+def test_kraus_completeness_failure_exit_code(tmp_path, monkeypatch):
+    # a Kraus set that misses its completeness bound is a numeric failure,
+    # not a caller error
+    monkeypatch.setattr(channel, "COMPLETENESS_TOL", -1.0)
+    code = run_cli(
+        "pdf",
+        "--protocol", "perfect",
+        "--n-sites", "8",
+        "--scenario", "one_qubit_vacuum",
+        "--mode", "at_optimal",
+        "--mc-samples", "1000",
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == EXIT_NUMERIC
 
 
 MALFORMED = {

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from conftest import make_random_chain, random_state, seeded_chain
 from spintransfer import oracle
-from spintransfer.chain import ChainSpec, ChannelInit
+from spintransfer.chain import ChainSpec
 from spintransfer.dynamics import dynamics_for, propagator_at
 from spintransfer.errors import CapacityError, ParameterError
 from spintransfer.oracle import (
@@ -141,15 +141,11 @@ def test_all_popcount_evolution_matches_expm(rng):
 
 
 @pytest.mark.parametrize(
-    "senders, init",
-    [
-        ((1,), ChannelInit.VACUUM),
-        ((1,), ChannelInit.UNIFORM_ONE_EXCITATION),
-        ((1, 2), ChannelInit.VACUUM),
-    ],
+    "senders, occupied",
+    [((1,), ()), ((1,), range(2, 12)), ((1, 2), ())],
     ids=["one_qubit_vacuum", "one_qubit_uniform", "two_qubit"],
 )
-def test_oracle_diagonalises_only_occupied_blocks(monkeypatch, rng, senders, init):
+def test_oracle_diagonalises_only_occupied_blocks(monkeypatch, rng, senders, occupied):
     # transfer inputs live in popcounts 0..2, so no matrix larger than the
     # C(N, 2) pair block is diagonalised, where a dense build needs 2^N
     sizes = []
@@ -164,7 +160,7 @@ def test_oracle_diagonalises_only_occupied_blocks(monkeypatch, rng, senders, ini
     n = 12
     spec = make_random_chain(rng, n, long_range=True)
     psi = random_state(rng, 1 << len(senders))
-    evolve_full(spec, transfer_initial_state(n, senders, psi, init), 2.3)
+    evolve_full(spec, transfer_initial_state(n, senders, psi, occupied), 2.3)
     assert sizes and max(sizes) <= comb(n, 2)
 
 
@@ -240,7 +236,7 @@ def test_reduced_density_site_order_convention():
 
 def test_initial_state_embedding(rng):
     psi = random_state(rng, 2)
-    state = transfer_initial_state(5, (1,), psi, ChannelInit.UNIFORM_ONE_EXCITATION)
+    state = transfer_initial_state(5, (1,), psi, range(2, 5))
     # amplitude of |0>_1 (x) |j>: psi_0 / sqrt(3)
     for j in (2, 3, 4):
         assert state.amplitudes[basis_index(5, [j])] == pytest.approx(
@@ -249,6 +245,16 @@ def test_initial_state_embedding(rng):
         assert state.amplitudes[basis_index(5, [1, j])] == pytest.approx(
             psi[1] / np.sqrt(3.0)
         )
+
+
+def test_channel_sites_must_avoid_senders_and_lie_in_the_chain(rng):
+    # an occupied site that is also a sender would OR two excitations into
+    # one bit; a site past N has no bit at all
+    psi = random_state(rng, 2)
+    with pytest.raises(ParameterError):
+        transfer_initial_state(5, (1,), psi, (1, 2))
+    with pytest.raises(ParameterError):
+        transfer_initial_state(5, (1,), psi, (6,))
 
 
 def test_invalid_sites_rejected(rng):

@@ -119,9 +119,7 @@ def test_histogram_invariants():
 
 
 def test_identity_channel_histogram_all_top_bin():
-    identity = KrausSet(
-        np.eye(2, dtype=complex)[None, :, :], Scenario.ONE_QUBIT_VACUUM, 0.0, 1
-    )
+    identity = KrausSet(np.eye(2, dtype=complex)[None, :, :], 0.0, 1)
     edges = np.linspace(0.0, 1.0, 11)
     hist = mc_fidelity_histogram(identity, 5000, edges, RandomStream(3))
     assert hist.counts[-1] == 5000
@@ -173,9 +171,7 @@ def test_ks_distance_delta_vs_spread():
 
 
 def test_mc_local_unitary_identity_channel():
-    identity = KrausSet(
-        np.eye(4, dtype=complex)[None, :, :], Scenario.TWO_QUBIT_VACUUM, 0.0, 1
-    )
+    identity = KrausSet(np.eye(4, dtype=complex)[None, :, :], 0.0, 1)
     mean, err = mc_local_unitary_fidelity(identity, 0.7, 4000, RandomStream(5))
     assert mean == pytest.approx(1.0, abs=1e-12)
     assert err == pytest.approx(0.0, abs=1e-8)  # pure fp noise in the variance
@@ -201,7 +197,7 @@ def test_bloch_map_matches_kraus_on_random_isometries(n_ops, seed):
 
 
 def test_pauli_transfer_matrix_rejects_dimension_three():
-    qutrit = KrausSet(np.eye(3, dtype=complex)[None], Scenario.ONE_QUBIT_VACUUM, 0.0, 1)
+    qutrit = KrausSet(np.eye(3, dtype=complex)[None], 0.0, 1)
     with pytest.raises(ParameterError):
         pauli_transfer_matrix(qutrit)
 
