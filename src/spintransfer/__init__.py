@@ -24,6 +24,7 @@ from .channel import (
     apply_channel,
     fidelity,
     fidelity_many,
+    kraus_at_times,
     kraus_for_scenario,
     kraus_one_qubit_uniform,
     kraus_one_qubit_vacuum,
@@ -33,7 +34,6 @@ from .channel import (
 from .dynamics import (
     ChainDynamics,
     SpectralPropagator,
-    amplitude_table_to_csv,
     diagonalize,
     dynamics_for,
     is_free_fermion,
@@ -77,6 +77,7 @@ from .oracle import (
     FullState,
     block_hamiltonian,
     evolve_full,
+    evolve_many,
     reduced_density,
     transfer_initial_state,
 )

@@ -4,21 +4,24 @@ Each Kraus operator is the matrix element of the full evolution between the
 fixed initial channel state and one basis state of everything-but-the-
 receiver.  Conservation of total magnetization restricts which entries can
 be non-zero, so every operator is assembled from one- and two-excitation
-transition amplitudes.  The builders take a chain spec and a time, the
-order :func:`~spintransfer.analytics.fidelity_law` uses, and read
+transition amplitudes.  The builders take a chain spec and a 1-D array of
+times, the order :func:`~spintransfer.analytics.fidelity_law` uses, and read
 :func:`~spintransfer.dynamics.propagator_rows` of the one-excitation sector
 out of the sender (and, for the occupied channel, the initially occupied
 sites) and :func:`~spintransfer.dynamics.pair_rows` out of the initially
 occupied pairs (2x2 determinants of one-excitation amplitudes on a
-nearest-neighbour XX chain, pair-sector rows otherwise).  Each builder
-fills its operator stack by index from those rows; no full propagator is
-formed.  Trace preservation then holds by unitarity and the cached
-completeness defect only measures floating-point error.  The laws of a
-nearest-neighbour chain read none of the pair rows (closed forms in at
-most four amplitudes), so there the Kraus reductions check those closed
-forms; the 2^N oracle of :mod:`~spintransfer.oracle` is the independent
-check on the rows themselves (``channel_oracle_equivalence`` in
-certification).
+nearest-neighbour XX chain, pair-sector rows otherwise), one call each for
+all the times.  Each builder fills a (T, K, d, d) operator stack by index
+from those rows; no full propagator is formed.  :func:`kraus_at_times`
+makes the stack a :class:`KrausSet` with a leading time axis, and
+:func:`kraus_for_scenario` is its one-time case.  Trace preservation holds
+by unitarity and the cached completeness defect only measures
+floating-point error.  The laws of a nearest-neighbour chain read none of
+the pair rows (closed forms in at most four amplitudes), so there the Kraus
+reductions check those closed forms; the 2^N oracle of
+:mod:`~spintransfer.oracle` is the independent check on the rows themselves
+(``channel_oracle_equivalence`` in certification, which evaluates each
+chain's read-out times as one stack).
 
 Receiver conventions: :class:`Scenario` names each transfer's sites,
 ``senders``, ``occupied(n)`` and ``receiver(n)``.  Single-qubit transfer
@@ -83,16 +86,19 @@ class Scenario(enum.Enum):
 
 @dataclass(frozen=True)
 class KrausSet:
-    """A transfer channel at a fixed time as a finite list of matrices.
+    """A transfer channel at one time, or at each of T times, as stacked matrices.
 
-    ``operators`` stacks the d x d Kraus matrices along axis 0 (zero
-    operators are dropped); ``n_constructed`` counts the operators before
-    dropping; ``completeness_defect`` caches ``max|sum E^+ E - I|``.
-    Build one with :func:`kraus_set`.
+    ``operators`` stacks the d x d Kraus matrices along axis -3: shape
+    (K, d, d) at one time, (T, K, d, d) over T times.  Operators below
+    ``DROP_THRESHOLD`` are dropped: removed from a one-time set, zeroed in a
+    stack over times, which keeps its shape.  ``n_constructed`` counts the
+    operators before dropping; ``completeness_defect`` caches
+    ``max|sum E^+ E - I|``, a float at one time and one entry per time
+    otherwise.  Build one with :func:`kraus_set`.
     """
 
     operators: np.ndarray
-    completeness_defect: float
+    completeness_defect: float | np.ndarray
     n_constructed: int
 
     @property
@@ -100,81 +106,95 @@ class KrausSet:
         return self.operators.shape[-1]
 
     def __len__(self) -> int:
-        return self.operators.shape[0]
+        return self.operators.shape[-3]
 
 
 def kraus_set(ops: np.ndarray) -> KrausSet:
-    """Kraus set of the stack ``ops`` (n, d, d) less its operators below
-    ``DROP_THRESHOLD``; NumericError when the completeness defect exceeds
-    ``COMPLETENESS_TOL``."""
-    n_constructed = ops.shape[0]
-    keep = np.abs(ops).max(axis=(1, 2)) > DROP_THRESHOLD
-    ops = ops[keep]
-    gram = np.einsum("okl,okm->lm", ops.conj(), ops)
-    defect = float(np.abs(gram - np.eye(ops.shape[-1])).max())
-    if defect > COMPLETENESS_TOL:
+    """Kraus set of the stack ``ops`` (K, d, d), or of each stack of ``ops``
+    (T, K, d, d), less its operators below ``DROP_THRESHOLD``; NumericError
+    when a completeness defect exceeds ``COMPLETENESS_TOL``."""
+    n_constructed = ops.shape[-3]
+    keep = np.abs(ops).max(axis=(-2, -1)) > DROP_THRESHOLD
+    ops = ops[keep] if ops.ndim == 3 else np.where(keep[..., None, None], ops, 0.0)
+    gram = np.einsum("...okl,...okm->...lm", ops.conj(), ops)
+    defect = np.abs(gram - np.eye(ops.shape[-1])).max(axis=(-2, -1))
+    worst = float(defect.max())
+    if worst > COMPLETENESS_TOL:
         raise NumericError(
-            f"Kraus completeness defect {defect:.3e} exceeds "
+            f"Kraus completeness defect {worst:.3e} exceeds "
             f"{COMPLETENESS_TOL:.0e}; amplitude rows are not unitary enough"
         )
-    return KrausSet(ops, defect, n_constructed)
+    return KrausSet(ops, float(defect) if defect.ndim == 0 else defect, n_constructed)
 
 
-def _rows_at(spec: ChainSpec, scenario: Scenario, sources, targets, t: float):
-    """Chain dynamics and one-excitation rows (1, len(sources), len(targets)) at ``t``.
+def _rows_at(spec: ChainSpec, scenario: Scenario, sources, targets, times):
+    """Chain dynamics, the times as a 1-D array, and the one-excitation rows
+    (T, len(sources), len(targets)) at those times.
 
-    Checks the chain size for ``scenario`` and that ``t`` is finite first.
+    Checks the chain size for ``scenario`` and that the times are a finite
+    1-D array first.
     """
     scenario.check_sites(spec.n_sites)
-    if not np.isfinite(t):
-        raise ParameterError(f"time must be finite, got {t}")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ParameterError(f"times must be a 1-D array, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise ParameterError(f"times must be finite, got {times}")
     dyn = dynamics_for(spec)
-    return dyn, propagator_rows(dyn.one, sources, targets, [t])
+    return dyn, times, propagator_rows(dyn.one, sources, targets, times)
 
 
-def kraus_one_qubit_vacuum(spec: ChainSpec, t: float) -> KrausSet:
-    """Channel for one-qubit transfer with the chain starting empty.
+def kraus_one_qubit_vacuum(spec: ChainSpec, times) -> np.ndarray:
+    """Operator stack (T, 2, 2, 2) of one-qubit transfer, chain starting empty.
 
-    Two operators: the excitation-preserving block ``diag(1, a_1^N)`` and a
-    single lumped loss operator carrying the weight that leaked anywhere
-    else, ``sqrt(1 - |a_1^N|^2)``.
+    Two operators per time: the excitation-preserving block
+    ``diag(1, a_1^N)`` and a single lumped loss operator carrying the
+    weight that leaked anywhere else, ``sqrt(1 - |a_1^N|^2)``.
     """
-    _, rows = _rows_at(spec, Scenario.ONE_QUBIT_VACUUM, [[1]], [spec.n_sites], t)
-    a_end = rows[0, 0, 0]
-    ops = np.zeros((2, 2, 2), dtype=complex)
-    ops[0, 0, 0] = 1.0
-    ops[0, 1, 1] = a_end
-    ops[1, 0, 1] = np.sqrt(max(0.0, 1.0 - abs(a_end) ** 2))
-    return kraus_set(ops)
+    _, times, rows = _rows_at(spec, Scenario.ONE_QUBIT_VACUUM, [[1]], [spec.n_sites], times)
+    a_end = rows[:, 0, 0]
+    ops = np.zeros((times.size, 2, 2, 2), dtype=complex)
+    ops[:, 0, 0, 0] = 1.0
+    ops[:, 0, 1, 1] = a_end
+    # |a|^2 rounded as libm's hypot and pow round it (numpy's SIMD abs and
+    # square can differ in the last bit), so that each operator is bit for
+    # bit the scalar formula sqrt(max(0, 1 - abs(a) ** 2))
+    modulus = np.hypot(a_end.real, a_end.imag)
+    ops[:, 1, 0, 1] = np.sqrt(np.maximum(0.0, 1.0 - np.float_power(modulus, 2.0)))
+    return ops
 
 
-def kraus_one_qubit_uniform(spec: ChainSpec, t: float) -> KrausSet:
-    """Channel for one-qubit transfer with one excitation spread over 2..N-1.
+def kraus_one_qubit_uniform(spec: ChainSpec, times) -> np.ndarray:
+    """Operator stack (T, K, 2, 2) of one-qubit transfer with one excitation
+    spread over 2..N-1.
 
     The environment basis states carry 0, 1 or 2 excitations, giving
-    ``1 + (N-1) + (N-1)(N-2)/2`` operators whose entries are sums of one-
-    and two-excitation amplitudes out of the initially occupied sites: the
-    arrival operator (excitation at N), one operator per site k <= N-1
+    ``K = 1 + (N-1) + (N-1)(N-2)/2`` operators whose entries are sums of
+    one- and two-excitation amplitudes out of the initially occupied sites:
+    the arrival operator (excitation at N), one operator per site k <= N-1
     holding the excitation, one per pair k < l <= N-1.
     """
     n = spec.n_sites
     occupied = Scenario.ONE_QUBIT_UNIFORM.occupied(n)
-    dyn, rows = _rows_at(spec, Scenario.ONE_QUBIT_UNIFORM, [[1], occupied], range(1, n + 1), t)
+    dyn, times, rows = _rows_at(
+        spec, Scenario.ONE_QUBIT_UNIFORM, [[1], occupied], range(1, n + 1), times
+    )
     norm = 1.0 / np.sqrt(n - 2)
-    a_sum = rows[0, 1] * norm  # summed over the occupied sites, to site k
+    a_sum = rows[:, 1] * norm  # summed over the occupied sites, to site k
     # pair targets in operator order: (k, N) for k <= N-1, then k < l <= N-1
     targets = [(k, n) for k in range(1, n)] + list(combinations(range(1, n), 2))
-    b_sum = pair_rows(dyn, occupied, targets, [t], rows)[0] * norm
-    ops = np.zeros((1 + len(targets), 2, 2), dtype=complex)
-    ops[0, 1, 0] = a_sum[n - 1]
-    ops[1:n, 0, 0] = a_sum[: n - 1]
-    ops[1:n, 1, 1] = b_sum[: n - 1]
-    ops[n:, 0, 1] = b_sum[n - 1 :]
-    return kraus_set(ops)
+    b_sum = pair_rows(dyn, occupied, targets, times, rows) * norm
+    ops = np.zeros((times.size, 1 + len(targets), 2, 2), dtype=complex)
+    ops[:, 0, 1, 0] = a_sum[:, n - 1]
+    ops[:, 1:n, 0, 0] = a_sum[:, : n - 1]
+    ops[:, 1:n, 1, 1] = b_sum[:, : n - 1]
+    ops[:, n:, 0, 1] = b_sum[:, n - 1 :]
+    return ops
 
 
-def kraus_two_qubit_vacuum(spec: ChainSpec, t: float) -> KrausSet:
-    """Channel for two-qubit transfer {1,2} -> {N-1,N}, chain starting empty.
+def kraus_two_qubit_vacuum(spec: ChainSpec, times) -> np.ndarray:
+    """Operator stack (T, K, 4, 4) of two-qubit transfer {1,2} -> {N-1,N},
+    chain starting empty.
 
     Operators split by the excitation count left outside the receiver pair:
     one excitation-conserving operator, N-2 single-leak operators (leak to
@@ -182,8 +202,10 @@ def kraus_two_qubit_vacuum(spec: ChainSpec, t: float) -> KrausSet:
     k < j <= N-2).
     """
     n = spec.n_sites
-    dyn, rows = _rows_at(spec, Scenario.TWO_QUBIT_VACUUM, [[1], [2]], range(1, n + 1), t)
-    a1, a2 = rows[0, 0], rows[0, 1]  # from sites 1 and 2
+    dyn, times, rows = _rows_at(
+        spec, Scenario.TWO_QUBIT_VACUUM, [[1], [2]], range(1, n + 1), times
+    )
+    a1, a2 = rows[:, 0], rows[:, 1]  # from sites 1 and 2
     m = n - 2  # sites outside the receiver pair
     outside = range(1, n - 1)
     # pair targets in operator order: the receiver pair, (j, N), (j, N-1), k < j <= N-2
@@ -191,18 +213,19 @@ def kraus_two_qubit_vacuum(spec: ChainSpec, t: float) -> KrausSet:
         [(n - 1, n)] + [(j, n) for j in outside] + [(j, n - 1) for j in outside]
         + list(combinations(outside, 2))
     )
-    b12 = pair_rows(dyn, [2], targets, [t], rows)[0]
-    ops = np.zeros((len(targets) - m, 4, 4), dtype=complex)
-    ops[0, 0, 0] = 1.0
-    ops[0, 1:3, 1:3] = [[a2[n - 1], a1[n - 1]], [a2[n - 2], a1[n - 2]]]
-    ops[0, 3, 3] = b12[0]
-    single = ops[1 : 1 + m]
-    single[:, 0, 1] = a2[:m]
-    single[:, 0, 2] = a1[:m]
-    single[:, 1, 3] = b12[1 : 1 + m]
-    single[:, 2, 3] = b12[1 + m : 1 + 2 * m]
-    ops[1 + m :, 0, 3] = b12[1 + 2 * m :]
-    return kraus_set(ops)
+    b12 = pair_rows(dyn, [2], targets, times, rows)
+    ops = np.zeros((times.size, len(targets) - m, 4, 4), dtype=complex)
+    ops[:, 0, 0, 0] = 1.0
+    ops[:, 0, 1, 1], ops[:, 0, 1, 2] = a2[:, n - 1], a1[:, n - 1]
+    ops[:, 0, 2, 1], ops[:, 0, 2, 2] = a2[:, n - 2], a1[:, n - 2]
+    ops[:, 0, 3, 3] = b12[:, 0]
+    single = ops[:, 1 : 1 + m]
+    single[:, :, 0, 1] = a2[:, :m]
+    single[:, :, 0, 2] = a1[:, :m]
+    single[:, :, 1, 3] = b12[:, 1 : 1 + m]
+    single[:, :, 2, 3] = b12[:, 1 + m : 1 + 2 * m]
+    ops[:, 1 + m :, 0, 3] = b12[:, 1 + 2 * m :]
+    return ops
 
 
 _BUILDERS = {
@@ -212,37 +235,59 @@ _BUILDERS = {
 }
 
 
-def kraus_for_scenario(spec: ChainSpec, scenario: Scenario, t: float) -> KrausSet:
-    """Kraus set of ``scenario`` on ``spec`` at time ``t``."""
+def _builder(scenario: Scenario):
     builder = _BUILDERS.get(scenario)
     if builder is None:
         raise ParameterError(f"unknown scenario {scenario!r}")
-    return builder(spec, t)
+    return builder
+
+
+def kraus_at_times(spec: ChainSpec, scenario: Scenario, times) -> KrausSet:
+    """Kraus sets of ``scenario`` on ``spec`` at each of the 1-D ``times``,
+    stacked along a leading time axis."""
+    return kraus_set(_builder(scenario)(spec, times))
+
+
+def kraus_for_scenario(spec: ChainSpec, scenario: Scenario, t: float) -> KrausSet:
+    """Kraus set of ``scenario`` on ``spec`` at time ``t``: the one-time case
+    of :func:`kraus_at_times`."""
+    return kraus_set(_builder(scenario)(spec, [t])[0])
 
 
 def _check_input(kraus: KrausSet, state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    if state.shape != (kraus.dim,):
+    """``state`` as complex rows, one per leading index of ``kraus``; a
+    ParameterError unless each row has length ``kraus.dim`` and norm 1 to
+    1e-12."""
+    state = np.asarray(state, dtype=complex)
+    if kraus.operators.ndim == 3:
+        state = state.reshape(-1)
+    expected = (*kraus.operators.shape[:-3], kraus.dim)
+    if state.shape != expected:
         raise ParameterError(
-            f"input state must have dimension {kraus.dim}, got {state.shape}"
+            f"input state must have shape {expected}, got {state.shape}"
         )
-    if abs(np.linalg.norm(state) - 1.0) > 1e-12:
+    if np.abs(np.linalg.norm(state, axis=-1) - 1.0).max() > 1e-12:
         raise ParameterError("input state must be normalized to 1e-12")
     return state
 
 
 def apply_channel(kraus: KrausSet, state: np.ndarray) -> np.ndarray:
-    """Channel output ``sum_k E_k |psi><psi| E_k^+`` for a pure input."""
+    """Channel output ``sum_k E_k |psi><psi| E_k^+`` for a pure input.
+
+    Over a stack of times, ``state`` holds one input per time (T, d) and
+    the output one density matrix per time (T, d, d).
+    """
     state = _check_input(kraus, state)
-    mapped = kraus.operators @ state  # (n_ops, d)
-    rho = np.einsum("ok,ol->kl", mapped, mapped.conj())
-    return 0.5 * (rho + rho.conj().T)
+    mapped = (kraus.operators @ state[..., None, :, None])[..., 0]  # (..., n_ops, d)
+    rho = np.einsum("...ok,...ol->...kl", mapped, mapped.conj())
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def fidelity(kraus: KrausSet, state: np.ndarray) -> float:
     """Transfer fidelity ``sum_k |<psi|E_k|psi>|^2`` of a pure input.
 
-    The one-row case of :func:`fidelity_many`, after the input checks.
+    The one-row case of :func:`fidelity_many` at one time, after the input
+    checks.
     """
     state = _check_input(kraus, state)
     return float(fidelity_many(kraus, state[None, :])[0])
@@ -269,6 +314,8 @@ def pauli_transfer_matrix(kraus: KrausSet) -> np.ndarray:
     two matrix products with the Gram matrix G regrouped as [(a, b), (c, e)].
     """
     d = kraus.dim
+    if kraus.operators.ndim != 3:
+        raise ParameterError("the Pauli transfer matrix takes a Kraus set at one time")
     if d not in PAULI_STRINGS:
         raise ParameterError(
             f"the Pauli transfer matrix needs a one- or two-qubit channel, got dimension {d}"
@@ -281,18 +328,24 @@ def pauli_transfer_matrix(kraus: KrausSet) -> np.ndarray:
 
 def fidelity_many(kraus: KrausSet, states: np.ndarray) -> np.ndarray:
     """Transfer fidelities of the rows of ``states`` (n, d), through
-    :func:`clamp_fidelity`."""
+    :func:`clamp_fidelity`.
+
+    Over a stack of times (T, K, d, d), ``states`` is (T, n, d): row j of
+    block k is read out through the channel at time k, and the result is
+    (T, n).
+    """
     states = np.asarray(states, dtype=complex)
-    if states.ndim != 2 or states.shape[1] != kraus.dim:
-        raise ParameterError(
-            f"states must have shape (n, {kraus.dim}), got {states.shape}"
-        )
+    batch = kraus.operators.shape[:-3]
+    if states.ndim != len(batch) + 2 or states.shape[:-2] != batch or states.shape[-1] != kraus.dim:
+        expected = ", ".join([*map(str, batch), "n", str(kraus.dim)])
+        raise ParameterError(f"states must have shape ({expected}), got {states.shape}")
     # <psi|E|psi> = sum_kl conj(psi_k) E_kl psi_l: one matrix product of
     # the flattened conj(psi) psi^T rows with the flattened operators
-    n, d = states.shape
-    rows = (states.conj()[:, :, None] * states[:, None, :]).reshape(n, d * d)
-    overlaps = rows @ kraus.operators.reshape(len(kraus), d * d).T
-    return clamp_fidelity((np.abs(overlaps) ** 2).sum(axis=1))
+    n, d = states.shape[-2:]
+    rows = (states.conj()[..., :, None] * states[..., None, :]).reshape(*batch, n, d * d)
+    ops = kraus.operators.reshape(*batch, len(kraus), d * d)
+    overlaps = rows @ ops.swapaxes(-1, -2)
+    return clamp_fidelity((np.abs(overlaps) ** 2).sum(axis=-1))
 
 
 def clamp_fidelity(values: np.ndarray) -> np.ndarray:

@@ -94,10 +94,18 @@ class ExperimentConfig:
         raise ParameterError(f"unknown protocol kind {kind!r}")
 
     def scenario_enum(self) -> Scenario:
+        choices = ", ".join(s.value for s in Scenario)
+        if not self.scenario:
+            raise ParameterError(
+                f"scenario is missing: pass --scenario or set the config field "
+                f"scenario to one of {choices}"
+            )
         try:
             return Scenario(self.scenario)
         except ValueError as exc:
-            raise ParameterError(f"unknown scenario {self.scenario!r}") from exc
+            raise ParameterError(
+                f"unknown scenario {self.scenario!r}; choose one of {choices}"
+            ) from exc
 
     def resolved_aux(self) -> bool:
         if self.aux_field is not None:
@@ -229,7 +237,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         n_sites=_number(
             "n_sites", args.n_sites if args.n_sites is not None else data.get("n_sites", 0), int
         ),
-        scenario=str(args.scenario or data.get("scenario", "")),
+        scenario=str(args.scenario or data.get("scenario") or ""),
         mode=mode,
         mc_samples=_number(
             "mc_samples",

@@ -10,7 +10,7 @@ first time something reads it.  :func:`propagator_rows` (with
 the package: the fidelity laws read it on whole time grids and the Kraus
 sets of :mod:`~spintransfer.channel` read it at single times.
 :func:`propagator_at`, the full propagator of a sector at one time, is
-kept as the full-sector reference for certification and the CSV dump.
+kept as the full-sector reference for certification.
 The tuning scans hand :func:`propagator_rows` arithmetic grids, which it
 evaluates as products of a giant-step and a baby-step phase table; single
 times, short or non-uniform grids take the full phase matrix.  Both paths
@@ -280,23 +280,3 @@ def dynamics_for(spec: ChainSpec) -> ChainDynamics:
         _DYNAMICS_CACHE[key] = built
     return built
 
-
-def amplitude_table_to_csv(spec: ChainSpec, t: float, path, which: str = "one") -> None:
-    """Write the full propagator of one sector of ``spec`` at ``t`` as CSV.
-
-    ``which="one"`` writes columns ``i,j,re,im`` over site pairs;
-    ``which="two"`` writes ``i1,i2,j1,j2,re,im`` over configuration pairs.
-    Rows follow the sector basis order, source outer.
-    """
-    headers = {"one": "i,j,re,im", "two": "i1,i2,j1,j2,re,im"}
-    if which not in headers:
-        raise ParameterError(f"which must be 'one' or 'two', got {which!r}")
-    dyn = dynamics_for(spec)
-    prop = dyn.one if which == "one" else dyn.two
-    matrix = propagator_at(prop, t)
-    labels = [",".join(map(str, c)) for c in prop.basis.configurations]
-    lines = [headers[which]]
-    for src, row in zip(labels, matrix):
-        lines.extend(f"{src},{dst},{z.real:.17g},{z.imag:.17g}" for dst, z in zip(labels, row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

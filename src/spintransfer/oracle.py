@@ -7,13 +7,19 @@ dynamics and the channel construction independently.
 Every chain Hamiltonian (XX+YY hopping, J*D ZZ terms, Z fields) conserves
 the excitation number, so it is block-diagonal in the popcount q of the
 basis index.  :func:`block_hamiltonian` builds the popcount-q block from bit
-operations on the sorted integers of popcount q, and :func:`evolve_full`
-diagonalises and evolves only the blocks the initial state occupies; its
-output is still the full 2^N state vector.  The same Z-sign convention and
-the same vacuum-energy gauge shift as the sector machinery are applied,
-which makes amplitude phases directly comparable.  Capped at N =
-``MAX_ORACLE_SITES`` = 12; the oracle exists for certification, never for
-production runs.
+operations on the sorted integers of popcount q, and :func:`evolve_many`
+diagonalises and evolves only the blocks the initial states occupy; its
+output is still a full 2^N state vector per row.  Every step takes a
+leading batch axis: :class:`FullState` holds one state or a stack of them,
+:func:`transfer_initial_state` embeds a stack of sender states through one
+(2^w, 2^N) matrix (the embedding is linear), :func:`evolve_many` applies
+each block's eigenvectors to all rows at once with a phase per row and
+time, and :func:`reduced_density` traces every row out at once.
+:func:`evolve_full` is the one-state, one-time case.  The same Z-sign
+convention and the same vacuum-energy gauge shift as the sector machinery
+are applied, which makes amplitude phases directly comparable.  Capped at
+N = ``MAX_ORACLE_SITES`` = 16; the oracle exists for certification, never
+for production runs.
 """
 
 from __future__ import annotations
@@ -26,15 +32,17 @@ import numpy as np
 from .chain import ChainSpec
 from .errors import CapacityError, ParameterError
 
-MAX_ORACLE_SITES = 12
+MAX_ORACLE_SITES = 16
 
 
 @dataclass(frozen=True)
 class FullState:
-    """Normalized state vector over the full 2^N space.
+    """Normalized state vector over the full 2^N space, or a stack of them.
 
-    Basis convention: site i (1-based) maps to bit i-1 of the index, so the
-    index of a configuration with excited sites S is ``sum(2**(i-1))``.
+    ``amplitudes`` has shape (2^N,), or (T, 2^N) for T states, each row
+    normalized.  Basis convention: site i (1-based) maps to bit i-1 of the
+    index, so the index of a configuration with excited sites S is
+    ``sum(2**(i-1))``.
     """
 
     amplitudes: np.ndarray
@@ -42,15 +50,25 @@ class FullState:
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amps.shape != (1 << self.n_sites,):
+        if amps.ndim not in (1, 2) or amps.shape[-1] != 1 << self.n_sites:
             raise ParameterError(
-                f"amplitudes must have length 2**{self.n_sites}"
+                f"amplitudes must have length 2**{self.n_sites}, one row per state"
             )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-12:
-            raise ParameterError(f"state norm deviates from 1 by {norm - 1:.3e}")
+        worst = float(np.abs(_row_norms(amps) - 1.0).max(initial=0.0))
+        if worst > 1e-12:
+            raise ParameterError(f"state norm deviates from 1 by {worst:.3e}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+
+def _row_norms(amps: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a C-contiguous complex array.
+
+    The rows are read as interleaved real and imaginary parts, which spares
+    the conjugate copy of a 2^N-wide row that ``np.linalg.norm`` makes.
+    """
+    parts = amps.view(np.float64)
+    return np.sqrt(np.einsum("...k,...k->...", parts, parts))
 
 
 def _check_capacity(n_sites: int) -> None:
@@ -123,28 +141,48 @@ def _block_spectrum(
     return entry
 
 
-def evolve_full(spec: ChainSpec, initial: FullState, t: float) -> FullState:
-    """Evolve a full state by exact spectral evolution, block by block.
+def evolve_many(spec: ChainSpec, initial: FullState, times) -> FullState:
+    """Evolve each row of a stack of full states to its own time, block by block.
 
-    Only the popcount blocks holding a nonzero amplitude of ``initial`` are
+    ``initial`` holds T states and ``times`` their T read-out times.  Only
+    the popcount blocks holding a nonzero amplitude of some row are
     diagonalised (once per spec and popcount) and evolved; the others stay
-    zero, since the Hamiltonian never leaves a block.
+    zero, since the Hamiltonian never leaves a block.  Each block takes two
+    matrix products over all rows, into its eigenbasis and back, with the
+    phases exp(-i E t) of every row's time in between.
     """
     _check_capacity(spec.n_sites)
     if initial.n_sites != spec.n_sites:
         raise ParameterError(
             f"state has {initial.n_sites} sites, spec has {spec.n_sites}"
         )
+    amps = initial.amplitudes
+    times = np.asarray(times, dtype=float)
+    if amps.ndim != 2 or times.shape != amps.shape[:1]:
+        raise ParameterError(
+            f"need one time per state row, got {times.shape} times for "
+            f"amplitudes of shape {amps.shape}"
+        )
+    if not np.isfinite(times).all():
+        raise ParameterError(f"times must be finite, got {times}")
+    evolved = np.zeros_like(amps)
+    occupied = np.flatnonzero(amps.any(axis=0))
+    for q in np.unique(np.bitwise_count(occupied)):
+        idx, evals, evecs = _block_spectrum(spec, int(q))
+        coeff = amps[:, idx] @ evecs
+        evolved[:, idx] = (np.exp(-1j * evals * times[:, None]) * coeff) @ evecs.T
+    evolved /= _row_norms(evolved)[:, None]
+    return FullState(evolved, spec.n_sites)
+
+
+def evolve_full(spec: ChainSpec, initial: FullState, t: float) -> FullState:
+    """Evolve one full state to time ``t``: the one-row case of :func:`evolve_many`."""
+    if initial.amplitudes.ndim != 1:
+        raise ParameterError("evolve_full takes one state; use evolve_many for a stack")
     if not np.isfinite(t):
         raise ParameterError(f"time must be finite, got {t}")
-    amps = initial.amplitudes
-    evolved = np.zeros_like(amps)
-    for q in np.unique(np.bitwise_count(np.flatnonzero(amps))):
-        idx, evals, evecs = _block_spectrum(spec, int(q))
-        coeff = evecs.T @ amps[idx]
-        evolved[idx] = evecs @ (np.exp(-1j * evals * t) * coeff)
-    evolved /= np.linalg.norm(evolved)
-    return FullState(evolved, spec.n_sites)
+    row = FullState(initial.amplitudes[None, :], initial.n_sites)
+    return FullState(evolve_many(spec, row, [t]).amplitudes[0], spec.n_sites)
 
 
 def reduced_density(state: FullState, sites) -> np.ndarray:
@@ -152,7 +190,8 @@ def reduced_density(state: FullState, sites) -> np.ndarray:
 
     The output basis is the binary ordering of the listed sites with the
     first listed site as the most significant bit, e.g. ``sites=(N-1, N)``
-    yields the basis |00>, |0 1_N>, |1_{N-1} 0>, |1_{N-1} 1_N>.
+    yields the basis |00>, |0 1_N>, |1_{N-1} 0>, |1_{N-1} 1_N>.  A stack of
+    T states gives T density matrices, shape (T, 2^k, 2^k).
     """
     n = state.n_sites
     sites = [int(s) for s in sites]
@@ -160,15 +199,17 @@ def reduced_density(state: FullState, sites) -> np.ndarray:
         raise ParameterError(f"sites must be distinct, got {sites}")
     if any(not 1 <= s <= n for s in sites):
         raise ParameterError(f"sites must lie in 1..{n}, got {sites}")
-    tensor = state.amplitudes.reshape((2,) * n)
-    # C-order reshape puts site i on axis n - i
-    kept_axes = [n - s for s in sites]
-    rest = [ax for ax in range(n) if ax not in kept_axes]
-    mat = np.transpose(tensor, kept_axes + rest).reshape(
-        1 << len(sites), 1 << (n - len(sites))
+    batch = state.amplitudes.shape[:-1]
+    tensor = state.amplitudes.reshape(*batch, *(2,) * n)
+    # C-order reshape puts site i on axis n - i after the batch axes
+    lead = len(batch)
+    kept_axes = [lead + n - s for s in sites]
+    rest = [ax for ax in range(lead, lead + n) if ax not in kept_axes]
+    mat = np.transpose(tensor, [*range(lead), *kept_axes, *rest]).reshape(
+        *batch, 1 << len(sites), 1 << (n - len(sites))
     )
-    rho = mat @ mat.conj().T
-    return 0.5 * (rho + rho.conj().T)
+    rho = mat @ mat.conj().swapaxes(-1, -2)
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def basis_index(n_sites: int, excited_sites) -> int:
@@ -190,19 +231,23 @@ def transfer_initial_state(
     """Embed ``sender_state (x) channel state`` into the full space.
 
     ``sender_state`` is indexed with the first listed sender site as the most
-    significant bit (same convention as :func:`reduced_density`).  The
-    channel state spreads one excitation evenly over ``channel_sites`` (a
+    significant bit (same convention as :func:`reduced_density`); a stack of
+    T sender states (T, 2^w) gives a stack of T full states.  The channel
+    state spreads one excitation evenly over ``channel_sites`` (a
     scenario's ``occupied(n)``), which must avoid the sender sites, and is
-    the vacuum when they are empty.
+    the vacuum when they are empty.  The embedding is linear in the sender
+    state: one product with a (2^w, 2^N) matrix whose row s holds the
+    channel state shifted by the excitations of sender configuration s.
     """
     sender_sites = [int(s) for s in sender_sites]
     channel_sites = [int(s) for s in channel_sites]
+    width = len(sender_sites)
     sender_state = np.asarray(sender_state, dtype=complex)
-    if sender_state.shape != (1 << len(sender_sites),):
+    if sender_state.ndim not in (1, 2) or sender_state.shape[-1] != 1 << width:
         raise ParameterError(
-            f"sender_state must have length {1 << len(sender_sites)}"
+            f"sender_state must have length {1 << width}, one row per state"
         )
-    if abs(np.linalg.norm(sender_state) - 1.0) > 1e-12:
+    if np.abs(np.linalg.norm(sender_state, axis=-1) - 1.0).max() > 1e-12:
         raise ParameterError("sender_state must be normalized to 1e-12")
     if set(channel_sites) & set(sender_sites):
         raise ParameterError(
@@ -211,18 +256,13 @@ def transfer_initial_state(
 
     weight = 1.0 / np.sqrt(len(channel_sites)) if channel_sites else 1.0
     channel_terms = [[j] for j in channel_sites] or [[]]
-
-    amps = np.zeros(1 << n_sites, dtype=complex)
-    width = len(sender_sites)
+    embedding = np.zeros((1 << width, 1 << n_sites), dtype=complex)
     for sender_idx in range(1 << width):
-        coeff = sender_state[sender_idx]
-        if coeff == 0.0:
-            continue
         excited = [
             sender_sites[k]
             for k in range(width)
             if (sender_idx >> (width - 1 - k)) & 1
         ]
         for occupied in channel_terms:
-            amps[basis_index(n_sites, excited + occupied)] += coeff * weight
-    return FullState(amps, n_sites)
+            embedding[sender_idx, basis_index(n_sites, excited + occupied)] = weight
+    return FullState(sender_state @ embedding, n_sites)

@@ -6,13 +6,14 @@ from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
 from spintransfer.channel import (
     KrausSet,
     Scenario,
+    DROP_THRESHOLD,
     apply_channel,
     fidelity,
     fidelity_many,
+    kraus_at_times,
     kraus_for_scenario,
     kraus_one_qubit_uniform,
-    kraus_one_qubit_vacuum,
-    kraus_two_qubit_vacuum,
+    pauli_transfer_matrix,
 )
 from spintransfer.dynamics import dynamics_for, propagator_at, propagator_rows
 from spintransfer.errors import ParameterError
@@ -22,7 +23,7 @@ from spintransfer.oracle import evolve_full, reduced_density, transfer_initial_s
 def test_vacuum_channel_at_zero_receiver_still_empty(rng):
     # before any dynamics the receiver holds |0>, whatever was sent
     spec = make_random_chain(rng, 5)
-    kraus = kraus_one_qubit_vacuum(spec, 0.0)
+    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 0.0)
     psi = random_state(rng, 2)
     rho = apply_channel(kraus, psi)
     assert np.abs(rho - np.diag([1.0, 0.0])).max() < 1e-12
@@ -42,7 +43,7 @@ def test_apply_channel_identity_kraus(rng):
 
 def test_vacuum_channel_structure(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_one_qubit_vacuum(spec, 1.3)
+    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 1.3)
     assert kraus.n_constructed == 2
     amp = propagator_at(dynamics_for(spec).one, 1.3)[0, 5]
     e0 = kraus.operators[0]
@@ -57,7 +58,7 @@ def test_vacuum_channel_structure(rng):
 
 def test_vacuum_fidelity_of_pole_states(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_one_qubit_vacuum(spec, 2.1)
+    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 2.1)
     assert fidelity(kraus, np.array([1.0, 0.0], dtype=complex)) == pytest.approx(1.0)
     amp = propagator_at(dynamics_for(spec).one, 2.1)[0, 5]
     assert fidelity(kraus, np.array([0.0, 1.0], dtype=complex)) == pytest.approx(
@@ -68,12 +69,12 @@ def test_vacuum_fidelity_of_pole_states(rng):
 def test_uniform_channel_validation():
     spec = make_random_chain(np.random.default_rng(1), 3)
     with pytest.raises(ParameterError):
-        kraus_one_qubit_uniform(spec, 0.5)
+        kraus_one_qubit_uniform(spec, [0.5])
 
 
 def test_uniform_channel_at_zero(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_one_qubit_uniform(spec, 0.0)
+    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, 0.0)
     for psi in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
         rho = apply_channel(kraus, psi.astype(complex))
         assert np.abs(rho - np.diag([1.0, 0.0])).max() < 1e-12
@@ -82,20 +83,20 @@ def test_uniform_channel_at_zero(rng):
 def test_uniform_operator_count(rng):
     n = 8
     spec = make_random_chain(rng, n)
-    kraus = kraus_one_qubit_uniform(spec, 1.7)
+    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, 1.7)
     assert kraus.n_constructed == 1 + (n - 1) + (n - 1) * (n - 2) // 2
 
 
 def test_two_qubit_operator_count(rng):
     n = 9
     spec = make_random_chain(rng, n)
-    kraus = kraus_two_qubit_vacuum(spec, 1.1)
+    kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 1.1)
     assert kraus.n_constructed == 1 + 7 + 21
 
 
 def test_two_qubit_at_zero(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_two_qubit_vacuum(spec, 0.0)
+    kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 0.0)
     e0 = kraus.operators[0]
     assert e0[0, 0] == 1.0
     assert abs(e0[3, 3]) < 1e-12  # nothing has arrived on the receiver pair
@@ -106,7 +107,7 @@ def test_two_qubit_at_zero(rng):
 def test_two_qubit_vacuum_component_stationary(rng):
     spec = make_random_chain(rng, 7)
     for t in (0.0, 1.9, 6.4):
-        kraus = kraus_two_qubit_vacuum(spec, t)
+        kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, t)
         psi00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
         assert fidelity(kraus, psi00) == pytest.approx(1.0, abs=1e-12)
 
@@ -164,7 +165,7 @@ def test_apply_channel_properties(rng):
 
 def test_unnormalized_input_rejected(rng):
     spec = make_random_chain(rng, 5)
-    kraus = kraus_one_qubit_vacuum(spec, 1.0)
+    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 1.0)
     with pytest.raises(ParameterError):
         apply_channel(kraus, np.array([1.0, 1.0]))
     with pytest.raises(ParameterError):
@@ -196,7 +197,7 @@ def test_perfect_transfer_is_pure_phase():
     dyn = dynamics_for(spec)
     ts = np.linspace(0.7, 0.9, 5001)
     t_opt = ts[np.argmax(np.abs(propagator_rows(dyn.one, [[1]], [8], ts)[:, 0, 0]))]
-    kraus = kraus_one_qubit_vacuum(spec, float(t_opt))
+    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, float(t_opt))
     amp = kraus.operators[0][1, 1]
     assert abs(amp) == pytest.approx(1.0, abs=1e-8)
     psi = random_state(np.random.default_rng(5), 2)
@@ -209,5 +210,60 @@ def test_uniform_completeness_large_barrier_chain(rng):
     # channel construction stays trace preserving at the larger chain size
     spec = protocol_preset(Barrier(100.0), 15)
     for t in rng.uniform(0.0, 2000.0, 3):
-        kraus = kraus_one_qubit_uniform(spec, float(t))
+        kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, float(t))
         assert kraus.completeness_defect <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["nearest", "long_range", "zz"])
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_stack_over_times_matches_one_time_sets(scenario, kind, rng):
+    # t = 0 drops the leak operators of the occupied and two-qubit channels
+    # (nothing has moved yet): the stack zeroes them where a one-time set
+    # removes them, and the rest agree time by time
+    n = 7
+    spec = seeded_chain(int(rng.integers(2**31)), n, kind)
+    times = np.r_[0.0, rng.uniform(0.2, 8.0, 4)]
+    stack = kraus_at_times(spec, scenario, times)
+    assert stack.operators.shape[:2] == (5, stack.n_constructed)
+    assert stack.completeness_defect.shape == (5,)
+    for k, t in enumerate(times):
+        one = kraus_for_scenario(spec, scenario, float(t))
+        ops = stack.operators[k]
+        kept = ops[np.abs(ops).max(axis=(1, 2)) > DROP_THRESHOLD]
+        assert stack.n_constructed == one.n_constructed
+        assert kept.shape == one.operators.shape
+        assert np.abs(kept - one.operators).max() <= 1e-14
+        assert abs(stack.completeness_defect[k] - one.completeness_defect) <= 1e-15
+    if scenario is not Scenario.ONE_QUBIT_VACUUM:
+        assert np.count_nonzero(np.abs(stack.operators[0]).max(axis=(1, 2))) < stack.n_constructed
+
+
+def test_stack_outputs_match_one_time_outputs(rng):
+    # apply_channel and fidelity_many take the stack's leading time axis:
+    # one input per time in, one output per time out
+    spec = make_random_chain(rng, 7)
+    times = rng.uniform(0.5, 6.0, 4)
+    for scenario in Scenario:
+        stack = kraus_at_times(spec, scenario, times)
+        psi = np.array([random_state(rng, stack.dim) for _ in times])
+        rho = apply_channel(stack, psi)
+        values = fidelity_many(stack, psi[:, None, :])
+        assert rho.shape == (4, stack.dim, stack.dim) and values.shape == (4, 1)
+        for k, t in enumerate(times):
+            one = kraus_for_scenario(spec, scenario, float(t))
+            assert np.abs(rho[k] - apply_channel(one, psi[k])).max() <= 1e-14
+            assert abs(values[k, 0] - fidelity(one, psi[k])) <= 1e-14
+
+
+def test_stack_inputs_validated(rng):
+    spec = make_random_chain(rng, 6)
+    stack = kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [1.0, 2.0])
+    with pytest.raises(ParameterError):
+        apply_channel(stack, random_state(rng, 2))  # one state for two times
+    with pytest.raises(ParameterError):
+        fidelity_many(stack, random_state(rng, 2)[None, :])
+    with pytest.raises(ParameterError):
+        pauli_transfer_matrix(stack)  # one time only
+    for times in (1.0, [[1.0, 2.0]], [1.0, np.nan]):
+        with pytest.raises(ParameterError):
+            kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, times)

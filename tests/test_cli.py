@@ -15,6 +15,7 @@ from spintransfer.certify import (
 from spintransfer import analytics, channel, dynamics
 from spintransfer.cli import EXIT_CERTIFY, EXIT_NUMERIC, KS_GATE_ALPHA, main
 from spintransfer.dynamics import dynamics_for
+from spintransfer.oracle import MAX_ORACLE_SITES
 
 
 def run_cli(*argv) -> int:
@@ -247,7 +248,27 @@ def test_certify_cli_and_schema(tmp_path):
 
 
 def test_certify_rejects_oversize():
-    assert run_cli("certify", "--n-max", "13") == 2
+    assert run_cli("certify", "--n-max", str(MAX_ORACLE_SITES + 1)) == 2
+
+
+def test_certify_sweep_case_count():
+    # ten read-out times per (N, chain, scenario) case: batching the times
+    # keeps every case
+    checks = {c["name"]: c for c in run_certification(6)["checks"]}
+    for name in ("kraus_completeness", "channel_oracle_equivalence", "fidelity_duality"):
+        assert checks[name]["detail"] == "330 cases, N in 4..6"
+        assert checks[name]["passed"]
+
+
+@pytest.mark.parametrize("command", ["pdf", "tune"])
+def test_missing_scenario_names_the_choices(command, tmp_path, capsys):
+    code = run_cli(command, "--protocol", "perfect", "--n-sites", "8",
+                   "--out", str(tmp_path / "x"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "scenario is missing" in err and "unknown scenario" not in err
+    for choice in ("one_qubit_vacuum", "one_qubit_uniform", "two_qubit"):
+        assert choice in err
 
 
 @pytest.mark.parametrize("n_max", ["3", "0", "-1"])

@@ -6,16 +6,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import make_random_chain, random_state, seeded_chain
+from conftest import make_random_chain, random_state, seeded_chain, trace_distance
 from spintransfer import oracle
 from spintransfer.chain import ChainSpec
+from spintransfer.channel import Scenario, apply_channel, kraus_at_times
 from spintransfer.dynamics import dynamics_for, propagator_at
 from spintransfer.errors import CapacityError, ParameterError
 from spintransfer.oracle import (
+    MAX_ORACLE_SITES,
     FullState,
     basis_index,
     block_hamiltonian,
     evolve_full,
+    evolve_many,
     reduced_density,
     transfer_initial_state,
 )
@@ -110,13 +113,16 @@ def test_blocks_match_dense_reference(spec):
 
 
 def test_capacity_cap():
-    spec = make_random_chain(np.random.default_rng(0), 13)
+    n = MAX_ORACLE_SITES + 1
+    spec = make_random_chain(np.random.default_rng(0), n)
     with pytest.raises(CapacityError):
         block_hamiltonian(spec, 1)
-    vacuum = np.zeros(1 << 13, dtype=complex)
+    vacuum = np.zeros(1 << n, dtype=complex)
     vacuum[0] = 1.0
     with pytest.raises(CapacityError):
-        evolve_full(spec, FullState(vacuum, 13), 1.0)
+        evolve_full(spec, FullState(vacuum, n), 1.0)
+    with pytest.raises(CapacityError):
+        evolve_many(spec, FullState(vacuum[None, :], n), [1.0])
 
 
 def test_block_popcount_validated():
@@ -262,3 +268,51 @@ def test_invalid_sites_rejected(rng):
     for sites in [(0,), (5,), (1, 1)]:
         with pytest.raises(ParameterError):
             reduced_density(state, sites)
+
+
+@pytest.mark.parametrize("kind", ["nearest", "long_range", "zz"])
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_batched_oracle_matches_one_row_calls(scenario, kind, rng):
+    # embedding, evolution and partial trace of a stack of sender states
+    # agree row by row with the one-state calls
+    n = 7
+    spec = seeded_chain(int(rng.integers(2**31)), n, kind)
+    times = rng.uniform(0.0, 12.0, 5)
+    psi = np.array([random_state(rng, 1 << len(scenario.senders)) for _ in times])
+    initial = transfer_initial_state(n, scenario.senders, psi, scenario.occupied(n))
+    evolved = evolve_many(spec, initial, times)
+    rho = reduced_density(evolved, scenario.receiver(n))
+    assert evolved.amplitudes.shape == (5, 1 << n)
+    for k, t in enumerate(times):
+        one = transfer_initial_state(n, scenario.senders, psi[k], scenario.occupied(n))
+        assert np.array_equal(initial.amplitudes[k], one.amplitudes)
+        full = evolve_full(spec, one, float(t))
+        assert np.abs(evolved.amplitudes[k] - full.amplitudes).max() <= 1e-13
+        assert np.abs(rho[k] - reduced_density(full, scenario.receiver(n))).max() <= 1e-13
+
+
+def test_batched_oracle_at_the_cap_matches_kraus_stack(rng):
+    # the largest chain the oracle takes, through the same batch certify runs
+    n = MAX_ORACLE_SITES
+    scenario = Scenario.TWO_QUBIT_VACUUM
+    spec = seeded_chain(int(rng.integers(2**31)), n, "long_range")
+    times = rng.uniform(0.5, 8.0, 3)
+    psi = np.array([random_state(rng, 4) for _ in times])
+    evolved = evolve_many(spec, transfer_initial_state(n, scenario.senders, psi), times)
+    rho_ref = reduced_density(evolved, scenario.receiver(n))
+    rho = apply_channel(kraus_at_times(spec, scenario, times), psi)
+    for k in range(times.size):
+        assert trace_distance(rho[k], rho_ref[k]) <= 1e-9
+
+
+def test_evolve_many_validates_shapes(rng):
+    spec = make_random_chain(rng, 4)
+    states = FullState(np.array([random_state(rng, 16) for _ in range(2)]), 4)
+    with pytest.raises(ParameterError):
+        evolve_many(spec, states, [1.0])  # one time for two rows
+    with pytest.raises(ParameterError):
+        evolve_many(spec, states, [1.0, np.inf])
+    with pytest.raises(ParameterError):
+        evolve_full(spec, states, 1.0)  # a stack is not one state
+    with pytest.raises(ParameterError):
+        FullState(np.array([random_state(rng, 16), np.zeros(16)]), 4)
