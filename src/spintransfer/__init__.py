@@ -45,12 +45,8 @@ from .analytics import (
     FidelityLaw,
     MinBranch,
     MinFidelityResult,
-    Mixture,
-    PointMass,
     ProtocolTuning,
-    QuadraticFidelity,
     ReadoutPlan,
-    TwoQubitAffine,
     affine_from_kraus,
     avg_fidelity_curve,
     fidelity_law,

@@ -16,28 +16,28 @@ is three closed terms in the 2x2 receiver block G = a_{1,2}^{N-1,N}.
 Other chains (long-range or ZZ couplings) take the N-wide one-excitation
 rows and the pair-sector rows of :func:`~spintransfer.dynamics.pair_rows`.
 
-Each law is its own distribution: :class:`QuadraticFidelity` and
-:class:`TwoQubitAffine` carry the support, density and CDF that follow by a
-change of variables from the uniform-state input measures (x uniform on
-[-1, 1]; concurrence density 3 C sqrt(1 - C^2)).  :class:`FidelityLaw`
-derives every statistic from rows of coefficients: its mean from the input
-moments, and its distribution: a row at most ``COLLAPSE_WIDTH`` wide becomes a
-:class:`PointMass` at its mean, and several rows (read-out jitter) an
-equal-weight :class:`Mixture`.
+The law is the distribution: :class:`FidelityLaw` derives every statistic
+from its rows of coefficients, the mean from the input moments and the
+support, density and cdf by a change of variables from the uniform-state
+input measures (x uniform on [-1, 1]; concurrence density
+3 C sqrt(1 - C^2)).  A row at most ``COLLAPSE_WIDTH`` wide is a step at its
+mean, and several rows (read-out jitter) mix with equal weight, all rows
+evaluated at once.
 
 The reductions of explicit Kraus sets (:func:`quadratic_reduce_one_qubit`,
-:func:`affine_from_kraus`) are the reference that Monte Carlo and
-certification use.  Both read the channel's Pauli transfer matrix, none of
-the laws' arithmetic.  The Kraus sets read every pair row, so on free-fermion
-chains the reductions check the closed forms, and elsewhere, where laws
-and Kraus sets read the same rows, the laws' row arithmetic; the 2^N
-oracle checks the rows.
+:func:`affine_from_kraus`), one-row laws, are the reference that Monte
+Carlo and certification use.  Both read the channel's Pauli transfer
+matrix, none of the laws' arithmetic.  The Kraus sets read every pair row,
+so on free-fermion chains the reductions check the closed forms, and
+elsewhere, where laws and Kraus sets read the same rows, the laws' row
+arithmetic; the 2^N oracle checks the rows.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,33 +58,192 @@ NORMALIZATION_NODES = 64
 
 
 # ---------------------------------------------------------------------------
-# fidelity distributions
+# fidelity laws: rows of coefficients and the distribution they give
 # ---------------------------------------------------------------------------
 
-class _Distribution:
-    """Support and normalization of a fidelity distribution.
+@dataclass(frozen=True)
+class FidelityLaw:
+    """Fidelity laws on a time grid, and the distribution they give.
 
-    A subclass provides ``breakpoints`` (the fidelity values where the
-    density kinks or has an integrable singularity, both ends of the support
-    among them), ``density`` and ``cdf``.
+    Row k of ``coefficients`` is the law at the k-th time, and its width
+    decides the form: (a, b, c) of ``F(x) = a x^2 + b x + c`` with x =
+    cos(theta) uniform on [-1, 1] for one qubit, (A, B) of
+    ``F(C) = A - B C^2`` under the concurrence density 3 C sqrt(1 - C^2)
+    for two.  A row's support, density and cdf follow by a change of
+    variables.  A row at most ``COLLAPSE_WIDTH`` wide is a step at its mean
+    instead: every input transfers alike (perfect transfer).  Fidelities lie
+    in [0, 1], so the width is absolute: 1e-11 is 4.5e4 to 1.8e5 ulps for F
+    in [0.25, 1].  Several rows (read-out jitter) mix with equal weight:
+    ``support``, ``density`` and ``cdf`` are the mixture's, evaluated on all
+    rows at once in blocks of at most ``TIME_CHUNK`` (rows x points) values.
+
+    Building a law checks nothing, so the tuning scans, which read only
+    :attr:`mean`, pay for no distribution; the first read of the rows as a
+    distribution raises ModelError if a row's range leaves [0, 1].
     """
+
+    coefficients: np.ndarray
+
+    @property
+    def mean(self) -> np.ndarray:
+        """Each row's average over uniform inputs from the input moments,
+        a / 3 + c (<x^2> = 1/3) or A - 0.4 B (<C^2> = 2/5).  Tuning
+        maximizes it."""
+        rows = self.coefficients
+        if rows.shape[1] == 2:
+            return rows[:, 0] - 0.4 * rows[:, 1]
+        return rows[:, 0] / 3.0 + rows[:, 2]
+
+    def evaluate(self, x) -> np.ndarray:
+        """Each row's fidelity at x = cos(theta), or at concurrence x for two
+        qubits: shape (rows,) + shape of x."""
+        x = np.asarray(x, dtype=float)
+        rows = self.coefficients
+        return _law_at(rows.T.reshape(rows.shape[1], len(rows), *(1,) * x.ndim), x)
+
+    @property
+    def _columns(self) -> np.ndarray:
+        """The coefficient columns, each shaped (rows, 1)."""
+        return self.coefficients.T[:, :, None]
+
+    @cached_property
+    def _rows(self):
+        """(breakpoints, lo, hi, collapsed) of the rows, their range checked.
+
+        A row's breakpoints are the fidelities where its density kinks or
+        has an integrable singularity, both ends of its support among them:
+        F(-1), F(1) and, when the vertex lies in (-1, 1), F(vertex) (else
+        NaN); or A and A - B.  lo and hi are their extremes, and a row is
+        collapsed when hi - lo is at most ``COLLAPSE_WIDTH``.
+        """
+        columns = self._columns
+        if len(columns) == 2:
+            xs = np.array([0.0, 1.0])
+        else:
+            a, b, _ = columns
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                vertex = -b / (2.0 * a)
+            inside = (np.abs(a) > 0.0) & (-1.0 < vertex) & (vertex < 1.0)
+            xs = np.concatenate(
+                np.broadcast_arrays(-1.0, 1.0, np.where(inside, vertex, np.nan)), axis=1
+            )
+        points = _law_at(columns, xs)
+        lo, hi = np.nanmin(points, axis=1), np.nanmax(points, axis=1)
+        leaves = (lo < -1e-9) | (hi > 1.0 + 1e-9)
+        if leaves.any():
+            k = int(np.argmax(leaves))
+            raise ModelError(
+                f"fidelity law row {k} leaves [0, 1]: range [{lo[k]:.3e}, {hi[k]:.3e}]"
+            )
+        return points, lo, hi, hi - lo <= COLLAPSE_WIDTH
+
+    def breakpoints(self) -> np.ndarray:
+        """Each row's breakpoints, (rows, 3) or (rows, 2), NaN where absent;
+        a collapsed row has its mean alone."""
+        points, _, _, collapsed = self._rows
+        points = np.where(collapsed[:, None], np.nan, points)
+        points[collapsed, 0] = self.mean[collapsed]
+        return points
 
     @property
     def support(self) -> tuple[float, float]:
-        """(min, max) of the breakpoints: the range of fidelity values."""
+        """(min, max) of the breakpoints of all rows: the range of fidelity values."""
         points = self.breakpoints()
-        return float(min(points)), float(max(points))
+        return float(np.nanmin(points)), float(np.nanmax(points))
+
+    def density(self, f):
+        """Equal-weight mean of the rows' densities at f; a collapsed row's is
+        inf at its mean and 0 elsewhere."""
+        return self._mix(self._row_density, f)
+
+    def cdf(self, f):
+        """Equal-weight mean of the rows' cdfs at f; a collapsed row's steps
+        from 0 to 1 at its mean."""
+        return self._mix(self._row_cdf, f)
+
+    def _mix(self, row_values, f):
+        """Equal-weight mean over the rows of ``row_values`` at f, in blocks
+        of at most TIME_CHUNK (rows x points) values."""
+        f = np.asarray(f, dtype=float)
+        flat = f.ravel()
+        n_rows = len(self.coefficients)
+        step = max(1, TIME_CHUNK // n_rows)
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, step):
+            block = row_values(flat[None, start : start + step])
+            # cumsum adds the rows in order, whatever the block's shape; a
+            # sum reduction pairs them up where a block is one point wide
+            out[start : start + step] = np.cumsum(block, axis=0)[-1] / n_rows
+        return float(out[0]) if f.ndim == 0 else out.reshape(f.shape)
+
+    def _row_density(self, f):
+        """Each row's density at f (broadcast to rows x points).
+
+        A quadratic row gives each value F with real preimages in [-1, 1]
+        density ``1 / (2 sqrt(disc(F)))`` per preimage; an affine row gives
+        ``(3 / (2|B|)) sqrt(1 - (A - F) / B)`` between A and A - B.
+        """
+        _, lo, hi, collapsed = self._rows
+        columns = self._columns
+        # the masked quotients of collapsed rows may divide by zero
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if len(columns) == 2:
+                big_a, big_b = columns
+                ratio = (big_a - f) / big_b
+                inside = (ratio >= 0.0) & (ratio <= 1.0)
+                root = np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0))
+                out = np.where(inside, 1.5 / np.abs(big_b) * root, 0.0)
+            else:
+                r1, r2, disc, valid = _quadratic_roots(*columns, f)
+                weight = np.where(valid & (disc > 0.0), 0.5 / np.sqrt(disc), np.inf)
+                out = sum(np.where(valid & (np.abs(r) <= 1.0), weight, 0.0) for r in (r1, r2))
+                out = np.where((f < lo[:, None]) | (f > hi[:, None]), 0.0, out)
+        step = np.where(f == self.mean[:, None], np.inf, 0.0)
+        return np.where(collapsed[:, None], step, out)
+
+    def _row_cdf(self, f):
+        """Each row's cdf at f (broadcast to rows x points): 0 up to the
+        row's lo and 1 from its hi on."""
+        _, lo, hi, collapsed = self._rows
+        columns = self._columns
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if len(columns) == 2:
+                big_a, big_b = columns
+                rising = 1.0 - np.power(1.0 - np.clip((f - big_a) / (-big_b), 0.0, 1.0), 1.5)
+                falling = np.power(1.0 - np.clip((big_a - f) / big_b, 0.0, 1.0), 1.5)
+                out = np.where(big_b < 0.0, rising, falling)
+            else:
+                r1, r2, _, valid = _quadratic_roots(*columns, f)
+                inter = np.clip(
+                    np.minimum(np.maximum(r1, r2), 1.0) - np.maximum(np.minimum(r1, r2), -1.0),
+                    0.0,
+                    2.0,
+                )
+                # the sublevel set lies between the roots for a >= 0 (empty
+                # when disc < 0; at a = 0 the far root is infinite and the set
+                # a half-line), outside them otherwise (everything at disc < 0)
+                measure = np.where(
+                    columns[0] >= 0.0,
+                    np.where(valid, inter, 0.0),
+                    np.where(valid, 2.0 - inter, 2.0),
+                )
+                out = measure / 2.0
+        out = np.where(f <= lo[:, None], 0.0, out)
+        out = np.where(f >= hi[:, None], 1.0, out)
+        step = np.where(f >= self.mean[:, None], 1.0, 0.0)
+        return np.where(collapsed[:, None], step, out)
 
     def normalization(self) -> float:
-        """Integral of the density over the support: the sum of
-        :meth:`segment_masses` between the sorted breakpoints."""
-        points = np.array(sorted(set(self.breakpoints())))
-        if points.size < 2:
-            return 1.0
-        return float(self.segment_masses(points).sum())
+        """Mean over the rows of each row's density integrated between its
+        own sorted breakpoints (:meth:`segment_masses`); a collapsed row's is 1."""
+        masses = self.segment_masses(np.sort(self.breakpoints(), axis=1)).sum(axis=1)
+        return float(np.where(self._rows[3], 1.0, masses).mean())
 
-    def segment_masses(self, points: np.ndarray) -> np.ndarray:
-        """Integrals of the density over the segments between sorted ``points``.
+    def segment_masses(self, points) -> np.ndarray:
+        """Each row's density integrated over the segments between sorted
+        ``points``: one 1-D array for every row, or one row of points per law
+        row, NaN last.  An empty segment, or one with a NaN end, has mass 0.
+        Returns (rows, segments).
 
         Each segment [p, q] takes a ``NORMALIZATION_NODES``-point
         Gauss-Legendre rule in tau of f = l + (r - l) (1 - cos tau) / 2,
@@ -93,74 +252,41 @@ class _Distribution:
         outside the segment.  The Jacobian (r - l) sin(tau) / 2 cancels
         inverse-square-root singularities of the density at the anchors, so
         the rule sees a smooth integrand as long as no singular point lies
-        inside a segment; every segment is evaluated in one density call.
+        inside a segment.  Rows go through in blocks of at most TIME_CHUNK
+        density values.
         """
         from numpy.polynomial.legendre import leggauss
 
         points = np.asarray(points, dtype=float)
-        left, right = self._anchors(points[:-1], points[1:])
+        n_rows = len(self.coefficients)
+        points = np.broadcast_to(points, (n_rows, points.shape[-1]))
+        step = max(1, TIME_CHUNK // (NORMALIZATION_NODES * points.shape[1]))
+        if n_rows > step:
+            return np.concatenate([
+                FidelityLaw(self.coefficients[s : s + step]).segment_masses(points[s : s + step])
+                for s in range(0, n_rows, step)
+            ])
+        lo, hi = points[:, :-1], points[:, 1:]
+        left, right = self._anchors(lo, hi)
         span = right - left
-        # tau of p and q, from (1 - cos tau) / 2 = sin^2(tau / 2) = (f - l) / (r - l)
-        tau_p = 2.0 * np.arcsin(np.sqrt(np.clip((points[:-1] - left) / span, 0.0, 1.0)))
-        tau_q = 2.0 * np.arcsin(np.sqrt(np.clip((points[1:] - left) / span, 0.0, 1.0)))
         nodes, weights = leggauss(NORMALIZATION_NODES)
-        half = 0.5 * (tau_q - tau_p)[:, None]
-        tau = tau_p[:, None] + half * (nodes + 1.0)
-        f = left[:, None] + span[:, None] * np.sin(0.5 * tau) ** 2
-        density = np.reshape(self.density(f.ravel()), f.shape)
-        jacobian = 0.5 * span[:, None] * np.sin(tau) * half * weights
-        return (density * jacobian).sum(axis=1)
+        # empty and NaN segments give NaN masses, dropped at the end
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # tau of p and q, from (1 - cos tau) / 2 = sin^2(tau / 2) = (f - l) / (r - l)
+            tau_p = 2.0 * np.arcsin(np.sqrt(np.clip((lo - left) / span, 0.0, 1.0)))
+            tau_q = 2.0 * np.arcsin(np.sqrt(np.clip((hi - left) / span, 0.0, 1.0)))
+            half = 0.5 * (tau_q - tau_p)[..., None]
+            tau = tau_p[..., None] + half * (nodes + 1.0)
+            f = left[..., None] + span[..., None] * np.sin(0.5 * tau) ** 2
+            density = self._row_density(f.reshape(n_rows, -1)).reshape(f.shape)
+            jacobian = 0.5 * span[..., None] * np.sin(tau) * half * weights
+            masses = (density * jacobian).sum(axis=-1)
+        return np.where(hi > lo, masses, 0.0)
 
     def _anchors(self, lo: np.ndarray, hi: np.ndarray):
-        """Substitution anchors (l, r) of the segments [lo, hi]: the ends themselves."""
-        return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# quadratic reduction (one qubit)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadraticFidelity(_Distribution):
-    """Fidelity as ``F(x) = a x^2 + b x + c`` with x = cos(theta), and its
-    distribution under x uniform on [-1, 1].
-
-    Each value F with real preimages in [-1, 1] receives density
-    ``1 / (2 sqrt(disc(F)))`` per preimage, the stable roots for every a (a = 0
-    gives the uniform image of an affine map).  A law at most ``COLLAPSE_WIDTH``
-    wide has no density here: :meth:`FidelityLaw.pdf` gives a :class:`PointMass`.
-    """
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        lo, hi = self.support
-        if lo < -1e-9 or hi > 1.0 + 1e-9:
-            raise ModelError(
-                f"quadratic fidelity leaves [0, 1]: range [{lo:.3e}, {hi:.3e}]"
-            )
-
-    def evaluate(self, x):
-        return (self.a * np.asarray(x) + self.b) * np.asarray(x) + self.c
-
-    def breakpoints(self) -> list[float]:
-        """F(-1), F(1) and, when the vertex lies in (-1, 1), F(vertex)."""
-        xs = [-1.0, 1.0]
-        if abs(self.a) > 0.0:
-            vertex = -self.b / (2.0 * self.a)
-            if -1.0 < vertex < 1.0:
-                xs.append(vertex)
-        return [float(self.evaluate(x)) for x in xs]
-
-    def mean(self) -> float:
-        """Average over x uniform on [-1, 1]."""
-        return self.a / 3.0 + self.c
-
-    def _anchors(self, lo: np.ndarray, hi: np.ndarray):
-        """Segment ends, moved onto the vertex value F(-b / 2a) where it lies
-        outside a segment by at most the segment's width.
+        """Substitution anchors (l, r) of each row's segments [lo, hi]: the
+        ends, moved onto a quadratic row's vertex value F(-b / 2a) where it
+        lies outside a segment by at most the segment's width.
 
         The density is singular at the vertex value only, whether or not the
         vertex lies in [-1, 1].  A segment that ends near that value without
@@ -168,69 +294,57 @@ class QuadraticFidelity(_Distribution):
         the one the vertex value ends) would otherwise see a
         near-singularity the rule cannot resolve.
         """
-        if self.a == 0.0:
+        columns = self._columns
+        if len(columns) == 2:
             return lo, hi
-        vertex = float(self.evaluate(-self.b / (2.0 * self.a)))
+        a, b, _ = columns
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vertex = _law_at(columns, np.where(a == 0.0, np.nan, -b / (2.0 * a)))
         width = hi - lo
         left = np.where((vertex <= lo) & (lo - vertex <= width), vertex, lo)
         right = np.where((vertex >= hi) & (vertex - hi <= width), vertex, hi)
         return left, right
 
-    def _roots(self, f):
-        """Stable roots of a x^2 + b x + (c - f) = 0 for array f; at a = 0
-        (or -0.0) the first is -sign(b) inf and the second (f - c) / b."""
-        a, b, c = self.a + 0.0, self.b, self.c
-        disc = b * b - 4.0 * a * (c - f)
-        valid = disc >= 0.0
-        sqrt_disc = np.sqrt(np.where(valid, disc, 0.0))
-        sign_b = np.where(b >= 0.0, 1.0, -1.0)
-        u = -0.5 * (b + sign_b * sqrt_disc)
-        # the masked quotients may divide by zero or overflow where invalid
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r1 = np.where(valid, u / a, np.nan)
-            r2 = np.where(valid & (u != 0.0), (c - f) / u, np.nan)
-        # u == 0 happens only when b == 0 and disc == 0: double root at 0
-        r2 = np.where(valid & (u == 0.0), 0.0, r2)
-        r1 = np.where(valid & np.isnan(r1), 0.0, r1)
-        return r1, r2, disc, valid
 
-    def density(self, f):
-        scalar = np.ndim(f) == 0
-        f = np.atleast_1d(np.asarray(f, dtype=float))
-        r1, r2, disc, valid = self._roots(f)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weight = np.where(valid & (disc > 0.0), 0.5 / np.sqrt(disc), np.inf)
-        out = np.zeros_like(f)
-        for root in (r1, r2):
-            inside = valid & (np.abs(root) <= 1.0)
-            out = np.where(inside, out + weight, out)
-        lo, hi = self.support
-        out = np.where((f < lo) | (f > hi), 0.0, out)
-        return float(out[0]) if scalar else out
-
-    def cdf(self, f):
-        scalar = np.ndim(f) == 0
-        f = np.atleast_1d(np.asarray(f, dtype=float))
-        r1, r2, disc, valid = self._roots(f)
-        lo_root = np.minimum(r1, r2)
-        hi_root = np.maximum(r1, r2)
-        inter = np.clip(np.minimum(hi_root, 1.0) - np.maximum(lo_root, -1.0), 0.0, 2.0)
-        if self.a >= 0.0:
-            # sublevel set is between the roots (empty when disc < 0); at
-            # a = 0 the far root is infinite and the set is a half-line
-            measure = np.where(valid, inter, 0.0)
-        else:
-            # sublevel set is outside the roots (everything when disc < 0)
-            measure = np.where(valid, 2.0 - inter, 2.0)
-        out = measure / 2.0
-        lo, hi = self.support
-        out = np.where(f <= lo, 0.0, out)
-        out = np.where(f >= hi, 1.0, out)
-        return float(out[0]) if scalar else out
+def _law_at(columns, x):
+    """a x^2 + b x + c, or A - B x^2, of coefficient ``columns`` broadcast with x."""
+    if len(columns) == 2:
+        return columns[0] - columns[1] * np.square(x)
+    return (columns[0] * x + columns[1]) * x + columns[2]
 
 
-def quadratic_reduce_one_qubit(kraus: KrausSet) -> QuadraticFidelity:
-    """Exact azimuth average of a one-qubit channel's fidelity.
+def _quadratic_roots(a, b, c, f):
+    """Stable roots of a x^2 + b x + (c - f) = 0, broadcast over rows and f;
+    at a = 0 (or -0.0) the first is -sign(b) inf and the second (f - c) / b."""
+    a = a + 0.0
+    disc = b * b - 4.0 * a * (c - f)
+    valid = disc >= 0.0
+    sqrt_disc = np.sqrt(np.where(valid, disc, 0.0))
+    sign_b = np.where(b >= 0.0, 1.0, -1.0)
+    u = -0.5 * (b + sign_b * sqrt_disc)
+    # the masked quotients may divide by zero or overflow where invalid
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r1 = np.where(valid, u / a, np.nan)
+        r2 = np.where(valid & (u != 0.0), (c - f) / u, np.nan)
+    # u == 0 happens only when b == 0 and disc == 0: double root at 0
+    r2 = np.where(valid & (u == 0.0), 0.0, r2)
+    r1 = np.where(valid & np.isnan(r1), 0.0, r1)
+    return r1, r2, disc, valid
+
+
+def _one_row(*coefficients) -> FidelityLaw:
+    """The one-row law of ``coefficients``; ModelError if it leaves [0, 1]."""
+    law = FidelityLaw(np.array([coefficients], dtype=float))
+    law.breakpoints()  # the range check
+    return law
+
+
+# ---------------------------------------------------------------------------
+# exact reductions of Kraus sets, and the vacuum closed forms
+# ---------------------------------------------------------------------------
+
+def quadratic_reduce_one_qubit(kraus: KrausSet) -> FidelityLaw:
+    """Exact azimuth average of a one-qubit channel's fidelity, as a one-row law.
 
     Reads the channel's Pauli transfer matrix R
     (:func:`~spintransfer.channel.pauli_transfer_matrix`).  The input with
@@ -244,7 +358,8 @@ def quadratic_reduce_one_qubit(kraus: KrausSet) -> QuadraticFidelity:
     ModelError
         If an entry of R + R^T at (0, 1), (0, 2), (1, 2), (1, 3) or (2, 3),
         or R11 - R22, exceeds 1e-10, i.e. the fidelity depends on the
-        azimuth and no quadratic in cos(theta) describes it.
+        azimuth and no quadratic in cos(theta) describes it; or if the
+        quadratic leaves [0, 1].
     """
     if kraus.dim != 2:
         raise ParameterError("quadratic reduction applies to one-qubit channels")
@@ -259,20 +374,46 @@ def quadratic_reduce_one_qubit(kraus: KrausSet) -> QuadraticFidelity:
             f"channel fidelity varies with the azimuth: cross term {cross:.3e}"
         )
     transverse = (ptm[1, 1] + ptm[2, 2]) / 4.0
-    return QuadraticFidelity(
-        float(ptm[3, 3] / 2.0 - transverse),
-        float(sym[0, 3] / 2.0),
-        float(ptm[0, 0] / 2.0 + transverse),
-    )
+    return _one_row(ptm[3, 3] / 2.0 - transverse, sym[0, 3] / 2.0, ptm[0, 0] / 2.0 + transverse)
 
 
-def vacuum_quadratic(r: float, phi: float) -> QuadraticFidelity:
-    """Closed-form quadratic of the vacuum channel with amplitude r e^{i phi}."""
+def vacuum_quadratic(r: float, phi: float) -> FidelityLaw:
+    """Closed-form one-row law of the vacuum channel with amplitude r e^{i phi}."""
     _check_r(r)
     re = r * np.cos(phi)
-    return QuadraticFidelity(
-        (r * r - re) / 2.0, (1.0 - r * r) / 2.0, (1.0 + re) / 2.0
-    )
+    return _one_row((r * r - re) / 2.0, (1.0 - r * r) / 2.0, (1.0 + re) / 2.0)
+
+
+def _affine_from_traces(t1, t2, t3, t4) -> tuple:
+    """(A, B) from the four channel trace sums of the local-unitary twirl.
+
+    For a channel with Kraus set {E}: t1 = sum |tr E|^2, t2 = sum ||E||_F^2,
+    t3 = sum ||tr_2 E||_F^2, t4 = sum ||tr_1 E||_F^2; averaging the fidelity
+    over independent Haar unitaries on the two input qubits at fixed
+    concurrence C gives A - B C^2 with the combinations below (projection of
+    the doubled input onto the identity/swap algebra of each qubit factor).
+    """
+    a_val = (t1 + t2 + t3 + t4) / 36.0
+    b_val = (-2.0 * (t1 + t2) + 2.5 * (t3 + t4)) / 36.0
+    return a_val, b_val
+
+
+def affine_from_kraus(kraus: KrausSet) -> FidelityLaw:
+    """Local-unitary-averaged fidelity of a two-qubit channel, as a one-row law.
+
+    The local twirl of the 16 x 16 Pauli transfer matrix R
+    (:func:`~spintransfer.channel.pauli_transfer_matrix`) is diagonal with
+    R00 and the means c1, c2, c3 of R's diagonal over s (x) I, I (x) s and
+    s (x) s (the single-qubit Clifford group is a unitary 2-design: Dankert,
+    Cleve, Emerson and Livine, PRA 80, 012304 (2009)).  A pure input of
+    concurrence C has weights 1 - C^2, 1 - C^2 and 1 + 2 C^2 on those
+    classes, so A = (R00 + c1 + c2 + c3) / 4 and B = (c1 + c2 - 2 c3) / 4.
+    """
+    if kraus.dim != 4:
+        raise ParameterError("affine reduction applies to two-qubit channels")
+    diag = np.diag(pauli_transfer_matrix(kraus)).reshape(4, 4)
+    c1, c2, c3 = diag[1:, 0].mean(), diag[0, 1:].mean(), diag[1:, 1:].mean()
+    return _one_row((diag[0, 0] + c1 + c2 + c3) / 4.0, (c1 + c2 - 2.0 * c3) / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,197 +454,21 @@ def min_fidelity_closed_form(r: float, phi: float) -> MinFidelityResult:
         return MinFidelityResult(np.pi, r * r, MinBranch.POLE_SMALL_AMPLITUDE)
     if cos_phi > (3.0 * r * r - 1.0) / (2.0 * r):
         return MinFidelityResult(np.pi, r * r, MinBranch.POLE_PHASE)
-    if quad_form.a <= 0.0:
+    if quad_form.coefficients[0, 0] <= 0.0:
         # degenerate vertex (r = 1, phi = 0): minimum still at the pole
         return MinFidelityResult(np.pi, r * r, MinBranch.POLE_PHASE)
     x_star = (r * r - 1.0) / (2.0 * r * (r - cos_phi))
     x_star = float(np.clip(x_star, -1.0, 1.0))
     return MinFidelityResult(
         float(np.arccos(x_star)),
-        float(quad_form.evaluate(x_star)),
+        float(quad_form.evaluate(x_star)[0]),
         MinBranch.INTERIOR_VERTEX,
     )
 
 
 # ---------------------------------------------------------------------------
-# two-qubit affine reduction
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TwoQubitAffine(_Distribution):
-    """Local-unitary-averaged fidelity ``F(C) = A - B C^2``, and its
-    distribution under the concurrence law pdf(C) = 3C sqrt(1-C^2).
-
-    The change of variables gives density ``(3 / (2|B|)) sqrt(1 - (A-F)/B)``
-    between A and A - B; for |B| at most ``COLLAPSE_WIDTH``,
-    :meth:`FidelityLaw.pdf` gives a :class:`PointMass`.
-    """
-
-    A: float
-    B: float
-
-    def __post_init__(self):
-        for label, value in (("A", self.A), ("A - B", self.A - self.B)):
-            if not -1e-9 <= value <= 1.0 + 1e-9:
-                raise ModelError(
-                    f"affine fidelity endpoint {label} = {value:.6f} leaves [0, 1]"
-                )
-
-    def evaluate(self, conc):
-        return self.A - self.B * np.square(np.asarray(conc, dtype=float))
-
-    def breakpoints(self) -> list[float]:
-        """F(0) = A and F(1) = A - B."""
-        return [self.A, self.A - self.B]
-
-    def mean(self) -> float:
-        """Average over Haar-random two-qubit states (uses <C^2> = 2/5)."""
-        return self.A - 0.4 * self.B
-
-    def density(self, f):
-        a_val, b_val = self.A, self.B
-        scalar = np.ndim(f) == 0
-        f = np.atleast_1d(np.asarray(f, dtype=float))
-        ratio = (a_val - f) / b_val
-        inside = (ratio >= 0.0) & (ratio <= 1.0)
-        out = np.where(
-            inside,
-            1.5 / abs(b_val) * np.sqrt(np.clip(1.0 - ratio, 0.0, 1.0)),
-            0.0,
-        )
-        return float(out[0]) if scalar else out
-
-    def cdf(self, f):
-        a_val, b_val = self.A, self.B
-        scalar = np.ndim(f) == 0
-        f = np.atleast_1d(np.asarray(f, dtype=float))
-        if b_val < 0.0:
-            csq = np.clip((f - a_val) / (-b_val), 0.0, 1.0)
-            out = 1.0 - np.power(1.0 - csq, 1.5)
-        else:
-            csq = np.clip((a_val - f) / b_val, 0.0, 1.0)
-            out = np.power(1.0 - csq, 1.5)
-        lo, hi = self.support
-        out = np.where(f <= lo, 0.0, out)
-        out = np.where(f >= hi, 1.0, out)
-        return float(out[0]) if scalar else out
-
-
-def _affine_from_traces(t1, t2, t3, t4) -> tuple:
-    """(A, B) from the four channel trace sums of the local-unitary twirl.
-
-    For a channel with Kraus set {E}: t1 = sum |tr E|^2, t2 = sum ||E||_F^2,
-    t3 = sum ||tr_2 E||_F^2, t4 = sum ||tr_1 E||_F^2; averaging the fidelity
-    over independent Haar unitaries on the two input qubits at fixed
-    concurrence C gives A - B C^2 with the combinations below (projection of
-    the doubled input onto the identity/swap algebra of each qubit factor).
-    """
-    a_val = (t1 + t2 + t3 + t4) / 36.0
-    b_val = (-2.0 * (t1 + t2) + 2.5 * (t3 + t4)) / 36.0
-    return a_val, b_val
-
-
-def affine_from_kraus(kraus: KrausSet) -> TwoQubitAffine:
-    """Local-unitary-averaged fidelity coefficients of a two-qubit channel.
-
-    The local twirl of the 16 x 16 Pauli transfer matrix R
-    (:func:`~spintransfer.channel.pauli_transfer_matrix`) is diagonal with
-    R00 and the means c1, c2, c3 of R's diagonal over s (x) I, I (x) s and
-    s (x) s (the single-qubit Clifford group is a unitary 2-design: Dankert,
-    Cleve, Emerson and Livine, PRA 80, 012304 (2009)).  A pure input of
-    concurrence C has weights 1 - C^2, 1 - C^2 and 1 + 2 C^2 on those
-    classes, so A = (R00 + c1 + c2 + c3) / 4 and B = (c1 + c2 - 2 c3) / 4.
-    """
-    if kraus.dim != 4:
-        raise ParameterError("affine reduction applies to two-qubit channels")
-    diag = np.diag(pauli_transfer_matrix(kraus)).reshape(4, 4)
-    c1, c2, c3 = diag[1:, 0].mean(), diag[0, 1:].mean(), diag[1:, 1:].mean()
-    return TwoQubitAffine(
-        float((diag[0, 0] + c1 + c2 + c3) / 4.0), float((c1 + c2 - 2.0 * c3) / 4.0)
-    )
-
-
-@dataclass(frozen=True)
-class PointMass(_Distribution):
-    """Every input transfers with the same fidelity ``value``."""
-
-    value: float
-
-    def breakpoints(self) -> list[float]:
-        return [self.value]
-
-    def mean(self) -> float:
-        return self.value
-
-    def density(self, f):
-        return np.where(np.asarray(f, dtype=float) == self.value, np.inf, 0.0)
-
-    def cdf(self, f):
-        return np.where(np.asarray(f, dtype=float) >= self.value, 1.0, 0.0)
-
-
-@dataclass(frozen=True)
-class Mixture(_Distribution):
-    """Equal-weight mixture of fidelity distributions."""
-
-    parts: tuple
-
-    def breakpoints(self) -> list[float]:
-        return [p for part in self.parts for p in part.breakpoints()]
-
-    def density(self, f):
-        return sum(part.density(f) for part in self.parts) / len(self.parts)
-
-    def cdf(self, f):
-        return sum(part.cdf(f) for part in self.parts) / len(self.parts)
-
-    def normalization(self) -> float:
-        """Mean of the parts' normalizations, each over its own breakpoints."""
-        return sum(part.normalization() for part in self.parts) / len(self.parts)
-
-
-# ---------------------------------------------------------------------------
 # fidelity laws from amplitude rows
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FidelityLaw:
-    """Fidelity laws of one scenario on a time grid.
-
-    Row k of ``coefficients`` is the law at the k-th time: (a, b, c) of
-    ``F(x) = a x^2 + b x + c`` for one qubit, (A, B) of ``F(C) = A - B C^2``
-    for two qubits.  Every statistic is derived from these rows.
-    """
-
-    scenario: Scenario
-    coefficients: np.ndarray
-
-    @property
-    def mean(self) -> np.ndarray:
-        """Each row's average over uniform inputs from the input moments,
-        a / 3 + c (<x^2> = 1/3) or A - 0.4 B (<C^2> = 2/5): the rows'
-        distributions' ``mean`` to the last bit.  Tuning maximizes it."""
-        rows = self.coefficients
-        if self.scenario is Scenario.TWO_QUBIT_VACUUM:
-            return rows[:, 0] - 0.4 * rows[:, 1]
-        return rows[:, 0] / 3.0 + rows[:, 2]
-
-    def pdf(self) -> _Distribution:
-        """Fidelity distribution of the law; several rows mix with equal weight.
-
-        A row whose support is at most ``COLLAPSE_WIDTH`` wide is a
-        :class:`PointMass` at its mean, any other row its own law.  Fidelities
-        lie in [0, 1], so the width is absolute: 1e-11 is 4.5e4 to 1.8e5 ulps
-        for F in [0.25, 1].
-        """
-        form = TwoQubitAffine if self.scenario is Scenario.TWO_QUBIT_VACUUM else QuadraticFidelity
-        parts = []
-        for row in self.coefficients:
-            law = form(*(float(v) for v in row))
-            lo, hi = law.support
-            parts.append(PointMass(law.mean()) if hi - lo <= COLLAPSE_WIDTH else law)
-        return parts[0] if len(parts) == 1 else Mixture(tuple(parts))
-
 
 def fidelity_law(
     spec: ChainSpec,
@@ -579,7 +544,7 @@ def fidelity_law(
     else:
         a_val, b_val = _two_qubit_law(dyn, times, phase_corrected)
         coefficients = (a_val, b_val)
-    return FidelityLaw(scenario, np.stack(coefficients, axis=-1))
+    return FidelityLaw(np.stack(coefficients, axis=-1))
 
 
 def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool = False):

@@ -278,27 +278,27 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def pdf_curve_rows(pdf):
-    """Cell-averaged density curve rows (f, density, cdf).
+def pdf_curve_rows(law):
+    """Cell-averaged density curve rows (f, density, cdf) of a fidelity law.
 
-    PDF_CURVE_CELLS edges span the support [f_min, f_max] (f_min + 1e-6 in
-    place of f_max for a point mass), so both ends are cell edges exactly,
-    and PDF_CURVE_PAD_CELLS cells of the same width extend past each end.
-    The distributions' cdfs are 0 up to f_min and 1 from f_max, so a
-    continuous distribution leaves the padding cells exactly empty and even
-    the integrable edge singularities keep their mass under trapezoidal
-    integration of the emitted samples.  The density column is the exact
-    per-cell probability mass divided by the cell width; the cdf column is
-    the analytic CDF at the cell midpoint.
+    PDF_CURVE_CELLS edges span the law's support [f_min, f_max] over all
+    its rows (f_min + 1e-6 in place of f_max for a point mass), so both
+    ends are cell edges exactly, and PDF_CURVE_PAD_CELLS cells of the same
+    width extend past each end.  Each row's cdf is 0 up to its f_min and 1
+    from its f_max, so a law of continuous rows leaves the padding cells
+    exactly empty and even the integrable edge singularities keep their
+    mass under trapezoidal integration of the emitted samples.  The density
+    column is the exact per-cell probability mass divided by the cell
+    width; the cdf column is the analytic CDF at the cell midpoint.
     """
-    lo, hi = pdf.support
+    lo, hi = law.support
     hi = max(hi, lo + 1e-6)  # point masses get a narrow but resolvable window
     pad = (hi - lo) / (PDF_CURVE_CELLS - 1) * np.arange(1, PDF_CURVE_PAD_CELLS + 1)
     edges = np.concatenate([lo - pad[::-1], np.linspace(lo, hi, PDF_CURVE_CELLS), hi + pad])
-    cdf_edges = pdf.cdf(edges)
+    cdf_edges = law.cdf(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     density = np.diff(cdf_edges) / np.diff(edges)
-    cdf_mid = pdf.cdf(mids)
+    cdf_mid = law.cdf(mids)
     return [(float(f), float(d), float(c)) for f, d, c in zip(mids, density, cdf_mid)]
 
 
@@ -349,7 +349,7 @@ def _resolve_plan(config: ExperimentConfig) -> ReadoutPlan:
     return plan_readout(spec, scenario, tuning, **kwargs)
 
 
-def _result_record(echo, plan, pdf, avg, ks, files) -> dict:
+def _result_record(echo, plan, law, avg, ks, files) -> dict:
     return {
         "schema_version": RESULT_SCHEMA_VERSION,
         "config": echo,
@@ -357,8 +357,8 @@ def _result_record(echo, plan, pdf, avg, ks, files) -> dict:
         "t_readout": plan.t_read,
         "b_aux": plan.b_aux,
         "avg_fidelity": avg,
-        "f_min": pdf.support[0],
-        "f_max": pdf.support[1],
+        "f_min": law.support[0],
+        "f_max": law.support[1],
         "pdf_curve": files.get("pdf_curve"),
         "histogram": files.get("histogram"),
         "ks_distance": ks,
@@ -392,7 +392,7 @@ def cmd_tune(config: ExperimentConfig) -> dict:
     os.makedirs(config.output_dir, exist_ok=True)
     # tune never samples, so it echoes no sampling settings
     echo = {k: v for k, v in config.to_echo().items() if k not in ("mc_samples", "seed", "bins")}
-    record = _result_record(echo, plan, law.pdf(), float(law.mean[0]), None, {})
+    record = _result_record(echo, plan, law, float(law.mean[0]), None, {})
     record["avg_fidelity_no_aux"] = raw.achieved_avg_fidelity
     write_json(os.path.join(config.output_dir, "result.json"), record)
     elapsed = time.perf_counter() - started
@@ -416,36 +416,34 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
     plan = _resolve_plan(config)
     times = _jitter_times(plan, config) if config.jitter else [plan.t_read]
     law = fidelity_law(plan.spec, plan.scenario, times)
-    pdf = law.pdf()
     # the rows' mean, which tuning and the target bisection evaluate
     avg = float(law.mean.mean())
 
+    # the first read of the rows as a distribution: a row outside [0, 1]
+    # fails here, before any file is written
+    curve = pdf_curve_rows(law)
     os.makedirs(config.output_dir, exist_ok=True)
     files = {"pdf_curve": "pdf_curve.csv"}
-    write_csv(
-        os.path.join(config.output_dir, "pdf_curve.csv"),
-        ["f", "density", "cdf"],
-        pdf_curve_rows(pdf),
-    )
+    write_csv(os.path.join(config.output_dir, "pdf_curve.csv"), ["f", "density", "cdf"], curve)
     ks = None
     if config.mc_samples > 0:
-        edges = default_bin_edges(pdf, config.bins)
+        edges = default_bin_edges(law, config.bins)
         hist = _mc_histogram(plan, times, config.mc_samples, edges, RandomStream(config.seed))
-        ks = ks_distance(hist, pdf)
+        ks = ks_distance(hist, law)
         files["histogram"] = "histogram.csv"
         write_csv(
             os.path.join(config.output_dir, "histogram.csv"),
             ["bin_lo", "bin_hi", "count", "normalized_density"],
             histogram_rows(hist),
         )
-    record = _result_record(config.to_echo(), plan, pdf, avg, ks, files)
+    record = _result_record(config.to_echo(), plan, law, avg, ks, files)
     write_json(os.path.join(config.output_dir, "result.json"), record)
     elapsed = time.perf_counter() - started
     ks_text = "n/a" if ks is None else f"{ks:.5f}"
     print(
         f"pdf {config.protocol.get('kind')} N={config.n_sites} {config.scenario}: "
-        f"t_read={plan.t_read:.9g} <F>={avg:.9f} support=[{pdf.support[0]:.9f}, "
-        f"{pdf.support[1]:.9f}] ks={ks_text} [{elapsed:.2f}s]"
+        f"t_read={plan.t_read:.9g} <F>={avg:.9f} support=[{law.support[0]:.9f}, "
+        f"{law.support[1]:.9f}] ks={ks_text} [{elapsed:.2f}s]"
     )
     if ks is not None:
         bound = float(np.sqrt(np.log(2.0 / KS_GATE_ALPHA) / (2.0 * config.mc_samples)))

@@ -190,7 +190,7 @@ def mc_fidelity_histogram(
         batch = min(MC_BATCH, n - done)
         if two_qubit:
             states = sample_two_qubit_pure(rng, batch)
-            values = affine.evaluate(concurrence(states))
+            values = affine.evaluate(concurrence(states))[0]
         else:
             x = 1.0 - 2.0 * rng.random(batch)
             phi = 2.0 * np.pi * rng.random(batch)
@@ -202,30 +202,32 @@ def mc_fidelity_histogram(
     return Histogram(edges, counts, n)
 
 
-def ks_distance(samples, pdf) -> float:
-    """Kolmogorov-Smirnov distance between samples and an analytic law.
+def ks_distance(samples, law) -> float:
+    """Kolmogorov-Smirnov distance between samples and a fidelity law.
 
     ``samples`` is either a 1-d array of draws or a :class:`Histogram`; in
-    the binned case the empirical CDF is compared at the bin edges.  ``pdf``
-    is any object with an evaluable ``cdf``.
+    the binned case the empirical CDF is compared at the bin edges.  ``law``
+    is a :class:`~spintransfer.analytics.FidelityLaw`; several rows compare
+    as their equal-weight mixture.
     """
     if isinstance(samples, Histogram):
         cum = np.concatenate(([0.0], np.cumsum(samples.counts))) / samples.n_samples
-        model = pdf.cdf(samples.bin_edges)
+        model = law.cdf(samples.bin_edges)
         return float(np.abs(cum - model).max())
     values = np.sort(np.asarray(samples, dtype=float))
     n = values.size
     if n == 0:
         raise ParameterError("need at least one sample")
-    model = pdf.cdf(values)
+    model = law.cdf(values)
     upper = np.abs(np.arange(1, n + 1) / n - model).max()
     lower = np.abs(model - np.arange(0, n) / n).max()
     return float(max(upper, lower))
 
 
-def default_bin_edges(pdf, bins: int = 200) -> np.ndarray:
-    """Uniform bins from just below the pdf support up to fidelity 1."""
-    lo, hi = pdf.support
+def default_bin_edges(law, bins: int = 200) -> np.ndarray:
+    """Uniform bins from just below the support of a fidelity law (all its
+    rows) up to fidelity 1."""
+    lo, hi = law.support
     span = max(hi - lo, 1e-6)
     start = max(0.0, lo - 0.05 * span)
     return np.linspace(start, 1.0 if start < 1.0 else start + 1e-9, int(bins) + 1)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from spintransfer.analytics import FidelityLaw, TwoQubitAffine
+from spintransfer.analytics import FidelityLaw
 from spintransfer.chain import ChainSpec
-from spintransfer.channel import KrausSet, Scenario, fidelity_many
+from spintransfer.channel import KrausSet, fidelity_many
 from spintransfer.errors import ParameterError
 from spintransfer.sampling import MC_BATCH, RandomStream, schmidt_state
 
@@ -49,11 +49,10 @@ def avg_fidelity_one_qubit_vacuum(r: float, phi: float) -> float:
     return 0.5 + r * np.cos(phi) / 3.0 + r * r / 6.0
 
 
-def one_row_law(law) -> FidelityLaw:
-    """The one-row FidelityLaw of a quadratic or affine law."""
-    if isinstance(law, TwoQubitAffine):
-        return FidelityLaw(Scenario.TWO_QUBIT_VACUUM, np.array([[law.A, law.B]]))
-    return FidelityLaw(Scenario.ONE_QUBIT_VACUUM, np.array([[law.a, law.b, law.c]]))
+def one_row_law(*coefficients) -> FidelityLaw:
+    """The one-row FidelityLaw of (a, b, c), a x^2 + b x + c in x = cos(theta),
+    or of (A, B), A - B C^2 in the concurrence C."""
+    return FidelityLaw(np.array([coefficients], dtype=float))
 
 
 def sample_bloch(stream: RandomStream | np.random.Generator, size: int | None = None):

@@ -167,7 +167,7 @@ def test_criterion_4_minimum_fidelity_formula():
     expected = (np.sqrt(2.0 * (3.0 * TARGET - 1.0)) - 1.0) ** 2
     quad_form = quadratic_reduce_one_qubit(kraus)
     xs = np.linspace(-1.0, 1.0, 10_001)
-    values = quad_form.evaluate(xs)
+    values = quad_form.evaluate(xs)[0]
     k = int(np.argmin(values))
     numeric = float(values[k])
     if 0 < k < xs.size - 1:  # interior minimum: polish it
@@ -175,7 +175,7 @@ def test_criterion_4_minimum_fidelity_formula():
             numeric,
             float(
                 minimize_scalar(
-                    lambda x: float(quad_form.evaluate(x)),
+                    lambda x: float(quad_form.evaluate(x)[0]),
                     bounds=(xs[k - 1], xs[k + 1]),
                     method="bounded",
                     options={"xatol": 1e-13},
@@ -199,7 +199,7 @@ def test_criterion_5_closed_form_averages():
         r = float(rng.uniform(0.0, 1.0))
         phi = float(rng.uniform(0.0, 2.0 * np.pi))
         theta, _ = sample_bloch(rng, MC_SAMPLES)
-        values = vacuum_quadratic(r, phi).evaluate(np.cos(theta))
+        values = vacuum_quadratic(r, phi).evaluate(np.cos(theta))[0]
         stderr = values.std() / np.sqrt(MC_SAMPLES)
         pull = abs(values.mean() - avg_fidelity_one_qubit_vacuum(r, phi)) / stderr
         worst_sigma = max(worst_sigma, pull)
@@ -211,7 +211,7 @@ def test_criterion_5_closed_form_averages():
         kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, t)
         gap = abs(
             avg_fidelity_curve(spec, Scenario.ONE_QUBIT_UNIFORM, [t])[0]
-            - quadratic_reduce_one_qubit(kraus).mean()
+            - quadratic_reduce_one_qubit(kraus).mean[0]
         )
         worst_formula = max(worst_formula, gap)
     ok = worst_sigma <= 3.0 and worst_formula <= 1e-9
@@ -244,7 +244,7 @@ def test_criterion_6_pdf_correctness_vs_mc():
     for seed_offset, name in enumerate(("barrier", "weak")):
         plan, affine = two_qubit_plan(name)
         states = sample_two_qubit_pure(RandomStream(616, seed_offset), MC_SAMPLES)
-        samples = affine.evaluate(concurrence(states))
+        samples = affine.evaluate(concurrence(states))[0]
         distance = ks_distance(samples, affine)
         details.append(f"{name} 2q {distance:.4f}")
         worst = max(worst, distance)
@@ -261,7 +261,7 @@ def test_criterion_6_pdf_correctness_vs_mc():
         kraus_for_scenario(plan.spec, Scenario.TWO_QUBIT_VACUUM, plan.t_read)
     )
     states = sample_two_qubit_pure(RandomStream(616, 9), MC_SAMPLES)
-    samples = affine.evaluate(concurrence(states))
+    samples = affine.evaluate(concurrence(states))[0]
     distance = ks_distance(samples, affine)
     details.append(f"perfect 2q(at own optimum) {distance:.4f}")
     worst = max(worst, distance)
@@ -303,14 +303,15 @@ def test_criterion_7_two_qubit_table(name):
     except RangeError as exc:
         report(f"7 two-qubit table [{name}]", False, f"unreachable: {exc}")
         raise AssertionError(str(exc)) from exc
-    ok = abs(affine.A - expected_a) <= 0.002 and abs(affine.B - expected_b) <= 0.002
+    big_a, big_b = affine.coefficients[0]
+    ok = abs(big_a - expected_a) <= 0.002 and abs(big_b - expected_b) <= 0.002
     report(
         f"7 two-qubit table [{name}]",
         ok,
-        f"(A, B) = ({affine.A:.5f}, {affine.B:.5f}) vs ({expected_a}, {expected_b})",
+        f"(A, B) = ({big_a:.5f}, {big_b:.5f}) vs ({expected_a}, {expected_b})",
     )
-    assert abs(affine.A - expected_a) <= 0.002
-    assert abs(affine.B - expected_b) <= 0.002
+    assert abs(big_a - expected_a) <= 0.002
+    assert abs(big_b - expected_b) <= 0.002
 
 
 def test_criterion_7_companion_table_at_implied_means():
@@ -336,7 +337,7 @@ def test_criterion_7_companion_table_at_implied_means():
         affine = affine_from_kraus(
             kraus_for_scenario(plan.spec, Scenario.TWO_QUBIT_VACUUM, plan.t_read)
         )
-        gap = max(abs(affine.A - expected_a), abs(affine.B - expected_b))
+        gap = float(np.abs(affine.coefficients[0] - (expected_a, expected_b)).max())
         worst = max(worst, gap)
         details.append(f"{name} gap {gap:.1e}")
     ok = worst <= 1e-3  # twice as tight as the criterion's own tolerance
@@ -358,7 +359,8 @@ def test_criterion_8_qualitative_orderings():
     # (the perfect-protocol comparison is subsumed by criterion 7's xfail)
     _, aff_b = two_qubit_plan("barrier")
     _, aff_w = two_qubit_plan("weak")
-    two_qubit_ok = abs(aff_b.B) < abs(aff_w.B)
+    width_b, width_w = abs(aff_b.coefficients[0, 1]), abs(aff_w.coefficients[0, 1])
+    two_qubit_ok = width_b < width_w
     # uniform channel at N = 15: f_min(B) above both others
     uniform_mins = {}
     for name, (kind, aux) in UNIFORM_N15.items():
@@ -380,7 +382,7 @@ def test_criterion_8_qualitative_orderings():
         "8 qualitative orderings",
         ok,
         f"1q f_min B/W/P = {f_mins['barrier']:.6f}/{f_mins['weak']:.6f}/"
-        f"{f_mins['perfect']:.6f}; 2q widths {abs(aff_b.B):.5f} < {abs(aff_w.B):.5f}; "
+        f"{f_mins['perfect']:.6f}; 2q widths {width_b:.5f} < {width_w:.5f}; "
         f"uniform f_min B/W/P = {uniform_mins['barrier']:.4f}/{uniform_mins['weak']:.4f}/"
         f"{uniform_mins['perfect']:.4f}",
     )
@@ -392,9 +394,7 @@ def test_criterion_9_weak_perfect_equivalence():
     _, _, kraus_p = single_qubit_plan("perfect")
     quad_w = quadratic_reduce_one_qubit(kraus_w)
     quad_p = quadratic_reduce_one_qubit(kraus_p)
-    gap = max(
-        abs(quad_w.a - quad_p.a), abs(quad_w.b - quad_p.b), abs(quad_w.c - quad_p.c)
-    )
+    gap = float(np.abs(quad_w.coefficients - quad_p.coefficients).max())
     ok = gap <= 1e-6
     report("9 weak/perfect same pdf", ok, f"max coefficient gap {gap:.1e}")
     assert gap <= 1e-6

@@ -14,10 +14,8 @@ from conftest import (
     seeded_chain,
 )
 from spintransfer.analytics import (
+    FidelityLaw,
     MinBranch,
-    PointMass,
-    QuadraticFidelity,
-    TwoQubitAffine,
     affine_from_kraus,
     avg_fidelity_curve,
     fidelity_law,
@@ -44,16 +42,14 @@ def test_vacuum_quadratic_closed_form(rng):
     fitted = quadratic_reduce_one_qubit(kraus)
     amp = propagator_at(dynamics_for(spec).one, 2.4)[0, 6]
     closed = vacuum_quadratic(abs(amp), float(np.angle(amp)))
-    assert fitted.a == pytest.approx(closed.a, abs=1e-12)
-    assert fitted.b == pytest.approx(closed.b, abs=1e-12)
-    assert fitted.c == pytest.approx(closed.c, abs=1e-12)
+    assert np.abs(fitted.coefficients - closed.coefficients).max() <= 1e-12
 
 
 def test_uniform_quadratic_matches_channel_grid(rng):
     spec = make_random_chain(rng, 8)
     kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, 3.7)
     fitted = quadratic_reduce_one_qubit(kraus)
-    assert fitted.mean() == pytest.approx(
+    assert fitted.mean[0] == pytest.approx(
         avg_fidelity_curve(spec, Scenario.ONE_QUBIT_UNIFORM, [3.7])[0], abs=1e-9
     )
 
@@ -65,7 +61,7 @@ def test_uniform_average_formula_many_specs(rng):
         spec = make_random_chain(rng, n, long_range=bool(rng.integers(0, 2)))
         t = float(rng.uniform(0.3, 9.0))
         kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, t)
-        channel_mean = quadratic_reduce_one_qubit(kraus).mean()
+        channel_mean = quadratic_reduce_one_qubit(kraus).mean[0]
         assert avg_fidelity_curve(spec, Scenario.ONE_QUBIT_UNIFORM, [t])[0] == pytest.approx(
             channel_mean, abs=1e-9
         )
@@ -85,7 +81,7 @@ def test_vacuum_average_closed_form():
     r, phi = 0.77, 2.1
     quad_form = vacuum_quadratic(r, phi)
     assert avg_fidelity_one_qubit_vacuum(r, phi) == pytest.approx(
-        quad_form.mean(), abs=1e-12
+        quad_form.mean[0], abs=1e-12
     )
     with pytest.raises(ParameterError):
         avg_fidelity_one_qubit_vacuum(1.2, 0.0)
@@ -116,7 +112,7 @@ def test_min_fidelity_lattice_vs_grid():
             grid_min = float(quad_form.evaluate(xs).min())
             assert res.f_min <= grid_min + 1e-10
             assert res.f_min == pytest.approx(
-                float(quad_form.evaluate(np.cos(res.theta_star))), abs=1e-12
+                float(quad_form.evaluate(np.cos(res.theta_star))[0]), abs=1e-12
             )
 
 
@@ -128,15 +124,15 @@ def test_min_fidelity_rejects_bad_r():
 # -- one-qubit pdf -----------------------------------------------------------
 
 def test_pdf_delta_case():
-    pdf = one_row_law(QuadraticFidelity(0.0, 0.0, 1.0)).pdf()
-    assert isinstance(pdf, PointMass)
+    pdf = one_row_law(0.0, 0.0, 1.0)
     assert pdf.support == (1.0, 1.0)
     assert pdf.cdf(1.0) == 1.0 and pdf.cdf(0.999999) == 0.0
+    assert pdf.normalization() == 1.0
 
 
 def test_pdf_uniform_case():
     # r = 0 limit: F = (1 + x)/2 uniform on [0, 1]
-    pdf = QuadraticFidelity(0.0, 0.5, 0.5)
+    pdf = one_row_law(0.0, 0.5, 0.5)
     assert pdf.support == (0.0, 1.0)
     fs = np.linspace(0.01, 0.99, 17)
     assert np.allclose(pdf.density(fs), 1.0)
@@ -152,8 +148,8 @@ def test_pdf_normalization_and_cdf(rng):
             Scenario.ONE_QUBIT_VACUUM if rng.integers(0, 2) else Scenario.ONE_QUBIT_UNIFORM
         )
         kraus = kraus_for_scenario(spec, scenario, t)
-        pdf = one_row_law(quadratic_reduce_one_qubit(kraus)).pdf()
-        if isinstance(pdf, PointMass):
+        pdf = quadratic_reduce_one_qubit(kraus)
+        if pdf.support[0] == pdf.support[1]:  # a step, normalized by construction
             continue
         assert pdf.normalization() == pytest.approx(1.0, abs=1e-6)
         fs = np.linspace(pdf.support[0], pdf.support[1], 101)
@@ -168,24 +164,30 @@ def test_pdf_mean_matches_quadrature(rng):
     kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 1.9)
     quad_form = quadratic_reduce_one_qubit(kraus)
     lo, hi = quad_form.support
-    breaks = [p for p in quad_form.breakpoints() if lo < p < hi]
+    breaks = [p for p in quad_form.breakpoints()[0] if lo < p < hi]
     numeric, _ = quad(lambda f: f * float(quad_form.density(f)), lo, hi, points=breaks, limit=200)
-    assert numeric == pytest.approx(quad_form.mean(), abs=1e-7)
-    assert one_row_law(quad_form).pdf().mean() == pytest.approx(quad_form.mean(), abs=1e-12)
+    assert numeric == pytest.approx(quad_form.mean[0], abs=1e-7)
 
 
 def test_pdf_normalization_when_vertex_value_rounds_apart():
     # c - b^2 / 4a and F(vertex) differ by one ulp for these coefficients; a
     # breakpoint one ulp inside the support once made the quadrature infinite
-    quad_form = QuadraticFidelity(0.24651300518755553, 0.433285931041082, 0.3202010637713625)
-    assert quad_form.support == (min(quad_form.breakpoints()), max(quad_form.breakpoints()))
+    quad_form = one_row_law(0.24651300518755553, 0.433285931041082, 0.3202010637713625)
+    points = quad_form.breakpoints()
+    assert quad_form.support == (np.nanmin(points), np.nanmax(points))
     assert quad_form.normalization() == pytest.approx(1.0, abs=1e-6)
+
+
+def finite_breakpoints(law) -> np.ndarray:
+    """The sorted distinct breakpoints of all rows of ``law``."""
+    points = law.breakpoints()
+    return np.unique(points[~np.isnan(points)])
 
 
 def normalization_by_quad(pdf) -> float:
     lo, hi = pdf.support
     total, _ = quad(
-        lambda f: float(pdf.density(f)), lo, hi, points=sorted(set(pdf.breakpoints())), limit=200
+        lambda f: float(pdf.density(f)), lo, hi, points=finite_breakpoints(pdf), limit=200
     )
     return total
 
@@ -195,14 +197,14 @@ def test_pdf_normalization_matches_adaptive_quadrature():
     # just outside [-1, 1] (x_v = -1.0038), whose density is nearly singular
     # at F(-1): a rule anchored at the support end alone misses it by 7e-6
     rng = np.random.default_rng(41)
-    laws = [QuadraticFidelity(0.20718218373703962, 0.4159514300521839, 0.3768663862107765)]
+    laws = [one_row_law(0.20718218373703962, 0.4159514300521839, 0.3768663862107765)]
     for kind in ("nearest", "long_range", "zz"):
         for scenario in Scenario:
             for _ in range(4):
                 spec = seeded_chain(int(rng.integers(2**31)), int(rng.integers(5, 9)), kind)
-                laws.append(fidelity_law(spec, scenario, [float(rng.uniform(0.5, 12.0))]).pdf())
+                laws.append(fidelity_law(spec, scenario, [float(rng.uniform(0.5, 12.0))]))
     for pdf in laws:
-        if isinstance(pdf, PointMass):
+        if pdf.support[0] == pdf.support[1]:  # a step, normalized by construction
             continue
         assert pdf.normalization() == pytest.approx(normalization_by_quad(pdf), abs=1e-10)
 
@@ -216,8 +218,10 @@ def test_pdf_support_top_is_one_for_vacuum(rng):
 
 
 def test_quadratic_range_invariant():
+    # building a law checks nothing; reading it as a distribution does
+    law = FidelityLaw(np.array([[0.0, 1.0, 1.0]]))  # F(1) = 2 leaves [0, 1]
     with pytest.raises(ModelError):
-        QuadraticFidelity(0.0, 1.0, 1.0)  # F(1) = 2 leaves [0, 1]
+        law.support
 
 
 # -- two-qubit affine and pdf ------------------------------------------------
@@ -228,7 +232,7 @@ def test_two_qubit_affine_matches_unitary_mc(rng):
     affine = affine_from_kraus(kraus)
     for k, conc in enumerate((0.0, 0.5, 1.0)):
         mean, err = mc_local_unitary_fidelity(kraus, conc, 40_000, RandomStream(30 + k))
-        assert abs(mean - affine.evaluate(conc)) <= 3.0 * err
+        assert abs(mean - affine.evaluate(conc)[0]) <= 3.0 * err
 
 
 def test_two_qubit_affine_at_zero(rng):
@@ -237,7 +241,7 @@ def test_two_qubit_affine_at_zero(rng):
     affine = affine_from_kraus(kraus)
     for conc, stream in ((0.0, 41), (1.0, 42)):
         mean, err = mc_local_unitary_fidelity(kraus, conc, 40_000, RandomStream(stream))
-        assert abs(mean - affine.evaluate(conc)) <= 3.0 * max(err, 1e-12)
+        assert abs(mean - affine.evaluate(conc)[0]) <= 3.0 * max(err, 1e-12)
 
 
 CLIFFORD = np.asarray(_clifford_group_su2())
@@ -254,12 +258,13 @@ def test_affine_from_kraus_matches_trace_sums_and_clifford_twirl(n_ops, seed):
     t2 = np.sum(np.abs(ops) ** 2)  # ||E||_F^2
     t3 = np.sum(np.abs(np.einsum("oiaja->oij", ops)) ** 2)  # ||tr_2 E||_F^2
     t4 = np.sum(np.abs(np.einsum("oaiaj->oij", ops)) ** 2)  # ||tr_1 E||_F^2
-    assert abs(affine.A - (t1 + t2 + t3 + t4) / 36.0) <= 1e-13
-    assert abs(affine.B - (-2.0 * (t1 + t2) + 2.5 * (t3 + t4)) / 36.0) <= 1e-13
+    big_a, big_b = affine.coefficients[0]
+    assert abs(big_a - (t1 + t2 + t3 + t4) / 36.0) <= 1e-13
+    assert abs(big_b - (-2.0 * (t1 + t2) + 2.5 * (t3 + t4)) / 36.0) <= 1e-13
     for conc in (0.0, 0.5, 1.0):
         base = schmidt_state(conc).reshape(2, 2)
         states = np.einsum("mab,ncd,bd->mnac", CLIFFORD, CLIFFORD, base).reshape(-1, 4)
-        assert abs(fidelity_many(kraus, states).mean() - affine.evaluate(conc)) <= 1e-13
+        assert abs(fidelity_many(kraus, states).mean() - affine.evaluate(conc)[0]) <= 1e-13
 
 
 def test_schmidt_sign_is_immaterial(rng):
@@ -280,13 +285,14 @@ def test_schmidt_sign_is_immaterial(rng):
 
 
 def test_pdf_two_qubit_delta():
-    pdf = one_row_law(TwoQubitAffine(1.0, 0.0)).pdf()
-    assert isinstance(pdf, PointMass)
+    pdf = one_row_law(1.0, 0.0)
     assert pdf.support == (1.0, 1.0)
+    assert pdf.cdf(1.0) == 1.0 and pdf.cdf(0.999999) == 0.0
+    assert pdf.normalization() == 1.0
 
 
 def test_pdf_two_qubit_shape_and_moments():
-    pdf = affine = TwoQubitAffine(0.9904, -0.0006)
+    pdf = one_row_law(0.9904, -0.0006)
     assert pdf.support == (pytest.approx(0.9904), pytest.approx(0.9910))
     # the Jacobian compresses the concurrence origin into F = A, so the
     # density is largest there and falls to zero at F = A - B (the Monte
@@ -298,12 +304,12 @@ def test_pdf_two_qubit_shape_and_moments():
     norm, _ = quad(lambda f: float(pdf.density(f)), lo, hi, limit=200)
     assert norm == pytest.approx(1.0, abs=1e-9)
     mean_num, _ = quad(lambda f: f * float(pdf.density(f)), lo, hi, limit=200)
-    assert mean_num == pytest.approx(affine.A - 0.4 * affine.B, abs=1e-9)
-    assert one_row_law(affine).pdf().mean() == pytest.approx(affine.A - 0.4 * affine.B, abs=1e-12)
+    assert mean_num == pytest.approx(0.9904 - 0.4 * -0.0006, abs=1e-9)
+    assert pdf.mean[0] == pytest.approx(0.9904 - 0.4 * -0.0006, abs=1e-12)
 
 
 def test_pdf_two_qubit_cdf_consistency():
-    pdf = TwoQubitAffine(0.95, 0.03)  # positive B branch
+    pdf = one_row_law(0.95, 0.03)  # positive B branch
     lo, hi = pdf.support
     assert (lo, hi) == (pytest.approx(0.92), pytest.approx(0.95))
     for f in np.linspace(lo, hi, 7)[1:-1]:

@@ -247,6 +247,22 @@ def test_certify_cli_and_schema(tmp_path):
     assert report["all_passed"] is True
 
 
+def test_certify_reports_kraus_completeness_failure(tmp_path, monkeypatch):
+    # every Kraus set now fails its completeness tolerance: certify records
+    # the failed checks and writes its report rather than aborting
+    monkeypatch.setattr(channel, "COMPLETENESS_TOL", -1.0)
+    out = tmp_path / "cert"
+    assert run_cli("certify", "--n-max", "4", "--out", str(out)) == EXIT_CERTIFY
+    with open(out / "certification.json", encoding="utf-8") as fh:
+        text = fh.read()
+    assert "Infinity" not in text and "NaN" not in text
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    for name in ("kraus_completeness", "channel_oracle_equivalence", "fidelity_duality"):
+        assert checks[name]["passed"] is False
+        assert "NumericError" in checks[name]["detail"]
+    assert checks["sector_dimensions"]["passed"] is True
+
+
 def test_certify_rejects_oversize():
     assert run_cli("certify", "--n-max", str(MAX_ORACLE_SITES + 1)) == 2
 
@@ -314,20 +330,24 @@ def test_jitter_reads_out_around_the_optimum(tmp_path):
 
 
 def test_jitter_mixture_is_normalized(tmp_path):
-    # the 41-part mixture of barrier h0=200 N=22 at 2% jitter: adaptive
-    # quadrature over all parts' breakpoints ran out of subdivisions there
+    # the 41-row law of barrier h0=200 N=22 at 2% jitter: adaptive
+    # quadrature over all rows' breakpoints ran out of subdivisions there
     # and returned 0.99924
     from spintransfer import cli
-    from spintransfer.analytics import Mixture, fidelity_law
+    from spintransfer.analytics import FidelityLaw, fidelity_law
 
     args = ["pdf", "--protocol", "barrier", "--h0", "200", "--n-sites", "22",
             "--scenario", "one_qubit_vacuum", "--mode", "timing_error:0.02", "--jitter",
             "--out", str(tmp_path)]
     config = cli.load_config(cli.build_parser().parse_args(args))
     plan = cli._resolve_plan(config)
-    pdf = fidelity_law(plan.spec, plan.scenario, cli._jitter_times(plan, config)).pdf()
-    assert isinstance(pdf, Mixture) and len(pdf.parts) == 41
-    assert pdf.normalization() == pytest.approx(1.0, abs=1e-6)
+    law = fidelity_law(plan.spec, plan.scenario, cli._jitter_times(plan, config))
+    assert law.coefficients.shape == (41, 3)
+    assert law.normalization() == pytest.approx(1.0, abs=1e-6)
+    # the written curve's cdf is the rows' cdfs summed in order, to the last bit
+    rows = [FidelityLaw(row[None]) for row in law.coefficients]
+    fs = np.array(cli.pdf_curve_rows(law))[:, 0]
+    assert np.array_equal(law.cdf(fs), sum(row.cdf(fs) for row in rows) / len(rows))
 
 
 def test_fixed_time_histogram_is_one_kraus_run(tmp_path):
@@ -343,11 +363,11 @@ def test_fixed_time_histogram_is_one_kraus_run(tmp_path):
     args += ["--out", str(tmp_path / "run")]
     config = cli.load_config(cli.build_parser().parse_args(args))
     plan = cli._resolve_plan(config)
-    pdf = fidelity_law(plan.spec, plan.scenario, [plan.t_read]).pdf()
+    law = fidelity_law(plan.spec, plan.scenario, [plan.t_read])
     expected = mc_fidelity_histogram(
         kraus_for_scenario(plan.spec, plan.scenario, plan.t_read),
         config.mc_samples,
-        default_bin_edges(pdf, config.bins),
+        default_bin_edges(law, config.bins),
         RandomStream(config.seed),
     )
     assert run_cli(*args) == 0

@@ -1,14 +1,15 @@
 """Property tests of the fidelity laws: the row-based laws used by tuning
 and the written distributions against the exact reductions of the Kraus
 sets, those reductions against a brute-force input average, the
-determinant pair rows the laws read against the pair sector, the
-distributions' densities against their cdfs, and the minimum-fidelity
-branches against a brute-force minimum."""
+determinant pair rows the laws read against the pair sector, the laws'
+densities against their cdfs and their means against their cdfs, and the
+minimum-fidelity branches against a brute-force minimum."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from conftest import make_random_chain, one_row_law, seeded_chain
 
@@ -16,10 +17,6 @@ from spintransfer.analytics import (
     COLLAPSE_WIDTH,
     FidelityLaw,
     MinBranch,
-    Mixture,
-    PointMass,
-    QuadraticFidelity,
-    TwoQubitAffine,
     affine_from_kraus,
     fidelity_law,
     min_fidelity_closed_form,
@@ -38,7 +35,7 @@ from spintransfer.dynamics import (
     propagator_rows,
 )
 from spintransfer.errors import ModelError
-from spintransfer.sampling import bloch_states
+from spintransfer.sampling import bloch_states, ks_distance
 
 ONE_QUBIT = (Scenario.ONE_QUBIT_VACUUM, Scenario.ONE_QUBIT_UNIFORM)
 
@@ -55,10 +52,29 @@ times = st.floats(0.0, 12.0)
 def kraus_reduction(spec, scenario, t):
     kraus = kraus_for_scenario(spec, scenario, t)
     if scenario is Scenario.TWO_QUBIT_VACUUM:
-        affine = affine_from_kraus(kraus)
-        return np.array([affine.A, affine.B]), affine.mean()
-    quad_form = quadratic_reduce_one_qubit(kraus)
-    return np.array([quad_form.a, quad_form.b, quad_form.c]), quad_form.mean()
+        reduced = affine_from_kraus(kraus)
+    else:
+        reduced = quadratic_reduce_one_qubit(kraus)
+    return reduced.coefficients[0], reduced.mean[0]
+
+
+def candidate_inputs(law) -> np.ndarray:
+    """The inputs where a one-row law may take its extremes: C = 0 and 1, or
+    x = -1, 1 and the vertex when it lies in (-1, 1)."""
+    if law.coefficients.shape[1] == 2:
+        return np.array([0.0, 1.0])
+    a, b, _ = law.coefficients[0]
+    return np.array([-1.0, 1.0] + ([-b / (2.0 * a)] if a and abs(b / (2.0 * a)) < 1.0 else []))
+
+
+def mean_from_cdf(law) -> float:
+    """The mean of ``law`` as the Stieltjes integral of f dF by parts,
+    f_min + int (1 - F(f)) df over the support, by adaptive quadrature."""
+    lo, hi = law.support
+    points = law.breakpoints()
+    inner = np.unique(points[(points > lo) & (points < hi)])
+    area, _ = quad(lambda f: 1.0 - law.cdf(f), lo, hi, points=inner if inner.size else None, limit=200)
+    return lo + area
 
 
 @given(specs, times, st.sampled_from(ONE_QUBIT))
@@ -70,7 +86,7 @@ def test_exact_reduction_matches_brute_force_average(spec, t, scenario):
     phis = 2.0 * np.pi * np.arange(8) / 8
     theta, phi = np.meshgrid(np.arccos(xs), phis, indexing="ij")
     values = fidelity_many(kraus, bloch_states(theta.ravel(), phi.ravel())).reshape(21, 8)
-    assert np.abs(values.mean(axis=1) - quad_form.evaluate(xs)).max() <= 1e-12
+    assert np.abs(values.mean(axis=1) - quad_form.evaluate(xs)[0]).max() <= 1e-12
     assert np.ptp(values, axis=1).max() <= 1e-12
 
 
@@ -82,8 +98,6 @@ def test_row_law_matches_kraus_reduction(spec, t, scenario):
         coefficients, mean = kraus_reduction(spec, scenario, float(t_k))
         assert np.abs(law.coefficients[k] - coefficients).max() <= 1e-12
         assert abs(law.mean[k] - mean) <= 1e-12
-        row = FidelityLaw(scenario, law.coefficients[k : k + 1])
-        assert row.pdf().mean() == pytest.approx(mean, abs=1e-12)
 
 
 @given(
@@ -123,9 +137,10 @@ def test_point_mass_law_sits_at_its_mean(n_sites):
     # mass, and the avg_fidelity reported for it must lie in its support
     spec = protocol_preset(Perfect(), n_sites)
     law = fidelity_law(spec, Scenario.ONE_QUBIT_VACUUM, [np.pi / 4], phase_corrected=True)
-    pdf = law.pdf()
-    assert isinstance(pdf, PointMass)
-    assert pdf.support == (law.mean[0], law.mean[0])
+    mean = law.mean[0]
+    assert law.support == (mean, mean)
+    assert law.cdf(mean) == 1.0 and law.cdf(np.nextafter(mean, 0.0)) == 0.0
+    assert law.normalization() == 1.0
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(4, 9), st.floats(0.0, 20.0))
@@ -194,7 +209,7 @@ def test_azimuth_dependent_channel_is_rejected():
         quadratic_reduce_one_qubit(kraus)
 
 
-def quadratic_law(a: float, b: float, position: float) -> QuadraticFidelity:
+def quadratic_law(a: float, b: float, position: float) -> FidelityLaw:
     """a x^2 + b x + c with c placing the range at ``position`` of its slack in [0, 1].
 
     a and b shrink by a common factor where their range is wider than 1
@@ -206,7 +221,7 @@ def quadratic_law(a: float, b: float, position: float) -> QuadraticFidelity:
         a, b = a / spread, b / spread
     values = [(a * x + b) * x for x in xs]
     lo, hi = min(values), max(values)
-    return QuadraticFidelity(a, b, -lo + position * (1.0 - (hi - lo)))
+    return one_row_law(a, b, -lo + position * (1.0 - (hi - lo)))
 
 
 quadratic_laws = st.builds(
@@ -216,7 +231,7 @@ quadratic_laws = st.builds(
     st.floats(0.0, 1.0),
 )
 affine_laws = st.builds(
-    lambda b_val, position: TwoQubitAffine(max(b_val, 0.0) + position * (1.0 - abs(b_val)), b_val),
+    lambda b_val, position: one_row_law(max(b_val, 0.0) + position * (1.0 - abs(b_val)), b_val),
     st.one_of(st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3)),
     st.floats(0.0, 1.0),
 )
@@ -231,13 +246,13 @@ def assert_pdf_consistent(pdf, kinks):
     assert np.all(np.diff(cdf) >= -1e-12)
     assert np.all(cdf[grid < lo] == 0.0)
     assert pdf.cdf(hi) == 1.0 and np.all(cdf[grid >= hi] == 1.0)
-    if isinstance(pdf, PointMass):
+    if lo == hi:  # a step at the row's mean
         return
     # integrable 1/sqrt singularities sit at the kinks, so they end cells;
     # each cell's mass is the density integrated by the tau-substituted
     # Gauss-Legendre rule of the normalization
     edges = np.unique(np.clip(np.r_[np.linspace(lo, hi, 9), kinks], lo, hi))
-    masses = pdf.segment_masses(edges)
+    masses = pdf.segment_masses(edges)[0]
     for left, right, mass in zip(edges[:-1], edges[1:], masses):
         assert mass == pytest.approx(float(pdf.cdf(right) - pdf.cdf(left)), abs=1e-7)
     assert masses.sum() == pytest.approx(1.0, abs=1e-7)
@@ -246,59 +261,69 @@ def assert_pdf_consistent(pdf, kinks):
 # a long-range-chain occupied-channel law whose vertex sits 2e-4 inside
 # x = -1: two breakpoints 7.4e-9 apart, where adaptive quadrature of the
 # density misses the cell mass by 1e-4
-@example(QuadraticFidelity(0.168047, 0.336023, 0.391471))
+@example(one_row_law(0.168047, 0.336023, 0.391471))
 @given(quadratic_laws)
 def test_quadratic_pdf_matches_its_cdf(quad_form):
-    a, b = quad_form.a, quad_form.b
-    xs = [-1.0, 1.0] + ([-b / (2.0 * a)] if a and abs(b / (2.0 * a)) < 1.0 else [])
-    assert_pdf_consistent(one_row_law(quad_form).pdf(), quad_form.evaluate(np.array(xs)))
+    assert_pdf_consistent(quad_form, quad_form.evaluate(candidate_inputs(quad_form))[0])
 
 
 @given(affine_laws)
 def test_affine_pdf_matches_its_cdf(affine):
-    assert_pdf_consistent(affine, [affine.A, affine.A - affine.B])
+    big_a, big_b = affine.coefficients[0]
+    assert_pdf_consistent(affine, [big_a, big_a - big_b])
 
 
 @given(st.one_of(quadratic_laws, affine_laws))
 def test_support_is_the_extreme_breakpoints(law):
-    # the breakpoints are the law at its candidate extremes, through evaluate
-    if isinstance(law, TwoQubitAffine):
-        xs = [0.0, 1.0]
+    # the breakpoints are the law at its candidate extremes, through
+    # evaluate, or the mean alone for a row at most COLLAPSE_WIDTH wide
+    values = law.evaluate(candidate_inputs(law))[0]
+    points = law.breakpoints()[0]
+    if np.ptp(values) <= COLLAPSE_WIDTH:
+        assert points[0] == law.mean[0] and np.isnan(points[1:]).all()
     else:
-        a, b = law.a, law.b
-        xs = [-1.0, 1.0] + ([-b / (2.0 * a)] if a and abs(b / (2.0 * a)) < 1.0 else [])
-    points = law.breakpoints()
-    assert points == [float(law.evaluate(x)) for x in xs]
-    assert law.support == (min(points), max(points))
-
-
-def row_distribution(law):
-    """What a one-row FidelityLaw of ``law`` must give: a point mass at its
-    mean when its support is at most COLLAPSE_WIDTH wide, else the law itself."""
-    lo, hi = law.support
-    return PointMass(law.mean()) if hi - lo <= COLLAPSE_WIDTH else law
+        assert np.array_equal(points[: values.size], values)
+        assert np.isnan(points[values.size :]).all()
+    assert law.support == (np.nanmin(points), np.nanmax(points))
 
 
 @given(st.one_of(quadratic_laws, affine_laws))
 def test_one_row_law_is_that_rows_distribution(law):
-    assert one_row_law(law).pdf() == row_distribution(law)
+    # a row at most COLLAPSE_WIDTH wide is a step at its mean, normalized
+    # by construction; any other row spans its extreme values
+    values = law.evaluate(candidate_inputs(law))[0]
+    mean = law.mean[0]
+    if np.ptp(values) <= COLLAPSE_WIDTH:
+        assert law.support == (mean, mean)
+        assert law.cdf(mean) == 1.0 and law.cdf(np.nextafter(mean, -np.inf)) == 0.0
+        assert law.normalization() == 1.0
+    else:
+        assert law.support == (values.min(), values.max())
+        assert 0.0 < law.cdf(mean) < 1.0
 
 
-continuous_laws = st.one_of(quadratic_laws, affine_laws).filter(
-    lambda law: np.ptp(law.support) > COLLAPSE_WIDTH
-)
+continuous_quadratic_laws = quadratic_laws.filter(lambda law: np.ptp(law.support) > COLLAPSE_WIDTH)
+continuous_affine_laws = affine_laws.filter(lambda law: np.ptp(law.support) > COLLAPSE_WIDTH)
+
+
+def stacked(laws) -> FidelityLaw:
+    """The law whose rows are those of ``laws``, in order."""
+    return FidelityLaw(np.concatenate([law.coefficients for law in laws]))
 
 
 # the barrier h0=200 N=22 law at the read-out time of average 0.99: its
 # vertex lies inside (-1, 1), and a grid not anchored on f_min put 5.5e-3
 # of density into the last left padding cell
-@example(QuadraticFidelity(0.014661541384721644, 0.00022563891283605697, 0.9851128197024424))
+@example(one_row_law(0.014661541384721644, 0.00022563891283605697, 0.9851128197024424))
 # a subnormal linear term: where the discriminant is negative the masked
 # root quotient overflows, which must stay silent and leave the rows as they are
-@example(QuadraticFidelity(-0.5, 2.2250738585e-313, 0.95))
-@given(st.one_of(continuous_laws, st.lists(continuous_laws, min_size=2, max_size=5).map(
-    lambda parts: Mixture(tuple(parts))
-)))
+@example(one_row_law(-0.5, 2.2250738585e-313, 0.95))
+@given(st.one_of(
+    continuous_quadratic_laws,
+    continuous_affine_laws,
+    st.lists(continuous_quadratic_laws, min_size=2, max_size=5).map(stacked),
+    st.lists(continuous_affine_laws, min_size=2, max_size=5).map(stacked),
+))
 def test_pdf_curve_padding_is_empty(pdf):
     rows = np.array(pdf_curve_rows(pdf))
     assert np.all(rows[:PDF_CURVE_PAD_CELLS, 1] == 0.0)
@@ -315,31 +340,50 @@ def test_pdf_curve_padding_is_empty(pdf):
 
 @given(specs, st.floats(0.1, 12.0), st.sampled_from(list(Scenario)), st.integers(1, 5))
 def test_row_means_are_their_distributions_means(spec, t, scenario, n_rows):
-    # one rule from a row to its mean: the law's mean is the mean of the
-    # distribution the row becomes, to the last bit
+    # the mean read off the input moments is the mean of the distribution
+    # the row's cdf describes, and the equal-weight mixture's is their mean
     law = fidelity_law(spec, scenario, t * np.linspace(0.9, 1.1, n_rows))
-    pdf = law.pdf()
-    parts = pdf.parts if isinstance(pdf, Mixture) else (pdf,)
-    assert len(parts) == n_rows
-    for mean, part in zip(law.mean, parts):
-        assert mean == part.mean()
+    for k, mean in enumerate(law.mean):
+        assert mean_from_cdf(FidelityLaw(law.coefficients[k : k + 1])) == pytest.approx(
+            mean, abs=1e-9
+        )
+    assert mean_from_cdf(law) == pytest.approx(law.mean.mean(), abs=1e-9)
 
 
 # laws narrower than COLLAPSE_WIDTH: a tiny quadratic term alone, tiny
 # quadratic and linear terms, and a seeded zz-chain two-qubit law, whose own
 # densities' normalizations read inf, 1 + 2.0e-3 and 1 - 1.1e-7
 NARROW_LAWS = [
-    QuadraticFidelity(5e-12, 0.0, 0.9),
-    QuadraticFidelity(2e-12, 3e-12, 0.9),
-    TwoQubitAffine(0.25000000001621, 9.28e-12),
+    (5e-12, 0.0, 0.9),
+    (2e-12, 3e-12, 0.9),
+    (0.25000000001621, 9.28e-12),
 ]
 
 
-@pytest.mark.parametrize("law", NARROW_LAWS, ids=["a", "ab", "zz_two_qubit"])
-def test_narrow_rows_are_point_masses(law):
-    pdf = one_row_law(law).pdf()
-    assert pdf == PointMass(law.mean())
-    assert pdf.normalization() == 1.0
+@pytest.mark.parametrize("coefficients", NARROW_LAWS, ids=["a", "ab", "zz_two_qubit"])
+def test_narrow_rows_are_point_masses(coefficients):
+    law = one_row_law(*coefficients)
+    mean = law.mean[0]
+    assert law.support == (mean, mean)
+    assert law.cdf(mean) == 1.0 and law.cdf(np.nextafter(mean, 0.0)) == 0.0
+    assert law.normalization() == 1.0
+
+
+@given(st.lists(continuous_quadratic_laws, min_size=2, max_size=2))
+def test_collapsed_row_mixes_as_a_step(parts):
+    # one row narrower than COLLAPSE_WIDTH among continuous rows: its step
+    # carries a third of the mixture's mass
+    narrow = one_row_law(*NARROW_LAWS[0])
+    rows = [narrow, *parts]
+    law = stacked(rows)
+    mean = narrow.mean[0]
+    lo, hi = law.support
+    assert lo <= mean <= hi
+    below = np.nextafter(mean, -np.inf)
+    fs = np.union1d(np.linspace(lo - 0.01, hi + 0.01, 257), [below, mean])
+    assert np.abs(law.cdf(fs) - np.mean([row.cdf(fs) for row in rows], axis=0)).max() <= 1e-14
+    assert law.cdf(mean) - law.cdf(below) >= 1.0 / 3.0 - 1e-14
+    assert law.normalization() == pytest.approx(1.0, abs=1e-6)
 
 
 @given(
@@ -350,40 +394,44 @@ def test_narrow_rows_are_point_masses(law):
 def test_tiny_quadratic_term_is_the_linear_law(a, b, position):
     # no a = 0 branch and no snap of a tiny a to 0: the stable roots give
     # the linear law, off by the exact root shift of at most |a| / (2 |b|)
-    linear = QuadraticFidelity(0.0, b, abs(b) + position * (1.0 - 2.0 * abs(b)))
-    tiny = QuadraticFidelity(a, b, linear.c)
+    c = abs(b) + position * (1.0 - 2.0 * abs(b))
+    linear = one_row_law(0.0, b, c)
+    tiny = one_row_law(a, b, c)
     lo, hi = tiny.support
     fs = np.linspace(lo, hi, 1001)
     assert np.abs(tiny.cdf(fs) - linear.cdf(fs)).max() <= 1e-12 + abs(a) / (2.0 * abs(b))
     # a = -0.0 is the linear law too
-    assert np.array_equal(QuadraticFidelity(-0.0, b, linear.c).cdf(fs), linear.cdf(fs))
+    assert np.array_equal(one_row_law(-0.0, b, c).cdf(fs), linear.cdf(fs))
 
 
 @given(specs, st.floats(0.1, 12.0), st.sampled_from(list(Scenario)))
 def test_fidelity_law_rows_are_their_distributions(spec, t, scenario):
+    # the row's width picks its form, and its cdf is that of the fidelity
+    # of inputs drawn from the scenario's measure: x = cos(theta) uniform,
+    # or the concurrence C with cdf 1 - (1 - C^2)^(3/2), here at the
+    # midpoint quantiles of n draws (a sublevel set is at most two intervals)
     law = fidelity_law(spec, scenario, [t])
-    row = [float(v) for v in law.coefficients[0]]
-    expected = TwoQubitAffine(*row) if scenario is Scenario.TWO_QUBIT_VACUUM else QuadraticFidelity(*row)
-    assert law.pdf() == expected
+    two_qubit = scenario is Scenario.TWO_QUBIT_VACUUM
+    assert law.coefficients.shape == (1, 2 if two_qubit else 3)
+    n = 2001
+    u = (np.arange(n) + 0.5) / n
+    inputs = np.sqrt(1.0 - (1.0 - u) ** (2.0 / 3.0)) if two_qubit else 2.0 * u - 1.0
+    assert ks_distance(law.evaluate(inputs)[0], law) <= 2.0 / n
 
 
 @given(specs, st.floats(0.1, 12.0), st.sampled_from(list(Scenario)), st.integers(2, 5))
 def test_several_rows_mix_with_equal_weight(spec, t, scenario, n_rows):
+    # the rows evaluated at once are the one-row laws summed in order, to
+    # the last bit, at every point and at a single point
     law = fidelity_law(spec, scenario, t * np.linspace(0.9, 1.1, n_rows))
-    rows = [
-        FidelityLaw(scenario, law.coefficients[k : k + 1]).pdf()
-        for k in range(n_rows)
-    ]
-    mixture = law.pdf()
-    assert isinstance(mixture, Mixture)
-    assert mixture.support == (min(r.support[0] for r in rows), max(r.support[1] for r in rows))
-    lo, hi = mixture.support
+    rows = [FidelityLaw(law.coefficients[k : k + 1]) for k in range(n_rows)]
+    assert law.support == (min(r.support[0] for r in rows), max(r.support[1] for r in rows))
+    lo, hi = law.support
     fs = np.linspace(lo - 0.01, hi + 0.01, 257)
-    assert np.abs(mixture.cdf(fs) - np.mean([r.cdf(fs) for r in rows], axis=0)).max() <= 1e-14
+    assert np.array_equal(law.cdf(fs), sum(r.cdf(fs) for r in rows) / n_rows)
+    assert law.cdf(fs[100]) == sum(r.cdf(fs[100]) for r in rows) / n_rows
     inner = fs[(fs > lo) & (fs < hi)]
-    assert np.abs(
-        mixture.density(inner) - np.mean([r.density(inner) for r in rows], axis=0)
-    ).max() <= 1e-12 * np.abs(mixture.density(inner)).max()
+    assert np.array_equal(law.density(inner), sum(r.density(inner) for r in rows) / n_rows)
 
 
 def phase_bound(r: float) -> float:
@@ -410,10 +458,11 @@ def test_min_fidelity_branches_match_brute_force(branch, data):
     r, phi = data.draw(BRANCH_INPUTS[branch])
     result = min_fidelity_closed_form(r, phi)
     quad_form = vacuum_quadratic(r, phi)
+    a = quad_form.coefficients[0, 0]
     # r = 1, phi = 0 is the identity channel: no vertex, the pole is reported
-    assert result.branch is branch or (quad_form.a <= 0.0 and result.branch is MinBranch.POLE_PHASE)
+    assert result.branch is branch or (a <= 0.0 and result.branch is MinBranch.POLE_PHASE)
     xs = np.linspace(-1.0, 1.0, 200001)
     brute = float(quad_form.evaluate(xs).min())
     # the grid minimum overshoots the true one by at most a (dx / 2)^2
-    assert brute - 1e-10 - abs(quad_form.a) * 1e-10 <= result.f_min <= brute + 1e-12
-    assert float(quad_form.evaluate(np.cos(result.theta_star))) == pytest.approx(result.f_min, abs=1e-12)
+    assert brute - 1e-10 - abs(a) * 1e-10 <= result.f_min <= brute + 1e-12
+    assert float(quad_form.evaluate(np.cos(result.theta_star))[0]) == pytest.approx(result.f_min, abs=1e-12)
