@@ -43,8 +43,6 @@ from .dynamics import (
 )
 from .analytics import (
     FidelityLaw,
-    MinBranch,
-    MinFidelityResult,
     ProtocolTuning,
     ReadoutPlan,
     affine_from_kraus,
@@ -56,7 +54,6 @@ from .analytics import (
     plan_readout,
     quadratic_reduce_one_qubit,
     time_for_target_avg,
-    time_window_ladder,
     tune_with_ladder,
     vacuum_quadratic,
 )

@@ -53,7 +53,13 @@ from .oracle import (
     reduced_density,
     transfer_initial_state,
 )
-from .sampling import bloch_fidelities, bloch_states, sample_two_qubit_pure, schmidt_state
+from .sampling import (
+    bloch_fidelities,
+    bloch_states,
+    sample_bloch_vectors,
+    sample_two_qubit_pure,
+    schmidt_state,
+)
 from .sectors import build_sector_basis
 from .analytics import (
     MinBranch,
@@ -384,8 +390,11 @@ def check_bloch_map(seed: int = 20) -> CheckResult:
     """Pauli-transfer-matrix fidelities vs :func:`fidelity_many` on states.
 
     One-qubit Monte Carlo evaluates each sample as 1/2 r~^T R r~
-    (:func:`~spintransfer.sampling.bloch_fidelities`); here the same (x,
-    phi) also become state vectors.  Two-qubit sets compare r~^T R r~ / 4,
+    (:func:`~spintransfer.sampling.bloch_fidelities`) on Bloch vectors from
+    Marsaglia's disk-to-sphere map (1972,
+    :func:`~spintransfer.sampling.sample_bloch_vectors`); here the same
+    vectors also become state vectors at theta = arccos(x), phi =
+    arctan2(v, u).  Two-qubit sets compare r~^T R r~ / 4,
     r~_i = <psi|P_i|psi>, on Haar states, which pins the whole 16 x 16 R.
     Covers every scenario on random chains with nearest-neighbour,
     long-range and ZZ couplings, and random isometries C^d -> C^d (x) C^k
@@ -402,10 +411,9 @@ def check_bloch_map(seed: int = 20) -> CheckResult:
     for kraus in kraus_sets:
         ptm = pauli_transfer_matrix(kraus)
         if kraus.dim == 2:
-            x = 1.0 - 2.0 * rng.random(BLOCH_MAP_INPUTS)
-            phi = 2.0 * np.pi * rng.random(BLOCH_MAP_INPUTS)
-            states = bloch_states(np.arccos(x), phi)
-            form = bloch_fidelities(ptm, x, phi)
+            u, v, x = sample_bloch_vectors(rng, BLOCH_MAP_INPUTS)
+            states = bloch_states(np.arccos(x), np.arctan2(v, u))
+            form = bloch_fidelities(ptm, u, v, x)
         else:
             states = sample_two_qubit_pure(rng, BLOCH_MAP_INPUTS)
             # r~_i = <psi|P_i psi>, with the P_i psi as rows of psi P_i^T

@@ -5,8 +5,10 @@ wrapper around a counter-based generator: identical stream values reproduce
 identical sample sequences, and disjoint stream ids give independent
 sub-streams whose merged statistics do not depend on evaluation order.
 
-One-qubit Monte Carlo never forms a state vector.  A qubit channel acts on
-Bloch vectors as an affine map, its Pauli transfer matrix R
+One-qubit Monte Carlo never forms a state vector and calls no trigonometric
+function.  :func:`sample_bloch_vectors` maps uniform points of the unit disk
+onto the sphere (Marsaglia, Ann. Math. Statist. 43, 645, 1972).  A qubit
+channel acts on Bloch vectors as an affine map, its Pauli transfer matrix R
 (:func:`~spintransfer.channel.pauli_transfer_matrix`, built once per Kraus
 set), so a pure input with Bloch vector r transfers with fidelity
 1/2 r~^T R r~, r~ = (1, r): one 4x4 quadratic form per sample, whatever the
@@ -114,19 +116,56 @@ def bloch_states(theta, phi) -> np.ndarray:
     )
 
 
-def bloch_fidelities(ptm: np.ndarray, x, phi) -> np.ndarray:
-    """Fidelities ``1/2 r~^T R r~`` of pure inputs at x = cos(theta) and azimuth phi.
+def sample_bloch_vectors(
+    stream: RandomStream | np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch vectors (u, v, x) of ``size`` pure states uniform on the sphere.
 
-    ``ptm`` is a channel's Pauli transfer matrix R and r~ = (1, s cos(phi),
-    s sin(phi), x) with s = sqrt(1 - x^2).  Values pass through
+    Marsaglia's map (Ann. Math. Statist. 43, 645, 1972): a point (a, b)
+    uniform in the unit disk, rho^2 = a^2 + b^2, goes to
+    (2a sqrt(1 - rho^2), 2b sqrt(1 - rho^2), 1 - 2 rho^2), which is uniform
+    on the sphere, so x = cos(theta) is uniform on [-1, 1].  The disk points
+    are the pairs of a uniform draw on [-1, 1]^2 that fall inside, kept in
+    draw order; no trigonometric function is evaluated.
+    """
+    rng = stream.generator() if isinstance(stream, RandomStream) else stream
+    n = int(size)
+    # pi/4 of the pairs fall in the disk; the margin of about ten standard
+    # deviations makes a second round rare
+    pairs = int(n / (np.pi / 4.0) + 6.0 * np.sqrt(n)) + 16
+    ab = rng.uniform(-1.0, 1.0, (2, pairs))
+    rho2 = ab[0] * ab[0]
+    rho2 += ab[1] * ab[1]
+    # flatnonzero + take: boolean-mask indexing is slower here
+    keep = np.flatnonzero(rho2 < 1.0)[:n]
+    uv = ab.take(keep, axis=1)
+    x = rho2.take(keep)
+    del ab, rho2
+    # in place from here: in a process whose heap is still small, each
+    # batch-sized temporary is memory the kernel maps in afresh
+    s = np.sqrt(1.0 - x)
+    s *= 2.0
+    uv *= s
+    x *= -2.0
+    x += 1.0
+    vectors = uv[0], uv[1], x
+    if keep.size < n:
+        rest = sample_bloch_vectors(rng, n - keep.size)
+        vectors = tuple(np.concatenate(parts) for parts in zip(vectors, rest))
+    return vectors
+
+
+def bloch_fidelities(ptm: np.ndarray, u, v, x) -> np.ndarray:
+    """Fidelities ``1/2 r~^T R r~`` of pure inputs with Bloch vectors (u, v, x).
+
+    ``ptm`` is a channel's Pauli transfer matrix R and r~ = (1, u, v, x),
+    as drawn by :func:`sample_bloch_vectors`.  Values pass through
     :func:`~spintransfer.channel.clamp_fidelity`, as those of
     :func:`~spintransfer.channel.fidelity_many` do.
     """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
     x = np.asarray(x, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    s = np.sqrt(1.0 - x * x)
-    u = s * np.cos(phi)
-    v = s * np.sin(phi)
     # 1/2 r~^T R r~ = r~^T q r~ with q symmetric, grouped by leading factor
     q = 0.25 * (ptm + ptm.T)
     values = (
@@ -163,16 +202,17 @@ def mc_fidelity_histogram(
 ) -> Histogram:
     """Histogram of transfer fidelities over the scenario's input ensemble.
 
-    One-qubit scenarios draw Bloch-uniform pure inputs, x = cos(theta) =
-    1 - 2u and then phi = 2 pi u' per batch of ``MC_BATCH``, and evaluate
-    each fidelity as the quadratic form of the channel's Pauli transfer
-    matrix (:func:`bloch_fidelities`), built once per call.  The two-qubit
-    scenario draws Haar-random two-qubit states and bins the
-    local-unitary-averaged fidelity A - B C^2 at each state's concurrence,
-    with (A, B) from :func:`~spintransfer.analytics.affine_from_kraus`: the
-    exact twirl of the Pauli transfer matrix, which shares no arithmetic
-    with the row law (the twirled 16-term form per sample would give the
-    same value at 16 times the cost).  Samples outside the edges are
+    One-qubit scenarios draw Bloch-uniform pure inputs per batch of
+    ``MC_BATCH`` through :func:`sample_bloch_vectors` (Marsaglia's
+    disk-to-sphere map, 1972), and evaluate each fidelity as the quadratic
+    form of the channel's Pauli transfer matrix (:func:`bloch_fidelities`),
+    built once per call.  The two-qubit scenario draws Haar-random
+    two-qubit states and bins the local-unitary-averaged fidelity A - B C^2
+    at each state's concurrence, with (A, B) from
+    :func:`~spintransfer.analytics.affine_from_kraus`: the exact twirl of
+    the Pauli transfer matrix, which shares no arithmetic with the row law
+    (the twirled 16-term form per sample would give the same value at 16
+    times the cost).  Samples outside the edges are
     clipped into the end bins so the counts always total ``n``.
     """
     if n < 1:
@@ -192,9 +232,7 @@ def mc_fidelity_histogram(
             states = sample_two_qubit_pure(rng, batch)
             values = affine.evaluate(concurrence(states))[0]
         else:
-            x = 1.0 - 2.0 * rng.random(batch)
-            phi = 2.0 * np.pi * rng.random(batch)
-            values = bloch_fidelities(ptm, x, phi)
+            values = bloch_fidelities(ptm, *sample_bloch_vectors(rng, batch))
         values = np.clip(values, edges[0], edges[-1])
         hist, _ = np.histogram(values, bins=edges)
         counts += hist

@@ -25,6 +25,7 @@ from spintransfer.channel import (
     kraus_for_scenario,
     pauli_transfer_matrix,
 )
+from spintransfer.cli import KS_GATE_ALPHA
 from spintransfer.errors import ParameterError
 from spintransfer.sampling import (
     MC_BATCH,
@@ -36,6 +37,7 @@ from spintransfer.sampling import (
     default_bin_edges,
     ks_distance,
     mc_fidelity_histogram,
+    sample_bloch_vectors,
     sample_two_qubit_pure,
     schmidt_state,
 )
@@ -188,10 +190,9 @@ def test_bloch_map_matches_kraus_on_random_isometries(n_ops, seed):
     # random isometries are not phase covariant: the azimuth matters
     rng = np.random.default_rng(seed)
     kraus = random_isometry_kraus(rng, n_ops)
-    x = 1.0 - 2.0 * rng.random(200)
-    phi = 2.0 * np.pi * rng.random(200)
-    form = bloch_fidelities(pauli_transfer_matrix(kraus), x, phi)
-    reference = fidelity_many(kraus, bloch_states(np.arccos(x), phi))
+    u, v, x = sample_bloch_vectors(rng, 200)
+    form = bloch_fidelities(pauli_transfer_matrix(kraus), u, v, x)
+    reference = fidelity_many(kraus, bloch_states(np.arccos(x), np.arctan2(v, u)))
     assert np.abs(form - reference).max() <= 1e-13
 
 
@@ -219,26 +220,92 @@ def test_kraus_side_reads_no_trace_sums(monkeypatch, rng):
 
 
 @pytest.mark.parametrize(
-    "spec, scenario, t",
+    "make_kraus",
     [
-        (protocol_preset(Weak(0.1), 12), Scenario.ONE_QUBIT_VACUUM, 95.0),
-        (protocol_preset(Barrier(20.0), 9), Scenario.ONE_QUBIT_UNIFORM, 23.7),
+        lambda: kraus_for_scenario(protocol_preset(Weak(0.1), 12), Scenario.ONE_QUBIT_VACUUM, 95.0),
+        lambda: kraus_for_scenario(protocol_preset(Barrier(20.0), 9), Scenario.ONE_QUBIT_UNIFORM, 23.7),
+        # not phase covariant, unlike the presets: a wrong sign on the v
+        # terms of the form changes its histogram
+        lambda: random_isometry_kraus(np.random.default_rng(5), 3),
     ],
-    ids=["weak_vacuum", "barrier_occupied"],
+    ids=["weak_vacuum", "barrier_occupied", "random_isometry"],
 )
-def test_mc_histogram_matches_state_vector_histogram(spec, scenario, t):
-    # the same uniforms through state vectors and fidelity_many: the two
-    # evaluations differ by rounding, so a value on a bin edge may move
+def test_mc_histogram_matches_state_vector_histogram(make_kraus):
+    # the same Bloch vectors through state vectors and fidelity_many: the
+    # two evaluations differ by rounding, so a value on a bin edge may move
     n = 100_000
-    kraus = kraus_for_scenario(spec, scenario, t)
+    kraus = make_kraus()
     edges = np.linspace(0.0, 1.0, 201)
     hist = mc_fidelity_histogram(kraus, n, edges, RandomStream(31))
     rng = RandomStream(31).generator()
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     for start in range(0, n, MC_BATCH):
-        batch = min(MC_BATCH, n - start)
-        x = 1.0 - 2.0 * rng.random(batch)
-        phi = 2.0 * np.pi * rng.random(batch)
-        values = fidelity_many(kraus, bloch_states(np.arccos(x), phi))
+        u, v, x = sample_bloch_vectors(rng, min(MC_BATCH, n - start))
+        values = fidelity_many(kraus, bloch_states(np.arccos(x), np.arctan2(v, u)))
         counts += np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)[0]
     assert np.abs(hist.counts - counts).sum() <= 2
+
+
+def dkw_bound(n: int, alpha: float = KS_GATE_ALPHA) -> float:
+    """Dvoretzky-Kiefer-Wolfowitz: an n-sample empirical CDF strays further
+    than this from its law with probability at most alpha."""
+    return float(np.sqrt(np.log(2.0 / alpha) / (2.0 * n)))
+
+
+def ks_uniform(values, lo: float, hi: float) -> float:
+    """One-sample KS distance of draws from the uniform law on [lo, hi]."""
+    model = (np.sort(values) - lo) / (hi - lo)
+    n = model.size
+    return float(max((np.arange(1, n + 1) / n - model).max(), (model - np.arange(n) / n).max()))
+
+
+def test_bloch_vectors_are_uniform_on_the_sphere():
+    n = 1_000_000
+    u, v, x = sample_bloch_vectors(RandomStream(41), n)
+    assert u.shape == (n,)
+    assert np.abs(np.sqrt(u * u + v * v + x * x) - 1.0).max() <= 4 * np.finfo(float).eps
+    # x = cos(theta) and the azimuth of a uniform point are independent uniforms
+    assert ks_uniform(x, -1.0, 1.0) <= dkw_bound(n)
+    assert ks_uniform(np.arctan2(v, u), -np.pi, np.pi) <= dkw_bound(n)
+
+
+def test_mc_histogram_matches_independent_bloch_sampler():
+    # two-sample KS against conftest's arccos/azimuth draws through state
+    # vectors: each empirical CDF lies within its DKW bound of the common
+    # law, so the gap exceeds their sum with probability at most 2 alpha
+    kraus = random_isometry_kraus(np.random.default_rng(6), 2)
+    edges = np.linspace(0.0, 1.0, 201)
+    n_mc, n_ref = 1_000_000, 200_000
+    hist = mc_fidelity_histogram(kraus, n_mc, edges, RandomStream(42))
+    theta, phi = sample_bloch(RandomStream(43), n_ref)
+    values = fidelity_many(kraus, bloch_states(theta, phi))
+    reference = np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)[0]
+    gap = np.abs(np.cumsum(hist.counts) / n_mc - np.cumsum(reference) / n_ref).max()
+    assert gap <= dkw_bound(n_mc) + dkw_bound(n_ref)
+
+
+def test_bloch_vectors_draw_again_when_the_disk_gets_too_few():
+    # a first round of corner points (1, 1), outside the disk, but for the
+    # centre as its first pair; the other 49 vectors come from a second
+    # round drawn from the same stream
+    class CornersFirst:
+        def __init__(self, rng):
+            self.rng = rng
+            self.shapes = []
+
+        def uniform(self, low, high, shape):
+            draw = self.rng.uniform(low, high, shape)
+            if not self.shapes:
+                draw[:, 0] = 0.0
+                draw[:, 1:] = 1.0
+            self.shapes.append(shape)
+            return draw
+
+    stub = CornersFirst(RandomStream(44).generator())
+    r = np.array(sample_bloch_vectors(stub, 50))
+    assert len(stub.shapes) == 2
+    assert r.shape == (3, 50)
+    assert np.array_equal(r[:, 0], [0.0, 0.0, 1.0])
+    rng = RandomStream(44).generator()
+    rng.uniform(-1.0, 1.0, stub.shapes[0])
+    assert np.array_equal(r[:, 1:], sample_bloch_vectors(rng, 49))
