@@ -22,13 +22,8 @@ from .channel import (
     KrausSet,
     Scenario,
     apply_channel,
-    fidelity,
     fidelity_many,
     kraus_at_times,
-    kraus_for_scenario,
-    kraus_one_qubit_uniform,
-    kraus_one_qubit_vacuum,
-    kraus_two_qubit_vacuum,
     pauli_transfer_matrix,
 )
 from .dynamics import (
@@ -69,7 +64,6 @@ from .errors import (
 from .oracle import (
     FullState,
     block_hamiltonian,
-    evolve_full,
     evolve_many,
     reduced_density,
     transfer_initial_state,

@@ -25,12 +25,12 @@ mean, and several rows (read-out jitter) mix with equal weight, all rows
 evaluated at once.
 
 The reductions of explicit Kraus sets (:func:`quadratic_reduce_one_qubit`,
-:func:`affine_from_kraus`), one-row laws, are the reference that Monte
-Carlo and certification use.  Both read the channel's Pauli transfer
-matrix, none of the laws' arithmetic.  The Kraus sets read every pair row,
-so on free-fermion chains the reductions check the closed forms, and
-elsewhere, where laws and Kraus sets read the same rows, the laws' row
-arithmetic; the 2^N oracle checks the rows.
+:func:`affine_from_kraus`), one law row per read-out time of the set, are
+the reference that Monte Carlo and certification use.  Both read the
+channel's Pauli transfer matrix, none of the laws' arithmetic.  The Kraus
+sets read every pair row, so on free-fermion chains the reductions check
+the closed forms, and elsewhere, where laws and Kraus sets read the same
+rows, the laws' row arithmetic; the 2^N oracle checks the rows.
 """
 
 from __future__ import annotations
@@ -332,9 +332,10 @@ def _quadratic_roots(a, b, c, f):
     return r1, r2, disc, valid
 
 
-def _one_row(*coefficients) -> FidelityLaw:
-    """The one-row law of ``coefficients``; ModelError if it leaves [0, 1]."""
-    law = FidelityLaw(np.array([coefficients], dtype=float))
+def _checked_law(*columns) -> FidelityLaw:
+    """The law whose coefficient columns are ``columns`` (scalars for one
+    row); ModelError if a row leaves [0, 1]."""
+    law = FidelityLaw(np.column_stack(columns).astype(float))
     law.breakpoints()  # the range check
     return law
 
@@ -344,9 +345,10 @@ def _one_row(*coefficients) -> FidelityLaw:
 # ---------------------------------------------------------------------------
 
 def quadratic_reduce_one_qubit(kraus: KrausSet) -> FidelityLaw:
-    """Exact azimuth average of a one-qubit channel's fidelity, as a one-row law.
+    """Exact azimuth average of a one-qubit channel's fidelity, one law row
+    per time of ``kraus``.
 
-    Reads the channel's Pauli transfer matrix R
+    Reads the channel's Pauli transfer matrix R at each time
     (:func:`~spintransfer.channel.pauli_transfer_matrix`).  The input with
     Bloch vector r~ = (1, s cos(phi), s sin(phi), x), s^2 = 1 - x^2,
     transfers with fidelity 1/2 r~^T R r~.  When the azimuth-dependent
@@ -357,31 +359,33 @@ def quadratic_reduce_one_qubit(kraus: KrausSet) -> FidelityLaw:
     ------
     ModelError
         If an entry of R + R^T at (0, 1), (0, 2), (1, 2), (1, 3) or (2, 3),
-        or R11 - R22, exceeds 1e-10, i.e. the fidelity depends on the
-        azimuth and no quadratic in cos(theta) describes it; or if the
-        quadratic leaves [0, 1].
+        or R11 - R22, exceeds 1e-10 at some time, i.e. the fidelity depends
+        on the azimuth and no quadratic in cos(theta) describes it; or if a
+        quadratic leaves [0, 1].  The message names the first such row.
     """
     if kraus.dim != 2:
         raise ParameterError("quadratic reduction applies to one-qubit channels")
     ptm = pauli_transfer_matrix(kraus)
-    sym = ptm + ptm.T
-    cross = max(
-        *(abs(sym[i, j]) for i, j in ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))),
-        abs(ptm[1, 1] - ptm[2, 2]),
-    )
-    if cross > PHI_INDEPENDENCE_TOL:
+    sym = ptm + ptm.swapaxes(1, 2)
+    i, j = np.array([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]).T
+    cross = np.maximum(np.abs(sym[:, i, j]).max(axis=1), np.abs(ptm[:, 1, 1] - ptm[:, 2, 2]))
+    bad = np.flatnonzero(cross > PHI_INDEPENDENCE_TOL)
+    if bad.size:
         raise ModelError(
-            f"channel fidelity varies with the azimuth: cross term {cross:.3e}"
+            f"channel fidelity varies with the azimuth at row {bad[0]}: "
+            f"cross term {cross[bad[0]]:.3e}"
         )
-    transverse = (ptm[1, 1] + ptm[2, 2]) / 4.0
-    return _one_row(ptm[3, 3] / 2.0 - transverse, sym[0, 3] / 2.0, ptm[0, 0] / 2.0 + transverse)
+    transverse = (ptm[:, 1, 1] + ptm[:, 2, 2]) / 4.0
+    return _checked_law(
+        ptm[:, 3, 3] / 2.0 - transverse, sym[:, 0, 3] / 2.0, ptm[:, 0, 0] / 2.0 + transverse
+    )
 
 
 def vacuum_quadratic(r: float, phi: float) -> FidelityLaw:
     """Closed-form one-row law of the vacuum channel with amplitude r e^{i phi}."""
     _check_r(r)
     re = r * np.cos(phi)
-    return _one_row((r * r - re) / 2.0, (1.0 - r * r) / 2.0, (1.0 + re) / 2.0)
+    return _checked_law((r * r - re) / 2.0, (1.0 - r * r) / 2.0, (1.0 + re) / 2.0)
 
 
 def _affine_from_traces(t1, t2, t3, t4) -> tuple:
@@ -399,7 +403,8 @@ def _affine_from_traces(t1, t2, t3, t4) -> tuple:
 
 
 def affine_from_kraus(kraus: KrausSet) -> FidelityLaw:
-    """Local-unitary-averaged fidelity of a two-qubit channel, as a one-row law.
+    """Local-unitary-averaged fidelity of a two-qubit channel, one law row per
+    time of ``kraus``.
 
     The local twirl of the 16 x 16 Pauli transfer matrix R
     (:func:`~spintransfer.channel.pauli_transfer_matrix`) is diagonal with
@@ -411,9 +416,12 @@ def affine_from_kraus(kraus: KrausSet) -> FidelityLaw:
     """
     if kraus.dim != 4:
         raise ParameterError("affine reduction applies to two-qubit channels")
-    diag = np.diag(pauli_transfer_matrix(kraus)).reshape(4, 4)
-    c1, c2, c3 = diag[1:, 0].mean(), diag[0, 1:].mean(), diag[1:, 1:].mean()
-    return _one_row((diag[0, 0] + c1 + c2 + c3) / 4.0, (c1 + c2 - 2.0 * c3) / 4.0)
+    diag = np.diagonal(pauli_transfer_matrix(kraus), axis1=1, axis2=2).reshape(-1, 4, 4)
+    c1, c2 = diag[:, 1:, 0].mean(axis=1), diag[:, 0, 1:].mean(axis=1)
+    c3 = diag[:, 1:, 1:].mean(axis=(1, 2))
+    return _checked_law(
+        (diag[:, 0, 0] + c1 + c2 + c3) / 4.0, (c1 + c2 - 2.0 * c3) / 4.0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +747,8 @@ def time_for_target_avg(
     target: float,
     tuning: ProtocolTuning,
 ) -> float:
-    """Largest read-out time below the optimum with the target average fidelity.
+    """A read-out time below the optimum with the target average fidelity:
+    the first crossing a clock ticking back from the optimum meets.
 
     ``tuning`` is the result of :func:`find_optimal_time` for ``spec`` and
     ``scenario``.  A clock ticks back from t_opt in steps of

@@ -15,11 +15,11 @@ pins against state vectors.  The rows are pinned by the checks that reach
 past them: full sector propagators, the pair sector itself, and the 2^N
 oracle (``oracle_amplitude_equivalence`` on nearest-neighbour, long-range
 and ZZ chains, and the ``channel_oracle_equivalence`` sweep over the
-presets' Kraus sets of every scenario).  The sweep evaluates the read-out
-times of each case as one batch: the Kraus sets, the oracle evolutions and
-every comparison take a leading time axis, so a case costs a few array
-operations rather than one Python round trip per time.  The ``certify``
-subcommand runs the whole suite.
+presets' Kraus sets of every scenario).  Kraus sets, oracle states and
+everything read from them carry a leading time axis, one time being the
+stack over ``[t]``; the sweep evaluates the read-out times of each case as
+one batch, so a case costs a few array operations rather than one Python
+round trip per time.  The ``certify`` subcommand runs the whole suite.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .channel import (
     clamp_fidelity,
     fidelity_many,
     kraus_at_times,
-    kraus_for_scenario,
     kraus_set,
     pauli_transfer_matrix,
 )
@@ -48,7 +47,6 @@ from .dynamics import dynamics_for, pair_rows, propagator_at, propagator_rows
 from .errors import CapacityError, ModelError, NumericError, ParameterError
 from .oracle import (
     MAX_ORACLE_SITES,
-    evolve_full,
     evolve_many,
     reduced_density,
     transfer_initial_state,
@@ -124,7 +122,8 @@ def random_spec(rng: np.random.Generator, n_sites: int, kind: str = "nearest") -
 
 
 def random_isometry_kraus(rng: np.random.Generator, n_ops: int, dim: int = 2) -> KrausSet:
-    """Kraus set of a random isometry C^dim -> C^dim (x) C^n_ops.
+    """Kraus set of a random isometry C^dim -> C^dim (x) C^n_ops, a stack of
+    one.
 
     E_j[a, b] = V[(a, j), b] for a dim n_ops x dim isometry V (QR of a
     complex Gaussian matrix); for dim 2 its fidelity depends on the input's
@@ -132,7 +131,7 @@ def random_isometry_kraus(rng: np.random.Generator, n_ops: int, dim: int = 2) ->
     """
     z = rng.normal(size=(dim * n_ops, dim)) + 1j * rng.normal(size=(dim * n_ops, dim))
     v, _ = np.linalg.qr(z)
-    return kraus_set(v.reshape(dim, n_ops, dim).transpose(1, 0, 2))
+    return kraus_set(v.reshape(dim, n_ops, dim).transpose(1, 0, 2)[None])
 
 
 def _sender_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -210,13 +209,13 @@ def check_oracle_amplitudes(n_max: int, seed: int = 13) -> CheckResult:
         dyn = dynamics_for(spec)
         for sites, prop in (((1,), dyn.one), ((1, 2), dyn.two)):
             init = transfer_initial_state(
-                n, sites, np.eye(1 << len(sites))[-1].astype(complex)
+                n, sites, np.eye(1 << len(sites))[-1:].astype(complex)
             )
-            full = evolve_full(spec, init, t)
+            full = evolve_many(spec, init, [t])
             configs = prop.basis.configurations
-            rows = propagator_rows(prop, [[sites]], configs, [t])[0, 0]
+            rows = propagator_rows(prop, [[sites]], configs, [t])[:, 0]
             index = [sum(1 << (site - 1) for site in c) for c in configs]
-            worst = max(worst, float(np.abs(full.amplitudes[index] - rows).max()))
+            worst = max(worst, float(np.abs(full.amplitudes[:, index] - rows).max()))
     return CheckResult(
         "oracle_amplitude_equivalence", worst <= 1e-9, worst, f"N in 4..{n_max}"
     )
@@ -363,7 +362,7 @@ def check_quadratic_reduction(seed: int = 15) -> CheckResult:
         spec = random_spec(rng, n, kind)
         t = float(rng.uniform(1.0, 8.0))
         for scenario in Scenario:
-            kraus = kraus_for_scenario(spec, scenario, t)
+            kraus = kraus_at_times(spec, scenario, [t])
             if scenario is Scenario.TWO_QUBIT_VACUUM:
                 reduced = affine_from_kraus(kraus)
             else:
@@ -405,11 +404,11 @@ def check_bloch_map(seed: int = 20) -> CheckResult:
     for kind in ("nearest", "long_range", "zz"):
         spec = random_spec(rng, 7, kind)
         t = float(rng.uniform(1.0, 8.0))
-        kraus_sets += [kraus_for_scenario(spec, scenario, t) for scenario in Scenario]
+        kraus_sets += [kraus_at_times(spec, scenario, [t]) for scenario in Scenario]
     kraus_sets += [random_isometry_kraus(rng, k, dim) for dim in (2, 4) for k in (1, 2, 3, 5, 8)]
     worst = 0.0
     for kraus in kraus_sets:
-        ptm = pauli_transfer_matrix(kraus)
+        ptm = pauli_transfer_matrix(kraus)[0]
         if kraus.dim == 2:
             u, v, x = sample_bloch_vectors(rng, BLOCH_MAP_INPUTS)
             states = bloch_states(np.arccos(x), np.arctan2(v, u))
@@ -420,7 +419,7 @@ def check_bloch_map(seed: int = 20) -> CheckResult:
             paulis_psi = states @ PAULI_STRINGS[4].transpose(0, 2, 1)
             r = np.einsum("nk,ink->ni", states.conj(), paulis_psi).real
             form = clamp_fidelity((r @ ptm * r).sum(axis=1) / 4.0)
-        worst = max(worst, float(np.abs(form - fidelity_many(kraus, states)).max()))
+        worst = max(worst, float(np.abs(form - fidelity_many(kraus, states[None])[0]).max()))
     return CheckResult(
         "bloch_map_vs_kraus", worst <= 1e-12, worst,
         f"{len(kraus_sets)} one- and two-qubit Kraus sets (chains of three kinds, "
@@ -485,11 +484,11 @@ def check_two_qubit_twirl(seed: int = 17) -> CheckResult:
     worst = 0.0
     for n in (6, 7):
         spec = random_spec(rng, n)
-        kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, float(rng.uniform(1.0, 6.0)))
+        kraus = kraus_at_times(spec, Scenario.TWO_QUBIT_VACUUM, [rng.uniform(1.0, 6.0)])
         affine = affine_from_kraus(kraus)
         for conc in (0.0, 0.5, 1.0):
             base = schmidt_state(conc).reshape(2, 2)
-            states = np.einsum("mab,ncd,bd->mnac", group, group, base).reshape(-1, 4)
+            states = np.einsum("mab,ncd,bd->mnac", group, group, base).reshape(1, -1, 4)
             average = float(fidelity_many(kraus, states).mean())
             worst = max(worst, abs(average - float(affine.evaluate(conc)[0])))
     return CheckResult(

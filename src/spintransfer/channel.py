@@ -13,12 +13,14 @@ occupied pairs (2x2 determinants of one-excitation amplitudes on a
 nearest-neighbour XX chain, pair-sector rows otherwise), one call each for
 all the times.  Each builder fills a (T, K, d, d) operator stack by index
 from those rows; no full propagator is formed.  :func:`kraus_at_times`
-makes the stack a :class:`KrausSet` with a leading time axis, and
-:func:`kraus_for_scenario` is its one-time case.  Trace preservation holds
-by unitarity and the cached completeness defect only measures
-floating-point error.  The laws of a nearest-neighbour chain read none of
-the pair rows (closed forms in at most four amplitudes), so there the Kraus
-reductions check those closed forms; the 2^N oracle of
+makes the stack a :class:`KrausSet`, the one shape of a channel: a single
+read-out time is the stack over ``[t]``, and every function that takes a
+Kraus set (:func:`apply_channel`, :func:`fidelity_many`,
+:func:`pauli_transfer_matrix`) keeps its leading time axis.  Trace
+preservation holds by unitarity and the cached completeness defect only
+measures floating-point error.  The laws of a nearest-neighbour chain read
+none of the pair rows (closed forms in at most four amplitudes), so there
+the Kraus reductions check those closed forms; the 2^N oracle of
 :mod:`~spintransfer.oracle` is the independent check on the rows themselves
 (``channel_oracle_equivalence`` in certification, which evaluates each
 chain's read-out times as one stack).
@@ -43,7 +45,6 @@ from .dynamics import dynamics_for, pair_rows, propagator_rows
 from .errors import NumericError, ParameterError
 
 COMPLETENESS_TOL = 1e-9
-DROP_THRESHOLD = 1e-14
 
 
 class Scenario(enum.Enum):
@@ -86,37 +87,26 @@ class Scenario(enum.Enum):
 
 @dataclass(frozen=True)
 class KrausSet:
-    """A transfer channel at one time, or at each of T times, as stacked matrices.
+    """A transfer channel at each of T read-out times, as stacked matrices.
 
-    ``operators`` stacks the d x d Kraus matrices along axis -3: shape
-    (K, d, d) at one time, (T, K, d, d) over T times.  Operators below
-    ``DROP_THRESHOLD`` are dropped: removed from a one-time set, zeroed in a
-    stack over times, which keeps its shape.  ``n_constructed`` counts the
-    operators before dropping; ``completeness_defect`` caches
-    ``max|sum E^+ E - I|``, a float at one time and one entry per time
-    otherwise.  Build one with :func:`kraus_set`.
+    ``operators`` has shape (T, K, d, d): ``operators[k]`` holds the K Kraus
+    matrices of the k-th time.  ``completeness_defect`` caches
+    ``max|sum E^+ E - I|`` per time, shape (T,).  Build one with
+    :func:`kraus_set`.
     """
 
     operators: np.ndarray
-    completeness_defect: float | np.ndarray
-    n_constructed: int
+    completeness_defect: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.operators.shape[-1]
 
-    def __len__(self) -> int:
-        return self.operators.shape[-3]
-
 
 def kraus_set(ops: np.ndarray) -> KrausSet:
-    """Kraus set of the stack ``ops`` (K, d, d), or of each stack of ``ops``
-    (T, K, d, d), less its operators below ``DROP_THRESHOLD``; NumericError
-    when a completeness defect exceeds ``COMPLETENESS_TOL``."""
-    n_constructed = ops.shape[-3]
-    keep = np.abs(ops).max(axis=(-2, -1)) > DROP_THRESHOLD
-    ops = ops[keep] if ops.ndim == 3 else np.where(keep[..., None, None], ops, 0.0)
-    gram = np.einsum("...okl,...okm->...lm", ops.conj(), ops)
+    """Kraus set of each stack of ``ops`` (T, K, d, d); NumericError when a
+    completeness defect exceeds ``COMPLETENESS_TOL``."""
+    gram = np.einsum("tokl,tokm->tlm", ops.conj(), ops)
     defect = np.abs(gram - np.eye(ops.shape[-1])).max(axis=(-2, -1))
     worst = float(defect.max())
     if worst > COMPLETENESS_TOL:
@@ -124,7 +114,7 @@ def kraus_set(ops: np.ndarray) -> KrausSet:
             f"Kraus completeness defect {worst:.3e} exceeds "
             f"{COMPLETENESS_TOL:.0e}; amplitude rows are not unitary enough"
         )
-    return KrausSet(ops, float(defect) if defect.ndim == 0 else defect, n_constructed)
+    return KrausSet(ops, defect)
 
 
 def _rows_at(spec: ChainSpec, scenario: Scenario, sources, targets, times):
@@ -235,62 +225,31 @@ _BUILDERS = {
 }
 
 
-def _builder(scenario: Scenario):
-    builder = _BUILDERS.get(scenario)
-    if builder is None:
-        raise ParameterError(f"unknown scenario {scenario!r}")
-    return builder
-
-
 def kraus_at_times(spec: ChainSpec, scenario: Scenario, times) -> KrausSet:
     """Kraus sets of ``scenario`` on ``spec`` at each of the 1-D ``times``,
     stacked along a leading time axis."""
-    return kraus_set(_builder(scenario)(spec, times))
-
-
-def kraus_for_scenario(spec: ChainSpec, scenario: Scenario, t: float) -> KrausSet:
-    """Kraus set of ``scenario`` on ``spec`` at time ``t``: the one-time case
-    of :func:`kraus_at_times`."""
-    return kraus_set(_builder(scenario)(spec, [t])[0])
-
-
-def _check_input(kraus: KrausSet, state: np.ndarray) -> np.ndarray:
-    """``state`` as complex rows, one per leading index of ``kraus``; a
-    ParameterError unless each row has length ``kraus.dim`` and norm 1 to
-    1e-12."""
-    state = np.asarray(state, dtype=complex)
-    if kraus.operators.ndim == 3:
-        state = state.reshape(-1)
-    expected = (*kraus.operators.shape[:-3], kraus.dim)
-    if state.shape != expected:
-        raise ParameterError(
-            f"input state must have shape {expected}, got {state.shape}"
-        )
-    if np.abs(np.linalg.norm(state, axis=-1) - 1.0).max() > 1e-12:
-        raise ParameterError("input state must be normalized to 1e-12")
-    return state
+    builder = _BUILDERS.get(scenario)
+    if builder is None:
+        raise ParameterError(f"unknown scenario {scenario!r}")
+    return kraus_set(builder(spec, times))
 
 
 def apply_channel(kraus: KrausSet, state: np.ndarray) -> np.ndarray:
-    """Channel output ``sum_k E_k |psi><psi| E_k^+`` for a pure input.
+    """Channel outputs ``sum_k E_k |psi><psi| E_k^+`` for pure inputs.
 
-    Over a stack of times, ``state`` holds one input per time (T, d) and
-    the output one density matrix per time (T, d, d).
+    ``state`` holds one input per time (T, d), and the output is one
+    density matrix per time (T, d, d).  ParameterError unless each input
+    has length ``kraus.dim`` and norm 1 to 1e-12.
     """
-    state = _check_input(kraus, state)
-    mapped = (kraus.operators @ state[..., None, :, None])[..., 0]  # (..., n_ops, d)
-    rho = np.einsum("...ok,...ol->...kl", mapped, mapped.conj())
+    state = np.asarray(state, dtype=complex)
+    expected = (len(kraus.operators), kraus.dim)
+    if state.shape != expected:
+        raise ParameterError(f"input state must have shape {expected}, got {state.shape}")
+    if np.abs(np.linalg.norm(state, axis=-1) - 1.0).max() > 1e-12:
+        raise ParameterError("input state must be normalized to 1e-12")
+    mapped = (kraus.operators @ state[:, None, :, None])[..., 0]  # (T, n_ops, d)
+    rho = np.einsum("tok,tol->tkl", mapped, mapped.conj())
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-
-
-def fidelity(kraus: KrausSet, state: np.ndarray) -> float:
-    """Transfer fidelity ``sum_k |<psi|E_k|psi>|^2`` of a pure input.
-
-    The one-row case of :func:`fidelity_many` at one time, after the input
-    checks.
-    """
-    state = _check_input(kraus, state)
-    return float(fidelity_many(kraus, state[None, :])[0])
 
 
 _PAULI = np.array(
@@ -302,8 +261,8 @@ PAULI_STRINGS = {2: _PAULI, 4: np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).resh
 
 
 def pauli_transfer_matrix(kraus: KrausSet) -> np.ndarray:
-    """Real d^2 x d^2 matrix ``R_ij = 1/d sum_k tr(P_i E_k P_j E_k^+)`` of a
-    one- or two-qubit channel.
+    """Real d^2 x d^2 matrices ``R_ij = 1/d sum_k tr(P_i E_k P_j E_k^+)`` of a
+    one- or two-qubit channel, one per time: shape (T, d^2, d^2).
 
     Here P_i are the ``PAULI_STRINGS`` (P_0 = I); for one qubit R is the
     affine action on Bloch vectors (Nielsen & Chuang 8.3.2).  A pure input
@@ -314,36 +273,34 @@ def pauli_transfer_matrix(kraus: KrausSet) -> np.ndarray:
     two matrix products with the Gram matrix G regrouped as [(a, b), (c, e)].
     """
     d = kraus.dim
-    if kraus.operators.ndim != 3:
-        raise ParameterError("the Pauli transfer matrix takes a Kraus set at one time")
     if d not in PAULI_STRINGS:
         raise ParameterError(
             f"the Pauli transfer matrix needs a one- or two-qubit channel, got dimension {d}"
         )
     paulis = PAULI_STRINGS[d].reshape(d * d, d * d)
-    ops = kraus.operators.reshape(len(kraus), d * d)
-    gram = (ops.T @ ops.conj()).reshape(d, d, d, d).transpose(2, 0, 1, 3).reshape(d * d, d * d)
+    n_times, n_ops = kraus.operators.shape[:2]
+    ops = kraus.operators.reshape(n_times, n_ops, d * d)
+    gram = (ops.swapaxes(1, 2) @ ops.conj()).reshape(n_times, d, d, d, d)
+    gram = gram.transpose(0, 3, 1, 2, 4).reshape(n_times, d * d, d * d)
     return (paulis @ gram @ paulis.T).real / d
 
 
 def fidelity_many(kraus: KrausSet, states: np.ndarray) -> np.ndarray:
-    """Transfer fidelities of the rows of ``states`` (n, d), through
-    :func:`clamp_fidelity`.
+    """Transfer fidelities ``sum_k |<psi|E_k|psi>|^2`` of pure inputs,
+    through :func:`clamp_fidelity`.
 
-    Over a stack of times (T, K, d, d), ``states`` is (T, n, d): row j of
-    block k is read out through the channel at time k, and the result is
-    (T, n).
+    ``states`` is (T, n, d): row j of block k is read out through the
+    channel at time k, and the result is (T, n).
     """
     states = np.asarray(states, dtype=complex)
-    batch = kraus.operators.shape[:-3]
-    if states.ndim != len(batch) + 2 or states.shape[:-2] != batch or states.shape[-1] != kraus.dim:
-        expected = ", ".join([*map(str, batch), "n", str(kraus.dim)])
-        raise ParameterError(f"states must have shape ({expected}), got {states.shape}")
+    n_times, n_ops, d, _ = kraus.operators.shape
+    if states.shape[:1] + states.shape[2:] != (n_times, d):
+        raise ParameterError(f"states must have shape ({n_times}, n, {d}), got {states.shape}")
     # <psi|E|psi> = sum_kl conj(psi_k) E_kl psi_l: one matrix product of
     # the flattened conj(psi) psi^T rows with the flattened operators
-    n, d = states.shape[-2:]
-    rows = (states.conj()[..., :, None] * states[..., None, :]).reshape(*batch, n, d * d)
-    ops = kraus.operators.reshape(*batch, len(kraus), d * d)
+    n = states.shape[1]
+    rows = (states.conj()[..., :, None] * states[..., None, :]).reshape(n_times, n, d * d)
+    ops = kraus.operators.reshape(n_times, n_ops, d * d)
     overlaps = rows @ ops.swapaxes(-1, -2)
     return clamp_fidelity((np.abs(overlaps) ** 2).sum(axis=-1))
 

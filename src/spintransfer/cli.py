@@ -34,7 +34,7 @@ from .analytics import (
     tune_with_ladder,
 )
 from .chain import Barrier, ChainSpec, Perfect, ProtocolKind, Weak, protocol_preset
-from .channel import Scenario, kraus_for_scenario
+from .channel import Scenario, kraus_at_times
 from .certify import run_certification
 from .errors import (
     CapacityError,
@@ -166,11 +166,18 @@ class ExperimentConfig:
 
 
 def _number(field: str, value, kind=float):
-    """``kind(value)``, or a ParameterError naming ``field``."""
+    """``kind(value)``, or a ParameterError naming ``field``.
+
+    A boolean is no number, and an int field takes no fractional part:
+    10.7 is an error, not 10, while an integral float such as 1e6 passes.
+    """
+    noun = "an integer" if kind is int else "a number"
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fractional:
+        raise ParameterError(f"{field} must be {noun}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        noun = "an integer" if kind is int else "a number"
         raise ParameterError(f"{field} must be {noun}, got {value!r}") from exc
 
 
@@ -428,7 +435,8 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
     ks = None
     if config.mc_samples > 0:
         edges = default_bin_edges(law, config.bins)
-        hist = _mc_histogram(plan, times, config.mc_samples, edges, RandomStream(config.seed))
+        kraus = kraus_at_times(plan.spec, plan.scenario, times)
+        hist = mc_fidelity_histogram(kraus, config.mc_samples, edges, RandomStream(config.seed))
         ks = ks_distance(hist, law)
         files["histogram"] = "histogram.csv"
         write_csv(
@@ -459,23 +467,6 @@ def _jitter_times(plan: ReadoutPlan, config: ExperimentConfig) -> np.ndarray:
     """The equal-weight read-out times of the jitter mixture around t_opt."""
     fraction = float(config.mode.get("fraction", DEFAULT_TIMING_FRACTION))
     return plan.t_opt * np.linspace(1.0 - fraction, 1.0 + fraction, JITTER_MIX_NODES)
-
-
-def _mc_histogram(plan: ReadoutPlan, times, n: int, edges, stream: RandomStream) -> Histogram:
-    """Monte Carlo histogram of ``n`` fidelities read out at equal-weight ``times``.
-
-    One multinomial draw from ``stream.substream(len(times))`` splits the
-    samples over the times, and time k's share samples the Kraus set at that
-    time from ``stream.substream(k)``: a single time samples ``stream`` itself.
-    """
-    weights = np.full(len(times), 1.0 / len(times))
-    shares = stream.substream(len(times)).generator().multinomial(n, weights)
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
-    for k, (t, share) in enumerate(zip(times, shares)):
-        if share:
-            kraus = kraus_for_scenario(plan.spec, plan.scenario, float(t))
-            counts += mc_fidelity_histogram(kraus, int(share), edges, stream.substream(k)).counts
-    return Histogram(edges, counts, n)
 
 
 def cmd_certify(n_max: int, output_dir: str | None) -> dict:

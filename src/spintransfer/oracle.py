@@ -10,14 +10,14 @@ basis index.  :func:`block_hamiltonian` builds the popcount-q block from bit
 operations on the sorted integers of popcount q, and :func:`evolve_many`
 diagonalises and evolves only the blocks the initial states occupy; its
 output is still a full 2^N state vector per row.  Every step takes a
-leading batch axis: :class:`FullState` holds one state or a stack of them,
-:func:`transfer_initial_state` embeds a stack of sender states through one
-(2^w, 2^N) matrix (the embedding is linear), :func:`evolve_many` applies
-each block's eigenvectors to all rows at once with a phase per row and
-time, and :func:`reduced_density` traces every row out at once.
-:func:`evolve_full` is the one-state, one-time case.  The same Z-sign
-convention and the same vacuum-energy gauge shift as the sector machinery
-are applied, which makes amplitude phases directly comparable.  Capped at
+leading batch axis: :class:`FullState` is a (T, 2^N) stack of states (one
+state is the stack of one row), :func:`transfer_initial_state` embeds a
+stack of sender states through one (2^w, 2^N) matrix (the embedding is
+linear), :func:`evolve_many` applies each block's eigenvectors to all rows
+at once with a phase per row and time, and :func:`reduced_density` traces
+every row out at once.  The same Z-sign convention and the same
+vacuum-energy gauge shift as the sector machinery are applied, which makes
+amplitude phases directly comparable.  Capped at
 N = ``MAX_ORACLE_SITES`` = 16; the oracle exists for certification, never
 for production runs.
 """
@@ -37,12 +37,11 @@ MAX_ORACLE_SITES = 16
 
 @dataclass(frozen=True)
 class FullState:
-    """Normalized state vector over the full 2^N space, or a stack of them.
+    """A stack of normalized state vectors over the full 2^N space.
 
-    ``amplitudes`` has shape (2^N,), or (T, 2^N) for T states, each row
-    normalized.  Basis convention: site i (1-based) maps to bit i-1 of the
-    index, so the index of a configuration with excited sites S is
-    ``sum(2**(i-1))``.
+    ``amplitudes`` has shape (T, 2^N), one normalized state per row.  Basis
+    convention: site i (1-based) maps to bit i-1 of the index, so the index
+    of a configuration with excited sites S is ``sum(2**(i-1))``.
     """
 
     amplitudes: np.ndarray
@@ -50,9 +49,10 @@ class FullState:
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amps.ndim not in (1, 2) or amps.shape[-1] != 1 << self.n_sites:
+        if amps.shape[1:] != (1 << self.n_sites,):
             raise ParameterError(
-                f"amplitudes must have length 2**{self.n_sites}, one row per state"
+                f"amplitudes must be rows of length 2**{self.n_sites}, one per state, "
+                f"got shape {amps.shape}"
             )
         worst = float(np.abs(_row_norms(amps) - 1.0).max(initial=0.0))
         if worst > 1e-12:
@@ -158,7 +158,7 @@ def evolve_many(spec: ChainSpec, initial: FullState, times) -> FullState:
         )
     amps = initial.amplitudes
     times = np.asarray(times, dtype=float)
-    if amps.ndim != 2 or times.shape != amps.shape[:1]:
+    if times.shape != amps.shape[:1]:
         raise ParameterError(
             f"need one time per state row, got {times.shape} times for "
             f"amplitudes of shape {amps.shape}"
@@ -175,18 +175,8 @@ def evolve_many(spec: ChainSpec, initial: FullState, times) -> FullState:
     return FullState(evolved, spec.n_sites)
 
 
-def evolve_full(spec: ChainSpec, initial: FullState, t: float) -> FullState:
-    """Evolve one full state to time ``t``: the one-row case of :func:`evolve_many`."""
-    if initial.amplitudes.ndim != 1:
-        raise ParameterError("evolve_full takes one state; use evolve_many for a stack")
-    if not np.isfinite(t):
-        raise ParameterError(f"time must be finite, got {t}")
-    row = FullState(initial.amplitudes[None, :], initial.n_sites)
-    return FullState(evolve_many(spec, row, [t]).amplitudes[0], spec.n_sites)
-
-
 def reduced_density(state: FullState, sites) -> np.ndarray:
-    """Partial trace of a pure full state onto an ordered site subset.
+    """Partial trace of each pure full state onto an ordered site subset.
 
     The output basis is the binary ordering of the listed sites with the
     first listed site as the most significant bit, e.g. ``sites=(N-1, N)``
@@ -199,14 +189,13 @@ def reduced_density(state: FullState, sites) -> np.ndarray:
         raise ParameterError(f"sites must be distinct, got {sites}")
     if any(not 1 <= s <= n for s in sites):
         raise ParameterError(f"sites must lie in 1..{n}, got {sites}")
-    batch = state.amplitudes.shape[:-1]
-    tensor = state.amplitudes.reshape(*batch, *(2,) * n)
-    # C-order reshape puts site i on axis n - i after the batch axes
-    lead = len(batch)
-    kept_axes = [lead + n - s for s in sites]
-    rest = [ax for ax in range(lead, lead + n) if ax not in kept_axes]
-    mat = np.transpose(tensor, [*range(lead), *kept_axes, *rest]).reshape(
-        *batch, 1 << len(sites), 1 << (n - len(sites))
+    n_states = len(state.amplitudes)
+    tensor = state.amplitudes.reshape(n_states, *(2,) * n)
+    # C-order reshape puts site i on axis n - i + 1, after the state axis
+    kept_axes = [1 + n - s for s in sites]
+    rest = [ax for ax in range(1, n + 1) if ax not in kept_axes]
+    mat = np.transpose(tensor, [0, *kept_axes, *rest]).reshape(
+        n_states, 1 << len(sites), 1 << (n - len(sites))
     )
     rho = mat @ mat.conj().swapaxes(-1, -2)
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
@@ -230,12 +219,12 @@ def transfer_initial_state(
 ) -> FullState:
     """Embed ``sender_state (x) channel state`` into the full space.
 
-    ``sender_state`` is indexed with the first listed sender site as the most
-    significant bit (same convention as :func:`reduced_density`); a stack of
-    T sender states (T, 2^w) gives a stack of T full states.  The channel
-    state spreads one excitation evenly over ``channel_sites`` (a
-    scenario's ``occupied(n)``), which must avoid the sender sites, and is
-    the vacuum when they are empty.  The embedding is linear in the sender
+    ``sender_state`` is a stack of T sender states (T, 2^w), each indexed
+    with the first listed sender site as the most significant bit (same
+    convention as :func:`reduced_density`), and gives a stack of T full
+    states.  The channel state spreads one excitation evenly over
+    ``channel_sites`` (a scenario's ``occupied(n)``), which must avoid the
+    sender sites, and is the vacuum when they are empty.  The embedding is linear in the sender
     state: one product with a (2^w, 2^N) matrix whose row s holds the
     channel state shifted by the excitations of sender configuration s.
     """
@@ -243,9 +232,10 @@ def transfer_initial_state(
     channel_sites = [int(s) for s in channel_sites]
     width = len(sender_sites)
     sender_state = np.asarray(sender_state, dtype=complex)
-    if sender_state.ndim not in (1, 2) or sender_state.shape[-1] != 1 << width:
+    if sender_state.shape[1:] != (1 << width,):
         raise ParameterError(
-            f"sender_state must have length {1 << width}, one row per state"
+            f"sender_state must be rows of length {1 << width}, one per state, "
+            f"got shape {sender_state.shape}"
         )
     if np.abs(np.linalg.norm(sender_state, axis=-1) - 1.0).max() > 1e-12:
         raise ParameterError("sender_state must be normalized to 1e-12")

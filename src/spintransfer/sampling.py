@@ -10,14 +10,17 @@ function.  :func:`sample_bloch_vectors` maps uniform points of the unit disk
 onto the sphere (Marsaglia, Ann. Math. Statist. 43, 645, 1972).  A qubit
 channel acts on Bloch vectors as an affine map, its Pauli transfer matrix R
 (:func:`~spintransfer.channel.pauli_transfer_matrix`, built once per Kraus
-set), so a pure input with Bloch vector r transfers with fidelity
-1/2 r~^T R r~, r~ = (1, r): one 4x4 quadratic form per sample, whatever the
-number of Kraus operators.  The form holds for any Kraus set, so the
+set for all its read-out times), so a pure input with Bloch vector r
+transfers with fidelity 1/2 r~^T R r~, r~ = (1, r): one 4x4 quadratic form
+per sample, whatever the number of Kraus operators.  The form holds for any Kraus set, so the
 Monte Carlo histogram stays an independent check on the row-based laws,
 which assume azimuth independence.  :func:`~spintransfer.channel.fidelity_many`
 stays the state-vector reference that certification and the tests compare
 the form against.  Two-qubit Monte Carlo reads the 16 x 16 matrix through
-:func:`~spintransfer.analytics.affine_from_kraus`.
+:func:`~spintransfer.analytics.affine_from_kraus`.  A Kraus set holds T
+equal-weight read-out times (one for a fixed read-out, the jitter nodes
+otherwise): :func:`mc_fidelity_histogram` splits the samples over them by
+one multinomial draw and samples time k from its own substream k.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import affine_from_kraus
+from .analytics import FidelityLaw, affine_from_kraus
 from .channel import KrausSet, clamp_fidelity, pauli_transfer_matrix
 from .errors import ParameterError
 
@@ -200,43 +203,48 @@ def mc_fidelity_histogram(
     edges: np.ndarray,
     stream: RandomStream,
 ) -> Histogram:
-    """Histogram of transfer fidelities over the scenario's input ensemble.
+    """Histogram of transfer fidelities over the scenario's input ensemble,
+    read out at the T equal-weight times of ``kraus``.
 
+    One multinomial draw from ``stream.substream(T)`` splits the ``n``
+    samples over the times, and time k draws its share from
+    ``stream.substream(k)``, so a set at one time samples ``stream`` itself.
     One-qubit scenarios draw Bloch-uniform pure inputs per batch of
     ``MC_BATCH`` through :func:`sample_bloch_vectors` (Marsaglia's
     disk-to-sphere map, 1972), and evaluate each fidelity as the quadratic
-    form of the channel's Pauli transfer matrix (:func:`bloch_fidelities`),
-    built once per call.  The two-qubit scenario draws Haar-random
-    two-qubit states and bins the local-unitary-averaged fidelity A - B C^2
-    at each state's concurrence, with (A, B) from
-    :func:`~spintransfer.analytics.affine_from_kraus`: the exact twirl of
-    the Pauli transfer matrix, which shares no arithmetic with the row law
-    (the twirled 16-term form per sample would give the same value at 16
-    times the cost).  Samples outside the edges are
+    form of the channel's Pauli transfer matrix at the sample's time
+    (:func:`bloch_fidelities`), all T matrices built once per call.  The
+    two-qubit scenario draws Haar-random two-qubit states and bins the
+    local-unitary-averaged fidelity A - B C^2 at each state's concurrence,
+    with (A, B) from :func:`~spintransfer.analytics.affine_from_kraus`: the
+    exact twirl of the Pauli transfer matrix, which shares no arithmetic
+    with the row law (the twirled 16-term form per sample would give the
+    same value at 16 times the cost).  Samples outside the edges are
     clipped into the end bins so the counts always total ``n``.
     """
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
     edges = np.asarray(edges, dtype=float)
-    rng = stream.generator()
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    n_times = len(kraus.operators)
+    shares = stream.substream(n_times).generator().multinomial(n, np.full(n_times, 1.0 / n_times))
     two_qubit = kraus.dim == 4
     if two_qubit:
-        affine = affine_from_kraus(kraus)
+        forms = [FidelityLaw(row[None]) for row in affine_from_kraus(kraus).coefficients]
     else:
-        ptm = pauli_transfer_matrix(kraus)
-    done = 0
-    while done < n:
-        batch = min(MC_BATCH, n - done)
-        if two_qubit:
-            states = sample_two_qubit_pure(rng, batch)
-            values = affine.evaluate(concurrence(states))[0]
-        else:
-            values = bloch_fidelities(ptm, *sample_bloch_vectors(rng, batch))
-        values = np.clip(values, edges[0], edges[-1])
-        hist, _ = np.histogram(values, bins=edges)
-        counts += hist
-        done += batch
+        forms = pauli_transfer_matrix(kraus)
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    for k, share in enumerate(shares):
+        rng = stream.substream(k).generator()
+        for done in range(0, share, MC_BATCH):
+            batch = min(MC_BATCH, share - done)
+            if two_qubit:
+                states = sample_two_qubit_pure(rng, batch)
+                values = forms[k].evaluate(concurrence(states))[0]
+            else:
+                values = bloch_fidelities(forms[k], *sample_bloch_vectors(rng, batch))
+            values = np.clip(values, edges[0], edges[-1])
+            hist, _ = np.histogram(values, bins=edges)
+            counts += hist
     return Histogram(edges, counts, n)
 
 

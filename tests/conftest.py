@@ -112,7 +112,7 @@ def mc_local_unitary_fidelity(
         u1 = sample_haar_unitary_2(rng, batch)
         u2 = sample_haar_unitary_2(rng, batch)
         states = np.einsum("nab,ncd,bd->nac", u1, u2, base).reshape(batch, 4)
-        values = fidelity_many(kraus, states)
+        values = fidelity_many(kraus, states[None])[0]
         total += float(values.sum())
         total_sq += float((values**2).sum())
         done += batch

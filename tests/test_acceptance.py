@@ -28,7 +28,7 @@ from spintransfer.analytics import (
 )
 from spintransfer.certify import check_channels_against_oracle
 from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
-from spintransfer.channel import Scenario, fidelity_many, kraus_for_scenario
+from spintransfer.channel import Scenario, fidelity_many, kraus_at_times
 from spintransfer.cli import main as cli_main
 from spintransfer.dynamics import dynamics_for, propagator_at
 from spintransfer.errors import RangeError
@@ -91,7 +91,7 @@ def single_qubit_plan(name: str):
         plan = plan_readout(
             spec, Scenario.ONE_QUBIT_VACUUM, tuning, target_avg=TARGET
         )
-        kraus = kraus_for_scenario(plan.spec, Scenario.ONE_QUBIT_VACUUM, plan.t_read)
+        kraus = kraus_at_times(plan.spec, Scenario.ONE_QUBIT_VACUUM, [plan.t_read])
         amp = propagator_at(dynamics_for(plan.spec).one, plan.t_read)[0, 21]
         _PLAN_CACHE[key] = (plan, amp, kraus)
     return _PLAN_CACHE[key]
@@ -108,7 +108,7 @@ def two_qubit_plan(name: str):
         plan = plan_readout(
             spec, Scenario.TWO_QUBIT_VACUUM, tuning, target_avg=TARGET
         )
-        kraus = kraus_for_scenario(plan.spec, Scenario.TWO_QUBIT_VACUUM, plan.t_read)
+        kraus = kraus_at_times(plan.spec, Scenario.TWO_QUBIT_VACUUM, [plan.t_read])
         _PLAN_CACHE[key] = (plan, affine_from_kraus(kraus))
     return _PLAN_CACHE[key]
 
@@ -152,9 +152,9 @@ def test_criterion_3_perfect_transfer_delta():
         spec, Scenario.ONE_QUBIT_VACUUM, (0.0, 2.0), 20_000, phase_corrected=True
     )
     plan = plan_readout(spec, Scenario.ONE_QUBIT_VACUUM, tuning)
-    kraus = kraus_for_scenario(plan.spec, Scenario.ONE_QUBIT_VACUUM, plan.t_read)
+    kraus = kraus_at_times(plan.spec, Scenario.ONE_QUBIT_VACUUM, [plan.t_read])
     theta, phi = sample_bloch(RandomStream(303), 100_000)
-    values = fidelity_many(kraus, bloch_states(theta, phi))
+    values = fidelity_many(kraus, bloch_states(theta, phi)[None])[0]
     worst = float(values.min())
     ok = worst >= 1.0 - 1e-8
     report("3 perfect transfer", ok, f"min sampled fidelity {worst:.12f}")
@@ -208,7 +208,7 @@ def test_criterion_5_closed_form_averages():
         n = int(rng.integers(5, 9))
         spec = make_random_chain(rng, n, long_range=bool(rng.integers(0, 2)))
         t = float(rng.uniform(0.3, 9.0))
-        kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, t)
+        kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_UNIFORM, [t])
         gap = abs(
             avg_fidelity_curve(spec, Scenario.ONE_QUBIT_UNIFORM, [t])[0]
             - quadratic_reduce_one_qubit(kraus).mean[0]
@@ -226,7 +226,7 @@ def test_criterion_5_closed_form_averages():
 
 def _fidelity_samples_one_qubit(kraus, n, stream):
     theta, phi = sample_bloch(stream, n)
-    return fidelity_many(kraus, bloch_states(theta, phi))
+    return fidelity_many(kraus, bloch_states(theta, phi)[None])[0]
 
 
 def test_criterion_6_pdf_correctness_vs_mc():
@@ -258,7 +258,7 @@ def test_criterion_6_pdf_correctness_vs_mc():
     )
     plan = plan_readout(spec, Scenario.TWO_QUBIT_VACUUM, tuning)
     affine = affine_from_kraus(
-        kraus_for_scenario(plan.spec, Scenario.TWO_QUBIT_VACUUM, plan.t_read)
+        kraus_at_times(plan.spec, Scenario.TWO_QUBIT_VACUUM, [plan.t_read])
     )
     states = sample_two_qubit_pure(RandomStream(616, 9), MC_SAMPLES)
     samples = affine.evaluate(concurrence(states))[0]
@@ -335,7 +335,7 @@ def test_criterion_7_companion_table_at_implied_means():
             spec, Scenario.TWO_QUBIT_VACUUM, tuning, target_avg=implied_mean
         )
         affine = affine_from_kraus(
-            kraus_for_scenario(plan.spec, Scenario.TWO_QUBIT_VACUUM, plan.t_read)
+            kraus_at_times(plan.spec, Scenario.TWO_QUBIT_VACUUM, [plan.t_read])
         )
         gap = float(np.abs(affine.coefficients[0] - (expected_a, expected_b)).max())
         worst = max(worst, gap)
@@ -371,7 +371,7 @@ def test_criterion_8_qualitative_orderings():
         plan = plan_readout(
             spec, Scenario.ONE_QUBIT_UNIFORM, tuning, target_avg=TARGET
         )
-        kraus = kraus_for_scenario(plan.spec, Scenario.ONE_QUBIT_UNIFORM, plan.t_read)
+        kraus = kraus_at_times(plan.spec, Scenario.ONE_QUBIT_UNIFORM, [plan.t_read])
         uniform_mins[name] = quadratic_reduce_one_qubit(kraus).support[0]
     uniform_ok = (
         uniform_mins["barrier"] > uniform_mins["weak"]

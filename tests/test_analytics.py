@@ -30,7 +30,7 @@ from spintransfer.analytics import (
 )
 from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
 from spintransfer.certify import _clifford_group_su2, random_isometry_kraus
-from spintransfer.channel import Scenario, fidelity_many, kraus_for_scenario
+from spintransfer.channel import Scenario, fidelity_many, kraus_at_times
 from spintransfer.dynamics import dynamics_for, propagator_at
 from spintransfer.errors import ModelError, ParameterError, RangeError
 from spintransfer.sampling import RandomStream, schmidt_state
@@ -38,7 +38,7 @@ from spintransfer.sampling import RandomStream, schmidt_state
 
 def test_vacuum_quadratic_closed_form(rng):
     spec = make_random_chain(rng, 7)
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 2.4)
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [2.4])
     fitted = quadratic_reduce_one_qubit(kraus)
     amp = propagator_at(dynamics_for(spec).one, 2.4)[0, 6]
     closed = vacuum_quadratic(abs(amp), float(np.angle(amp)))
@@ -47,7 +47,7 @@ def test_vacuum_quadratic_closed_form(rng):
 
 def test_uniform_quadratic_matches_channel_grid(rng):
     spec = make_random_chain(rng, 8)
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, 3.7)
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_UNIFORM, [3.7])
     fitted = quadratic_reduce_one_qubit(kraus)
     assert fitted.mean[0] == pytest.approx(
         avg_fidelity_curve(spec, Scenario.ONE_QUBIT_UNIFORM, [3.7])[0], abs=1e-9
@@ -60,7 +60,7 @@ def test_uniform_average_formula_many_specs(rng):
         n = int(rng.integers(5, 9))
         spec = make_random_chain(rng, n, long_range=bool(rng.integers(0, 2)))
         t = float(rng.uniform(0.3, 9.0))
-        kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, t)
+        kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_UNIFORM, [t])
         channel_mean = quadratic_reduce_one_qubit(kraus).mean[0]
         assert avg_fidelity_curve(spec, Scenario.ONE_QUBIT_UNIFORM, [t])[0] == pytest.approx(
             channel_mean, abs=1e-9
@@ -147,7 +147,7 @@ def test_pdf_normalization_and_cdf(rng):
         scenario = (
             Scenario.ONE_QUBIT_VACUUM if rng.integers(0, 2) else Scenario.ONE_QUBIT_UNIFORM
         )
-        kraus = kraus_for_scenario(spec, scenario, t)
+        kraus = kraus_at_times(spec, scenario, [t])
         pdf = quadratic_reduce_one_qubit(kraus)
         if pdf.support[0] == pdf.support[1]:  # a step, normalized by construction
             continue
@@ -161,7 +161,7 @@ def test_pdf_normalization_and_cdf(rng):
 
 def test_pdf_mean_matches_quadrature(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 1.9)
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [1.9])
     quad_form = quadratic_reduce_one_qubit(kraus)
     lo, hi = quad_form.support
     breaks = [p for p in quad_form.breakpoints()[0] if lo < p < hi]
@@ -212,7 +212,7 @@ def test_pdf_normalization_matches_adaptive_quadrature():
 def test_pdf_support_top_is_one_for_vacuum(rng):
     # |0> always transfers perfectly through the vacuum channel
     spec = make_random_chain(rng, 7)
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 4.2)
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [4.2])
     pdf = quadratic_reduce_one_qubit(kraus)
     assert pdf.support[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -228,7 +228,7 @@ def test_quadratic_range_invariant():
 
 def test_two_qubit_affine_matches_unitary_mc(rng):
     spec = make_random_chain(rng, 7)
-    kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 2.8)
+    kraus = kraus_at_times(spec, Scenario.TWO_QUBIT_VACUUM, [2.8])
     affine = affine_from_kraus(kraus)
     for k, conc in enumerate((0.0, 0.5, 1.0)):
         mean, err = mc_local_unitary_fidelity(kraus, conc, 40_000, RandomStream(30 + k))
@@ -237,7 +237,7 @@ def test_two_qubit_affine_matches_unitary_mc(rng):
 
 def test_two_qubit_affine_at_zero(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 0.0)
+    kraus = kraus_at_times(spec, Scenario.TWO_QUBIT_VACUUM, [0.0])
     affine = affine_from_kraus(kraus)
     for conc, stream in ((0.0, 41), (1.0, 42)):
         mean, err = mc_local_unitary_fidelity(kraus, conc, 40_000, RandomStream(stream))
@@ -264,12 +264,12 @@ def test_affine_from_kraus_matches_trace_sums_and_clifford_twirl(n_ops, seed):
     for conc in (0.0, 0.5, 1.0):
         base = schmidt_state(conc).reshape(2, 2)
         states = np.einsum("mab,ncd,bd->mnac", CLIFFORD, CLIFFORD, base).reshape(-1, 4)
-        assert abs(fidelity_many(kraus, states).mean() - affine.evaluate(conc)[0]) <= 1e-13
+        assert abs(fidelity_many(kraus, states[None]).mean() - affine.evaluate(conc)[0]) <= 1e-13
 
 
 def test_schmidt_sign_is_immaterial(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 1.4)
+    kraus = kraus_at_times(spec, Scenario.TWO_QUBIT_VACUUM, [1.4])
     n = 30_000
     means = []
     for sign in (+1.0, -1.0):
@@ -278,7 +278,7 @@ def test_schmidt_sign_is_immaterial(rng):
         u1 = sample_haar_unitary_2(gen, n)
         u2 = sample_haar_unitary_2(gen, n)
         states = np.einsum("nab,ncd,bd->nac", u1, u2, base).reshape(n, 4)
-        values = fidelity_many(kraus, states)
+        values = fidelity_many(kraus, states[None])[0]
         means.append((values.mean(), values.std() / np.sqrt(n)))
     (m1, e1), (m2, e2) = means
     assert abs(m1 - m2) <= 3.0 * np.hypot(e1, e2)

@@ -1,69 +1,68 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_random_chain, random_state, seeded_chain, trace_distance
+from spintransfer.analytics import affine_from_kraus, fidelity_law, quadratic_reduce_one_qubit
 from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
 from spintransfer.channel import (
     KrausSet,
     Scenario,
-    DROP_THRESHOLD,
     apply_channel,
-    fidelity,
     fidelity_many,
     kraus_at_times,
-    kraus_for_scenario,
     kraus_one_qubit_uniform,
+    kraus_set,
     pauli_transfer_matrix,
 )
 from spintransfer.dynamics import dynamics_for, propagator_at, propagator_rows
 from spintransfer.errors import ParameterError
-from spintransfer.oracle import evolve_full, reduced_density, transfer_initial_state
+from spintransfer.oracle import evolve_many, reduced_density, transfer_initial_state
 
 
 def test_vacuum_channel_at_zero_receiver_still_empty(rng):
     # before any dynamics the receiver holds |0>, whatever was sent
     spec = make_random_chain(rng, 5)
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 0.0)
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [0.0])
     psi = random_state(rng, 2)
-    rho = apply_channel(kraus, psi)
+    rho = apply_channel(kraus, psi[None])[0]
     assert np.abs(rho - np.diag([1.0, 0.0])).max() < 1e-12
-    assert fidelity(kraus, psi) == pytest.approx(abs(psi[0]) ** 2, abs=1e-12)
+    value = fidelity_many(kraus, psi[None, None])[0, 0]
+    assert value == pytest.approx(abs(psi[0]) ** 2, abs=1e-12)
 
 
 def test_apply_channel_identity_kraus(rng):
     # a literal identity channel reproduces the input projector exactly
-    from spintransfer.channel import KrausSet
-
-    identity = KrausSet(np.eye(2, dtype=complex)[None, :, :], 0.0, 1)
+    identity = kraus_set(np.eye(2, dtype=complex)[None, None])
     psi = random_state(rng, 2)
-    rho = apply_channel(identity, psi)
+    rho = apply_channel(identity, psi[None])[0]
     assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-15
-    assert fidelity(identity, psi) == pytest.approx(1.0, abs=1e-15)
+    assert fidelity_many(identity, psi[None, None])[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_vacuum_channel_structure(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 1.3)
-    assert kraus.n_constructed == 2
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [1.3])
+    assert kraus.operators.shape == (1, 2, 2, 2)
     amp = propagator_at(dynamics_for(spec).one, 1.3)[0, 5]
-    e0 = kraus.operators[0]
+    e0 = kraus.operators[0, 0]
     assert e0[0, 0] == 1.0 and e0[1, 1] == pytest.approx(amp)
     # maximally mixed input keeps unit trace
     rho = 0.5 * (
-        apply_channel(kraus, np.array([1.0, 0.0], dtype=complex))
-        + apply_channel(kraus, np.array([0.0, 1.0], dtype=complex))
-    )
+        apply_channel(kraus, np.array([[1.0, 0.0]], dtype=complex))
+        + apply_channel(kraus, np.array([[0.0, 1.0]], dtype=complex))
+    )[0]
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_vacuum_fidelity_of_pole_states(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 2.1)
-    assert fidelity(kraus, np.array([1.0, 0.0], dtype=complex)) == pytest.approx(1.0)
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [2.1])
+    up, down = fidelity_many(kraus, np.array([[[1.0, 0.0], [0.0, 1.0]]]))[0]
+    assert up == pytest.approx(1.0)
     amp = propagator_at(dynamics_for(spec).one, 2.1)[0, 5]
-    assert fidelity(kraus, np.array([0.0, 1.0], dtype=complex)) == pytest.approx(
-        abs(amp) ** 2, abs=1e-12
-    )
+    assert down == pytest.approx(abs(amp) ** 2, abs=1e-12)
 
 
 def test_uniform_channel_validation():
@@ -74,42 +73,42 @@ def test_uniform_channel_validation():
 
 def test_uniform_channel_at_zero(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, 0.0)
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_UNIFORM, [0.0])
     for psi in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-        rho = apply_channel(kraus, psi.astype(complex))
+        rho = apply_channel(kraus, psi[None].astype(complex))[0]
         assert np.abs(rho - np.diag([1.0, 0.0])).max() < 1e-12
 
 
 def test_uniform_operator_count(rng):
     n = 8
     spec = make_random_chain(rng, n)
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, 1.7)
-    assert kraus.n_constructed == 1 + (n - 1) + (n - 1) * (n - 2) // 2
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_UNIFORM, [1.7])
+    assert kraus.operators.shape[1] == 1 + (n - 1) + (n - 1) * (n - 2) // 2
 
 
 def test_two_qubit_operator_count(rng):
     n = 9
     spec = make_random_chain(rng, n)
-    kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 1.1)
-    assert kraus.n_constructed == 1 + 7 + 21
+    kraus = kraus_at_times(spec, Scenario.TWO_QUBIT_VACUUM, [1.1])
+    assert kraus.operators.shape[1] == 1 + 7 + 21
 
 
 def test_two_qubit_at_zero(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 0.0)
-    e0 = kraus.operators[0]
+    kraus = kraus_at_times(spec, Scenario.TWO_QUBIT_VACUUM, [0.0])
+    e0 = kraus.operators[0, 0]
     assert e0[0, 0] == 1.0
     assert abs(e0[3, 3]) < 1e-12  # nothing has arrived on the receiver pair
     psi11 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-    assert fidelity(kraus, psi11) == pytest.approx(0.0, abs=1e-12)
+    assert fidelity_many(kraus, psi11[None, None])[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_two_qubit_vacuum_component_stationary(rng):
     spec = make_random_chain(rng, 7)
-    for t in (0.0, 1.9, 6.4):
-        kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, t)
-        psi00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-        assert fidelity(kraus, psi00) == pytest.approx(1.0, abs=1e-12)
+    kraus = kraus_at_times(spec, Scenario.TWO_QUBIT_VACUUM, [0.0, 1.9, 6.4])
+    psi00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    values = fidelity_many(kraus, np.broadcast_to(psi00, (3, 1, 4)))
+    assert np.abs(values - 1.0).max() <= 1e-12
 
 
 def test_completeness_across_protocols(rng):
@@ -117,12 +116,13 @@ def test_completeness_across_protocols(rng):
     for n in range(4, 13, 2):
         for kind in kinds:
             spec = protocol_preset(kind, n)
-            for t in rng.uniform(0.0, 10.0, 5):
-                for scenario in Scenario:
-                    if n < scenario.min_sites:
-                        continue
-                    kraus = kraus_for_scenario(spec, scenario, float(t))
-                    assert kraus.completeness_defect <= 1e-9
+            times = rng.uniform(0.0, 10.0, 5)
+            for scenario in Scenario:
+                if n < scenario.min_sites:
+                    continue
+                kraus = kraus_at_times(spec, scenario, times)
+                assert kraus.completeness_defect.shape == (5,)
+                assert kraus.completeness_defect.max() <= 1e-9
 
 
 @pytest.mark.parametrize("kind", ["nearest", "long_range", "zz"])
@@ -133,31 +133,32 @@ def test_channel_matches_oracle(scenario, kind, rng):
     # and the 2^N oracle is the independent check on both paths
     for n in (max(scenario.min_sites, 5), 8):
         spec = seeded_chain(int(rng.integers(2**31)), n, kind)
-        for t in rng.uniform(0.2, 8.0, 3):
-            kraus = kraus_for_scenario(spec, scenario, float(t))
-            psi = random_state(rng, kraus.dim)
-            rho = apply_channel(kraus, psi)
-            initial = transfer_initial_state(n, scenario.senders, psi, scenario.occupied(n))
-            full = evolve_full(spec, initial, float(t))
-            assert trace_distance(rho, reduced_density(full, scenario.receiver(n))) <= 1e-9
+        times = rng.uniform(0.2, 8.0, 3)
+        kraus = kraus_at_times(spec, scenario, times)
+        psi = np.array([random_state(rng, kraus.dim) for _ in times])
+        rho = apply_channel(kraus, psi)
+        initial = transfer_initial_state(n, scenario.senders, psi, scenario.occupied(n))
+        rho_ref = reduced_density(evolve_many(spec, initial, times), scenario.receiver(n))
+        for k in range(times.size):
+            assert trace_distance(rho[k], rho_ref[k]) <= 1e-9
 
 
 def test_fidelity_duality(rng):
     spec = make_random_chain(rng, 7)
     for scenario in Scenario:
-        kraus = kraus_for_scenario(spec, scenario, 2.9)
+        kraus = kraus_at_times(spec, scenario, [2.9])
         for _ in range(5):
             psi = random_state(rng, kraus.dim)
-            rho = apply_channel(kraus, psi)
+            rho = apply_channel(kraus, psi[None])[0]
             overlap = float(np.real(psi.conj() @ rho @ psi))
-            assert fidelity(kraus, psi) == pytest.approx(overlap, abs=1e-12)
+            assert fidelity_many(kraus, psi[None, None])[0, 0] == pytest.approx(overlap, abs=1e-12)
 
 
 def test_apply_channel_properties(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, 3.3)
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_UNIFORM, [3.3])
     psi = random_state(rng, 2)
-    rho = apply_channel(kraus, psi)
+    rho = apply_channel(kraus, psi[None])[0]
     assert np.abs(rho - rho.conj().T).max() < 1e-14
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.eigvalsh(rho).min() >= -1e-10
@@ -165,31 +166,29 @@ def test_apply_channel_properties(rng):
 
 def test_unnormalized_input_rejected(rng):
     spec = make_random_chain(rng, 5)
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 1.0)
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [1.0])
     with pytest.raises(ParameterError):
-        apply_channel(kraus, np.array([1.0, 1.0]))
-    with pytest.raises(ParameterError):
-        fidelity(kraus, np.array([0.5, 0.0]))
+        apply_channel(kraus, np.array([[1.0, 1.0]]))
 
 
 def test_fidelity_many_matches_scalar(rng):
+    # the rows of one block are read out independently of each other
     spec = make_random_chain(rng, 6)
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, 1.8)
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_UNIFORM, [1.8])
     states = np.array([random_state(rng, 2) for _ in range(7)])
-    batch = fidelity_many(kraus, states)
+    batch = fidelity_many(kraus, states[None])[0]
     for value, psi in zip(batch, states):
-        assert value == pytest.approx(fidelity(kraus, psi), abs=1e-12)
+        assert value == pytest.approx(fidelity_many(kraus, psi[None, None])[0, 0], abs=1e-12)
 
 
 def test_fidelity_clamps_only_rounding():
     # a value above 1 by at most 1e-10 is rounding and reads 1; one further
-    # out is an error and shows, in a batch as in a single-state call
+    # out is an error and shows
     psi = np.array([1.0, 0.0], dtype=complex)
     for scale, expected in ((1.0 + 1e-12, 1.0), (1.001, 1.001**2)):
-        ops = scale * np.eye(2, dtype=complex)[None]
-        kraus = KrausSet(ops, 0.0, 1)
-        assert fidelity(kraus, psi) == pytest.approx(expected, abs=1e-15)
-        assert fidelity_many(kraus, psi[None, :])[0] == pytest.approx(expected, abs=1e-15)
+        ops = scale * np.eye(2, dtype=complex)[None, None]
+        kraus = KrausSet(ops, np.zeros(1))
+        assert fidelity_many(kraus, psi[None, None])[0, 0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_perfect_transfer_is_pure_phase():
@@ -197,11 +196,11 @@ def test_perfect_transfer_is_pure_phase():
     dyn = dynamics_for(spec)
     ts = np.linspace(0.7, 0.9, 5001)
     t_opt = ts[np.argmax(np.abs(propagator_rows(dyn.one, [[1]], [8], ts)[:, 0, 0]))]
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, float(t_opt))
-    amp = kraus.operators[0][1, 1]
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [t_opt])
+    amp = kraus.operators[0, 0, 1, 1]
     assert abs(amp) == pytest.approx(1.0, abs=1e-8)
     psi = random_state(np.random.default_rng(5), 2)
-    rho = apply_channel(kraus, psi)
+    rho = apply_channel(kraus, psi[None])[0]
     purity = float(np.real(np.trace(rho @ rho)))
     assert purity == pytest.approx(1.0, abs=1e-8)
 
@@ -209,38 +208,57 @@ def test_perfect_transfer_is_pure_phase():
 def test_uniform_completeness_large_barrier_chain(rng):
     # channel construction stays trace preserving at the larger chain size
     spec = protocol_preset(Barrier(100.0), 15)
-    for t in rng.uniform(0.0, 2000.0, 3):
-        kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, float(t))
-        assert kraus.completeness_defect <= 1e-9
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_UNIFORM, rng.uniform(0.0, 2000.0, 3))
+    assert kraus.completeness_defect.max() <= 1e-9
+
+
+SPECS = st.builds(
+    seeded_chain,
+    st.integers(0, 2**31 - 1),
+    st.integers(5, 9),
+    st.sampled_from(["nearest", "long_range", "zz"]),
+)
+
+
+@given(SPECS, st.sampled_from(list(Scenario)), st.lists(st.floats(0.0, 12.0), min_size=1, max_size=4))
+def test_stack_reductions_match_laws_row_by_row(spec, scenario, times):
+    # the Kraus-side reductions of a stack over times are the T-row laws of
+    # the same times: coefficients row by row, and the means
+    kraus = kraus_at_times(spec, scenario, times)
+    if scenario is Scenario.TWO_QUBIT_VACUUM:
+        reduced = affine_from_kraus(kraus)
+    else:
+        reduced = quadratic_reduce_one_qubit(kraus)
+    law = fidelity_law(spec, scenario, times)
+    assert reduced.coefficients.shape == law.coefficients.shape
+    assert len(law.coefficients) == len(times)
+    assert np.abs(reduced.coefficients - law.coefficients).max() <= 1e-12
+    assert np.abs(reduced.mean - law.mean).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["nearest", "long_range", "zz"])
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_stack_over_times_matches_one_time_sets(scenario, kind, rng):
-    # t = 0 drops the leak operators of the occupied and two-qubit channels
-    # (nothing has moved yet): the stack zeroes them where a one-time set
-    # removes them, and the rest agree time by time
+    # row k of a stack over times is the set built at times[k] alone, all K
+    # operators kept: at t = 0 the leak operators of the occupied and
+    # two-qubit channels hold only rounding, and they stay in the stack
     n = 7
     spec = seeded_chain(int(rng.integers(2**31)), n, kind)
     times = np.r_[0.0, rng.uniform(0.2, 8.0, 4)]
     stack = kraus_at_times(spec, scenario, times)
-    assert stack.operators.shape[:2] == (5, stack.n_constructed)
     assert stack.completeness_defect.shape == (5,)
     for k, t in enumerate(times):
-        one = kraus_for_scenario(spec, scenario, float(t))
-        ops = stack.operators[k]
-        kept = ops[np.abs(ops).max(axis=(1, 2)) > DROP_THRESHOLD]
-        assert stack.n_constructed == one.n_constructed
-        assert kept.shape == one.operators.shape
-        assert np.abs(kept - one.operators).max() <= 1e-14
-        assert abs(stack.completeness_defect[k] - one.completeness_defect) <= 1e-15
+        one = kraus_at_times(spec, scenario, [t])
+        assert one.operators.shape == (1, *stack.operators.shape[1:])
+        assert np.abs(stack.operators[k] - one.operators[0]).max() <= 1e-14
+        assert abs(stack.completeness_defect[k] - one.completeness_defect[0]) <= 1e-15
     if scenario is not Scenario.ONE_QUBIT_VACUUM:
-        assert np.count_nonzero(np.abs(stack.operators[0]).max(axis=(1, 2))) < stack.n_constructed
+        assert (np.abs(stack.operators[0]).max(axis=(1, 2)) < 1e-14).any()
 
 
 def test_stack_outputs_match_one_time_outputs(rng):
-    # apply_channel and fidelity_many take the stack's leading time axis:
-    # one input per time in, one output per time out
+    # apply_channel and fidelity_many read time k of a stack as the set at
+    # that time alone: one input per time in, one output per time out
     spec = make_random_chain(rng, 7)
     times = rng.uniform(0.5, 6.0, 4)
     for scenario in Scenario:
@@ -250,20 +268,23 @@ def test_stack_outputs_match_one_time_outputs(rng):
         values = fidelity_many(stack, psi[:, None, :])
         assert rho.shape == (4, stack.dim, stack.dim) and values.shape == (4, 1)
         for k, t in enumerate(times):
-            one = kraus_for_scenario(spec, scenario, float(t))
-            assert np.abs(rho[k] - apply_channel(one, psi[k])).max() <= 1e-14
-            assert abs(values[k, 0] - fidelity(one, psi[k])) <= 1e-14
+            one = kraus_at_times(spec, scenario, [t])
+            assert np.abs(rho[k] - apply_channel(one, psi[k : k + 1])[0]).max() <= 1e-14
+            assert abs(values[k, 0] - fidelity_many(one, psi[None, k : k + 1])[0, 0]) <= 1e-14
 
 
 def test_stack_inputs_validated(rng):
     spec = make_random_chain(rng, 6)
     stack = kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [1.0, 2.0])
+    assert pauli_transfer_matrix(stack).shape == (2, 4, 4)
     with pytest.raises(ParameterError):
-        apply_channel(stack, random_state(rng, 2))  # one state for two times
+        apply_channel(stack, random_state(rng, 2)[None])  # one state for two times
     with pytest.raises(ParameterError):
-        fidelity_many(stack, random_state(rng, 2)[None, :])
+        apply_channel(stack, random_state(rng, 2))  # a bare state is no stack
     with pytest.raises(ParameterError):
-        pauli_transfer_matrix(stack)  # one time only
+        fidelity_many(stack, random_state(rng, 2)[None, None])
+    with pytest.raises(ParameterError):
+        fidelity_many(stack, np.array([random_state(rng, 2)] * 2))  # no sample axis
     for times in (1.0, [[1.0, 2.0]], [1.0, np.nan]):
         with pytest.raises(ParameterError):
             kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, times)

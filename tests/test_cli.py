@@ -89,7 +89,7 @@ def test_config_file_with_flag_overrides(tmp_path):
         "scenario": "one_qubit_vacuum",
         "mode": {"type": "at_optimal"},
         "mc_samples": 0,
-        "seed": 5,
+        "seed": 5.0,  # an integral float is an integer
         "output_dir": str(tmp_path / "from_file"),
     }
     path = tmp_path / "config.json"
@@ -98,7 +98,7 @@ def test_config_file_with_flag_overrides(tmp_path):
     assert run_cli("pdf", "--config", str(path), "--out", str(out)) == 0
     record = read_json(out / "result.json")
     assert record["config"]["output_dir"] == str(out)
-    assert record["config"]["seed"] == 5
+    assert record["config"]["seed"] == 5 and isinstance(record["config"]["seed"], int)
 
 
 def test_unreachable_target_exit_code(tmp_path):
@@ -156,6 +156,10 @@ MALFORMED = {
     "negative_seed": (["--seed", "-1"], "seed"),
     "jitter_outside_timing_error": (["--mode", "at_optimal", "--jitter"], "jitter"),
     "grid_below_minimum": (["--grid", "0"], "grid"),
+    "config_n_sites_fractional": ({"n_sites": 10.7}, "n_sites"),
+    "config_seed_fractional": ({"seed": 2.9}, "seed"),
+    "config_grid_fractional": ({"grid": 150.5}, "grid"),
+    "config_seed_boolean": ({"seed": True}, "seed"),
 }
 
 
@@ -164,11 +168,12 @@ def test_malformed_input_exit_code(tmp_path, capsys, malformed, field):
     args = [
         "pdf",
         "--protocol", "perfect",
-        "--n-sites", "8",
         "--scenario", "one_qubit_vacuum",
         "--mc-samples", "0",
         "--out", str(tmp_path / "x"),
     ]
+    if not (isinstance(malformed, dict) and "n_sites" in malformed):
+        args += ["--n-sites", "8"]  # a flag overrides the config field
     if isinstance(malformed, list):
         args += malformed
     else:
@@ -204,6 +209,28 @@ def test_tune_record(tmp_path):
     record = read_json(out / "result.json")
     assert record["avg_fidelity"] > record["avg_fidelity_no_aux"]
     assert record["avg_fidelity"] > 0.99
+
+
+def test_grid_without_window_rescans_the_ladder_window(tmp_path):
+    # --grid alone: the ladder picks the window, then the tuning rescans
+    # that window at the given grid
+    from spintransfer.analytics import phase_correction_applies
+    from spintransfer.chain import Weak
+    from spintransfer.channel import Scenario
+
+    out = tmp_path / "tune"
+    args = ["tune", "--protocol", "weak", "--j0", "0.05", "--n-sites", "8",
+            "--scenario", "one_qubit_vacuum", "--grid", "1234", "--out", str(out)]
+    assert run_cli(*args) == 0
+    record = read_json(out / "result.json")
+    assert record["config"]["grid"] == 1234 and record["config"]["window"] is None
+    scenario = Scenario.ONE_QUBIT_VACUUM
+    spec = protocol_preset(Weak(0.05), 8)
+    corrected = phase_correction_applies(scenario, True)
+    ladder = analytics.tune_with_ladder(spec, scenario, Weak(0.05), corrected)
+    assert ladder.window[2] != 1234
+    rescan = analytics.find_optimal_time(spec, scenario, ladder.window[:2], 1234, corrected)
+    assert record["t_opt"] == rescan.t_opt
 
 
 @pytest.mark.parametrize(
@@ -355,7 +382,7 @@ def test_fixed_time_histogram_is_one_kraus_run(tmp_path):
     # direct Monte Carlo run of the Kraus set at that time
     from spintransfer import cli
     from spintransfer.analytics import fidelity_law
-    from spintransfer.channel import kraus_for_scenario
+    from spintransfer.channel import kraus_at_times
     from spintransfer.sampling import RandomStream, default_bin_edges, mc_fidelity_histogram
 
     args = [a for a in BASE]
@@ -365,7 +392,7 @@ def test_fixed_time_histogram_is_one_kraus_run(tmp_path):
     plan = cli._resolve_plan(config)
     law = fidelity_law(plan.spec, plan.scenario, [plan.t_read])
     expected = mc_fidelity_histogram(
-        kraus_for_scenario(plan.spec, plan.scenario, plan.t_read),
+        kraus_at_times(plan.spec, plan.scenario, [plan.t_read]),
         config.mc_samples,
         default_bin_edges(law, config.bins),
         RandomStream(config.seed),
@@ -380,8 +407,8 @@ def test_corrupted_coupling_detected_by_spectrum_check():
     # (completeness and oracle agreement are self-consistent) but breaks the
     # equally-spaced spectrum of the engineered chain
     from spintransfer.chain import ChainSpec
-    from spintransfer.channel import Scenario, apply_channel, kraus_for_scenario
-    from spintransfer.oracle import evolve_full, reduced_density, transfer_initial_state
+    from spintransfer.channel import Scenario, apply_channel, kraus_at_times
+    from spintransfer.oracle import evolve_many, reduced_density, transfer_initial_state
     from conftest import random_state, trace_distance
 
     spec = protocol_preset(Perfect(), 8)
@@ -389,12 +416,12 @@ def test_corrupted_coupling_detected_by_spectrum_check():
     couplings[1, 2] = couplings[2, 1] = couplings[1, 2] * 1.05
     corrupted = ChainSpec(8, couplings, spec.anisotropies, spec.fields)
 
-    kraus = kraus_for_scenario(corrupted, Scenario.ONE_QUBIT_VACUUM, 1.3)
-    assert kraus.completeness_defect <= 1e-9  # still a valid channel
-    psi = random_state(np.random.default_rng(3), 2)
-    rho = apply_channel(kraus, psi)
-    full = evolve_full(corrupted, transfer_initial_state(8, (1,), psi), 1.3)
-    assert trace_distance(rho, reduced_density(full, (8,))) <= 1e-9
+    kraus = kraus_at_times(corrupted, Scenario.ONE_QUBIT_VACUUM, [1.3])
+    assert kraus.completeness_defect[0] <= 1e-9  # still a valid channel
+    psi = random_state(np.random.default_rng(3), 2)[None]
+    rho = apply_channel(kraus, psi)[0]
+    full = evolve_many(corrupted, transfer_initial_state(8, (1,), psi), [1.3])
+    assert trace_distance(rho, reduced_density(full, (8,))[0]) <= 1e-9
 
     gaps = np.diff(dynamics_for(corrupted).one.eigenvalues)
     assert np.abs(gaps - gaps[0]).max() > 1e-9  # spectrum check fires

@@ -26,7 +26,7 @@ from spintransfer.analytics import (
 )
 from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
 from spintransfer.cli import PDF_CURVE_CELLS, PDF_CURVE_PAD_CELLS, pdf_curve_rows
-from spintransfer.channel import KrausSet, Scenario, fidelity_many, kraus_for_scenario
+from spintransfer.channel import Scenario, fidelity_many, kraus_at_times, kraus_set
 from spintransfer import analytics, dynamics
 from spintransfer.dynamics import (
     dynamics_for,
@@ -50,7 +50,7 @@ times = st.floats(0.0, 12.0)
 
 
 def kraus_reduction(spec, scenario, t):
-    kraus = kraus_for_scenario(spec, scenario, t)
+    kraus = kraus_at_times(spec, scenario, [t])
     if scenario is Scenario.TWO_QUBIT_VACUUM:
         reduced = affine_from_kraus(kraus)
     else:
@@ -79,13 +79,13 @@ def mean_from_cdf(law) -> float:
 
 @given(specs, times, st.sampled_from(ONE_QUBIT))
 def test_exact_reduction_matches_brute_force_average(spec, t, scenario):
-    kraus = kraus_for_scenario(spec, scenario, t)
+    kraus = kraus_at_times(spec, scenario, [t])
     quad_form = quadratic_reduce_one_qubit(kraus)
     xs = np.linspace(-1.0, 1.0, 21)
     # 8 azimuth nodes integrate trigonometric polynomials of degree 2 exactly
     phis = 2.0 * np.pi * np.arange(8) / 8
     theta, phi = np.meshgrid(np.arccos(xs), phis, indexing="ij")
-    values = fidelity_many(kraus, bloch_states(theta.ravel(), phi.ravel())).reshape(21, 8)
+    values = fidelity_many(kraus, bloch_states(theta.ravel(), phi.ravel())[None])[0].reshape(21, 8)
     assert np.abs(values.mean(axis=1) - quad_form.evaluate(xs)[0]).max() <= 1e-12
     assert np.ptp(values, axis=1).max() <= 1e-12
 
@@ -200,12 +200,13 @@ def test_azimuth_dependent_channel_is_rejected():
     rotation = np.array(
         [[np.cos(angle), -1j * np.sin(angle)], [-1j * np.sin(angle), np.cos(angle)]]
     )
-    kraus = KrausSet(rotation[None], 0.0, 1)
+    # read out after the identity: the error names the rotation's row
+    kraus = kraus_set(np.stack([np.eye(2), rotation])[:, None])
     equator = fidelity_many(
-        kraus, bloch_states(np.full(4, np.pi / 2), np.arange(4) * np.pi / 4)
+        kraus, np.broadcast_to(bloch_states(np.full(4, np.pi / 2), np.arange(4) * np.pi / 4), (2, 4, 2))
     )
-    assert np.ptp(equator) > 0.1
-    with pytest.raises(ModelError):
+    assert np.ptp(equator[0]) < 1e-15 and np.ptp(equator[1]) > 0.1
+    with pytest.raises(ModelError, match="row 1"):
         quadratic_reduce_one_qubit(kraus)
 
 

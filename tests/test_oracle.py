@@ -17,7 +17,6 @@ from spintransfer.oracle import (
     FullState,
     basis_index,
     block_hamiltonian,
-    evolve_full,
     evolve_many,
     reduced_density,
     transfer_initial_state,
@@ -117,12 +116,10 @@ def test_capacity_cap():
     spec = make_random_chain(np.random.default_rng(0), n)
     with pytest.raises(CapacityError):
         block_hamiltonian(spec, 1)
-    vacuum = np.zeros(1 << n, dtype=complex)
-    vacuum[0] = 1.0
+    vacuum = np.zeros((1, 1 << n), dtype=complex)
+    vacuum[0, 0] = 1.0
     with pytest.raises(CapacityError):
-        evolve_full(spec, FullState(vacuum, n), 1.0)
-    with pytest.raises(CapacityError):
-        evolve_many(spec, FullState(vacuum[None, :], n), [1.0])
+        evolve_many(spec, FullState(vacuum, n), [1.0])
 
 
 def test_block_popcount_validated():
@@ -142,8 +139,8 @@ def test_all_popcount_evolution_matches_expm(rng):
     psi = random_state(rng, 1 << 6)
     t = 1.7
     expected = expm(-1j * t * full_hamiltonian(spec)) @ psi
-    out = evolve_full(spec, FullState(psi, 6), t)
-    assert np.abs(out.amplitudes - expected).max() <= 1e-10
+    out = evolve_many(spec, FullState(psi[None], 6), [t])
+    assert np.abs(out.amplitudes[0] - expected).max() <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -166,14 +163,14 @@ def test_oracle_diagonalises_only_occupied_blocks(monkeypatch, rng, senders, occ
     n = 12
     spec = make_random_chain(rng, n, long_range=True)
     psi = random_state(rng, 1 << len(senders))
-    evolve_full(spec, transfer_initial_state(n, senders, psi, occupied), 2.3)
+    evolve_many(spec, transfer_initial_state(n, senders, psi[None], occupied), [2.3])
     assert sizes and max(sizes) <= comb(n, 2)
 
 
 def test_evolution_identity_at_zero(rng):
     spec = make_random_chain(rng, 4)
-    state = FullState(random_state(rng, 16), 4)
-    out = evolve_full(spec, state, 0.0)
+    state = FullState(random_state(rng, 16)[None], 4)
+    out = evolve_many(spec, state, [0.0])
     assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
 
 
@@ -182,9 +179,9 @@ def test_one_excitation_periodicity_two_sites():
     psi = np.zeros(4, dtype=complex)
     psi[1] = 1.0 / np.sqrt(2.0)
     psi[2] = 1j / np.sqrt(2.0)
-    state = FullState(psi, 2)
-    out = evolve_full(BOND, state, np.pi / 2.0)
-    overlap = abs(np.vdot(psi, out.amplitudes))
+    state = FullState(psi[None], 2)
+    out = evolve_many(BOND, state, [np.pi / 2.0])
+    overlap = abs(np.vdot(psi, out.amplitudes[0]))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
@@ -196,12 +193,12 @@ def test_sector_evolution_matches_full(rng):
     full_vec = np.zeros(1 << 6, dtype=complex)
     for site, c in enumerate(coeffs, start=1):
         full_vec[basis_index(6, [site])] = c
-    evolved = evolve_full(spec, FullState(full_vec, 6), t)
+    evolved = evolve_many(spec, FullState(full_vec[None], 6), [t])
     sector = propagator_at(dyn.one, t) @ coeffs
     overlap = abs(
         np.vdot(
             sector,
-            [evolved.amplitudes[basis_index(6, [s])] for s in range(1, 7)],
+            [evolved.amplitudes[0, basis_index(6, [s])] for s in range(1, 7)],
         )
     )
     assert 1.0 - overlap <= 1e-9
@@ -209,22 +206,22 @@ def test_sector_evolution_matches_full(rng):
 
 def test_reduced_density_product_state():
     # |psi> = |1>_1 x |0>_2: reducing to site 1 gives the pure projector
-    psi = np.zeros(4, dtype=complex)
-    psi[1] = 1.0
+    psi = np.zeros((1, 4), dtype=complex)
+    psi[0, 1] = 1.0
     rho = reduced_density(FullState(psi, 2), (1,))
-    assert np.allclose(rho, np.diag([0.0, 1.0]))
+    assert np.allclose(rho, np.diag([0.0, 1.0])[None])
 
 
 def test_reduced_density_bell_pair():
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
+    psi = np.zeros((1, 4), dtype=complex)
+    psi[0, 0] = psi[0, 3] = 1.0 / np.sqrt(2.0)
     rho = reduced_density(FullState(psi, 2), (1,))
-    assert np.allclose(rho, 0.5 * np.eye(2), atol=1e-12)
+    assert np.allclose(rho, 0.5 * np.eye(2)[None], atol=1e-12)
 
 
 def test_reduced_density_trace_one(rng):
-    state = FullState(random_state(rng, 1 << 6), 6)
-    rho = reduced_density(state, (5, 6))
+    state = FullState(random_state(rng, 1 << 6)[None], 6)
+    rho = reduced_density(state, (5, 6))[0]
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     eigenvalues = np.linalg.eigvalsh(rho)
     assert eigenvalues.min() >= -1e-10
@@ -232,23 +229,23 @@ def test_reduced_density_trace_one(rng):
 
 def test_reduced_density_site_order_convention():
     # excitation on site 2 of 3: reducing to (2, 3) vs (3, 2) swaps factors
-    psi = np.zeros(8, dtype=complex)
-    psi[basis_index(3, [2])] = 1.0
-    rho_23 = reduced_density(FullState(psi, 3), (2, 3))
-    rho_32 = reduced_density(FullState(psi, 3), (3, 2))
+    psi = np.zeros((1, 8), dtype=complex)
+    psi[0, basis_index(3, [2])] = 1.0
+    rho_23 = reduced_density(FullState(psi, 3), (2, 3))[0]
+    rho_32 = reduced_density(FullState(psi, 3), (3, 2))[0]
     assert rho_23[2, 2] == pytest.approx(1.0)  # |1 0> with first factor site 2
     assert rho_32[1, 1] == pytest.approx(1.0)  # |0 1> with first factor site 3
 
 
 def test_initial_state_embedding(rng):
     psi = random_state(rng, 2)
-    state = transfer_initial_state(5, (1,), psi, range(2, 5))
+    state = transfer_initial_state(5, (1,), psi[None], range(2, 5))
     # amplitude of |0>_1 (x) |j>: psi_0 / sqrt(3)
     for j in (2, 3, 4):
-        assert state.amplitudes[basis_index(5, [j])] == pytest.approx(
+        assert state.amplitudes[0, basis_index(5, [j])] == pytest.approx(
             psi[0] / np.sqrt(3.0)
         )
-        assert state.amplitudes[basis_index(5, [1, j])] == pytest.approx(
+        assert state.amplitudes[0, basis_index(5, [1, j])] == pytest.approx(
             psi[1] / np.sqrt(3.0)
         )
 
@@ -256,7 +253,7 @@ def test_initial_state_embedding(rng):
 def test_channel_sites_must_avoid_senders_and_lie_in_the_chain(rng):
     # an occupied site that is also a sender would OR two excitations into
     # one bit; a site past N has no bit at all
-    psi = random_state(rng, 2)
+    psi = random_state(rng, 2)[None]
     with pytest.raises(ParameterError):
         transfer_initial_state(5, (1,), psi, (1, 2))
     with pytest.raises(ParameterError):
@@ -264,7 +261,7 @@ def test_channel_sites_must_avoid_senders_and_lie_in_the_chain(rng):
 
 
 def test_invalid_sites_rejected(rng):
-    state = FullState(random_state(rng, 16), 4)
+    state = FullState(random_state(rng, 16)[None], 4)
     for sites in [(0,), (5,), (1, 1)]:
         with pytest.raises(ParameterError):
             reduced_density(state, sites)
@@ -274,7 +271,7 @@ def test_invalid_sites_rejected(rng):
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_batched_oracle_matches_one_row_calls(scenario, kind, rng):
     # embedding, evolution and partial trace of a stack of sender states
-    # agree row by row with the one-state calls
+    # agree row by row with calls on a stack of one
     n = 7
     spec = seeded_chain(int(rng.integers(2**31)), n, kind)
     times = rng.uniform(0.0, 12.0, 5)
@@ -284,11 +281,11 @@ def test_batched_oracle_matches_one_row_calls(scenario, kind, rng):
     rho = reduced_density(evolved, scenario.receiver(n))
     assert evolved.amplitudes.shape == (5, 1 << n)
     for k, t in enumerate(times):
-        one = transfer_initial_state(n, scenario.senders, psi[k], scenario.occupied(n))
-        assert np.array_equal(initial.amplitudes[k], one.amplitudes)
-        full = evolve_full(spec, one, float(t))
-        assert np.abs(evolved.amplitudes[k] - full.amplitudes).max() <= 1e-13
-        assert np.abs(rho[k] - reduced_density(full, scenario.receiver(n))).max() <= 1e-13
+        one = transfer_initial_state(n, scenario.senders, psi[k : k + 1], scenario.occupied(n))
+        assert np.array_equal(initial.amplitudes[k : k + 1], one.amplitudes)
+        full = evolve_many(spec, one, [t])
+        assert np.abs(evolved.amplitudes[k : k + 1] - full.amplitudes).max() <= 1e-13
+        assert np.abs(rho[k : k + 1] - reduced_density(full, scenario.receiver(n))).max() <= 1e-13
 
 
 def test_batched_oracle_at_the_cap_matches_kraus_stack(rng):
@@ -313,6 +310,8 @@ def test_evolve_many_validates_shapes(rng):
     with pytest.raises(ParameterError):
         evolve_many(spec, states, [1.0, np.inf])
     with pytest.raises(ParameterError):
-        evolve_full(spec, states, 1.0)  # a stack is not one state
+        FullState(random_state(rng, 16), 4)  # a bare state is no stack
+    with pytest.raises(ParameterError):
+        transfer_initial_state(4, (1,), random_state(rng, 2))
     with pytest.raises(ParameterError):
         FullState(np.array([random_state(rng, 16), np.zeros(16)]), 4)

@@ -19,10 +19,10 @@ from spintransfer.analytics import (
 from spintransfer.certify import random_isometry_kraus
 from spintransfer.chain import Barrier, Weak, protocol_preset
 from spintransfer.channel import (
-    KrausSet,
     Scenario,
     fidelity_many,
-    kraus_for_scenario,
+    kraus_at_times,
+    kraus_set,
     pauli_transfer_matrix,
 )
 from spintransfer.cli import KS_GATE_ALPHA
@@ -120,7 +120,7 @@ def test_histogram_invariants():
 
 
 def test_identity_channel_histogram_all_top_bin():
-    identity = KrausSet(np.eye(2, dtype=complex)[None, :, :], 0.0, 1)
+    identity = kraus_set(np.eye(2, dtype=complex)[None, None])
     edges = np.linspace(0.0, 1.0, 11)
     hist = mc_fidelity_histogram(identity, 5000, edges, RandomStream(3))
     assert hist.counts[-1] == 5000
@@ -129,7 +129,7 @@ def test_identity_channel_histogram_all_top_bin():
 
 def test_histogram_determinism(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 2.2)
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [2.2])
     edges = np.linspace(0.0, 1.0, 201)
     h1 = mc_fidelity_histogram(kraus, 50_000, edges, RandomStream(11, 4))
     h2 = mc_fidelity_histogram(kraus, 50_000, edges, RandomStream(11, 4))
@@ -140,7 +140,7 @@ def test_histogram_determinism(rng):
 
 def test_mc_histogram_matches_analytic_pdf(rng):
     spec = make_random_chain(rng, 7)
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 3.1)
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [3.1])
     pdf = quadratic_reduce_one_qubit(kraus)
     edges = default_bin_edges(pdf, 200)
     hist = mc_fidelity_histogram(kraus, 200_000, edges, RandomStream(12))
@@ -149,7 +149,7 @@ def test_mc_histogram_matches_analytic_pdf(rng):
 
 def test_two_qubit_histogram_matches_transform(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 2.7)
+    kraus = kraus_at_times(spec, Scenario.TWO_QUBIT_VACUUM, [2.7])
     pdf = affine_from_kraus(kraus)
     edges = default_bin_edges(pdf, 200)
     hist = mc_fidelity_histogram(kraus, 200_000, edges, RandomStream(13))
@@ -172,7 +172,7 @@ def test_ks_distance_delta_vs_spread():
 
 
 def test_mc_local_unitary_identity_channel():
-    identity = KrausSet(np.eye(4, dtype=complex)[None, :, :], 0.0, 1)
+    identity = kraus_set(np.eye(4, dtype=complex)[None, None])
     mean, err = mc_local_unitary_fidelity(identity, 0.7, 4000, RandomStream(5))
     assert mean == pytest.approx(1.0, abs=1e-12)
     assert err == pytest.approx(0.0, abs=1e-8)  # pure fp noise in the variance
@@ -180,7 +180,7 @@ def test_mc_local_unitary_identity_channel():
 
 def test_mc_local_unitary_validation(rng):
     spec = make_random_chain(rng, 6)
-    kraus = kraus_for_scenario(spec, Scenario.ONE_QUBIT_VACUUM, 1.0)
+    kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [1.0])
     with pytest.raises(ParameterError):
         mc_local_unitary_fidelity(kraus, 0.5, 100, RandomStream(1))
 
@@ -191,13 +191,13 @@ def test_bloch_map_matches_kraus_on_random_isometries(n_ops, seed):
     rng = np.random.default_rng(seed)
     kraus = random_isometry_kraus(rng, n_ops)
     u, v, x = sample_bloch_vectors(rng, 200)
-    form = bloch_fidelities(pauli_transfer_matrix(kraus), u, v, x)
-    reference = fidelity_many(kraus, bloch_states(np.arccos(x), np.arctan2(v, u)))
+    form = bloch_fidelities(pauli_transfer_matrix(kraus)[0], u, v, x)
+    reference = fidelity_many(kraus, bloch_states(np.arccos(x), np.arctan2(v, u))[None])[0]
     assert np.abs(form - reference).max() <= 1e-13
 
 
 def test_pauli_transfer_matrix_rejects_dimension_three():
-    qutrit = KrausSet(np.eye(3, dtype=complex)[None], 0.0, 1)
+    qutrit = kraus_set(np.eye(3, dtype=complex)[None, None])
     with pytest.raises(ParameterError):
         pauli_transfer_matrix(qutrit)
 
@@ -212,9 +212,9 @@ def test_kraus_side_reads_no_trace_sums(monkeypatch, rng):
     spec = make_random_chain(rng, 6)
     with pytest.raises(AssertionError):
         fidelity_law(spec, Scenario.TWO_QUBIT_VACUUM, [2.7])  # the patch is live
-    kraus = kraus_for_scenario(spec, Scenario.TWO_QUBIT_VACUUM, 2.7)
+    kraus = kraus_at_times(spec, Scenario.TWO_QUBIT_VACUUM, [2.7])
     affine_from_kraus(kraus)
-    quadratic_reduce_one_qubit(kraus_for_scenario(spec, Scenario.ONE_QUBIT_UNIFORM, 2.7))
+    quadratic_reduce_one_qubit(kraus_at_times(spec, Scenario.ONE_QUBIT_UNIFORM, [2.7]))
     hist = mc_fidelity_histogram(kraus, 1000, np.linspace(0.0, 1.0, 51), RandomStream(3))
     assert hist.n_samples == 1000
 
@@ -222,8 +222,8 @@ def test_kraus_side_reads_no_trace_sums(monkeypatch, rng):
 @pytest.mark.parametrize(
     "make_kraus",
     [
-        lambda: kraus_for_scenario(protocol_preset(Weak(0.1), 12), Scenario.ONE_QUBIT_VACUUM, 95.0),
-        lambda: kraus_for_scenario(protocol_preset(Barrier(20.0), 9), Scenario.ONE_QUBIT_UNIFORM, 23.7),
+        lambda: kraus_at_times(protocol_preset(Weak(0.1), 12), Scenario.ONE_QUBIT_VACUUM, [95.0]),
+        lambda: kraus_at_times(protocol_preset(Barrier(20.0), 9), Scenario.ONE_QUBIT_UNIFORM, [23.7]),
         # not phase covariant, unlike the presets: a wrong sign on the v
         # terms of the form changes its histogram
         lambda: random_isometry_kraus(np.random.default_rng(5), 3),
@@ -241,9 +241,32 @@ def test_mc_histogram_matches_state_vector_histogram(make_kraus):
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     for start in range(0, n, MC_BATCH):
         u, v, x = sample_bloch_vectors(rng, min(MC_BATCH, n - start))
-        values = fidelity_many(kraus, bloch_states(np.arccos(x), np.arctan2(v, u)))
+        values = fidelity_many(kraus, bloch_states(np.arccos(x), np.arctan2(v, u))[None])[0]
         counts += np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)[0]
     assert np.abs(hist.counts - counts).sum() <= 2
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_mc_histogram_of_a_stack_sums_its_rows_on_substreams(scenario, rng):
+    # a stack holds T equal-weight read-out times: one multinomial draw from
+    # substream T splits the samples, and row k draws its share from
+    # substream k exactly as the set of that row alone does
+    spec = make_random_chain(rng, 7)
+    times = rng.uniform(0.5, 6.0, 5)
+    stack = kraus_at_times(spec, scenario, times)
+    edges = np.linspace(0.0, 1.0, 101)
+    stream = RandomStream(17, 3)
+    n = 40_000
+    hist = mc_fidelity_histogram(stack, n, edges, stream)
+    shares = stream.substream(times.size).generator().multinomial(n, np.full(times.size, 0.2))
+    counts = sum(
+        mc_fidelity_histogram(
+            kraus_set(stack.operators[k : k + 1]), int(share), edges, stream.substream(k)
+        ).counts
+        for k, share in enumerate(shares)
+    )
+    assert shares.min() > 0 and hist.n_samples == n
+    assert np.array_equal(hist.counts, counts)
 
 
 def dkw_bound(n: int, alpha: float = KS_GATE_ALPHA) -> float:
@@ -278,7 +301,7 @@ def test_mc_histogram_matches_independent_bloch_sampler():
     n_mc, n_ref = 1_000_000, 200_000
     hist = mc_fidelity_histogram(kraus, n_mc, edges, RandomStream(42))
     theta, phi = sample_bloch(RandomStream(43), n_ref)
-    values = fidelity_many(kraus, bloch_states(theta, phi))
+    values = fidelity_many(kraus, bloch_states(theta, phi)[None])[0]
     reference = np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)[0]
     gap = np.abs(np.cumsum(hist.counts) / n_mc - np.cumsum(reference) / n_ref).max()
     assert gap <= dkw_bound(n_mc) + dkw_bound(n_ref)
