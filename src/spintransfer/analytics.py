@@ -31,6 +31,10 @@ channel's Pauli transfer matrix, none of the laws' arithmetic.  The Kraus
 sets read every pair row, so on free-fermion chains the reductions check
 the closed forms, and elsewhere, where laws and Kraus sets read the same
 rows, the laws' row arithmetic; the 2^N oracle checks the rows.
+
+Read-out planning has one place per decision: :func:`tune_with_ladder` the
+scan windows, :func:`find_optimal_time` whether the field applies, and
+:func:`plan_readout` the read-out ``times``; :func:`tune_readout` runs both.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 TARGET_WALK_STEP = 1e-4
 TARGET_TICK_BLOCK = 512
 LADDER_STOP_AVG = 0.995
+DEFAULT_TIMING_FRACTION = 0.02
+JITTER_MIX_NODES = 41
 MIN_SCAN_GRID = 100
 NORMALIZATION_NODES = 64
 
@@ -621,7 +627,7 @@ class ProtocolTuning:
     the (lo, hi, grid) ``window`` whose scan found it.
 
     ``phase_corrected`` records whether the maximized average was the
-    phase-corrected one (see :func:`phase_correction_applies`); the field
+    phase-corrected one, as :func:`find_optimal_time` decided it; the field
     that realizes it is resolved by :func:`plan_readout`.
     """
 
@@ -629,15 +635,6 @@ class ProtocolTuning:
     achieved_avg_fidelity: float
     phase_corrected: bool
     window: tuple[float, float, int]
-
-
-def phase_correction_applies(scenario: Scenario, aux_field: bool) -> bool:
-    """Whether an auxiliary field nulls the arrival phase in ``scenario``.
-
-    The uniform-channel average is not a function of a single arrival
-    phase, so no field is applied there.
-    """
-    return aux_field and scenario is not Scenario.ONE_QUBIT_UNIFORM
 
 
 def phase_null_field(spec: ChainSpec, scenario: Scenario, t: float) -> float:
@@ -698,7 +695,11 @@ def find_optimal_time(
 
     A coarse grid scan over ``window`` picks the best sample; golden-section
     refinement around it narrows the time to a relative resolution of 1e-8.
+    ``phase_corrected`` asks for the field that nulls the arrival phase;
+    this is the one place deciding whether it applies.  The occupied channel
+    takes none: its average is not a function of a single arrival phase.
     """
+    phase_corrected = bool(phase_corrected) and scenario is not Scenario.ONE_QUBIT_UNIFORM
     t_lo, t_hi = float(window[0]), float(window[1])
     if not (np.isfinite(t_lo) and np.isfinite(t_hi)) or t_lo >= t_hi:
         raise ParameterError(f"invalid time window {window}")
@@ -718,7 +719,7 @@ def find_optimal_time(
     t_opt, f_opt = _golden_max(objective, lo, hi, rel_tol=1e-8)
     if curve[best] > f_opt:
         t_opt, f_opt = float(ts[best]), float(curve[best])
-    return ProtocolTuning(t_opt, f_opt, phase_correction_applies(scenario, phase_corrected), scanned)
+    return ProtocolTuning(t_opt, f_opt, phase_corrected, scanned)
 
 
 def _golden_max(func, lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
@@ -841,79 +842,106 @@ def tune_with_ladder(
     spec: ChainSpec,
     scenario: Scenario,
     kind,
-    phase_corrected: bool,
+    aux_field: bool,
+    window: tuple[float, float] | None = None,
+    grid: int | None = None,
 ) -> ProtocolTuning:
-    """Tune over the default window ladder, widening until LADDER_STOP_AVG.
-
-    Returns the tuning of the first window whose peak average reaches
-    LADDER_STOP_AVG, or the best over the whole ladder.
+    """Tune ``spec`` on an explicit ``window`` at ``grid`` points (200 000 by
+    default), or over the default window ladder, widening until a peak
+    reaches LADDER_STOP_AVG (else the best window wins), then rescanning
+    the ladder's window when ``grid`` differs from its own.  Every scan
+    maximizes the average ``aux_field`` asks for (see :func:`find_optimal_time`).
     """
+    if window is not None:
+        return find_optimal_time(spec, scenario, window, grid or 200_000, aux_field)
     best: ProtocolTuning | None = None
-    for lo, hi, grid in time_window_ladder(kind):
+    for lo, hi, ladder_grid in time_window_ladder(kind):
         tuning = find_optimal_time(
-            spec, scenario, (lo, hi), grid=grid, phase_corrected=phase_corrected
+            spec, scenario, (lo, hi), grid=ladder_grid, phase_corrected=aux_field
         )
         if best is None or tuning.achieved_avg_fidelity > best.achieved_avg_fidelity:
             best = tuning
         if tuning.achieved_avg_fidelity >= LADDER_STOP_AVG:
             break
+    if grid and grid != best.window[2]:
+        return find_optimal_time(spec, scenario, best.window[:2], grid, aux_field)
     return best
 
 
 @dataclass(frozen=True)
 class ReadoutPlan:
-    """Resolved read-out: effective spec, tuned times and auxiliary field."""
+    """Resolved read-out: the tuning, the effective spec (field folded in)
+    and the ``times`` law and Monte Carlo read: ``[t_read]`` or jitter nodes."""
 
     spec: ChainSpec
     scenario: Scenario
-    t_opt: float
+    tuning: ProtocolTuning
     t_read: float
     b_aux: float
+    times: np.ndarray
+
+    @property
+    def t_opt(self) -> float:
+        return self.tuning.t_opt
 
 
 def plan_readout(
     spec: ChainSpec,
     scenario: Scenario,
     tuning: ProtocolTuning,
+    mode: dict | None = None,
     *,
-    timing_fraction: float | None = None,
-    target_avg: float | None = None,
+    jitter: bool = False,
 ) -> ReadoutPlan:
-    """Resolve the read-out time and auxiliary field from a finished tuning.
+    """Resolve the read-out times and auxiliary field from a finished tuning.
 
     ``tuning`` is the result of :func:`find_optimal_time` (or
-    :func:`tune_with_ladder`) for ``spec`` and ``scenario``.  Exactly one of
-    three modes applies: read at the optimum (neither ``timing_fraction``
-    nor ``target_avg`` given), read with a relative timing error, or read
-    at the early-flank time hitting a target average.  A phase-corrected
-    tuning folds the uniform field that nulls the arrival phase into the
-    returned spec; the field is computed at the tuned optimum, except in
-    target mode where it nulls the phase at the read-out time itself.
+    :func:`tune_with_ladder`) for ``spec`` and ``scenario``; ``mode`` is a
+    configuration's timing mode: ``{"type": "at_optimal"}`` (the default),
+    ``{"type": "timing_error", "fraction": f}`` read at (1 + f) t_opt, or
+    ``{"type": "target_avg", "value": v}`` at the early-flank time of average
+    v.  ``jitter`` spreads a timing error over JITTER_MIX_NODES equal-weight
+    times t_opt (1 - f) ... t_opt (1 + f) instead, read out around t_opt.  A
+    phase-corrected tuning folds the field that nulls the arrival phase into
+    the returned spec, computed at t_opt, or at t_read in target mode.
     """
-    if timing_fraction is not None and target_avg is not None:
-        raise ParameterError("timing_fraction and target_avg are exclusive")
-    if target_avg is not None:
-        t_read = time_for_target_avg(spec, scenario, target_avg, tuning)
-        t_null = t_read
-    elif timing_fraction is not None:
-        if not 0.0 <= timing_fraction <= 0.5:
-            raise ParameterError(
-                f"timing fraction must lie in [0, 0.5], got {timing_fraction}"
-            )
-        t_read = (1.0 + timing_fraction) * tuning.t_opt
-        t_null = tuning.t_opt
+    mode_type = (mode or {"type": "at_optimal"}).get("type")
+    if jitter and mode_type != "timing_error":
+        raise ParameterError(f"jitter applies to the timing_error mode, not {mode_type}")
+    t_read = t_null = tuning.t_opt
+    if mode_type == "target_avg":
+        t_read = t_null = time_for_target_avg(spec, scenario, float(mode["value"]), tuning)
+    elif mode_type == "timing_error":
+        fraction = float(mode.get("fraction", DEFAULT_TIMING_FRACTION))
+        if not 0.0 <= fraction <= 0.5:
+            raise ParameterError(f"timing fraction must lie in [0, 0.5], got {fraction}")
+        if not jitter:
+            t_read = (1.0 + fraction) * tuning.t_opt
+    elif mode_type != "at_optimal":
+        raise ParameterError(f"unknown mode type {mode_type!r}")
+    if jitter:
+        times = tuning.t_opt * np.linspace(1.0 - fraction, 1.0 + fraction, JITTER_MIX_NODES)
     else:
-        t_read = tuning.t_opt
-        t_null = tuning.t_opt
+        times = np.array([float(t_read)])
     b_aux = 0.0
     spec_eff = spec
     if tuning.phase_corrected and t_null > 0.0:
         b_aux = phase_null_field(spec, scenario, t_null)
         spec_eff = spec.with_uniform_field(b_aux)
-    return ReadoutPlan(
-        spec=spec_eff,
-        scenario=scenario,
-        t_opt=tuning.t_opt,
-        t_read=float(t_read),
-        b_aux=b_aux,
-    )
+    return ReadoutPlan(spec_eff, scenario, tuning, float(t_read), b_aux, times)
+
+
+def tune_readout(
+    spec: ChainSpec,
+    scenario: Scenario,
+    kind,
+    aux_field: bool,
+    mode: dict | None = None,
+    *,
+    jitter: bool = False,
+    window: tuple[float, float] | None = None,
+    grid: int | None = None,
+) -> ReadoutPlan:
+    """:func:`tune_with_ladder`, then :func:`plan_readout` of ``mode``."""
+    tuning = tune_with_ladder(spec, scenario, kind, aux_field, window, grid)
+    return plan_readout(spec, scenario, tuning, mode, jitter=jitter)

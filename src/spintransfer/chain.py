@@ -59,9 +59,11 @@ class Perfect:
 ProtocolKind = Weak | Barrier | Perfect
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainSpec:
     """Couplings, anisotropies and local fields of an N-site network.
+
+    Specs compare and hash by content (:meth:`cache_key`).
 
     Attributes
     ----------
@@ -118,6 +120,14 @@ class ChainSpec:
                 self.fields.tobytes(),
             )
         )
+
+    def __eq__(self, other):
+        if not isinstance(other, ChainSpec):
+            return NotImplemented
+        return self.cache_key() == other.cache_key()
+
+    def __hash__(self) -> int:
+        return hash(self.cache_key())
 
     def with_uniform_field(self, b: float) -> "ChainSpec":
         """Return a copy with ``b`` added to every local field."""

@@ -118,18 +118,14 @@ def kraus_set(ops: np.ndarray) -> KrausSet:
 
 
 def _rows_at(spec: ChainSpec, scenario: Scenario, sources, targets, times):
-    """Chain dynamics, the times as a 1-D array, and the one-excitation rows
+    """Chain dynamics, the times as an array, and the one-excitation rows
     (T, len(sources), len(targets)) at those times.
 
-    Checks the chain size for ``scenario`` and that the times are a finite
-    1-D array first.
+    Checks the chain size for ``scenario`` first; :func:`propagator_rows`
+    checks that the times are a finite 1-D array.
     """
     scenario.check_sites(spec.n_sites)
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ParameterError(f"times must be a 1-D array, got shape {times.shape}")
-    if not np.isfinite(times).all():
-        raise ParameterError(f"times must be finite, got {times}")
     dyn = dynamics_for(spec)
     return dyn, times, propagator_rows(dyn.one, sources, targets, times)
 

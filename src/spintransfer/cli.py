@@ -3,9 +3,11 @@
 Three subcommands: ``tune`` locates optimal read-out times (optionally with
 the phase-nulling auxiliary field), ``pdf`` produces analytic fidelity
 distributions plus optional Monte Carlo histograms as figure-ready CSV
-files, and ``certify`` runs the brute-force cross-check suite.  Identical
-configuration and seed give byte-identical output files; wall-clock timing
-is printed to stdout only, never written into them.
+files, and ``certify`` runs the brute-force cross-check suite.  ``tune``
+and ``pdf`` get their read-out from one call,
+:func:`~spintransfer.analytics.tune_readout`.  Identical configuration and
+seed give byte-identical output files; wall-clock timing is printed to
+stdout only, never written into them.
 
 Exit codes: 0 success, 2 parameter error, 3 unreachable target average,
 4 certification failure (a failed ``certify`` check, or a ``pdf`` whose
@@ -24,14 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import (
-    ProtocolTuning,
+    DEFAULT_TIMING_FRACTION,
     ReadoutPlan,
     check_grid,
     fidelity_law,
     find_optimal_time,
-    phase_correction_applies,
-    plan_readout,
-    tune_with_ladder,
+    tune_readout,
 )
 from .chain import Barrier, ChainSpec, Perfect, ProtocolKind, Weak, protocol_preset
 from .channel import Scenario, kraus_at_times
@@ -52,8 +52,6 @@ OUTPUT_DIR_ENV = "SPINTRANSFER_OUT"
 DEFAULT_MC_SAMPLES = 100_000
 DEFAULT_BINS = 200
 DEFAULT_SEED = 0
-DEFAULT_TIMING_FRACTION = 0.02
-JITTER_MIX_NODES = 41
 PDF_CURVE_CELLS = 2001
 PDF_CURVE_PAD_CELLS = 4
 # false-alarm probability of the pdf's KS gate (Dvoretzky-Kiefer-Wolfowitz)
@@ -326,34 +324,10 @@ def _build_spec(config: ExperimentConfig) -> ChainSpec:
     return protocol_preset(config.kind(), config.n_sites, n_senders)
 
 
-def _tune(config: ExperimentConfig, spec: ChainSpec, corrected: bool) -> ProtocolTuning:
-    """Tuning of ``spec``; its ``window`` is the (lo, hi, grid) it scanned.
-
-    An explicit window is scanned at the configured grid (200 000 points by
-    default).  Otherwise the ladder picks the window, and a configured grid
-    that differs from the ladder's rescans that window at that grid.
-    """
-    scenario = config.scenario_enum()
-    if config.window is not None:
-        return find_optimal_time(spec, scenario, config.window, config.grid or 200_000, corrected)
-    tuning = tune_with_ladder(spec, scenario, config.kind(), corrected)
-    if not config.grid or config.grid == tuning.window[2]:
-        return tuning
-    return find_optimal_time(spec, scenario, tuning.window[:2], config.grid, corrected)
-
-
-def _resolve_plan(config: ExperimentConfig) -> ReadoutPlan:
-    spec = _build_spec(config)
-    scenario = config.scenario_enum()
-    tuning = _tune(config, spec, phase_correction_applies(scenario, config.resolved_aux()))
-    mode_type = config.mode.get("type")
-    kwargs = {}
-    # jittered read-outs spread around the optimum, so they are planned there
-    if mode_type == "timing_error" and not config.jitter:
-        kwargs["timing_fraction"] = float(config.mode.get("fraction", DEFAULT_TIMING_FRACTION))
-    elif mode_type == "target_avg":
-        kwargs["target_avg"] = float(config.mode["value"])
-    return plan_readout(spec, scenario, tuning, **kwargs)
+def _resolve_plan(config: ExperimentConfig, spec: ChainSpec) -> ReadoutPlan:
+    """The tuned read-out of ``spec`` that ``config`` asks for."""
+    return tune_readout(spec, config.scenario_enum(), config.kind(), config.resolved_aux(),
+                        config.mode, jitter=config.jitter, window=config.window, grid=config.grid)
 
 
 def _result_record(echo, plan, law, avg, ks, files) -> dict:
@@ -385,17 +359,13 @@ def cmd_tune(config: ExperimentConfig) -> dict:
         raise ParameterError(f"tune takes mode at_optimal only, got mode {mode_type}")
     started = time.perf_counter()
     spec = _build_spec(config)
-    scenario = config.scenario_enum()
-    corrected = phase_correction_applies(scenario, config.resolved_aux())
-    # the window must contain the peak of the objective actually used, so
-    # the ladder runs on the corrected curve whenever the field is applied
-    tuning = _tune(config, spec, corrected)
-    raw = tuning
-    if corrected:
-        lo, hi, grid = tuning.window
-        raw = find_optimal_time(spec, scenario, (lo, hi), grid, phase_corrected=False)
-    plan = plan_readout(spec, scenario, tuning)
-    law = fidelity_law(plan.spec, scenario, [plan.t_opt])
+    plan = _resolve_plan(config, spec)
+    raw = plan.tuning
+    if raw.phase_corrected:
+        # the uncorrected average, scanned over the window the tuning kept
+        lo, hi, grid = raw.window
+        raw = find_optimal_time(spec, plan.scenario, (lo, hi), grid, phase_corrected=False)
+    law = fidelity_law(plan.spec, plan.scenario, plan.times)
     os.makedirs(config.output_dir, exist_ok=True)
     # tune never samples, so it echoes no sampling settings
     echo = {k: v for k, v in config.to_echo().items() if k not in ("mc_samples", "seed", "bins")}
@@ -415,14 +385,13 @@ def cmd_tune(config: ExperimentConfig) -> dict:
 def cmd_pdf(config: ExperimentConfig) -> dict:
     """Analytic pdf + optional MC histogram at the resolved read-out times.
 
-    The law and the Monte Carlo run read one list of times: the planned
+    The law and the Monte Carlo run read the plan's times: the planned
     read-out, or the jitter nodes around the optimum.  With every file
     written, a KS distance above the DKW bound of the samples fails the run.
     """
     started = time.perf_counter()
-    plan = _resolve_plan(config)
-    times = _jitter_times(plan, config) if config.jitter else [plan.t_read]
-    law = fidelity_law(plan.spec, plan.scenario, times)
+    plan = _resolve_plan(config, _build_spec(config))
+    law = fidelity_law(plan.spec, plan.scenario, plan.times)
     # the rows' mean, which tuning and the target bisection evaluate
     avg = float(law.mean.mean())
 
@@ -435,7 +404,7 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
     ks = None
     if config.mc_samples > 0:
         edges = default_bin_edges(law, config.bins)
-        kraus = kraus_at_times(plan.spec, plan.scenario, times)
+        kraus = kraus_at_times(plan.spec, plan.scenario, plan.times)
         hist = mc_fidelity_histogram(kraus, config.mc_samples, edges, RandomStream(config.seed))
         ks = ks_distance(hist, law)
         files["histogram"] = "histogram.csv"
@@ -461,12 +430,6 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
                 f"of {config.mc_samples} samples"
             )
     return record
-
-
-def _jitter_times(plan: ReadoutPlan, config: ExperimentConfig) -> np.ndarray:
-    """The equal-weight read-out times of the jitter mixture around t_opt."""
-    fraction = float(config.mode.get("fraction", DEFAULT_TIMING_FRACTION))
-    return plan.t_opt * np.linspace(1.0 - fraction, 1.0 + fraction, JITTER_MIX_NODES)
 
 
 def cmd_certify(n_max: int, output_dir: str | None) -> dict:

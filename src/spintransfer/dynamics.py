@@ -4,7 +4,7 @@ Time evolution is evaluated from a one-off dense eigendecomposition of each
 sector Hamiltonian rather than by time stepping: the protocols of interest
 reach their working point at long times (weak effective couplings), where
 steppers accumulate error but the spectral form stays exact.  Spectral data
-is cached per chain spec behind a lock, and each sector is diagonalised the
+is cached per chain spec, and each sector is diagonalised the
 first time something reads it.  :func:`propagator_rows` (with
 :func:`pair_rows` for two excitations) is the one amplitude evaluator of
 the package: the fidelity laws read it on whole time grids and the Kraus
@@ -34,9 +34,8 @@ chains.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -139,8 +138,13 @@ def propagator_rows(prop: SpectralPropagator, sources, targets, times) -> np.nda
     non-uniform grid) computes the T x M phase matrix and takes one complex
     matrix product with the weights.  The two paths agree to the rounding
     of the phase arguments they share, 4 eps max|L| max|t| sum_m |w_m| per
-    row.
+    row.  ``times`` must be a finite 1-D array, else ParameterError.
     """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ParameterError(f"times must be a 1-D array, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise ParameterError(f"times must be finite, got {times}")
     v = prop.eigenvectors
 
     def rows_of(configs) -> np.ndarray:
@@ -148,7 +152,6 @@ def propagator_rows(prop: SpectralPropagator, sources, targets, times) -> np.nda
 
     weights = np.array([rows_of(group).sum(axis=0) for group in sources])
     modes = (weights[:, None, :] * rows_of(targets)).reshape(-1, prop.dimension)
-    times = np.asarray(times, dtype=float).ravel()
     step = _grid_step(times)
     if step is None:
         phases = np.exp(-1j * np.outer(times, prop.eigenvalues))
@@ -261,22 +264,8 @@ class ChainDynamics:
         return diagonalize(sector_hamiltonian(self.spec, self.pair_basis), self.pair_basis)
 
 
-_CACHE_LOCK = threading.Lock()
-_DYNAMICS_CACHE: dict[bytes, ChainDynamics] = {}
-_CACHE_LIMIT = 64
-
-
+@lru_cache(maxsize=64)
 def dynamics_for(spec: ChainSpec) -> ChainDynamics:
-    """Cached :class:`ChainDynamics` for a spec (content-addressed)."""
-    key = spec.cache_key()
-    with _CACHE_LOCK:
-        hit = _DYNAMICS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    built = ChainDynamics(spec)
-    with _CACHE_LOCK:
-        if len(_DYNAMICS_CACHE) >= _CACHE_LIMIT:
-            _DYNAMICS_CACHE.clear()
-        _DYNAMICS_CACHE[key] = built
-    return built
-
+    """Cached :class:`ChainDynamics` for a spec; equal specs share one entry
+    (:class:`~spintransfer.chain.ChainSpec` compares by content)."""
+    return ChainDynamics(spec)

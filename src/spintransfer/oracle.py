@@ -24,8 +24,8 @@ for production runs.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,27 +118,14 @@ def block_hamiltonian(spec: ChainSpec, q: int) -> np.ndarray:
     return h
 
 
-_BLOCK_LOCK = threading.Lock()
-_BLOCK_CACHE: dict[tuple[bytes, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_BLOCK_LIMIT = 16
-
-
+@lru_cache(maxsize=16)
 def _block_spectrum(
     spec: ChainSpec, q: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(full-space indices, eigenvalues, eigenvectors) of one popcount block."""
-    key = (spec.cache_key(), q)
-    with _BLOCK_LOCK:
-        hit = _BLOCK_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """(full-space indices, eigenvalues, eigenvectors) of one popcount
+    block, cached per spec content and popcount."""
     evals, evecs = np.linalg.eigh(block_hamiltonian(spec, q))
-    entry = (_popcount_indices(spec.n_sites, q), evals, evecs)
-    with _BLOCK_LOCK:
-        if len(_BLOCK_CACHE) >= _BLOCK_LIMIT:
-            _BLOCK_CACHE.clear()
-        _BLOCK_CACHE[key] = entry
-    return entry
+    return _popcount_indices(spec.n_sites, q), evals, evecs
 
 
 def evolve_many(spec: ChainSpec, initial: FullState, times) -> FullState:

@@ -272,8 +272,10 @@ def ks_distance(samples, law) -> float:
 
 def default_bin_edges(law, bins: int = 200) -> np.ndarray:
     """Uniform bins from just below the support of a fidelity law (all its
-    rows) up to fidelity 1."""
+    rows) up to fidelity 1, or up to the law's f_max where rounding puts it
+    above 1 (a collapsed row's mean may read 1 + 2e-16), so that the last
+    edge holds the whole law as it holds every clamped sample."""
     lo, hi = law.support
     span = max(hi - lo, 1e-6)
     start = max(0.0, lo - 0.05 * span)
-    return np.linspace(start, 1.0 if start < 1.0 else start + 1e-9, int(bins) + 1)
+    return np.linspace(start, max(1.0, hi), int(bins) + 1)

@@ -86,10 +86,10 @@ def single_qubit_plan(name: str):
         kind, aux = SINGLE_N22[name]
         spec = protocol_preset(kind, 22)
         tuning = tune_with_ladder(
-            spec, Scenario.ONE_QUBIT_VACUUM, kind, phase_corrected=aux
+            spec, Scenario.ONE_QUBIT_VACUUM, kind, aux_field=aux
         )
         plan = plan_readout(
-            spec, Scenario.ONE_QUBIT_VACUUM, tuning, target_avg=TARGET
+            spec, Scenario.ONE_QUBIT_VACUUM, tuning, {"type": "target_avg", "value": TARGET}
         )
         kraus = kraus_at_times(plan.spec, Scenario.ONE_QUBIT_VACUUM, [plan.t_read])
         amp = propagator_at(dynamics_for(plan.spec).one, plan.t_read)[0, 21]
@@ -103,10 +103,10 @@ def two_qubit_plan(name: str):
         kind, aux = TWO_QUBIT_N9[name]
         spec = protocol_preset(kind, 9, n_senders=2)
         tuning = tune_with_ladder(
-            spec, Scenario.TWO_QUBIT_VACUUM, kind, phase_corrected=aux
+            spec, Scenario.TWO_QUBIT_VACUUM, kind, aux_field=aux
         )
         plan = plan_readout(
-            spec, Scenario.TWO_QUBIT_VACUUM, tuning, target_avg=TARGET
+            spec, Scenario.TWO_QUBIT_VACUUM, tuning, {"type": "target_avg", "value": TARGET}
         )
         kraus = kraus_at_times(plan.spec, Scenario.TWO_QUBIT_VACUUM, [plan.t_read])
         _PLAN_CACHE[key] = (plan, affine_from_kraus(kraus))
@@ -329,10 +329,10 @@ def test_criterion_7_companion_table_at_implied_means():
         kind, aux = TWO_QUBIT_N9[name]
         spec = protocol_preset(kind, 9, n_senders=2)
         tuning = tune_with_ladder(
-            spec, Scenario.TWO_QUBIT_VACUUM, kind, phase_corrected=aux
+            spec, Scenario.TWO_QUBIT_VACUUM, kind, aux_field=aux
         )
         plan = plan_readout(
-            spec, Scenario.TWO_QUBIT_VACUUM, tuning, target_avg=implied_mean
+            spec, Scenario.TWO_QUBIT_VACUUM, tuning, {"type": "target_avg", "value": implied_mean}
         )
         affine = affine_from_kraus(
             kraus_at_times(plan.spec, Scenario.TWO_QUBIT_VACUUM, [plan.t_read])
@@ -366,10 +366,11 @@ def test_criterion_8_qualitative_orderings():
     for name, (kind, aux) in UNIFORM_N15.items():
         spec = protocol_preset(kind, 15)
         tuning = tune_with_ladder(
-            spec, Scenario.ONE_QUBIT_UNIFORM, kind, phase_corrected=False
+            spec, Scenario.ONE_QUBIT_UNIFORM, kind, aux_field=aux
         )
+        assert tuning.phase_corrected is False  # the occupied channel takes no field
         plan = plan_readout(
-            spec, Scenario.ONE_QUBIT_UNIFORM, tuning, target_avg=TARGET
+            spec, Scenario.ONE_QUBIT_UNIFORM, tuning, {"type": "target_avg", "value": TARGET}
         )
         kraus = kraus_at_times(plan.spec, Scenario.ONE_QUBIT_UNIFORM, [plan.t_read])
         uniform_mins[name] = quadratic_reduce_one_qubit(kraus).support[0]

@@ -414,7 +414,7 @@ def test_phase_null_field(rng):
 def test_weak_protocol_reaches_high_average():
     kind = Weak(0.05)
     spec = protocol_preset(kind, 10)
-    tuning = tune_with_ladder(spec, Scenario.ONE_QUBIT_VACUUM, kind, phase_corrected=True)
+    tuning = tune_with_ladder(spec, Scenario.ONE_QUBIT_VACUUM, kind, aux_field=True)
     assert tuning.achieved_avg_fidelity > 0.99
 
 
@@ -428,15 +428,49 @@ def test_plan_readout_modes():
     plan_opt = plan_readout(spec, Scenario.ONE_QUBIT_VACUUM, tuning)
     assert plan_opt.t_read == plan_opt.t_opt
     plan_err = plan_readout(
-        spec, Scenario.ONE_QUBIT_VACUUM, tuning, timing_fraction=0.02
+        spec, Scenario.ONE_QUBIT_VACUUM, tuning, {"type": "timing_error", "fraction": 0.02}
     )
     assert plan_err.t_read == pytest.approx(1.02 * plan_err.t_opt)
+    # jitter spreads the read-out over equal-weight nodes around the optimum
+    plan_jit = plan_readout(
+        spec, Scenario.ONE_QUBIT_VACUUM, tuning, {"type": "timing_error", "fraction": 0.05},
+        jitter=True,
+    )
+    assert plan_jit.t_read == plan_jit.t_opt == tuning.t_opt
+    assert np.array_equal(plan_jit.times, tuning.t_opt * np.linspace(0.95, 1.05, 41))
+    assert plan_jit.b_aux == plan_opt.b_aux
+    with pytest.raises(ParameterError):
+        plan_readout(spec, Scenario.ONE_QUBIT_VACUUM, tuning, jitter=True)
     plan_target = plan_readout(
-        spec, Scenario.ONE_QUBIT_VACUUM, tuning, target_avg=0.99
+        spec, Scenario.ONE_QUBIT_VACUUM, tuning, {"type": "target_avg", "value": 0.99}
     )
     amp = propagator_at(dynamics_for(plan_target.spec).one, plan_target.t_read)[0, 9]
     assert abs(np.angle(amp)) <= 1e-8  # aux field nulls the phase at t_read
     assert avg_fidelity_one_qubit_vacuum(abs(amp), 0.0) == pytest.approx(0.99, abs=1e-8)
+    # one read-out time otherwise
+    for plan in (plan_opt, plan_err, plan_target):
+        assert np.array_equal(plan.times, [plan.t_read])
+
+
+def test_occupied_channel_tuning_takes_no_field():
+    # however the tuning is reached, the occupied channel is tuned on its
+    # raw average and planned without a field
+    kind = Perfect()
+    spec = protocol_preset(kind, 6)
+    scenario = Scenario.ONE_QUBIT_UNIFORM
+    tunings = [
+        find_optimal_time(spec, scenario, (0.0, 2.0), 500, phase_corrected=True),
+        tune_with_ladder(spec, scenario, kind, True),
+        tune_with_ladder(spec, scenario, kind, True, grid=300),
+        tune_with_ladder(spec, scenario, kind, True, window=(0.0, 2.0), grid=500),
+        tune_with_ladder(spec, scenario, kind, True, window=(0.0, 2.0)),
+    ]
+    assert [t.window[2] for t in tunings] == [500, 20_000, 300, 500, 200_000]
+    assert tunings[3] == tunings[0]
+    for tuning in tunings:
+        assert tuning.phase_corrected is False
+        plan = plan_readout(spec, scenario, tuning)
+        assert plan.b_aux == 0.0 and plan.spec is spec
 
 
 def test_two_percent_timing_error_keeps_high_average():
@@ -450,10 +484,10 @@ def test_two_percent_timing_error_keeps_high_average():
     for kind, aux in cases:
         spec = protocol_preset(kind, 22)
         tuning = tune_with_ladder(
-            spec, Scenario.ONE_QUBIT_VACUUM, kind, phase_corrected=aux
+            spec, Scenario.ONE_QUBIT_VACUUM, kind, aux_field=aux
         )
         plan = plan_readout(
-            spec, Scenario.ONE_QUBIT_VACUUM, tuning, timing_fraction=0.02
+            spec, Scenario.ONE_QUBIT_VACUUM, tuning, {"type": "timing_error", "fraction": 0.02}
         )
         late = avg_fidelity_curve(
             plan.spec, Scenario.ONE_QUBIT_VACUUM, np.array([plan.t_read])

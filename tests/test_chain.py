@@ -123,3 +123,14 @@ def test_uniform_field_shift(rng):
     shifted = spec.with_uniform_field(0.25)
     assert np.allclose(shifted.fields, spec.fields + 0.25)
     assert np.array_equal(shifted.couplings, spec.couplings)
+
+
+def test_specs_compare_and_hash_by_content():
+    spec = protocol_preset(Weak(0.1), 6)
+    same = protocol_preset(Weak(0.1), 6)
+    assert spec == same and hash(spec) == hash(same)
+    assert len({spec, same}) == 1
+    assert spec != protocol_preset(Weak(0.2), 6)
+    assert spec != spec.with_uniform_field(1e-12)
+    assert spec != protocol_preset(Weak(0.1), 7)
+    assert spec != spec.cache_key()

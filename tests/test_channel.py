@@ -285,6 +285,19 @@ def test_stack_inputs_validated(rng):
         fidelity_many(stack, random_state(rng, 2)[None, None])
     with pytest.raises(ParameterError):
         fidelity_many(stack, np.array([random_state(rng, 2)] * 2))  # no sample axis
-    for times in (1.0, [[1.0, 2.0]], [1.0, np.nan]):
-        with pytest.raises(ParameterError):
-            kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, times)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[1.0, np.nan], [np.inf], np.ones((2, 2)), 1.0],
+    ids=["nan", "inf", "two_dimensional", "scalar"],
+)
+@pytest.mark.parametrize("build", [fidelity_law, kraus_at_times], ids=["law", "kraus"])
+def test_laws_and_kraus_sets_reject_bad_times(rng, build, times):
+    # both read their rows through propagator_rows, which checks the times,
+    # so a bad time fails alike instead of giving a NaN or a reshaped law
+    for long_range in (False, True):
+        spec = make_random_chain(rng, 6, long_range=long_range)
+        for scenario in Scenario:
+            with pytest.raises(ParameterError, match="times must be"):
+                build(spec, scenario, times)

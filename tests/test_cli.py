@@ -214,7 +214,6 @@ def test_tune_record(tmp_path):
 def test_grid_without_window_rescans_the_ladder_window(tmp_path):
     # --grid alone: the ladder picks the window, then the tuning rescans
     # that window at the given grid
-    from spintransfer.analytics import phase_correction_applies
     from spintransfer.chain import Weak
     from spintransfer.channel import Scenario
 
@@ -226,10 +225,10 @@ def test_grid_without_window_rescans_the_ladder_window(tmp_path):
     assert record["config"]["grid"] == 1234 and record["config"]["window"] is None
     scenario = Scenario.ONE_QUBIT_VACUUM
     spec = protocol_preset(Weak(0.05), 8)
-    corrected = phase_correction_applies(scenario, True)
-    ladder = analytics.tune_with_ladder(spec, scenario, Weak(0.05), corrected)
+    ladder = analytics.tune_with_ladder(spec, scenario, Weak(0.05), True)
     assert ladder.window[2] != 1234
-    rescan = analytics.find_optimal_time(spec, scenario, ladder.window[:2], 1234, corrected)
+    rescan = analytics.find_optimal_time(spec, scenario, ladder.window[:2], 1234, True)
+    assert analytics.tune_with_ladder(spec, scenario, Weak(0.05), True, grid=1234) == rescan
     assert record["t_opt"] == rescan.t_opt
 
 
@@ -367,14 +366,37 @@ def test_jitter_mixture_is_normalized(tmp_path):
             "--scenario", "one_qubit_vacuum", "--mode", "timing_error:0.02", "--jitter",
             "--out", str(tmp_path)]
     config = cli.load_config(cli.build_parser().parse_args(args))
-    plan = cli._resolve_plan(config)
-    law = fidelity_law(plan.spec, plan.scenario, cli._jitter_times(plan, config))
+    plan = cli._resolve_plan(config, cli._build_spec(config))
+    law = fidelity_law(plan.spec, plan.scenario, plan.times)
     assert law.coefficients.shape == (41, 3)
     assert law.normalization() == pytest.approx(1.0, abs=1e-6)
     # the written curve's cdf is the rows' cdfs summed in order, to the last bit
     rows = [FidelityLaw(row[None]) for row in law.coefficients]
     fs = np.array(cli.pdf_curve_rows(law))[:, 0]
     assert np.array_equal(law.cdf(fs), sum(row.cdf(fs) for row in rows) / len(rows))
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        ["--mode", "at_optimal"],
+        ["--mode", "timing_error:0.05", "--jitter", "--mc-samples", "200000"],
+    ],
+    ids=["at_optimal", "jitter"],
+)
+def test_perfect_transfer_passes_its_ks_gate(tmp_path, mode):
+    # perfect transfer at N = 22 collapses a law row to a step at its mean,
+    # which rounds to 1 + 2e-16, while every Monte Carlo sample clamps to 1:
+    # the bins must reach the step, or the law's cdf reads 0 where the
+    # samples read 1 and a correct run fails its KS gate
+    out = tmp_path / "run"
+    assert run_cli("pdf", "--protocol", "perfect", "--n-sites", "22",
+                   "--scenario", "one_qubit_vacuum", *mode, "--out", str(out)) == 0
+    record = read_json(out / "result.json")
+    rows = np.loadtxt(out / "histogram.csv", delimiter=",", skiprows=1)
+    assert rows[-1, 1] == max(1.0, record["f_max"])
+    samples = record["config"]["mc_samples"]
+    assert record["ks_distance"] <= np.sqrt(np.log(2.0 / KS_GATE_ALPHA) / (2.0 * samples))
 
 
 def test_fixed_time_histogram_is_one_kraus_run(tmp_path):
@@ -389,7 +411,8 @@ def test_fixed_time_histogram_is_one_kraus_run(tmp_path):
     args[args.index("--mode") + 1] = "timing_error:0.02"
     args += ["--out", str(tmp_path / "run")]
     config = cli.load_config(cli.build_parser().parse_args(args))
-    plan = cli._resolve_plan(config)
+    plan = cli._resolve_plan(config, cli._build_spec(config))
+    assert np.array_equal(plan.times, [plan.t_read])
     law = fidelity_law(plan.spec, plan.scenario, [plan.t_read])
     expected = mc_fidelity_histogram(
         kraus_at_times(plan.spec, plan.scenario, [plan.t_read]),
@@ -439,8 +462,12 @@ def test_oracle_check_pins_zz_pair_sector(monkeypatch):
         return h
 
     monkeypatch.setattr(dynamics, "sector_hamiltonian", mutated)
-    monkeypatch.setattr(dynamics, "_DYNAMICS_CACHE", {})
-    result = check_oracle_amplitudes(10)
+    dynamics.dynamics_for.cache_clear()
+    try:
+        result = check_oracle_amplitudes(10)
+    finally:
+        # the mutated sectors must not outlive the test
+        dynamics.dynamics_for.cache_clear()
     assert not result.passed and result.max_error > 1e-3
 
 
@@ -579,7 +606,7 @@ def diagonalised_sizes(monkeypatch, args) -> list[int]:
         return diagonalize(matrix, basis)
 
     monkeypatch.setattr(dynamics, "diagonalize", recording)
-    monkeypatch.setattr(dynamics, "_DYNAMICS_CACHE", {})
+    dynamics.dynamics_for.cache_clear()
     assert run_cli(*args) == 0
     return sizes
 

@@ -171,7 +171,7 @@ def test_preset_laws_never_build_pair_sector(monkeypatch, scenario, kind):
         return build(spec, basis)
 
     monkeypatch.setattr(dynamics, "sector_hamiltonian", one_excitation_only)
-    monkeypatch.setattr(dynamics, "_DYNAMICS_CACHE", {})
+    dynamics.dynamics_for.cache_clear()
     # the closed forms read at most 2 sources x 2 targets and no pair row
     rows = analytics.propagator_rows
     shapes = []

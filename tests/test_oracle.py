@@ -159,7 +159,7 @@ def test_oracle_diagonalises_only_occupied_blocks(monkeypatch, rng, senders, occ
         return eigh(matrix, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
-    monkeypatch.setattr(oracle, "_BLOCK_CACHE", {})
+    oracle._block_spectrum.cache_clear()
     n = 12
     spec = make_random_chain(rng, n, long_range=True)
     psi = random_state(rng, 1 << len(senders))
