@@ -5,8 +5,8 @@ The package splits along the physics pipeline: sector bases and chain
 Hamiltonians -> spectral dynamics, whose amplitude rows feed both the
 closed-form fidelity laws and the Kraus transfer channels -> sampling and
 goodness-of-fit through the channels, with an independent
-full-Hilbert-space oracle that certifies the shared rows and everything
-built on them.
+full-Hilbert-space oracle, stored and evolved per excitation-number block,
+that certifies the shared rows and everything built on them.
 """
 
 from .chain import (

@@ -30,7 +30,7 @@ the reference that Monte Carlo and certification use.  Both read the
 channel's Pauli transfer matrix, none of the laws' arithmetic.  The Kraus
 sets read every pair row, so on free-fermion chains the reductions check
 the closed forms, and elsewhere, where laws and Kraus sets read the same
-rows, the laws' row arithmetic; the 2^N oracle checks the rows.
+rows, the laws' row arithmetic; the full-space oracle checks the rows.
 
 Read-out planning has one place per decision: :func:`tune_with_ladder` the
 scan windows, :func:`find_optimal_time` whether the field applies, and
@@ -671,6 +671,9 @@ def avg_fidelity_curve(
     time x mode phase matrix is formed.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        # no grid to chunk: the law's propagator_rows rejects the times
+        return fidelity_law(spec, scenario, times, phase_corrected).mean
     out = np.empty(times.shape, dtype=float)
     for start in range(0, times.size, TIME_CHUNK):
         sl = slice(start, min(start + TIME_CHUNK, times.size))

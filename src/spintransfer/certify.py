@@ -2,20 +2,22 @@
 reference and the package's own closed forms, with a machine-readable report.
 
 These checks are the library's warranty seal: they re-derive the channel
-outputs from the full 2^N evolution, re-verify trace preservation, and pin
-the structural facts (perfect-chain spectrum, fidelity duality, distribution
-normalization) that the analytic layer relies on.  The Kraus sets read
-amplitude rows (:func:`~spintransfer.dynamics.propagator_rows` and
-:func:`~spintransfer.dynamics.pair_rows`); the fidelity laws read the same
-rows on long-range and ZZ chains and free-fermion closed forms in at most
-four amplitudes on nearest-neighbour chains, so a laws-vs-Kraus comparison
-checks the closed forms and the laws' arithmetic, not the rows.  Both
+outputs from the exact full-space evolution, re-verify trace preservation,
+and pin the structural facts (perfect-chain spectrum, fidelity duality,
+distribution normalization) that the analytic layer relies on.  The Kraus
+sets read amplitude rows (:func:`~spintransfer.dynamics.propagator_rows`
+and :func:`~spintransfer.dynamics.pair_rows`); the fidelity laws read the
+same rows on long-range and ZZ chains and free-fermion closed forms in at
+most four amplitudes on nearest-neighbour chains, so a laws-vs-Kraus
+comparison checks the closed forms and the laws' arithmetic, not the rows.  Both
 reductions read the Pauli transfer matrix, which ``bloch_map_vs_kraus``
 pins against state vectors.  The rows are pinned by the checks that reach
-past them: full sector propagators, the pair sector itself, and the 2^N
-oracle (``oracle_amplitude_equivalence`` on nearest-neighbour, long-range
-and ZZ chains, and the ``channel_oracle_equivalence`` sweep over the
-presets' Kraus sets of every scenario).  Kraus sets, oracle states and
+past them: full sector propagators, the pair sector itself, and the
+full-space oracle, which stores each state as the excitation-number blocks
+it occupies, at most C(N, 2) wide for transfer inputs
+(``oracle_amplitude_equivalence`` on nearest-neighbour, long-range and ZZ
+chains, and the ``channel_oracle_equivalence`` sweep over the presets'
+Kraus sets of every scenario).  Kraus sets, oracle states and
 everything read from them carry a leading time axis, one time being the
 stack over ``[t]``; the sweep evaluates the read-out times of each case as
 one batch, so a case costs a few array operations rather than one Python
@@ -46,7 +48,7 @@ from .channel import (
 from .dynamics import dynamics_for, pair_rows, propagator_at, propagator_rows
 from .errors import CapacityError, ModelError, NumericError, ParameterError
 from .oracle import (
-    MAX_ORACLE_SITES,
+    MAX_ORACLE_BLOCK,
     evolve_many,
     reduced_density,
     transfer_initial_state,
@@ -195,7 +197,8 @@ def check_amplitude_unitarity(seed: int = 12) -> CheckResult:
 
 
 def check_oracle_amplitudes(n_max: int, seed: int = 13) -> CheckResult:
-    """Sector rows out of site 1 and pair (1, 2) vs the 2^N evolution.
+    """Sector rows out of site 1 and pair (1, 2) vs the oracle's q = 1 and
+    q = 2 blocks.
 
     The chains cycle through the three kinds of :func:`random_spec`
     (nearest-neighbour, long-range and ZZ), so the sector Hamiltonians of
@@ -214,8 +217,9 @@ def check_oracle_amplitudes(n_max: int, seed: int = 13) -> CheckResult:
             full = evolve_many(spec, init, [t])
             configs = prop.basis.configurations
             rows = propagator_rows(prop, [[sites]], configs, [t])[:, 0]
-            index = [sum(1 << (site - 1) for site in c) for c in configs]
-            worst = max(worst, float(np.abs(full.amplitudes[:, index] - rows).max()))
+            # the block holds the sector's configurations in index order
+            order = np.argsort([sum(1 << (site - 1) for site in c) for c in configs])
+            worst = max(worst, float(np.abs(full.blocks[len(sites)] - rows[:, order]).max()))
     return CheckResult(
         "oracle_amplitude_equivalence", worst <= 1e-9, worst, f"N in 4..{n_max}"
     )
@@ -229,7 +233,7 @@ def check_pair_rows(seed: int = 18) -> CheckResult:
     the fidelity laws' closed forms rest on the same determinant identity.
     This check, which compares the determinants with rows of the
     diagonalised pair sector, and ``channel_oracle_equivalence`` (Kraus
-    sets vs the 2^N evolution) are what pin it.
+    sets vs the oracle evolution) are what pin it.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -525,16 +529,19 @@ def run_certification(n_max: int = 10) -> dict:
     """Run every check and return the report as a JSON-friendly dict.
 
     The oracle checks start at N = 4, the smallest chain every scenario is
-    defined on, so ``n_max`` below 4 would leave them checking nothing.  A
-    check that raises NumericError or ModelError (a Kraus set failing its
-    completeness tolerance, a law leaving [0, 1]) is reported as failed,
-    every result of the sweep with it, with the error in ``detail``.
+    defined on, so ``n_max`` below 4 would leave them checking nothing; the
+    two-excitation inputs need the oracle's C(n_max, 2) block within
+    ``MAX_ORACLE_BLOCK``, so n_max goes up to 60.  A check that raises
+    NumericError or ModelError (a Kraus set failing its completeness
+    tolerance, an oracle evolution changing a norm, a law leaving [0, 1]) is
+    reported as failed, every result of the sweep with it, with the error in
+    ``detail``.
     """
     if n_max < 4:
         raise ParameterError(f"certification needs n_max >= 4, got {n_max}")
-    if n_max > MAX_ORACLE_SITES:
+    if comb(n_max, 2) > MAX_ORACLE_BLOCK:
         raise CapacityError(
-            f"certification is capped at N={MAX_ORACLE_SITES}, got {n_max}"
+            f"certification needs C(n_max, 2) <= {MAX_ORACLE_BLOCK}, got n_max = {n_max}"
         )
     suite = [
         (("sector_dimensions",), check_sector_dimensions),

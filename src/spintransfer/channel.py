@@ -20,8 +20,9 @@ Kraus set (:func:`apply_channel`, :func:`fidelity_many`,
 preservation holds by unitarity and the cached completeness defect only
 measures floating-point error.  The laws of a nearest-neighbour chain read
 none of the pair rows (closed forms in at most four amplitudes), so there
-the Kraus reductions check those closed forms; the 2^N oracle of
-:mod:`~spintransfer.oracle` is the independent check on the rows themselves
+the Kraus reductions check those closed forms; the full-space oracle of
+:mod:`~spintransfer.oracle`, which stores and evolves each state's
+excitation-number blocks, is the independent check on the rows themselves
 (``channel_oracle_equivalence`` in certification, which evaluates each
 chain's read-out times as one stack).
 

@@ -1,87 +1,102 @@
 """Brute-force full-Hilbert-space reference for certification.
 
-The oracle works on the complete 2^N state space and imports nothing from
+The oracle works on the exact N-site dynamics and imports nothing from
 ``sectors``, ``dynamics`` or ``channel``, so it can certify the sector
 dynamics and the channel construction independently.
 
 Every chain Hamiltonian (XX+YY hopping, J*D ZZ terms, Z fields) conserves
 the excitation number, so it is block-diagonal in the popcount q of the
-basis index.  :func:`block_hamiltonian` builds the popcount-q block from bit
-operations on the sorted integers of popcount q, and :func:`evolve_many`
-diagonalises and evolves only the blocks the initial states occupy; its
-output is still a full 2^N state vector per row.  Every step takes a
-leading batch axis: :class:`FullState` is a (T, 2^N) stack of states (one
-state is the stack of one row), :func:`transfer_initial_state` embeds a
-stack of sender states through one (2^w, 2^N) matrix (the embedding is
-linear), :func:`evolve_many` applies each block's eigenvectors to all rows
-at once with a phase per row and time, and :func:`reduced_density` traces
-every row out at once.  The same Z-sign convention and the same
-vacuum-energy gauge shift as the sector machinery are applied, which makes
-amplitude phases directly comparable.  Capped at
-N = ``MAX_ORACLE_SITES`` = 16; the oracle exists for certification, never
-for production runs.
+basis index.  A :class:`FullState` stores only the popcount blocks it
+occupies, each as the amplitudes over that block's sorted full-space
+indices (:func:`block_indices`); every other entry of the 2^N vector is an
+exact zero that is never stored.  :func:`block_hamiltonian` builds the
+popcount-q block from bit operations on those indices, and
+:func:`evolve_many` diagonalises and evolves the stored blocks only.  Every
+step takes a leading batch axis: a state's blocks are (T, C(N, q)) stacks
+of T states (one state is the stack of one row),
+:func:`transfer_initial_state` writes each sender (x) channel configuration
+of a stack of sender states into its block, :func:`evolve_many` applies
+each block's eigenvectors to all rows at once with a phase per row and
+time, and :func:`reduced_density` traces every row out at once.  The same
+Z-sign convention and the same vacuum-energy gauge shift as the sector
+machinery are applied, which makes amplitude phases directly comparable.
+A block may hold at most ``MAX_ORACLE_BLOCK`` = C(60, 2) = 1770 states,
+the pair sector of the longest chain the package diagonalises, and a
+chain at most 63 sites, since an index is an int64 bit pattern; the oracle
+exists for certification, never for production runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from .chain import ChainSpec
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, NumericError, ParameterError
 
-MAX_ORACLE_SITES = 16
+MAX_ORACLE_BLOCK = comb(60, 2)
 
 
 @dataclass(frozen=True)
 class FullState:
-    """A stack of normalized state vectors over the full 2^N space.
+    """A stack of normalized states over the full space, stored by block.
 
-    ``amplitudes`` has shape (T, 2^N), one normalized state per row.  Basis
+    ``blocks`` maps each occupied popcount q to its (T, C(N, q)) amplitudes,
+    one state per row, column k belonging to index ``block_indices(N, q)[k]``;
+    every basis state of another popcount has amplitude zero.  Basis
     convention: site i (1-based) maps to bit i-1 of the index, so the index
     of a configuration with excited sites S is ``sum(2**(i-1))``.
     """
 
-    amplitudes: np.ndarray
+    blocks: dict[int, np.ndarray]
     n_sites: int
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amps.shape[1:] != (1 << self.n_sites,):
-            raise ParameterError(
-                f"amplitudes must be rows of length 2**{self.n_sites}, one per state, "
-                f"got shape {amps.shape}"
-            )
-        worst = float(np.abs(_row_norms(amps) - 1.0).max(initial=0.0))
-        if worst > 1e-12:
-            raise ParameterError(f"state norm deviates from 1 by {worst:.3e}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        blocks = {int(q): np.array(a, dtype=complex) for q, a in sorted(self.blocks.items())}
+        rows = {amps.shape[:1] for amps in blocks.values()}
+        for q, amps in blocks.items():
+            dim = block_indices(self.n_sites, q).size
+            if amps.shape[1:] != (dim,) or len(rows) > 1:
+                raise ParameterError(f"blocks must be (T, C(N, q)), got {amps.shape} for q={q}")
+            amps.setflags(write=False)
+        _check_norms(blocks, ParameterError)
+        object.__setattr__(self, "blocks", blocks)
+
+    @property
+    def n_states(self) -> int:
+        """T, the number of states in the stack."""
+        return len(next(iter(self.blocks.values())))
 
 
-def _row_norms(amps: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a C-contiguous complex array.
+def _check_norms(blocks: dict, error: type[Exception]) -> None:
+    """Raise ``error`` if a row norm, summed over all blocks, is off 1 by
+    more than 1e-12; a stack without blocks has norm 0."""
+    norms = np.sqrt(sum((np.abs(amps) ** 2).sum(axis=1) for amps in blocks.values()))
+    worst = float(np.abs(norms - 1.0).max(initial=0.0))
+    if worst > 1e-12:
+        raise error(f"state norm deviates from 1 by {worst:.3e}")
 
-    The rows are read as interleaved real and imaginary parts, which spares
-    the conjugate copy of a 2^N-wide row that ``np.linalg.norm`` makes.
+
+@lru_cache(maxsize=64)
+def block_indices(n_sites: int, q: int) -> np.ndarray:
+    """Sorted full-space indices whose popcount is ``q``.
+
+    The block size C(N, q) is checked against ``MAX_ORACLE_BLOCK`` before
+    the indices are listed.
     """
-    parts = amps.view(np.float64)
-    return np.sqrt(np.einsum("...k,...k->...", parts, parts))
-
-
-def _check_capacity(n_sites: int) -> None:
-    if n_sites > MAX_ORACLE_SITES:
+    if not 0 <= q <= n_sites:
+        raise ParameterError(f"popcount must lie in 0..{n_sites}, got {q}")
+    if n_sites > 63 or comb(n_sites, q) > MAX_ORACLE_BLOCK:
         raise CapacityError(
-            f"oracle supports at most {MAX_ORACLE_SITES} sites, got {n_sites}"
+            f"oracle blocks hold <= {MAX_ORACLE_BLOCK} int64 indices (N <= 63), got C({n_sites}, {q})"
         )
-
-
-def _popcount_indices(n_sites: int, q: int) -> np.ndarray:
-    """Sorted full-space indices whose popcount is ``q``."""
-    idx = np.arange(1 << n_sites)
-    return idx[np.bitwise_count(idx) == q]
+    indices = np.sort([sum(1 << b for b in bits) for bits in combinations(range(n_sites), q)])
+    indices.setflags(write=False)
+    return indices
 
 
 def block_hamiltonian(spec: ChainSpec, q: int) -> np.ndarray:
@@ -92,11 +107,8 @@ def block_hamiltonian(spec: ChainSpec, q: int) -> np.ndarray:
     excitation from bit i to bit j, so its partner's row is found by
     ``searchsorted`` in the sorted index list.
     """
-    _check_capacity(spec.n_sites)
     n = spec.n_sites
-    if not 0 <= q <= n:
-        raise ParameterError(f"popcount must lie in 0..{n}, got {q}")
-    states = _popcount_indices(n, q)
+    states = block_indices(n, q)
     bits = (states[:, None] >> np.arange(n)[None, :]) & 1  # column i-1 = site i
     z = 1.0 - 2.0 * bits
     jd = spec.couplings * spec.anisotropies
@@ -119,56 +131,50 @@ def block_hamiltonian(spec: ChainSpec, q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _block_spectrum(
-    spec: ChainSpec, q: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(full-space indices, eigenvalues, eigenvectors) of one popcount
-    block, cached per spec content and popcount."""
-    evals, evecs = np.linalg.eigh(block_hamiltonian(spec, q))
-    return _popcount_indices(spec.n_sites, q), evals, evecs
+def _block_spectrum(spec: ChainSpec, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of one popcount block, cached per spec
+    content and popcount."""
+    return np.linalg.eigh(block_hamiltonian(spec, q))
 
 
 def evolve_many(spec: ChainSpec, initial: FullState, times) -> FullState:
-    """Evolve each row of a stack of full states to its own time, block by block.
+    """Evolve each row of a stack of states to its own time, block by block.
 
     ``initial`` holds T states and ``times`` their T read-out times.  Only
-    the popcount blocks holding a nonzero amplitude of some row are
-    diagonalised (once per spec and popcount) and evolved; the others stay
-    zero, since the Hamiltonian never leaves a block.  Each block takes two
-    matrix products over all rows, into its eigenbasis and back, with the
-    phases exp(-i E t) of every row's time in between.
+    the stored blocks are diagonalised (once per spec and popcount) and
+    evolved, since the Hamiltonian never leaves a block.  Each block takes
+    two matrix products over all rows, into its eigenbasis and back, with
+    the phases exp(-i E t) of every row's time in between.  The evolved rows
+    are not renormalized: a row whose norm is off by more than 1e-12 raises
+    NumericError, as the evolution is then not unitary.
     """
-    _check_capacity(spec.n_sites)
     if initial.n_sites != spec.n_sites:
         raise ParameterError(
             f"state has {initial.n_sites} sites, spec has {spec.n_sites}"
         )
-    amps = initial.amplitudes
     times = np.asarray(times, dtype=float)
-    if times.shape != amps.shape[:1]:
-        raise ParameterError(
-            f"need one time per state row, got {times.shape} times for "
-            f"amplitudes of shape {amps.shape}"
-        )
+    if times.shape != (initial.n_states,):
+        raise ParameterError(f"need one time per state row, got {times.shape} times")
     if not np.isfinite(times).all():
         raise ParameterError(f"times must be finite, got {times}")
-    evolved = np.zeros_like(amps)
-    occupied = np.flatnonzero(amps.any(axis=0))
-    for q in np.unique(np.bitwise_count(occupied)):
-        idx, evals, evecs = _block_spectrum(spec, int(q))
-        coeff = amps[:, idx] @ evecs
-        evolved[:, idx] = (np.exp(-1j * evals * times[:, None]) * coeff) @ evecs.T
-    evolved /= _row_norms(evolved)[:, None]
+    evolved = {}
+    for q, amps in initial.blocks.items():
+        evals, evecs = _block_spectrum(spec, q)
+        evolved[q] = (np.exp(-1j * evals * times[:, None]) * (amps @ evecs)) @ evecs.T
+    _check_norms(evolved, NumericError)
     return FullState(evolved, spec.n_sites)
 
 
 def reduced_density(state: FullState, sites) -> np.ndarray:
-    """Partial trace of each pure full state onto an ordered site subset.
+    """Partial trace of each pure state onto an ordered site subset.
 
     The output basis is the binary ordering of the listed sites with the
     first listed site as the most significant bit, e.g. ``sites=(N-1, N)``
     yields the basis |00>, |0 1_N>, |1_{N-1} 0>, |1_{N-1} 1_N>.  A stack of
-    T states gives T density matrices, shape (T, 2^k, 2^k).
+    T states gives T density matrices, shape (T, 2^k, 2^k).  The stored
+    amplitudes of all blocks are grouped by the bits of the traced-out
+    sites; each group is one column of a (T, 2^k, groups) matrix M, and
+    rho = M M^dagger.
     """
     n = state.n_sites
     sites = [int(s) for s in sites]
@@ -176,14 +182,11 @@ def reduced_density(state: FullState, sites) -> np.ndarray:
         raise ParameterError(f"sites must be distinct, got {sites}")
     if any(not 1 <= s <= n for s in sites):
         raise ParameterError(f"sites must lie in 1..{n}, got {sites}")
-    n_states = len(state.amplitudes)
-    tensor = state.amplitudes.reshape(n_states, *(2,) * n)
-    # C-order reshape puts site i on axis n - i + 1, after the state axis
-    kept_axes = [1 + n - s for s in sites]
-    rest = [ax for ax in range(1, n + 1) if ax not in kept_axes]
-    mat = np.transpose(tensor, [0, *kept_axes, *rest]).reshape(
-        n_states, 1 << len(sites), 1 << (n - len(sites))
-    )
+    indices = np.concatenate([block_indices(n, q) for q in state.blocks])
+    kept = sum(((indices >> (s - 1)) & 1) << (len(sites) - 1 - k) for k, s in enumerate(sites))
+    traced, group = np.unique(indices & ~basis_index(n, sites), return_inverse=True)
+    mat = np.zeros((state.n_states, 1 << len(sites), traced.size), dtype=complex)
+    mat[:, kept, group] = np.concatenate(list(state.blocks.values()), axis=1)
     rho = mat @ mat.conj().swapaxes(-1, -2)
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
@@ -204,16 +207,17 @@ def transfer_initial_state(
     sender_state: np.ndarray,
     channel_sites=(),
 ) -> FullState:
-    """Embed ``sender_state (x) channel state`` into the full space.
+    """The state ``sender_state (x) channel state`` of the whole chain.
 
     ``sender_state`` is a stack of T sender states (T, 2^w), each indexed
     with the first listed sender site as the most significant bit (same
-    convention as :func:`reduced_density`), and gives a stack of T full
-    states.  The channel state spreads one excitation evenly over
-    ``channel_sites`` (a scenario's ``occupied(n)``), which must avoid the
-    sender sites, and is the vacuum when they are empty.  The embedding is linear in the sender
-    state: one product with a (2^w, 2^N) matrix whose row s holds the
-    channel state shifted by the excitations of sender configuration s.
+    convention as :func:`reduced_density`), and gives a stack of T states.
+    The channel state spreads one excitation evenly over ``channel_sites``
+    (a scenario's ``occupied(n)``), which must avoid the sender sites, and
+    is the vacuum when they are empty.  Each sender configuration s times
+    each channel configuration is one basis state, whose column of its
+    popcount block receives amplitude ``sender_state[:, s]`` times the
+    channel weight.
     """
     sender_sites = [int(s) for s in sender_sites]
     channel_sites = [int(s) for s in channel_sites]
@@ -233,13 +237,16 @@ def transfer_initial_state(
 
     weight = 1.0 / np.sqrt(len(channel_sites)) if channel_sites else 1.0
     channel_terms = [[j] for j in channel_sites] or [[]]
-    embedding = np.zeros((1 << width, 1 << n_sites), dtype=complex)
+    blocks = {}
     for sender_idx in range(1 << width):
         excited = [
             sender_sites[k]
             for k in range(width)
             if (sender_idx >> (width - 1 - k)) & 1
         ]
-        for occupied in channel_terms:
-            embedding[sender_idx, basis_index(n_sites, excited + occupied)] = weight
-    return FullState(sender_state @ embedding, n_sites)
+        q = len(excited) + len(channel_terms[0])
+        indices = block_indices(n_sites, q)
+        block = blocks.setdefault(q, np.zeros((len(sender_state), indices.size), dtype=complex))
+        columns = [basis_index(n_sites, excited + occupied) for occupied in channel_terms]
+        block[:, np.searchsorted(indices, columns)] = weight * sender_state[:, sender_idx, None]
+    return FullState(blocks, n_sites)

@@ -6,6 +6,7 @@ from spintransfer.analytics import FidelityLaw
 from spintransfer.chain import ChainSpec
 from spintransfer.channel import KrausSet, fidelity_many
 from spintransfer.errors import ParameterError
+from spintransfer.oracle import FullState, block_indices
 from spintransfer.sampling import MC_BATCH, RandomStream, schmidt_state
 
 # Property tests draw a fixed example sequence, so failures reproduce and
@@ -124,6 +125,22 @@ def mc_local_unitary_fidelity(
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     eigenvalues = np.linalg.eigvalsh(rho_a - rho_b)
     return 0.5 * float(np.abs(eigenvalues).sum())
+
+
+def block_state(dense, n_sites: int) -> FullState:
+    """The oracle state of dense (T, 2^N) amplitudes: each popcount block
+    holding a nonzero amplitude is stored, the others are dropped."""
+    dense = np.asarray(dense, dtype=complex)
+    blocks = {q: dense[..., block_indices(n_sites, q)] for q in range(n_sites + 1)}
+    return FullState({q: amps for q, amps in blocks.items() if amps.any()}, n_sites)
+
+
+def dense_amplitudes(state: FullState) -> np.ndarray:
+    """The (T, 2^N) amplitudes of an oracle state, zero outside its blocks."""
+    dense = np.zeros((state.n_states, 1 << state.n_sites), dtype=complex)
+    for q, amps in state.blocks.items():
+        dense[:, block_indices(state.n_sites, q)] = amps
+    return dense
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -4,7 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_random_chain, random_state, seeded_chain, trace_distance
-from spintransfer.analytics import affine_from_kraus, fidelity_law, quadratic_reduce_one_qubit
+from spintransfer.analytics import (
+    affine_from_kraus,
+    avg_fidelity_curve,
+    fidelity_law,
+    quadratic_reduce_one_qubit,
+)
 from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
 from spintransfer.channel import (
     KrausSet,
@@ -292,10 +297,15 @@ def test_stack_inputs_validated(rng):
     [[1.0, np.nan], [np.inf], np.ones((2, 2)), 1.0],
     ids=["nan", "inf", "two_dimensional", "scalar"],
 )
-@pytest.mark.parametrize("build", [fidelity_law, kraus_at_times], ids=["law", "kraus"])
+@pytest.mark.parametrize(
+    "build",
+    [fidelity_law, kraus_at_times, avg_fidelity_curve],
+    ids=["law", "kraus", "curve"],
+)
 def test_laws_and_kraus_sets_reject_bad_times(rng, build, times):
-    # both read their rows through propagator_rows, which checks the times,
-    # so a bad time fails alike instead of giving a NaN or a reshaped law
+    # all read their rows through propagator_rows, which checks the times,
+    # so a bad time fails alike instead of giving a NaN, a reshaped law or
+    # an IndexError from the curve's chunking
     for long_range in (False, True):
         spec = make_random_chain(rng, 6, long_range=long_range)
         for scenario in Scenario:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from spintransfer.certify import (
     check_perfect_spectrum,
     run_certification,
 )
-from spintransfer import analytics, channel, dynamics
+from spintransfer import analytics, channel, dynamics, oracle
 from spintransfer.cli import EXIT_CERTIFY, EXIT_NUMERIC, KS_GATE_ALPHA, main
 from spintransfer.dynamics import dynamics_for
-from spintransfer.oracle import MAX_ORACLE_SITES
+from spintransfer.oracle import MAX_ORACLE_BLOCK
 
 
 def run_cli(*argv) -> int:
@@ -290,7 +291,31 @@ def test_certify_reports_kraus_completeness_failure(tmp_path, monkeypatch):
 
 
 def test_certify_rejects_oversize():
-    assert run_cli("certify", "--n-max", str(MAX_ORACLE_SITES + 1)) == 2
+    # the C(61, 2) pair block of the two-qubit inputs is past the oracle's cap
+    assert comb(61, 2) > MAX_ORACLE_BLOCK
+    assert run_cli("certify", "--n-max", "61") == 2
+
+
+def test_certify_reports_non_unitary_oracle(tmp_path, monkeypatch):
+    # every block's first eigenvector is 1e-10 too long: the oracle must
+    # fail its own norm check rather than renormalize the error away
+    spectrum = oracle._block_spectrum
+
+    def skewed(spec, q):
+        *head, evecs = spectrum(spec, q)
+        evecs = evecs.copy()
+        evecs[:, 0] *= 1.0 + 1e-10
+        return (*head, evecs)
+
+    monkeypatch.setattr(oracle, "_block_spectrum", skewed)
+    out = tmp_path / "cert"
+    assert run_cli("certify", "--n-max", "8", "--out", str(out)) == EXIT_CERTIFY
+    with open(out / "certification.json", encoding="utf-8") as fh:
+        checks = {c["name"]: c for c in json.load(fh)["checks"]}
+    for name in ("oracle_amplitude_equivalence", "channel_oracle_equivalence"):
+        assert checks[name]["passed"] is False
+        assert "NumericError" in checks[name]["detail"]
+    assert checks["sector_dimensions"]["passed"] is True
 
 
 def test_certify_sweep_case_count():

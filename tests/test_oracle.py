@@ -6,14 +6,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import make_random_chain, random_state, seeded_chain, trace_distance
+from conftest import (
+    block_state,
+    dense_amplitudes,
+    make_random_chain,
+    random_state,
+    seeded_chain,
+    trace_distance,
+)
 from spintransfer import oracle
 from spintransfer.chain import ChainSpec
 from spintransfer.channel import Scenario, apply_channel, kraus_at_times
 from spintransfer.dynamics import dynamics_for, propagator_at
 from spintransfer.errors import CapacityError, ParameterError
 from spintransfer.oracle import (
-    MAX_ORACLE_SITES,
+    MAX_ORACLE_BLOCK,
     FullState,
     basis_index,
     block_hamiltonian,
@@ -112,14 +119,20 @@ def test_blocks_match_dense_reference(spec):
 
 
 def test_capacity_cap():
-    n = MAX_ORACLE_SITES + 1
-    spec = make_random_chain(np.random.default_rng(0), n)
+    # the largest block is the C(60, 2) pair sector; past 63 sites an index
+    # is no int64 bit pattern
+    assert MAX_ORACLE_BLOCK == comb(60, 2)
+    rng = np.random.default_rng(0)
+    spec = make_random_chain(rng, 61)
+    with pytest.raises(CapacityError):
+        block_hamiltonian(spec, 2)
+    with pytest.raises(CapacityError):
+        evolve_many(spec, transfer_initial_state(61, (1, 2), np.eye(4)[:1]), [1.0])
+    spec = make_random_chain(rng, 64)
     with pytest.raises(CapacityError):
         block_hamiltonian(spec, 1)
-    vacuum = np.zeros((1, 1 << n), dtype=complex)
-    vacuum[0, 0] = 1.0
     with pytest.raises(CapacityError):
-        evolve_many(spec, FullState(vacuum, n), [1.0])
+        evolve_many(spec, FullState({0: np.ones((1, 1))}, 64), [1.0])
 
 
 def test_block_popcount_validated():
@@ -139,8 +152,8 @@ def test_all_popcount_evolution_matches_expm(rng):
     psi = random_state(rng, 1 << 6)
     t = 1.7
     expected = expm(-1j * t * full_hamiltonian(spec)) @ psi
-    out = evolve_many(spec, FullState(psi[None], 6), [t])
-    assert np.abs(out.amplitudes[0] - expected).max() <= 1e-10
+    out = evolve_many(spec, block_state(psi[None], 6), [t])
+    assert np.abs(dense_amplitudes(out)[0] - expected).max() <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -169,9 +182,9 @@ def test_oracle_diagonalises_only_occupied_blocks(monkeypatch, rng, senders, occ
 
 def test_evolution_identity_at_zero(rng):
     spec = make_random_chain(rng, 4)
-    state = FullState(random_state(rng, 16)[None], 4)
+    state = block_state(random_state(rng, 16)[None], 4)
     out = evolve_many(spec, state, [0.0])
-    assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
+    assert np.abs(dense_amplitudes(out) - dense_amplitudes(state)).max() < 1e-12
 
 
 def test_one_excitation_periodicity_two_sites():
@@ -179,9 +192,9 @@ def test_one_excitation_periodicity_two_sites():
     psi = np.zeros(4, dtype=complex)
     psi[1] = 1.0 / np.sqrt(2.0)
     psi[2] = 1j / np.sqrt(2.0)
-    state = FullState(psi[None], 2)
+    state = block_state(psi[None], 2)
     out = evolve_many(BOND, state, [np.pi / 2.0])
-    overlap = abs(np.vdot(psi, out.amplitudes[0]))
+    overlap = abs(np.vdot(psi, dense_amplitudes(out)[0]))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
@@ -193,12 +206,12 @@ def test_sector_evolution_matches_full(rng):
     full_vec = np.zeros(1 << 6, dtype=complex)
     for site, c in enumerate(coeffs, start=1):
         full_vec[basis_index(6, [site])] = c
-    evolved = evolve_many(spec, FullState(full_vec[None], 6), [t])
+    evolved = dense_amplitudes(evolve_many(spec, block_state(full_vec[None], 6), [t]))
     sector = propagator_at(dyn.one, t) @ coeffs
     overlap = abs(
         np.vdot(
             sector,
-            [evolved.amplitudes[0, basis_index(6, [s])] for s in range(1, 7)],
+            [evolved[0, basis_index(6, [s])] for s in range(1, 7)],
         )
     )
     assert 1.0 - overlap <= 1e-9
@@ -208,19 +221,19 @@ def test_reduced_density_product_state():
     # |psi> = |1>_1 x |0>_2: reducing to site 1 gives the pure projector
     psi = np.zeros((1, 4), dtype=complex)
     psi[0, 1] = 1.0
-    rho = reduced_density(FullState(psi, 2), (1,))
+    rho = reduced_density(block_state(psi, 2), (1,))
     assert np.allclose(rho, np.diag([0.0, 1.0])[None])
 
 
 def test_reduced_density_bell_pair():
     psi = np.zeros((1, 4), dtype=complex)
     psi[0, 0] = psi[0, 3] = 1.0 / np.sqrt(2.0)
-    rho = reduced_density(FullState(psi, 2), (1,))
+    rho = reduced_density(block_state(psi, 2), (1,))
     assert np.allclose(rho, 0.5 * np.eye(2)[None], atol=1e-12)
 
 
 def test_reduced_density_trace_one(rng):
-    state = FullState(random_state(rng, 1 << 6)[None], 6)
+    state = block_state(random_state(rng, 1 << 6)[None], 6)
     rho = reduced_density(state, (5, 6))[0]
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     eigenvalues = np.linalg.eigvalsh(rho)
@@ -231,21 +244,21 @@ def test_reduced_density_site_order_convention():
     # excitation on site 2 of 3: reducing to (2, 3) vs (3, 2) swaps factors
     psi = np.zeros((1, 8), dtype=complex)
     psi[0, basis_index(3, [2])] = 1.0
-    rho_23 = reduced_density(FullState(psi, 3), (2, 3))[0]
-    rho_32 = reduced_density(FullState(psi, 3), (3, 2))[0]
+    rho_23 = reduced_density(block_state(psi, 3), (2, 3))[0]
+    rho_32 = reduced_density(block_state(psi, 3), (3, 2))[0]
     assert rho_23[2, 2] == pytest.approx(1.0)  # |1 0> with first factor site 2
     assert rho_32[1, 1] == pytest.approx(1.0)  # |0 1> with first factor site 3
 
 
 def test_initial_state_embedding(rng):
     psi = random_state(rng, 2)
-    state = transfer_initial_state(5, (1,), psi[None], range(2, 5))
+    amps = dense_amplitudes(transfer_initial_state(5, (1,), psi[None], range(2, 5)))
     # amplitude of |0>_1 (x) |j>: psi_0 / sqrt(3)
     for j in (2, 3, 4):
-        assert state.amplitudes[0, basis_index(5, [j])] == pytest.approx(
+        assert amps[0, basis_index(5, [j])] == pytest.approx(
             psi[0] / np.sqrt(3.0)
         )
-        assert state.amplitudes[0, basis_index(5, [1, j])] == pytest.approx(
+        assert amps[0, basis_index(5, [1, j])] == pytest.approx(
             psi[1] / np.sqrt(3.0)
         )
 
@@ -261,7 +274,7 @@ def test_channel_sites_must_avoid_senders_and_lie_in_the_chain(rng):
 
 
 def test_invalid_sites_rejected(rng):
-    state = FullState(random_state(rng, 16)[None], 4)
+    state = block_state(random_state(rng, 16)[None], 4)
     for sites in [(0,), (5,), (1, 1)]:
         with pytest.raises(ParameterError):
             reduced_density(state, sites)
@@ -279,23 +292,42 @@ def test_batched_oracle_matches_one_row_calls(scenario, kind, rng):
     initial = transfer_initial_state(n, scenario.senders, psi, scenario.occupied(n))
     evolved = evolve_many(spec, initial, times)
     rho = reduced_density(evolved, scenario.receiver(n))
-    assert evolved.amplitudes.shape == (5, 1 << n)
+    for q, amps in evolved.blocks.items():
+        assert amps.shape == (5, comb(n, q))
     for k, t in enumerate(times):
         one = transfer_initial_state(n, scenario.senders, psi[k : k + 1], scenario.occupied(n))
-        assert np.array_equal(initial.amplitudes[k : k + 1], one.amplitudes)
         full = evolve_many(spec, one, [t])
-        assert np.abs(evolved.amplitudes[k : k + 1] - full.amplitudes).max() <= 1e-13
+        assert one.blocks.keys() == full.blocks.keys() == evolved.blocks.keys()
+        for q, amps in one.blocks.items():
+            assert np.array_equal(initial.blocks[q][k : k + 1], amps)
+            assert np.abs(evolved.blocks[q][k : k + 1] - full.blocks[q]).max() <= 1e-13
         assert np.abs(rho[k : k + 1] - reduced_density(full, scenario.receiver(n))).max() <= 1e-13
 
 
-def test_batched_oracle_at_the_cap_matches_kraus_stack(rng):
-    # the largest chain the oracle takes, through the same batch certify runs
-    n = MAX_ORACLE_SITES
+def test_batched_oracle_at_paper_length_matches_kraus_stack(rng):
+    # the paper's chain length N = 22, through the same batch certify runs
+    n = 22
+    spec = seeded_chain(int(rng.integers(2**31)), n, "long_range")
+    for scenario in Scenario:
+        times = rng.uniform(0.5, 8.0, 3)
+        psi = np.array([random_state(rng, 1 << len(scenario.senders)) for _ in times])
+        initial = transfer_initial_state(n, scenario.senders, psi, scenario.occupied(n))
+        rho_ref = reduced_density(evolve_many(spec, initial, times), scenario.receiver(n))
+        rho = apply_channel(kraus_at_times(spec, scenario, times), psi)
+        for k in range(times.size):
+            assert trace_distance(rho[k], rho_ref[k]) <= 1e-9
+
+
+def test_two_qubit_oracle_needs_no_dense_state(rng):
+    # a dense state of 2^40 amplitudes could not be allocated; the stored
+    # blocks are at most C(40, 2) = 780 wide
+    n = 40
     scenario = Scenario.TWO_QUBIT_VACUUM
     spec = seeded_chain(int(rng.integers(2**31)), n, "long_range")
     times = rng.uniform(0.5, 8.0, 3)
     psi = np.array([random_state(rng, 4) for _ in times])
     evolved = evolve_many(spec, transfer_initial_state(n, scenario.senders, psi), times)
+    assert max(amps.shape[1] for amps in evolved.blocks.values()) == comb(n, 2)
     rho_ref = reduced_density(evolved, scenario.receiver(n))
     rho = apply_channel(kraus_at_times(spec, scenario, times), psi)
     for k in range(times.size):
@@ -304,14 +336,14 @@ def test_batched_oracle_at_the_cap_matches_kraus_stack(rng):
 
 def test_evolve_many_validates_shapes(rng):
     spec = make_random_chain(rng, 4)
-    states = FullState(np.array([random_state(rng, 16) for _ in range(2)]), 4)
+    states = block_state(np.array([random_state(rng, 16) for _ in range(2)]), 4)
     with pytest.raises(ParameterError):
         evolve_many(spec, states, [1.0])  # one time for two rows
     with pytest.raises(ParameterError):
         evolve_many(spec, states, [1.0, np.inf])
     with pytest.raises(ParameterError):
-        FullState(random_state(rng, 16), 4)  # a bare state is no stack
+        block_state(random_state(rng, 16), 4)  # a bare state is no stack
     with pytest.raises(ParameterError):
         transfer_initial_state(4, (1,), random_state(rng, 2))
     with pytest.raises(ParameterError):
-        FullState(np.array([random_state(rng, 16), np.zeros(16)]), 4)
+        block_state(np.array([random_state(rng, 16), np.zeros(16)]), 4)
