@@ -522,8 +522,9 @@ def fidelity_law(
     dyn = dynamics_for(spec)
     if scenario is Scenario.ONE_QUBIT_VACUUM:
         amp = propagator_rows(dyn.one, [[1]], [n], times)[:, 0, 0]
-        r2 = np.abs(amp) ** 2
-        re = np.abs(amp) if phase_corrected else amp.real
+        modulus = np.abs(amp)
+        r2 = modulus ** 2
+        re = modulus if phase_corrected else amp.real
         coefficients = ((r2 - re) / 2.0, (1.0 - r2) / 2.0, (1.0 + re) / 2.0)
     elif scenario is Scenario.ONE_QUBIT_UNIFORM and is_free_fermion(spec):
         # a = a_1^N and S = sum_{j=2}^{N-1} a_j^N; row orthonormality

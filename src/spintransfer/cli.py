@@ -63,6 +63,14 @@ EXIT_TARGET = 3
 EXIT_CERTIFY = 4
 EXIT_NUMERIC = 5
 
+# glibc's mallopt parameters (malloc.h) and the values a CLI run sets
+# (keep_heap_mapped): the mmap threshold at the ceiling of glibc's own
+# dynamic threshold, and a trim threshold above it
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 * 2**20
+TRIM_THRESHOLD_BYTES = 64 * 2**20
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -501,7 +509,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def keep_heap_mapped() -> bool:
+    """Keep freed heap pages mapped for the rest of this process.
+
+    glibc trims the top of the heap once a chunk's numpy temporaries are
+    freed, so the next scan chunk or Monte Carlo batch maps and zeroes the
+    same pages again.  ``mallopt`` sets the mmap threshold to 32 MiB and
+    the trim threshold to 64 MiB.  Both are set because setting either one
+    turns glibc's dynamic thresholds off: the trim threshold alone freezes
+    the mmap threshold where it stands (128 KiB at start-up), and every
+    larger temporary is mapped afresh.  Allocation changes, the arithmetic
+    does not.  Returns whether both calls succeeded; off Linux, or where
+    libc has no ``mallopt``, it sets nothing and returns False.
+    """
+    if not sys.platform.startswith("linux"):
+        return False
+    import ctypes  # here, so that importing the package imports nothing new
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    results = [mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
+               mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)]
+    return all(result == 1 for result in results)
+
+
 def main(argv: list[str] | None = None) -> int:
+    keep_heap_mapped()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

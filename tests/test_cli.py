@@ -1,5 +1,7 @@
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 from math import comb
@@ -14,7 +16,7 @@ from spintransfer.certify import (
     run_certification,
 )
 from spintransfer import analytics, channel, dynamics, oracle
-from spintransfer.cli import EXIT_CERTIFY, EXIT_NUMERIC, KS_GATE_ALPHA, main
+from spintransfer.cli import EXIT_CERTIFY, EXIT_NUMERIC, KS_GATE_ALPHA, keep_heap_mapped, main
 from spintransfer.dynamics import dynamics_for
 from spintransfer.oracle import MAX_ORACLE_BLOCK
 
@@ -716,3 +718,70 @@ def test_pdf_runs_without_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "run" / "histogram.csv").exists()
+
+
+@pytest.mark.parametrize("failure", [OSError("no libc"), TypeError("no handle"), None])
+def test_keep_heap_mapped_without_mallopt(tmp_path, monkeypatch, failure):
+    # a libc that cannot be loaded (OSError; TypeError as on Windows) or has
+    # no mallopt leaves the allocator alone, and the run goes on
+    def cdll(name):
+        if failure is not None:
+            raise failure
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert keep_heap_mapped() is False
+    assert run_cli(*BASE, "--out", str(tmp_path / "run")) == 0
+    assert (tmp_path / "run" / "histogram.csv").exists()
+
+
+def test_keep_heap_mapped_is_a_no_op_off_linux(monkeypatch):
+    def cdll(name):
+        raise AssertionError("libc loaded off Linux")
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert keep_heap_mapped() is False
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt")
+def test_keep_heap_mapped_on_glibc():
+    assert keep_heap_mapped() is True
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt")
+def test_main_keeps_heap_mapped_and_outputs_unchanged(tmp_path):
+    # the same pdf through main (which keeps freed pages mapped) and through
+    # load_config + cmd_pdf (which does not), each in a fresh process: the
+    # files match byte for byte, output_dir aside, and main's run takes at
+    # most half the minor page faults
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    script = (
+        "import resource, sys\n"
+        "from spintransfer import cli\n"
+        "entry, argv = sys.argv[1], sys.argv[2:]\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "if entry == 'main':\n"
+        "    assert cli.main(argv) == 0\n"
+        "else:\n"
+        "    cli.cmd_pdf(cli.load_config(cli.build_parser().parse_args(argv)))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    argv = ["pdf", "--protocol", "weak", "--j0", "0.005", "--n-sites", "9",
+            "--scenario", "two_qubit", "--mode", "target_avg:0.99",
+            "--mc-samples", "20000", "--seed", "1"]
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    faults = {}
+    for entry in ("main", "direct"):
+        done = subprocess.run([sys.executable, "-c", script, entry, *argv,
+                               "--out", str(tmp_path / entry)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        faults[entry] = int(done.stdout.splitlines()[-1])
+    for name in ("pdf_curve.csv", "histogram.csv"):
+        assert (tmp_path / "main" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+    records = [read_json(tmp_path / entry / "result.json") for entry in ("main", "direct")]
+    for record in records:
+        record["config"].pop("output_dir")
+    assert records[0] == records[1]
+    assert faults["main"] <= faults["direct"] / 2, faults
