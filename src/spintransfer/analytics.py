@@ -33,8 +33,9 @@ the closed forms, and elsewhere, where laws and Kraus sets read the same
 rows, the laws' row arithmetic; the full-space oracle checks the rows.
 
 Read-out planning has one place per decision: :func:`tune_with_ladder` the
-scan windows, :func:`find_optimal_time` whether the field applies, and
-:func:`plan_readout` the read-out ``times``; :func:`tune_readout` runs both.
+scan windows, :func:`find_optimal_time` whether the field applies,
+:func:`resolve_mode` the timing mode's rules, and :func:`plan_readout` the
+read-out ``times``.
 """
 
 from __future__ import annotations
@@ -889,6 +890,45 @@ class ReadoutPlan:
         return self.tuning.t_opt
 
 
+def resolve_mode(mode: dict | None, jitter: bool = False) -> dict:
+    """The timing mode that runs: ``mode`` checked and in canonical form.
+
+    ``mode`` is a configuration's timing mode (None or empty is
+    ``at_optimal``).  Each type takes at most one number, as a number or
+    numeric text but never a boolean: ``timing_error`` its ``fraction`` in
+    [0, 0.5] (DEFAULT_TIMING_FRACTION when omitted), ``target_avg`` its
+    ``value``.  ``jitter`` applies to ``timing_error`` only.  Returns
+    ``{"type": ...}`` plus the type's number as a float; an unknown type, a
+    key the type does not take or a bad number is a ParameterError.
+    """
+    mode = dict(mode or {"type": "at_optimal"})
+    mode_type = mode.pop("type", None)
+    takes = {"at_optimal": None, "timing_error": "fraction", "target_avg": "value"}
+    if not isinstance(mode_type, str) or mode_type not in takes:
+        raise ParameterError(f"unknown mode type {mode_type!r}")
+    key = takes[mode_type]
+    if key == "fraction":
+        mode.setdefault(key, DEFAULT_TIMING_FRACTION)
+    stray = sorted(str(name) for name in mode if name != key)
+    if stray:
+        raise ParameterError(f"mode {mode_type} does not take {', '.join(stray)}")
+    resolved = {"type": mode_type}
+    if key is not None:
+        value = mode.get(key)
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = None
+        if number is None or isinstance(value, bool):
+            raise ParameterError(f"mode {key} must be a number, got {value!r}")
+        resolved[key] = number
+    if key == "fraction" and not 0.0 <= resolved[key] <= 0.5:
+        raise ParameterError(f"timing_error fraction must lie in [0, 0.5], got {resolved[key]}")
+    if jitter and mode_type != "timing_error":
+        raise ParameterError(f"jitter applies to the timing_error mode, not {mode_type}")
+    return resolved
+
+
 def plan_readout(
     spec: ChainSpec,
     scenario: Scenario,
@@ -901,29 +941,23 @@ def plan_readout(
 
     ``tuning`` is the result of :func:`find_optimal_time` (or
     :func:`tune_with_ladder`) for ``spec`` and ``scenario``; ``mode`` is a
-    configuration's timing mode: ``{"type": "at_optimal"}`` (the default),
-    ``{"type": "timing_error", "fraction": f}`` read at (1 + f) t_opt, or
-    ``{"type": "target_avg", "value": v}`` at the early-flank time of average
-    v.  ``jitter`` spreads a timing error over JITTER_MIX_NODES equal-weight
-    times t_opt (1 - f) ... t_opt (1 + f) instead, read out around t_opt.  A
-    phase-corrected tuning folds the field that nulls the arrival phase into
-    the returned spec, computed at t_opt, or at t_read in target mode.
+    configuration's timing mode, checked by :func:`resolve_mode`:
+    ``{"type": "at_optimal"}`` (the default), ``{"type": "timing_error",
+    "fraction": f}`` read at (1 + f) t_opt, or ``{"type": "target_avg",
+    "value": v}`` at the early-flank time of average v.  ``jitter`` spreads a
+    timing error over JITTER_MIX_NODES equal-weight times t_opt (1 - f) ...
+    t_opt (1 + f) instead, read out around t_opt.  A phase-corrected tuning
+    folds the field that nulls the arrival phase into the returned spec,
+    computed at t_opt, or at t_read in target mode.
     """
-    mode_type = (mode or {"type": "at_optimal"}).get("type")
-    if jitter and mode_type != "timing_error":
-        raise ParameterError(f"jitter applies to the timing_error mode, not {mode_type}")
+    mode = resolve_mode(mode, jitter)
     t_read = t_null = tuning.t_opt
-    if mode_type == "target_avg":
-        t_read = t_null = time_for_target_avg(spec, scenario, float(mode["value"]), tuning)
-    elif mode_type == "timing_error":
-        fraction = float(mode.get("fraction", DEFAULT_TIMING_FRACTION))
-        if not 0.0 <= fraction <= 0.5:
-            raise ParameterError(f"timing fraction must lie in [0, 0.5], got {fraction}")
-        if not jitter:
-            t_read = (1.0 + fraction) * tuning.t_opt
-    elif mode_type != "at_optimal":
-        raise ParameterError(f"unknown mode type {mode_type!r}")
+    if mode["type"] == "target_avg":
+        t_read = t_null = time_for_target_avg(spec, scenario, mode["value"], tuning)
+    elif mode["type"] == "timing_error" and not jitter:
+        t_read = (1.0 + mode["fraction"]) * tuning.t_opt
     if jitter:
+        fraction = mode["fraction"]
         times = tuning.t_opt * np.linspace(1.0 - fraction, 1.0 + fraction, JITTER_MIX_NODES)
     else:
         times = np.array([float(t_read)])
@@ -933,19 +967,3 @@ def plan_readout(
         b_aux = phase_null_field(spec, scenario, t_null)
         spec_eff = spec.with_uniform_field(b_aux)
     return ReadoutPlan(spec_eff, scenario, tuning, float(t_read), b_aux, times)
-
-
-def tune_readout(
-    spec: ChainSpec,
-    scenario: Scenario,
-    kind,
-    aux_field: bool,
-    mode: dict | None = None,
-    *,
-    jitter: bool = False,
-    window: tuple[float, float] | None = None,
-    grid: int | None = None,
-) -> ReadoutPlan:
-    """:func:`tune_with_ladder`, then :func:`plan_readout` of ``mode``."""
-    tuning = tune_with_ladder(spec, scenario, kind, aux_field, window, grid)
-    return plan_readout(spec, scenario, tuning, mode, jitter=jitter)

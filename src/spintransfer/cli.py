@@ -4,8 +4,9 @@ Three subcommands: ``tune`` locates optimal read-out times (optionally with
 the phase-nulling auxiliary field), ``pdf`` produces analytic fidelity
 distributions plus optional Monte Carlo histograms as figure-ready CSV
 files, and ``certify`` runs the brute-force cross-check suite.  ``tune``
-and ``pdf`` get their read-out from one call,
-:func:`~spintransfer.analytics.tune_readout`.  Identical configuration and
+and ``pdf`` get their read-out from
+:func:`~spintransfer.analytics.tune_with_ladder` and then
+:func:`~spintransfer.analytics.plan_readout`.  Identical configuration and
 seed give byte-identical output files; wall-clock timing is printed to
 stdout only, never written into them.
 
@@ -21,17 +22,18 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .analytics import (
-    DEFAULT_TIMING_FRACTION,
     ReadoutPlan,
     check_grid,
     fidelity_law,
     find_optimal_time,
-    tune_readout,
+    plan_readout,
+    resolve_mode,
+    tune_with_ladder,
 )
 from .chain import Barrier, ChainSpec, Perfect, ProtocolKind, Weak, protocol_preset
 from .channel import Scenario, kraus_at_times
@@ -74,7 +76,11 @@ TRIM_THRESHOLD_BYTES = 64 * 2**20
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description (the ``result.json`` echo)."""
+    """Fully resolved experiment description (the ``result.json`` echo).
+
+    ``mode`` is the timing mode that runs, as
+    :func:`~spintransfer.analytics.resolve_mode` returns it.
+    """
 
     protocol: dict
     n_sites: int
@@ -115,29 +121,16 @@ class ExperimentConfig:
 
     def resolved_aux(self) -> bool:
         if self.aux_field is not None:
-            return bool(self.aux_field)
+            return self.aux_field
         return self.protocol.get("kind") != "barrier"
 
     def validate(self) -> None:
         if self.n_sites < 4:
             raise ParameterError(f"n_sites must be >= 4, got {self.n_sites}")
-        mode_type = self.mode.get("type")
-        if mode_type == "timing_error":
-            fraction = _number("mode fraction", self.mode.get("fraction", DEFAULT_TIMING_FRACTION))
-            if not 0.0 <= fraction <= 0.5:
-                raise ParameterError(
-                    f"timing_error fraction must lie in [0, 0.5], got {fraction}"
-                )
-        elif mode_type == "target_avg":
-            value = _number("mode value", self.mode.get("value"))
-            if not 0.5 < value < 1.0:
-                raise ParameterError(
-                    f"target_avg value must lie in (0.5, 1), got {value}"
-                )
-        elif mode_type != "at_optimal":
-            raise ParameterError(f"unknown mode type {mode_type!r}")
-        if self.jitter and mode_type != "timing_error":
-            raise ParameterError(f"jitter applies to the timing_error mode, not {mode_type}")
+        if self.mode["type"] == "target_avg" and not 0.5 < self.mode["value"] < 1.0:
+            raise ParameterError(
+                f"target_avg value must lie in (0.5, 1), got {self.mode['value']}"
+            )
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.mc_samples < 0:
@@ -155,20 +148,7 @@ class ExperimentConfig:
         self.scenario_enum()
 
     def to_echo(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "n_sites": self.n_sites,
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "mc_samples": self.mc_samples,
-            "seed": self.seed,
-            "bins": self.bins,
-            "output_dir": self.output_dir,
-            "aux_field": self.resolved_aux(),
-            "window": list(self.window) if self.window else None,
-            "grid": self.grid,
-            "jitter": self.jitter,
-        }
+        return {**asdict(self), "aux_field": self.resolved_aux()}
 
 
 def _number(field: str, value, kind=float):
@@ -187,6 +167,15 @@ def _number(field: str, value, kind=float):
         raise ParameterError(f"{field} must be {noun}, got {value!r}") from exc
 
 
+def _boolean(field: str, value, nullable: bool = False):
+    """``value`` if it is a JSON boolean (or null where ``nullable``), else
+    a ParameterError naming ``field``: ``"false"`` or 0 is no boolean."""
+    if isinstance(value, bool) or (nullable and value is None):
+        return value
+    choices = "true, false or null" if nullable else "true or false"
+    raise ParameterError(f"{field} must be {choices}, got {value!r}")
+
+
 def _window(value) -> tuple[float, float]:
     """A (lo, hi) scan window from ``lo:hi`` text or a two-entry list."""
     if isinstance(value, str):
@@ -203,8 +192,10 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     Raises
     ------
     ParameterError
-        If the config file cannot be read or a numeric field does not
-        parse; the message names the file or the field.
+        If the config file cannot be read, a numeric or boolean field does
+        not parse, or the timing mode is not one
+        :func:`~spintransfer.analytics.resolve_mode` takes; the message
+        names the file or the field.
     """
     data: dict = {}
     if args.config:
@@ -225,24 +216,18 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         protocol["j0"] = args.j0
     if args.h0 is not None:
         protocol["h0"] = args.h0
-    mode = dict(data.get("mode", {}))
+    mode = data.get("mode")
     if args.mode:
-        parts = args.mode.split(":", 1)
-        mode = {"type": parts[0]}
-        if parts[0] == "timing_error":
-            mode["fraction"] = (
-                _number("mode fraction", parts[1]) if len(parts) > 1 else DEFAULT_TIMING_FRACTION
-            )
-        elif parts[0] == "target_avg":
-            if len(parts) < 2:
-                raise ParameterError("--mode target_avg:<value> needs a value")
-            mode["value"] = _number("mode value", parts[1])
-    if not mode:
-        mode = {"type": "at_optimal"}
+        # type[:x]; the number is target_avg's value or any other type's fraction
+        mode_type, sep, number = args.mode.partition(":")
+        mode = {"type": mode_type}
+        if sep:
+            mode["value" if mode_type == "target_avg" else "fraction"] = number
+    jitter = _boolean("jitter", data.get("jitter", False)) or args.jitter
     window = args.window or data.get("window")
     grid = args.grid if args.grid is not None else data.get("grid")
     output_dir = args.out or data.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV, "")
-    aux = data.get("aux_field", None)
+    aux = _boolean("aux_field", data.get("aux_field"), nullable=True)
     if args.aux_field is not None:
         aux = args.aux_field == "on"
     config = ExperimentConfig(
@@ -251,7 +236,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             "n_sites", args.n_sites if args.n_sites is not None else data.get("n_sites", 0), int
         ),
         scenario=str(args.scenario or data.get("scenario") or ""),
-        mode=mode,
+        mode=resolve_mode(mode, jitter),
         mc_samples=_number(
             "mc_samples",
             args.mc_samples if args.mc_samples is not None else data.get("mc_samples", DEFAULT_MC_SAMPLES),
@@ -263,7 +248,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         aux_field=aux,
         window=_window(window) if window else None,
         grid=None if grid is None else _number("grid", grid, int),
-        jitter=bool(args.jitter or data.get("jitter", False)),
+        jitter=jitter,
     )
     config.validate()
     return config
@@ -334,8 +319,10 @@ def _build_spec(config: ExperimentConfig) -> ChainSpec:
 
 def _resolve_plan(config: ExperimentConfig, spec: ChainSpec) -> ReadoutPlan:
     """The tuned read-out of ``spec`` that ``config`` asks for."""
-    return tune_readout(spec, config.scenario_enum(), config.kind(), config.resolved_aux(),
-                        config.mode, jitter=config.jitter, window=config.window, grid=config.grid)
+    scenario = config.scenario_enum()
+    tuning = tune_with_ladder(spec, scenario, config.kind(), config.resolved_aux(),
+                              config.window, config.grid)
+    return plan_readout(spec, scenario, tuning, config.mode, jitter=config.jitter)
 
 
 def _result_record(echo, plan, law, avg, ks, files) -> dict:
@@ -362,7 +349,7 @@ def cmd_tune(config: ExperimentConfig) -> dict:
     scan of the uncorrected average over the same window.  ``tune`` reads
     out at the optimum, so any other configured mode is a ParameterError.
     """
-    mode_type = config.mode.get("type")
+    mode_type = config.mode["type"]
     if mode_type != "at_optimal":
         raise ParameterError(f"tune takes mode at_optimal only, got mode {mode_type}")
     started = time.perf_counter()

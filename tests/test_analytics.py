@@ -452,6 +452,37 @@ def test_plan_readout_modes():
         assert np.array_equal(plan.times, [plan.t_read])
 
 
+BAD_MODES = {
+    "fraction_out_of_range": ({"type": "timing_error", "fraction": 0.7}, False, "fraction"),
+    "fraction_boolean": ({"type": "timing_error", "fraction": True}, False, "fraction"),
+    "fraction_not_a_number": ({"type": "timing_error", "fraction": "abc"}, False, "fraction"),
+    "unknown_type": ({"type": "late"}, False, "unknown mode type"),
+    "key_not_taken": ({"type": "target_avg", "value": 0.99, "fraction": 0.1}, False, "fraction"),
+    "jitter_at_optimal": ({"type": "at_optimal"}, True, "jitter"),
+}
+
+
+@pytest.fixture(scope="module")
+def perfect_tuning():
+    spec = protocol_preset(Perfect(), 10)
+    tuning = find_optimal_time(spec, Scenario.ONE_QUBIT_VACUUM, (0.0, 2.0), 2000, True)
+    return spec, tuning
+
+
+@pytest.mark.parametrize(("mode", "jitter", "message"), list(BAD_MODES.values()), ids=list(BAD_MODES))
+def test_plan_readout_rejects_bad_modes(perfect_tuning, mode, jitter, message):
+    spec, tuning = perfect_tuning
+    with pytest.raises(ParameterError, match=message):
+        plan_readout(spec, Scenario.ONE_QUBIT_VACUUM, tuning, mode, jitter=jitter)
+
+
+def test_plan_readout_default_timing_fraction(perfect_tuning):
+    spec, tuning = perfect_tuning
+    plan = plan_readout(spec, Scenario.ONE_QUBIT_VACUUM, tuning, {"type": "timing_error"})
+    assert plan.t_read == 1.02 * tuning.t_opt
+    assert np.array_equal(plan.times, [plan.t_read])
+
+
 def test_occupied_channel_tuning_takes_no_field():
     # however the tuning is reached, the occupied channel is tuned on its
     # raw average and planned without a field

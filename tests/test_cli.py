@@ -163,6 +163,15 @@ MALFORMED = {
     "config_seed_fractional": ({"seed": 2.9}, "seed"),
     "config_grid_fractional": ({"grid": 150.5}, "grid"),
     "config_seed_boolean": ({"seed": True}, "seed"),
+    "mode_key_not_taken": (["--mode", "at_optimal:0.3"], "fraction"),
+    "config_mode_keys_not_taken": (
+        {"mode": {"type": "at_optimal", "fraction": 0.3, "value": 7}}, "fraction, value"
+    ),
+    # "false", "off" and 0 are no JSON booleans: read with bool(), the
+    # first two ran a jitter read-out with the field on
+    "config_jitter_not_boolean": ({"mode": {"type": "timing_error"}, "jitter": "false"}, "jitter"),
+    "config_jitter_zero": ({"mode": {"type": "timing_error"}, "jitter": 0}, "jitter"),
+    "config_aux_field_not_boolean": ({"aux_field": "off"}, "aux_field"),
 }
 
 
@@ -380,6 +389,39 @@ def test_jitter_reads_out_around_the_optimum(tmp_path):
     optimum = read_json(tmp_path / "optimum" / "result.json")
     assert jitter["t_readout"] == jitter["t_opt"] == optimum["t_readout"]
     assert jitter["b_aux"] == optimum["b_aux"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_jitter_record_rebuilds_its_run(tmp_path, source):
+    # bench/op.py recomputes a jitter run's mean from result.json alone:
+    # the chain from ExperimentConfig(**echo), the window from the echoed
+    # fraction; on the run's own nodes that gives the run's average
+    from spintransfer import cli
+    from spintransfer.analytics import JITTER_MIX_NODES, avg_fidelity_curve
+    from spintransfer.channel import Scenario
+
+    out = tmp_path / "run"
+    if source == "flag":
+        args = ["--protocol", "perfect", "--n-sites", "8", "--scenario", "one_qubit_vacuum",
+                "--mc-samples", "0", "--mode", "timing_error:0.02", "--jitter"]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "protocol": {"kind": "perfect"}, "n_sites": 8, "scenario": "one_qubit_vacuum",
+            "mc_samples": 0, "mode": {"type": "timing_error"}, "jitter": True,
+        }))
+        args = ["--config", str(path)]
+    assert run_cli("pdf", *args, "--out", str(out)) == 0
+    record = read_json(out / "result.json")
+    config = record["config"]
+    assert config["mode"] == {"type": "timing_error", "fraction": 0.02}
+    spec = cli._build_spec(cli.ExperimentConfig(**config))
+    if record["b_aux"]:
+        spec = spec.with_uniform_field(record["b_aux"])
+    fraction = float(config["mode"]["fraction"])
+    times = record["t_opt"] * np.linspace(1.0 - fraction, 1.0 + fraction, JITTER_MIX_NODES)
+    mean = avg_fidelity_curve(spec, Scenario(config["scenario"]), times).mean()
+    assert record["avg_fidelity"] == pytest.approx(mean, abs=1e-12)
 
 
 def test_jitter_mixture_is_normalized(tmp_path):
