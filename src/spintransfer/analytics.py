@@ -700,6 +700,9 @@ def find_optimal_time(
 
     A coarse grid scan over ``window`` picks the best sample; golden-section
     refinement around it narrows the time to a relative resolution of 1e-8.
+    The window is finite, ordered and starts at 0 or later: a read-out
+    before the transfer starts is no read-out, and :func:`plan_readout`
+    nulls no phase at t <= 0.
     ``phase_corrected`` asks for the field that nulls the arrival phase;
     this is the one place deciding whether it applies.  The occupied channel
     takes none: its average is not a function of a single arrival phase.
@@ -708,6 +711,8 @@ def find_optimal_time(
     t_lo, t_hi = float(window[0]), float(window[1])
     if not (np.isfinite(t_lo) and np.isfinite(t_hi)) or t_lo >= t_hi:
         raise ParameterError(f"invalid time window {window}")
+    if t_lo < 0.0:
+        raise ParameterError(f"time window {window} starts below 0")
     check_grid(grid)
     scanned = (t_lo, t_hi, int(grid))
     ts = np.linspace(*scanned)
@@ -893,7 +898,7 @@ class ReadoutPlan:
 def resolve_mode(mode: dict | None, jitter: bool = False) -> dict:
     """The timing mode that runs: ``mode`` checked and in canonical form.
 
-    ``mode`` is a configuration's timing mode (None or empty is
+    ``mode`` is a configuration's timing mode, a dict (None or empty is
     ``at_optimal``).  Each type takes at most one number, as a number or
     numeric text but never a boolean: ``timing_error`` its ``fraction`` in
     [0, 0.5] (DEFAULT_TIMING_FRACTION when omitted), ``target_avg`` its
@@ -901,6 +906,8 @@ def resolve_mode(mode: dict | None, jitter: bool = False) -> dict:
     ``{"type": ...}`` plus the type's number as a float; an unknown type, a
     key the type does not take or a bad number is a ParameterError.
     """
+    if mode is not None and not isinstance(mode, dict):
+        raise ParameterError(f"mode must be a JSON object, got {mode!r}")
     mode = dict(mode or {"type": "at_optimal"})
     mode_type = mode.pop("type", None)
     takes = {"at_optimal": None, "timing_error": "fraction", "target_avg": "value"}

@@ -10,6 +10,13 @@ and ``pdf`` get their read-out from
 seed give byte-identical output files; wall-clock timing is printed to
 stdout only, never written into them.
 
+A run's configuration is one merge (:func:`load_config`: the
+``SPINTRANSFER_OUT`` environment variable, then the JSON config file, then
+the flags given; null counts as absent) and one check:
+constructing :class:`ExperimentConfig` checks every field and stores it in
+the form that runs, so ``result.json`` echoes ``asdict(config)`` and
+``ExperimentConfig(**echo)`` rebuilds the run.
+
 Exit codes: 0 success, 2 parameter error, 3 unreachable target average,
 4 certification failure (a failed ``certify`` check, or a ``pdf`` whose
 Monte Carlo KS distance exceeds its DKW bound), 5 numeric failure.
@@ -22,7 +29,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -74,18 +81,28 @@ MMAP_THRESHOLD_BYTES = 32 * 2**20
 TRIM_THRESHOLD_BYTES = 64 * 2**20
 
 
+KINDS = {kind.label: kind for kind in (Weak, Barrier, Perfect)}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description (the ``result.json`` echo).
+    """One experiment, checked once and stored in the form that runs.
 
-    ``mode`` is the timing mode that runs, as
-    :func:`~spintransfer.analytics.resolve_mode` returns it.
+    Construction checks every field and resolves it, so ``asdict(config)``
+    is the ``result.json`` echo and ``ExperimentConfig(**echo)`` rebuilds
+    the same run.  ``protocol`` keeps ``kind`` plus that kind's parameters
+    (the fields of its :class:`~spintransfer.chain.Weak`, ``Barrier`` or
+    ``Perfect`` class) as floats; ``mode`` is the timing mode that runs, as
+    :func:`~spintransfer.analytics.resolve_mode` returns it; ``aux_field``
+    None resolves to the protocol's default (off for barrier, on
+    otherwise).  A missing, malformed or out-of-range field, or a protocol
+    key the kind does not take, is a ParameterError naming it.
     """
 
-    protocol: dict
-    n_sites: int
-    scenario: str
-    mode: dict
+    protocol: dict | None = None
+    n_sites: int | None = None
+    scenario: str | None = None
+    mode: dict | None = None
     mc_samples: int = DEFAULT_MC_SAMPLES
     seed: int = DEFAULT_SEED
     bins: int = DEFAULT_BINS
@@ -95,60 +112,73 @@ class ExperimentConfig:
     grid: int | None = None
     jitter: bool = False
 
+    def __post_init__(self):
+        protocol = _protocol(self.protocol)
+        jitter = _boolean("jitter", self.jitter)
+        mode = resolve_mode(self.mode, jitter)
+        if mode["type"] == "target_avg" and not 0.5 < mode["value"] < 1.0:
+            raise ParameterError(f"target_avg value must lie in (0.5, 1), got {mode['value']}")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ParameterError(
+                "output_dir must be a non-empty string (flag --out, config field, or "
+                f"{OUTPUT_DIR_ENV} environment variable), got {self.output_dir!r}"
+            )
+        aux = _boolean("aux_field", self.aux_field, nullable=True)
+        grid = None if self.grid is None else _number("grid", self.grid, int)
+        if grid is not None:
+            check_grid(grid)
+        resolved = {
+            "protocol": protocol,
+            "n_sites": _count("n_sites", _given("n_sites", "--n-sites", self.n_sites), 4),
+            "scenario": _given("scenario", "--scenario", self.scenario, [s.value for s in Scenario]),
+            "mode": mode,
+            "mc_samples": _count("mc_samples", self.mc_samples, 0),
+            "seed": _count("seed", self.seed, 0),
+            "bins": _count("bins", self.bins, 2),
+            "aux_field": protocol["kind"] != Barrier.label if aux is None else aux,
+            "window": None if self.window is None else _window(self.window),
+            "grid": grid,
+        }
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
+        self.kind()  # the kind's own checks: a positive j0 or h0
+
     def kind(self) -> ProtocolKind:
-        kind = self.protocol.get("kind")
-        if kind == "weak":
-            return Weak(_number("protocol j0", self.protocol.get("j0")))
-        if kind == "barrier":
-            return Barrier(_number("protocol h0", self.protocol.get("h0")))
-        if kind == "perfect":
-            return Perfect()
-        raise ParameterError(f"unknown protocol kind {kind!r}")
+        """The protocol that runs."""
+        params = dict(self.protocol)
+        return KINDS[params.pop("kind")](**params)
 
-    def scenario_enum(self) -> Scenario:
-        choices = ", ".join(s.value for s in Scenario)
-        if not self.scenario:
-            raise ParameterError(
-                f"scenario is missing: pass --scenario or set the config field "
-                f"scenario to one of {choices}"
-            )
-        try:
-            return Scenario(self.scenario)
-        except ValueError as exc:
-            raise ParameterError(
-                f"unknown scenario {self.scenario!r}; choose one of {choices}"
-            ) from exc
 
-    def resolved_aux(self) -> bool:
-        if self.aux_field is not None:
-            return self.aux_field
-        return self.protocol.get("kind") != "barrier"
+def _protocol(value) -> dict:
+    """``{"kind": ...}`` plus the parameters that kind takes, as floats.
 
-    def validate(self) -> None:
-        if self.n_sites < 4:
-            raise ParameterError(f"n_sites must be >= 4, got {self.n_sites}")
-        if self.mode["type"] == "target_avg" and not 0.5 < self.mode["value"] < 1.0:
-            raise ParameterError(
-                f"target_avg value must lie in (0.5, 1), got {self.mode['value']}"
-            )
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.mc_samples < 0:
-            raise ParameterError("mc_samples must be >= 0 (0 = analytic only)")
-        if self.bins < 2:
-            raise ParameterError(f"bins must be >= 2, got {self.bins}")
-        if self.grid is not None:
-            check_grid(self.grid)
-        if not self.output_dir:
-            raise ParameterError(
-                "output_dir is required (flag --out, config field, or "
-                f"{OUTPUT_DIR_ENV} environment variable)"
-            )
-        self.kind()
-        self.scenario_enum()
+    The fields of the kind's class are the parameters it takes; any other
+    key is a ParameterError naming it.
+    """
+    params = {} if value is None else value
+    if not isinstance(params, dict):
+        raise ParameterError(f"protocol must be a JSON object, got {params!r}")
+    params = dict(params)
+    label = _given("protocol kind", "--protocol", params.pop("kind", None), list(KINDS))
+    takes = [param.name for param in fields(KINDS[label])]
+    stray = sorted(str(key) for key in params if key not in takes)
+    if stray:
+        raise ParameterError(f"protocol {label} does not take {', '.join(stray)}")
+    return {"kind": label, **{
+        key: _number(f"protocol {key}", _given(f"protocol {key}", f"--{key}", params.get(key)))
+        for key in takes
+    }}
 
-    def to_echo(self) -> dict:
-        return {**asdict(self), "aux_field": self.resolved_aux()}
+
+def _given(field: str, flag: str, value, choices: list | None = None):
+    """``value``, or a ParameterError naming ``field`` if it is missing or
+    not one of ``choices``."""
+    names = "" if choices is None else f" to one of {', '.join(choices)}"
+    if value is None:
+        raise ParameterError(f"{field} is missing: pass {flag} or set it in the config file{names}")
+    if choices is not None and value not in choices:
+        raise ParameterError(f"unknown {field} {value!r}; choose one of {', '.join(choices)}")
+    return value
 
 
 def _number(field: str, value, kind=float):
@@ -165,6 +195,14 @@ def _number(field: str, value, kind=float):
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{field} must be {noun}, got {value!r}") from exc
+
+
+def _count(field: str, value, least: int) -> int:
+    """``value`` as an integer of at least ``least``, else a ParameterError."""
+    number = _number(field, value, int)
+    if number < least:
+        raise ParameterError(f"{field} must be >= {least}, got {number}")
+    return number
 
 
 def _boolean(field: str, value, nullable: bool = False):
@@ -187,15 +225,20 @@ def _window(value) -> tuple[float, float]:
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge the JSON config file (if any) with command-line overrides.
+    """The configuration of a ``tune`` or ``pdf`` run: one merge of its sources.
+
+    Each source overrides the one before: the SPINTRANSFER_OUT environment
+    variable (``output_dir``), the JSON config file's fields, then every
+    flag given.  A null field counts as absent.  ``--protocol``, ``--j0``
+    and ``--h0`` merge into the file's ``protocol``; ``--mode`` replaces
+    ``mode``.  Every field is checked by :class:`ExperimentConfig`.
 
     Raises
     ------
     ParameterError
-        If the config file cannot be read, a numeric or boolean field does
-        not parse, or the timing mode is not one
-        :func:`~spintransfer.analytics.resolve_mode` takes; the message
-        names the file or the field.
+        If the config file cannot be read, holds no JSON object or has a
+        key that is no field of :class:`ExperimentConfig`, or a field fails
+        its check; the message names the file, the key or the field.
     """
     data: dict = {}
     if args.config:
@@ -206,52 +249,31 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ParameterError(f"cannot read config {args.config!r}: {exc}") from exc
         if not isinstance(data, dict):
             raise ParameterError(f"config {args.config!r} must hold a JSON object")
-        for field in ("protocol", "mode"):
-            if not isinstance(data.get(field, {}), dict):
-                raise ParameterError(f"config field {field} must be a JSON object")
-    protocol = dict(data.get("protocol", {}))
-    if args.protocol:
-        protocol["kind"] = args.protocol
-    if args.j0 is not None:
-        protocol["j0"] = args.j0
-    if args.h0 is not None:
-        protocol["h0"] = args.h0
-    mode = data.get("mode")
+        unknown = sorted(set(data) - {name.name for name in fields(ExperimentConfig)})
+        if unknown:
+            raise ParameterError(f"config {args.config!r} has unknown field(s) {', '.join(unknown)}")
+    mode = None
     if args.mode:
         # type[:x]; the number is target_avg's value or any other type's fraction
         mode_type, sep, number = args.mode.partition(":")
         mode = {"type": mode_type}
         if sep:
             mode["value" if mode_type == "target_avg" else "fraction"] = number
-    jitter = _boolean("jitter", data.get("jitter", False)) or args.jitter
-    window = args.window or data.get("window")
-    grid = args.grid if args.grid is not None else data.get("grid")
-    output_dir = args.out or data.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV, "")
-    aux = _boolean("aux_field", data.get("aux_field"), nullable=True)
-    if args.aux_field is not None:
-        aux = args.aux_field == "on"
-    config = ExperimentConfig(
-        protocol=protocol,
-        n_sites=_number(
-            "n_sites", args.n_sites if args.n_sites is not None else data.get("n_sites", 0), int
-        ),
-        scenario=str(args.scenario or data.get("scenario") or ""),
-        mode=resolve_mode(mode, jitter),
-        mc_samples=_number(
-            "mc_samples",
-            args.mc_samples if args.mc_samples is not None else data.get("mc_samples", DEFAULT_MC_SAMPLES),
-            int,
-        ),
-        seed=_number("seed", args.seed if args.seed is not None else data.get("seed", DEFAULT_SEED), int),
-        bins=_number("bins", args.bins if args.bins is not None else data.get("bins", DEFAULT_BINS), int),
-        output_dir=str(output_dir),
-        aux_field=aux,
-        window=_window(window) if window else None,
-        grid=None if grid is None else _number("grid", grid, int),
-        jitter=jitter,
-    )
-    config.validate()
-    return config
+    flags = {
+        "n_sites": args.n_sites, "scenario": args.scenario, "mode": mode,
+        "mc_samples": args.mc_samples, "seed": args.seed, "bins": args.bins,
+        "output_dir": args.out, "window": args.window, "grid": args.grid,
+        "aux_field": None if args.aux_field is None else args.aux_field == "on",
+        "jitter": args.jitter or None,
+    }
+    merged: dict = {}
+    for source in ({"output_dir": os.environ.get(OUTPUT_DIR_ENV)}, data, flags):
+        merged.update((name, value) for name, value in source.items() if value is not None)
+    protocol = merged.get("protocol", {})
+    if isinstance(protocol, dict):
+        kind_flags = (("kind", args.protocol), ("j0", args.j0), ("h0", args.h0))
+        merged["protocol"] = {**protocol, **{key: v for key, v in kind_flags if v is not None}}
+    return ExperimentConfig(**merged)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +335,14 @@ def histogram_rows(hist: Histogram):
 # ---------------------------------------------------------------------------
 
 def _build_spec(config: ExperimentConfig) -> ChainSpec:
-    n_senders = len(config.scenario_enum().senders)
+    n_senders = len(Scenario(config.scenario).senders)
     return protocol_preset(config.kind(), config.n_sites, n_senders)
 
 
 def _resolve_plan(config: ExperimentConfig, spec: ChainSpec) -> ReadoutPlan:
     """The tuned read-out of ``spec`` that ``config`` asks for."""
-    scenario = config.scenario_enum()
-    tuning = tune_with_ladder(spec, scenario, config.kind(), config.resolved_aux(),
+    scenario = Scenario(config.scenario)
+    tuning = tune_with_ladder(spec, scenario, config.kind(), config.aux_field,
                               config.window, config.grid)
     return plan_readout(spec, scenario, tuning, config.mode, jitter=config.jitter)
 
@@ -363,13 +385,13 @@ def cmd_tune(config: ExperimentConfig) -> dict:
     law = fidelity_law(plan.spec, plan.scenario, plan.times)
     os.makedirs(config.output_dir, exist_ok=True)
     # tune never samples, so it echoes no sampling settings
-    echo = {k: v for k, v in config.to_echo().items() if k not in ("mc_samples", "seed", "bins")}
+    echo = {k: v for k, v in asdict(config).items() if k not in ("mc_samples", "seed", "bins")}
     record = _result_record(echo, plan, law, float(law.mean[0]), None, {})
     record["avg_fidelity_no_aux"] = raw.achieved_avg_fidelity
     write_json(os.path.join(config.output_dir, "result.json"), record)
     elapsed = time.perf_counter() - started
     print(
-        f"tuned {config.protocol.get('kind')} N={config.n_sites} {config.scenario}: "
+        f"tuned {config.protocol['kind']} N={config.n_sites} {config.scenario}: "
         f"t_opt={record['t_opt']:.9g} b_aux={record['b_aux']:.9g} "
         f"<F>={record['avg_fidelity']:.9f} (no aux: {record['avg_fidelity_no_aux']:.9f}) "
         f"[{elapsed:.2f}s]"
@@ -408,12 +430,12 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
             ["bin_lo", "bin_hi", "count", "normalized_density"],
             histogram_rows(hist),
         )
-    record = _result_record(config.to_echo(), plan, law, avg, ks, files)
+    record = _result_record(asdict(config), plan, law, avg, ks, files)
     write_json(os.path.join(config.output_dir, "result.json"), record)
     elapsed = time.perf_counter() - started
     ks_text = "n/a" if ks is None else f"{ks:.5f}"
     print(
-        f"pdf {config.protocol.get('kind')} N={config.n_sites} {config.scenario}: "
+        f"pdf {config.protocol['kind']} N={config.n_sites} {config.scenario}: "
         f"t_read={plan.t_read:.9g} <F>={avg:.9f} support=[{law.support[0]:.9f}, "
         f"{law.support[1]:.9f}] ks={ks_text} [{elapsed:.2f}s]"
     )
@@ -461,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON experiment config file")
-        p.add_argument("--protocol", choices=["weak", "barrier", "perfect"])
+        p.add_argument("--protocol", choices=list(KINDS))
         p.add_argument("--n-sites", type=int, dest="n_sites")
         p.add_argument(
             "--scenario",

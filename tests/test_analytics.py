@@ -352,6 +352,10 @@ def test_find_optimal_time_validation():
         find_optimal_time(spec, Scenario.ONE_QUBIT_VACUUM, (1.0, 1.0), 2000)
     with pytest.raises(ParameterError):
         find_optimal_time(spec, Scenario.ONE_QUBIT_VACUUM, (0.0, 1.0), 50)
+    # no read-out before the transfer starts: on (-2, -0.1) the scan's
+    # phase-corrected mean peaked at 1.0, a field no plan applies at t <= 0
+    with pytest.raises(ParameterError, match="below 0"):
+        find_optimal_time(spec, Scenario.ONE_QUBIT_VACUUM, (-2.0, -0.1), 2000)
 
 
 def test_time_for_target(rng):
@@ -459,6 +463,7 @@ BAD_MODES = {
     "unknown_type": ({"type": "late"}, False, "unknown mode type"),
     "key_not_taken": ({"type": "target_avg", "value": 0.99, "fraction": 0.1}, False, "fraction"),
     "jitter_at_optimal": ({"type": "at_optimal"}, True, "jitter"),
+    "not_an_object": ("target_avg", False, "mode must be a JSON object"),
 }
 
 

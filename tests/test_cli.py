@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +173,19 @@ MALFORMED = {
     "config_jitter_not_boolean": ({"mode": {"type": "timing_error"}, "jitter": "false"}, "jitter"),
     "config_jitter_zero": ({"mode": {"type": "timing_error"}, "jitter": 0}, "jitter"),
     "config_aux_field_not_boolean": ({"aux_field": "off"}, "aux_field"),
+    # the perfect chain takes no parameter: echoing j0 and h0 named a chain
+    # that never ran
+    "protocol_keys_not_taken": (["--j0", "0.05", "--h0", "7"], "h0, j0"),
+    "config_protocol_key_not_taken": ({"protocol": {"kind": "perfect", "j0": 0.05}}, "j0"),
+    # a falsy window was dropped: the run scanned the ladder and echoed null
+    "config_window_false": ({"window": False}, "window"),
+    "config_window_zero": ({"window": 0}, "window"),
+    "config_window_empty_list": ({"window": []}, "window"),
+    "config_window_empty_text": ({"window": ""}, "window"),
+    "config_unknown_keys": ({"mc_sample": 5, "gird": 300}, "gird, mc_sample"),
+    "config_mode_not_an_object": ({"mode": "target_avg"}, "mode"),
+    # no read-out before the transfer starts
+    "negative_window": (["--window=-2:-0.1"], "window"),
 }
 
 
@@ -194,6 +208,101 @@ def test_malformed_input_exit_code(tmp_path, capsys, malformed, field):
         args += ["--config", str(path)]
     assert run_cli(*args) == 2
     assert field in capsys.readouterr().err
+
+
+def test_output_dir_must_be_text(tmp_path, monkeypatch, capsys):
+    # a number is no directory name: 7 wrote into a directory named "7"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SPINTRANSFER_OUT", raising=False)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"output_dir": 7}))
+    args = [a for a in BASE]
+    args[args.index("--mc-samples") + 1] = "0"
+    assert run_cli(*args, "--config", str(path)) == 2
+    assert "output_dir" in capsys.readouterr().err
+    assert not (tmp_path / "7").exists()
+
+
+def test_null_output_dir_falls_back_to_env(tmp_path, monkeypatch):
+    out = tmp_path / "envout"
+    monkeypatch.setenv("SPINTRANSFER_OUT", str(out))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"output_dir": None, "mc_samples": 0}))
+    args = ["pdf", "--protocol", "perfect", "--n-sites", "8", "--scenario", "one_qubit_vacuum"]
+    assert run_cli(*args, "--config", str(path)) == 0
+    assert read_json(out / "result.json")["config"]["output_dir"] == str(out)
+
+
+NULLABLE = ["mode", "mc_samples", "seed", "bins", "aux_field", "window", "grid", "jitter"]
+
+
+@pytest.mark.parametrize("field", NULLABLE)
+def test_null_field_is_absent(tmp_path, field):
+    # null means absent for every field: the run echoes the default, as if
+    # the field were not there
+    setting = ["pdf", "--protocol", "perfect", "--n-sites", "8", "--scenario", "one_qubit_vacuum"]
+    base = {} if field == "mc_samples" else {"mc_samples": 0}
+    for name, config in (("null", {**base, field: None}), ("absent", base)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(*setting, "--config", str(path), "--out", str(tmp_path / name)) == 0
+    null = read_json(tmp_path / "null" / "result.json")
+    absent = read_json(tmp_path / "absent" / "result.json")
+    for record in (null, absent):
+        del record["config"]["output_dir"]
+    assert null == absent
+
+
+def readme_experiment() -> dict:
+    """The experiment.json of README's "Experiment configuration"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Experiment configuration", 1)[1]
+    return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+
+ROUND_TRIP = {
+    "flags_barrier_jitter": ["--protocol", "barrier", "--h0", "200", "--n-sites", "8",
+                             "--scenario", "one_qubit_vacuum", "--mode", "timing_error:0.02",
+                             "--jitter", "--mc-samples", "0"],
+    "flags_weak_window": ["--protocol", "weak", "--j0", "0.05", "--n-sites", "8",
+                          "--scenario", "one_qubit_vacuum", "--window", "0:400",
+                          "--grid", "2000", "--aux-field", "off", "--mc-samples", "0"],
+    # an integer or text protocol parameter runs, and is echoed, as a float
+    "config_integer_and_text": {"protocol": {"kind": "weak", "j0": "0.05"}, "n_sites": 8,
+                                "scenario": "two_qubit", "mode": {"type": "timing_error",
+                                                                   "fraction": 0.01},
+                                "mc_samples": 2000, "window": [0, 400]},
+    "config_barrier_integer": {"protocol": {"kind": "barrier", "h0": 200}, "n_sites": 8,
+                               "scenario": "one_qubit_uniform", "mc_samples": 0},
+    "readme_experiment": "readme",
+}
+
+
+@pytest.mark.parametrize("source", list(ROUND_TRIP.values()), ids=list(ROUND_TRIP))
+def test_echo_round_trips(tmp_path, source):
+    # the echo is the configuration that ran: building a config from it
+    # gives it back, protocol parameters as floats, and rebuilds the chain
+    from dataclasses import asdict
+
+    from spintransfer import cli
+
+    out = tmp_path / "run"
+    if isinstance(source, list):
+        args = source
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(readme_experiment() if source == "readme" else source))
+        args = ["--config", str(path)]
+    assert run_cli("pdf", *args, "--out", str(out)) == 0
+    echo = read_json(out / "result.json")["config"]
+    config = cli.ExperimentConfig(**echo)
+    # JSON writes the window tuple as a list
+    assert json.loads(json.dumps(asdict(config))) == echo
+    assert all(isinstance(v, float) for k, v in echo["protocol"].items() if k != "kind")
+    argv = ["pdf", *args, "--out", str(out)]
+    ran = cli.load_config(cli.build_parser().parse_args(argv))
+    assert config == ran
+    assert cli._build_spec(config) == cli._build_spec(ran)
 
 
 def test_output_dir_env_default(tmp_path, monkeypatch):
