@@ -35,7 +35,9 @@ rows, the laws' row arithmetic; the full-space oracle checks the rows.
 Read-out planning has one place per decision: :func:`tune_with_ladder` the
 scan windows, :func:`find_optimal_time` whether the field applies,
 :func:`resolve_mode` the timing mode's rules, and :func:`plan_readout` the
-read-out ``times``.
+read-out ``times``.  :func:`parse_number` is the one number rule of a
+configuration, shared by the timing mode and every numeric field of the
+command line.
 """
 
 from __future__ import annotations
@@ -895,6 +897,24 @@ class ReadoutPlan:
         return self.tuning.t_opt
 
 
+def parse_number(field: str, value, kind=float):
+    """``kind(value)``, or a ParameterError naming ``field``.
+
+    The one number rule of a configuration: a number or numeric text, never
+    a boolean.  An int field takes no fractional part: 10.7 is an error, not
+    10, while an integral float such as 1e6 passes.  An integer too large
+    for a float is no float either.
+    """
+    noun = "an integer" if kind is int else "a number"
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fractional:
+        raise ParameterError(f"{field} must be {noun}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{field} must be {noun}, got {value!r}") from exc
+
+
 def resolve_mode(mode: dict | None, jitter: bool = False) -> dict:
     """The timing mode that runs: ``mode`` checked and in canonical form.
 
@@ -921,14 +941,7 @@ def resolve_mode(mode: dict | None, jitter: bool = False) -> dict:
         raise ParameterError(f"mode {mode_type} does not take {', '.join(stray)}")
     resolved = {"type": mode_type}
     if key is not None:
-        value = mode.get(key)
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = None
-        if number is None or isinstance(value, bool):
-            raise ParameterError(f"mode {key} must be a number, got {value!r}")
-        resolved[key] = number
+        resolved[key] = parse_number(f"mode {key}", mode.get(key))
     if key == "fraction" and not 0.0 <= resolved[key] <= 0.5:
         raise ParameterError(f"timing_error fraction must lie in [0, 0.5], got {resolved[key]}")
     if jitter and mode_type != "timing_error":

@@ -200,9 +200,13 @@ def protocol_preset(
 def sector_hamiltonian(spec: ChainSpec, basis: SectorBasis) -> np.ndarray:
     """Dense real-symmetric restriction of the Hamiltonian to one sector.
 
-    Off-diagonal elements are ``2 J_ij`` between configurations that differ
-    by moving a single excitation; diagonal elements collect the field and ZZ
-    terms of the configuration, minus the vacuum energy (gauge fix).
+    One rule fills every sector.  A configuration's diagonal entry is its
+    field and ZZ energy minus the vacuum energy (the gauge fix), and each
+    hop of one of its excitations onto an empty site that the hopping
+    site's couplings row reaches adds ``2 J`` to one off-diagonal entry.
+    The q = 0 sector is returned as the literal zero that the gauge
+    defines: summed out, the vacuum's field energy minus ``vacuum_energy``
+    can leave a rounding residue.
 
     Raises
     ------
@@ -213,41 +217,25 @@ def sector_hamiltonian(spec: ChainSpec, basis: SectorBasis) -> np.ndarray:
         raise ParameterError(
             f"basis is for n_sites={basis.n_sites}, spec has {spec.n_sites}"
         )
-    n = spec.n_sites
-    q = basis.n_excitations
-    jd = spec.couplings * spec.anisotropies
-    e_vac = spec.vacuum_energy()
-
-    if q == 0:
+    if basis.n_excitations == 0:
         return np.zeros((1, 1))
-
-    if q == 1:
-        h = 2.0 * spec.couplings.copy()
-        np.fill_diagonal(h, 0.0)
-        for k in range(n):
-            z = np.ones(n)
-            z[k] = -1.0
-            h[k, k] = float(spec.fields @ z + 0.5 * z @ jd @ z) - e_vac
-        return h
-
-    dim = basis.dimension
-    h = np.zeros((dim, dim))
+    n = spec.n_sites
+    jd = spec.couplings * spec.anisotropies
     use_zz = np.any(jd != 0.0)
-    for row, (s1, s2) in enumerate(basis.configurations):
+    e_vac = spec.vacuum_energy()
+    reach = [(np.flatnonzero(row) + 1).tolist() for row in spec.couplings]
+    h = np.zeros((basis.dimension, basis.dimension))
+    for row, config in enumerate(basis.configurations):
         z = np.ones(n)
-        z[s1 - 1] = z[s2 - 1] = -1.0
+        z[[site - 1 for site in config]] = -1.0
         diag = float(spec.fields @ z)
         if use_zz:
             diag += float(0.5 * z @ jd @ z)
         h[row, row] = diag - e_vac
-        # hop the excitation at s2 (s1 fixed), then the one at s1 (s2 fixed)
-        for kept, moved in ((s1, s2), (s2, s1)):
-            for target in range(1, n + 1):
-                if target in (s1, s2):
-                    continue
-                j_val = spec.couplings[moved - 1, target - 1]
-                if j_val == 0.0:
-                    continue
-                col = basis.index_of(tuple(sorted((kept, target))))
-                h[row, col] += 2.0 * j_val
+        for moved in config:
+            kept = tuple(site for site in config if site != moved)
+            for target in reach[moved - 1]:
+                if target not in config:
+                    col = basis.index_of(sorted(kept + (target,)))
+                    h[row, col] += 2.0 * spec.couplings[moved - 1, target - 1]
     return h

@@ -38,6 +38,7 @@ from .analytics import (
     check_grid,
     fidelity_law,
     find_optimal_time,
+    parse_number,
     plan_readout,
     resolve_mode,
     tune_with_ladder,
@@ -54,7 +55,14 @@ from .errors import (
     RangeError,
     SpinTransferError,
 )
-from .sampling import Histogram, RandomStream, default_bin_edges, ks_distance, mc_fidelity_histogram
+from .sampling import (
+    MAX_MC_SAMPLES,
+    Histogram,
+    RandomStream,
+    default_bin_edges,
+    ks_distance,
+    mc_fidelity_histogram,
+)
 
 RESULT_SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "SPINTRANSFER_OUT"
@@ -124,7 +132,7 @@ class ExperimentConfig:
                 f"{OUTPUT_DIR_ENV} environment variable), got {self.output_dir!r}"
             )
         aux = _boolean("aux_field", self.aux_field, nullable=True)
-        grid = None if self.grid is None else _number("grid", self.grid, int)
+        grid = None if self.grid is None else parse_number("grid", self.grid, int)
         if grid is not None:
             check_grid(grid)
         resolved = {
@@ -132,7 +140,7 @@ class ExperimentConfig:
             "n_sites": _count("n_sites", _given("n_sites", "--n-sites", self.n_sites), 4),
             "scenario": _given("scenario", "--scenario", self.scenario, [s.value for s in Scenario]),
             "mode": mode,
-            "mc_samples": _count("mc_samples", self.mc_samples, 0),
+            "mc_samples": _count("mc_samples", self.mc_samples, 0, MAX_MC_SAMPLES),
             "seed": _count("seed", self.seed, 0),
             "bins": _count("bins", self.bins, 2),
             "aux_field": protocol["kind"] != Barrier.label if aux is None else aux,
@@ -165,7 +173,7 @@ def _protocol(value) -> dict:
     if stray:
         raise ParameterError(f"protocol {label} does not take {', '.join(stray)}")
     return {"kind": label, **{
-        key: _number(f"protocol {key}", _given(f"protocol {key}", f"--{key}", params.get(key)))
+        key: parse_number(f"protocol {key}", _given(f"protocol {key}", f"--{key}", params.get(key)))
         for key in takes
     }}
 
@@ -181,27 +189,14 @@ def _given(field: str, flag: str, value, choices: list | None = None):
     return value
 
 
-def _number(field: str, value, kind=float):
-    """``kind(value)``, or a ParameterError naming ``field``.
-
-    A boolean is no number, and an int field takes no fractional part:
-    10.7 is an error, not 10, while an integral float such as 1e6 passes.
-    """
-    noun = "an integer" if kind is int else "a number"
-    fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) or fractional:
-        raise ParameterError(f"{field} must be {noun}, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{field} must be {noun}, got {value!r}") from exc
-
-
-def _count(field: str, value, least: int) -> int:
-    """``value`` as an integer of at least ``least``, else a ParameterError."""
-    number = _number(field, value, int)
+def _count(field: str, value, least: int, most: int | None = None) -> int:
+    """``value`` as an integer of at least ``least`` (and at most ``most``),
+    else a ParameterError."""
+    number = parse_number(field, value, int)
     if number < least:
         raise ParameterError(f"{field} must be >= {least}, got {number}")
+    if most is not None and number > most:
+        raise ParameterError(f"{field} must be <= {most}, got {number}")
     return number
 
 
@@ -221,7 +216,7 @@ def _window(value) -> tuple[float, float]:
         value = [lo, hi] if sep else [value]
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ParameterError(f"window must be lo:hi (two numbers), got {value!r}")
-    return _number("window lo", value[0]), _number("window hi", value[1])
+    return parse_number("window lo", value[0]), parse_number("window hi", value[1])
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:

@@ -239,6 +239,9 @@ def pair_rows(dyn: ChainDynamics, group, targets, times, one_rows=None) -> np.nd
 class ChainDynamics:
     """Spectral data of one chain spec for the sectors q = 1 and q = 2.
 
+    Both sectors are built by the same rule: the basis of
+    :func:`~spintransfer.sectors.build_sector_basis`, its matrix from
+    :func:`~spintransfer.chain.sector_hamiltonian`, then :func:`diagonalize`.
     Each sector is diagonalised the first time ``one`` or ``two`` is read,
     so a run that reads only one-excitation amplitudes (every law and Kraus
     set of a free-fermion chain) never builds the C(N, 2)-dimensional pair
@@ -249,19 +252,18 @@ class ChainDynamics:
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
-        self.one_basis = build_sector_basis(spec.n_sites, 1)
 
-    @cached_property
-    def pair_basis(self) -> SectorBasis:
-        return build_sector_basis(self.spec.n_sites, 2)
+    def _sector(self, n_excitations: int) -> SpectralPropagator:
+        basis = build_sector_basis(self.spec.n_sites, n_excitations)
+        return diagonalize(sector_hamiltonian(self.spec, basis), basis)
 
     @cached_property
     def one(self) -> SpectralPropagator:
-        return diagonalize(sector_hamiltonian(self.spec, self.one_basis), self.one_basis)
+        return self._sector(1)
 
     @cached_property
     def two(self) -> SpectralPropagator:
-        return diagonalize(sector_hamiltonian(self.spec, self.pair_basis), self.pair_basis)
+        return self._sector(2)
 
 
 @lru_cache(maxsize=64)

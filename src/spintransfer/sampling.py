@@ -34,6 +34,9 @@ from .channel import KrausSet, clamp_fidelity, pauli_transfer_matrix
 from .errors import ParameterError
 
 MC_BATCH = 32768
+# The largest sample count: the multinomial split over the read-out times
+# takes it as an int64.
+MAX_MC_SAMPLES = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -222,8 +225,8 @@ def mc_fidelity_histogram(
     same value at 16 times the cost).  Samples outside the edges are
     clipped into the end bins so the counts always total ``n``.
     """
-    if n < 1:
-        raise ParameterError(f"sample count must be >= 1, got {n}")
+    if not 1 <= n <= MAX_MC_SAMPLES:
+        raise ParameterError(f"sample count must lie in [1, {MAX_MC_SAMPLES}], got {n}")
     edges = np.asarray(edges, dtype=float)
     n_times = len(kraus.operators)
     shares = stream.substream(n_times).generator().multinomial(n, np.full(n_times, 1.0 / n_times))

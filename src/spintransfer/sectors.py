@@ -2,15 +2,17 @@
 
 Total magnetization is conserved, so the dynamics never mixes configurations
 with different numbers of flipped spins.  Each sector gets a dense coordinate
-space whose ordering is the lexicographic ordering of the flipped-site tuples;
-this module owns that ordering and the two-way maps between configurations
-and vector indices.  Sites are labelled 1..N throughout the package.
+space with one rule for every excitation number q: its configurations are
+``itertools.combinations(range(1, N + 1), q)``, the strictly increasing
+flipped-site tuples in lexicographic order.  This module owns that ordering
+and the two-way maps between configurations and vector indices.  Sites are
+labelled 1..N throughout the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from itertools import combinations
 
 from .errors import ParameterError
 
@@ -66,9 +68,10 @@ class SectorBasis:
 def build_sector_basis(n_sites: int, n_excitations: int) -> SectorBasis:
     """Build the canonical basis of the ``n_excitations`` sector.
 
-    The ordering is lexicographic over configurations: for one excitation the
-    flipped site runs 1..N, for two excitations the pairs (i, j) with i < j
-    run (1,2), (1,3), ..., (N-1,N).
+    The configurations are the ``n_excitations``-combinations of the sites
+    1..N in lexicographic order: the vacuum ``()`` alone for q = 0, the
+    sites (1,), ..., (N,) for q = 1, and the pairs (1,2), (1,3), ...,
+    (N-1,N) for q = 2.
 
     Raises
     ------
@@ -81,20 +84,5 @@ def build_sector_basis(n_sites: int, n_excitations: int) -> SectorBasis:
         raise ParameterError(
             f"n_excitations must be one of 0, 1, 2, got {n_excitations}"
         )
-    if n_excitations > n_sites:
-        raise ParameterError(
-            f"n_excitations={n_excitations} exceeds n_sites={n_sites}"
-        )
-    if n_excitations == 0:
-        configs = ((),)
-    elif n_excitations == 1:
-        configs = tuple((i,) for i in range(1, n_sites + 1))
-    else:
-        configs = tuple(
-            (i, j)
-            for i in range(1, n_sites + 1)
-            for j in range(i + 1, n_sites + 1)
-        )
-    assert len(configs) == comb(n_sites, n_excitations)
+    configs = tuple(combinations(range(1, n_sites + 1), n_excitations))
     return SectorBasis(n_sites, n_excitations, configs)
-

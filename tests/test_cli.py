@@ -186,6 +186,13 @@ MALFORMED = {
     "config_mode_not_an_object": ({"mode": "target_avg"}, "mode"),
     # no read-out before the transfer starts
     "negative_window": (["--window=-2:-0.1"], "window"),
+    # the multinomial split takes an int64 count: 2**63 wrote pdf_curve.csv,
+    # then crashed with an OverflowError
+    "mc_samples_over_int64": (["--mc-samples", str(2**63)], "mc_samples"),
+    # an integer too large for a float crashed with an OverflowError
+    "config_fraction_over_float": (
+        {"mode": {"type": "timing_error", "fraction": 10**400}}, "mode fraction"
+    ),
 }
 
 
@@ -208,6 +215,7 @@ def test_malformed_input_exit_code(tmp_path, capsys, malformed, field):
         args += ["--config", str(path)]
     assert run_cli(*args) == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_output_dir_must_be_text(tmp_path, monkeypatch, capsys):

@@ -213,48 +213,3 @@ def test_pair_rows_gate(rng, extra):
     for group in ([2], range(2, n)):
         sector = propagator_rows(dyn.two, [[(1, j) for j in group]], targets, times)[:, 0]
         assert np.array_equal(pair_rows(dyn, group, targets, times), sector)
-
-
-def amplitude_table_to_csv(spec: ChainSpec, t: float, path, which: str = "one") -> None:
-    """Write the full propagator of one sector of ``spec`` at ``t`` as CSV.
-
-    ``which="one"`` writes columns ``i,j,re,im`` over site pairs;
-    ``which="two"`` writes ``i1,i2,j1,j2,re,im`` over configuration pairs.
-    Rows follow the sector basis order, source outer.
-    """
-    headers = {"one": "i,j,re,im", "two": "i1,i2,j1,j2,re,im"}
-    if which not in headers:
-        raise ParameterError(f"which must be 'one' or 'two', got {which!r}")
-    dyn = dynamics_for(spec)
-    prop = dyn.one if which == "one" else dyn.two
-    matrix = propagator_at(prop, t)
-    labels = [",".join(map(str, c)) for c in prop.basis.configurations]
-    lines = [headers[which]]
-    for src, row in zip(labels, matrix):
-        lines.extend(f"{src},{dst},{z.real:.17g},{z.imag:.17g}" for dst, z in zip(labels, row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def test_csv_export(tmp_path, rng):
-    spec = make_random_chain(rng, 4)
-    path = tmp_path / "amps.csv"
-    amplitude_table_to_csv(spec, 1.0, path, which="one")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,re,im"
-    assert len(lines) == 1 + 16
-    i, j, re, im = lines[1].split(",")
-    assert (i, j) == ("1", "1")
-    a11 = propagator_at(dynamics_for(spec).one, 1.0)[0, 0]
-    assert complex(float(re), float(im)) == pytest.approx(a11)
-
-
-def test_csv_export_two_excitation(tmp_path, rng):
-    spec = make_random_chain(rng, 4)
-    path = tmp_path / "pairs.csv"
-    amplitude_table_to_csv(spec, 0.8, path, which="two")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i1,i2,j1,j2,re,im"
-    assert len(lines) == 1 + 36  # 6x6 pair matrix
-    with pytest.raises(ParameterError):
-        amplitude_table_to_csv(spec, 0.8, path, which="three")

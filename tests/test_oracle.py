@@ -15,7 +15,7 @@ from conftest import (
     trace_distance,
 )
 from spintransfer import oracle
-from spintransfer.chain import ChainSpec
+from spintransfer.chain import ChainSpec, sector_hamiltonian
 from spintransfer.channel import Scenario, apply_channel, kraus_at_times
 from spintransfer.dynamics import dynamics_for, propagator_at
 from spintransfer.errors import CapacityError, ParameterError
@@ -28,6 +28,7 @@ from spintransfer.oracle import (
     reduced_density,
     transfer_initial_state,
 )
+from spintransfer.sectors import build_sector_basis
 
 BOND = ChainSpec(2, np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2)), np.zeros(2))
 
@@ -89,33 +90,56 @@ def test_block_structure(rng):
     assert np.abs(h[differ]).max() == 0.0
 
 
-@given(
-    st.builds(
-        seeded_chain,
-        st.integers(0, 2**31 - 1),
-        st.integers(2, 10),
-        st.sampled_from(["nearest", "long_range", "zz"]),
-    )
+CHAINS = st.builds(
+    seeded_chain,
+    st.integers(0, 2**31 - 1),
+    st.integers(2, 10),
+    st.sampled_from(["nearest", "long_range", "zz"]),
 )
+
+
+def assert_matches_dense(block: np.ndarray, dense: np.ndarray, spec: ChainSpec) -> None:
+    """Hopping entries equal, diagonal energies within n eps energy_scale.
+
+    Both builds sum each diagonal energy with `z @ fields`, but BLAS orders
+    that sum by the row's place in the matrix, so the diagonals may differ
+    by rounding; every hopping entry is one product and must match exactly.
+    """
+    jd = spec.couplings * spec.anisotropies
+    energy_scale = (
+        np.abs(spec.fields).sum() + 0.5 * np.abs(jd).sum() + abs(spec.vacuum_energy())
+    )
+    off_diagonal = ~np.eye(block.shape[0], dtype=bool)
+    assert np.array_equal(block[off_diagonal], dense[off_diagonal])
+    diagonal_gap = np.abs(np.diag(block) - np.diag(dense)).max()
+    assert diagonal_gap <= spec.n_sites * np.finfo(float).eps * energy_scale
+
+
+@given(CHAINS)
 def test_blocks_match_dense_reference(spec):
     n = spec.n_sites
     h = full_hamiltonian(spec)
     popcount = np.bitwise_count(np.arange(1 << n))
     assert np.all(h[popcount[:, None] != popcount[None, :]] == 0.0)
-    # Both builds sum each diagonal energy with `z @ fields`, but BLAS orders
-    # that sum by the row's place in the matrix, so the diagonals may differ
-    # by rounding; every hopping entry is one product and must match exactly.
-    jd = spec.couplings * spec.anisotropies
-    energy_scale = (
-        np.abs(spec.fields).sum() + 0.5 * np.abs(jd).sum() + abs(spec.vacuum_energy())
-    )
     for q in range(n + 1):
-        block = block_hamiltonian(spec, q)
         dense = h[np.ix_(popcount == q, popcount == q)]
-        off_diagonal = ~np.eye(block.shape[0], dtype=bool)
-        assert np.array_equal(block[off_diagonal], dense[off_diagonal])
-        diagonal_gap = np.abs(np.diag(block) - np.diag(dense)).max()
-        assert diagonal_gap <= n * np.finfo(float).eps * energy_scale
+        assert_matches_dense(block_hamiltonian(spec, q), dense, spec)
+
+
+@given(CHAINS)
+def test_sectors_match_dense_reference(spec):
+    # the sector rule (combinations in lexicographic order, one hopping
+    # loop) against the Pauli-term sum, with no oracle code in between
+    n = spec.n_sites
+    h = full_hamiltonian(spec)
+    popcount = np.bitwise_count(np.arange(1 << n))
+    for q in (0, 1, 2):
+        basis = build_sector_basis(n, q)
+        index = [sum(1 << (site - 1) for site in c) for c in basis.configurations]
+        order = np.argsort(index)
+        sector = sector_hamiltonian(spec, basis)[np.ix_(order, order)]
+        dense = h[np.ix_(popcount == q, popcount == q)]
+        assert_matches_dense(sector, dense, spec)
 
 
 def test_capacity_cap():
