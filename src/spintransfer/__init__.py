@@ -2,11 +2,11 @@
 Monte Carlo validation and a brute-force reference.
 
 The package splits along the physics pipeline: sector bases and chain
-Hamiltonians -> spectral dynamics, whose amplitude rows feed both the
-closed-form fidelity laws and the Kraus transfer channels -> sampling and
-goodness-of-fit through the channels, with an independent
-full-Hilbert-space oracle, stored and evolved per excitation-number block,
-that certifies the shared rows and everything built on them.
+Hamiltonians -> spectral dynamics, whose amplitude rows feed the
+closed-form fidelity laws; a full-Hilbert-space oracle, stored and evolved
+per excitation-number block, builds the Kraus transfer channels -> sampling
+and goodness-of-fit through the channels, which check the laws with no
+amplitude code in common.
 """
 
 from .chain import (

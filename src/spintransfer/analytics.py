@@ -28,9 +28,9 @@ The reductions of explicit Kraus sets (:func:`quadratic_reduce_one_qubit`,
 :func:`affine_from_kraus`), one law row per read-out time of the set, are
 the reference that Monte Carlo and certification use.  Both read the
 channel's Pauli transfer matrix, none of the laws' arithmetic.  The Kraus
-sets read every pair row, so on free-fermion chains the reductions check
-the closed forms, and elsewhere, where laws and Kraus sets read the same
-rows, the laws' row arithmetic; the full-space oracle checks the rows.
+sets come from the full-space oracle and read none of the sector rows, so
+the reductions check the rows, the closed forms and the laws' arithmetic
+together.
 
 Read-out planning has one place per decision: :func:`tune_with_ladder` the
 scan windows, :func:`find_optimal_time` whether the field applies,

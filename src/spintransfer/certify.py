@@ -1,27 +1,30 @@
 """Self-certification: cross-checks every module against the brute-force
 reference and the package's own closed forms, with a machine-readable report.
 
-These checks are the library's warranty seal: they re-derive the channel
-outputs from the exact full-space evolution, re-verify trace preservation,
-and pin the structural facts (perfect-chain spectrum, fidelity duality,
-distribution normalization) that the analytic layer relies on.  The Kraus
-sets read amplitude rows (:func:`~spintransfer.dynamics.propagator_rows`
-and :func:`~spintransfer.dynamics.pair_rows`); the fidelity laws read the
-same rows on long-range and ZZ chains and free-fermion closed forms in at
-most four amplitudes on nearest-neighbour chains, so a laws-vs-Kraus
-comparison checks the closed forms and the laws' arithmetic, not the rows.  Both
-reductions read the Pauli transfer matrix, which ``bloch_map_vs_kraus``
-pins against state vectors.  The rows are pinned by the checks that reach
-past them: full sector propagators, the pair sector itself, and the
-full-space oracle, which stores each state as the excitation-number blocks
-it occupies, at most C(N, 2) wide for transfer inputs
-(``oracle_amplitude_equivalence`` on nearest-neighbour, long-range and ZZ
-chains, and the ``channel_oracle_equivalence`` sweep over the presets'
-Kraus sets of every scenario).  Kraus sets, oracle states and
-everything read from them carry a leading time axis, one time being the
-stack over ``[t]``; the sweep evaluates the read-out times of each case as
-one batch, so a case costs a few array operations rather than one Python
-round trip per time.  The ``certify`` subcommand runs the whole suite.
+These checks are the library's warranty seal: they compare the fidelity
+laws with the channel of the exact full-space evolution, re-verify trace
+preservation, and pin the structural facts (perfect-chain spectrum,
+fidelity duality, distribution normalization) that the analytic layer
+relies on.  The laws read amplitude rows
+(:func:`~spintransfer.dynamics.propagator_rows` and
+:func:`~spintransfer.dynamics.pair_rows`), and free-fermion closed forms in
+at most four of them on nearest-neighbour chains.  The Kraus sets come
+from the full-space oracle, which stores each state as the
+excitation-number blocks it occupies, at most C(N, 2) wide for transfer
+inputs (:func:`~spintransfer.channel.kraus_at_times`).  A laws-vs-Kraus
+comparison therefore checks the rows, the closed forms and the laws'
+arithmetic together: ``channel_oracle_equivalence`` sweeps the presets'
+Kraus sets of every scenario, and ``fidelity_law_rows_vs_kraus`` random
+chains of three kinds.  Both reductions read the Pauli transfer matrix,
+which ``bloch_map_vs_kraus`` pins against state vectors.  The rows are
+also pinned one by one: against full sector propagators, the pair sector
+itself, and the oracle's blocks (``oracle_amplitude_equivalence`` on
+nearest-neighbour, long-range and ZZ chains).  Kraus sets, oracle states
+and everything read from them carry a leading time axis, one time being
+the stack over ``[t]``; the sweep evaluates the read-out times of each
+case as one batch, so a case costs a few array operations rather than one
+Python round trip per time.  The ``certify`` subcommand runs the whole
+suite.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .errors import CapacityError, ModelError, NumericError, ParameterError
 from .oracle import (
     MAX_ORACLE_BLOCK,
     evolve_many,
-    reduced_density,
     transfer_initial_state,
 )
 from .sampling import (
@@ -62,6 +64,7 @@ from .sampling import (
 )
 from .sectors import build_sector_basis
 from .analytics import (
+    FidelityLaw,
     MinBranch,
     affine_from_kraus,
     fidelity_law,
@@ -81,13 +84,6 @@ class CheckResult:
     passed: bool
     max_error: float
     detail: str
-
-
-def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
-    """Half the trace norm of the difference of two density matrices, or of
-    each pair along their leading axes."""
-    eigenvalues = np.linalg.eigvalsh(rho_a - rho_b)
-    return 0.5 * np.abs(eigenvalues).sum(axis=-1)
 
 
 def protocol_specs(n_sites: int, n_senders: int = 1) -> dict[str, ChainSpec]:
@@ -228,12 +224,12 @@ def check_oracle_amplitudes(n_max: int, seed: int = 13) -> CheckResult:
 def check_pair_rows(seed: int = 18) -> CheckResult:
     """Determinant pair rows vs the pair-sector propagator.
 
-    On the presets the Kraus sets' two-excitation amplitudes come from
-    :func:`pair_rows` as 2x2 determinants of one-excitation amplitudes, and
-    the fidelity laws' closed forms rest on the same determinant identity.
-    This check, which compares the determinants with rows of the
-    diagonalised pair sector, and ``channel_oracle_equivalence`` (Kraus
-    sets vs the oracle evolution) are what pin it.
+    On a free-fermion chain :func:`pair_rows` returns 2x2 determinants of
+    one-excitation amplitudes, and the fidelity laws' closed forms rest on
+    the same determinant identity.  This check, which compares the
+    determinants with rows of the diagonalised pair sector, and
+    ``channel_oracle_equivalence`` (laws vs the oracle's Kraus sets) are
+    what pin it.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -295,20 +291,32 @@ def check_grid_rows(seed: int = 19) -> CheckResult:
     )
 
 
+def reduce_kraus(kraus: KrausSet) -> FidelityLaw:
+    """The exact reduction of a one- or two-qubit Kraus set: one law row per
+    time (:func:`~spintransfer.analytics.quadratic_reduce_one_qubit` or
+    :func:`~spintransfer.analytics.affine_from_kraus`)."""
+    return affine_from_kraus(kraus) if kraus.dim == 4 else quadratic_reduce_one_qubit(kraus)
+
+
 def check_channels_against_oracle(n_max: int, seed: int = 14) -> list[CheckResult]:
-    """Completeness, oracle equivalence and fidelity duality in one sweep.
+    """Completeness, law-vs-oracle-channel equivalence and fidelity duality
+    in one sweep.
 
     Each (N, protocol, scenario) case is checked at ORACLE_TIMES_PER_CASE
     random times, each with its own random sender state.  The times of a
     case are evaluated as one batch: a Kraus stack over the times
-    (:func:`~spintransfer.channel.kraus_at_times`), one oracle evolution of
-    all the sender states (:func:`~spintransfer.oracle.evolve_many`), and
-    the channel outputs, partial traces, trace distances and fidelities
-    along the same leading axis.
+    (:func:`~spintransfer.channel.kraus_at_times`, one oracle evolution of
+    the sender basis states), the fidelity law of the same times, and the
+    channel outputs and fidelities along the same leading axis.
+    ``channel_oracle_equivalence`` is the largest coefficient gap between
+    the law, read from the sector rows, and the exact reduction of the
+    oracle's Kraus set (:func:`reduce_kraus`): the two share no amplitude
+    code, so it pins the rows, the laws' closed forms and their arithmetic
+    at once.
     """
     rng = np.random.default_rng(seed)
     worst_defect = 0.0
-    worst_distance = 0.0
+    worst_gap = 0.0
     worst_duality = 0.0
     cases = 0
     for n in range(4, n_max + 1):
@@ -325,13 +333,10 @@ def check_channels_against_oracle(n_max: int, seed: int = 14) -> list[CheckResul
                     psi = np.array([_sender_state(rng, dim) for _ in times])
                     kraus = kraus_at_times(spec, scenario, times)
                     worst_defect = max(worst_defect, float(kraus.completeness_defect.max()))
+                    law = fidelity_law(spec, scenario, times)
+                    gap = np.abs(reduce_kraus(kraus).coefficients - law.coefficients).max()
+                    worst_gap = max(worst_gap, float(gap))
                     rho = apply_channel(kraus, psi)
-                    initial = transfer_initial_state(
-                        n, scenario.senders, psi, scenario.occupied(n)
-                    )
-                    full = evolve_many(spec, initial, times)
-                    rho_ref = reduced_density(full, scenario.receiver(n))
-                    worst_distance = max(worst_distance, float(trace_distance(rho, rho_ref).max()))
                     f_kraus = fidelity_many(kraus, psi[:, None, :])[:, 0]
                     f_overlap = np.einsum("tk,tkl,tl->t", psi.conj(), rho, psi).real
                     worst_duality = max(worst_duality, float(np.abs(f_kraus - f_overlap).max()))
@@ -339,26 +344,27 @@ def check_channels_against_oracle(n_max: int, seed: int = 14) -> list[CheckResul
     detail = f"{cases} cases, N in 4..{n_max}"
     return [
         CheckResult("kraus_completeness", worst_defect <= 1e-9, worst_defect, detail),
-        CheckResult(
-            "channel_oracle_equivalence", worst_distance <= 1e-9, worst_distance, detail
-        ),
+        CheckResult("channel_oracle_equivalence", worst_gap <= 1e-9, worst_gap, detail),
         CheckResult("fidelity_duality", worst_duality <= 1e-12, worst_duality, detail),
     ]
 
 
 def check_quadratic_reduction(seed: int = 15) -> CheckResult:
-    """Fidelity laws vs the exact reductions of the Kraus sets.
+    """Fidelity laws vs the exact reductions of the oracle's Kraus sets.
 
     Covers the coefficients of all three scenarios, the mean the tuning
     scans maximize, and the closed-form vacuum quadratic, on random chains
-    of each kind.  On nearest-neighbour chains the occupied-channel and
-    two-qubit laws are the free-fermion closed forms, which read at most
-    four one-excitation amplitudes while the Kraus sets read every pair
-    row; on long-range and ZZ chains both read the same rows, so there this
-    pins the row arithmetic (leak terms from unitarity, the two-qubit trace
-    sums) against the explicit reductions, which read the Pauli transfer
-    matrix and share no arithmetic with the laws.  The vacuum closed form
-    reads its amplitude from the full propagator instead.
+    of each kind (``channel_oracle_equivalence`` covers the presets).  The
+    laws read the sector rows: on nearest-neighbour chains the
+    occupied-channel and two-qubit laws are free-fermion closed forms in at
+    most four one-excitation amplitudes, and on long-range and ZZ chains
+    they sum the one- and two-excitation rows (leak terms from unitarity,
+    the two-qubit trace sums).  The Kraus sets come from the full-space
+    oracle and the reductions read their Pauli transfer matrix, so the two
+    sides share neither amplitudes nor arithmetic, and this pins the rows
+    and the laws' closed forms and arithmetic on chains of every kind.  The
+    vacuum closed form reads its amplitude from the full propagator
+    instead.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -366,11 +372,7 @@ def check_quadratic_reduction(seed: int = 15) -> CheckResult:
         spec = random_spec(rng, n, kind)
         t = float(rng.uniform(1.0, 8.0))
         for scenario in Scenario:
-            kraus = kraus_at_times(spec, scenario, [t])
-            if scenario is Scenario.TWO_QUBIT_VACUUM:
-                reduced = affine_from_kraus(kraus)
-            else:
-                reduced = quadratic_reduce_one_qubit(kraus)
+            reduced = reduce_kraus(kraus_at_times(spec, scenario, [t]))
             reference = reduced.coefficients[0]
             if scenario is Scenario.ONE_QUBIT_VACUUM:
                 amp = propagator_at(dynamics_for(spec).one, t)[0, n - 1]

@@ -2,29 +2,28 @@
 
 Each Kraus operator is the matrix element of the full evolution between the
 fixed initial channel state and one basis state of everything-but-the-
-receiver.  Conservation of total magnetization restricts which entries can
-be non-zero, so every operator is assembled from one- and two-excitation
-transition amplitudes.  The builders take a chain spec and a 1-D array of
-times, the order :func:`~spintransfer.analytics.fidelity_law` uses, and read
-:func:`~spintransfer.dynamics.propagator_rows` of the one-excitation sector
-out of the sender (and, for the occupied channel, the initially occupied
-sites) and :func:`~spintransfer.dynamics.pair_rows` out of the initially
-occupied pairs (2x2 determinants of one-excitation amplitudes on a
-nearest-neighbour XX chain, pair-sector rows otherwise), one call each for
-all the times.  Each builder fills a (T, K, d, d) operator stack by index
-from those rows; no full propagator is formed.  :func:`kraus_at_times`
-makes the stack a :class:`KrausSet`, the one shape of a channel: a single
-read-out time is the stack over ``[t]``, and every function that takes a
-Kraus set (:func:`apply_channel`, :func:`fidelity_many`,
+receiver.  :func:`kraus_at_times` builds them from the block oracle of
+:mod:`~spintransfer.oracle` for every scenario: it evolves the d sender
+basis states, embedded with the scenario's initial channel state, to each
+read-out time as one stack (:func:`~spintransfer.oracle.evolve_many`), and
+groups each stored amplitude by the configuration of the sites outside the
+receiver (:func:`~spintransfer.oracle.receiver_amplitudes`), so that
+``K_e[r, i]`` is the amplitude of receiver state r with the outside in
+configuration e, starting from sender state i.  Conservation of total
+magnetization fixes which configurations the evolved blocks hold, and
+with them the operator count.  The channel shares no amplitude code with
+the fidelity laws, which read the sector rows of
+:mod:`~spintransfer.dynamics`: the Monte Carlo histogram and the
+Kraus-side reductions are independent checks on the laws.
+
+A :class:`KrausSet` is the one shape of a channel, a (T, K, d, d) operator
+stack with one set per read-out time: a single read-out time is the stack
+over ``[t]``, and every function that takes a Kraus set
+(:func:`apply_channel`, :func:`fidelity_many`,
 :func:`pauli_transfer_matrix`) keeps its leading time axis.  Trace
 preservation holds by unitarity and the cached completeness defect only
-measures floating-point error.  The laws of a nearest-neighbour chain read
-none of the pair rows (closed forms in at most four amplitudes), so there
-the Kraus reductions check those closed forms; the full-space oracle of
-:mod:`~spintransfer.oracle`, which stores and evolves each state's
-excitation-number blocks, is the independent check on the rows themselves
-(``channel_oracle_equivalence`` in certification, which evaluates each
-chain's read-out times as one stack).
+measures floating-point error.  The oracle's block cap bounds the chains a
+Kraus set exists for (see :mod:`~spintransfer.oracle`).
 
 Receiver conventions: :class:`Scenario` names each transfer's sites,
 ``senders``, ``occupied(n)`` and ``receiver(n)``.  Single-qubit transfer
@@ -37,13 +36,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .chain import ChainSpec
-from .dynamics import dynamics_for, pair_rows, propagator_rows
 from .errors import NumericError, ParameterError
+from .oracle import evolve_many, receiver_amplitudes, transfer_initial_state
 
 COMPLETENESS_TOL = 1e-9
 
@@ -113,122 +111,36 @@ def kraus_set(ops: np.ndarray) -> KrausSet:
     if worst > COMPLETENESS_TOL:
         raise NumericError(
             f"Kraus completeness defect {worst:.3e} exceeds "
-            f"{COMPLETENESS_TOL:.0e}; amplitude rows are not unitary enough"
+            f"{COMPLETENESS_TOL:.0e}; the evolution is not unitary enough"
         )
     return KrausSet(ops, defect)
 
 
-def _rows_at(spec: ChainSpec, scenario: Scenario, sources, targets, times):
-    """Chain dynamics, the times as an array, and the one-excitation rows
-    (T, len(sources), len(targets)) at those times.
-
-    Checks the chain size for ``scenario`` first; :func:`propagator_rows`
-    checks that the times are a finite 1-D array.
-    """
-    scenario.check_sites(spec.n_sites)
-    times = np.asarray(times, dtype=float)
-    dyn = dynamics_for(spec)
-    return dyn, times, propagator_rows(dyn.one, sources, targets, times)
-
-
-def kraus_one_qubit_vacuum(spec: ChainSpec, times) -> np.ndarray:
-    """Operator stack (T, 2, 2, 2) of one-qubit transfer, chain starting empty.
-
-    Two operators per time: the excitation-preserving block
-    ``diag(1, a_1^N)`` and a single lumped loss operator carrying the
-    weight that leaked anywhere else, ``sqrt(1 - |a_1^N|^2)``.
-    """
-    _, times, rows = _rows_at(spec, Scenario.ONE_QUBIT_VACUUM, [[1]], [spec.n_sites], times)
-    a_end = rows[:, 0, 0]
-    ops = np.zeros((times.size, 2, 2, 2), dtype=complex)
-    ops[:, 0, 0, 0] = 1.0
-    ops[:, 0, 1, 1] = a_end
-    # |a|^2 rounded as libm's hypot and pow round it (numpy's SIMD abs and
-    # square can differ in the last bit), so that each operator is bit for
-    # bit the scalar formula sqrt(max(0, 1 - abs(a) ** 2))
-    modulus = np.hypot(a_end.real, a_end.imag)
-    ops[:, 1, 0, 1] = np.sqrt(np.maximum(0.0, 1.0 - np.float_power(modulus, 2.0)))
-    return ops
-
-
-def kraus_one_qubit_uniform(spec: ChainSpec, times) -> np.ndarray:
-    """Operator stack (T, K, 2, 2) of one-qubit transfer with one excitation
-    spread over 2..N-1.
-
-    The environment basis states carry 0, 1 or 2 excitations, giving
-    ``K = 1 + (N-1) + (N-1)(N-2)/2`` operators whose entries are sums of
-    one- and two-excitation amplitudes out of the initially occupied sites:
-    the arrival operator (excitation at N), one operator per site k <= N-1
-    holding the excitation, one per pair k < l <= N-1.
-    """
-    n = spec.n_sites
-    occupied = Scenario.ONE_QUBIT_UNIFORM.occupied(n)
-    dyn, times, rows = _rows_at(
-        spec, Scenario.ONE_QUBIT_UNIFORM, [[1], occupied], range(1, n + 1), times
-    )
-    norm = 1.0 / np.sqrt(n - 2)
-    a_sum = rows[:, 1] * norm  # summed over the occupied sites, to site k
-    # pair targets in operator order: (k, N) for k <= N-1, then k < l <= N-1
-    targets = [(k, n) for k in range(1, n)] + list(combinations(range(1, n), 2))
-    b_sum = pair_rows(dyn, occupied, targets, times, rows) * norm
-    ops = np.zeros((times.size, 1 + len(targets), 2, 2), dtype=complex)
-    ops[:, 0, 1, 0] = a_sum[:, n - 1]
-    ops[:, 1:n, 0, 0] = a_sum[:, : n - 1]
-    ops[:, 1:n, 1, 1] = b_sum[:, : n - 1]
-    ops[:, n:, 0, 1] = b_sum[:, n - 1 :]
-    return ops
-
-
-def kraus_two_qubit_vacuum(spec: ChainSpec, times) -> np.ndarray:
-    """Operator stack (T, K, 4, 4) of two-qubit transfer {1,2} -> {N-1,N},
-    chain starting empty.
-
-    Operators split by the excitation count left outside the receiver pair:
-    one excitation-conserving operator, N-2 single-leak operators (leak to
-    site j <= N-2) and (N-2)(N-3)/2 double-leak operators (pairs
-    k < j <= N-2).
-    """
-    n = spec.n_sites
-    dyn, times, rows = _rows_at(
-        spec, Scenario.TWO_QUBIT_VACUUM, [[1], [2]], range(1, n + 1), times
-    )
-    a1, a2 = rows[:, 0], rows[:, 1]  # from sites 1 and 2
-    m = n - 2  # sites outside the receiver pair
-    outside = range(1, n - 1)
-    # pair targets in operator order: the receiver pair, (j, N), (j, N-1), k < j <= N-2
-    targets = (
-        [(n - 1, n)] + [(j, n) for j in outside] + [(j, n - 1) for j in outside]
-        + list(combinations(outside, 2))
-    )
-    b12 = pair_rows(dyn, [2], targets, times, rows)
-    ops = np.zeros((times.size, len(targets) - m, 4, 4), dtype=complex)
-    ops[:, 0, 0, 0] = 1.0
-    ops[:, 0, 1, 1], ops[:, 0, 1, 2] = a2[:, n - 1], a1[:, n - 1]
-    ops[:, 0, 2, 1], ops[:, 0, 2, 2] = a2[:, n - 2], a1[:, n - 2]
-    ops[:, 0, 3, 3] = b12[:, 0]
-    single = ops[:, 1 : 1 + m]
-    single[:, :, 0, 1] = a2[:, :m]
-    single[:, :, 0, 2] = a1[:, :m]
-    single[:, :, 1, 3] = b12[:, 1 : 1 + m]
-    single[:, :, 2, 3] = b12[:, 1 + m : 1 + 2 * m]
-    ops[:, 1 + m :, 0, 3] = b12[:, 1 + 2 * m :]
-    return ops
-
-
-_BUILDERS = {
-    Scenario.ONE_QUBIT_VACUUM: kraus_one_qubit_vacuum,
-    Scenario.ONE_QUBIT_UNIFORM: kraus_one_qubit_uniform,
-    Scenario.TWO_QUBIT_VACUUM: kraus_two_qubit_vacuum,
-}
-
-
 def kraus_at_times(spec: ChainSpec, scenario: Scenario, times) -> KrausSet:
     """Kraus sets of ``scenario`` on ``spec`` at each of the 1-D ``times``,
-    stacked along a leading time axis."""
-    builder = _BUILDERS.get(scenario)
-    if builder is None:
+    stacked along a leading time axis.
+
+    Row i T + k of one oracle stack is sender basis state i read out at
+    ``times[k]``; operator e of time k is then ``K_e[r, i]``, the amplitude
+    of receiver state r and outside configuration e in that row.  Operator
+    0 is the one with nothing excited outside the receiver.  ParameterError
+    for an unknown scenario, a chain below its ``min_sites`` or times that
+    are not a 1-D array (:func:`~spintransfer.oracle.evolve_many` rejects a
+    non-finite time); CapacityError past the oracle's block cap.
+    """
+    if not isinstance(scenario, Scenario):
         raise ParameterError(f"unknown scenario {scenario!r}")
-    return kraus_set(builder(spec, times))
+    scenario.check_sites(spec.n_sites)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ParameterError(f"times must be a 1-D array, got shape {times.shape}")
+    n, d = spec.n_sites, 1 << len(scenario.senders)
+    inputs = np.repeat(np.eye(d, dtype=complex), times.size, axis=0)
+    initial = transfer_initial_state(n, scenario.senders, inputs, scenario.occupied(n))
+    evolved = evolve_many(spec, initial, np.tile(times, d))
+    amps = receiver_amplitudes(evolved, scenario.receiver(n))  # (d T, d, K)
+    ops = amps.reshape(d, times.size, d, -1).transpose(1, 3, 2, 0)
+    return kraus_set(np.ascontiguousarray(ops))
 
 
 def apply_channel(kraus: KrausSet, state: np.ndarray) -> np.ndarray:

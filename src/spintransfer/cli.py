@@ -410,13 +410,15 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
     # the first read of the rows as a distribution: a row outside [0, 1]
     # fails here, before any file is written
     curve = pdf_curve_rows(law)
+    # the Monte Carlo channel comes from the oracle: a chain past its block
+    # cap raises CapacityError here, before any file is written
+    kraus = kraus_at_times(plan.spec, plan.scenario, plan.times) if config.mc_samples > 0 else None
     os.makedirs(config.output_dir, exist_ok=True)
     files = {"pdf_curve": "pdf_curve.csv"}
     write_csv(os.path.join(config.output_dir, "pdf_curve.csv"), ["f", "density", "cdf"], curve)
     ks = None
-    if config.mc_samples > 0:
+    if kraus is not None:
         edges = default_bin_edges(law, config.bins)
-        kraus = kraus_at_times(plan.spec, plan.scenario, plan.times)
         hist = mc_fidelity_histogram(kraus, config.mc_samples, edges, RandomStream(config.seed))
         ks = ks_distance(hist, law)
         files["histogram"] = "histogram.csv"

@@ -7,8 +7,9 @@ steppers accumulate error but the spectral form stays exact.  Spectral data
 is cached per chain spec, and each sector is diagonalised the
 first time something reads it.  :func:`propagator_rows` (with
 :func:`pair_rows` for two excitations) is the one amplitude evaluator of
-the package: the fidelity laws read it on whole time grids and the Kraus
-sets of :mod:`~spintransfer.channel` read it at single times.
+the fidelity laws, which read it on whole time grids and at single times.
+The Kraus sets of :mod:`~spintransfer.channel` read none of it: they come
+from the full-space oracle, so Monte Carlo checks these rows independently.
 :func:`propagator_at`, the full propagator of a sector at one time, is
 kept as the full-sector reference for certification.
 The tuning scans hand :func:`propagator_rows` arithmetic grids, which it
@@ -28,8 +29,7 @@ diagonalised only for long-range or ZZ-coupled chains.  On a free-fermion
 chain the fidelity laws read no pair row at all: with row orthonormality
 the determinants reduce every law to at most four one-excitation
 amplitudes (2 sources x 2 targets of :func:`propagator_rows`), so
-:func:`pair_rows` serves the Kraus sets and the laws of long-range and ZZ
-chains.
+:func:`pair_rows` serves the laws of long-range and ZZ chains.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def is_free_fermion(spec: ChainSpec) -> bool:
     )
 
 
-def pair_rows(dyn: ChainDynamics, group, targets, times, one_rows=None) -> np.ndarray:
+def pair_rows(dyn: ChainDynamics, group, targets, times) -> np.ndarray:
     """Summed two-excitation rows out of the pairs (1, j), j in ``group``.
 
     ``group`` holds sites j > 1 and ``targets`` sorted site pairs (k, l).
@@ -220,17 +220,13 @@ def pair_rows(dyn: ChainDynamics, group, targets, times, one_rows=None) -> np.nd
         at ``times[t]``.  On a free-fermion chain (:func:`is_free_fermion`)
         it is the determinant a_1^k S_l - a_1^l S_k with S the row summed
         over ``group``, and the pair sector is never built; otherwise it
-        is :func:`propagator_rows` of the pair sector.  ``one_rows`` may
-        pass the rows the determinant reads when the caller already has
-        them: shape (T, 2, N), a_1^j and sum_{i in group} a_i^j for j = 1..N,
-        i.e. ``propagator_rows(dyn.one, [[1], group], range(1, N + 1), times)``.
+        is :func:`propagator_rows` of the pair sector.
     """
     if not is_free_fermion(dyn.spec):
         sources = [[(1, j) for j in group]]
         return propagator_rows(dyn.two, sources, targets, times)[:, 0]
-    if one_rows is None:
-        sites = range(1, dyn.spec.n_sites + 1)
-        one_rows = propagator_rows(dyn.one, [[1], group], sites, times)
+    sites = range(1, dyn.spec.n_sites + 1)
+    one_rows = propagator_rows(dyn.one, [[1], group], sites, times)
     k, l = (np.asarray(targets, dtype=int).reshape(-1, 2) - 1).T
     a1, s = one_rows[:, 0], one_rows[:, 1]
     return a1[:, k] * s[:, l] - a1[:, l] * s[:, k]
@@ -243,8 +239,8 @@ class ChainDynamics:
     :func:`~spintransfer.sectors.build_sector_basis`, its matrix from
     :func:`~spintransfer.chain.sector_hamiltonian`, then :func:`diagonalize`.
     Each sector is diagonalised the first time ``one`` or ``two`` is read,
-    so a run that reads only one-excitation amplitudes (every law and Kraus
-    set of a free-fermion chain) never builds the C(N, 2)-dimensional pair
+    so a run that reads only one-excitation amplitudes (every law of a
+    free-fermion chain) never builds the C(N, 2)-dimensional pair
     sector.  All methods are safe to call concurrently: two threads that
     read a sector first at the same time may both diagonalise it, but both
     store the same deterministic result.

@@ -1,8 +1,11 @@
-"""Brute-force full-Hilbert-space reference for certification.
+"""Brute-force full-Hilbert-space evolution: the certification reference
+and the source of every Kraus channel.
 
 The oracle works on the exact N-site dynamics and imports nothing from
-``sectors``, ``dynamics`` or ``channel``, so it can certify the sector
-dynamics and the channel construction independently.
+``sectors``, ``dynamics`` or ``channel``.  The fidelity laws read the sector
+dynamics, while the Kraus sets that Monte Carlo samples and certification
+reduces (:func:`~spintransfer.channel.kraus_at_times`) are built from the
+oracle's evolution, so the two sides share no amplitude code.
 
 Every chain Hamiltonian (XX+YY hopping, J*D ZZ terms, Z fields) conserves
 the excitation number, so it is block-diagonal in the popcount q of the
@@ -17,13 +20,16 @@ of T states (one state is the stack of one row),
 :func:`transfer_initial_state` writes each sender (x) channel configuration
 of a stack of sender states into its block, :func:`evolve_many` applies
 each block's eigenvectors to all rows at once with a phase per row and
-time, and :func:`reduced_density` traces every row out at once.  The same
+time, :func:`receiver_amplitudes` splits every row between the receiver
+and the other sites, and :func:`reduced_density` traces every row out
+from that split.  The same
 Z-sign convention and the same vacuum-energy gauge shift as the sector
 machinery are applied, which makes amplitude phases directly comparable.
 A block may hold at most ``MAX_ORACLE_BLOCK`` = C(60, 2) = 1770 states,
 the pair sector of the longest chain the package diagonalises, and a
-chain at most 63 sites, since an index is an int64 bit pattern; the oracle
-exists for certification, never for production runs.
+chain at most 63 sites, since an index is an int64 bit pattern; a larger
+block raises CapacityError, so a Kraus set of the occupied channel or of
+two-qubit transfer needs N <= 60, and one of the empty chain N <= 63.
 """
 
 from __future__ import annotations
@@ -165,16 +171,15 @@ def evolve_many(spec: ChainSpec, initial: FullState, times) -> FullState:
     return FullState(evolved, spec.n_sites)
 
 
-def reduced_density(state: FullState, sites) -> np.ndarray:
-    """Partial trace of each pure state onto an ordered site subset.
+def receiver_amplitudes(state: FullState, sites) -> np.ndarray:
+    """Each pure state's amplitudes split between an ordered site subset and
+    the other sites, shape (T, 2^k, groups).
 
-    The output basis is the binary ordering of the listed sites with the
-    first listed site as the most significant bit, e.g. ``sites=(N-1, N)``
-    yields the basis |00>, |0 1_N>, |1_{N-1} 0>, |1_{N-1} 1_N>.  A stack of
-    T states gives T density matrices, shape (T, 2^k, 2^k).  The stored
-    amplitudes of all blocks are grouped by the bits of the traced-out
-    sites; each group is one column of a (T, 2^k, groups) matrix M, and
-    rho = M M^dagger.
+    Row r is the configuration of the listed sites in the binary ordering
+    of :func:`reduced_density`.  The stored indices of all blocks are
+    grouped by the bits of the other sites, and column e is the e-th such
+    configuration in index order, so column 0 holds the configurations with
+    nothing excited outside the subset whenever a block stores one.
     """
     n = state.n_sites
     sites = [int(s) for s in sites]
@@ -187,6 +192,19 @@ def reduced_density(state: FullState, sites) -> np.ndarray:
     traced, group = np.unique(indices & ~basis_index(n, sites), return_inverse=True)
     mat = np.zeros((state.n_states, 1 << len(sites), traced.size), dtype=complex)
     mat[:, kept, group] = np.concatenate(list(state.blocks.values()), axis=1)
+    return mat
+
+
+def reduced_density(state: FullState, sites) -> np.ndarray:
+    """Partial trace of each pure state onto an ordered site subset.
+
+    The output basis is the binary ordering of the listed sites with the
+    first listed site as the most significant bit, e.g. ``sites=(N-1, N)``
+    yields the basis |00>, |0 1_N>, |1_{N-1} 0>, |1_{N-1} 1_N>.  A stack of
+    T states gives T density matrices, shape (T, 2^k, 2^k): rho = M M^dagger
+    with M the (T, 2^k, groups) matrices of :func:`receiver_amplitudes`.
+    """
+    mat = receiver_amplitudes(state, sites)
     rho = mat @ mat.conj().swapaxes(-1, -2)
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 

@@ -12,11 +12,13 @@ channel acts on Bloch vectors as an affine map, its Pauli transfer matrix R
 (:func:`~spintransfer.channel.pauli_transfer_matrix`, built once per Kraus
 set for all its read-out times), so a pure input with Bloch vector r
 transfers with fidelity 1/2 r~^T R r~, r~ = (1, r): one 4x4 quadratic form
-per sample, whatever the number of Kraus operators.  The form holds for any Kraus set, so the
-Monte Carlo histogram stays an independent check on the row-based laws,
-which assume azimuth independence.  :func:`~spintransfer.channel.fidelity_many`
-stays the state-vector reference that certification and the tests compare
-the form against.  Two-qubit Monte Carlo reads the 16 x 16 matrix through
+per sample, whatever the number of Kraus operators.  The form holds for
+any Kraus set, and the sets the command line samples come from the
+full-space oracle (:func:`~spintransfer.channel.kraus_at_times`), so the
+Monte Carlo histogram is an independent check on the row-based laws: the
+two share no amplitude code, and the form assumes no azimuth independence.
+:func:`~spintransfer.channel.fidelity_many` stays the state-vector
+reference that certification and the tests compare the form against.  Two-qubit Monte Carlo reads the 16 x 16 matrix through
 :func:`~spintransfer.analytics.affine_from_kraus`.  A Kraus set holds T
 equal-weight read-out times (one for a fixed read-out, the jitter nodes
 otherwise): :func:`mc_fidelity_histogram` splits the samples over them by

@@ -132,9 +132,11 @@ def test_criterion_1_oracle_equivalence(oracle_sweep):
     report(
         "1 oracle equivalence",
         ok,
-        f"max trace distance {check.max_error:.2e}, {elapsed:.1f}s",
+        f"max law vs oracle-channel coefficient gap {check.max_error:.2e}, {elapsed:.1f}s",
     )
-    assert check.passed, f"trace distance {check.max_error:.3e} exceeds 1e-9"
+    assert check.passed, (
+        f"law vs oracle-channel coefficient gap {check.max_error:.3e} exceeds 1e-9"
+    )
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s (budget 60s)"
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_random_chain, random_state, seeded_chain, trace_distance
+from conftest import make_random_chain, random_state, seeded_chain
 from spintransfer.analytics import (
     affine_from_kraus,
     avg_fidelity_curve,
@@ -17,13 +17,11 @@ from spintransfer.channel import (
     apply_channel,
     fidelity_many,
     kraus_at_times,
-    kraus_one_qubit_uniform,
     kraus_set,
     pauli_transfer_matrix,
 )
 from spintransfer.dynamics import dynamics_for, propagator_at, propagator_rows
 from spintransfer.errors import ParameterError
-from spintransfer.oracle import evolve_many, reduced_density, transfer_initial_state
 
 
 def test_vacuum_channel_at_zero_receiver_still_empty(rng):
@@ -47,12 +45,17 @@ def test_apply_channel_identity_kraus(rng):
 
 
 def test_vacuum_channel_structure(rng):
-    spec = make_random_chain(rng, 6)
+    # one operator per configuration outside the receiver: nothing outside
+    # gives diag(1, a_1^N), the excitation at site j < N gives [[0, a_1^j], [0, 0]]
+    n = 6
+    spec = make_random_chain(rng, n)
     kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [1.3])
-    assert kraus.operators.shape == (1, 2, 2, 2)
-    amp = propagator_at(dynamics_for(spec).one, 1.3)[0, 5]
-    e0 = kraus.operators[0, 0]
-    assert e0[0, 0] == 1.0 and e0[1, 1] == pytest.approx(amp)
+    assert kraus.operators.shape == (1, n, 2, 2)
+    amps = propagator_at(dynamics_for(spec).one, 1.3)[0]
+    expected = np.zeros((n, 2, 2), dtype=complex)
+    expected[0] = np.diag([1.0, amps[n - 1]])
+    expected[1:, 0, 1] = amps[: n - 1]
+    assert np.abs(kraus.operators[0] - expected).max() <= 1e-12
     # maximally mixed input keeps unit trace
     rho = 0.5 * (
         apply_channel(kraus, np.array([[1.0, 0.0]], dtype=complex))
@@ -72,8 +75,8 @@ def test_vacuum_fidelity_of_pole_states(rng):
 
 def test_uniform_channel_validation():
     spec = make_random_chain(np.random.default_rng(1), 3)
-    with pytest.raises(ParameterError):
-        kraus_one_qubit_uniform(spec, [0.5])
+    with pytest.raises(ParameterError, match="n_sites >= 4"):
+        kraus_at_times(spec, Scenario.ONE_QUBIT_UNIFORM, [0.5])
 
 
 def test_uniform_channel_at_zero(rng):
@@ -133,19 +136,22 @@ def test_completeness_across_protocols(rng):
 @pytest.mark.parametrize("kind", ["nearest", "long_range", "zz"])
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_channel_matches_oracle(scenario, kind, rng):
-    # the Kraus sets read the fidelity laws' rows; off the free-fermion gate
-    # (long-range bond, ZZ terms) their pair rows come from the pair sector,
-    # and the 2^N oracle is the independent check on both paths
+    # the Kraus sets come from the 2^N oracle and the laws from the sector
+    # rows (off the free-fermion gate, a long-range bond or ZZ terms, the
+    # pair sector's): each one-qubit input transfers with the law's fidelity
+    # at its cos(theta), and the two-qubit twirl of the channel is the law
     for n in (max(scenario.min_sites, 5), 8):
         spec = seeded_chain(int(rng.integers(2**31)), n, kind)
         times = rng.uniform(0.2, 8.0, 3)
         kraus = kraus_at_times(spec, scenario, times)
-        psi = np.array([random_state(rng, kraus.dim) for _ in times])
-        rho = apply_channel(kraus, psi)
-        initial = transfer_initial_state(n, scenario.senders, psi, scenario.occupied(n))
-        rho_ref = reduced_density(evolve_many(spec, initial, times), scenario.receiver(n))
-        for k in range(times.size):
-            assert trace_distance(rho[k], rho_ref[k]) <= 1e-9
+        law = fidelity_law(spec, scenario, times)
+        if scenario is Scenario.TWO_QUBIT_VACUUM:
+            gap = affine_from_kraus(kraus).coefficients - law.coefficients
+        else:
+            psi = np.array([random_state(rng, 2) for _ in times])
+            x = np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2
+            gap = fidelity_many(kraus, psi[:, None, :])[:, 0] - np.diagonal(law.evaluate(x))
+        assert np.abs(gap).max() <= 1e-10
 
 
 def test_fidelity_duality(rng):

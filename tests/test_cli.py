@@ -17,7 +17,14 @@ from spintransfer.certify import (
     run_certification,
 )
 from spintransfer import analytics, channel, dynamics, oracle
-from spintransfer.cli import EXIT_CERTIFY, EXIT_NUMERIC, KS_GATE_ALPHA, keep_heap_mapped, main
+from spintransfer.cli import (
+    EXIT_CERTIFY,
+    EXIT_NUMERIC,
+    EXIT_PARAMETER,
+    KS_GATE_ALPHA,
+    keep_heap_mapped,
+    main,
+)
 from spintransfer.dynamics import dynamics_for
 from spintransfer.oracle import MAX_ORACLE_BLOCK
 
@@ -798,8 +805,9 @@ def diagonalised_sizes(monkeypatch, args) -> list[int]:
 
 
 def test_vacuum_pdf_never_builds_pair_sector(tmp_path, monkeypatch):
-    # the one-qubit vacuum law and its Monte Carlo read only one-excitation
-    # amplitudes, so no matrix larger than the N x N sector is diagonalised
+    # the one-qubit vacuum law reads only one-excitation amplitudes and its
+    # Monte Carlo the oracle's channel, so no sector larger than N x N is
+    # diagonalised
     args = [a for a in BASE]
     args[args.index("--n-sites") + 1] = "12"
     args[args.index("--mode") + 1] = "at_optimal"
@@ -810,8 +818,9 @@ def test_vacuum_pdf_never_builds_pair_sector(tmp_path, monkeypatch):
 @pytest.mark.parametrize(("scenario", "n_sites"), [("one_qubit_uniform", 12), ("two_qubit", 9)])
 def test_pair_law_pdf_never_builds_pair_sector(tmp_path, monkeypatch, scenario, n_sites):
     # on a nearest-neighbour preset the occupied-channel and two-qubit laws
-    # and their Kraus sets take pair amplitudes as determinants of
-    # one-excitation amplitudes, so the pair sector is never diagonalised
+    # take pair amplitudes as determinants of one-excitation amplitudes, and
+    # the Kraus sets come from the oracle, so the pair sector is never
+    # diagonalised
     args = [a for a in BASE]
     args[args.index("--n-sites") + 1] = str(n_sites)
     args[args.index("--scenario") + 1] = scenario
@@ -858,6 +867,51 @@ def test_pdf_ks_gate(tmp_path, monkeypatch):
         assert (out / name).exists()
     bound = np.sqrt(np.log(2.0 / KS_GATE_ALPHA) / (2.0 * 100_000))
     assert read_json(out / "result.json")["ks_distance"] > bound
+
+
+README_BARRIER = ["pdf", "--protocol", "barrier", "--h0", "200", "--n-sites", "22",
+                  "--scenario", "one_qubit_vacuum", "--mode", "target_avg:0.99",
+                  "--mc-samples", "1000000"]
+
+
+def test_ks_gate_sees_a_wrong_sector_eigenvalue(tmp_path, monkeypatch):
+    # the law reads the sector spectrum and the Monte Carlo the oracle's
+    # channel: one one-excitation eigenvalue shifted by 1e-6 on the sector
+    # path alone moves only the law, and the README barrier run fails its
+    # KS gate with every file written
+    diagonalize = dynamics.diagonalize
+
+    def shifted(matrix, basis=None):
+        prop = diagonalize(matrix, basis)
+        if basis is None or basis.n_excitations != 1:
+            return prop
+        eigenvalues = prop.eigenvalues.copy()
+        eigenvalues[eigenvalues.size // 2] += 1e-6
+        return dynamics.SpectralPropagator(eigenvalues, prop.eigenvectors, basis)
+
+    monkeypatch.setattr(dynamics, "diagonalize", shifted)
+    dynamics.dynamics_for.cache_clear()
+    out = tmp_path / "run"
+    try:
+        code = run_cli(*README_BARRIER, "--out", str(out))
+    finally:
+        # the shifted sectors must not outlive the test
+        dynamics.dynamics_for.cache_clear()
+    assert code == EXIT_CERTIFY
+    bound = np.sqrt(np.log(2.0 / KS_GATE_ALPHA) / (2.0 * 1_000_000))
+    assert read_json(out / "result.json")["ks_distance"] > bound
+
+
+def test_monte_carlo_past_the_oracle_cap_writes_nothing(tmp_path):
+    # the Monte Carlo channel needs the oracle's C(61, 2) pair block, past
+    # its cap: the run exits 2 before any file is written, while the law
+    # alone reads no oracle block and runs
+    args = ["pdf", "--protocol", "perfect", "--n-sites", "61", "--scenario", "two_qubit",
+            "--mode", "at_optimal"]
+    out = tmp_path / "mc"
+    assert run_cli(*args, "--mc-samples", "1000", "--out", str(out)) == EXIT_PARAMETER
+    assert not out.exists()
+    assert run_cli(*args, "--mc-samples", "0", "--out", str(tmp_path / "law")) == 0
 
 
 def test_pdf_runs_without_scipy(tmp_path):
