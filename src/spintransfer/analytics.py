@@ -32,6 +32,17 @@ sets come from the full-space oracle and read none of the sector rows, so
 the reductions check the rows, the closed forms and the laws' arithmetic
 together.
 
+Tuning maximizes the mean on a time grid, chunk by chunk.  A coarse pass
+over every SCAN_STRIDE-th grid time and the last bounds each chunk by its
+nearest coarse values plus :func:`mean_slope_bound`, a Lipschitz constant of
+the mean from the mode weights of the amplitudes it reads, times half the
+coarse spacing plus a rounding allowance; chunks whose bound lies below the
+best value found are never evaluated, so the tuning is that of the full grid,
+bit for bit (Piyavskii, USSR Comput. Math. Math. Phys. 12(4), 1972; Shubert,
+SIAM J. Numer. Anal. 9(3), 1972).  The bound is infinite, and every chunk
+evaluated, for the phase-corrected two-qubit mean and for the occupied and
+two-qubit means of chains that are not free-fermion.
+
 Read-out planning has one place per decision: :func:`tune_with_ladder` the
 scan windows, :func:`find_optimal_time` whether the field applies,
 :func:`resolve_mode` the timing mode's rules, and :func:`plan_readout` the
@@ -50,12 +61,21 @@ import numpy as np
 
 from .chain import ChainSpec
 from .channel import KrausSet, Scenario, pauli_transfer_matrix
-from .dynamics import ChainDynamics, dynamics_for, is_free_fermion, pair_rows, propagator_rows
+from .dynamics import (
+    ChainDynamics,
+    dynamics_for,
+    is_free_fermion,
+    pair_rows,
+    propagator_rows,
+    propagator_slopes,
+)
 from .errors import ModelError, ParameterError, RangeError
 
 PHI_INDEPENDENCE_TOL = 1e-10
 COLLAPSE_WIDTH = 1e-11
 TIME_CHUNK = 16384
+SCAN_STRIDE = 32
+SCAN_ROUNDING = 32.0
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 TARGET_WALK_STEP = 1e-4
 TARGET_TICK_BLOCK = 512
@@ -685,6 +705,39 @@ def avg_fidelity_curve(
     return out
 
 
+def mean_slope_bound(spec: ChainSpec, scenario: Scenario, phase_corrected: bool = False) -> float:
+    """Upper bound on |d<F>/dt| of :func:`avg_fidelity_curve` at every time.
+
+    Reads the bounds of :func:`~spintransfer.dynamics.propagator_slopes` on
+    the amplitudes the mean reads: R = sum_m |w_m L_m| and the centred C =
+    min_c sum_m |w_m| |L_m - c| of a = a_1^N, or R_ij of the receiver block
+    g_ij of :func:`_two_qubit_law`.  Every amplitude has modulus at most 1.
+
+    - vacuum, phase corrected: 1/2 + |a|^2/6 + |a|/3 moves at most (2/3) C;
+    - vacuum raw, and the occupied channel of a free-fermion chain (whose
+      mean 1/3 + |1 - a|^2/6 ignores the correction): 1/2 + |a|^2/6 +/- Re a/3
+      moves at most (C + R)/3;
+    - two qubits raw on a free-fermion chain: (t1 + 4)/20 with t1 = |1 + g11
+      + g22 + det G|^2 <= 16 moves at most (2/5)(2 R11 + 2 R22 + R12 + R21);
+    - inf otherwise: the phase-corrected two-qubit mean rotates by the phase
+      of g11, which jumps where g11 vanishes, and on other chains the
+      occupied and two-qubit means read pair rows.
+    """
+    scenario.check_sites(spec.n_sites)
+    n = spec.n_sites
+    one = dynamics_for(spec).one
+    free = is_free_fermion(spec)
+    if scenario is Scenario.ONE_QUBIT_VACUUM or (scenario is Scenario.ONE_QUBIT_UNIFORM and free):
+        (raw,), (centred,) = propagator_slopes(one, [[1]], [n])
+        if scenario is Scenario.ONE_QUBIT_VACUUM and phase_corrected:
+            return float(2.0 * centred[0] / 3.0)
+        return float((centred[0] + raw[0]) / 3.0)
+    if scenario is Scenario.TWO_QUBIT_VACUUM and free and not phase_corrected:
+        (r11, r12), (r21, r22) = propagator_slopes(one, [[1], [2]], [n - 1, n])[0]
+        return float(0.4 * (2.0 * r11 + 2.0 * r22 + r12 + r21))
+    return float("inf")
+
+
 def check_grid(grid: int) -> None:
     """Raise ParameterError for a scan grid of fewer than MIN_SCAN_GRID points."""
     if grid < MIN_SCAN_GRID:
@@ -700,8 +753,19 @@ def find_optimal_time(
 ) -> ProtocolTuning:
     """Locate the read-out time maximizing the average fidelity.
 
-    A coarse grid scan over ``window`` picks the best sample; golden-section
+    A grid scan over ``window`` picks the best sample; golden-section
     refinement around it narrows the time to a relative resolution of 1e-8.
+    The scan evaluates only the TIME_CHUNK chunks of the grid that can hold
+    its maximum (:func:`_pruned_curve`): a coarse pass reads every
+    SCAN_STRIDE-th grid time and the last, and each chunk's bound is its
+    nearest coarse values plus :func:`mean_slope_bound` times SCAN_STRIDE / 2
+    steps plus a rounding allowance.  Chunks are evaluated in order of
+    falling bound until the next bound is below the best value found.  Where
+    the slope bound is infinite (phase-corrected two-qubit transfer, the
+    occupied and two-qubit means of chains that are not free-fermion) or the
+    grid is one chunk, every chunk is evaluated, with no coarse pass.  The
+    best sample, its value and so the result are those of the full grid
+    scan, bit for bit.
     The window is finite, ordered and starts at 0 or later: a read-out
     before the transfer starts is no read-out, and :func:`plan_readout`
     nulls no phase at t <= 0.
@@ -718,7 +782,7 @@ def find_optimal_time(
     check_grid(grid)
     scanned = (t_lo, t_hi, int(grid))
     ts = np.linspace(*scanned)
-    curve = avg_fidelity_curve(spec, scenario, ts, phase_corrected)
+    curve = _pruned_curve(spec, scenario, ts, phase_corrected)
     best = int(np.argmax(curve))
     lo = ts[max(best - 1, 0)]
     hi = ts[min(best + 1, len(ts) - 1)]
@@ -732,6 +796,76 @@ def find_optimal_time(
     if curve[best] > f_opt:
         t_opt, f_opt = float(ts[best]), float(curve[best])
     return ProtocolTuning(t_opt, f_opt, phase_corrected, scanned)
+
+
+def _pruned_curve(
+    spec: ChainSpec, scenario: Scenario, ts: np.ndarray, phase_corrected: bool
+) -> np.ndarray:
+    """:func:`avg_fidelity_curve` on the grid ``ts``, -inf on the chunks
+    that cannot hold its maximum.
+
+    Each TIME_CHUNK chunk is the slice :func:`avg_fidelity_curve` would
+    evaluate, taken in order of falling upper bound (:func:`_chunk_bounds`)
+    until the next bound lies below the best value found.  A skipped chunk
+    holds no value that high, so the argmax and the value there are those
+    of the full grid, bit for bit.
+    """
+    starts = range(0, ts.size, TIME_CHUNK)
+    bounds = np.full(len(starts), np.inf)
+    if len(starts) > 1:
+        slope = mean_slope_bound(spec, scenario, phase_corrected)
+        if np.isfinite(slope):
+            bounds = _chunk_bounds(spec, scenario, ts, phase_corrected, slope)
+    curve = np.full(ts.size, -np.inf)
+    best = -np.inf
+    for k in np.argsort(-bounds, kind="stable"):
+        if bounds[k] < best:
+            break
+        chunk = slice(starts[k], starts[k] + TIME_CHUNK)
+        curve[chunk] = avg_fidelity_curve(spec, scenario, ts[chunk], phase_corrected)
+        best = max(best, float(curve[chunk].max()))
+    return curve
+
+
+def _chunk_bounds(
+    spec: ChainSpec, scenario: Scenario, ts: np.ndarray, phase_corrected: bool, slope: float
+) -> np.ndarray:
+    """Upper bounds on the mean over each TIME_CHUNK chunk of the grid ``ts``.
+
+    A coarse pass reads every SCAN_STRIDE-th grid time (an arithmetic grid,
+    so :func:`~spintransfer.dynamics.propagator_rows` factors it) and the
+    last one, so every grid time lies within SCAN_STRIDE / 2 steps of a
+    coarse time.  A chunk's bound is the largest coarse value within that
+    reach of it, plus ``slope`` times the reach (and the times' own rounding,
+    4 eps max|t|), plus a rounding allowance.
+    The coarse and the chunk pass evaluate a time on different giant steps;
+    each pass's amplitudes lie within the documented 4 eps max|L| max|t|
+    sum_m |w_m| of the direct path's (sum_m |w_m| <= 1 for one source and one
+    target), and within eps max|L| max|t| more of the exact ones.  The mean
+    moves by at most 12/5 per unit change of an amplitude (two qubits; 2/3
+    for one), so SCAN_ROUNDING = 32 >= 2 * 5 * 12/5 covers both passes, and
+    N eps more the rounding of the sums over N modes.  A chunk whose coarse
+    values are not all finite has an infinite bound.
+    """
+    values = avg_fidelity_curve(spec, scenario, ts[::SCAN_STRIDE], phase_corrected)
+    index = np.arange(0, ts.size, SCAN_STRIDE)
+    if index[-1] != ts.size - 1:
+        index = np.append(index, ts.size - 1)
+        values = np.append(values, avg_fidelity_curve(spec, scenario, ts[-1:], phase_corrected))
+    eps = np.finfo(float).eps
+    t_max = float(np.abs(ts).max())
+    reach = SCAN_STRIDE // 2
+    step = (ts[-1] - ts[0]) / (ts.size - 1)
+    eigen = float(np.abs(dynamics_for(spec).one.eigenvalues).max())
+    allowance = SCAN_ROUNDING * eps * (eigen * t_max + spec.n_sites)
+    slack = slope * (reach * step + 4.0 * eps * t_max) + allowance
+    bounds = []
+    for start in range(0, ts.size, TIME_CHUNK):
+        lo = np.searchsorted(index, start - reach)
+        hi = np.searchsorted(index, start + TIME_CHUNK - 1 + reach, side="right")
+        cover = values[lo:hi]
+        bounds.append(float(cover.max()) + slack if np.isfinite(cover).all() else np.inf)
+    return np.array(bounds)
 
 
 def _golden_max(func, lo: float, hi: float, rel_tol: float) -> tuple[float, float]:

@@ -412,7 +412,15 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
     curve = pdf_curve_rows(law)
     # the Monte Carlo channel comes from the oracle: a chain past its block
     # cap raises CapacityError here, before any file is written
-    kraus = kraus_at_times(plan.spec, plan.scenario, plan.times) if config.mc_samples > 0 else None
+    kraus = None
+    if config.mc_samples > 0:
+        try:
+            kraus = kraus_at_times(plan.spec, plan.scenario, plan.times)
+        except CapacityError as exc:
+            raise CapacityError(
+                f"Monte Carlo samples the brute-force reference's channel, which this "
+                f"chain exceeds ({exc}); run with --mc-samples 0 for the law alone"
+            ) from exc
     os.makedirs(config.output_dir, exist_ok=True)
     files = {"pdf_curve": "pdf_curve.csv"}
     write_csv(os.path.join(config.output_dir, "pdf_curve.csv"), ["f", "density", "cdf"], curve)

@@ -17,6 +17,9 @@ evaluates as products of a giant-step and a baby-step phase table; single
 times, short or non-uniform grids take the full phase matrix.  Both paths
 round the phase arguments L t alike, so they agree to
 4 eps max|L| max|t| sum_m |w_m| per row, w being the row's mode weights.
+:func:`propagator_slopes` reads the same weights and bounds how fast a row,
+and its modulus, can move in time: the Lipschitz constants of the tuning
+scan's chunk bounds.
 
 For a nearest-neighbour XX chain (no coupling beyond adjacent sites, no
 ZZ term; any local fields) the Jordan-Wigner transformation maps the
@@ -145,13 +148,7 @@ def propagator_rows(prop: SpectralPropagator, sources, targets, times) -> np.nda
         raise ParameterError(f"times must be a 1-D array, got shape {times.shape}")
     if not np.isfinite(times).all():
         raise ParameterError(f"times must be finite, got {times}")
-    v = prop.eigenvectors
-
-    def rows_of(configs) -> np.ndarray:
-        return v[[prop.basis.index_of(c if isinstance(c, tuple) else (c,)) for c in configs]]
-
-    weights = np.array([rows_of(group).sum(axis=0) for group in sources])
-    modes = (weights[:, None, :] * rows_of(targets)).reshape(-1, prop.dimension)
+    modes = _mode_weights(prop, sources, targets)
     step = _grid_step(times)
     if step is None:
         phases = np.exp(-1j * np.outer(times, prop.eigenvalues))
@@ -159,6 +156,37 @@ def propagator_rows(prop: SpectralPropagator, sources, targets, times) -> np.nda
     else:
         rows = _factored_rows(prop.eigenvalues, modes, times, step)
     return rows.reshape(times.size, len(sources), -1)
+
+
+def _mode_weights(prop: SpectralPropagator, sources, targets) -> np.ndarray:
+    """Mode weights of the columns of :func:`propagator_rows`, shape
+    (len(sources) * len(targets), M): row g * len(targets) + j holds
+    w_m = sum_s v[s, m] v[targets[j], m] over the configurations s of group g."""
+    v = prop.eigenvectors
+
+    def rows_of(configs) -> np.ndarray:
+        return v[[prop.basis.index_of(c if isinstance(c, tuple) else (c,)) for c in configs]]
+
+    weights = np.array([rows_of(group).sum(axis=0) for group in sources])
+    return (weights[:, None, :] * rows_of(targets)).reshape(-1, prop.dimension)
+
+
+def propagator_slopes(prop: SpectralPropagator, sources, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the time derivatives of the columns of :func:`propagator_rows`.
+
+    Returns (R, C), each of shape (len(sources), len(targets)).  A column is
+    a(t) = sum_m w_m exp(-i L_m t), so R = sum_m |w_m L_m| bounds |a'(t)|.
+    A uniform shift c of every L_m multiplies a(t) by exp(i c t) and leaves
+    |a(t)| alone, so the centred C = min_c sum_m |w_m| |L_m - c| bounds the
+    slope of |a(t)| (and |d|a|^2/dt| <= 2 |a| C).  The minimum of that
+    convex, piecewise-linear function of c lies at one of the L_m.
+    """
+    weights = np.abs(_mode_weights(prop, sources, targets))
+    eigenvalues = prop.eigenvalues
+    raw = weights @ np.abs(eigenvalues)
+    centred = (weights @ np.abs(eigenvalues[:, None] - eigenvalues[None, :])).min(axis=1)
+    shape = (len(sources), len(targets))
+    return raw.reshape(shape), centred.reshape(shape)
 
 
 def _grid_step(times: np.ndarray) -> float | None:

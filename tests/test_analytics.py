@@ -13,25 +13,35 @@ from conftest import (
     sample_haar_unitary_2,
     seeded_chain,
 )
+from spintransfer import analytics
 from spintransfer.analytics import (
     FidelityLaw,
     MinBranch,
+    ProtocolTuning,
     affine_from_kraus,
     avg_fidelity_curve,
     fidelity_law,
     find_optimal_time,
+    mean_slope_bound,
     min_fidelity_closed_form,
     phase_null_field,
     plan_readout,
     quadratic_reduce_one_qubit,
     time_for_target_avg,
+    time_window_ladder,
     tune_with_ladder,
     vacuum_quadratic,
 )
 from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
 from spintransfer.certify import _clifford_group_su2, random_isometry_kraus
 from spintransfer.channel import Scenario, fidelity_many, kraus_at_times
-from spintransfer.dynamics import dynamics_for, propagator_at
+from spintransfer.dynamics import (
+    GRID_FACTOR_MIN,
+    _grid_step,
+    dynamics_for,
+    is_free_fermion,
+    propagator_at,
+)
 from spintransfer.errors import ModelError, ParameterError, RangeError
 from spintransfer.sampling import RandomStream, schmidt_state
 
@@ -401,6 +411,106 @@ def test_target_crossing_is_the_last_before_the_optimum(kind, n_sites, grid, sha
     if between.size:
         curve = avg_fidelity_curve(spec, Scenario.ONE_QUBIT_VACUUM, between, phase_corrected=True)
         assert curve.min() >= target - 1e-9
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_sites=st.integers(5, 8),
+    chain=st.sampled_from(["nearest", "long_range", "zz"]),
+    scenario=st.sampled_from(list(Scenario)),
+    phase_corrected=st.booleans(),
+    start=st.floats(0.0, 200.0),
+    dt=st.floats(1e-3, 0.05),
+)
+def test_mean_slope_bound_bounds_the_mean(seed, n_sites, chain, scenario, phase_corrected,
+                                          start, dt):
+    # every pair of neighbouring times on a short grid moves the mean by at
+    # most the bound times their distance
+    spec = seeded_chain(seed, n_sites, chain)
+    slope = mean_slope_bound(spec, scenario, phase_corrected)
+    free = is_free_fermion(spec)
+    finite = scenario is Scenario.ONE_QUBIT_VACUUM or (
+        free and (scenario is Scenario.ONE_QUBIT_UNIFORM or not phase_corrected)
+    )
+    assert np.isfinite(slope) == finite
+    if not finite:
+        return
+    times = start + dt * np.arange(300)
+    means = avg_fidelity_curve(spec, scenario, times, phase_corrected)
+    assert np.abs(np.diff(means)).max() <= slope * np.diff(times).max() + 1e-13
+
+
+def full_grid_tuning(spec, scenario, window, grid, phase_corrected) -> ProtocolTuning:
+    """The tuning of the whole avg_fidelity_curve grid and the same golden
+    step: what find_optimal_time returns."""
+    phase_corrected = phase_corrected and scenario is not Scenario.ONE_QUBIT_UNIFORM
+    scanned = (float(window[0]), float(window[1]), grid)
+    ts = np.linspace(*scanned)
+    curve = avg_fidelity_curve(spec, scenario, ts, phase_corrected)
+    best = int(np.argmax(curve))
+
+    def objective(t):
+        return float(avg_fidelity_curve(spec, scenario, np.array([t]), phase_corrected)[0])
+
+    lo, hi = ts[max(best - 1, 0)], ts[min(best + 1, grid - 1)]
+    t_opt, f_opt = analytics._golden_max(objective, lo, hi, rel_tol=1e-8)
+    if curve[best] > f_opt:
+        t_opt, f_opt = float(ts[best]), float(curve[best])
+    return ProtocolTuning(t_opt, f_opt, phase_corrected, scanned)
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_sites=st.integers(5, 8),
+    scenario=st.sampled_from(list(Scenario)),
+    phase_corrected=st.booleans(),
+    hi=st.floats(5.0, 300.0),
+    grid=st.integers(2_000, 12_000),
+)
+def test_pruned_scan_is_the_full_grid_scan(seed, n_sites, scenario, phase_corrected, hi, grid):
+    # short chunks give these grids 4 to 24 chunks, most of them skipped
+    spec = make_random_chain(np.random.default_rng(seed), n_sites)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analytics, "TIME_CHUNK", 512)
+        pruned = find_optimal_time(spec, scenario, (0.0, hi), grid, phase_corrected)
+        full = full_grid_tuning(spec, scenario, (0.0, hi), grid, phase_corrected)
+    assert pruned == full
+
+
+@pytest.mark.parametrize(
+    "kind, aux", [(Barrier(200.0), False), (Weak(0.005), True), (Perfect(), True)],
+    ids=["barrier", "weak", "perfect"],
+)
+def test_pruned_scan_on_the_preset_ladder_windows(kind, aux):
+    # every ladder window of the N = 22 presets, on the mean the CLI tunes
+    spec = protocol_preset(kind, 22)
+    for lo, hi, grid in time_window_ladder(kind):
+        pruned = find_optimal_time(spec, Scenario.ONE_QUBIT_VACUUM, (lo, hi), grid, aux)
+        assert pruned == full_grid_tuning(spec, Scenario.ONE_QUBIT_VACUUM, (lo, hi), grid, aux)
+
+
+def test_ladder_tuning_evaluates_few_grid_points(monkeypatch):
+    # the coarse pass and the slope bound skip most scan chunks of the
+    # barrier N = 22 ladder: a count, so the saving cannot vanish silently
+    points, grids = [], []
+    curve, find = analytics.avg_fidelity_curve, analytics.find_optimal_time
+
+    def counting_curve(spec, scenario, times, phase_corrected=False):
+        # every scan, the coarse pass among them, takes the factored path
+        assert np.size(times) < GRID_FACTOR_MIN or _grid_step(np.asarray(times)) is not None
+        points.append(np.size(times))
+        return curve(spec, scenario, times, phase_corrected)
+
+    def counting_find(spec, scenario, window, grid=2000, phase_corrected=True):
+        grids.append(grid)
+        return find(spec, scenario, window, grid, phase_corrected)
+
+    monkeypatch.setattr(analytics, "avg_fidelity_curve", counting_curve)
+    monkeypatch.setattr(analytics, "find_optimal_time", counting_find)
+    kind = Barrier(200.0)
+    tune_with_ladder(protocol_preset(kind, 22), Scenario.ONE_QUBIT_VACUUM, kind, aux_field=False)
+    assert sum(grids) >= 720_000
+    assert sum(points) < 0.15 * sum(grids)
 
 
 def test_phase_null_field(rng):
