@@ -32,7 +32,6 @@ from .dynamics import (
     diagonalize,
     dynamics_for,
     is_free_fermion,
-    pair_rows,
     propagator_at,
     propagator_rows,
 )

@@ -14,7 +14,9 @@ Mattis, Ann. Phys. 16, 407 (1961)), and row orthonormality sums them over
 the sites outside the receiver, so no pair row is read; the two-qubit law
 is three closed terms in the 2x2 receiver block G = a_{1,2}^{N-1,N}.
 Other chains (long-range or ZZ couplings) take the N-wide one-excitation
-rows and the pair-sector rows of :func:`~spintransfer.dynamics.pair_rows`.
+rows and the rows of the pair sector, both from
+:func:`~spintransfer.dynamics.propagator_rows`; this module is the one
+place that chooses between the two paths.
 
 The law is the distribution: :class:`FidelityLaw` derives every statistic
 from its rows of coefficients, the mean from the input moments and the
@@ -65,7 +67,6 @@ from .dynamics import (
     ChainDynamics,
     dynamics_for,
     is_free_fermion,
-    pair_rows,
     propagator_rows,
     propagator_slopes,
 )
@@ -83,6 +84,9 @@ LADDER_STOP_AVG = 0.995
 DEFAULT_TIMING_FRACTION = 0.02
 JITTER_MIX_NODES = 41
 MIN_SCAN_GRID = 100
+# A scan holds its times and its curve, 8 B each per grid point: 1 GiB at
+# most.  The ladder's own grids stop at 2e6 points.
+MAX_SCAN_GRID = 2**30 // 16
 NORMALIZATION_NODES = 64
 
 
@@ -523,10 +527,10 @@ def fidelity_law(
     2 |1 + g22|^2 and 2 (1 + |g11|^2) + 4 Re(g22 conj(det G)) of the 2x2
     receiver block G (:func:`_two_qubit_law`); neither reads a pair row.
     On other chains the uniform law sums the one- and two-excitation rows
-    out of the occupied sites 2..N-1 (the latter from :func:`pair_rows`,
-    i.e. the pair sector); the weight of the double excitations that avoid
-    the receiver follows from unitarity of the normalized pair row.  Memory
-    grows as len(times) times the number of amplitudes read;
+    out of the occupied sites 2..N-1 (the latter :func:`propagator_rows`
+    of the pair sector ``dyn.two``); the weight of the double excitations
+    that avoid the receiver follows from unitarity of the normalized pair
+    row.  Memory grows as len(times) times the number of amplitudes read;
     :func:`avg_fidelity_curve` feeds long grids in chunks.
 
     ``phase_corrected`` evaluates the law reachable once the arrival phase
@@ -564,9 +568,9 @@ def fidelity_law(
         # Kraus diagonals (alpha_k, beta_k), k = 1..N-1, unnormalized by
         # the sqrt(N - 2) of the initial state
         occupied = scenario.occupied(n)
-        rows = propagator_rows(dyn.one, [[1], occupied], range(1, n + 1), times)
-        alpha = rows[:, 1]
-        beta = pair_rows(dyn, occupied, [(k, n) for k in range(1, n)], times)
+        alpha = propagator_rows(dyn.one, [occupied], range(1, n + 1), times)[:, 0]
+        pairs = [[(1, j) for j in occupied]]
+        beta = propagator_rows(dyn.two, pairs, [(k, n) for k in range(1, n)], times)[:, 0]
         weight = 1.0 / (n - 2)
         plus = (np.abs(alpha[:, : n - 1] + beta) ** 2).sum(axis=1)
         minus = (np.abs(alpha[:, : n - 1] - beta) ** 2).sum(axis=1)
@@ -606,7 +610,8 @@ def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool 
     polarization, |g22 + w|^2 - |g22 - w|^2, the two squares the N-wide sums
     carry; the product form rounds differently and moves some written
     averages by one ulp.  Otherwise the law reads the N-wide u, v rows and
-    the pair rows of :func:`pair_rows` (the pair sector).
+    the pair rows out of (1, 2), :func:`propagator_rows` of the pair sector
+    ``dyn.two``.
     """
     n = dyn.spec.n_sites
     free = is_free_fermion(dyn.spec)
@@ -625,7 +630,7 @@ def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool 
     else:
         sites = range(1, n - 1)
         targets = [(n - 1, n)] + [(j, n) for j in sites] + [(j, n - 1) for j in sites]
-        pair = pair_rows(dyn, [2], targets, times)
+        pair = propagator_rows(dyn.two, [[(1, 2)]], targets, times)[:, 0]
         if phase_corrected:
             pair = pair * (omega**2)[:, None]
         w = pair[:, 0]
@@ -739,9 +744,11 @@ def mean_slope_bound(spec: ChainSpec, scenario: Scenario, phase_corrected: bool 
 
 
 def check_grid(grid: int) -> None:
-    """Raise ParameterError for a scan grid of fewer than MIN_SCAN_GRID points."""
-    if grid < MIN_SCAN_GRID:
-        raise ParameterError(f"grid must be at least {MIN_SCAN_GRID} points, got {grid}")
+    """Raise ParameterError for a scan grid outside [MIN_SCAN_GRID, MAX_SCAN_GRID]."""
+    if not MIN_SCAN_GRID <= grid <= MAX_SCAN_GRID:
+        raise ParameterError(
+            f"grid must lie in [{MIN_SCAN_GRID}, {MAX_SCAN_GRID}] points, got {grid}"
+        )
 
 
 def find_optimal_time(

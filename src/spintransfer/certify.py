@@ -6,10 +6,10 @@ laws with the channel of the exact full-space evolution, re-verify trace
 preservation, and pin the structural facts (perfect-chain spectrum,
 fidelity duality, distribution normalization) that the analytic layer
 relies on.  The laws read amplitude rows
-(:func:`~spintransfer.dynamics.propagator_rows` and
-:func:`~spintransfer.dynamics.pair_rows`), and free-fermion closed forms in
-at most four of them on nearest-neighbour chains.  The Kraus sets come
-from the full-space oracle, which stores each state as the
+(:func:`~spintransfer.dynamics.propagator_rows` of the one- and, on
+long-range and ZZ chains, the two-excitation sector), and free-fermion
+closed forms in at most four of them on nearest-neighbour chains.  The
+Kraus sets come from the full-space oracle, which stores each state as the
 excitation-number blocks it occupies, at most C(N, 2) wide for transfer
 inputs (:func:`~spintransfer.channel.kraus_at_times`).  A laws-vs-Kraus
 comparison therefore checks the rows, the closed forms and the laws'
@@ -17,8 +17,9 @@ arithmetic together: ``channel_oracle_equivalence`` sweeps the presets'
 Kraus sets of every scenario, and ``fidelity_law_rows_vs_kraus`` random
 chains of three kinds.  Both reductions read the Pauli transfer matrix,
 which ``bloch_map_vs_kraus`` pins against state vectors.  The rows are
-also pinned one by one: against full sector propagators, the pair sector
-itself, and the oracle's blocks (``oracle_amplitude_equivalence`` on
+also pinned one by one: against full sector propagators, the determinant
+identity against the pair sector itself (``pair_rows_vs_sector``), and the
+oracle's blocks (``oracle_amplitude_equivalence`` on
 nearest-neighbour, long-range and ZZ chains).  Kraus sets, oracle states
 and everything read from them carry a leading time axis, one time being
 the stack over ``[t]``; the sweep evaluates the read-out times of each
@@ -48,7 +49,7 @@ from .channel import (
     kraus_set,
     pauli_transfer_matrix,
 )
-from .dynamics import dynamics_for, pair_rows, propagator_at, propagator_rows
+from .dynamics import dynamics_for, propagator_at, propagator_rows
 from .errors import CapacityError, ModelError, NumericError, ParameterError
 from .oracle import (
     MAX_ORACLE_BLOCK,
@@ -224,12 +225,12 @@ def check_oracle_amplitudes(n_max: int, seed: int = 13) -> CheckResult:
 def check_pair_rows(seed: int = 18) -> CheckResult:
     """Determinant pair rows vs the pair-sector propagator.
 
-    On a free-fermion chain :func:`pair_rows` returns 2x2 determinants of
-    one-excitation amplitudes, and the fidelity laws' closed forms rest on
-    the same determinant identity.  This check, which compares the
-    determinants with rows of the diagonalised pair sector, and
-    ``channel_oracle_equivalence`` (laws vs the oracle's Kraus sets) are
-    what pin it.
+    On a free-fermion chain the summed pair row out of (1, j), j in a group,
+    is the 2x2 determinant a_1^k S_l - a_1^l S_k with S the one-excitation
+    row summed over the group, and the fidelity laws' closed forms rest on
+    that identity.  This check, which compares the determinants with rows of
+    the diagonalised pair sector, and ``channel_oracle_equivalence`` (laws
+    vs the oracle's Kraus sets) are what pin it.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -237,6 +238,7 @@ def check_pair_rows(seed: int = 18) -> CheckResult:
         specs = [random_spec(rng, n), *protocol_specs(n).values(),
                  *protocol_specs(n, n_senders=2).values()]
         targets = list(combinations(range(1, n + 1), 2))
+        k, l = (np.array(targets) - 1).T
         times = rng.uniform(0.0, 12.0, 8)
         for spec in specs:
             dyn = dynamics_for(spec)
@@ -244,7 +246,9 @@ def check_pair_rows(seed: int = 18) -> CheckResult:
                 sector = propagator_rows(
                     dyn.two, [[(1, j) for j in group]], targets, times
                 )[:, 0]
-                err = np.abs(pair_rows(dyn, group, targets, times) - sector).max()
+                rows = propagator_rows(dyn.one, [[1], group], range(1, n + 1), times)
+                a1, s = rows[:, 0], rows[:, 1]
+                err = np.abs(a1[:, k] * s[:, l] - a1[:, l] * s[:, k] - sector).max()
                 worst = max(worst, float(err))
     return CheckResult(
         "pair_rows_vs_sector", worst <= 1e-10, worst,

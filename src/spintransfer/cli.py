@@ -68,6 +68,10 @@ RESULT_SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "SPINTRANSFER_OUT"
 DEFAULT_MC_SAMPLES = 100_000
 DEFAULT_BINS = 200
+# A written histogram takes about 350 B per bin at its peak: the edge, count
+# and density arrays, and the Python row and CSV line of each bin.  At
+# 512 B per bin, 1 GiB holds MAX_BINS bins.
+MAX_BINS = 2**30 // 512
 DEFAULT_SEED = 0
 PDF_CURVE_CELLS = 2001
 PDF_CURVE_PAD_CELLS = 4
@@ -142,7 +146,7 @@ class ExperimentConfig:
             "mode": mode,
             "mc_samples": _count("mc_samples", self.mc_samples, 0, MAX_MC_SAMPLES),
             "seed": _count("seed", self.seed, 0),
-            "bins": _count("bins", self.bins, 2),
+            "bins": _count("bins", self.bins, 2, MAX_BINS),
             "aux_field": protocol["kind"] != Barrier.label if aux is None else aux,
             "window": None if self.window is None else _window(self.window),
             "grid": grid,

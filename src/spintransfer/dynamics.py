@@ -5,9 +5,9 @@ sector Hamiltonian rather than by time stepping: the protocols of interest
 reach their working point at long times (weak effective couplings), where
 steppers accumulate error but the spectral form stays exact.  Spectral data
 is cached per chain spec, and each sector is diagonalised the
-first time something reads it.  :func:`propagator_rows` (with
-:func:`pair_rows` for two excitations) is the one amplitude evaluator of
-the fidelity laws, which read it on whole time grids and at single times.
+first time something reads it.  :func:`propagator_rows`, on the one- or
+the two-excitation sector, is the one amplitude evaluator of the fidelity
+laws, which read it on whole time grids and at single times.
 The Kraus sets of :mod:`~spintransfer.channel` read none of it: they come
 from the full-space oracle, so Monte Carlo checks these rows independently.
 :func:`propagator_at`, the full propagator of a sector at one time, is
@@ -22,17 +22,16 @@ and its modulus, can move in time: the Lipschitz constants of the tuning
 scan's chunk bounds.
 
 For a nearest-neighbour XX chain (no coupling beyond adjacent sites, no
-ZZ term; any local fields) the Jordan-Wigner transformation maps the
-dynamics to free fermions, and a two-excitation amplitude is the 2x2
-determinant b_{(i1,i2)}^{(j1,j2)} = a_{i1}^{j1} a_{i2}^{j2} - a_{i1}^{j2}
-a_{i2}^{j1} of one-excitation amplitudes (Lieb, Schultz and Mattis, Ann.
-Phys. 16, 407 (1961)).  :func:`pair_rows` uses it whenever the spec allows
-(:func:`is_free_fermion`), so the C(N, 2)-dimensional pair sector is
-diagonalised only for long-range or ZZ-coupled chains.  On a free-fermion
-chain the fidelity laws read no pair row at all: with row orthonormality
-the determinants reduce every law to at most four one-excitation
-amplitudes (2 sources x 2 targets of :func:`propagator_rows`), so
-:func:`pair_rows` serves the laws of long-range and ZZ chains.
+ZZ term; any local fields; :func:`is_free_fermion`) the Jordan-Wigner
+transformation maps the dynamics to free fermions, and a two-excitation
+amplitude is the 2x2 determinant b_{(i1,i2)}^{(j1,j2)} = a_{i1}^{j1}
+a_{i2}^{j2} - a_{i1}^{j2} a_{i2}^{j1} of one-excitation amplitudes (Lieb,
+Schultz and Mattis, Ann. Phys. 16, 407 (1961)).  With row orthonormality
+the determinants reduce every fidelity law of such a chain to at most four
+one-excitation amplitudes, so its laws never read the C(N, 2)-dimensional
+pair sector; the laws of long-range and ZZ chains read the pair sector's
+rows.  Which law takes which path is decided in
+:mod:`~spintransfer.analytics`.
 """
 
 from __future__ import annotations
@@ -234,30 +233,6 @@ def is_free_fermion(spec: ChainSpec) -> bool:
     return not (
         np.triu(spec.couplings, 2).any() or (spec.couplings * spec.anisotropies).any()
     )
-
-
-def pair_rows(dyn: ChainDynamics, group, targets, times) -> np.ndarray:
-    """Summed two-excitation rows out of the pairs (1, j), j in ``group``.
-
-    ``group`` holds sites j > 1 and ``targets`` sorted site pairs (k, l).
-
-    Returns
-    -------
-    ndarray, shape (T, len(targets))
-        ``out[t, p]`` is the sum over j in ``group`` of b_{(1,j)}^{targets[p]}
-        at ``times[t]``.  On a free-fermion chain (:func:`is_free_fermion`)
-        it is the determinant a_1^k S_l - a_1^l S_k with S the row summed
-        over ``group``, and the pair sector is never built; otherwise it
-        is :func:`propagator_rows` of the pair sector.
-    """
-    if not is_free_fermion(dyn.spec):
-        sources = [[(1, j) for j in group]]
-        return propagator_rows(dyn.two, sources, targets, times)[:, 0]
-    sites = range(1, dyn.spec.n_sites + 1)
-    one_rows = propagator_rows(dyn.one, [[1], group], sites, times)
-    k, l = (np.asarray(targets, dtype=int).reshape(-1, 2) - 1).T
-    a1, s = one_rows[:, 0], one_rows[:, 1]
-    return a1[:, k] * s[:, l] - a1[:, l] * s[:, k]
 
 
 class ChainDynamics:

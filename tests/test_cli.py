@@ -200,6 +200,10 @@ MALFORMED = {
     "config_fraction_over_float": (
         {"mode": {"type": "timing_error", "fraction": 10**400}}, "mode fraction"
     ),
+    # numpy refused arrays this long with a ValueError: the scan's grid, and
+    # the histogram's edges after pdf_curve.csv was written
+    "grid_over_bound": (["--grid", str(2**62)], "grid"),
+    "bins_over_bound": (["--mc-samples", "1000", "--bins", str(2**62)], "bins"),
 }
 
 
@@ -268,11 +272,25 @@ def test_null_field_is_absent(tmp_path, field):
     assert null == absent
 
 
+def readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under README's ``heading``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split(heading, 1)[1]
+    return section.split(f"```{language}", 1)[1].split("```", 1)[0]
+
+
 def readme_experiment() -> dict:
     """The experiment.json of README's "Experiment configuration"."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("### Experiment configuration", 1)[1]
-    return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    return json.loads(readme_block("### Experiment configuration", "json"))
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the README's library example runs as written: it tunes the barrier
+    # chain, reads out at the 0.99 target and prints that law
+    namespace = {}
+    exec(readme_block("## Library sketch", "python"), namespace)
+    assert abs(namespace["law"].mean[0] - 0.99) <= 1e-6
+    assert capsys.readouterr().out
 
 
 ROUND_TRIP = {

@@ -4,13 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_random_chain, seeded_chain
+from spintransfer.analytics import fidelity_law
 from spintransfer.chain import ChainSpec, Perfect, protocol_preset, sector_hamiltonian
+from spintransfer.channel import Scenario
 from spintransfer.dynamics import (
     GRID_FACTOR_MIN,
     diagonalize,
     dynamics_for,
     is_free_fermion,
-    pair_rows,
     propagator_at,
     propagator_rows,
 )
@@ -195,7 +196,7 @@ def test_non_uniform_grid_takes_the_direct_path(rng):
 @pytest.mark.parametrize("extra", ["next_nearest", "zz"])
 def test_pair_rows_gate(rng, extra):
     # one next-nearest-neighbour bond or one ZZ bond breaks the determinant
-    # form; pair_rows then returns the pair-sector rows themselves
+    # form; the occupied-channel and two-qubit laws then read the pair sector
     n = 7
     nearest = make_random_chain(rng, n)
     assert is_free_fermion(nearest)
@@ -207,9 +208,9 @@ def test_pair_rows_gate(rng, extra):
         anis[2, 3] = anis[3, 2] = 0.7
     spec = ChainSpec(n, couplings, anis, nearest.fields)
     assert not is_free_fermion(spec)
-    dyn = dynamics_for(spec)
-    targets = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
     times = np.array([0.4, 3.1, 9.5])
-    for group in ([2], range(2, n)):
-        sector = propagator_rows(dyn.two, [[(1, j) for j in group]], targets, times)[:, 0]
-        assert np.array_equal(pair_rows(dyn, group, targets, times), sector)
+    for scenario in (Scenario.ONE_QUBIT_UNIFORM, Scenario.TWO_QUBIT_VACUUM):
+        for chain, reads_pairs in ((nearest, False), (spec, True)):
+            dynamics_for.cache_clear()
+            fidelity_law(chain, scenario, times)
+            assert ("two" in vars(dynamics_for(chain))) == reads_pairs

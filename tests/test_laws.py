@@ -1,9 +1,10 @@
 """Property tests of the fidelity laws: the row-based laws used by tuning
 and the written distributions against the exact reductions of the Kraus
 sets, those reductions against a brute-force input average, the
-determinant pair rows the laws read against the pair sector, the laws'
-densities against their cdfs and their means against their cdfs, and the
-minimum-fidelity branches against a brute-force minimum."""
+determinant identity the free-fermion closed forms rest on against the
+pair sector, the laws' densities against their cdfs and their means
+against their cdfs, and the minimum-fidelity branches against a
+brute-force minimum."""
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from spintransfer import analytics, dynamics
 from spintransfer.dynamics import (
     dynamics_for,
     is_free_fermion,
-    pair_rows,
     propagator_rows,
 )
 from spintransfer.errors import ModelError
@@ -150,9 +150,14 @@ def test_determinant_pair_rows_match_pair_sector(seed, n, t):
     dyn = dynamics_for(spec)
     targets = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
     times = np.array([t, 0.37 * t])
+    k, l = (np.array(targets) - 1).T
     for group in ([2], range(2, n)):
         sector = propagator_rows(dyn.two, [[(1, j) for j in group]], targets, times)[:, 0]
-        assert np.abs(pair_rows(dyn, group, targets, times) - sector).max() <= 1e-10
+        # b_{(1,j)}^{(k,l)} = a_1^k a_j^l - a_1^l a_j^k, summed over j in group
+        rows = propagator_rows(dyn.one, [[1], group], range(1, n + 1), times)
+        a1, summed = rows[:, 0], rows[:, 1]
+        determinants = a1[:, k] * summed[:, l] - a1[:, l] * summed[:, k]
+        assert np.abs(determinants - sector).max() <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -180,11 +185,7 @@ def test_preset_laws_never_build_pair_sector(monkeypatch, scenario, kind):
         shapes.append((len(sources), len(targets)))
         return rows(prop, sources, targets, times)
 
-    def no_pair_rows(*args, **kwargs):
-        raise AssertionError("pair rows requested")
-
     monkeypatch.setattr(analytics, "propagator_rows", recorded_rows)
-    monkeypatch.setattr(analytics, "pair_rows", no_pair_rows)
     spec = protocol_preset(kind, 200, len(scenario.senders))
     for phase_corrected in (False, True):
         law = fidelity_law(spec, scenario, np.linspace(0.0, 300.0, 7), phase_corrected)
