@@ -50,7 +50,7 @@ scan windows, :func:`find_optimal_time` whether the field applies,
 :func:`resolve_mode` the timing mode's rules, and :func:`plan_readout` the
 read-out ``times``.  :func:`parse_number` is the one number rule of a
 configuration, shared by the timing mode and every numeric field of the
-command line.
+config file and of the command line, whose flags are the fields' text.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import Barrier, ChainSpec, Perfect, Weak
 from .channel import KrausSet, Scenario, pauli_transfer_matrix
 from .dynamics import (
     ChainDynamics,
@@ -700,7 +700,7 @@ def avg_fidelity_curve(
     time x mode phase matrix is formed.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
+    if times.ndim != 1 or times.size == 0:
         # no grid to chunk: the law's propagator_rows rejects the times
         return fidelity_law(spec, scenario, times, phase_corrected).mean
     out = np.empty(times.shape, dtype=float)
@@ -969,8 +969,6 @@ def time_window_ladder(kind) -> list[tuple[float, float, int]]:
     short window first and widens.  The engineered chain transfers at
     pi/4 regardless of size.
     """
-    from .chain import Barrier, Perfect, Weak
-
     def grid_for(span: float, step: float) -> int:
         return int(min(2_000_000, max(20_000, span / step)))
 
@@ -1002,13 +1000,13 @@ def tune_with_ladder(
     """Tune ``spec`` on an explicit ``window`` at ``grid`` points (200 000 by
     default), or over the default window ladder, widening until a peak
     reaches LADDER_STOP_AVG (else the best window wins), then rescanning
-    the ladder's window when ``grid`` differs from its own.  Every scan
+    the ladder's window when ``grid`` differs from its own.  An explicit
+    window is a ladder of one window at its own grid.  Every scan
     maximizes the average ``aux_field`` asks for (see :func:`find_optimal_time`).
     """
-    if window is not None:
-        return find_optimal_time(spec, scenario, window, grid or 200_000, aux_field)
+    ladder = time_window_ladder(kind) if window is None else [(*window, grid or 200_000)]
     best: ProtocolTuning | None = None
-    for lo, hi, ladder_grid in time_window_ladder(kind):
+    for lo, hi, ladder_grid in ladder:
         tuning = find_optimal_time(
             spec, scenario, (lo, hi), grid=ladder_grid, phase_corrected=aux_field
         )
@@ -1041,19 +1039,30 @@ class ReadoutPlan:
 def parse_number(field: str, value, kind=float):
     """``kind(value)``, or a ParameterError naming ``field``.
 
-    The one number rule of a configuration: a number or numeric text, never
-    a boolean.  An int field takes no fractional part: 10.7 is an error, not
-    10, while an integral float such as 1e6 passes.  An integer too large
-    for a float is no float either.
+    The one number rule of a configuration, for a config file's fields and
+    for the flags, which are their text: a number or numeric text, never a
+    boolean.  An int field takes no fractional part: 10.7 or ``"8.5"`` is
+    an error, not 10 or 8, while integral floats and their text pass (1e6,
+    ``"1e6"`` and ``"22.0"``).  Text is read with ``int()`` first, so a large
+    integer stays exact.  An integer too large for a float is no float
+    either.
     """
     noun = "an integer" if kind is int else "a number"
-    fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) or fractional:
-        raise ParameterError(f"{field} must be {noun}, got {value!r}")
+    error = ParameterError(f"{field} must be {noun}, got {value!r}")
+    if isinstance(value, bool):
+        raise error
     try:
-        return kind(value)
+        if kind is int and isinstance(value, str):
+            try:
+                return int(value)
+            except ValueError:
+                value = float(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"{field} must be {noun}, got {value!r}") from exc
+        raise error from exc
+    if kind is int and number != value:  # a fractional part, cut off
+        raise error
+    return number
 
 
 def resolve_mode(mode: dict | None, jitter: bool = False) -> dict:

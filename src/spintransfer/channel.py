@@ -125,15 +125,15 @@ def kraus_at_times(spec: ChainSpec, scenario: Scenario, times) -> KrausSet:
     of receiver state r and outside configuration e in that row.  Operator
     0 is the one with nothing excited outside the receiver.  ParameterError
     for an unknown scenario, a chain below its ``min_sites`` or times that
-    are not a 1-D array (:func:`~spintransfer.oracle.evolve_many` rejects a
-    non-finite time); CapacityError past the oracle's block cap.
+    are not a non-empty 1-D array (:func:`~spintransfer.oracle.evolve_many`
+    rejects a non-finite time); CapacityError past the oracle's block cap.
     """
     if not isinstance(scenario, Scenario):
         raise ParameterError(f"unknown scenario {scenario!r}")
     scenario.check_sites(spec.n_sites)
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ParameterError(f"times must be a 1-D array, got shape {times.shape}")
+    if times.ndim != 1 or times.size == 0:
+        raise ParameterError(f"times must be a non-empty 1-D array, got shape {times.shape}")
     n, d = spec.n_sites, 1 << len(scenario.senders)
     inputs = np.repeat(np.eye(d, dtype=complex), times.size, axis=0)
     initial = transfer_initial_state(n, scenario.senders, inputs, scenario.occupied(n))

@@ -15,7 +15,9 @@ A run's configuration is one merge (:func:`load_config`: the
 the flags given; null counts as absent) and one check:
 constructing :class:`ExperimentConfig` checks every field and stores it in
 the form that runs, so ``result.json`` echoes ``asdict(config)`` and
-``ExperimentConfig(**echo)`` rebuilds the run.
+``ExperimentConfig(**echo)`` rebuilds the run.  A flag is its field's
+text, which argparse does not check: ``--n-sites 8.0`` and ``--mc-samples
+1e6`` pass, and ``--n-sites 8.5`` fails, exactly as in the config file.
 
 Exit codes: 0 success, 2 parameter error, 3 unreachable target average,
 4 certification failure (a failed ``certify`` check, or a ``pdf`` whose
@@ -49,8 +51,6 @@ from .certify import run_certification
 from .errors import (
     CapacityError,
     CertificationError,
-    ModelError,
-    NumericError,
     ParameterError,
     RangeError,
     SpinTransferError,
@@ -83,6 +83,15 @@ EXIT_PARAMETER = 2
 EXIT_TARGET = 3
 EXIT_CERTIFY = 4
 EXIT_NUMERIC = 5
+# the exit code of an error is that of the nearest class in its MRO; any
+# other error of the package (NumericError, ModelError) is numeric
+EXIT_CODES = {
+    RangeError: EXIT_TARGET,
+    ParameterError: EXIT_PARAMETER,
+    CapacityError: EXIT_PARAMETER,
+    CertificationError: EXIT_CERTIFY,
+    SpinTransferError: EXIT_NUMERIC,
+}
 
 # glibc's mallopt parameters (malloc.h) and the values a CLI run sets
 # (keep_heap_mapped): the mmap threshold at the ceiling of glibc's own
@@ -228,9 +237,12 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
     Each source overrides the one before: the SPINTRANSFER_OUT environment
     variable (``output_dir``), the JSON config file's fields, then every
-    flag given.  A null field counts as absent.  ``--protocol``, ``--j0``
-    and ``--h0`` merge into the file's ``protocol``; ``--mode`` replaces
-    ``mode``.  Every field is checked by :class:`ExperimentConfig`.
+    flag given.  A flag is the text of the field its ``dest`` names
+    (``protocol.kind`` and ``protocol.j0`` are keys of ``protocol``), so it
+    follows the file's rules: ``--mc-samples 1e6`` is ``"mc_samples":
+    1e6``.  Two flags have a syntax of their own: ``--mode type[:x]`` and
+    ``--aux-field on|off``.  A null field counts as absent.  Every field is
+    checked by :class:`ExperimentConfig`.
 
     Raises
     ------
@@ -239,39 +251,40 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         key that is no field of :class:`ExperimentConfig`, or a field fails
         its check; the message names the file, the key or the field.
     """
+    flags = dict(vars(args))
+    flags.pop("command")
+    path = flags.pop("config", None)
     data: dict = {}
-    if args.config:
+    if path:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, ValueError) as exc:
-            raise ParameterError(f"cannot read config {args.config!r}: {exc}") from exc
+            raise ParameterError(f"cannot read config {path!r}: {exc}") from exc
         if not isinstance(data, dict):
-            raise ParameterError(f"config {args.config!r} must hold a JSON object")
+            raise ParameterError(f"config {path!r} must hold a JSON object")
         unknown = sorted(set(data) - {name.name for name in fields(ExperimentConfig)})
         if unknown:
-            raise ParameterError(f"config {args.config!r} has unknown field(s) {', '.join(unknown)}")
-    mode = None
-    if args.mode:
+            raise ParameterError(f"config {path!r} has unknown field(s) {', '.join(unknown)}")
+    if "mode" in flags:
         # type[:x]; the number is target_avg's value or any other type's fraction
-        mode_type, sep, number = args.mode.partition(":")
-        mode = {"type": mode_type}
+        mode_type, sep, number = flags["mode"].partition(":")
+        flags["mode"] = {"type": mode_type}
         if sep:
-            mode["value" if mode_type == "target_avg" else "fraction"] = number
-    flags = {
-        "n_sites": args.n_sites, "scenario": args.scenario, "mode": mode,
-        "mc_samples": args.mc_samples, "seed": args.seed, "bins": args.bins,
-        "output_dir": args.out, "window": args.window, "grid": args.grid,
-        "aux_field": None if args.aux_field is None else args.aux_field == "on",
-        "jitter": args.jitter or None,
-    }
-    merged: dict = {}
+            flags["mode"]["value" if mode_type == "target_avg" else "fraction"] = number
+    if "aux_field" in flags:
+        flags["aux_field"] = flags["aux_field"] == "on"
+    merged: dict = {"protocol": {}}
     for source in ({"output_dir": os.environ.get(OUTPUT_DIR_ENV)}, data, flags):
-        merged.update((name, value) for name, value in source.items() if value is not None)
-    protocol = merged.get("protocol", {})
-    if isinstance(protocol, dict):
-        kind_flags = (("kind", args.protocol), ("j0", args.j0), ("h0", args.h0))
-        merged["protocol"] = {**protocol, **{key: v for key, v in kind_flags if v is not None}}
+        for name, value in source.items():
+            if value is None:
+                continue
+            field, _, key = name.partition(".")
+            if not key:
+                merged[field] = value
+            elif isinstance(merged[field], dict):
+                # a protocol that is no object fails its check unmerged
+                merged[field] = {**merged[field], key: value}
     return ExperimentConfig(**merged)
 
 
@@ -490,31 +503,28 @@ def build_parser() -> argparse.ArgumentParser:
         ("tune", "locate the optimal read-out time (optionally with aux field)"),
         ("pdf", "emit analytic pdf and Monte Carlo histogram data files"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        # each flag is its field's text, checked by ExperimentConfig; a flag
+        # not given is absent from the namespace
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON experiment config file")
-        p.add_argument("--protocol", choices=list(KINDS))
-        p.add_argument("--n-sites", type=int, dest="n_sites")
-        p.add_argument(
-            "--scenario",
-            choices=[s.value for s in Scenario],
-        )
+        p.add_argument("--protocol", dest="protocol.kind", metavar="{" + ",".join(KINDS) + "}")
+        p.add_argument("--n-sites", dest="n_sites")
+        p.add_argument("--scenario", metavar="{" + ",".join(s.value for s in Scenario) + "}")
         p.add_argument(
             "--mode",
             help="at_optimal | timing_error[:fraction] | target_avg:<value>",
         )
-        p.add_argument("--j0", type=float, help="weak-protocol end coupling")
-        p.add_argument("--h0", type=float, help="barrier-protocol field strength")
+        p.add_argument("--j0", dest="protocol.j0", help="weak-protocol end coupling")
+        p.add_argument("--h0", dest="protocol.h0", help="barrier-protocol field strength")
         if name == "pdf":
-            p.add_argument("--seed", type=int)
-            p.add_argument("--mc-samples", type=int, dest="mc_samples")
-            p.add_argument("--bins", type=int)
-        else:
             # tune never samples; a shared config file may still set these
-            p.set_defaults(seed=None, mc_samples=None, bins=None)
-        p.add_argument("--out", help="output directory")
+            p.add_argument("--seed")
+            p.add_argument("--mc-samples", dest="mc_samples")
+            p.add_argument("--bins")
+        p.add_argument("--out", dest="output_dir", help="output directory")
         p.add_argument("--aux-field", choices=["on", "off"], dest="aux_field")
         p.add_argument("--window", help="time window lo:hi for the tuning scan")
-        p.add_argument("--grid", type=int, help="tuning scan grid points")
+        p.add_argument("--grid", help="tuning scan grid points")
         p.add_argument(
             "--jitter",
             action="store_true",
@@ -569,18 +579,9 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 cmd_pdf(config)
         return EXIT_OK
-    except RangeError as exc:
+    except SpinTransferError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TARGET
-    except (ParameterError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFY
-    except (NumericError, ModelError, SpinTransferError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

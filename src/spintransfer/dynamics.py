@@ -140,11 +140,12 @@ def propagator_rows(prop: SpectralPropagator, sources, targets, times) -> np.nda
     non-uniform grid) computes the T x M phase matrix and takes one complex
     matrix product with the weights.  The two paths agree to the rounding
     of the phase arguments they share, 4 eps max|L| max|t| sum_m |w_m| per
-    row.  ``times`` must be a finite 1-D array, else ParameterError.
+    row.  ``times`` must be a finite, non-empty 1-D array, else
+    ParameterError.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ParameterError(f"times must be a 1-D array, got shape {times.shape}")
+    if times.ndim != 1 or times.size == 0:
+        raise ParameterError(f"times must be a non-empty 1-D array, got shape {times.shape}")
     if not np.isfinite(times).all():
         raise ParameterError(f"times must be finite, got {times}")
     modes = _mode_weights(prop, sources, targets)

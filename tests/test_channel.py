@@ -300,8 +300,8 @@ def test_stack_inputs_validated(rng):
 
 @pytest.mark.parametrize(
     "times",
-    [[1.0, np.nan], [np.inf], np.ones((2, 2)), 1.0],
-    ids=["nan", "inf", "two_dimensional", "scalar"],
+    [[1.0, np.nan], [np.inf], np.ones((2, 2)), 1.0, []],
+    ids=["nan", "inf", "two_dimensional", "scalar", "empty"],
 )
 @pytest.mark.parametrize(
     "build",
@@ -310,8 +310,9 @@ def test_stack_inputs_validated(rng):
 )
 def test_laws_and_kraus_sets_reject_bad_times(rng, build, times):
     # all read their rows through propagator_rows, which checks the times,
-    # so a bad time fails alike instead of giving a NaN, a reshaped law or
-    # an IndexError from the curve's chunking
+    # so a bad time fails alike instead of giving a NaN, a reshaped law,
+    # an IndexError from the curve's chunking or, for no times, a numpy
+    # reshape or reduction error
     for long_range in (False, True):
         spec = make_random_chain(rng, 6, long_range=long_range)
         for scenario in Scenario:

@@ -204,6 +204,12 @@ MALFORMED = {
     # the histogram's edges after pdf_curve.csv was written
     "grid_over_bound": (["--grid", str(2**62)], "grid"),
     "bins_over_bound": (["--mc-samples", "1000", "--bins", str(2**62)], "bins"),
+    # a flag is its field's text, checked by the config's rules alone
+    "flag_n_sites_fractional": (["--n-sites", "8.5"], "n_sites"),
+    "flag_unknown_protocol": (["--protocol", "foo"], "protocol kind"),
+    "flag_unknown_scenario": (["--scenario", "foo"], "scenario"),
+    "flag_grid_not_a_number": (["--grid", "many"], "grid"),
+    "flag_j0_not_a_number": (["--protocol", "weak", "--j0", "abc"], "protocol j0"),
 }
 
 
@@ -225,8 +231,36 @@ def test_malformed_input_exit_code(tmp_path, capsys, malformed, field):
         path.write_text(malformed if isinstance(malformed, str) else json.dumps(malformed))
         args += ["--config", str(path)]
     assert run_cli(*args) == 2
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
     assert not (tmp_path / "x").exists()
+
+
+def test_flags_follow_the_config_number_rule(tmp_path):
+    # integral text is an integer field's number, as an integral float is
+    # in the file: the flags and the file run the same experiment
+    setting = ["pdf", "--protocol", "perfect", "--scenario", "one_qubit_vacuum",
+               "--mode", "target_avg:0.97"]
+    flags = tmp_path / "flags"
+    assert run_cli(*setting, "--n-sites", "8.0", "--mc-samples", "1e3", "--out", str(flags)) == 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_sites": 8, "mc_samples": 1e3}))
+    file = tmp_path / "file"
+    assert run_cli(*setting, "--config", str(path), "--out", str(file)) == 0
+    records = [read_json(out / "result.json") for out in (flags, file)]
+    for record in records:
+        assert record["config"].pop("output_dir")
+    assert records[0] == records[1]
+    assert records[0]["config"]["n_sites"] == 8 and records[0]["config"]["mc_samples"] == 1000
+
+
+def test_pdf_help_lists_the_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("pdf", "--help")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{weak,barrier,perfect}" in out
+    assert "{one_qubit_vacuum,one_qubit_uniform,two_qubit}" in out
 
 
 def test_output_dir_must_be_text(tmp_path, monkeypatch, capsys):
