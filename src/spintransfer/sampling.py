@@ -22,11 +22,18 @@ reference that certification and the tests compare the form against.  Two-qubit 
 :func:`~spintransfer.analytics.affine_from_kraus`.  A Kraus set holds T
 equal-weight read-out times (one for a fixed read-out, the jitter nodes
 otherwise): :func:`mc_fidelity_histogram` splits the samples over them by
-one multinomial draw and samples time k from its own substream k.
+one multinomial draw and cuts time k's share into blocks of ``MC_BATCH``
+samples, block b drawing from its own generator under time k's substream
+(:meth:`RandomStream.block_generator`).  The blocks are binned on every
+usable core, the calling thread plus plain helper threads, each summing
+integer counts, so the histogram is the same at any core count and under
+any scheduling.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +42,8 @@ from .analytics import FidelityLaw, affine_from_kraus
 from .channel import KrausSet, clamp_fidelity, pauli_transfer_matrix
 from .errors import ParameterError
 
+# Samples per Monte Carlo block: the unit of work of one worker and of one
+# random generator
 MC_BATCH = 32768
 # The largest sample count: the multinomial split over the read-out times
 # takes it as an int64.
@@ -43,19 +52,43 @@ MAX_MC_SAMPLES = 2**63 - 1
 
 @dataclass(frozen=True)
 class RandomStream:
-    """Reproducible random source identified by (seed, stream_id)."""
+    """Reproducible random source identified by (seed, stream_id).
+
+    :meth:`generator` draws from the key ``(stream_id,)``; block b of the
+    stream draws from ``(stream_id, b)`` (:meth:`block_generator`), a
+    generator of its own, so blocks can be drawn in any order or on any
+    thread.  ``substream(k)`` is the stream ``stream_id + k``.
+    """
 
     seed: int
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            entropy=int(self.seed), spawn_key=(int(self.stream_id),)
-        )
+        return self._generator((int(self.stream_id),))
+
+    def block_generator(self, block: int) -> np.random.Generator:
+        return self._generator((int(self.stream_id), int(block)))
+
+    def _generator(self, key: tuple[int, ...]) -> np.random.Generator:
+        seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=key)
         return np.random.Generator(np.random.PCG64(seq))
 
     def substream(self, offset: int) -> "RandomStream":
         return RandomStream(self.seed, self.stream_id + int(offset))
+
+
+def checked_edges(edges) -> np.ndarray:
+    """``edges`` as a float array, or a ParameterError unless they are at
+    least two finite, strictly increasing values."""
+    edges = np.asarray(edges, dtype=float)
+    if (
+        edges.ndim != 1
+        or edges.size < 2
+        or not np.all(np.isfinite(edges))
+        or np.any(np.diff(edges) <= 0.0)
+    ):
+        raise ParameterError("bin_edges must be at least 2 finite, strictly increasing values")
+    return edges
 
 
 @dataclass(frozen=True)
@@ -67,10 +100,8 @@ class Histogram:
     n_samples: int
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=float)
+        edges = checked_edges(self.bin_edges)
         counts = np.asarray(self.counts)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
-            raise ParameterError("bin_edges must be strictly increasing")
         if counts.shape != (edges.size - 1,):
             raise ParameterError("counts must have one entry per bin")
         if int(counts.sum()) != self.n_samples:
@@ -138,6 +169,8 @@ def sample_bloch_vectors(
     """
     rng = stream.generator() if isinstance(stream, RandomStream) else stream
     n = int(size)
+    if n < 0:
+        raise ParameterError(f"sample count must be >= 0, got {n}")
     # pi/4 of the pairs fall in the disk; the margin of about ten standard
     # deviations makes a second round rare
     pairs = int(n / (np.pi / 4.0) + 6.0 * np.sqrt(n)) + 16
@@ -202,6 +235,15 @@ def schmidt_state(concurrence_value: float, sign: float = 1.0) -> np.ndarray:
     )
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one, else the machine's core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def mc_fidelity_histogram(
     kraus: KrausSet,
     n: int,
@@ -212,45 +254,98 @@ def mc_fidelity_histogram(
     read out at the T equal-weight times of ``kraus``.
 
     One multinomial draw from ``stream.substream(T)`` splits the ``n``
-    samples over the times, and time k draws its share from
-    ``stream.substream(k)``, so a set at one time samples ``stream`` itself.
-    One-qubit scenarios draw Bloch-uniform pure inputs per batch of
-    ``MC_BATCH`` through :func:`sample_bloch_vectors` (Marsaglia's
-    disk-to-sphere map, 1972), and evaluate each fidelity as the quadratic
-    form of the channel's Pauli transfer matrix at the sample's time
-    (:func:`bloch_fidelities`), all T matrices built once per call.  The
-    two-qubit scenario draws Haar-random two-qubit states and bins the
-    local-unitary-averaged fidelity A - B C^2 at each state's concurrence,
-    with (A, B) from :func:`~spintransfer.analytics.affine_from_kraus`: the
-    exact twirl of the Pauli transfer matrix, which shares no arithmetic
-    with the row law (the twirled 16-term form per sample would give the
-    same value at 16 times the cost).  Samples outside the edges are
-    clipped into the end bins so the counts always total ``n``.
+    samples over the times.  Time k cuts its share into blocks of
+    ``MC_BATCH`` samples (the last one shorter), and block b draws from
+    ``stream.substream(k).block_generator(b)``, the key
+    ``(stream_id + k, b)``, so a set at one time samples ``stream``'s own
+    blocks.  One-qubit scenarios draw Bloch-uniform pure inputs through
+    :func:`sample_bloch_vectors` (Marsaglia's disk-to-sphere map, 1972), and
+    evaluate each fidelity as the quadratic form of the channel's Pauli
+    transfer matrix at the sample's time (:func:`bloch_fidelities`), all T
+    matrices built once per call.  The two-qubit scenario draws Haar-random
+    two-qubit states and bins the local-unitary-averaged fidelity A - B C^2
+    at each state's concurrence, with (A, B) from
+    :func:`~spintransfer.analytics.affine_from_kraus`: the exact twirl of
+    the Pauli transfer matrix, which shares no arithmetic with the row law
+    (the twirled 16-term form per sample would give the same value at 16
+    times the cost).  Samples outside the edges are clipped into the end
+    bins so the counts always total ``n``.
+
+    The edges are checked before any sampling.  The split and the matrices
+    are made on the calling thread; the blocks are then binned on
+    ``min(usable_cores(), blocks)`` workers, the calling thread plus plain
+    helper threads, each summing integer counts, so the counts do not
+    depend on the core count or on which worker took which block.  A
+    worker's exception is raised here once every helper has ended.
     """
     if not 1 <= n <= MAX_MC_SAMPLES:
         raise ParameterError(f"sample count must lie in [1, {MAX_MC_SAMPLES}], got {n}")
-    edges = np.asarray(edges, dtype=float)
+    edges = checked_edges(edges)
     n_times = len(kraus.operators)
-    shares = stream.substream(n_times).generator().multinomial(n, np.full(n_times, 1.0 / n_times))
+    shares = [
+        int(share)
+        for share in stream.substream(n_times).generator().multinomial(n, np.full(n_times, 1.0 / n_times))
+    ]
     two_qubit = kraus.dim == 4
     if two_qubit:
         forms = [FidelityLaw(row[None]) for row in affine_from_kraus(kraus).coefficients]
     else:
         forms = pauli_transfer_matrix(kraus)
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
-    for k, share in enumerate(shares):
-        rng = stream.substream(k).generator()
-        for done in range(0, share, MC_BATCH):
-            batch = min(MC_BATCH, share - done)
-            if two_qubit:
-                states = sample_two_qubit_pure(rng, batch)
-                values = forms[k].evaluate(concurrence(states))[0]
-            else:
-                values = bloch_fidelities(forms[k], *sample_bloch_vectors(rng, batch))
-            values = np.clip(values, edges[0], edges[-1])
-            hist, _ = np.histogram(values, bins=edges)
-            counts += hist
+
+    def bin_block(k: int, block: int, size: int) -> np.ndarray:
+        rng = stream.substream(k).block_generator(block)
+        if two_qubit:
+            values = forms[k].evaluate(concurrence(sample_two_qubit_pure(rng, size)))[0]
+        else:
+            values = bloch_fidelities(forms[k], *sample_bloch_vectors(rng, size))
+        values = np.clip(values, edges[0], edges[-1])
+        return np.histogram(values, bins=edges)[0]
+
+    # a generator, not a list: n may be up to 2^63 - 1
+    blocks = (
+        (k, block, min(MC_BATCH, share - start))
+        for k, share in enumerate(shares)
+        for block, start in enumerate(range(0, share, MC_BATCH))
+    )
+    n_blocks = sum(-(-share // MC_BATCH) for share in shares)
+    counts = _sum_counts(bin_block, blocks, edges.size - 1, min(usable_cores(), n_blocks))
     return Histogram(edges, counts, n)
+
+
+def _sum_counts(bin_block, blocks, n_bins: int, workers: int) -> np.ndarray:
+    """Sum ``bin_block(*block)`` over ``blocks`` on ``workers`` threads: the
+    calling one and ``workers - 1`` helpers, each taking the next block
+    until none is left.  Integer sums do not depend on the order.  The
+    first exception stops every worker and is raised after every helper
+    has been joined."""
+    lock = threading.Lock()
+    totals: list[np.ndarray] = []
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        counts = np.zeros(n_bins, dtype=np.int64)
+        try:
+            while not errors:
+                with lock:
+                    block = next(blocks, None)
+                if block is None:
+                    break
+                counts += bin_block(*block)
+        except BaseException as exc:  # raised again by the calling thread
+            errors.append(exc)
+        totals.append(counts)
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return sum(totals, np.zeros(n_bins, dtype=np.int64))
 
 
 def ks_distance(samples, law) -> float:

@@ -670,6 +670,31 @@ def test_fixed_time_histogram_is_one_kraus_run(tmp_path):
     assert np.array_equal(rows[:, 2].astype(np.int64), expected.counts)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        ["--mode", "timing_error:0.02", "--jitter"],
+        ["--protocol", "weak", "--j0", "0.05", "--scenario", "two_qubit"],
+    ],
+    ids=["jitter", "two_qubit"],
+)
+def test_pdf_files_do_not_depend_on_the_core_count(tmp_path, monkeypatch, run):
+    # 10^5 samples are 41 blocks for the jitter stack and 4 for one time:
+    # one worker, and more workers than this machine may have
+    from spintransfer import sampling
+
+    files = {}
+    for cores in (1, 3):
+        monkeypatch.setattr(sampling, "usable_cores", lambda cores=cores: cores)
+        out = tmp_path / f"cores{cores}"
+        args = [*BASE, "--mc-samples", "100000", *run, "--out", str(out)]
+        assert run_cli(*args) == 0
+        record = read_json(out / "result.json")
+        record["config"].pop("output_dir")
+        files[cores] = (record, (out / "histogram.csv").read_bytes())
+    assert files[1] == files[3]
+
+
 def test_corrupted_coupling_detected_by_spectrum_check():
     # a mis-engineered coupling magnitude leaves the channel algebra intact
     # (the channel is complete, and the law agrees with the oracle channel)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +12,7 @@ from conftest import (
     sample_bloch,
     sample_haar_unitary_2,
 )
-from spintransfer import analytics
+from spintransfer import analytics, sampling
 from spintransfer.analytics import (
     affine_from_kraus,
     fidelity_law,
@@ -115,6 +118,10 @@ def test_histogram_invariants():
         Histogram(np.array([0.0, 1.0]), np.array([2]), 3)
     with pytest.raises(ParameterError):
         Histogram(np.array([1.0, 0.0]), np.array([2]), 2)
+    # np.diff(edges) <= 0 is False for NaN, so these need their own check
+    for bad in ([0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [np.nan, np.nan]):
+        with pytest.raises(ParameterError):
+            Histogram(np.array(bad), np.array([1] * (len(bad) - 1)), len(bad) - 1)
     hist = Histogram(np.array([0.0, 0.5, 1.0]), np.array([1, 3]), 4)
     assert np.allclose(hist.normalized_density(), [0.5, 1.5])
 
@@ -237,9 +244,9 @@ def test_mc_histogram_matches_state_vector_histogram(make_kraus):
     kraus = make_kraus()
     edges = np.linspace(0.0, 1.0, 201)
     hist = mc_fidelity_histogram(kraus, n, edges, RandomStream(31))
-    rng = RandomStream(31).generator()
     counts = np.zeros(edges.size - 1, dtype=np.int64)
-    for start in range(0, n, MC_BATCH):
+    for block, start in enumerate(range(0, n, MC_BATCH)):
+        rng = RandomStream(31).block_generator(block)
         u, v, x = sample_bloch_vectors(rng, min(MC_BATCH, n - start))
         values = fidelity_many(kraus, bloch_states(np.arccos(x), np.arctan2(v, u))[None])[0]
         counts += np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)[0]
@@ -267,6 +274,110 @@ def test_mc_histogram_of_a_stack_sums_its_rows_on_substreams(scenario, rng):
     )
     assert shares.min() > 0 and hist.n_samples == n
     assert np.array_equal(hist.counts, counts)
+
+
+def _core_count_kraus(kind: str):
+    spec = make_random_chain(np.random.default_rng(8), 7)
+    if kind == "stack":
+        return kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [1.1, 2.3, 3.5, 4.7, 5.9])
+    scenario = Scenario.TWO_QUBIT_VACUUM if kind == "two_qubit" else Scenario.ONE_QUBIT_UNIFORM
+    return kraus_at_times(spec, scenario, [2.9])
+
+
+@pytest.mark.parametrize("kind", ["one_qubit", "stack", "two_qubit"])
+def test_mc_histogram_is_the_same_at_any_core_count(kind, monkeypatch):
+    # 6 blocks for one read-out time, at least 5 for the stack: every core
+    # count below takes min(cores, blocks) workers, and so helper threads
+    kraus = _core_count_kraus(kind)
+    n = 5 * MC_BATCH + 1000
+    edges = np.linspace(0.0, 1.0, 101)
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(sampling.threading, "Thread", CountedThread)
+    counts = {}
+    # frequent thread switches: a block lost or taken twice by two workers
+    # would change the counts
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (1, 2, 5):
+            monkeypatch.setattr(sampling, "usable_cores", lambda cores=cores: cores)
+            started.clear()
+            counts[cores] = mc_fidelity_histogram(kraus, n, edges, RandomStream(19, 2)).counts
+            assert len(started) == cores - 1
+            assert not any(thread.is_alive() for thread in started)
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts[1].sum() == n
+    assert np.array_equal(counts[1], counts[2]) and np.array_equal(counts[1], counts[5])
+
+
+def test_mc_histogram_with_one_block_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(sampling, "usable_cores", lambda: 4)
+    before = threading.active_count()
+    seen = []
+    real = sampling.bloch_fidelities
+
+    def recording(*args):
+        seen.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(sampling, "bloch_fidelities", recording)
+    kraus = _core_count_kraus("one_qubit")
+    mc_fidelity_histogram(kraus, MC_BATCH, np.linspace(0.0, 1.0, 11), RandomStream(4))
+    assert seen == [threading.get_ident()]
+    assert threading.active_count() == before
+
+
+def test_mc_worker_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(sampling, "usable_cores", lambda: 3)
+    real = sampling.bloch_fidelities
+    calls = []
+    lock = threading.Lock()
+
+    def failing_third(*args):
+        with lock:
+            calls.append(threading.get_ident())
+            third = len(calls) == 3
+        if third:
+            raise FloatingPointError("block three")
+        return real(*args)
+
+    monkeypatch.setattr(sampling, "bloch_fidelities", failing_third)
+    before = threading.active_count()
+    kraus = _core_count_kraus("one_qubit")
+    with pytest.raises(FloatingPointError, match="block three"):
+        mc_fidelity_histogram(kraus, 40 * MC_BATCH, np.linspace(0.0, 1.0, 11), RandomStream(4))
+    assert threading.active_count() == before
+    # the workers stop taking blocks once one has failed
+    assert len(calls) < 40
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [np.array([0.0, np.nan, 1.0]), np.array([1.0, 0.5, 0.0]), np.array([0.5]), np.array([0.0, np.inf])],
+    ids=["nan", "decreasing", "one_edge", "infinite"],
+)
+def test_mc_histogram_checks_edges_before_sampling(edges, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking the edges")
+
+    monkeypatch.setattr(sampling, "sample_bloch_vectors", no_sampling)
+    monkeypatch.setattr(sampling, "pauli_transfer_matrix", no_sampling)
+    with pytest.raises(ParameterError, match="bin_edges"):
+        mc_fidelity_histogram(_core_count_kraus("one_qubit"), 1000, edges, RandomStream(3))
+
+
+def test_bloch_vectors_reject_a_negative_count():
+    with pytest.raises(ParameterError):
+        sample_bloch_vectors(RandomStream(5), -1)
+    u, v, x = sample_bloch_vectors(RandomStream(5), 0)
+    assert u.shape == v.shape == x.shape == (0,)
 
 
 def dkw_bound(n: int, alpha: float = KS_GATE_ALPHA) -> float:
