@@ -64,7 +64,6 @@ from .oracle import (
     FullState,
     block_hamiltonian,
     evolve_many,
-    reduced_density,
     transfer_initial_state,
 )
 from .sampling import (

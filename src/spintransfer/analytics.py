@@ -417,8 +417,13 @@ def quadratic_reduce_one_qubit(kraus: KrausSet) -> FidelityLaw:
 def vacuum_quadratic(r: float, phi: float) -> FidelityLaw:
     """Closed-form one-row law of the vacuum channel with amplitude r e^{i phi}."""
     _check_r(r)
-    re = r * np.cos(phi)
-    return _checked_law((r * r - re) / 2.0, (1.0 - r * r) / 2.0, (1.0 + re) / 2.0)
+    return _checked_law(*_vacuum_coefficients(r * r, r * np.cos(phi)))
+
+
+def _vacuum_coefficients(r2, re) -> tuple:
+    """(a, b, c) of the vacuum law from |a_1^N|^2 and the real part of the
+    arrival amplitude (its modulus once the phase is corrected)."""
+    return (r2 - re) / 2.0, (1.0 - r2) / 2.0, (1.0 + re) / 2.0
 
 
 def _affine_from_traces(t1, t2, t3, t4) -> tuple:
@@ -550,9 +555,7 @@ def fidelity_law(
     if scenario is Scenario.ONE_QUBIT_VACUUM:
         amp = propagator_rows(dyn.one, [[1]], [n], times)[:, 0, 0]
         modulus = np.abs(amp)
-        r2 = modulus ** 2
-        re = modulus if phase_corrected else amp.real
-        coefficients = ((r2 - re) / 2.0, (1.0 - r2) / 2.0, (1.0 + re) / 2.0)
+        coefficients = _vacuum_coefficients(modulus ** 2, modulus if phase_corrected else amp.real)
     elif scenario is Scenario.ONE_QUBIT_UNIFORM and is_free_fermion(spec):
         # a = a_1^N and S = sum_{j=2}^{N-1} a_j^N; row orthonormality
         # collapses the sums over the receiver-free sites of the row law

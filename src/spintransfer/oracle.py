@@ -20,11 +20,12 @@ of T states (one state is the stack of one row),
 :func:`transfer_initial_state` writes each sender (x) channel configuration
 of a stack of sender states into its block, :func:`evolve_many` applies
 each block's eigenvectors to all rows at once with a phase per row and
-time, :func:`receiver_amplitudes` splits every row between the receiver
-and the other sites, and :func:`reduced_density` traces every row out
-from that split.  The same
-Z-sign convention and the same vacuum-energy gauge shift as the sector
-machinery are applied, which makes amplitude phases directly comparable.
+time, and :func:`receiver_amplitudes`, the oracle's one reader of an
+evolved state, splits every row into a matrix M over the receiver and the
+other sites: the Kraus operators are read from M, and M M^dagger is the
+row's reduced density matrix on the receiver.  The same Z-sign convention
+and the same vacuum-energy gauge shift as the sector machinery are
+applied, which makes amplitude phases directly comparable.
 A block may hold at most ``MAX_ORACLE_BLOCK`` = C(60, 2) = 1770 states,
 the pair sector of the longest chain the package diagonalises, and a
 chain at most 63 sites, since an index is an int64 bit pattern; a larger
@@ -175,11 +176,14 @@ def receiver_amplitudes(state: FullState, sites) -> np.ndarray:
     """Each pure state's amplitudes split between an ordered site subset and
     the other sites, shape (T, 2^k, groups).
 
-    Row r is the configuration of the listed sites in the binary ordering
-    of :func:`reduced_density`.  The stored indices of all blocks are
-    grouped by the bits of the other sites, and column e is the e-th such
-    configuration in index order, so column 0 holds the configurations with
-    nothing excited outside the subset whenever a block stores one.
+    Row r is the configuration of the listed sites in their binary ordering,
+    the first listed site the most significant bit: ``sites=(N-1, N)``
+    orders the rows |00>, |0 1_N>, |1_{N-1} 0>, |1_{N-1} 1_N>.  The stored
+    indices of all blocks are grouped by the bits of the other sites, and
+    column e is the e-th such configuration in index order, so column 0
+    holds the configurations with nothing excited outside the subset
+    whenever a block stores one.  With M the (2^k, groups) matrix of a
+    state, M M^dagger is its reduced density matrix on the subset.
     """
     n = state.n_sites
     sites = [int(s) for s in sites]
@@ -193,20 +197,6 @@ def receiver_amplitudes(state: FullState, sites) -> np.ndarray:
     mat = np.zeros((state.n_states, 1 << len(sites), traced.size), dtype=complex)
     mat[:, kept, group] = np.concatenate(list(state.blocks.values()), axis=1)
     return mat
-
-
-def reduced_density(state: FullState, sites) -> np.ndarray:
-    """Partial trace of each pure state onto an ordered site subset.
-
-    The output basis is the binary ordering of the listed sites with the
-    first listed site as the most significant bit, e.g. ``sites=(N-1, N)``
-    yields the basis |00>, |0 1_N>, |1_{N-1} 0>, |1_{N-1} 1_N>.  A stack of
-    T states gives T density matrices, shape (T, 2^k, 2^k): rho = M M^dagger
-    with M the (T, 2^k, groups) matrices of :func:`receiver_amplitudes`.
-    """
-    mat = receiver_amplitudes(state, sites)
-    rho = mat @ mat.conj().swapaxes(-1, -2)
-    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def basis_index(n_sites: int, excited_sites) -> int:
@@ -229,7 +219,7 @@ def transfer_initial_state(
 
     ``sender_state`` is a stack of T sender states (T, 2^w), each indexed
     with the first listed sender site as the most significant bit (same
-    convention as :func:`reduced_density`), and gives a stack of T states.
+    convention as :func:`receiver_amplitudes`), and gives a stack of T states.
     The channel state spreads one excitation evenly over ``channel_sites``
     (a scenario's ``occupied(n)``), which must avoid the sender sites, and
     is the vacuum when they are empty.  Each sender configuration s times

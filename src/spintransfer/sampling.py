@@ -1,9 +1,11 @@
 """Haar sampling, Monte Carlo fidelity statistics and goodness of fit.
 
-Every sampler draws from a :class:`RandomStream`, a thin (seed, stream_id)
-wrapper around a counter-based generator: identical stream values reproduce
-identical sample sequences, and disjoint stream ids give independent
-sub-streams whose merged statistics do not depend on evaluation order.
+The samplers take a ``np.random.Generator`` and a sample count.  Monte
+Carlo hands each block of samples its own generator, keyed by a
+:class:`RandomStream`, a thin (seed, stream_id) wrapper around a
+counter-based generator: identical stream values reproduce identical
+sample sequences, and disjoint stream ids give independent sub-streams
+whose merged statistics do not depend on evaluation order.
 
 One-qubit Monte Carlo never forms a state vector and calls no trigonometric
 function.  :func:`sample_bloch_vectors` maps uniform points of the unit disk
@@ -115,31 +117,34 @@ class Histogram:
         return self.counts / (self.n_samples * widths)
 
 
-def sample_two_qubit_pure(
-    stream: RandomStream | np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Haar-random two-qubit pure states (normalized complex Gaussians)."""
-    rng = stream.generator() if isinstance(stream, RandomStream) else stream
-    n = 1 if size is None else int(size)
+def _sample_count(size: int) -> int:
+    """``size`` as an int, or a ParameterError naming it if it is negative."""
+    n = int(size)
+    if n < 0:
+        raise ParameterError(f"sample count must be >= 0, got {n}")
+    return n
+
+
+def sample_two_qubit_pure(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` Haar-random two-qubit pure states (normalized complex
+    Gaussians), shape (size, 4)."""
+    n = _sample_count(size)
     z = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
     z /= np.linalg.norm(z, axis=1)[:, None]
-    return z[0] if size is None else z
+    return z
 
 
-def concurrence(state: np.ndarray):
-    """Concurrence 2 |psi_00 psi_11 - psi_01 psi_10| of pure two-qubit states.
-
-    Accepts a single 4-vector or an (n, 4) batch; inputs must be normalized.
-    """
-    state = np.asarray(state, dtype=complex)
-    single = state.ndim == 1
-    batch = state.reshape(-1, 4)
-    norms = np.linalg.norm(batch, axis=1)
+def concurrence(states: np.ndarray) -> np.ndarray:
+    """Concurrences 2 |psi_00 psi_11 - psi_01 psi_10| of an (n, 4) batch of
+    normalized pure two-qubit states, shape (n,)."""
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2 or states.shape[1] != 4:
+        raise ParameterError(f"two-qubit states must be (n, 4), got shape {states.shape}")
+    norms = np.linalg.norm(states, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise ParameterError("two-qubit states must be normalized to 1e-12")
-    value = 2.0 * np.abs(batch[:, 0] * batch[:, 3] - batch[:, 1] * batch[:, 2])
-    value = np.clip(value, 0.0, 1.0)
-    return float(value[0]) if single else value
+    value = 2.0 * np.abs(states[:, 0] * states[:, 3] - states[:, 1] * states[:, 2])
+    return np.clip(value, 0.0, 1.0)
 
 
 def bloch_states(theta, phi) -> np.ndarray:
@@ -156,7 +161,7 @@ def bloch_states(theta, phi) -> np.ndarray:
 
 
 def sample_bloch_vectors(
-    stream: RandomStream | np.random.Generator, size: int
+    rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bloch vectors (u, v, x) of ``size`` pure states uniform on the sphere.
 
@@ -167,10 +172,7 @@ def sample_bloch_vectors(
     are the pairs of a uniform draw on [-1, 1]^2 that fall inside, kept in
     draw order; no trigonometric function is evaluated.
     """
-    rng = stream.generator() if isinstance(stream, RandomStream) else stream
-    n = int(size)
-    if n < 0:
-        raise ParameterError(f"sample count must be >= 0, got {n}")
+    n = _sample_count(size)
     # pi/4 of the pairs fall in the disk; the margin of about ten standard
     # deviations makes a second round rare
     pairs = int(n / (np.pi / 4.0) + 6.0 * np.sqrt(n)) + 16
@@ -218,17 +220,17 @@ def bloch_fidelities(ptm: np.ndarray, u, v, x) -> np.ndarray:
     return clamp_fidelity(values)
 
 
-def schmidt_state(concurrence_value: float, sign: float = 1.0) -> np.ndarray:
+def schmidt_state(concurrence_value: float) -> np.ndarray:
     """Two-qubit state sqrt((1-s)/2)|00> + sqrt((1+s)/2)|11> at fixed concurrence.
 
-    ``s = sign * sqrt(1 - C^2)``; local unitaries reach every pure state
-    from this family, and the sign choice is immaterial under them.
+    ``s = sqrt(1 - C^2)``; local unitaries reach every pure state of
+    concurrence C from this one, the state with s = -sqrt(1 - C^2) too.
     """
     if not 0.0 <= concurrence_value <= 1.0:
         raise ParameterError(
             f"concurrence must lie in [0, 1], got {concurrence_value}"
         )
-    s = sign * np.sqrt(max(0.0, 1.0 - concurrence_value**2))
+    s = np.sqrt(max(0.0, 1.0 - concurrence_value**2))
     return np.array(
         [np.sqrt((1.0 - s) / 2.0), 0.0, 0.0, np.sqrt((1.0 + s) / 2.0)],
         dtype=complex,

@@ -56,35 +56,26 @@ def one_row_law(*coefficients) -> FidelityLaw:
     return FidelityLaw(np.array([coefficients], dtype=float))
 
 
-def sample_bloch(stream: RandomStream | np.random.Generator, size: int | None = None):
-    """Angles (theta, phi) of states uniform on the Bloch sphere.
+def sample_bloch(rng: np.random.Generator, size: int):
+    """Angles (theta, phi) of ``size`` states uniform on the Bloch sphere.
 
     theta = arccos(1 - 2u) has density sin(theta)/2; phi is uniform on
-    [0, 2 pi).  Returns scalars for ``size=None``, else arrays.
+    [0, 2 pi).
     """
-    rng = stream.generator() if isinstance(stream, RandomStream) else stream
-    n = 1 if size is None else int(size)
-    theta = np.arccos(1.0 - 2.0 * rng.random(n))
-    phi = 2.0 * np.pi * rng.random(n)
-    if size is None:
-        return float(theta[0]), float(phi[0])
+    theta = np.arccos(1.0 - 2.0 * rng.random(size))
+    phi = 2.0 * np.pi * rng.random(size)
     return theta, phi
 
 
-def sample_haar_unitary_2(
-    stream: RandomStream | np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Haar-distributed 2x2 unitaries via QR of complex Gaussians.
+def sample_haar_unitary_2(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` Haar-distributed 2x2 unitaries via QR of complex Gaussians.
 
     The R-phase normalization makes the distribution exactly left invariant.
     """
-    rng = stream.generator() if isinstance(stream, RandomStream) else stream
-    n = 1 if size is None else int(size)
-    z = (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))) / np.sqrt(2.0)
+    z = (rng.normal(size=(size, 2, 2)) + 1j * rng.normal(size=(size, 2, 2))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.einsum("nii->ni", r)
-    u = q * (diag / np.abs(diag))[:, None, :]
-    return u[0] if size is None else u
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def mc_local_unitary_fidelity(

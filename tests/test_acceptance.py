@@ -155,7 +155,7 @@ def test_criterion_3_perfect_transfer_delta():
     )
     plan = plan_readout(spec, Scenario.ONE_QUBIT_VACUUM, tuning)
     kraus = kraus_at_times(plan.spec, Scenario.ONE_QUBIT_VACUUM, [plan.t_read])
-    theta, phi = sample_bloch(RandomStream(303), 100_000)
+    theta, phi = sample_bloch(RandomStream(303).generator(), 100_000)
     values = fidelity_many(kraus, bloch_states(theta, phi)[None])[0]
     worst = float(values.min())
     ok = worst >= 1.0 - 1e-8
@@ -227,7 +227,7 @@ def test_criterion_5_closed_form_averages():
 
 
 def _fidelity_samples_one_qubit(kraus, n, stream):
-    theta, phi = sample_bloch(stream, n)
+    theta, phi = sample_bloch(stream.generator(), n)
     return fidelity_many(kraus, bloch_states(theta, phi)[None])[0]
 
 
@@ -245,7 +245,7 @@ def test_criterion_6_pdf_correctness_vs_mc():
         worst = max(worst, distance)
     for seed_offset, name in enumerate(("barrier", "weak")):
         plan, affine = two_qubit_plan(name)
-        states = sample_two_qubit_pure(RandomStream(616, seed_offset), MC_SAMPLES)
+        states = sample_two_qubit_pure(RandomStream(616, seed_offset).generator(), MC_SAMPLES)
         samples = affine.evaluate(concurrence(states))[0]
         distance = ks_distance(samples, affine)
         details.append(f"{name} 2q {distance:.4f}")
@@ -262,7 +262,7 @@ def test_criterion_6_pdf_correctness_vs_mc():
     affine = affine_from_kraus(
         kraus_at_times(plan.spec, Scenario.TWO_QUBIT_VACUUM, [plan.t_read])
     )
-    states = sample_two_qubit_pure(RandomStream(616, 9), MC_SAMPLES)
+    states = sample_two_qubit_pure(RandomStream(616, 9).generator(), MC_SAMPLES)
     samples = affine.evaluate(concurrence(states))[0]
     distance = ks_distance(samples, affine)
     details.append(f"perfect 2q(at own optimum) {distance:.4f}")
@@ -408,7 +408,7 @@ def test_criterion_10_concurrence_moments():
     norm, _ = quad(density, 0.0, 1.0)
     second, _ = quad(lambda c: c * c * density(c), 0.0, 1.0)
     analytic_ok = abs(norm - 1.0) <= 1e-9 and abs(second - 0.4) <= 1e-9
-    states = sample_two_qubit_pure(RandomStream(1010), MC_SAMPLES)
+    states = sample_two_qubit_pure(RandomStream(1010).generator(), MC_SAMPLES)
     conc = np.sort(concurrence(states))
     model = 1.0 - (1.0 - conc**2) ** 1.5
     n = conc.size

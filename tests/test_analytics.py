@@ -282,8 +282,9 @@ def test_schmidt_sign_is_immaterial(rng):
     kraus = kraus_at_times(spec, Scenario.TWO_QUBIT_VACUUM, [1.4])
     n = 30_000
     means = []
-    for sign in (+1.0, -1.0):
-        base = schmidt_state(0.6, sign=sign).reshape(2, 2)
+    # s = +sqrt(1 - C^2) and its sign flip, which swaps |00> and |11>
+    for state in (schmidt_state(0.6), schmidt_state(0.6)[::-1]):
+        base = state.reshape(2, 2)
         gen = RandomStream(77).generator()
         u1 = sample_haar_unitary_2(gen, n)
         u2 = sample_haar_unitary_2(gen, n)

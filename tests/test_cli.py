@@ -318,13 +318,35 @@ def readme_experiment() -> dict:
     return json.loads(readme_block("### Experiment configuration", "json"))
 
 
-def test_readme_library_sketch_runs(capsys):
-    # the README's library example runs as written: it tunes the barrier
-    # chain, reads out at the 0.99 target and prints that law
-    namespace = {}
-    exec(readme_block("## Library sketch", "python"), namespace)
-    assert abs(namespace["law"].mean[0] - 0.99) <= 1e-6
-    assert capsys.readouterr().out
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter with this checkout's ``src`` first
+    on the module path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_readme_library_sketch_runs():
+    # the README's library example runs as written, in a fresh process: it
+    # tunes the barrier chain, reads out at the 0.99 target and prints that
+    # law; a stale call or import in it fails here
+    check = "\nassert abs(law.mean[0] - 0.99) <= 1e-6\n"
+    done = run_python(readme_block("## Library sketch", "python") + check)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
+
+
+def test_package_import_loads_no_sampler_or_worker_modules():
+    # importing the command line module, the setup cost of every run,
+    # loads neither numpy's random package, scipy nor concurrent.futures
+    done = run_python(
+        "import sys\n"
+        "import spintransfer.cli\n"
+        "print(sorted({'numpy.random', 'scipy', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 ROUND_TRIP = {

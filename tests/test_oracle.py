@@ -26,12 +26,19 @@ from spintransfer.oracle import (
     basis_index,
     block_hamiltonian,
     evolve_many,
-    reduced_density,
+    receiver_amplitudes,
     transfer_initial_state,
 )
 from spintransfer.sectors import build_sector_basis
 
 BOND = ChainSpec(2, np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2)), np.zeros(2))
+
+
+def receiver_density(state: FullState, sites) -> np.ndarray:
+    """Each row's reduced density matrix rho = M M^dagger on ``sites``, with
+    M its :func:`receiver_amplitudes` split, shape (T, 2^k, 2^k)."""
+    mat = receiver_amplitudes(state, sites)
+    return mat @ mat.conj().swapaxes(-1, -2)
 
 
 def full_hamiltonian(spec: ChainSpec) -> np.ndarray:
@@ -246,20 +253,20 @@ def test_reduced_density_product_state():
     # |psi> = |1>_1 x |0>_2: reducing to site 1 gives the pure projector
     psi = np.zeros((1, 4), dtype=complex)
     psi[0, 1] = 1.0
-    rho = reduced_density(block_state(psi, 2), (1,))
+    rho = receiver_density(block_state(psi, 2), (1,))
     assert np.allclose(rho, np.diag([0.0, 1.0])[None])
 
 
 def test_reduced_density_bell_pair():
     psi = np.zeros((1, 4), dtype=complex)
     psi[0, 0] = psi[0, 3] = 1.0 / np.sqrt(2.0)
-    rho = reduced_density(block_state(psi, 2), (1,))
+    rho = receiver_density(block_state(psi, 2), (1,))
     assert np.allclose(rho, 0.5 * np.eye(2)[None], atol=1e-12)
 
 
 def test_reduced_density_trace_one(rng):
     state = block_state(random_state(rng, 1 << 6)[None], 6)
-    rho = reduced_density(state, (5, 6))[0]
+    rho = receiver_density(state, (5, 6))[0]
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     eigenvalues = np.linalg.eigvalsh(rho)
     assert eigenvalues.min() >= -1e-10
@@ -269,8 +276,8 @@ def test_reduced_density_site_order_convention():
     # excitation on site 2 of 3: reducing to (2, 3) vs (3, 2) swaps factors
     psi = np.zeros((1, 8), dtype=complex)
     psi[0, basis_index(3, [2])] = 1.0
-    rho_23 = reduced_density(block_state(psi, 3), (2, 3))[0]
-    rho_32 = reduced_density(block_state(psi, 3), (3, 2))[0]
+    rho_23 = receiver_density(block_state(psi, 3), (2, 3))[0]
+    rho_32 = receiver_density(block_state(psi, 3), (3, 2))[0]
     assert rho_23[2, 2] == pytest.approx(1.0)  # |1 0> with first factor site 2
     assert rho_32[1, 1] == pytest.approx(1.0)  # |0 1> with first factor site 3
 
@@ -302,13 +309,13 @@ def test_invalid_sites_rejected(rng):
     state = block_state(random_state(rng, 16)[None], 4)
     for sites in [(0,), (5,), (1, 1)]:
         with pytest.raises(ParameterError):
-            reduced_density(state, sites)
+            receiver_amplitudes(state, sites)
 
 
 @pytest.mark.parametrize("kind", ["nearest", "long_range", "zz"])
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_batched_oracle_matches_one_row_calls(scenario, kind, rng):
-    # embedding, evolution and partial trace of a stack of sender states
+    # embedding, evolution and receiver split of a stack of sender states
     # agree row by row with calls on a stack of one
     n = 7
     spec = seeded_chain(int(rng.integers(2**31)), n, kind)
@@ -316,7 +323,7 @@ def test_batched_oracle_matches_one_row_calls(scenario, kind, rng):
     psi = np.array([random_state(rng, 1 << len(scenario.senders)) for _ in times])
     initial = transfer_initial_state(n, scenario.senders, psi, scenario.occupied(n))
     evolved = evolve_many(spec, initial, times)
-    rho = reduced_density(evolved, scenario.receiver(n))
+    split = receiver_amplitudes(evolved, scenario.receiver(n))
     for q, amps in evolved.blocks.items():
         assert amps.shape == (5, comb(n, q))
     for k, t in enumerate(times):
@@ -326,7 +333,7 @@ def test_batched_oracle_matches_one_row_calls(scenario, kind, rng):
         for q, amps in one.blocks.items():
             assert np.array_equal(initial.blocks[q][k : k + 1], amps)
             assert np.abs(evolved.blocks[q][k : k + 1] - full.blocks[q]).max() <= 1e-13
-        assert np.abs(rho[k : k + 1] - reduced_density(full, scenario.receiver(n))).max() <= 1e-13
+        assert np.abs(split[k : k + 1] - receiver_amplitudes(full, scenario.receiver(n))).max() <= 1e-13
 
 
 def law_gap(spec, scenario, times) -> float:

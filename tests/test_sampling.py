@@ -50,15 +50,15 @@ N_MOMENT = 1_000_000
 
 def test_bloch_pinned_first_sample():
     # regression pin recorded at first build; guards the determinism contract
-    theta, phi = sample_bloch(RandomStream(42, 0))
+    (theta,), (phi,) = sample_bloch(RandomStream(42, 0).generator(), 1)
     assert theta == pytest.approx(2.5561875419978546, abs=0.0)
     assert phi == pytest.approx(5.7238980451164725, abs=0.0)
-    theta_other, _ = sample_bloch(RandomStream(42, 1))
+    (theta_other,), _ = sample_bloch(RandomStream(42, 1).generator(), 1)
     assert theta_other != theta
 
 
 def test_bloch_moments():
-    theta, _ = sample_bloch(RandomStream(7), N_MOMENT)
+    theta, _ = sample_bloch(RandomStream(7).generator(), N_MOMENT)
     x = np.cos(theta)
     stderr = x.std() / np.sqrt(N_MOMENT)
     assert abs(x.mean()) <= 3.0 * stderr
@@ -68,7 +68,7 @@ def test_bloch_moments():
 
 
 def test_haar_unitary_properties():
-    u = sample_haar_unitary_2(RandomStream(8), 200_000)
+    u = sample_haar_unitary_2(RandomStream(8).generator(), 200_000)
     gram = np.einsum("nij,nkj->nik", u, u.conj())
     assert np.abs(gram - np.eye(2)).max() <= 1e-12
     norms = np.linalg.norm(u, axis=1)
@@ -76,14 +76,14 @@ def test_haar_unitary_properties():
     m = np.abs(u[:, 0, 0]) ** 2
     stderr = m.std() / np.sqrt(m.size)
     assert abs(m.mean() - 0.5) <= 3.0 * stderr
-    pinned = sample_haar_unitary_2(RandomStream(42, 0))
+    pinned = sample_haar_unitary_2(RandomStream(42, 0).generator(), 1)[0]
     assert complex(pinned[0, 0]) == pytest.approx(
         0.2068335500885361 + 0.7239501059026745j, abs=0.0
     )
 
 
 def test_two_qubit_state_properties():
-    psi = sample_two_qubit_pure(RandomStream(9), N_MOMENT)
+    psi = sample_two_qubit_pure(RandomStream(9).generator(), N_MOMENT)
     assert np.abs(np.linalg.norm(psi, axis=1) - 1.0).max() <= 1e-12
     conc = concurrence(psi)
     c2 = conc**2
@@ -92,7 +92,7 @@ def test_two_qubit_state_properties():
 
 
 def test_sampled_concurrence_matches_law():
-    psi = sample_two_qubit_pure(RandomStream(10), N_MOMENT)
+    psi = sample_two_qubit_pure(RandomStream(10).generator(), N_MOMENT)
     conc = np.sort(concurrence(psi))
     model_cdf = 1.0 - (1.0 - conc**2) ** 1.5
     n = conc.size
@@ -103,14 +103,19 @@ def test_sampled_concurrence_matches_law():
 
 def test_concurrence_examples():
     bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-    assert concurrence(bell) == pytest.approx(1.0)
     product = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-    assert concurrence(product) == 0.0
     s = 0.6
-    state = schmidt_state(np.sqrt(1.0 - s * s))
-    assert concurrence(state) == pytest.approx(0.8, abs=1e-12)
+    schmidt = schmidt_state(np.sqrt(1.0 - s * s))
+    conc = concurrence(np.array([bell, product, schmidt]))
+    assert conc.shape == (3,)
+    assert conc[0] == pytest.approx(1.0)
+    assert conc[1] == 0.0
+    assert conc[2] == pytest.approx(0.8, abs=1e-12)
+    assert concurrence(np.zeros((0, 4))).shape == (0,)
     with pytest.raises(ParameterError):
-        concurrence(np.array([1.0, 1.0, 0.0, 0.0]))
+        concurrence(np.array([[1.0, 1.0, 0.0, 0.0]]))
+    with pytest.raises(ParameterError, match=r"must be \(n, 4\)"):
+        concurrence(bell)  # one state is the batch bell[None]
 
 
 def test_histogram_invariants():
@@ -373,11 +378,14 @@ def test_mc_histogram_checks_edges_before_sampling(edges, monkeypatch):
         mc_fidelity_histogram(_core_count_kraus("one_qubit"), 1000, edges, RandomStream(3))
 
 
-def test_bloch_vectors_reject_a_negative_count():
-    with pytest.raises(ParameterError):
-        sample_bloch_vectors(RandomStream(5), -1)
-    u, v, x = sample_bloch_vectors(RandomStream(5), 0)
+def test_samplers_reject_a_negative_count():
+    rng = RandomStream(5).generator()
+    for sampler in (sample_bloch_vectors, sample_two_qubit_pure):
+        with pytest.raises(ParameterError, match="sample count must be >= 0, got -1"):
+            sampler(rng, -1)
+    u, v, x = sample_bloch_vectors(rng, 0)
     assert u.shape == v.shape == x.shape == (0,)
+    assert sample_two_qubit_pure(rng, 0).shape == (0, 4)
 
 
 def dkw_bound(n: int, alpha: float = KS_GATE_ALPHA) -> float:
@@ -395,7 +403,7 @@ def ks_uniform(values, lo: float, hi: float) -> float:
 
 def test_bloch_vectors_are_uniform_on_the_sphere():
     n = 1_000_000
-    u, v, x = sample_bloch_vectors(RandomStream(41), n)
+    u, v, x = sample_bloch_vectors(RandomStream(41).generator(), n)
     assert u.shape == (n,)
     assert np.abs(np.sqrt(u * u + v * v + x * x) - 1.0).max() <= 4 * np.finfo(float).eps
     # x = cos(theta) and the azimuth of a uniform point are independent uniforms
@@ -411,7 +419,7 @@ def test_mc_histogram_matches_independent_bloch_sampler():
     edges = np.linspace(0.0, 1.0, 201)
     n_mc, n_ref = 1_000_000, 200_000
     hist = mc_fidelity_histogram(kraus, n_mc, edges, RandomStream(42))
-    theta, phi = sample_bloch(RandomStream(43), n_ref)
+    theta, phi = sample_bloch(RandomStream(43).generator(), n_ref)
     values = fidelity_many(kraus, bloch_states(theta, phi)[None])[0]
     reference = np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)[0]
     gap = np.abs(np.cumsum(hist.counts) / n_mc - np.cumsum(reference) / n_ref).max()
