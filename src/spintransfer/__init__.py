@@ -27,13 +27,12 @@ from .channel import (
     pauli_transfer_matrix,
 )
 from .dynamics import (
-    ChainDynamics,
     SpectralPropagator,
     diagonalize,
-    dynamics_for,
     is_free_fermion,
     propagator_at,
     propagator_rows,
+    sector_spectrum,
 )
 from .analytics import (
     FidelityLaw,

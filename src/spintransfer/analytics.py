@@ -64,13 +64,12 @@ import numpy as np
 from .chain import Barrier, ChainSpec, Perfect, Weak
 from .channel import KrausSet, Scenario, pauli_transfer_matrix
 from .dynamics import (
-    ChainDynamics,
-    dynamics_for,
     is_free_fermion,
     propagator_rows,
     propagator_slopes,
+    sector_spectrum,
 )
-from .errors import ModelError, ParameterError, RangeError
+from .errors import ModelError, NumericError, ParameterError, RangeError
 
 PHI_INDEPENDENCE_TOL = 1e-10
 COLLAPSE_WIDTH = 1e-11
@@ -533,7 +532,7 @@ def fidelity_law(
     receiver block G (:func:`_two_qubit_law`); neither reads a pair row.
     On other chains the uniform law sums the one- and two-excitation rows
     out of the occupied sites 2..N-1 (the latter :func:`propagator_rows`
-    of the pair sector ``dyn.two``); the weight of the double excitations
+    of the pair sector); the weight of the double excitations
     that avoid the receiver follows from unitarity of the normalized pair
     row.  Memory grows as len(times) times the number of amplitudes read;
     :func:`avg_fidelity_curve` feeds long grids in chunks.
@@ -551,15 +550,15 @@ def fidelity_law(
     scenario.check_sites(spec.n_sites)
     n = spec.n_sites
     times = np.asarray(times, dtype=float)
-    dyn = dynamics_for(spec)
+    one = sector_spectrum(spec, 1)
     if scenario is Scenario.ONE_QUBIT_VACUUM:
-        amp = propagator_rows(dyn.one, [[1]], [n], times)[:, 0, 0]
+        amp = propagator_rows(one, [[1]], [n], times)[:, 0, 0]
         modulus = np.abs(amp)
         coefficients = _vacuum_coefficients(modulus ** 2, modulus if phase_corrected else amp.real)
     elif scenario is Scenario.ONE_QUBIT_UNIFORM and is_free_fermion(spec):
         # a = a_1^N and S = sum_{j=2}^{N-1} a_j^N; row orthonormality
         # collapses the sums over the receiver-free sites of the row law
-        rows = propagator_rows(dyn.one, [[1], scenario.occupied(n)], [n], times)
+        rows = propagator_rows(one, [[1], scenario.occupied(n)], [n], times)
         amp, summed = rows[:, 0, 0], rows[:, 1, 0]
         r2 = np.abs(amp) ** 2
         coefficients = (
@@ -571,9 +570,10 @@ def fidelity_law(
         # Kraus diagonals (alpha_k, beta_k), k = 1..N-1, unnormalized by
         # the sqrt(N - 2) of the initial state
         occupied = scenario.occupied(n)
-        alpha = propagator_rows(dyn.one, [occupied], range(1, n + 1), times)[:, 0]
+        alpha = propagator_rows(one, [occupied], range(1, n + 1), times)[:, 0]
         pairs = [[(1, j) for j in occupied]]
-        beta = propagator_rows(dyn.two, pairs, [(k, n) for k in range(1, n)], times)[:, 0]
+        targets = [(k, n) for k in range(1, n)]
+        beta = propagator_rows(sector_spectrum(spec, 2), pairs, targets, times)[:, 0]
         weight = 1.0 / (n - 2)
         plus = (np.abs(alpha[:, : n - 1] + beta) ** 2).sum(axis=1)
         minus = (np.abs(alpha[:, : n - 1] - beta) ** 2).sum(axis=1)
@@ -587,12 +587,11 @@ def fidelity_law(
             (weight * plus + off) / 4.0,
         )
     else:
-        a_val, b_val = _two_qubit_law(dyn, times, phase_corrected)
-        coefficients = (a_val, b_val)
+        coefficients = _two_qubit_law(spec, times, phase_corrected)
     return FidelityLaw(np.stack(coefficients, axis=-1))
 
 
-def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool = False):
+def _two_qubit_law(spec: ChainSpec, times: np.ndarray, phase_corrected: bool = False):
     """A(t) and B(t) on a time grid via the channel trace sums.
 
     With G = [[g11, g12], [g21, g22]] = [[a_1^{N-1}, a_1^N], [a_2^{N-1},
@@ -613,12 +612,12 @@ def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool 
     polarization, |g22 + w|^2 - |g22 - w|^2, the two squares the N-wide sums
     carry; the product form rounds differently and moves some written
     averages by one ulp.  Otherwise the law reads the N-wide u, v rows and
-    the pair rows out of (1, 2), :func:`propagator_rows` of the pair sector
-    ``dyn.two``.
+    the pair rows out of (1, 2), :func:`propagator_rows` of the pair sector.
     """
-    n = dyn.spec.n_sites
-    free = is_free_fermion(dyn.spec)
-    rows = propagator_rows(dyn.one, [[1], [2]], [n - 1, n] if free else range(1, n + 1), times)
+    n = spec.n_sites
+    free = is_free_fermion(spec)
+    one = sector_spectrum(spec, 1)
+    rows = propagator_rows(one, [[1], [2]], [n - 1, n] if free else range(1, n + 1), times)
     if phase_corrected:
         # rotate a_1^{N-1} real positive (sector two by the square)
         block_amp = rows[:, 0, -2]
@@ -633,7 +632,7 @@ def _two_qubit_law(dyn: ChainDynamics, times: np.ndarray, phase_corrected: bool 
     else:
         sites = range(1, n - 1)
         targets = [(n - 1, n)] + [(j, n) for j in sites] + [(j, n - 1) for j in sites]
-        pair = propagator_rows(dyn.two, [[(1, 2)]], targets, times)[:, 0]
+        pair = propagator_rows(sector_spectrum(spec, 2), [[(1, 2)]], targets, times)[:, 0]
         if phase_corrected:
             pair = pair * (omega**2)[:, None]
         w = pair[:, 0]
@@ -682,9 +681,8 @@ def phase_null_field(spec: ChainSpec, scenario: Scenario, t: float) -> float:
     """
     if t <= 0.0 or not np.isfinite(t):
         raise ParameterError(f"phase correction needs a positive time, got {t}")
-    dyn = dynamics_for(spec)
     site = scenario.receiver(spec.n_sites)[0]
-    amp = complex(propagator_rows(dyn.one, [[1]], [site], [t])[0, 0, 0])
+    amp = complex(propagator_rows(sector_spectrum(spec, 1), [[1]], [site], [t])[0, 0, 0])
     return float(-np.angle(amp) / (2.0 * t))
 
 
@@ -733,7 +731,7 @@ def mean_slope_bound(spec: ChainSpec, scenario: Scenario, phase_corrected: bool 
     """
     scenario.check_sites(spec.n_sites)
     n = spec.n_sites
-    one = dynamics_for(spec).one
+    one = sector_spectrum(spec, 1)
     free = is_free_fermion(spec)
     if scenario is Scenario.ONE_QUBIT_VACUUM or (scenario is Scenario.ONE_QUBIT_UNIFORM and free):
         (raw,), (centred,) = propagator_slopes(one, [[1]], [n])
@@ -803,6 +801,12 @@ def find_optimal_time(
         )
 
     t_opt, f_opt = _golden_max(objective, lo, hi, rel_tol=1e-8)
+    # argmax picks the first NaN, so a non-finite scan shows at its best sample
+    if not np.isfinite([curve[best], f_opt]).all():
+        raise NumericError(
+            f"the average fidelity on time window {window} is not finite "
+            f"(scan {curve[best]}, refined {f_opt}): the window is too long to evaluate"
+        )
     if curve[best] > f_opt:
         t_opt, f_opt = float(ts[best]), float(curve[best])
     return ProtocolTuning(t_opt, f_opt, phase_corrected, scanned)
@@ -866,7 +870,7 @@ def _chunk_bounds(
     t_max = float(np.abs(ts).max())
     reach = SCAN_STRIDE // 2
     step = (ts[-1] - ts[0]) / (ts.size - 1)
-    eigen = float(np.abs(dynamics_for(spec).one.eigenvalues).max())
+    eigen = float(np.abs(sector_spectrum(spec, 1).eigenvalues).max())
     allowance = SCAN_ROUNDING * eps * (eigen * t_max + spec.n_sites)
     slack = slope * (reach * step + 4.0 * eps * t_max) + allowance
     bounds = []
@@ -970,7 +974,8 @@ def time_window_ladder(kind) -> list[tuple[float, float, int]]:
     (or h0) when the relevant bulk mode is on resonance, and on the
     second-order scale 1/j0^2 (h0^2) otherwise, so the ladder tries the
     short window first and widens.  The engineered chain transfers at
-    pi/4 regardless of size.
+    pi/4 regardless of size.  A ``j0`` or ``h0`` that puts a window past the
+    float range is a ParameterError naming it.
     """
     def grid_for(span: float, step: float) -> int:
         return int(min(2_000_000, max(20_000, span / step)))
@@ -978,12 +983,16 @@ def time_window_ladder(kind) -> list[tuple[float, float, int]]:
     if isinstance(kind, Perfect):
         return [(0.0, 2.0, 20_000)]
     if isinstance(kind, Weak):
-        scale = 1.0 / kind.j0
+        strength, scale = f"j0={kind.j0!r}", 1.0 / kind.j0
     elif isinstance(kind, Barrier):
-        scale = kind.h0
+        strength, scale = f"h0={kind.h0!r}", kind.h0
     else:
         raise ParameterError(f"unknown protocol kind {kind!r}")
-    windows = [16.0 * scale, 2.0 * scale**2, 8.0 * scale**2]
+    windows = [16.0 * scale, 2.0 * scale * scale, 8.0 * scale * scale]
+    if not np.isfinite(windows).all():
+        raise ParameterError(
+            f"{kind.label} {strength} puts the scan windows {windows} beyond the float range"
+        )
     out = []
     for hi in windows:
         if out and hi <= out[-1][1]:

@@ -7,8 +7,12 @@ preservation, and pin the structural facts (perfect-chain spectrum,
 fidelity duality, distribution normalization) that the analytic layer
 relies on.  The laws read amplitude rows
 (:func:`~spintransfer.dynamics.propagator_rows` of the one- and, on
-long-range and ZZ chains, the two-excitation sector), and free-fermion
-closed forms in at most four of them on nearest-neighbour chains.  The
+long-range and ZZ chains, the two-excitation sector, both from
+:func:`~spintransfer.dynamics.sector_spectrum`), and free-fermion closed
+forms in at most four of them on nearest-neighbour chains.  The sector
+matrices under them are pinned first: ``sector_hamiltonian_symmetry_and_gauge``
+checks their symmetry and the one-excitation diagonal against the vacuum
+gauge's closed form on chains of all three kinds.  The
 Kraus sets come from the full-space oracle, which stores each state as the
 excitation-number blocks it occupies, at most C(N, 2) wide for transfer
 inputs (:func:`~spintransfer.channel.kraus_at_times`).  A laws-vs-Kraus
@@ -49,7 +53,7 @@ from .channel import (
     kraus_set,
     pauli_transfer_matrix,
 )
-from .dynamics import dynamics_for, propagator_at, propagator_rows
+from .dynamics import propagator_at, propagator_rows, sector_spectrum
 from .errors import CapacityError, ModelError, NumericError, ParameterError
 from .oracle import (
     MAX_ORACLE_BLOCK,
@@ -141,9 +145,7 @@ def _sender_state(rng: np.random.Generator, dim: int) -> np.ndarray:
 def check_sector_dimensions() -> CheckResult:
     worst = 0
     for n in range(2, 25):
-        for q in (0, 1, 2):
-            if q > n:
-                continue
+        for q in (1, 2):
             basis = build_sector_basis(n, q)
             worst = max(worst, abs(basis.dimension - comb(n, q)))
             for k in range(basis.dimension):
@@ -155,24 +157,30 @@ def check_sector_dimensions() -> CheckResult:
 
 
 def check_sector_hamiltonians(seed: int = 11) -> CheckResult:
+    """Sector matrices are symmetric, and the q = 1 diagonal is in the
+    vacuum gauge: flipping site k costs -2 B_k - 2 sum_j J_kj D_kj.
+
+    The chains are :func:`random_spec` chains of all three kinds, so the
+    ZZ term of the closed form is exercised as well.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n in (4, 6, 9):
-        spec = random_spec(rng, n)
-        for q in (0, 1, 2):
+    for n, kind in product((4, 6, 9), ("nearest", "long_range", "zz")):
+        spec = random_spec(rng, n, kind)
+        for q in (1, 2):
             h = sector_hamiltonian(spec, build_sector_basis(n, q))
             worst = max(worst, float(np.abs(h - h.T).max()))
-            if q == 0:
-                worst = max(worst, float(np.abs(h).max()))
+            if q == 1:
+                flip = -2.0 * spec.fields - 2.0 * (spec.couplings * spec.anisotropies).sum(axis=1)
+                worst = max(worst, float(np.abs(np.diagonal(h) - flip).max()))
     return CheckResult(
         "sector_hamiltonian_symmetry_and_gauge", worst <= 1e-12, worst,
-        "symmetry and vacuum gauge on random specs",
+        "symmetry and q = 1 vacuum gauge on nearest, long-range and ZZ random specs",
     )
 
 
 def check_perfect_spectrum(n_sites: int = 22) -> CheckResult:
-    dyn = dynamics_for(protocol_preset(Perfect(), n_sites))
-    gaps = np.diff(dyn.one.eigenvalues)
+    gaps = np.diff(sector_spectrum(protocol_preset(Perfect(), n_sites), 1).eigenvalues)
     err = float(np.abs(gaps - gaps[0]).max())
     return CheckResult(
         "perfect_spectrum_equal_spacing", err <= 1e-9, err, f"N={n_sites}"
@@ -184,10 +192,11 @@ def check_amplitude_unitarity(seed: int = 12) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in (5, 8):
-        dyn = dynamics_for(random_spec(rng, n))
+        spec = random_spec(rng, n)
         for _ in range(3):
             t = float(rng.uniform(0.0, 20.0))
-            for mat in (propagator_at(dyn.one, t), propagator_at(dyn.two, t)):
+            for q in (1, 2):
+                mat = propagator_at(sector_spectrum(spec, q), t)
                 gram = mat @ mat.conj().T
                 worst = max(worst, float(np.abs(gram - np.eye(mat.shape[0])).max()))
     return CheckResult("amplitude_unitarity", worst <= 1e-10, worst, "random specs")
@@ -206,8 +215,8 @@ def check_oracle_amplitudes(n_max: int, seed: int = 13) -> CheckResult:
     for n in range(4, n_max + 1):
         spec = random_spec(rng, n, ("nearest", "long_range", "zz")[n % 3])
         t = float(rng.uniform(0.5, 5.0))
-        dyn = dynamics_for(spec)
-        for sites, prop in (((1,), dyn.one), ((1, 2), dyn.two)):
+        for sites in ((1,), (1, 2)):
+            prop = sector_spectrum(spec, len(sites))
             init = transfer_initial_state(
                 n, sites, np.eye(1 << len(sites))[-1:].astype(complex)
             )
@@ -241,12 +250,13 @@ def check_pair_rows(seed: int = 18) -> CheckResult:
         k, l = (np.array(targets) - 1).T
         times = rng.uniform(0.0, 12.0, 8)
         for spec in specs:
-            dyn = dynamics_for(spec)
             for group in ([2], Scenario.ONE_QUBIT_UNIFORM.occupied(n)):
                 sector = propagator_rows(
-                    dyn.two, [[(1, j) for j in group]], targets, times
+                    sector_spectrum(spec, 2), [[(1, j) for j in group]], targets, times
                 )[:, 0]
-                rows = propagator_rows(dyn.one, [[1], group], range(1, n + 1), times)
+                rows = propagator_rows(
+                    sector_spectrum(spec, 1), [[1], group], range(1, n + 1), times
+                )
                 a1, s = rows[:, 0], rows[:, 1]
                 err = np.abs(a1[:, k] * s[:, l] - a1[:, l] * s[:, k] - sector).max()
                 worst = max(worst, float(err))
@@ -274,7 +284,7 @@ def check_grid_rows(seed: int = 19) -> CheckResult:
         sources = [[1], [2], Scenario.ONE_QUBIT_UNIFORM.occupied(n)]
         targets = range(1, n + 1)
         for spec in (random_spec(rng, n), *protocol_specs(n).values()):
-            prop = dynamics_for(spec).one
+            prop = sector_spectrum(spec, 1)
             rows = propagator_rows(prop, sources, targets, times)
             picks = np.unique(np.r_[0, times.size - 1, rng.integers(0, times.size, 30)])
             point = np.concatenate(
@@ -379,7 +389,7 @@ def check_quadratic_reduction(seed: int = 15) -> CheckResult:
             reduced = reduce_kraus(kraus_at_times(spec, scenario, [t]))
             reference = reduced.coefficients[0]
             if scenario is Scenario.ONE_QUBIT_VACUUM:
-                amp = propagator_at(dynamics_for(spec).one, t)[0, n - 1]
+                amp = propagator_at(sector_spectrum(spec, 1), t)[0, n - 1]
                 closed = vacuum_quadratic(abs(amp), float(np.angle(amp)))
                 closed_gap = reference - closed.coefficients[0]
                 worst = max(worst, float(np.abs(closed_gap).max()))
@@ -461,9 +471,9 @@ def check_min_fidelity_branches(seed: int = 21) -> CheckResult:
         }[branch]
         coupling = np.arcsin(r) / 2.0 * (1.0 - np.eye(2))
         spec = ChainSpec(2, coupling, np.zeros((2, 2)), np.zeros(2))
-        amp = propagator_at(dynamics_for(spec).one, 1.0)[0, 1]
+        amp = propagator_at(sector_spectrum(spec, 1), 1.0)[0, 1]
         spec = spec.with_uniform_field((phi - np.angle(amp)) / 2.0)
-        amp = propagator_at(dynamics_for(spec).one, 1.0)[0, 1]
+        amp = propagator_at(sector_spectrum(spec, 1), 1.0)[0, 1]
         closed = min_fidelity_closed_form(abs(amp), float(np.angle(amp)))
         law = fidelity_law(spec, Scenario.ONE_QUBIT_VACUUM, [1.0])
         worst = max(worst, abs(law.support[0] - closed.f_min))

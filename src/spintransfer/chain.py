@@ -6,11 +6,11 @@ that ``|0>`` carries Z eigenvalue +1 and an excitation ``|1>`` carries -1.
 A pair term contributes a hopping matrix element of ``2 J_ij`` between
 configurations that differ by moving one excitation.
 
-Every sector matrix is shifted by minus the vacuum energy, so the
-zero-excitation sector is identically zero and the all-down state acquires no
-phase during evolution.  This single gauge choice is used consistently by the
-brute-force reference module as well, which makes transition-amplitude phases
-directly comparable across the package.
+Every sector matrix is shifted by minus the vacuum energy, so the all-down
+state has energy zero and acquires no phase during evolution.  This single
+gauge choice is used consistently by the brute-force reference module as
+well, which makes transition-amplitude phases directly comparable across the
+package.
 """
 
 from __future__ import annotations
@@ -200,13 +200,11 @@ def protocol_preset(
 def sector_hamiltonian(spec: ChainSpec, basis: SectorBasis) -> np.ndarray:
     """Dense real-symmetric restriction of the Hamiltonian to one sector.
 
-    One rule fills every sector.  A configuration's diagonal entry is its
-    field and ZZ energy minus the vacuum energy (the gauge fix), and each
-    hop of one of its excitations onto an empty site that the hopping
+    One rule fills both sectors, q = 1 and q = 2.  A configuration's
+    diagonal entry is its field and ZZ energy minus the vacuum energy (the
+    gauge fix; flipping site k alone costs -2 B_k - 2 sum_j J_kj D_kj), and
+    each hop of one of its excitations onto an empty site that the hopping
     site's couplings row reaches adds ``2 J`` to one off-diagonal entry.
-    The q = 0 sector is returned as the literal zero that the gauge
-    defines: summed out, the vacuum's field energy minus ``vacuum_energy``
-    can leave a rounding residue.
 
     Raises
     ------
@@ -217,8 +215,6 @@ def sector_hamiltonian(spec: ChainSpec, basis: SectorBasis) -> np.ndarray:
         raise ParameterError(
             f"basis is for n_sites={basis.n_sites}, spec has {spec.n_sites}"
         )
-    if basis.n_excitations == 0:
-        return np.zeros((1, 1))
     n = spec.n_sites
     jd = spec.couplings * spec.anisotropies
     use_zz = np.any(jd != 0.0)

@@ -3,10 +3,11 @@
 Time evolution is evaluated from a one-off dense eigendecomposition of each
 sector Hamiltonian rather than by time stepping: the protocols of interest
 reach their working point at long times (weak effective couplings), where
-steppers accumulate error but the spectral form stays exact.  Spectral data
-is cached per chain spec, and each sector is diagonalised the
-first time something reads it.  :func:`propagator_rows`, on the one- or
-the two-excitation sector, is the one amplitude evaluator of the fidelity
+steppers accumulate error but the spectral form stays exact.
+:func:`sector_spectrum` caches the spectral data per chain spec and
+excitation number q in {1, 2}; a sector is diagonalised the first time a
+reader asks for it.  :func:`propagator_rows`, on the one- or the
+two-excitation sector, is the one amplitude evaluator of the fidelity
 laws, which read it on whole time grids and at single times.
 The Kraus sets of :mod:`~spintransfer.channel` read none of it: they come
 from the full-space oracle, so Monte Carlo checks these rows independently.
@@ -37,7 +38,7 @@ rows.  Which law takes which path is decided in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -236,38 +237,28 @@ def is_free_fermion(spec: ChainSpec) -> bool:
     )
 
 
-class ChainDynamics:
-    """Spectral data of one chain spec for the sectors q = 1 and q = 2.
+def build_sector(spec: ChainSpec, n_excitations: int) -> SpectralPropagator:
+    """Diagonalised sector ``n_excitations`` (1 or 2) of ``spec``, uncached.
 
-    Both sectors are built by the same rule: the basis of
-    :func:`~spintransfer.sectors.build_sector_basis`, its matrix from
-    :func:`~spintransfer.chain.sector_hamiltonian`, then :func:`diagonalize`.
-    Each sector is diagonalised the first time ``one`` or ``two`` is read,
-    so a run that reads only one-excitation amplitudes (every law of a
-    free-fermion chain) never builds the C(N, 2)-dimensional pair
-    sector.  All methods are safe to call concurrently: two threads that
-    read a sector first at the same time may both diagonalise it, but both
-    store the same deterministic result.
+    The basis of :func:`~spintransfer.sectors.build_sector_basis`, its
+    matrix from :func:`~spintransfer.chain.sector_hamiltonian`, then
+    :func:`diagonalize`: one rule for both sectors.
     """
-
-    def __init__(self, spec: ChainSpec):
-        self.spec = spec
-
-    def _sector(self, n_excitations: int) -> SpectralPropagator:
-        basis = build_sector_basis(self.spec.n_sites, n_excitations)
-        return diagonalize(sector_hamiltonian(self.spec, basis), basis)
-
-    @cached_property
-    def one(self) -> SpectralPropagator:
-        return self._sector(1)
-
-    @cached_property
-    def two(self) -> SpectralPropagator:
-        return self._sector(2)
+    basis = build_sector_basis(spec.n_sites, n_excitations)
+    return diagonalize(sector_hamiltonian(spec, basis), basis)
 
 
-@lru_cache(maxsize=64)
-def dynamics_for(spec: ChainSpec) -> ChainDynamics:
-    """Cached :class:`ChainDynamics` for a spec; equal specs share one entry
-    (:class:`~spintransfer.chain.ChainSpec` compares by content)."""
-    return ChainDynamics(spec)
+@lru_cache(maxsize=128)
+def sector_spectrum(spec: ChainSpec, n_excitations: int) -> SpectralPropagator:
+    """Cached :func:`build_sector`, where every reader of a sector asks.
+
+    Equal specs share an entry (:class:`~spintransfer.chain.ChainSpec`
+    compares by content), and each sector is built the first time a reader
+    asks for it, so a run that reads only one-excitation amplitudes (every
+    law of a free-fermion chain) never builds the C(N, 2)-dimensional pair
+    sector.  128 entries hold both sectors of 64 chains.  ``lru_cache``
+    keeps its bookkeeping consistent under concurrent calls; two threads
+    that miss on the same key at once may both build the sector, and the
+    cache keeps one of the two identical results.
+    """
+    return build_sector(spec, n_excitations)

@@ -1,8 +1,11 @@
 """Canonical bases for fixed-excitation sectors of a spin network.
 
 Total magnetization is conserved, so the dynamics never mixes configurations
-with different numbers of flipped spins.  Each sector gets a dense coordinate
-space with one rule for every excitation number q: its configurations are
+with different numbers of flipped spins.  The fidelity laws read the one- and
+the two-excitation sector; the vacuum sector holds a single configuration
+whose energy the gauge sets to zero, so no law reads it and it has no basis
+here.  Each sector gets a dense coordinate space with one rule for both
+excitation numbers q: its configurations are
 ``itertools.combinations(range(1, N + 1), q)``, the strictly increasing
 flipped-site tuples in lexicographic order.  This module owns that ordering
 and the two-way maps between configurations and vector indices.  Sites are
@@ -26,7 +29,7 @@ class SectorBasis:
     n_sites : int
         Number of network sites N.
     n_excitations : int
-        Number of flipped spins q (0, 1 or 2).
+        Number of flipped spins q (1 or 2).
     configurations : tuple of tuple of int
         Lexicographically ordered site tuples, each strictly increasing.
     """
@@ -69,20 +72,17 @@ def build_sector_basis(n_sites: int, n_excitations: int) -> SectorBasis:
     """Build the canonical basis of the ``n_excitations`` sector.
 
     The configurations are the ``n_excitations``-combinations of the sites
-    1..N in lexicographic order: the vacuum ``()`` alone for q = 0, the
-    sites (1,), ..., (N,) for q = 1, and the pairs (1,2), (1,3), ...,
-    (N-1,N) for q = 2.
+    1..N in lexicographic order: the sites (1,), ..., (N,) for q = 1, and
+    the pairs (1,2), (1,3), ..., (N-1,N) for q = 2.
 
     Raises
     ------
     ParameterError
-        If ``n_sites < 2`` or ``n_excitations`` is not in {0, 1, 2}.
+        If ``n_sites < 2`` or ``n_excitations`` is not 1 or 2.
     """
     if n_sites < 2:
         raise ParameterError(f"n_sites must be >= 2, got {n_sites}")
-    if n_excitations not in (0, 1, 2):
-        raise ParameterError(
-            f"n_excitations must be one of 0, 1, 2, got {n_excitations}"
-        )
+    if n_excitations not in (1, 2):
+        raise ParameterError(f"n_excitations must be 1 or 2, got {n_excitations}")
     configs = tuple(combinations(range(1, n_sites + 1), n_excitations))
     return SectorBasis(n_sites, n_excitations, configs)

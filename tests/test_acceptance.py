@@ -30,7 +30,7 @@ from spintransfer.certify import check_channels_against_oracle
 from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
 from spintransfer.channel import Scenario, fidelity_many, kraus_at_times
 from spintransfer.cli import main as cli_main
-from spintransfer.dynamics import dynamics_for, propagator_at
+from spintransfer.dynamics import propagator_at, sector_spectrum
 from spintransfer.errors import RangeError
 from spintransfer.sampling import (
     RandomStream,
@@ -92,7 +92,7 @@ def single_qubit_plan(name: str):
             spec, Scenario.ONE_QUBIT_VACUUM, tuning, {"type": "target_avg", "value": TARGET}
         )
         kraus = kraus_at_times(plan.spec, Scenario.ONE_QUBIT_VACUUM, [plan.t_read])
-        amp = propagator_at(dynamics_for(plan.spec).one, plan.t_read)[0, 21]
+        amp = propagator_at(sector_spectrum(plan.spec, 1), plan.t_read)[0, 21]
         _PLAN_CACHE[key] = (plan, amp, kraus)
     return _PLAN_CACHE[key]
 

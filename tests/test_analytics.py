@@ -38,9 +38,9 @@ from spintransfer.channel import Scenario, fidelity_many, kraus_at_times
 from spintransfer.dynamics import (
     GRID_FACTOR_MIN,
     _grid_step,
-    dynamics_for,
     is_free_fermion,
     propagator_at,
+    sector_spectrum,
 )
 from spintransfer.errors import ModelError, ParameterError, RangeError
 from spintransfer.sampling import RandomStream, schmidt_state
@@ -50,7 +50,7 @@ def test_vacuum_quadratic_closed_form(rng):
     spec = make_random_chain(rng, 7)
     kraus = kraus_at_times(spec, Scenario.ONE_QUBIT_VACUUM, [2.4])
     fitted = quadratic_reduce_one_qubit(kraus)
-    amp = propagator_at(dynamics_for(spec).one, 2.4)[0, 6]
+    amp = propagator_at(sector_spectrum(spec, 1), 2.4)[0, 6]
     closed = vacuum_quadratic(abs(amp), float(np.angle(amp)))
     assert np.abs(fitted.coefficients - closed.coefficients).max() <= 1e-12
 
@@ -518,10 +518,10 @@ def test_phase_null_field(rng):
     spec = make_random_chain(rng, 6)
     t = 2.6
     b = phase_null_field(spec, Scenario.ONE_QUBIT_VACUUM, t)
-    from spintransfer.dynamics import dynamics_for, propagator_rows
+    from spintransfer.dynamics import propagator_rows, sector_spectrum
 
     corrected = propagator_rows(
-        dynamics_for(spec.with_uniform_field(b)).one, [[1]], [6], [t]
+        sector_spectrum(spec.with_uniform_field(b), 1), [[1]], [6], [t]
     )[0, 0, 0]
     assert abs(np.angle(corrected)) <= 1e-9
 
@@ -559,7 +559,7 @@ def test_plan_readout_modes():
     plan_target = plan_readout(
         spec, Scenario.ONE_QUBIT_VACUUM, tuning, {"type": "target_avg", "value": 0.99}
     )
-    amp = propagator_at(dynamics_for(plan_target.spec).one, plan_target.t_read)[0, 9]
+    amp = propagator_at(sector_spectrum(plan_target.spec, 1), plan_target.t_read)[0, 9]
     assert abs(np.angle(amp)) <= 1e-8  # aux field nulls the phase at t_read
     assert avg_fidelity_one_qubit_vacuum(abs(amp), 0.0) == pytest.approx(0.99, abs=1e-8)
     # one read-out time otherwise

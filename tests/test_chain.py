@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_random_chain
+from conftest import make_random_chain, seeded_chain
 from spintransfer.chain import (
     Barrier,
     ChainSpec,
@@ -69,10 +69,15 @@ def test_barrier_diagonal_is_field_flip():
         assert h[m, m] == pytest.approx(expected, abs=1e-12)
 
 
-def test_vacuum_sector_is_gauged_to_zero(rng):
-    spec = make_random_chain(rng, 7)
-    h = sector_hamiltonian(spec, build_sector_basis(7, 0))
-    assert h.shape == (1, 1) and h[0, 0] == 0.0
+def test_one_excitation_diagonal_is_gauged_on_a_zz_chain():
+    # flipping site k alone costs -2 B_k - 2 sum_j J_kj D_kj against the
+    # vacuum; the ZZ term flips sign on every bond at k
+    spec = seeded_chain(7, 6, "zz")
+    jd = spec.couplings * spec.anisotropies
+    assert np.abs(jd).sum() > 0.1
+    h = sector_hamiltonian(spec, build_sector_basis(6, 1))
+    flip = -2.0 * spec.fields - 2.0 * jd.sum(axis=1)
+    assert np.abs(np.diagonal(h) - flip).max() <= 1e-12
 
 
 def test_sector_hamiltonians_symmetric(rng):

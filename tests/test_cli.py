@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spintransfer.chain import Perfect, protocol_preset
+from spintransfer.chain import ChainSpec, Perfect, protocol_preset
 from spintransfer.certify import (
     check_oracle_amplitudes,
     check_perfect_spectrum,
+    check_sector_hamiltonians,
     run_certification,
 )
 from spintransfer import analytics, channel, dynamics, oracle
@@ -25,7 +26,7 @@ from spintransfer.cli import (
     keep_heap_mapped,
     main,
 )
-from spintransfer.dynamics import dynamics_for
+from spintransfer.dynamics import sector_spectrum
 from spintransfer.oracle import MAX_ORACLE_BLOCK
 
 
@@ -723,7 +724,6 @@ def test_corrupted_coupling_detected_by_spectrum_check():
     # but breaks the equally-spaced spectrum of the engineered chain
     from spintransfer.analytics import fidelity_law
     from spintransfer.certify import reduce_kraus
-    from spintransfer.chain import ChainSpec
     from spintransfer.channel import Scenario, kraus_at_times
 
     spec = protocol_preset(Perfect(), 8)
@@ -739,7 +739,7 @@ def test_corrupted_coupling_detected_by_spectrum_check():
     gap = np.abs(reduce_kraus(kraus).coefficients - law.coefficients).max()
     assert gap <= 1e-12
 
-    gaps = np.diff(dynamics_for(corrupted).one.eigenvalues)
+    gaps = np.diff(sector_spectrum(corrupted, 1).eigenvalues)
     assert np.abs(gaps - gaps[0]).max() > 1e-9  # spectrum check fires
 
 
@@ -755,12 +755,21 @@ def test_oracle_check_pins_zz_pair_sector(monkeypatch):
         return h
 
     monkeypatch.setattr(dynamics, "sector_hamiltonian", mutated)
-    dynamics.dynamics_for.cache_clear()
+    dynamics.sector_spectrum.cache_clear()
     try:
         result = check_oracle_amplitudes(10)
     finally:
         # the mutated sectors must not outlive the test
-        dynamics.dynamics_for.cache_clear()
+        dynamics.sector_spectrum.cache_clear()
+    assert not result.passed and result.max_error > 1e-3
+
+
+def test_gauge_check_sees_a_missing_vacuum_shift(monkeypatch):
+    # with no vacuum shift every sector diagonal is off by the vacuum
+    # energy, and the gauge clause compares the one-excitation diagonal
+    # with its closed form
+    monkeypatch.setattr(ChainSpec, "vacuum_energy", lambda self: 0.0)
+    result = check_sector_hamiltonians()
     assert not result.passed and result.max_error > 1e-3
 
 
@@ -770,10 +779,9 @@ def test_sign_flip_is_gauge_equivalent():
     spec = protocol_preset(Perfect(), 8)
     couplings = spec.couplings.copy()
     couplings[1, 2] = couplings[2, 1] = -couplings[1, 2]
-    from spintransfer.chain import ChainSpec
 
     flipped = ChainSpec(8, couplings, spec.anisotropies, spec.fields)
-    gaps = np.diff(dynamics_for(flipped).one.eigenvalues)
+    gaps = np.diff(sector_spectrum(flipped, 1).eigenvalues)
     assert np.abs(gaps - gaps[0]).max() <= 1e-9
 
 
@@ -899,7 +907,7 @@ def diagonalised_sizes(monkeypatch, args) -> list[int]:
         return diagonalize(matrix, basis)
 
     monkeypatch.setattr(dynamics, "diagonalize", recording)
-    dynamics.dynamics_for.cache_clear()
+    dynamics.sector_spectrum.cache_clear()
     assert run_cli(*args) == 0
     return sizes
 
@@ -990,13 +998,13 @@ def test_ks_gate_sees_a_wrong_sector_eigenvalue(tmp_path, monkeypatch):
         return dynamics.SpectralPropagator(eigenvalues, prop.eigenvectors, basis)
 
     monkeypatch.setattr(dynamics, "diagonalize", shifted)
-    dynamics.dynamics_for.cache_clear()
+    dynamics.sector_spectrum.cache_clear()
     out = tmp_path / "run"
     try:
         code = run_cli(*README_BARRIER, "--out", str(out))
     finally:
         # the shifted sectors must not outlive the test
-        dynamics.dynamics_for.cache_clear()
+        dynamics.sector_spectrum.cache_clear()
     assert code == EXIT_CERTIFY
     bound = np.sqrt(np.log(2.0 / KS_GATE_ALPHA) / (2.0 * 1_000_000))
     assert read_json(out / "result.json")["ks_distance"] > bound
@@ -1015,6 +1023,44 @@ def test_monte_carlo_past_the_oracle_cap_writes_nothing(tmp_path, capsys):
     assert "Monte Carlo" in message and "C(61, 2)" in message
     assert "--mc-samples 0" in message
     assert run_cli(*args, "--mc-samples", "0", "--out", str(tmp_path / "law")) == 0
+
+
+@pytest.mark.parametrize(
+    ("protocol", "name"),
+    [(["weak", "--j0", "1e-200"], "j0=1e-200"), (["barrier", "--h0", "1e200"], "h0=1e+200")],
+    ids=["weak", "barrier"],
+)
+def test_ladder_past_the_float_range_writes_nothing(tmp_path, capsys, protocol, name):
+    # the ladder's windows grow as (1/j0)^2 and h0^2, which leave the float
+    # range here: the run exits 2 naming the parameter, before any file is
+    # written, where squaring the scale raised an OverflowError
+    out = tmp_path / "run"
+    code = run_cli("tune", "--protocol", *protocol, "--n-sites", "6",
+                   "--scenario", "one_qubit_vacuum", "--out", str(out))
+    assert code == EXIT_PARAMETER
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the phase arguments L t overflow on this window: numpy warns, the law is NaN
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "command",
+    [["tune", "--aux-field", "off"], ["tune"], ["pdf", "--aux-field", "off", "--mc-samples", "100"]],
+    ids=["tune", "tune_field", "pdf"],
+)
+def test_non_finite_scan_writes_nothing(tmp_path, capsys, command):
+    # a scan whose average is NaN wrote t_opt 1.4e307 and avg_fidelity NaN
+    # (no valid JSON), or failed later with a message about counts or the
+    # field; it now exits 5 naming the window, before any file is written
+    out = tmp_path / "run"
+    code = run_cli(*command, "--protocol", "perfect", "--n-sites", "8",
+                   "--scenario", "one_qubit_vacuum", "--window", "0:1e308", "--grid", "100",
+                   "--out", str(out))
+    assert code == EXIT_NUMERIC
+    assert "window (0.0, 1e+308)" in capsys.readouterr().err
+    assert not out.exists()  # no result.json, nor any other file
 
 
 def test_pdf_runs_without_scipy(tmp_path):

@@ -4,16 +4,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_random_chain, seeded_chain
+from spintransfer import dynamics
 from spintransfer.analytics import fidelity_law
 from spintransfer.chain import ChainSpec, Perfect, protocol_preset, sector_hamiltonian
 from spintransfer.channel import Scenario
 from spintransfer.dynamics import (
     GRID_FACTOR_MIN,
     diagonalize,
-    dynamics_for,
     is_free_fermion,
     propagator_at,
     propagator_rows,
+    sector_spectrum,
 )
 from spintransfer.errors import ParameterError
 from spintransfer.sectors import build_sector_basis
@@ -49,55 +50,55 @@ def test_perfect_spectrum_equally_spaced():
 
 def test_propagator_identity_at_zero(rng):
     spec = make_random_chain(rng, 5)
-    dyn = dynamics_for(spec)
-    assert np.abs(propagator_at(dyn.one, 0.0) - np.eye(5)).max() < 1e-14
-    assert np.abs(propagator_at(dyn.two, 0.0) - np.eye(10)).max() < 1e-14
-    rows = propagator_rows(dyn.one, [[1], [2]], range(1, 6), [0.0])[0]
+    one, two = sector_spectrum(spec, 1), sector_spectrum(spec, 2)
+    assert np.abs(propagator_at(one, 0.0) - np.eye(5)).max() < 1e-14
+    assert np.abs(propagator_at(two, 0.0) - np.eye(10)).max() < 1e-14
+    rows = propagator_rows(one, [[1], [2]], range(1, 6), [0.0])[0]
     assert np.abs(rows - np.eye(5)[:2]).max() < 1e-14
 
 
 def test_two_site_closed_form():
     t = 0.437
-    a11, a12 = propagator_rows(dynamics_for(BOND).one, [[1]], [1, 2], [t])[0, 0]
+    a11, a12 = propagator_rows(sector_spectrum(BOND, 1), [[1]], [1, 2], [t])[0, 0]
     assert a11 == pytest.approx(np.cos(2.0 * t), abs=1e-12)
     assert a12 == pytest.approx(-1j * np.sin(2.0 * t), abs=1e-12)
 
 
 def test_group_law(rng):
     spec = make_random_chain(rng, 6, long_range=True)
-    dyn = dynamics_for(spec)
+    one = sector_spectrum(spec, 1)
     t1, t2 = 0.83, 1.91
-    product = propagator_at(dyn.one, t1) @ propagator_at(dyn.one, t2)
-    assert np.abs(product - propagator_at(dyn.one, t1 + t2)).max() <= 1e-9
+    product = propagator_at(one, t1) @ propagator_at(one, t2)
+    assert np.abs(product - propagator_at(one, t1 + t2)).max() <= 1e-9
 
 
 def test_unitarity_random_times(rng):
-    dyn = dynamics_for(make_random_chain(rng, 7))
+    spec = make_random_chain(rng, 7)
     for t in rng.uniform(0.0, 30.0, 5):
-        for mat in (propagator_at(dyn.one, float(t)), propagator_at(dyn.two, float(t))):
+        for q in (1, 2):
+            mat = propagator_at(sector_spectrum(spec, q), float(t))
             gram = mat @ mat.conj().T
             assert np.abs(gram - np.eye(mat.shape[0])).max() <= 1e-10
 
 
 def test_energy_conservation(rng):
     spec = make_random_chain(rng, 6)
-    dyn = dynamics_for(spec)
     h = sector_hamiltonian(spec, build_sector_basis(6, 1))
     psi = rng.normal(size=6) + 1j * rng.normal(size=6)
     psi /= np.linalg.norm(psi)
     e0 = np.real(psi.conj() @ h @ psi)
     for t in (0.7, 3.1, 12.9):
-        evolved = propagator_at(dyn.one, t) @ psi
+        evolved = propagator_at(sector_spectrum(spec, 1), t) @ psi
         assert np.real(evolved.conj() @ h @ evolved) == pytest.approx(e0, abs=1e-9)
 
 
 def test_perfect_transfer_amplitude_sweep():
     spec = protocol_preset(Perfect(), 22)
-    dyn = dynamics_for(spec)
+    one = sector_spectrum(spec, 1)
     ts = np.linspace(0.7, 0.9, 20001)
-    r = np.abs(propagator_rows(dyn.one, [[1]], [22], ts)[:, 0, 0])
+    r = np.abs(propagator_rows(one, [[1]], [22], ts)[:, 0, 0])
     t_best = ts[np.argmax(r)]
-    assert abs(propagator_rows(dyn.one, [[1]], [22], [t_best])[0, 0, 0]) >= 1.0 - 1e-8
+    assert abs(propagator_rows(one, [[1]], [22], [t_best])[0, 0, 0]) >= 1.0 - 1e-8
 
 
 def test_summed_rows_match_tables(rng):
@@ -115,10 +116,9 @@ def test_summed_rows_match_tables(rng):
     pair_targets = [(2, 7), (4, 6), (1, 2), (5, 6)]
     times = np.array([0.9, 2.3, 7.7])
     for spec in (nearest, make_random_chain(rng, n, long_range=True), zz):
-        dyn = dynamics_for(spec)
         for prop, sources, targets in (
-            (dyn.one, one_sources, one_targets),
-            (dyn.two, pair_sources, pair_targets),
+            (sector_spectrum(spec, 1), one_sources, one_targets),
+            (sector_spectrum(spec, 2), pair_sources, pair_targets),
         ):
             rows = propagator_rows(prop, sources, targets, times)
             assert rows.shape == (times.size, len(sources), len(targets))
@@ -147,10 +147,11 @@ def direct_rows(prop, modes, times) -> np.ndarray:
     return np.exp(-1j * np.outer(times, prop.eigenvalues)) @ modes.T
 
 
-def sector_cases(dyn, n):
+def sector_cases(spec):
+    n = spec.n_sites
     pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-    yield dyn.one, [[1], range(2, n)], list(range(1, n + 1))
-    yield dyn.two, [[(1, 2)], [(1, j) for j in range(2, n + 1)]], pairs
+    yield sector_spectrum(spec, 1), [[1], range(2, n)], list(range(1, n + 1))
+    yield sector_spectrum(spec, 2), [[(1, 2)], [(1, j) for j in range(2, n + 1)]], pairs
 
 
 @given(
@@ -169,8 +170,7 @@ def test_factored_rows_match_direct_rows(spec, n_times, t0, span):
     # baby-step product; both paths round the phase arguments L t alike, so
     # they agree to 4 eps max|L| max|t| sum_m |w_m| in each column
     times = np.linspace(t0, t0 + span, n_times)
-    dyn = dynamics_for(spec)
-    for prop, sources, targets in sector_cases(dyn, spec.n_sites):
+    for prop, sources, targets in sector_cases(spec):
         modes = mode_weights(prop, sources, targets)
         rows = propagator_rows(prop, sources, targets, times).reshape(n_times, -1)
         scale = (
@@ -182,11 +182,10 @@ def test_factored_rows_match_direct_rows(spec, n_times, t0, span):
 
 def test_non_uniform_grid_takes_the_direct_path(rng):
     spec = make_random_chain(rng, 6, long_range=True)
-    dyn = dynamics_for(spec)
     uniform = np.linspace(3.0, 5000.0, 2000)
     perturbed = uniform.copy()
     perturbed[777] += 1e-3 * (uniform[1] - uniform[0])
-    for prop, sources, targets in sector_cases(dyn, 6):
+    for prop, sources, targets in sector_cases(spec):
         modes = mode_weights(prop, sources, targets)
         for times, direct in ((uniform, False), (perturbed, True)):
             rows = propagator_rows(prop, sources, targets, times).reshape(times.size, -1)
@@ -194,7 +193,7 @@ def test_non_uniform_grid_takes_the_direct_path(rng):
 
 
 @pytest.mark.parametrize("extra", ["next_nearest", "zz"])
-def test_pair_rows_gate(rng, extra):
+def test_pair_rows_gate(rng, monkeypatch, extra):
     # one next-nearest-neighbour bond or one ZZ bond breaks the determinant
     # form; the occupied-channel and two-qubit laws then read the pair sector
     n = 7
@@ -209,8 +208,17 @@ def test_pair_rows_gate(rng, extra):
     spec = ChainSpec(n, couplings, anis, nearest.fields)
     assert not is_free_fermion(spec)
     times = np.array([0.4, 3.1, 9.5])
+    built = []
+    build = dynamics.build_sector
+
+    def recording(chain, n_excitations):
+        built.append(n_excitations)
+        return build(chain, n_excitations)
+
+    monkeypatch.setattr(dynamics, "build_sector", recording)
     for scenario in (Scenario.ONE_QUBIT_UNIFORM, Scenario.TWO_QUBIT_VACUUM):
         for chain, reads_pairs in ((nearest, False), (spec, True)):
-            dynamics_for.cache_clear()
+            sector_spectrum.cache_clear()
+            built.clear()
             fidelity_law(chain, scenario, times)
-            assert ("two" in vars(dynamics_for(chain))) == reads_pairs
+            assert built == ([1, 2] if reads_pairs else [1])

@@ -30,9 +30,9 @@ from spintransfer.cli import PDF_CURVE_CELLS, PDF_CURVE_PAD_CELLS, pdf_curve_row
 from spintransfer.channel import Scenario, fidelity_many, kraus_at_times, kraus_set
 from spintransfer import analytics, dynamics
 from spintransfer.dynamics import (
-    dynamics_for,
     is_free_fermion,
     propagator_rows,
+    sector_spectrum,
 )
 from spintransfer.errors import ModelError
 from spintransfer.sampling import bloch_states, ks_distance
@@ -147,14 +147,14 @@ def test_point_mass_law_sits_at_its_mean(n_sites):
 def test_determinant_pair_rows_match_pair_sector(seed, n, t):
     spec = make_random_chain(np.random.default_rng(seed), n)
     assert is_free_fermion(spec)
-    dyn = dynamics_for(spec)
     targets = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
     times = np.array([t, 0.37 * t])
     k, l = (np.array(targets) - 1).T
+    one, two = sector_spectrum(spec, 1), sector_spectrum(spec, 2)
     for group in ([2], range(2, n)):
-        sector = propagator_rows(dyn.two, [[(1, j) for j in group]], targets, times)[:, 0]
+        sector = propagator_rows(two, [[(1, j) for j in group]], targets, times)[:, 0]
         # b_{(1,j)}^{(k,l)} = a_1^k a_j^l - a_1^l a_j^k, summed over j in group
-        rows = propagator_rows(dyn.one, [[1], group], range(1, n + 1), times)
+        rows = propagator_rows(one, [[1], group], range(1, n + 1), times)
         a1, summed = rows[:, 0], rows[:, 1]
         determinants = a1[:, k] * summed[:, l] - a1[:, l] * summed[:, k]
         assert np.abs(determinants - sector).max() <= 1e-10
@@ -176,7 +176,15 @@ def test_preset_laws_never_build_pair_sector(monkeypatch, scenario, kind):
         return build(spec, basis)
 
     monkeypatch.setattr(dynamics, "sector_hamiltonian", one_excitation_only)
-    dynamics.dynamics_for.cache_clear()
+    built = []
+    build_sector = dynamics.build_sector
+
+    def recording(spec, n_excitations):
+        built.append(n_excitations)
+        return build_sector(spec, n_excitations)
+
+    monkeypatch.setattr(dynamics, "build_sector", recording)
+    dynamics.sector_spectrum.cache_clear()
     # the closed forms read at most 2 sources x 2 targets and no pair row
     rows = analytics.propagator_rows
     shapes = []
@@ -190,8 +198,7 @@ def test_preset_laws_never_build_pair_sector(monkeypatch, scenario, kind):
     for phase_corrected in (False, True):
         law = fidelity_law(spec, scenario, np.linspace(0.0, 300.0, 7), phase_corrected)
         assert np.all((law.mean >= 0.0) & (law.mean <= 1.0))
-    dyn = dynamics_for(spec)
-    assert "one" in vars(dyn) and "two" not in vars(dyn)
+    assert built == [1]
     assert shapes and all(s <= 2 and t <= 2 for s, t in shapes)
 
 

@@ -18,7 +18,7 @@ from spintransfer.chain import ChainSpec, sector_hamiltonian
 from spintransfer.analytics import fidelity_law
 from spintransfer.certify import reduce_kraus
 from spintransfer.channel import Scenario, kraus_at_times
-from spintransfer.dynamics import dynamics_for, propagator_at
+from spintransfer.dynamics import propagator_at, sector_spectrum
 from spintransfer.errors import CapacityError, ParameterError
 from spintransfer.oracle import (
     MAX_ORACLE_BLOCK,
@@ -141,7 +141,7 @@ def test_sectors_match_dense_reference(spec):
     n = spec.n_sites
     h = full_hamiltonian(spec)
     popcount = np.bitwise_count(np.arange(1 << n))
-    for q in (0, 1, 2):
+    for q in (1, 2):
         basis = build_sector_basis(n, q)
         index = [sum(1 << (site - 1) for site in c) for c in basis.configurations]
         order = np.argsort(index)
@@ -232,14 +232,13 @@ def test_one_excitation_periodicity_two_sites():
 
 def test_sector_evolution_matches_full(rng):
     spec = make_random_chain(rng, 6, long_range=True)
-    dyn = dynamics_for(spec)
     t = 1.37
     coeffs = random_state(rng, 6)
     full_vec = np.zeros(1 << 6, dtype=complex)
     for site, c in enumerate(coeffs, start=1):
         full_vec[basis_index(6, [site])] = c
     evolved = dense_amplitudes(evolve_many(spec, block_state(full_vec[None], 6), [t]))
-    sector = propagator_at(dyn.one, t) @ coeffs
+    sector = propagator_at(sector_spectrum(spec, 1), t) @ coeffs
     overlap = abs(
         np.vdot(
             sector,
