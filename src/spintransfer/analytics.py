@@ -78,7 +78,6 @@ SCAN_STRIDE = 32
 SCAN_ROUNDING = 32.0
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 TARGET_WALK_STEP = 1e-4
-TARGET_TICK_BLOCK = 512
 LADDER_STOP_AVG = 0.995
 DEFAULT_TIMING_FRACTION = 0.02
 JITTER_MIX_NODES = 41
@@ -776,7 +775,9 @@ def find_optimal_time(
     scan, bit for bit.
     The window is finite, ordered and starts at 0 or later: a read-out
     before the transfer starts is no read-out, and :func:`plan_readout`
-    nulls no phase at t <= 0.
+    nulls no phase at t <= 0.  A window on which the phase arguments
+    max|L| t_hi of the sectors the law reads leave the float range, or the
+    scanned average is not finite, is a NumericError naming it.
     ``phase_corrected`` asks for the field that nulls the arrival phase;
     this is the one place deciding whether it applies.  The occupied channel
     takes none: its average is not a function of a single arrival phase.
@@ -788,6 +789,15 @@ def find_optimal_time(
     if t_lo < 0.0:
         raise ParameterError(f"time window {window} starts below 0")
     check_grid(grid)
+    # the law reads the pair sector off the vacuum scenario of chains that
+    # are not free-fermion; its phase arguments L t must stay finite
+    sectors = (1,) if scenario is Scenario.ONE_QUBIT_VACUUM or is_free_fermion(spec) else (1, 2)
+    phase = max(float(np.abs(sector_spectrum(spec, q).eigenvalues).max()) for q in sectors) * t_hi
+    if not np.isfinite(phase):
+        raise NumericError(
+            f"the phase arguments on time window {window} are not finite "
+            f"(max |L| t = {phase}): the window is too long to evaluate"
+        )
     scanned = (t_lo, t_hi, int(grid))
     ts = np.linspace(*scanned)
     curve = _pruned_curve(spec, scenario, ts, phase_corrected)
@@ -913,15 +923,16 @@ def time_for_target_avg(
 
     ``tuning`` is the result of :func:`find_optimal_time` for ``spec`` and
     ``scenario``.  A clock ticks back from t_opt in steps of
-    TARGET_WALK_STEP * t_opt down to 0; the average is scanned on blocks of
-    TARGET_TICK_BLOCK ticks until one falls below the target.  That tick and
+    TARGET_WALK_STEP * t_opt down to 0, at most 10 002 ticks (well inside
+    one TIME_CHUNK), and the average is evaluated on all of them in one
+    :func:`avg_fidelity_curve` call.  The first tick below the target and
     the one before it bracket the crossing, which bisection narrows to
-    |<F> - target| <= 1e-9.  Approaching from the
-    early-time flank keeps the result deterministic and mimics a read-out
-    slightly before the peak.  Where the average has fringes narrower than
-    a tick (two-qubit transfer through the barrier chain) the clock steps
-    over some of them; the quoted two-qubit reference table is met at the
-    crossing it finds, not at the last one before the peak.
+    |<F> - target| <= 1e-9.  Approaching from the early-time flank keeps
+    the result deterministic and mimics a read-out slightly before the
+    peak.  Where the average has fringes narrower than a tick (two-qubit
+    transfer through the barrier chain) the clock steps over some of them;
+    the quoted two-qubit reference table is met at the crossing it finds,
+    not at the last one before the peak.
 
     Raises
     ------
@@ -943,13 +954,10 @@ def time_for_target_avg(
 
     step = max(t_opt * TARGET_WALK_STEP, 1e-9)
     ticks = np.maximum(t_opt - step * np.arange(int(np.ceil(t_opt / step)) + 1), 0.0)
-    for start in range(1, ticks.size, TARGET_TICK_BLOCK):
-        below = np.flatnonzero(curve(ticks[start : start + TARGET_TICK_BLOCK]) < target)
-        if below.size:
-            break
-    else:
+    below = np.flatnonzero(curve(ticks[1:]) < target)
+    if not below.size:
         raise RangeError(f"no crossing of target {target} found below the optimum")
-    first = start + below[0]
+    first = 1 + below[0]
     lo, hi = float(ticks[first]), float(ticks[first - 1])
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -58,23 +58,26 @@ GRID_STEP_TOL = 2.0
 
 @dataclass(frozen=True)
 class SpectralPropagator:
-    """Eigendecomposition of a sector Hamiltonian.
+    """Eigendecomposition of a sector Hamiltonian, with the sector's basis.
 
     ``eigenvalues`` are ascending; ``eigenvectors`` holds the orthonormal
     eigenbasis in its columns, so ``V diag(L) V^T`` reconstructs the matrix.
+    ``basis`` labels the rows of ``eigenvectors``: :func:`propagator_rows`
+    reads configurations through it.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    basis: SectorBasis | None = None
+    basis: SectorBasis
 
     @property
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
 
 
-def diagonalize(matrix: np.ndarray, basis: SectorBasis | None = None) -> SpectralPropagator:
-    """Diagonalize a real symmetric matrix and validate the result.
+def diagonalize(matrix: np.ndarray, basis: SectorBasis) -> SpectralPropagator:
+    """Diagonalize the real symmetric matrix of a sector and validate the
+    result; ``basis`` is the sector's basis, which the propagator carries.
 
     Raises
     ------

@@ -350,26 +350,18 @@ def _sum_counts(bin_block, blocks, n_bins: int, workers: int) -> np.ndarray:
     return sum(totals, np.zeros(n_bins, dtype=np.int64))
 
 
-def ks_distance(samples, law) -> float:
-    """Kolmogorov-Smirnov distance between samples and a fidelity law.
+def ks_distance(hist: Histogram, law) -> float:
+    """Kolmogorov-Smirnov distance between a :class:`Histogram` and a
+    fidelity law, the empirical CDF compared at the bin edges.
 
-    ``samples`` is either a 1-d array of draws or a :class:`Histogram`; in
-    the binned case the empirical CDF is compared at the bin edges.  ``law``
-    is a :class:`~spintransfer.analytics.FidelityLaw`; several rows compare
-    as their equal-weight mixture.
+    ``law`` is a :class:`~spintransfer.analytics.FidelityLaw`; several rows
+    compare as their equal-weight mixture.  Any input other than a
+    ``Histogram`` is a ParameterError.
     """
-    if isinstance(samples, Histogram):
-        cum = np.concatenate(([0.0], np.cumsum(samples.counts))) / samples.n_samples
-        model = law.cdf(samples.bin_edges)
-        return float(np.abs(cum - model).max())
-    values = np.sort(np.asarray(samples, dtype=float))
-    n = values.size
-    if n == 0:
-        raise ParameterError("need at least one sample")
-    model = law.cdf(values)
-    upper = np.abs(np.arange(1, n + 1) / n - model).max()
-    lower = np.abs(model - np.arange(0, n) / n).max()
-    return float(max(upper, lower))
+    if not isinstance(hist, Histogram):
+        raise ParameterError(f"ks_distance takes a Histogram, got {type(hist).__name__}")
+    cum = np.concatenate(([0.0], np.cumsum(hist.counts))) / hist.n_samples
+    return float(np.abs(cum - law.cdf(hist.bin_edges)).max())
 
 
 def default_bin_edges(law, bins: int = 200) -> np.ndarray:

@@ -7,9 +7,10 @@ whose energy the gauge sets to zero, so no law reads it and it has no basis
 here.  Each sector gets a dense coordinate space with one rule for both
 excitation numbers q: its configurations are
 ``itertools.combinations(range(1, N + 1), q)``, the strictly increasing
-flipped-site tuples in lexicographic order.  This module owns that ordering
-and the two-way maps between configurations and vector indices.  Sites are
-labelled 1..N throughout the package.
+flipped-site tuples in lexicographic order.  This module owns that ordering:
+``configurations[k]`` is the configuration at dense index k, and
+:meth:`SectorBasis.index_of` maps a configuration back to its index.  Sites
+are labelled 1..N throughout the package.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .errors import ParameterError
 @dataclass(frozen=True)
 class SectorBasis:
     """Ordered basis of all configurations with a fixed excitation count.
+
+    ``configurations[k]`` is the configuration at dense index k, and
+    :meth:`index_of` maps a configuration to its index.
 
     Attributes
     ----------
@@ -58,14 +62,6 @@ class SectorBasis:
                 f"the (n_sites={self.n_sites}, q={self.n_excitations}) sector"
             )
         return index
-
-    def config_of(self, index: int) -> tuple[int, ...]:
-        """Return the configuration stored at a dense index."""
-        if not 0 <= index < self.dimension:
-            raise ParameterError(
-                f"index {index} outside [0, {self.dimension}) for this sector"
-            )
-        return self.configurations[index]
 
 
 def build_sector_basis(n_sites: int, n_excitations: int) -> SectorBasis:

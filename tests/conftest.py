@@ -56,6 +56,18 @@ def one_row_law(*coefficients) -> FidelityLaw:
     return FidelityLaw(np.array([coefficients], dtype=float))
 
 
+def sample_ks_distance(samples, law: FidelityLaw) -> float:
+    """Two-sided Kolmogorov-Smirnov distance between raw draws and a
+    fidelity law, from the sorted samples: the tests' reference beside the
+    binned :func:`~spintransfer.sampling.ks_distance` of the Monte Carlo."""
+    values = np.sort(np.asarray(samples, dtype=float))
+    n = values.size
+    model = law.cdf(values)
+    upper = np.abs(np.arange(1, n + 1) / n - model).max()
+    lower = np.abs(model - np.arange(0, n) / n).max()
+    return float(max(upper, lower))
+
+
 def sample_bloch(rng: np.random.Generator, size: int):
     """Angles (theta, phi) of ``size`` states uniform on the Bloch sphere.
 

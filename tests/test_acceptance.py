@@ -36,11 +36,15 @@ from spintransfer.sampling import (
     RandomStream,
     bloch_states,
     concurrence,
-    ks_distance,
     sample_two_qubit_pure,
 )
 
-from conftest import avg_fidelity_one_qubit_vacuum, make_random_chain, sample_bloch
+from conftest import (
+    avg_fidelity_one_qubit_vacuum,
+    make_random_chain,
+    sample_bloch,
+    sample_ks_distance,
+)
 
 MC_SAMPLES = 1_000_000
 TARGET = 0.99
@@ -240,14 +244,14 @@ def test_criterion_6_pdf_correctness_vs_mc():
         samples = _fidelity_samples_one_qubit(
             kraus, MC_SAMPLES, RandomStream(606, seed_offset)
         )
-        distance = ks_distance(samples, pdf)
+        distance = sample_ks_distance(samples, pdf)
         details.append(f"{name} 1q {distance:.4f}")
         worst = max(worst, distance)
     for seed_offset, name in enumerate(("barrier", "weak")):
         plan, affine = two_qubit_plan(name)
         states = sample_two_qubit_pure(RandomStream(616, seed_offset).generator(), MC_SAMPLES)
         samples = affine.evaluate(concurrence(states))[0]
-        distance = ks_distance(samples, affine)
+        distance = sample_ks_distance(samples, affine)
         details.append(f"{name} 2q {distance:.4f}")
         worst = max(worst, distance)
     # the engineered chain cannot be tuned to the 0.99 two-qubit average
@@ -264,7 +268,7 @@ def test_criterion_6_pdf_correctness_vs_mc():
     )
     states = sample_two_qubit_pure(RandomStream(616, 9).generator(), MC_SAMPLES)
     samples = affine.evaluate(concurrence(states))[0]
-    distance = ks_distance(samples, affine)
+    distance = sample_ks_distance(samples, affine)
     details.append(f"perfect 2q(at own optimum) {distance:.4f}")
     worst = max(worst, distance)
     ok = worst <= 0.01

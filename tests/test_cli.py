@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -14,10 +15,11 @@ from spintransfer.chain import ChainSpec, Perfect, protocol_preset
 from spintransfer.certify import (
     check_oracle_amplitudes,
     check_perfect_spectrum,
+    check_sector_dimensions,
     check_sector_hamiltonians,
     run_certification,
 )
-from spintransfer import analytics, channel, dynamics, oracle
+from spintransfer import analytics, certify, channel, dynamics, oracle
 from spintransfer.cli import (
     EXIT_CERTIFY,
     EXIT_NUMERIC,
@@ -28,6 +30,7 @@ from spintransfer.cli import (
 )
 from spintransfer.dynamics import sector_spectrum
 from spintransfer.oracle import MAX_ORACLE_BLOCK
+from spintransfer.sectors import SectorBasis
 
 
 def run_cli(*argv) -> int:
@@ -773,6 +776,19 @@ def test_gauge_check_sees_a_missing_vacuum_shift(monkeypatch):
     assert not result.passed and result.max_error > 1e-3
 
 
+def test_sector_dimensions_check_sees_a_basis_off_by_one_site(monkeypatch):
+    # sites 0..N-1 give the right sizes and a consistent index, but not the
+    # sites 1..N that the oracle's bit patterns hold
+    monkeypatch.setattr(
+        certify,
+        "build_sector_basis",
+        lambda n, q: SectorBasis(n, q, tuple(combinations(range(n), q))),
+    )
+    result = check_sector_dimensions()
+    assert not result.passed and result.max_error == 1.0
+    assert result.detail == "basis differs from the bit patterns at N=2 q=1"
+
+
 def test_sign_flip_is_gauge_equivalent():
     # flipping one bond sign is a basis sign change: the spectrum survives,
     # so magnitude corruption (not sign) is the right regression stimulus
@@ -902,7 +918,7 @@ def diagonalised_sizes(monkeypatch, args) -> list[int]:
     sizes = []
     diagonalize = dynamics.diagonalize
 
-    def recording(matrix, basis=None):
+    def recording(matrix, basis):
         sizes.append(np.shape(matrix)[0])
         return diagonalize(matrix, basis)
 
@@ -989,9 +1005,9 @@ def test_ks_gate_sees_a_wrong_sector_eigenvalue(tmp_path, monkeypatch):
     # KS gate with every file written
     diagonalize = dynamics.diagonalize
 
-    def shifted(matrix, basis=None):
+    def shifted(matrix, basis):
         prop = diagonalize(matrix, basis)
-        if basis is None or basis.n_excitations != 1:
+        if basis.n_excitations != 1:
             return prop
         eigenvalues = prop.eigenvalues.copy()
         eigenvalues[eigenvalues.size // 2] += 1e-6
@@ -1042,24 +1058,23 @@ def test_ladder_past_the_float_range_writes_nothing(tmp_path, capsys, protocol, 
     assert not out.exists()
 
 
-# the phase arguments L t overflow on this window: numpy warns, the law is NaN
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "command",
     [["tune", "--aux-field", "off"], ["tune"], ["pdf", "--aux-field", "off", "--mc-samples", "100"]],
     ids=["tune", "tune_field", "pdf"],
 )
 def test_non_finite_scan_writes_nothing(tmp_path, capsys, command):
-    # a scan whose average is NaN wrote t_opt 1.4e307 and avg_fidelity NaN
-    # (no valid JSON), or failed later with a message about counts or the
-    # field; it now exits 5 naming the window, before any file is written
+    # the phase arguments L t overflow on this window: the run exits 5
+    # naming the window before any phase is evaluated, so numpy raises no
+    # warning (an error under the project's pytest settings) and no file
+    # is written
     out = tmp_path / "run"
     code = run_cli(*command, "--protocol", "perfect", "--n-sites", "8",
                    "--scenario", "one_qubit_vacuum", "--window", "0:1e308", "--grid", "100",
                    "--out", str(out))
     assert code == EXIT_NUMERIC
-    assert "window (0.0, 1e+308)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "window (0.0, 1e+308)" in err and err.count("\n") == 1
     assert not out.exists()  # no result.json, nor any other file
 
 

@@ -23,7 +23,7 @@ BOND = ChainSpec(2, np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2)), np.zer
 
 
 def test_diagonalize_two_by_two():
-    prop = diagonalize(np.array([[0.0, 2.0], [2.0, 0.0]]))
+    prop = diagonalize(np.array([[0.0, 2.0], [2.0, 0.0]]), build_sector_basis(2, 1))
     assert np.allclose(prop.eigenvalues, [-2.0, 2.0])
     for col, expected in zip(prop.eigenvectors.T, ([1, -1], [1, 1])):
         expected = np.asarray(expected) / np.sqrt(2.0)
@@ -31,19 +31,20 @@ def test_diagonalize_two_by_two():
 
 
 def test_diagonalize_identity():
-    prop = diagonalize(np.eye(5))
+    prop = diagonalize(np.eye(5), build_sector_basis(5, 1))
     assert np.allclose(prop.eigenvalues, 1.0)
     assert np.abs(prop.eigenvectors @ prop.eigenvectors.T - np.eye(5)).max() < 1e-12
 
 
 def test_diagonalize_rejects_asymmetric():
     with pytest.raises(ParameterError):
-        diagonalize(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        diagonalize(np.array([[0.0, 1.0], [0.5, 0.0]]), build_sector_basis(2, 1))
 
 
 def test_perfect_spectrum_equally_spaced():
     spec = protocol_preset(Perfect(), 6)
-    prop = diagonalize(sector_hamiltonian(spec, build_sector_basis(6, 1)))
+    basis = build_sector_basis(6, 1)
+    prop = diagonalize(sector_hamiltonian(spec, basis), basis)
     gaps = np.diff(prop.eigenvalues)
     assert np.abs(gaps - gaps[0]).max() <= 1e-9
 

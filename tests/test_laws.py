@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import make_random_chain, one_row_law, seeded_chain
+from conftest import make_random_chain, one_row_law, sample_ks_distance, seeded_chain
 
 from spintransfer.analytics import (
     COLLAPSE_WIDTH,
@@ -35,7 +35,7 @@ from spintransfer.dynamics import (
     sector_spectrum,
 )
 from spintransfer.errors import ModelError
-from spintransfer.sampling import bloch_states, ks_distance
+from spintransfer.sampling import bloch_states
 
 ONE_QUBIT = (Scenario.ONE_QUBIT_VACUUM, Scenario.ONE_QUBIT_UNIFORM)
 
@@ -425,7 +425,7 @@ def test_fidelity_law_rows_are_their_distributions(spec, t, scenario):
     n = 2001
     u = (np.arange(n) + 0.5) / n
     inputs = np.sqrt(1.0 - (1.0 - u) ** (2.0 / 3.0)) if two_qubit else 2.0 * u - 1.0
-    assert ks_distance(law.evaluate(inputs)[0], law) <= 2.0 / n
+    assert sample_ks_distance(law.evaluate(inputs)[0], law) <= 2.0 / n
 
 
 @given(specs, st.floats(0.1, 12.0), st.sampled_from(list(Scenario)), st.integers(2, 5))

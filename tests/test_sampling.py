@@ -11,6 +11,7 @@ from conftest import (
     mc_local_unitary_fidelity,
     sample_bloch,
     sample_haar_unitary_2,
+    sample_ks_distance,
 )
 from spintransfer import analytics, sampling
 from spintransfer.analytics import (
@@ -173,14 +174,21 @@ def test_ks_distance_self_samples():
     quad_form = vacuum_quadratic(0.9, 0.4)
     rng = RandomStream(21).generator()
     samples = quad_form.evaluate(rng.uniform(-1.0, 1.0, N_MOMENT))[0]
-    assert ks_distance(samples, quad_form) <= 1.628 / np.sqrt(N_MOMENT)
-    assert ks_distance(samples, quad_form) <= 0.002
+    assert sample_ks_distance(samples, quad_form) <= 1.628 / np.sqrt(N_MOMENT)
+    assert sample_ks_distance(samples, quad_form) <= 0.002
 
 
 def test_ks_distance_delta_vs_spread():
     pdf = vacuum_quadratic(1.0, 0.0)  # a step at 1
     samples = np.linspace(0.0, 0.999, 1000)
-    assert ks_distance(samples, pdf) > 0.99
+    assert sample_ks_distance(samples, pdf) > 0.99
+
+
+def test_ks_distance_takes_only_a_histogram():
+    # the Monte Carlo hands ks_distance a Histogram; raw draws are the
+    # tests' reference (conftest.sample_ks_distance), not a second form
+    with pytest.raises(ParameterError, match="Histogram"):
+        ks_distance(np.linspace(0.0, 0.999, 1000), vacuum_quadratic(1.0, 0.0))
 
 
 def test_mc_local_unitary_identity_channel():

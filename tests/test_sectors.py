@@ -30,7 +30,7 @@ def test_round_trip_and_dimensions():
             basis = build_sector_basis(n, q)
             assert basis.dimension == comb(n, q)
             for k in range(basis.dimension):
-                assert basis.index_of(basis.config_of(k)) == k
+                assert basis.index_of(basis.configurations[k]) == k
 
 
 @pytest.mark.parametrize(
@@ -47,5 +47,3 @@ def test_bad_configs_rejected():
     for config in [(3, 1), (0, 1), (2, 6), (2,), (2, 2)]:
         with pytest.raises(ParameterError):
             basis.index_of(config)
-    with pytest.raises(ParameterError):
-        basis.config_of(10)
