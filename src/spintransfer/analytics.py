@@ -83,7 +83,7 @@ DEFAULT_TIMING_FRACTION = 0.02
 JITTER_MIX_NODES = 41
 MIN_SCAN_GRID = 100
 # A scan holds its times and its curve, 8 B each per grid point: 1 GiB at
-# most.  The ladder's own grids stop at 2e6 points.
+# most.  The ladder's own grids stop at 4e5 points.
 MAX_SCAN_GRID = 2**30 // 16
 NORMALIZATION_NODES = 64
 
@@ -775,9 +775,12 @@ def find_optimal_time(
     scan, bit for bit.
     The window is finite, ordered and starts at 0 or later: a read-out
     before the transfer starts is no read-out, and :func:`plan_readout`
-    nulls no phase at t <= 0.  A window on which the phase arguments
-    max|L| t_hi of the sectors the law reads leave the float range, or the
-    scanned average is not finite, is a NumericError naming it.
+    nulls no phase at t <= 0.  The scan and the refinement run with
+    numpy's overflow, invalid and divide errors raised, so a window whose
+    phase arguments L t leave the float range fails at the first operation
+    that leaves it; that error, or a scanned or refined average that is not
+    finite (a quiet NaN raises no error), is a NumericError naming the
+    window.
     ``phase_corrected`` asks for the field that nulls the arrival phase;
     this is the one place deciding whether it applies.  The occupied channel
     takes none: its average is not a function of a single arrival phase.
@@ -789,28 +792,26 @@ def find_optimal_time(
     if t_lo < 0.0:
         raise ParameterError(f"time window {window} starts below 0")
     check_grid(grid)
-    # the law reads the pair sector off the vacuum scenario of chains that
-    # are not free-fermion; its phase arguments L t must stay finite
-    sectors = (1,) if scenario is Scenario.ONE_QUBIT_VACUUM or is_free_fermion(spec) else (1, 2)
-    phase = max(float(np.abs(sector_spectrum(spec, q).eigenvalues).max()) for q in sectors) * t_hi
-    if not np.isfinite(phase):
-        raise NumericError(
-            f"the phase arguments on time window {window} are not finite "
-            f"(max |L| t = {phase}): the window is too long to evaluate"
-        )
     scanned = (t_lo, t_hi, int(grid))
     ts = np.linspace(*scanned)
-    curve = _pruned_curve(spec, scenario, ts, phase_corrected)
-    best = int(np.argmax(curve))
-    lo = ts[max(best - 1, 0)]
-    hi = ts[min(best + 1, len(ts) - 1)]
 
     def objective(t: float) -> float:
         return float(
             avg_fidelity_curve(spec, scenario, np.array([t]), phase_corrected)[0]
         )
 
-    t_opt, f_opt = _golden_max(objective, lo, hi, rel_tol=1e-8)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            curve = _pruned_curve(spec, scenario, ts, phase_corrected)
+            best = int(np.argmax(curve))
+            lo = ts[max(best - 1, 0)]
+            hi = ts[min(best + 1, len(ts) - 1)]
+            t_opt, f_opt = _golden_max(objective, lo, hi, rel_tol=1e-8)
+    except FloatingPointError as exc:
+        raise NumericError(
+            f"the average fidelity on time window {window} meets a floating-point "
+            f"error ({exc}): the window is too long to evaluate"
+        ) from exc
     # argmax picks the first NaN, so a non-finite scan shows at its best sample
     if not np.isfinite([curve[best], f_opt]).all():
         raise NumericError(
@@ -985,9 +986,6 @@ def time_window_ladder(kind) -> list[tuple[float, float, int]]:
     pi/4 regardless of size.  A ``j0`` or ``h0`` that puts a window past the
     float range is a ParameterError naming it.
     """
-    def grid_for(span: float, step: float) -> int:
-        return int(min(2_000_000, max(20_000, span / step)))
-
     if isinstance(kind, Perfect):
         return [(0.0, 2.0, 20_000)]
     if isinstance(kind, Weak):
@@ -1005,7 +1003,9 @@ def time_window_ladder(kind) -> list[tuple[float, float, int]]:
     for hi in windows:
         if out and hi <= out[-1][1]:
             continue
-        out.append((0.0, hi, grid_for(hi, max(0.01, hi / 400_000.0))))
+        # steps of 0.01, or of hi / 4e5 where longer: 2e4 to 4e5 points
+        step = max(0.01, hi / 400_000.0)
+        out.append((0.0, hi, int(max(20_000, hi / step))))
     return out
 
 
@@ -1092,9 +1092,9 @@ def resolve_mode(mode: dict | None, jitter: bool = False) -> dict:
     ``at_optimal``).  Each type takes at most one number, as a number or
     numeric text but never a boolean: ``timing_error`` its ``fraction`` in
     [0, 0.5] (DEFAULT_TIMING_FRACTION when omitted), ``target_avg`` its
-    ``value``.  ``jitter`` applies to ``timing_error`` only.  Returns
-    ``{"type": ...}`` plus the type's number as a float; an unknown type, a
-    key the type does not take or a bad number is a ParameterError.
+    ``value`` in (0.5, 1).  ``jitter`` applies to ``timing_error`` only.
+    Returns ``{"type": ...}`` plus the type's number as a float; an unknown
+    type, a key the type does not take or a bad number is a ParameterError.
     """
     if mode is not None and not isinstance(mode, dict):
         raise ParameterError(f"mode must be a JSON object, got {mode!r}")
@@ -1116,6 +1116,8 @@ def resolve_mode(mode: dict | None, jitter: bool = False) -> dict:
         raise ParameterError(f"timing_error fraction must lie in [0, 0.5], got {resolved[key]}")
     if jitter and mode_type != "timing_error":
         raise ParameterError(f"jitter applies to the timing_error mode, not {mode_type}")
+    if key == "value" and not 0.5 < resolved[key] < 1.0:
+        raise ParameterError(f"target_avg value must lie in (0.5, 1), got {resolved[key]}")
     return resolved
 
 

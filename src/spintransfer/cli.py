@@ -137,8 +137,6 @@ class ExperimentConfig:
         protocol = _protocol(self.protocol)
         jitter = _boolean("jitter", self.jitter)
         mode = resolve_mode(self.mode, jitter)
-        if mode["type"] == "target_avg" and not 0.5 < mode["value"] < 1.0:
-            raise ParameterError(f"target_avg value must lie in (0.5, 1), got {mode['value']}")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ParameterError(
                 "output_dir must be a non-empty string (flag --out, config field, or "

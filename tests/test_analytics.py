@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -27,13 +29,14 @@ from spintransfer.analytics import (
     phase_null_field,
     plan_readout,
     quadratic_reduce_one_qubit,
+    resolve_mode,
     time_for_target_avg,
     time_window_ladder,
     tune_with_ladder,
     vacuum_quadratic,
 )
 from spintransfer.chain import Barrier, Perfect, Weak, protocol_preset
-from spintransfer.certify import _clifford_group_su2, random_isometry_kraus
+from spintransfer.certify import _clifford_group_su2, random_isometry_kraus, random_spec
 from spintransfer.channel import Scenario, fidelity_many, kraus_at_times
 from spintransfer.dynamics import (
     GRID_FACTOR_MIN,
@@ -42,7 +45,7 @@ from spintransfer.dynamics import (
     propagator_at,
     sector_spectrum,
 )
-from spintransfer.errors import ModelError, ParameterError, RangeError
+from spintransfer.errors import ModelError, NumericError, ParameterError, RangeError
 from spintransfer.sampling import RandomStream, schmidt_state
 
 
@@ -257,6 +260,23 @@ def test_two_qubit_affine_at_zero(rng):
 CLIFFORD = np.asarray(_clifford_group_su2())
 
 
+def test_clifford_group_is_the_group():
+    # 24 unitaries, pairwise distinct up to phase, closed under products up
+    # to phase, and holding the generators H and S
+    assert CLIFFORD.shape == (24, 2, 2)
+    assert np.abs(CLIFFORD @ CLIFFORD.conj().transpose(0, 2, 1) - np.eye(2)).max() <= 1e-15
+
+    def overlaps(a, b):  # |tr A^dagger B| for every pair; 2 where equal up to phase
+        return np.abs(np.einsum("aji,bjk->abik", a.conj(), b).trace(axis1=2, axis2=3))
+
+    assert (overlaps(CLIFFORD, CLIFFORD)[~np.eye(24, dtype=bool)] < 2.0 - 1e-9).all()
+    products = np.einsum("aij,bjk->abik", CLIFFORD, CLIFFORD).reshape(-1, 2, 2)
+    assert (overlaps(products, CLIFFORD).max(axis=1) > 2.0 - 1e-9).all()
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    generators = np.array([hadamard, np.diag([1.0, 1.0j])])
+    assert (overlaps(generators, CLIFFORD).max(axis=1) > 2.0 - 1e-9).all()
+
+
 @given(st.integers(1, 8), st.integers(0, 2**31 - 1))
 def test_affine_from_kraus_matches_trace_sums_and_clifford_twirl(n_ops, seed):
     # the Pauli-transfer-matrix reading vs the trace-sum formula, written out
@@ -367,6 +387,18 @@ def test_find_optimal_time_validation():
     # phase-corrected mean peaked at 1.0, a field no plan applies at t <= 0
     with pytest.raises(ParameterError, match="below 0"):
         find_optimal_time(spec, Scenario.ONE_QUBIT_VACUUM, (-2.0, -0.1), 2000)
+
+
+@pytest.mark.parametrize("phase_corrected", [False, True])
+@pytest.mark.parametrize("scenario", [Scenario.ONE_QUBIT_UNIFORM, Scenario.TWO_QUBIT_VACUUM])
+def test_overflowing_window_on_the_pair_sector_path(scenario, phase_corrected):
+    # a ZZ chain's occupied and two-qubit laws read pair-sector rows; their
+    # phase arguments overflow on this window, and the scan's own
+    # floating-point error names it, with no warning (an error under the
+    # project's pytest settings)
+    spec = random_spec(np.random.default_rng(5), 6, "zz")
+    with pytest.raises(NumericError, match=re.escape("window (0.0, 1e+308)")):
+        find_optimal_time(spec, scenario, (0.0, 1e308), 100, phase_corrected)
 
 
 def test_time_for_target(rng):
@@ -590,6 +622,16 @@ def test_plan_readout_rejects_bad_modes(perfect_tuning, mode, jitter, message):
     spec, tuning = perfect_tuning
     with pytest.raises(ParameterError, match=message):
         plan_readout(spec, Scenario.ONE_QUBIT_VACUUM, tuning, mode, jitter=jitter)
+
+
+def test_resolve_mode_checks_the_target_range():
+    # the target's range lives with the mode's other rules, so library
+    # plans reject what the CLI rejects
+    for value in (0.4, 0.5, 1.0):
+        with pytest.raises(ParameterError, match=r"\(0\.5, 1\)"):
+            resolve_mode({"type": "target_avg", "value": value})
+    resolved = resolve_mode({"type": "target_avg", "value": "0.99"})
+    assert resolved == {"type": "target_avg", "value": 0.99}
 
 
 def test_plan_readout_default_timing_fraction(perfect_tuning):

@@ -1064,10 +1064,10 @@ def test_ladder_past_the_float_range_writes_nothing(tmp_path, capsys, protocol, 
     ids=["tune", "tune_field", "pdf"],
 )
 def test_non_finite_scan_writes_nothing(tmp_path, capsys, command):
-    # the phase arguments L t overflow on this window: the run exits 5
-    # naming the window before any phase is evaluated, so numpy raises no
-    # warning (an error under the project's pytest settings) and no file
-    # is written
+    # the phase arguments L t overflow on this window: the scan's
+    # floating-point error becomes exit 5 naming the window, so numpy
+    # raises no warning (an error under the project's pytest settings) and
+    # no file is written
     out = tmp_path / "run"
     code = run_cli(*command, "--protocol", "perfect", "--n-sites", "8",
                    "--scenario", "one_qubit_vacuum", "--window", "0:1e308", "--grid", "100",
