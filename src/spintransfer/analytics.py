@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -286,8 +286,6 @@ class FidelityLaw:
         inside a segment.  Rows go through in blocks of at most TIME_CHUNK
         density values.
         """
-        from numpy.polynomial.legendre import leggauss
-
         points = np.asarray(points, dtype=float)
         n_rows = len(self.coefficients)
         points = np.broadcast_to(points, (n_rows, points.shape[-1]))
@@ -300,7 +298,7 @@ class FidelityLaw:
         lo, hi = points[:, :-1], points[:, 1:]
         left, right = self._anchors(lo, hi)
         span = right - left
-        nodes, weights = leggauss(NORMALIZATION_NODES)
+        nodes, weights = _gauss_legendre()
         # empty and NaN segments give NaN masses, dropped at the end
         with np.errstate(divide="ignore", invalid="ignore"):
             # tau of p and q, from (1 - cos tau) / 2 = sin^2(tau / 2) = (f - l) / (r - l)
@@ -335,6 +333,20 @@ class FidelityLaw:
         left = np.where((vertex <= lo) & (lo - vertex <= width), vertex, lo)
         right = np.where((vertex >= hi) & (vertex - hi <= width), vertex, hi)
         return left, right
+
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The ``NORMALIZATION_NODES``-point Gauss-Legendre nodes and weights on
+    [-1, 1], read-only.  ``leggauss`` takes most of a one-row
+    :meth:`FidelityLaw.normalization`, so the rule is computed once, and
+    ``numpy.polynomial`` is imported on the first call only."""
+    from numpy.polynomial.legendre import leggauss
+
+    rule = leggauss(NORMALIZATION_NODES)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def _law_at(columns, x):

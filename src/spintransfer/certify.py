@@ -17,19 +17,24 @@ Kraus sets come from the full-space oracle, which stores each state as the
 excitation-number blocks it occupies, at most C(N, 2) wide for transfer
 inputs (:func:`~spintransfer.channel.kraus_at_times`).  A laws-vs-Kraus
 comparison therefore checks the rows, the closed forms and the laws'
-arithmetic together: ``channel_oracle_equivalence`` sweeps the presets'
-Kraus sets of every scenario, and ``fidelity_law_rows_vs_kraus`` random
-chains of three kinds.  Both reductions read the Pauli transfer matrix,
-which ``bloch_map_vs_kraus`` pins against state vectors.  The rows are
-also pinned one by one: against full sector propagators, the determinant
-identity against the pair sector itself (``pair_rows_vs_sector``), and the
-oracle's blocks (``oracle_amplitude_equivalence`` on
-nearest-neighbour, long-range and ZZ chains).  Kraus sets, oracle states
-and everything read from them carry a leading time axis, one time being
-the stack over ``[t]``; the sweep evaluates the read-out times of each
-case as one batch, so a case costs a few array operations rather than one
-Python round trip per time.  The ``certify`` subcommand runs the whole
-suite.
+arithmetic together.  One sweep makes every such comparison
+(:func:`check_channels_against_oracle`): each case, a preset of every
+scenario or a random chain of one of three kinds, builds its Kraus set and
+its law once, and completeness, the coefficient gap
+(``channel_oracle_equivalence`` on presets, ``fidelity_law_rows_vs_kraus``
+on random chains), fidelity duality, the density's normalization (one- and
+two-qubit) and the two-qubit Clifford twirl all read them.  A new
+law-vs-channel case or comparison belongs in that sweep.  Both reductions
+read the Pauli transfer matrix, which ``bloch_map_vs_kraus`` pins against
+state vectors.  The rows are also pinned one by one: against full sector
+propagators, the determinant identity against the pair sector itself
+(``pair_rows_vs_sector``), and the oracle's blocks
+(``oracle_amplitude_equivalence`` on nearest-neighbour, long-range and ZZ
+chains).  Kraus sets, oracle states and everything read from them carry a
+leading time axis, one time being the stack over ``[t]``; the sweep
+evaluates the read-out times of each case as one batch, so a case costs a
+few array operations rather than one Python round trip per time.  The
+``certify`` subcommand runs the whole suite.
 """
 
 from __future__ import annotations
@@ -82,6 +87,16 @@ from .analytics import (
 REPORT_SCHEMA_VERSION = 1
 ORACLE_TIMES_PER_CASE = 10
 BLOCH_MAP_INPUTS = 1000
+# the checks of the law-vs-channel sweep, in report order, and the largest
+# error each passes at
+SWEEP_TOLERANCES = {
+    "kraus_completeness": 1e-9,
+    "channel_oracle_equivalence": 1e-9,
+    "fidelity_duality": 1e-12,
+    "fidelity_law_rows_vs_kraus": 1e-12,
+    "pdf_normalization": 1e-6,
+    "two_qubit_twirl_vs_clifford": 1e-10,
+}
 
 
 @dataclass(frozen=True)
@@ -314,97 +329,113 @@ def reduce_kraus(kraus: KrausSet) -> FidelityLaw:
     return affine_from_kraus(kraus) if kraus.dim == 4 else quadratic_reduce_one_qubit(kraus)
 
 
-def check_channels_against_oracle(n_max: int, seed: int = 14) -> list[CheckResult]:
-    """Completeness, law-vs-oracle-channel equivalence and fidelity duality
-    in one sweep.
+def check_channels_against_oracle(
+    n_max: int, seed: int = 14, chain_seed: int = 15
+) -> list[CheckResult]:
+    """Every law-vs-channel comparison in one sweep: each case builds its
+    Kraus stack and its fidelity law once, and every check reads them.
 
-    Each (N, protocol, scenario) case is checked at ORACLE_TIMES_PER_CASE
-    random times, each with its own random sender state.  The times of a
-    case are evaluated as one batch: a Kraus stack over the times
-    (:func:`~spintransfer.channel.kraus_at_times`, one oracle evolution of
-    the sender basis states), the fidelity law of the same times, and the
-    channel outputs and fidelities along the same leading axis.
-    ``channel_oracle_equivalence`` is the largest coefficient gap between
-    the law, read from the sector rows, and the exact reduction of the
-    oracle's Kraus set (:func:`reduce_kraus`): the two share no amplitude
-    code, so it pins the rows, the laws' closed forms and their arithmetic
-    at once.
+    The cases come in two lists.  The presets, every (N, protocol, scenario)
+    for N in 4..n_max with two-sender variants from N = 6, take
+    ORACLE_TIMES_PER_CASE random times from the ``seed`` stream, each with
+    its own random sender state, and evaluate them as one batch: a Kraus
+    stack over the times (:func:`~spintransfer.channel.kraus_at_times`, one
+    oracle evolution of the sender basis states), the law of the same
+    times, and the channel outputs and fidelities along the same leading
+    axis.  The random chains, one of each kind of :func:`random_spec` at
+    N = 6 and 9 and one time each from the ``chain_seed`` stream, take
+    every scenario.  On the long-range and ZZ chains the laws sum the one-
+    and two-excitation rows; on nearest-neighbour chains they are
+    free-fermion closed forms in at most four one-excitation amplitudes.
+
+    The checks:
+
+    * ``kraus_completeness``: every case's Kraus stack is trace preserving;
+    * ``channel_oracle_equivalence`` (presets) and
+      ``fidelity_law_rows_vs_kraus`` (random chains): the largest
+      coefficient gap between the law, read from the sector rows, and the
+      exact reduction of the oracle's Kraus set (:func:`reduce_kraus`).  The
+      two share no amplitude code and the reductions read the Pauli
+      transfer matrix, so the gap pins the rows, the laws' closed forms and
+      their arithmetic at once.  On random chains it also takes the mean
+      the tuning scans maximize, and the closed-form vacuum quadratic of
+      the full propagator's amplitude;
+    * ``fidelity_duality`` (presets): the Kraus fidelity of each sender
+      state equals its overlap with the channel output;
+    * ``pdf_normalization`` (random chains, every scenario): each law's
+      density integrates to 1;
+    * ``two_qubit_twirl_vs_clifford`` (random two-qubit cases): the law
+      A - B C^2 against its definition, an average over local unitaries.
+      The single-qubit Clifford group is a unitary 2-design, so averaging
+      the channel fidelity over its 24 x 24 = 576 local pairs U (x) V
+      applied to a Schmidt state of concurrence C in {0, 1/2, 1} is the
+      Haar average exactly, with no sampling error.
+
+    The preset results' ``detail`` counts the preset cases, one per time.
     """
     rng = np.random.default_rng(seed)
-    worst_defect = 0.0
-    worst_gap = 0.0
-    worst_duality = 0.0
-    cases = 0
+    presets = []
     for n in range(4, n_max + 1):
-        variants = [protocol_specs(n)]
-        if n >= 6:
-            variants.append(protocol_specs(n, n_senders=2))
-        for spec_group in variants:
-            for spec in spec_group.values():
-                for scenario in Scenario:
-                    if n < scenario.min_sites:
-                        continue
+        for spec in [*protocol_specs(n).values(),
+                     *(protocol_specs(n, n_senders=2).values() if n >= 6 else ())]:
+            for scenario in Scenario:
+                if n >= scenario.min_sites:
                     times = rng.uniform(0.0, 12.0, ORACLE_TIMES_PER_CASE)
                     dim = 1 << len(scenario.senders)
                     psi = np.array([_sender_state(rng, dim) for _ in times])
-                    kraus = kraus_at_times(spec, scenario, times)
-                    worst_defect = max(worst_defect, float(kraus.completeness_defect.max()))
-                    law = fidelity_law(spec, scenario, times)
-                    gap = np.abs(reduce_kraus(kraus).coefficients - law.coefficients).max()
-                    worst_gap = max(worst_gap, float(gap))
-                    rho = apply_channel(kraus, psi)
-                    f_kraus = fidelity_many(kraus, psi[:, None, :])[:, 0]
-                    f_overlap = np.einsum("tk,tkl,tl->t", psi.conj(), rho, psi).real
-                    worst_duality = max(worst_duality, float(np.abs(f_kraus - f_overlap).max()))
-                    cases += times.size
-    detail = f"{cases} cases, N in 4..{n_max}"
-    return [
-        CheckResult("kraus_completeness", worst_defect <= 1e-9, worst_defect, detail),
-        CheckResult("channel_oracle_equivalence", worst_gap <= 1e-9, worst_gap, detail),
-        CheckResult("fidelity_duality", worst_duality <= 1e-12, worst_duality, detail),
+                    presets.append((spec, scenario, times, psi))
+    chain_rng = np.random.default_rng(chain_seed)
+    chains = [
+        (random_spec(chain_rng, n, kind), [float(chain_rng.uniform(1.0, 8.0))])
+        for n, kind in product((6, 9), ("nearest", "long_range", "zz"))
     ]
+    cases = presets + [
+        (spec, scenario, times, None) for spec, times in chains for scenario in Scenario
+    ]
+    group = _clifford_group_su2()
+    twirled = {
+        conc: np.einsum("mab,ncd,bd->mnac", group, group, schmidt_state(conc).reshape(2, 2))
+        .reshape(1, -1, 4)
+        for conc in (0.0, 0.5, 1.0)
+    }
+    worst = dict.fromkeys(SWEEP_TOLERANCES, 0.0)
 
+    def record(name: str, error) -> None:
+        worst[name] = max(worst[name], float(error))
 
-def check_quadratic_reduction(seed: int = 15) -> CheckResult:
-    """Fidelity laws vs the exact reductions of the oracle's Kraus sets.
-
-    Covers the coefficients of all three scenarios, the mean the tuning
-    scans maximize, and the closed-form vacuum quadratic, on random chains
-    of each kind (``channel_oracle_equivalence`` covers the presets).  The
-    laws read the sector rows: on nearest-neighbour chains the
-    occupied-channel and two-qubit laws are free-fermion closed forms in at
-    most four one-excitation amplitudes, and on long-range and ZZ chains
-    they sum the one- and two-excitation rows (leak terms from unitarity,
-    the two-qubit trace sums).  The Kraus sets come from the full-space
-    oracle and the reductions read their Pauli transfer matrix, so the two
-    sides share neither amplitudes nor arithmetic, and this pins the rows
-    and the laws' closed forms and arithmetic on chains of every kind.  The
-    vacuum closed form reads its amplitude from the full propagator
-    instead.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n, kind in product((6, 9), ("nearest", "long_range", "zz")):
-        spec = random_spec(rng, n, kind)
-        t = float(rng.uniform(1.0, 8.0))
-        for scenario in Scenario:
-            reduced = reduce_kraus(kraus_at_times(spec, scenario, [t]))
-            reference = reduced.coefficients[0]
-            if scenario is Scenario.ONE_QUBIT_VACUUM:
-                amp = propagator_at(sector_spectrum(spec, 1), t)[0, n - 1]
-                closed = vacuum_quadratic(abs(amp), float(np.angle(amp)))
-                closed_gap = reference - closed.coefficients[0]
-                worst = max(worst, float(np.abs(closed_gap).max()))
-            law = fidelity_law(spec, scenario, [t])
-            worst = max(
-                worst,
-                float(np.abs(law.coefficients[0] - reference).max()),
-                abs(float(law.mean[0] - reduced.mean[0])),
-            )
-    return CheckResult(
-        "fidelity_law_rows_vs_kraus", worst <= 1e-12, worst,
-        "all scenarios + vacuum closed form, chains of three kinds, N in {6, 9}",
-    )
+    for spec, scenario, times, psi in cases:
+        kraus = kraus_at_times(spec, scenario, times)
+        law = fidelity_law(spec, scenario, times)
+        reduced = reduce_kraus(kraus)
+        gap = np.abs(reduced.coefficients - law.coefficients).max()
+        record("kraus_completeness", kraus.completeness_defect.max())
+        if psi is not None:
+            record("channel_oracle_equivalence", gap)
+            rho = apply_channel(kraus, psi)
+            f_kraus = fidelity_many(kraus, psi[:, None, :])[:, 0]
+            f_overlap = np.einsum("tk,tkl,tl->t", psi.conj(), rho, psi).real
+            record("fidelity_duality", np.abs(f_kraus - f_overlap).max())
+            continue
+        record("fidelity_law_rows_vs_kraus", max(gap, abs(law.mean[0] - reduced.mean[0])))
+        record("pdf_normalization", abs(law.normalization() - 1.0))
+        if scenario is Scenario.ONE_QUBIT_VACUUM:
+            amp = propagator_at(sector_spectrum(spec, 1), times[0])[0, spec.n_sites - 1]
+            closed = vacuum_quadratic(abs(amp), float(np.angle(amp))).coefficients[0]
+            record("fidelity_law_rows_vs_kraus", np.abs(reduced.coefficients[0] - closed).max())
+        elif scenario is Scenario.TWO_QUBIT_VACUUM:
+            for conc, states in twirled.items():
+                average = fidelity_many(kraus, states).mean()
+                record("two_qubit_twirl_vs_clifford", abs(average - reduced.evaluate(conc)[0]))
+    chain_detail = f"{len(chains)} random chains of three kinds, N in {{6, 9}}"
+    details = [f"{len(presets) * ORACLE_TIMES_PER_CASE} cases, N in 4..{n_max}"] * 3 + [
+        f"all scenarios + mean + vacuum closed form, {chain_detail}",
+        f"all scenarios, {chain_detail}",
+        f"exact 2-design, C in {{0, 1/2, 1}}, {chain_detail}",
+    ]
+    return [
+        CheckResult(name, worst[name] <= tol, worst[name], detail)
+        for (name, tol), detail in zip(SWEEP_TOLERANCES.items(), details)
+    ]
 
 
 def check_bloch_map(seed: int = 20) -> CheckResult:
@@ -487,46 +518,6 @@ def check_min_fidelity_branches(seed: int = 21) -> CheckResult:
     )
 
 
-def check_pdf_normalization(seed: int = 16) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in (6, 9):
-        spec = random_spec(rng, n)
-        t = float(rng.uniform(1.0, 8.0))
-        for scenario in (Scenario.ONE_QUBIT_VACUUM, Scenario.ONE_QUBIT_UNIFORM):
-            law = fidelity_law(spec, scenario, [t])
-            worst = max(worst, abs(law.normalization() - 1.0))
-    return CheckResult("pdf_normalization", worst <= 1e-6, worst, "random channels")
-
-
-def check_two_qubit_twirl(seed: int = 17) -> CheckResult:
-    """The two-qubit law A - B C^2 against its definition, an average over
-    local unitaries.
-
-    The single-qubit Clifford group is a unitary 2-design, so averaging the
-    channel fidelity over its 24 x 24 = 576 local pairs U (x) V applied to a
-    Schmidt state of concurrence C is the Haar average exactly, with no
-    sampling error.  Kraus sets of random chains at N = 6 and 7 and C in
-    {0, 1/2, 1} are compared with the law read off their Pauli transfer
-    matrix.
-    """
-    rng = np.random.default_rng(seed)
-    group = _clifford_group_su2()
-    worst = 0.0
-    for n in (6, 7):
-        spec = random_spec(rng, n)
-        kraus = kraus_at_times(spec, Scenario.TWO_QUBIT_VACUUM, [rng.uniform(1.0, 6.0)])
-        affine = affine_from_kraus(kraus)
-        for conc in (0.0, 0.5, 1.0):
-            base = schmidt_state(conc).reshape(2, 2)
-            states = np.einsum("mab,ncd,bd->mnac", group, group, base).reshape(1, -1, 4)
-            average = float(fidelity_many(kraus, states).mean())
-            worst = max(worst, abs(average - float(affine.evaluate(conc)[0])))
-    return CheckResult(
-        "two_qubit_twirl_vs_clifford", worst <= 1e-10, worst, "exact 2-design"
-    )
-
-
 def _clifford_group_su2() -> np.ndarray:
     """The 24 single-qubit Clifford unitaries, one per rotation, as a
     (24, 2, 2) array (global phases as they fall).
@@ -551,8 +542,8 @@ def run_certification(n_max: int = 10) -> dict:
     ``MAX_ORACLE_BLOCK``, so n_max goes up to 60.  A check that raises
     NumericError or ModelError (a Kraus set failing its completeness
     tolerance, an oracle evolution changing a norm, a law leaving [0, 1]) is
-    reported as failed, every result of the sweep with it, with the error in
-    ``detail``.
+    reported as failed, with the error in ``detail``; an error in the
+    law-vs-channel sweep fails all six of its results.
     """
     if n_max < 4:
         raise ParameterError(f"certification needs n_max >= 4, got {n_max}")
@@ -568,15 +559,9 @@ def run_certification(n_max: int = 10) -> dict:
         (("oracle_amplitude_equivalence",), lambda: check_oracle_amplitudes(n_max)),
         (("pair_rows_vs_sector",), check_pair_rows),
         (("grid_rows_vs_pointwise",), check_grid_rows),
-        (
-            ("kraus_completeness", "channel_oracle_equivalence", "fidelity_duality"),
-            lambda: check_channels_against_oracle(n_max),
-        ),
-        (("fidelity_law_rows_vs_kraus",), check_quadratic_reduction),
+        (tuple(SWEEP_TOLERANCES), lambda: check_channels_against_oracle(n_max)),
         (("bloch_map_vs_kraus",), check_bloch_map),
         (("min_fidelity_branches",), check_min_fidelity_branches),
-        (("pdf_normalization",), check_pdf_normalization),
-        (("two_qubit_twirl_vs_clifford",), check_two_qubit_twirl),
     ]
     checks: list[CheckResult] = []
     for names, check in suite:

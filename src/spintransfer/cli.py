@@ -72,6 +72,11 @@ DEFAULT_BINS = 200
 # and density arrays, and the Python row and CSV line of each bin.  At
 # 512 B per bin, 1 GiB holds MAX_BINS bins.
 MAX_BINS = 2**30 // 512
+# A preset holds dense N x N coupling matrices: a law-only run peaks at
+# 56-67 B per N^2 (perfect, N = 256 to 2048), and the barrier and weak
+# presets read 63-65 B per N^2 at N = 1024.  At 64 B per N^2, 1 GiB holds
+# MAX_N_SITES = isqrt(2^30 / 64) sites.
+MAX_N_SITES = 4096
 DEFAULT_SEED = 0
 PDF_CURVE_CELLS = 2001
 PDF_CURVE_PAD_CELLS = 4
@@ -148,7 +153,9 @@ class ExperimentConfig:
             check_grid(grid)
         resolved = {
             "protocol": protocol,
-            "n_sites": _count("n_sites", _given("n_sites", "--n-sites", self.n_sites), 4),
+            "n_sites": _count(
+                "n_sites", _given("n_sites", "--n-sites", self.n_sites), 4, MAX_N_SITES
+            ),
             "scenario": _given("scenario", "--scenario", self.scenario, [s.value for s in Scenario]),
             "mode": mode,
             "mc_samples": _count("mc_samples", self.mc_samples, 0, MAX_MC_SAMPLES),

@@ -208,6 +208,8 @@ MALFORMED = {
     # the histogram's edges after pdf_curve.csv was written
     "grid_over_bound": (["--grid", str(2**62)], "grid"),
     "bins_over_bound": (["--mc-samples", "1000", "--bins", str(2**62)], "bins"),
+    # the preset's dense N x N matrices of a million sites ran out of memory
+    "n_sites_over_bound": (["--n-sites", "1000000"], "n_sites"),
     # a flag is its field's text, checked by the config's rules alone
     "flag_n_sites_fractional": (["--n-sites", "8.5"], "n_sites"),
     "flag_unknown_protocol": (["--protocol", "foo"], "protocol kind"),
@@ -538,6 +540,34 @@ def test_certify_sweep_case_count():
     for name in ("kraus_completeness", "channel_oracle_equivalence", "fidelity_duality"):
         assert checks[name]["detail"] == "330 cases, N in 4..6"
         assert checks[name]["passed"]
+
+
+def test_certify_reports_each_check_once():
+    report = run_certification(6)
+    assert [c["name"] for c in report["checks"]] == [
+        "sector_dimensions", "sector_hamiltonian_symmetry_and_gauge",
+        "perfect_spectrum_equal_spacing", "amplitude_unitarity",
+        "oracle_amplitude_equivalence", "pair_rows_vs_sector", "grid_rows_vs_pointwise",
+        "kraus_completeness", "channel_oracle_equivalence", "fidelity_duality",
+        "fidelity_law_rows_vs_kraus", "pdf_normalization", "two_qubit_twirl_vs_clifford",
+        "bloch_map_vs_kraus", "min_fidelity_branches",
+    ]
+    assert report["all_passed"]
+
+
+def test_certify_normalizes_two_qubit_densities(monkeypatch):
+    # every A - B C^2 row's density 1e-4 too large: only the sweep's
+    # normalization of the two-qubit laws can see it
+    density = analytics.FidelityLaw._row_density
+
+    def scaled(self, f):
+        return density(self, f) * (1.0 + 1e-4 if self.coefficients.shape[1] == 2 else 1.0)
+
+    monkeypatch.setattr(analytics.FidelityLaw, "_row_density", scaled)
+    checks = {c.name: c for c in certify.check_channels_against_oracle(4)}
+    assert not checks["pdf_normalization"].passed
+    assert abs(checks["pdf_normalization"].max_error - 1e-4) <= 1e-6
+    assert checks["fidelity_law_rows_vs_kraus"].passed
 
 
 @pytest.mark.parametrize("command", ["pdf", "tune"])
