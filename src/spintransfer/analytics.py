@@ -82,6 +82,10 @@ LADDER_STOP_AVG = 0.995
 DEFAULT_TIMING_FRACTION = 0.02
 JITTER_MIX_NODES = 41
 MIN_SCAN_GRID = 100
+# the largest rounding eps R t_hi of a tuning window's phases, R the largest
+# raw slope bound of the columns the law reads: the README and bench
+# windows reach 1.4e-10
+MAX_PHASE_ROUNDING = 1e-6
 # A scan holds its times and its curve, 8 B each per grid point: 1 GiB at
 # most.  The ladder's own grids stop at 4e5 points.
 MAX_SCAN_GRID = 2**30 // 16
@@ -558,19 +562,17 @@ def fidelity_law(
     """
     if not isinstance(scenario, Scenario):
         raise ParameterError(f"unknown scenario {scenario!r}")
-    scenario.check_sites(spec.n_sites)
     n = spec.n_sites
     times = np.asarray(times, dtype=float)
-    one = sector_spectrum(spec, 1)
+    rows = [propagator_rows(*column, times) for column in _law_columns(spec, scenario)]
     if scenario is Scenario.ONE_QUBIT_VACUUM:
-        amp = propagator_rows(one, [[1]], [n], times)[:, 0, 0]
+        amp = rows[0][:, 0, 0]
         modulus = np.abs(amp)
         coefficients = _vacuum_coefficients(modulus ** 2, modulus if phase_corrected else amp.real)
-    elif scenario is Scenario.ONE_QUBIT_UNIFORM and is_free_fermion(spec):
-        # a = a_1^N and S = sum_{j=2}^{N-1} a_j^N; row orthonormality
+    elif scenario is Scenario.ONE_QUBIT_UNIFORM and len(rows) == 1:
+        # free-fermion: a = a_1^N and S = sum_{j=2}^{N-1} a_j^N; row orthonormality
         # collapses the sums over the receiver-free sites of the row law
-        rows = propagator_rows(one, [[1], scenario.occupied(n)], [n], times)
-        amp, summed = rows[:, 0, 0], rows[:, 1, 0]
+        amp, summed = rows[0][:, 0, 0], rows[0][:, 1, 0]
         r2 = np.abs(amp) ** 2
         coefficients = (
             (r2 + amp.real) / 2.0,
@@ -580,11 +582,7 @@ def fidelity_law(
     elif scenario is Scenario.ONE_QUBIT_UNIFORM:
         # Kraus diagonals (alpha_k, beta_k), k = 1..N-1, unnormalized by
         # the sqrt(N - 2) of the initial state
-        occupied = scenario.occupied(n)
-        alpha = propagator_rows(one, [occupied], range(1, n + 1), times)[:, 0]
-        pairs = [[(1, j) for j in occupied]]
-        targets = [(k, n) for k in range(1, n)]
-        beta = propagator_rows(sector_spectrum(spec, 2), pairs, targets, times)[:, 0]
+        alpha, beta = rows[0][:, 0], rows[1][:, 0]
         weight = 1.0 / (n - 2)
         plus = (np.abs(alpha[:, : n - 1] + beta) ** 2).sum(axis=1)
         minus = (np.abs(alpha[:, : n - 1] - beta) ** 2).sum(axis=1)
@@ -598,11 +596,38 @@ def fidelity_law(
             (weight * plus + off) / 4.0,
         )
     else:
-        coefficients = _two_qubit_law(spec, times, phase_corrected)
+        coefficients = _two_qubit_law(n, rows[0], rows[1] if len(rows) > 1 else None,
+                                      phase_corrected)
     return FidelityLaw(np.stack(coefficients, axis=-1))
 
 
-def _two_qubit_law(spec: ChainSpec, times: np.ndarray, phase_corrected: bool = False):
+def _law_columns(spec: ChainSpec, scenario: Scenario) -> list[tuple]:
+    """The (sector, sources, targets) of each :func:`propagator_rows` call
+    of :func:`fidelity_law`: the one-excitation rows, then the pair rows
+    where the law reads them (the occupied and two-qubit laws of chains
+    that are not free-fermion)."""
+    scenario.check_sites(spec.n_sites)
+    n = spec.n_sites
+    one = sector_spectrum(spec, 1)
+    if scenario is Scenario.ONE_QUBIT_VACUUM:
+        return [(one, [[1]], [n])]
+    free = is_free_fermion(spec)
+    if scenario is Scenario.ONE_QUBIT_UNIFORM:
+        occupied = scenario.occupied(n)
+        if free:
+            return [(one, [[1], occupied], [n])]
+        pairs = [[(1, j) for j in occupied]]
+        return [(one, [occupied], range(1, n + 1)),
+                (sector_spectrum(spec, 2), pairs, [(k, n) for k in range(1, n)])]
+    if free:
+        return [(one, [[1], [2]], [n - 1, n])]
+    sites = range(1, n - 1)
+    targets = [(n - 1, n)] + [(j, n) for j in sites] + [(j, n - 1) for j in sites]
+    return [(one, [[1], [2]], range(1, n + 1)), (sector_spectrum(spec, 2), [[(1, 2)]], targets)]
+
+
+def _two_qubit_law(n: int, rows: np.ndarray, pair: np.ndarray | None,
+                   phase_corrected: bool = False):
     """A(t) and B(t) on a time grid via the channel trace sums.
 
     With G = [[g11, g12], [g21, g22]] = [[a_1^{N-1}, a_1^N], [a_2^{N-1},
@@ -624,11 +649,9 @@ def _two_qubit_law(spec: ChainSpec, times: np.ndarray, phase_corrected: bool = F
     carry; the product form rounds differently and moves some written
     averages by one ulp.  Otherwise the law reads the N-wide u, v rows and
     the pair rows out of (1, 2), :func:`propagator_rows` of the pair sector.
+    ``rows`` and ``pair`` are those of :func:`_law_columns` on an N-site
+    chain, ``pair`` None where the law reads no pair row.
     """
-    n = spec.n_sites
-    free = is_free_fermion(spec)
-    one = sector_spectrum(spec, 1)
-    rows = propagator_rows(one, [[1], [2]], [n - 1, n] if free else range(1, n + 1), times)
     if phase_corrected:
         # rotate a_1^{N-1} real positive (sector two by the square)
         block_amp = rows[:, 0, -2]
@@ -636,14 +659,12 @@ def _two_qubit_law(spec: ChainSpec, times: np.ndarray, phase_corrected: bool = F
         omega = np.abs(safe) / safe
         rows = rows * omega[:, None, None]
     g11, g12, g21, g22 = rows[:, 0, -2], rows[:, 0, -1], rows[:, 1, -2], rows[:, 1, -1]
-    if free:
+    if pair is None:
         w = g11 * g22 - g12 * g21
         t3 = 2.0 * _abs2(1.0 + g22)
         t4 = 2.0 * (1.0 + _abs2(g11)) + _abs2(g22 + w) - _abs2(g22 - w)
     else:
-        sites = range(1, n - 1)
-        targets = [(n - 1, n)] + [(j, n) for j in sites] + [(j, n - 1) for j in sites]
-        pair = propagator_rows(sector_spectrum(spec, 2), [[(1, 2)]], targets, times)[:, 0]
+        pair = pair[:, 0]
         if phase_corrected:
             pair = pair * (omega**2)[:, None]
         w = pair[:, 0]
@@ -787,12 +808,15 @@ def find_optimal_time(
     scan, bit for bit.
     The window is finite, ordered and starts at 0 or later: a read-out
     before the transfer starts is no read-out, and :func:`plan_readout`
-    nulls no phase at t <= 0.  The scan and the refinement run with
-    numpy's overflow, invalid and divide errors raised, so a window whose
-    phase arguments L t leave the float range fails at the first operation
-    that leaves it; that error, or a scanned or refined average that is not
-    finite (a quiet NaN raises no error), is a NumericError naming the
-    window.
+    nulls no phase at t <= 0.  A window whose phases carry no information
+    is a NumericError naming it: the amplitudes' rounding at its end, eps R
+    t_hi with R the largest raw bound of
+    :func:`~spintransfer.dynamics.propagator_slopes` over every column the
+    law reads (:func:`_law_columns`, pair rows included), must stay within
+    MAX_PHASE_ROUNDING.  The scan and the refinement run with numpy's
+    overflow, invalid and divide errors raised; such an error, or a scanned
+    or refined average that is not finite (a quiet NaN raises no error), is
+    a NumericError naming the window too.
     ``phase_corrected`` asks for the field that nulls the arrival phase;
     this is the one place deciding whether it applies.  The occupied channel
     takes none: its average is not a function of a single arrival phase.
@@ -804,6 +828,13 @@ def find_optimal_time(
     if t_lo < 0.0:
         raise ParameterError(f"time window {window} starts below 0")
     check_grid(grid)
+    rate = float(max(propagator_slopes(*c)[0].max() for c in _law_columns(spec, scenario)))
+    rounding = np.finfo(float).eps * rate * t_hi
+    if rounding > MAX_PHASE_ROUNDING:
+        raise NumericError(
+            f"time window {window} is too long to evaluate: its phases round by "
+            f"eps R t_hi = {rounding:.3g}, above {MAX_PHASE_ROUNDING:g}"
+        )
     scanned = (t_lo, t_hi, int(grid))
     ts = np.linspace(*scanned)
 

@@ -35,12 +35,28 @@ leading time axis, one time being the stack over ``[t]``; the sweep
 evaluates the read-out times of each case as one batch, so a case costs a
 few array operations rather than one Python round trip per time.  The
 ``certify`` subcommand runs the whole suite.
+
+:func:`run_certification` runs the suite as a list of tasks on every
+usable core: each check but the sweep is one task, and the sweep is one
+task per group of cases, the presets of one N or the random chains, all
+drawn up front in one order (:func:`_sweep_groups`).  The caller and
+forked helpers claim task indices from one shared pipe and send their
+outcomes back pickled on pipes of their own (:func:`_run_tasks`); results
+are stored by task index, so the report keeps the suite's order.  Every
+check draws from its own fixed seed and the sweep's groups merge by
+maximum, so the report is the same byte for byte on one core and on all.
+Helpers are forked only on Linux and only while the process runs a single
+OS thread; otherwise, as under numpy's default multi-threaded BLAS, the
+caller claims every task itself in the same loop.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial, reduce
 from itertools import combinations, product
 from math import comb
 
@@ -72,6 +88,7 @@ from .sampling import (
     sample_bloch_vectors,
     sample_two_qubit_pure,
     schmidt_state,
+    usable_cores,
 )
 from .sectors import build_sector_basis
 from .analytics import (
@@ -303,7 +320,7 @@ def check_grid_rows(seed: int = 19) -> CheckResult:
         for spec in (random_spec(rng, n), *protocol_specs(n).values()):
             prop = sector_spectrum(spec, 1)
             rows = propagator_rows(prop, sources, targets, times)
-            picks = np.unique(np.r_[0, times.size - 1, rng.integers(0, times.size, 30)])
+            picks = sorted({0, times.size - 1, *rng.integers(0, times.size, 30).tolist()})
             point = np.concatenate(
                 [propagator_rows(prop, sources, targets, [times[k]]) for k in picks]
             )
@@ -371,11 +388,25 @@ def check_channels_against_oracle(
       applied to a Schmidt state of concurrence C in {0, 1/2, 1} is the
       Haar average exactly, with no sampling error.
 
-    The preset results' ``detail`` counts the preset cases, one per time.
+    The cases are drawn first, in the order above, and split into the
+    groups of :func:`_sweep_groups`; each group's worst errors
+    (:func:`_sweep_group`) merge by maximum, so the results do not depend
+    on which process evaluated which group (:func:`run_certification`
+    spreads them over cores).  The preset results' ``detail`` counts the
+    preset cases, one per time.
     """
+    groups = _sweep_groups(n_max, seed, chain_seed)
+    return _sweep_results(n_max, groups, [_sweep_group(group) for group in groups])
+
+
+def _sweep_groups(n_max: int, seed: int = 14, chain_seed: int = 15) -> list[list[tuple]]:
+    """The sweep's (spec, scenario, times, sender states) cases in draw
+    order, in contiguous groups: the presets of each N in 4..n_max, then
+    the random chains (sender states None) as the last group."""
     rng = np.random.default_rng(seed)
-    presets = []
+    groups = []
     for n in range(4, n_max + 1):
+        presets = []
         for spec in [*protocol_specs(n).values(),
                      *(protocol_specs(n, n_senders=2).values() if n >= 6 else ())]:
             for scenario in Scenario:
@@ -384,25 +415,37 @@ def check_channels_against_oracle(
                     dim = 1 << len(scenario.senders)
                     psi = np.array([_sender_state(rng, dim) for _ in times])
                     presets.append((spec, scenario, times, psi))
+        groups.append(presets)
     chain_rng = np.random.default_rng(chain_seed)
     chains = [
         (random_spec(chain_rng, n, kind), [float(chain_rng.uniform(1.0, 8.0))])
         for n, kind in product((6, 9), ("nearest", "long_range", "zz"))
     ]
-    cases = presets + [
-        (spec, scenario, times, None) for spec, times in chains for scenario in Scenario
-    ]
-    group = _clifford_group_su2()
-    twirled = {
-        conc: np.einsum("mab,ncd,bd->mnac", group, group, schmidt_state(conc).reshape(2, 2))
-        .reshape(1, -1, 4)
-        for conc in (0.0, 0.5, 1.0)
-    }
+    groups.append(
+        [(spec, scenario, times, None) for spec, times in chains for scenario in Scenario]
+    )
+    return groups
+
+
+def _worse(a: float, b: float) -> float:
+    """The larger error, NaN if either is: the maximum whatever the order."""
+    return float(np.maximum(a, b))
+
+
+def _sweep_group(cases: list[tuple]) -> dict[str, float]:
+    """The worst error of each check of :func:`check_channels_against_oracle`
+    over ``cases``, 0 where no case reads a check."""
     worst = dict.fromkeys(SWEEP_TOLERANCES, 0.0)
 
     def record(name: str, error) -> None:
-        worst[name] = max(worst[name], float(error))
+        worst[name] = _worse(worst[name], error)
 
+    clifford = _clifford_group_su2()
+    twirled = {
+        conc: np.einsum("mab,ncd,bd->mnac", clifford, clifford, schmidt_state(conc).reshape(2, 2))
+        .reshape(1, -1, 4)
+        for conc in (0.0, 0.5, 1.0)
+    }
     for spec, scenario, times, psi in cases:
         kraus = kraus_at_times(spec, scenario, times)
         law = fidelity_law(spec, scenario, times)
@@ -426,16 +469,28 @@ def check_channels_against_oracle(
             for conc, states in twirled.items():
                 average = fidelity_many(kraus, states).mean()
                 record("two_qubit_twirl_vs_clifford", abs(average - reduced.evaluate(conc)[0]))
-    chain_detail = f"{len(chains)} random chains of three kinds, N in {{6, 9}}"
-    details = [f"{len(presets) * ORACLE_TIMES_PER_CASE} cases, N in 4..{n_max}"] * 3 + [
+    return worst
+
+
+def _sweep_results(
+    n_max: int, groups: list[list[tuple]], worsts: list[dict[str, float]]
+) -> list[CheckResult]:
+    """The sweep's six results from the worst errors of each of its groups."""
+    n_preset_times = ORACLE_TIMES_PER_CASE * sum(len(group) for group in groups[:-1])
+    # each random chain takes every scenario
+    chain_detail = (
+        f"{len(groups[-1]) // len(Scenario)} random chains of three kinds, N in {{6, 9}}"
+    )
+    details = [f"{n_preset_times} cases, N in 4..{n_max}"] * 3 + [
         f"all scenarios + mean + vacuum closed form, {chain_detail}",
         f"all scenarios, {chain_detail}",
         f"exact 2-design, C in {{0, 1/2, 1}}, {chain_detail}",
     ]
-    return [
-        CheckResult(name, worst[name] <= tol, worst[name], detail)
-        for (name, tol), detail in zip(SWEEP_TOLERANCES.items(), details)
-    ]
+    results = []
+    for (name, tol), detail in zip(SWEEP_TOLERANCES.items(), details):
+        worst = reduce(_worse, (w[name] for w in worsts), 0.0)
+        results.append(CheckResult(name, worst <= tol, worst, detail))
+    return results
 
 
 def check_bloch_map(seed: int = 20) -> CheckResult:
@@ -542,8 +597,16 @@ def run_certification(n_max: int = 10) -> dict:
     ``MAX_ORACLE_BLOCK``, so n_max goes up to 60.  A check that raises
     NumericError or ModelError (a Kraus set failing its completeness
     tolerance, an oracle evolution changing a norm, a law leaving [0, 1]) is
-    reported as failed, with the error in ``detail``; an error in the
-    law-vs-channel sweep fails all six of its results.
+    reported as failed, with the error in ``detail``; an error in any group
+    of the law-vs-channel sweep fails all six of its results.  Any other
+    exception is raised here.
+
+    The work is a list of tasks: each check but the sweep is one, and the
+    sweep is one per group of :func:`_sweep_groups` (the cases of one N, or
+    the random chains), drawn here first.  :func:`_run_tasks` runs them on
+    every usable core; every check draws from its own fixed seed and the
+    sweep's groups merge by maximum, so the report is the same byte for
+    byte whichever process ran which task.
     """
     if n_max < 4:
         raise ParameterError(f"certification needs n_max >= 4, got {n_max}")
@@ -551,28 +614,33 @@ def run_certification(n_max: int = 10) -> dict:
         raise CapacityError(
             f"certification needs C(n_max, 2) <= {MAX_ORACLE_BLOCK}, got n_max = {n_max}"
         )
+    groups = _sweep_groups(n_max)
     suite = [
-        (("sector_dimensions",), check_sector_dimensions),
-        (("sector_hamiltonian_symmetry_and_gauge",), check_sector_hamiltonians),
-        (("perfect_spectrum_equal_spacing",), check_perfect_spectrum),
-        (("amplitude_unitarity",), check_amplitude_unitarity),
-        (("oracle_amplitude_equivalence",), lambda: check_oracle_amplitudes(n_max)),
-        (("pair_rows_vs_sector",), check_pair_rows),
-        (("grid_rows_vs_pointwise",), check_grid_rows),
-        (tuple(SWEEP_TOLERANCES), lambda: check_channels_against_oracle(n_max)),
-        (("bloch_map_vs_kraus",), check_bloch_map),
-        (("min_fidelity_branches",), check_min_fidelity_branches),
+        (("sector_dimensions",), [check_sector_dimensions]),
+        (("sector_hamiltonian_symmetry_and_gauge",), [check_sector_hamiltonians]),
+        (("perfect_spectrum_equal_spacing",), [check_perfect_spectrum]),
+        (("amplitude_unitarity",), [check_amplitude_unitarity]),
+        (("oracle_amplitude_equivalence",), [partial(check_oracle_amplitudes, n_max)]),
+        (("pair_rows_vs_sector",), [check_pair_rows]),
+        (("grid_rows_vs_pointwise",), [check_grid_rows]),
+        (tuple(SWEEP_TOLERANCES), [partial(_sweep_group, group) for group in groups]),
+        (("bloch_map_vs_kraus",), [check_bloch_map]),
+        (("min_fidelity_branches",), [check_min_fidelity_branches]),
     ]
+    outcomes = iter(_run_tasks([task for _, tasks in suite for task in tasks]))
     checks: list[CheckResult] = []
-    for names, check in suite:
-        try:
-            result = check()
-        except (NumericError, ModelError) as exc:
+    for names, tasks in suite:
+        results = [next(outcomes) for _ in tasks]
+        failed = [r for r in results if isinstance(r, (NumericError, ModelError))]
+        if failed:
             # the error was not measured; the largest finite double fails
             # every tolerance and keeps the report valid JSON
-            failed = f"{type(exc).__name__}: {exc}"
-            result = [CheckResult(name, False, sys.float_info.max, failed) for name in names]
-        checks += result if isinstance(result, list) else [result]
+            detail = f"{type(failed[0]).__name__}: {failed[0]}"
+            checks += [CheckResult(name, False, sys.float_info.max, detail) for name in names]
+        elif len(names) > 1:  # the sweep: its groups' worst errors
+            checks += _sweep_results(n_max, groups, results)
+        else:
+            checks += results
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "n_max": n_max,
@@ -582,3 +650,90 @@ def run_certification(n_max: int = 10) -> dict:
         ],
         "all_passed": bool(all(c.passed for c in checks)),
     }
+
+
+def _run_tasks(tasks: list) -> list:
+    """Each task's return value, or the NumericError or ModelError it
+    raised, in task order; any other exception is raised here.
+
+    The calling process and up to ``min(usable_cores(), len(tasks)) - 1``
+    forked helpers claim task indices from one shared pipe, one byte each,
+    until it is empty, and each helper sends its outcomes back pickled on a
+    pipe of its own.  Helpers are forked only on Linux and only while this
+    process runs a single OS thread (:func:`_forkable`): forking a threaded
+    process copies locks other threads may hold, and numpy's default
+    multi-threaded BLAS starts threads of its own.  Otherwise the caller
+    claims every task itself, in the same loop.  Every helper is reaped
+    before this returns or raises; one that ends without sending its
+    outcomes is a RuntimeError naming its exit status.
+    """
+    helpers = min(usable_cores(), len(tasks)) - 1 if _forkable() else 0
+    queue, claims = os.pipe()
+    os.write(claims, bytes(range(len(tasks))))  # at most 255 tasks
+    os.close(claims)
+    if helpers > 0:
+        import numpy.random  # noqa: F401  imported once, not once per helper
+    children: list[tuple[int, int]] = []
+    replies: list[tuple[int, bytes, int]] = []
+    try:
+        for _ in range(helpers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                _helper(tasks, queue, write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        outcomes = _claim(tasks, queue)
+    finally:
+        os.close(queue)
+        for pid, read_end in children:
+            with os.fdopen(read_end, "rb") as pipe:
+                replies.append((pid, pipe.read(), os.waitpid(pid, 0)[1]))
+    for pid, payload, status in replies:
+        if not payload:
+            raise RuntimeError(f"certification helper {pid} ended without a result, "
+                               f"exit status {os.waitstatus_to_exitcode(status)}")
+        outcomes.update(pickle.loads(payload))
+    ordered = [outcomes[index] for index in range(len(tasks))]
+    for outcome in ordered:
+        if isinstance(outcome, Exception) and not isinstance(outcome, (NumericError, ModelError)):
+            raise outcome
+    return ordered
+
+
+def _claim(tasks: list, queue: int) -> dict[int, object]:
+    """Run the tasks whose indices this process reads off ``queue``: index
+    -> return value, or the exception the task raised."""
+    outcomes = {}
+    while claimed := os.read(queue, 1):
+        index = claimed[0]
+        try:
+            outcomes[index] = tasks[index]()
+        except Exception as exc:  # sorted out by _run_tasks
+            outcomes[index] = exc
+    return outcomes
+
+
+def _helper(tasks: list, queue: int, out: int) -> None:
+    """A forked helper's whole life: claim tasks, write the pickled
+    outcomes to ``out`` and leave at once, never returning into the
+    caller's stack (exit status 1 if anything failed on the way)."""
+    status = 1
+    try:
+        payload = pickle.dumps(_claim(tasks, queue))
+        with os.fdopen(out, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forkable() -> bool:
+    """Whether this is Linux and this process runs one OS thread."""
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False

@@ -43,6 +43,7 @@ from spintransfer.dynamics import (
     _grid_step,
     is_free_fermion,
     propagator_at,
+    propagator_slopes,
     sector_spectrum,
 )
 from spintransfer.errors import ModelError, NumericError, ParameterError, RangeError
@@ -393,12 +394,25 @@ def test_find_optimal_time_validation():
 @pytest.mark.parametrize("scenario", [Scenario.ONE_QUBIT_UNIFORM, Scenario.TWO_QUBIT_VACUUM])
 def test_overflowing_window_on_the_pair_sector_path(scenario, phase_corrected):
     # a ZZ chain's occupied and two-qubit laws read pair-sector rows; their
-    # phase arguments overflow on this window, and the scan's own
-    # floating-point error names it, with no warning (an error under the
-    # project's pytest settings)
+    # phase arguments overflow on this window, and the rounding bound over
+    # those rows refuses it by name before the scan, with no warning (an
+    # error under the project's pytest settings)
     spec = random_spec(np.random.default_rng(5), 6, "zz")
     with pytest.raises(NumericError, match=re.escape("window (0.0, 1e+308)")):
         find_optimal_time(spec, scenario, (0.0, 1e308), 100, phase_corrected)
+
+
+def test_window_whose_phases_round_past_the_bound_is_refused():
+    # eps R t_hi is the rounding of the vacuum law's one column a_1^N at the
+    # window's end: just inside MAX_PHASE_ROUNDING the window scans, just
+    # past it the tuning refuses it by name
+    spec = protocol_preset(Perfect(), 8)
+    (rate,), _ = propagator_slopes(sector_spectrum(spec, 1), [[1]], [8])
+    edge = analytics.MAX_PHASE_ROUNDING / (np.finfo(float).eps * rate[0])
+    find_optimal_time(spec, Scenario.ONE_QUBIT_VACUUM, (0.0, 0.99 * edge), 100)
+    window = (0.0, 1.01 * edge)
+    with pytest.raises(NumericError, match=re.escape(f"time window {window} is too long")):
+        find_optimal_time(spec, Scenario.ONE_QUBIT_VACUUM, window, 100)
 
 
 def test_time_for_target(rng):

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -324,11 +325,11 @@ def readme_experiment() -> dict:
     return json.loads(readme_block("### Experiment configuration", "json"))
 
 
-def run_python(script: str) -> subprocess.CompletedProcess:
+def run_python(script: str, **env) -> subprocess.CompletedProcess:
     """``script`` in a fresh interpreter with this checkout's ``src`` first
-    on the module path."""
+    on the module path and ``env`` added to the environment."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), **env)
     return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -345,11 +346,13 @@ def test_readme_library_sketch_runs():
 
 def test_package_import_loads_no_sampler_or_worker_modules():
     # importing the command line module, the setup cost of every run,
-    # loads neither numpy's random package, scipy nor concurrent.futures
+    # loads neither numpy's random package, scipy, concurrent.futures nor
+    # multiprocessing
     done = run_python(
         "import sys\n"
         "import spintransfer.cli\n"
-        "print(sorted({'numpy.random', 'scipy', 'concurrent.futures'} & set(sys.modules)))\n"
+        "print(sorted({'numpy.random', 'scipy', 'concurrent.futures', 'multiprocessing'}\n"
+        "             & set(sys.modules)))\n"
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
@@ -568,6 +571,143 @@ def test_certify_normalizes_two_qubit_densities(monkeypatch):
     assert not checks["pdf_normalization"].passed
     assert abs(checks["pdf_normalization"].max_error - 1e-4) <= 1e-6
     assert checks["fidelity_law_rows_vs_kraus"].passed
+
+
+# A fresh interpreter with single-threaded BLAS runs one OS thread, so
+# run_certification forks helpers there; two usable cores are declared so
+# that it does on a one-core machine too, and os.fork is counted.
+FORKING_CERTIFY = """
+import json, os, sys, time
+from spintransfer import certify
+from spintransfer.errors import NumericError
+certify.usable_cores = lambda: 2
+forks = []
+fork = os.fork
+def counted_fork():
+    forks.append(1)
+    return fork()
+os.fork = counted_fork
+caller = os.getpid()
+def in_helpers(action):
+    # the caller sleeps on its first such check while the helper claims
+    # the rest, so some of them call action in the helper
+    def check():
+        if os.getpid() == caller:
+            time.sleep(0.5)
+            return certify.check_perfect_spectrum()
+        action()
+    for name in ('check_sector_dimensions', 'check_sector_hamiltonians',
+                 'check_amplitude_unitarity', 'check_pair_rows', 'check_grid_rows',
+                 'check_bloch_map', 'check_min_fidelity_branches'):
+        setattr(certify, name, check)
+"""
+SINGLE_THREADED_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                        "MKL_NUM_THREADS": "1"}
+forking = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                             reason="certify forks helpers on Linux only")
+
+
+@forking
+def test_certify_helpers_write_the_serial_report(monkeypatch):
+    # the report of three forked helpers, more workers than most machines
+    # have cores, equals the one the caller writes alone
+    done = run_python(
+        FORKING_CERTIFY + "certify.usable_cores = lambda: 4\n"
+        "report = certify.run_certification(6)\n"
+        "print(len(forks)); print(json.dumps(report))\n",
+        **SINGLE_THREADED_BLAS,
+    )
+    assert done.returncode == 0, done.stderr
+    forks, report = done.stdout.splitlines()
+    assert forks == "3"
+    monkeypatch.setattr(certify, "usable_cores", lambda: 1)
+    assert json.loads(report) == run_certification(6)
+
+
+@forking
+@pytest.mark.parametrize(
+    ("action", "message"),
+    [("raise RuntimeError('raised in a helper')", "raised in a helper"),
+     ("os._exit(3)", "ended without a result, exit status 3")],
+    ids=["error", "exit"],
+)
+def test_certify_raises_a_helper_failure_and_reaps_every_helper(action, message):
+    # an error other than a check failure, or a helper ending without its
+    # results, is raised in the caller, and no helper is left behind, not
+    # even a zombie
+    done = run_python(
+        FORKING_CERTIFY
+        + f"def action():\n    {action}\n"
+        "in_helpers(action)\n"
+        "try:\n"
+        "    certify.run_certification(4)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n"
+        "print(len(forks))\n",
+        **SINGLE_THREADED_BLAS,
+    )
+    assert done.returncode == 0, done.stderr
+    raised, *rest = done.stdout.splitlines()
+    assert message in raised
+    assert rest == ["no child left", "1"]
+
+
+@forking
+def test_certify_reports_a_helper_numeric_error_as_a_failed_check():
+    done = run_python(
+        FORKING_CERTIFY
+        + "def action():\n    raise NumericError('injected in a helper')\n"
+        "in_helpers(action)\n"
+        "report = certify.run_certification(4)\n"
+        "print(len(forks)); print(json.dumps(report))\n",
+        **SINGLE_THREADED_BLAS,
+    )
+    assert done.returncode == 0, done.stderr
+    forks, report = done.stdout.splitlines()
+    assert forks == "1"
+    report = json.loads(report)
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert failed and not report["all_passed"]
+    for check in failed:
+        assert check["detail"] == "NumericError: injected in a helper"
+    # the sweep, untouched, passes whoever ran its groups
+    assert all(c["passed"] for c in report["checks"] if c["name"] in certify.SWEEP_TOLERANCES)
+
+
+def test_certify_does_not_fork_with_a_second_thread_alive(monkeypatch):
+    # forking a threaded process is unsafe: with a second thread alive the
+    # caller runs every check itself
+    def no_fork():
+        raise AssertionError("forked with a second thread alive")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(certify, "usable_cores", lambda: 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        report = run_certification(4)
+    finally:
+        stop.set()
+        thread.join()
+    assert report["all_passed"]
+
+
+def test_serial_certify_loads_no_masked_arrays():
+    # numpy.ma costs 13-16 ms to import, and no check needs it
+    done = run_python(
+        "import sys\n"
+        "from spintransfer import certify\n"
+        "certify.usable_cores = lambda: 1\n"
+        "assert certify.run_certification(6)['all_passed']\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("command", ["pdf", "tune"])
@@ -1094,10 +1234,9 @@ def test_ladder_past_the_float_range_writes_nothing(tmp_path, capsys, protocol, 
     ids=["tune", "tune_field", "pdf"],
 )
 def test_non_finite_scan_writes_nothing(tmp_path, capsys, command):
-    # the phase arguments L t overflow on this window: the scan's
-    # floating-point error becomes exit 5 naming the window, so numpy
-    # raises no warning (an error under the project's pytest settings) and
-    # no file is written
+    # the phase arguments L t overflow on this window: the window is
+    # refused before the scan, exit 5 naming it, so numpy raises no warning
+    # (an error under the project's pytest settings) and no file is written
     out = tmp_path / "run"
     code = run_cli(*command, "--protocol", "perfect", "--n-sites", "8",
                    "--scenario", "one_qubit_vacuum", "--window", "0:1e308", "--grid", "100",
@@ -1106,6 +1245,18 @@ def test_non_finite_scan_writes_nothing(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "window (0.0, 1e+308)" in err and err.count("\n") == 1
     assert not out.exists()  # no result.json, nor any other file
+
+
+def test_vast_window_writes_nothing(tmp_path, capsys):
+    # the phases on this finite window round by eps R t_hi ~ 1e292: its scan
+    # would pick noise (t_opt 3.43e306 at <F> 0.414), so it exits 5
+    out = tmp_path / "run"
+    code = run_cli("tune", "--protocol", "perfect", "--n-sites", "8",
+                   "--scenario", "one_qubit_vacuum", "--window", "0:1e307", "--grid", "100",
+                   "--out", str(out))
+    assert code == EXIT_NUMERIC
+    assert "window (0.0, 1e+307) is too long" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pdf_runs_without_scipy(tmp_path):
