@@ -41,9 +41,9 @@ the mean from the mode weights of the amplitudes it reads, times half the
 coarse spacing plus a rounding allowance; chunks whose bound lies below the
 best value found are never evaluated, so the tuning is that of the full grid,
 bit for bit (Piyavskii, USSR Comput. Math. Math. Phys. 12(4), 1972; Shubert,
-SIAM J. Numer. Anal. 9(3), 1972).  The bound is infinite, and every chunk
-evaluated, for the phase-corrected two-qubit mean and for the occupied and
-two-qubit means of chains that are not free-fermion.
+SIAM J. Numer. Anal. 9(3), 1972).  The bound reads the columns the law reads
+(:func:`_law_columns`); it is infinite, and every chunk evaluated, for the
+phase-corrected two-qubit mean and wherever the law reads pair rows.
 
 Read-out planning has one place per decision: :func:`tune_with_ladder` the
 scan windows, :func:`find_optimal_time` whether the field applies,
@@ -743,13 +743,15 @@ def avg_fidelity_curve(
     return out
 
 
-def mean_slope_bound(spec: ChainSpec, scenario: Scenario, phase_corrected: bool = False) -> float:
+def mean_slope_bound(scenario: Scenario, slopes: list, phase_corrected: bool = False) -> float:
     """Upper bound on |d<F>/dt| of :func:`avg_fidelity_curve` at every time.
 
-    Reads the bounds of :func:`~spintransfer.dynamics.propagator_slopes` on
-    the amplitudes the mean reads: R = sum_m |w_m L_m| and the centred C =
-    min_c sum_m |w_m| |L_m - c| of a = a_1^N, or R_ij of the receiver block
-    g_ij of :func:`_two_qubit_law`.  Every amplitude has modulus at most 1.
+    ``slopes`` holds the :func:`~spintransfer.dynamics.propagator_slopes`
+    (R, C) of each column of :func:`_law_columns`, the amplitudes the mean
+    reads: R = sum_m |w_m L_m| and the centred C = min_c sum_m |w_m| |L_m -
+    c| of a = a_1^N (the first entry of the first column), or R_ij of the
+    receiver block g_ij of :func:`_two_qubit_law`.  Every amplitude has
+    modulus at most 1.
 
     - vacuum, phase corrected: 1/2 + |a|^2/6 + |a|/3 moves at most (2/3) C;
     - vacuum raw, and the occupied channel of a free-fermion chain (whose
@@ -757,23 +759,19 @@ def mean_slope_bound(spec: ChainSpec, scenario: Scenario, phase_corrected: bool 
       moves at most (C + R)/3;
     - two qubits raw on a free-fermion chain: (t1 + 4)/20 with t1 = |1 + g11
       + g22 + det G|^2 <= 16 moves at most (2/5)(2 R11 + 2 R22 + R12 + R21);
-    - inf otherwise: the phase-corrected two-qubit mean rotates by the phase
-      of g11, which jumps where g11 vanishes, and on other chains the
-      occupied and two-qubit means read pair rows.
+    - inf otherwise: where the law reads pair rows (a second column), and
+      for the phase-corrected two-qubit mean, which rotates by the phase of
+      g11, a phase that jumps where g11 vanishes.
     """
-    scenario.check_sites(spec.n_sites)
-    n = spec.n_sites
-    one = sector_spectrum(spec, 1)
-    free = is_free_fermion(spec)
-    if scenario is Scenario.ONE_QUBIT_VACUUM or (scenario is Scenario.ONE_QUBIT_UNIFORM and free):
-        (raw,), (centred,) = propagator_slopes(one, [[1]], [n])
-        if scenario is Scenario.ONE_QUBIT_VACUUM and phase_corrected:
-            return float(2.0 * centred[0] / 3.0)
-        return float((centred[0] + raw[0]) / 3.0)
-    if scenario is Scenario.TWO_QUBIT_VACUUM and free and not phase_corrected:
-        (r11, r12), (r21, r22) = propagator_slopes(one, [[1], [2]], [n - 1, n])[0]
+    if len(slopes) > 1 or (scenario is Scenario.TWO_QUBIT_VACUUM and phase_corrected):
+        return float("inf")
+    raw, centred = slopes[0]
+    if scenario is Scenario.TWO_QUBIT_VACUUM:
+        (r11, r12), (r21, r22) = raw
         return float(0.4 * (2.0 * r11 + 2.0 * r22 + r12 + r21))
-    return float("inf")
+    if scenario is Scenario.ONE_QUBIT_VACUUM and phase_corrected:
+        return float(2.0 * centred[0, 0] / 3.0)
+    return float((centred[0, 0] + raw[0, 0]) / 3.0)
 
 
 def check_grid(grid: int) -> None:
@@ -801,11 +799,10 @@ def find_optimal_time(
     nearest coarse values plus :func:`mean_slope_bound` times SCAN_STRIDE / 2
     steps plus a rounding allowance.  Chunks are evaluated in order of
     falling bound until the next bound is below the best value found.  Where
-    the slope bound is infinite (phase-corrected two-qubit transfer, the
-    occupied and two-qubit means of chains that are not free-fermion) or the
-    grid is one chunk, every chunk is evaluated, with no coarse pass.  The
-    best sample, its value and so the result are those of the full grid
-    scan, bit for bit.
+    the slope bound is infinite (phase-corrected two-qubit transfer, a law
+    that reads pair rows) or the grid is one chunk, every chunk is
+    evaluated, with no coarse pass.  The best sample, its value and so the
+    result are those of the full grid scan, bit for bit.
     The window is finite, ordered and starts at 0 or later: a read-out
     before the transfer starts is no read-out, and :func:`plan_readout`
     nulls no phase at t <= 0.  A window whose phases carry no information
@@ -813,10 +810,11 @@ def find_optimal_time(
     t_hi with R the largest raw bound of
     :func:`~spintransfer.dynamics.propagator_slopes` over every column the
     law reads (:func:`_law_columns`, pair rows included), must stay within
-    MAX_PHASE_ROUNDING.  The scan and the refinement run with numpy's
-    overflow, invalid and divide errors raised; such an error, or a scanned
-    or refined average that is not finite (a quiet NaN raises no error), is
-    a NumericError naming the window too.
+    MAX_PHASE_ROUNDING; :func:`mean_slope_bound` reads the same slopes.  The
+    scan and the refinement run with numpy's overflow, invalid and divide
+    errors raised; such an error, or a scanned or refined average that is
+    not finite (a quiet NaN raises no error), is a NumericError naming the
+    window too.
     ``phase_corrected`` asks for the field that nulls the arrival phase;
     this is the one place deciding whether it applies.  The occupied channel
     takes none: its average is not a function of a single arrival phase.
@@ -828,7 +826,9 @@ def find_optimal_time(
     if t_lo < 0.0:
         raise ParameterError(f"time window {window} starts below 0")
     check_grid(grid)
-    rate = float(max(propagator_slopes(*c)[0].max() for c in _law_columns(spec, scenario)))
+    slopes = [propagator_slopes(*column) for column in _law_columns(spec, scenario)]
+    rate = float(max(raw.max() for raw, _ in slopes))
+    slope = mean_slope_bound(scenario, slopes, phase_corrected)
     rounding = np.finfo(float).eps * rate * t_hi
     if rounding > MAX_PHASE_ROUNDING:
         raise NumericError(
@@ -845,7 +845,7 @@ def find_optimal_time(
 
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            curve = _pruned_curve(spec, scenario, ts, phase_corrected)
+            curve = _pruned_curve(spec, scenario, ts, phase_corrected, slope)
             best = int(np.argmax(curve))
             lo = ts[max(best - 1, 0)]
             hi = ts[min(best + 1, len(ts) - 1)]
@@ -867,23 +867,22 @@ def find_optimal_time(
 
 
 def _pruned_curve(
-    spec: ChainSpec, scenario: Scenario, ts: np.ndarray, phase_corrected: bool
+    spec: ChainSpec, scenario: Scenario, ts: np.ndarray, phase_corrected: bool, slope: float
 ) -> np.ndarray:
     """:func:`avg_fidelity_curve` on the grid ``ts``, -inf on the chunks
     that cannot hold its maximum.
 
     Each TIME_CHUNK chunk is the slice :func:`avg_fidelity_curve` would
-    evaluate, taken in order of falling upper bound (:func:`_chunk_bounds`)
+    evaluate, taken in order of falling upper bound (:func:`_chunk_bounds`
+    with the :func:`mean_slope_bound` ``slope``; all infinite where it is)
     until the next bound lies below the best value found.  A skipped chunk
     holds no value that high, so the argmax and the value there are those
     of the full grid, bit for bit.
     """
     starts = range(0, ts.size, TIME_CHUNK)
     bounds = np.full(len(starts), np.inf)
-    if len(starts) > 1:
-        slope = mean_slope_bound(spec, scenario, phase_corrected)
-        if np.isfinite(slope):
-            bounds = _chunk_bounds(spec, scenario, ts, phase_corrected, slope)
+    if len(starts) > 1 and np.isfinite(slope):
+        bounds = _chunk_bounds(spec, scenario, ts, phase_corrected, slope)
     curve = np.full(ts.size, -np.inf)
     best = -np.inf
     for k in np.argsort(-bounds, kind="stable"):

@@ -665,7 +665,10 @@ def _run_tasks(tasks: list) -> list:
     multi-threaded BLAS starts threads of its own.  Otherwise the caller
     claims every task itself, in the same loop.  Every helper is reaped
     before this returns or raises; one that ends without sending its
-    outcomes is a RuntimeError naming its exit status.
+    outcomes is a RuntimeError naming its exit status.  An exception raised
+    here is chained from the traceback text :func:`_claim` kept with it, so
+    a helper's error names the file and line it came from, as
+    ``concurrent.futures`` does with a worker's traceback.
     """
     helpers = min(usable_cores(), len(tasks)) - 1 if _forkable() else 0
     queue, claims = os.pipe()
@@ -698,21 +701,30 @@ def _run_tasks(tasks: list) -> list:
     ordered = [outcomes[index] for index in range(len(tasks))]
     for outcome in ordered:
         if isinstance(outcome, Exception) and not isinstance(outcome, (NumericError, ModelError)):
-            raise outcome
+            raise outcome from _TaskTraceback(outcome.task_traceback)
     return ordered
 
 
 def _claim(tasks: list, queue: int) -> dict[int, object]:
     """Run the tasks whose indices this process reads off ``queue``: index
-    -> return value, or the exception the task raised."""
+    -> return value, or the exception the task raised, its traceback text
+    kept as its ``task_traceback`` (an attribute, so it is pickled with it)."""
     outcomes = {}
     while claimed := os.read(queue, 1):
         index = claimed[0]
         try:
             outcomes[index] = tasks[index]()
         except Exception as exc:  # sorted out by _run_tasks
+            import traceback  # only a failing task pays for the import
+
+            exc.task_traceback = traceback.format_exc()
             outcomes[index] = exc
     return outcomes
+
+
+class _TaskTraceback(Exception):
+    """The traceback text of a certification task's exception, raised as
+    its cause where the task may have run in another process."""
 
 
 def _helper(tasks: list, queue: int, out: int) -> None:

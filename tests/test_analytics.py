@@ -474,7 +474,8 @@ def test_mean_slope_bound_bounds_the_mean(seed, n_sites, chain, scenario, phase_
     # every pair of neighbouring times on a short grid moves the mean by at
     # most the bound times their distance
     spec = seeded_chain(seed, n_sites, chain)
-    slope = mean_slope_bound(spec, scenario, phase_corrected)
+    slopes = [propagator_slopes(*column) for column in analytics._law_columns(spec, scenario)]
+    slope = mean_slope_bound(scenario, slopes, phase_corrected)
     free = is_free_fermion(spec)
     finite = scenario is Scenario.ONE_QUBIT_VACUUM or (
         free and (scenario is Scenario.ONE_QUBIT_UNIFORM or not phase_corrected)
@@ -534,6 +535,59 @@ def test_pruned_scan_on_the_preset_ladder_windows(kind, aux):
     for lo, hi, grid in time_window_ladder(kind):
         pruned = find_optimal_time(spec, Scenario.ONE_QUBIT_VACUUM, (lo, hi), grid, aux)
         assert pruned == full_grid_tuning(spec, Scenario.ONE_QUBIT_VACUUM, (lo, hi), grid, aux)
+
+
+def test_slope_bound_follows_the_law_columns(monkeypatch):
+    # the bound reads the law's own column table: a pair-sector column
+    # appended to the free-fermion vacuum table (the vacuum law reads only
+    # the first) makes it infinite, so every chunk is evaluated, with no
+    # coarse pass, and the tuning is still the full grid's
+    spec = protocol_preset(Weak(0.1), 8)
+    scenario, window, grid = Scenario.ONE_QUBIT_VACUUM, (0.0, 300.0), 12_000
+    points, curve = [], analytics.avg_fidelity_curve
+
+    def counting_curve(spec, scenario, times, phase_corrected=False):
+        if np.size(times) > 1:  # a scan's, not the golden refinement's
+            points.append(np.size(times))
+        return curve(spec, scenario, times, phase_corrected)
+
+    monkeypatch.setattr(analytics, "avg_fidelity_curve", counting_curve)
+    monkeypatch.setattr(analytics, "TIME_CHUNK", 512)
+    find_optimal_time(spec, scenario, window, grid)
+    assert sum(points) < grid / 2  # the one-column table prunes
+    columns = analytics._law_columns
+
+    def with_pair_column(spec, scenario):
+        n = spec.n_sites
+        return columns(spec, scenario) + [(sector_spectrum(spec, 2), [[(1, 2)]], [(n - 1, n)])]
+
+    monkeypatch.setattr(analytics, "_law_columns", with_pair_column)
+    points.clear()
+    tuning = find_optimal_time(spec, scenario, window, grid)
+    assert points == [512] * (grid // 512) + [grid % 512]
+    assert tuning == full_grid_tuning(spec, scenario, window, grid, True)
+
+
+@pytest.mark.parametrize(
+    "chain, scenario",
+    [("nearest", Scenario.ONE_QUBIT_VACUUM), ("nearest", Scenario.TWO_QUBIT_VACUUM),
+     ("zz", Scenario.ONE_QUBIT_UNIFORM), ("zz", Scenario.TWO_QUBIT_VACUUM)],
+)
+def test_tuning_reads_each_column_slopes_once(monkeypatch, chain, scenario):
+    # the window guard and the slope bound share one propagator_slopes call
+    # per column of the law, on a grid of several chunks
+    spec = seeded_chain(3, 7, chain)
+    calls = []
+    slopes = analytics.propagator_slopes
+
+    def counting_slopes(*column):
+        calls.append(column)
+        return slopes(*column)
+
+    monkeypatch.setattr(analytics, "TIME_CHUNK", 512)
+    monkeypatch.setattr(analytics, "propagator_slopes", counting_slopes)
+    find_optimal_time(spec, scenario, (0.0, 50.0), 4_000, phase_corrected=False)
+    assert calls == analytics._law_columns(spec, scenario)
 
 
 def test_ladder_tuning_evaluates_few_grid_points(monkeypatch):

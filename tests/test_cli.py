@@ -626,15 +626,17 @@ def test_certify_helpers_write_the_serial_report(monkeypatch):
 
 @forking
 @pytest.mark.parametrize(
-    ("action", "message"),
-    [("raise RuntimeError('raised in a helper')", "raised in a helper"),
-     ("os._exit(3)", "ended without a result, exit status 3")],
+    ("action", "message", "cause"),
+    [("raise RuntimeError('raised in a helper')", "raised in a helper",
+      ", in action\nRuntimeError: raised in a helper"),
+     ("os._exit(3)", "ended without a result, exit status 3", "None")],
     ids=["error", "exit"],
 )
-def test_certify_raises_a_helper_failure_and_reaps_every_helper(action, message):
+def test_certify_raises_a_helper_failure_and_reaps_every_helper(action, message, cause):
     # an error other than a check failure, or a helper ending without its
     # results, is raised in the caller, and no helper is left behind, not
-    # even a zombie
+    # even a zombie; a helper's error is chained from its own traceback,
+    # which names the function that raised it
     done = run_python(
         FORKING_CERTIFY
         + f"def action():\n    {action}\n"
@@ -643,6 +645,7 @@ def test_certify_raises_a_helper_failure_and_reaps_every_helper(action, message)
         "    certify.run_certification(4)\n"
         "except RuntimeError as exc:\n"
         "    print(exc)\n"
+        "    print(json.dumps(str(exc.__cause__)))\n"
         "try:\n"
         "    os.waitpid(-1, os.WNOHANG)\n"
         "except ChildProcessError:\n"
@@ -651,8 +654,9 @@ def test_certify_raises_a_helper_failure_and_reaps_every_helper(action, message)
         **SINGLE_THREADED_BLAS,
     )
     assert done.returncode == 0, done.stderr
-    raised, *rest = done.stdout.splitlines()
+    raised, chained, *rest = done.stdout.splitlines()
     assert message in raised
+    assert cause in json.loads(chained)
     assert rest == ["no child left", "1"]
 
 
