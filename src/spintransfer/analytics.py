@@ -35,15 +35,17 @@ the reductions check the rows, the closed forms and the laws' arithmetic
 together.
 
 Tuning maximizes the mean on a time grid, chunk by chunk.  A coarse pass
-over every SCAN_STRIDE-th grid time and the last bounds each chunk by its
-nearest coarse values plus :func:`mean_slope_bound`, a Lipschitz constant of
-the mean from the mode weights of the amplitudes it reads, times half the
-coarse spacing plus a rounding allowance; chunks whose bound lies below the
-best value found are never evaluated, so the tuning is that of the full grid,
-bit for bit (Piyavskii, USSR Comput. Math. Math. Phys. 12(4), 1972; Shubert,
-SIAM J. Numer. Anal. 9(3), 1972).  The bound reads the columns the law reads
-(:func:`_law_columns`); it is infinite, and every chunk evaluated, for the
-phase-corrected two-qubit mean and wherever the law reads pair rows.
+bounds each chunk from every few grid times by an upper function of the mean
+with a known Lipschitz constant (:func:`mean_slope_bound`): the mean itself
+for one qubit, and for two qubits a modulus envelope of the receiver block,
+which bounds the raw and the phase-corrected mean alike.  A chunk's bound is
+its nearest coarse values plus that constant times half the coarse spacing
+plus a rounding allowance; chunks whose bound lies below the best value found
+are never evaluated, so the tuning is that of the full grid, bit for bit
+(Piyavskii, USSR Comput. Math. Math. Phys. 12(4), 1972; Shubert, SIAM J.
+Numer. Anal. 9(3), 1972).  The bound reads the columns the law reads
+(:func:`_law_columns`); it is infinite, and every chunk evaluated, wherever
+the law reads pair rows.
 
 Read-out planning has one place per decision: :func:`tune_with_ladder` the
 scan windows, :func:`find_optimal_time` whether the field applies,
@@ -76,6 +78,9 @@ COLLAPSE_WIDTH = 1e-11
 TIME_CHUNK = 16384
 SCAN_STRIDE = 32
 SCAN_ROUNDING = 32.0
+# the most a coarse pass's reach may add to a chunk's bound, in units of
+# fidelity: a wider reach bounds hardly any chunk below a peak near 1
+SCAN_SLACK = 0.1
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 TARGET_WALK_STEP = 1e-4
 LADDER_STOP_AVG = 0.995
@@ -744,31 +749,31 @@ def avg_fidelity_curve(
 
 
 def mean_slope_bound(scenario: Scenario, slopes: list, phase_corrected: bool = False) -> float:
-    """Upper bound on |d<F>/dt| of :func:`avg_fidelity_curve` at every time.
+    """Upper bound on the slope of :func:`_upper_curve` at every time: of
+    the mean for one qubit, of its modulus envelope for two.
 
     ``slopes`` holds the :func:`~spintransfer.dynamics.propagator_slopes`
     (R, C) of each column of :func:`_law_columns`, the amplitudes the mean
     reads: R = sum_m |w_m L_m| and the centred C = min_c sum_m |w_m| |L_m -
-    c| of a = a_1^N (the first entry of the first column), or R_ij of the
+    c| of a = a_1^N (the first entry of the first column), or C_ij of the
     receiver block g_ij of :func:`_two_qubit_law`.  Every amplitude has
-    modulus at most 1.
+    modulus at most 1, and C bounds the slope of its modulus.
 
     - vacuum, phase corrected: 1/2 + |a|^2/6 + |a|/3 moves at most (2/3) C;
     - vacuum raw, and the occupied channel of a free-fermion chain (whose
       mean 1/3 + |1 - a|^2/6 ignores the correction): 1/2 + |a|^2/6 +/- Re a/3
       moves at most (C + R)/3;
-    - two qubits raw on a free-fermion chain: (t1 + 4)/20 with t1 = |1 + g11
-      + g22 + det G|^2 <= 16 moves at most (2/5)(2 R11 + 2 R22 + R12 + R21);
-    - inf otherwise: where the law reads pair rows (a second column), and
-      for the phase-corrected two-qubit mean, which rotates by the phase of
-      g11, a phase that jumps where g11 vanishes.
+    - two qubits on a free-fermion chain, raw or phase corrected: the
+      envelope (min(e, 4)^2 + 4)/20 with e = (1 + |g11|)(1 + |g22|) +
+      |g12||g21| moves at most (2/5)(2 C11 + 2 C22 + C12 + C21);
+    - inf where the law reads pair rows (a second column).
     """
-    if len(slopes) > 1 or (scenario is Scenario.TWO_QUBIT_VACUUM and phase_corrected):
+    if len(slopes) > 1:
         return float("inf")
     raw, centred = slopes[0]
     if scenario is Scenario.TWO_QUBIT_VACUUM:
-        (r11, r12), (r21, r22) = raw
-        return float(0.4 * (2.0 * r11 + 2.0 * r22 + r12 + r21))
+        (c11, c12), (c21, c22) = centred
+        return float(0.4 * (2.0 * c11 + 2.0 * c22 + c12 + c21))
     if scenario is Scenario.ONE_QUBIT_VACUUM and phase_corrected:
         return float(2.0 * centred[0, 0] / 3.0)
     return float((centred[0, 0] + raw[0, 0]) / 3.0)
@@ -794,15 +799,16 @@ def find_optimal_time(
     A grid scan over ``window`` picks the best sample; golden-section
     refinement around it narrows the time to a relative resolution of 1e-8.
     The scan evaluates only the TIME_CHUNK chunks of the grid that can hold
-    its maximum (:func:`_pruned_curve`): a coarse pass reads every
-    SCAN_STRIDE-th grid time and the last, and each chunk's bound is its
-    nearest coarse values plus :func:`mean_slope_bound` times SCAN_STRIDE / 2
-    steps plus a rounding allowance.  Chunks are evaluated in order of
-    falling bound until the next bound is below the best value found.  Where
-    the slope bound is infinite (phase-corrected two-qubit transfer, a law
-    that reads pair rows) or the grid is one chunk, every chunk is
-    evaluated, with no coarse pass.  The best sample, its value and so the
-    result are those of the full grid scan, bit for bit.
+    its maximum (:func:`_pruned_curve`): a coarse pass reads an upper
+    function of the mean (:func:`_upper_curve`) at every stride-th grid time
+    and the last, and each chunk's bound is its nearest coarse values plus
+    :func:`mean_slope_bound` times stride / 2 steps plus a rounding
+    allowance.  Chunks are evaluated in order of falling bound until the
+    next bound is below the best value found.  Where even a stride of 2
+    would add more than SCAN_SLACK to the bounds (a law that reads pair
+    rows has an infinite slope bound) or the grid is one chunk, every chunk
+    is evaluated, with no coarse pass.  The best sample, its value and so
+    the result are those of the full grid scan, bit for bit.
     The window is finite, ordered and starts at 0 or later: a read-out
     before the transfer starts is no read-out, and :func:`plan_readout`
     nulls no phase at t <= 0.  A window whose phases carry no information
@@ -874,14 +880,14 @@ def _pruned_curve(
 
     Each TIME_CHUNK chunk is the slice :func:`avg_fidelity_curve` would
     evaluate, taken in order of falling upper bound (:func:`_chunk_bounds`
-    with the :func:`mean_slope_bound` ``slope``; all infinite where it is)
-    until the next bound lies below the best value found.  A skipped chunk
-    holds no value that high, so the argmax and the value there are those
-    of the full grid, bit for bit.
+    with the :func:`mean_slope_bound` ``slope``; all infinite on a grid of
+    one chunk) until the next bound lies below the best value found.  A
+    skipped chunk holds no value that high, so the argmax and the value
+    there are those of the full grid, bit for bit.
     """
     starts = range(0, ts.size, TIME_CHUNK)
     bounds = np.full(len(starts), np.inf)
-    if len(starts) > 1 and np.isfinite(slope):
+    if len(starts) > 1:
         bounds = _chunk_bounds(spec, scenario, ts, phase_corrected, slope)
     curve = np.full(ts.size, -np.inf)
     best = -np.inf
@@ -899,30 +905,40 @@ def _chunk_bounds(
 ) -> np.ndarray:
     """Upper bounds on the mean over each TIME_CHUNK chunk of the grid ``ts``.
 
-    A coarse pass reads every SCAN_STRIDE-th grid time (an arithmetic grid,
-    so :func:`~spintransfer.dynamics.propagator_rows` factors it) and the
-    last one, so every grid time lies within SCAN_STRIDE / 2 steps of a
-    coarse time.  A chunk's bound is the largest coarse value within that
-    reach of it, plus ``slope`` times the reach (and the times' own rounding,
-    4 eps max|t|), plus a rounding allowance.
+    The stride is the longest of SCAN_STRIDE, SCAN_STRIDE / 2, ..., 2 whose
+    reach of stride / 2 steps moves :func:`_upper_curve` by at most
+    SCAN_SLACK at the rate ``slope``; where even 2 reaches further, every
+    bound is infinite, with no coarse pass.  A coarse pass reads the upper
+    curve at every stride-th grid time (an arithmetic grid, so
+    :func:`~spintransfer.dynamics.propagator_rows` factors it) and the last
+    one, so every grid time lies within the reach of a coarse time.  A
+    chunk's bound is the largest coarse value within that reach of it, plus
+    ``slope`` times the reach (and the times' own rounding, 4 eps max|t|),
+    plus a rounding allowance.
     The coarse and the chunk pass evaluate a time on different giant steps;
     each pass's amplitudes lie within the documented 4 eps max|L| max|t|
     sum_m |w_m| of the direct path's (sum_m |w_m| <= 1 for one source and one
     target), and within eps max|L| max|t| more of the exact ones.  The mean
-    moves by at most 12/5 per unit change of an amplitude (two qubits; 2/3
-    for one), so SCAN_ROUNDING = 32 >= 2 * 5 * 12/5 covers both passes, and
-    N eps more the rounding of the sums over N modes.  A chunk whose coarse
-    values are not all finite has an infinite bound.
+    and the envelope move by at most 12/5 per unit change of the amplitudes
+    (two qubits; 2/3 for one), so SCAN_ROUNDING = 32 >= 2 * 5 * 12/5 covers
+    both passes, and N eps more the rounding of the sums over N modes.  A
+    chunk whose coarse values are not all finite has an infinite bound.
     """
-    values = avg_fidelity_curve(spec, scenario, ts[::SCAN_STRIDE], phase_corrected)
-    index = np.arange(0, ts.size, SCAN_STRIDE)
+    n_chunks = -(-ts.size // TIME_CHUNK)
+    step = (ts[-1] - ts[0]) / (ts.size - 1)
+    stride = SCAN_STRIDE
+    while slope * (stride // 2) * step > SCAN_SLACK:
+        if stride == 2:
+            return np.full(n_chunks, np.inf)
+        stride //= 2
+    values = _upper_curve(spec, scenario, ts[::stride], phase_corrected)
+    index = np.arange(0, ts.size, stride)
     if index[-1] != ts.size - 1:
         index = np.append(index, ts.size - 1)
-        values = np.append(values, avg_fidelity_curve(spec, scenario, ts[-1:], phase_corrected))
+        values = np.append(values, _upper_curve(spec, scenario, ts[-1:], phase_corrected))
     eps = np.finfo(float).eps
     t_max = float(np.abs(ts).max())
-    reach = SCAN_STRIDE // 2
-    step = (ts[-1] - ts[0]) / (ts.size - 1)
+    reach = stride // 2
     eigen = float(np.abs(sector_spectrum(spec, 1).eigenvalues).max())
     allowance = SCAN_ROUNDING * eps * (eigen * t_max + spec.n_sites)
     slack = slope * (reach * step + 4.0 * eps * t_max) + allowance
@@ -933,6 +949,34 @@ def _chunk_bounds(
         cover = values[lo:hi]
         bounds.append(float(cover.max()) + slack if np.isfinite(cover).all() else np.inf)
     return np.array(bounds)
+
+
+def _upper_curve(
+    spec: ChainSpec, scenario: Scenario, times: np.ndarray, phase_corrected: bool
+) -> np.ndarray:
+    """An upper function of :func:`avg_fidelity_curve` on ``times``, the one
+    :func:`mean_slope_bound` bounds the slope of.
+
+    For one qubit it is the mean itself.  For two qubits on a free-fermion
+    chain (the one law :func:`mean_slope_bound` keeps finite) it is the
+    modulus envelope (min(e, 4)^2 + 4)/20, e = (1 + |g11|)(1 + |g22|) +
+    |g12||g21| of the receiver block G: the mean is (t1 + 4)/20 with t1 =
+    |1 + g11' + g22' + det G'|^2 <= 16 and G' = omega G for a unit omega (1,
+    or the phase correction's rotation), and |det G| <= |g11||g22| +
+    |g12||g21|, so the envelope bounds the raw and the phase-corrected mean
+    alike.  It reads the one column of :func:`_law_columns` in chunks of
+    TIME_CHUNK times.
+    """
+    if scenario is not Scenario.TWO_QUBIT_VACUUM:
+        return avg_fidelity_curve(spec, scenario, times, phase_corrected)
+    (column,) = _law_columns(spec, scenario)
+    out = np.empty(times.size)
+    for start in range(0, times.size, TIME_CHUNK):
+        block = np.abs(propagator_rows(*column, times[start : start + TIME_CHUNK]))
+        (g11, g12), (g21, g22) = block.transpose(1, 2, 0)
+        e = (1.0 + g11) * (1.0 + g22) + g12 * g21
+        out[start : start + TIME_CHUNK] = (np.minimum(e, 4.0) ** 2 + 4.0) / 20.0
+    return out
 
 
 def _golden_max(func, lo: float, hi: float, rel_tol: float) -> tuple[float, float]:

@@ -297,16 +297,15 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 # deterministic file output
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+def write_csv(path: str, header: list[str], row_format: str, columns) -> None:
+    """Write ``header`` and one line per row of ``columns``, equal-length
+    1-D arrays, each line ``row_format % row``.  A ``%.17g`` field is
+    ``format(value, ".17g")``, nan, inf and -0 included, and ``%d`` an
+    integer count."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.write("".join([row_format % row for row in rows]))
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -326,7 +325,8 @@ def pdf_curve_rows(law):
     exactly empty and even the integrable edge singularities keep their
     mass under trapezoidal integration of the emitted samples.  The density
     column is the exact per-cell probability mass divided by the cell
-    width; the cdf column is the analytic CDF at the cell midpoint.
+    width; the cdf column is the analytic CDF at the cell midpoint.  Returns
+    the three columns as arrays.
     """
     lo, hi = law.support
     hi = max(hi, lo + 1e-6)  # point masses get a narrow but resolvable window
@@ -335,16 +335,13 @@ def pdf_curve_rows(law):
     cdf_edges = law.cdf(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     density = np.diff(cdf_edges) / np.diff(edges)
-    cdf_mid = law.cdf(mids)
-    return [(float(f), float(d), float(c)) for f, d, c in zip(mids, density, cdf_mid)]
+    return mids, density, law.cdf(mids)
 
 
 def histogram_rows(hist: Histogram):
-    density = hist.normalized_density()
-    return [
-        (float(hist.bin_edges[i]), float(hist.bin_edges[i + 1]), int(hist.counts[i]), float(density[i]))
-        for i in range(hist.counts.size)
-    ]
+    """The columns (bin_lo, bin_hi, count, normalized_density) of ``hist``."""
+    edges = hist.bin_edges
+    return edges[:-1], edges[1:], hist.counts, hist.normalized_density()
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +442,8 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
             ) from exc
     os.makedirs(config.output_dir, exist_ok=True)
     files = {"pdf_curve": "pdf_curve.csv"}
-    write_csv(os.path.join(config.output_dir, "pdf_curve.csv"), ["f", "density", "cdf"], curve)
+    write_csv(os.path.join(config.output_dir, "pdf_curve.csv"), ["f", "density", "cdf"],
+              "%.17g,%.17g,%.17g\n", curve)
     ks = None
     if kraus is not None:
         edges = default_bin_edges(law, config.bins)
@@ -455,6 +453,7 @@ def cmd_pdf(config: ExperimentConfig) -> dict:
         write_csv(
             os.path.join(config.output_dir, "histogram.csv"),
             ["bin_lo", "bin_hi", "count", "normalized_density"],
+            "%.17g,%.17g,%d,%.17g\n",
             histogram_rows(hist),
         )
     record = _result_record(asdict(config), plan, law, avg, ks, files)

@@ -129,7 +129,11 @@ def sample_two_qubit_pure(rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` Haar-random two-qubit pure states (normalized complex
     Gaussians), shape (size, 4)."""
     n = _sample_count(size)
-    z = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    # the real parts draw first, as in normal + 1j * normal, with no
+    # complex temporaries
+    z = np.empty((n, 4), dtype=complex)
+    z.real = rng.normal(size=(n, 4))
+    z.imag = rng.normal(size=(n, 4))
     z /= np.linalg.norm(z, axis=1)[:, None]
     return z
 
@@ -143,6 +147,11 @@ def concurrence(states: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(states, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise ParameterError("two-qubit states must be normalized to 1e-12")
+    return _concurrence(states)
+
+
+def _concurrence(states: np.ndarray) -> np.ndarray:
+    """:func:`concurrence` of states the caller has just normalized, unchecked."""
     value = 2.0 * np.abs(states[:, 0] * states[:, 3] - states[:, 1] * states[:, 2])
     return np.clip(value, 0.0, 1.0)
 
@@ -297,7 +306,7 @@ def mc_fidelity_histogram(
     def bin_block(k: int, block: int, size: int) -> np.ndarray:
         rng = stream.substream(k).block_generator(block)
         if two_qubit:
-            values = forms[k].evaluate(concurrence(sample_two_qubit_pure(rng, size)))[0]
+            values = forms[k].evaluate(_concurrence(sample_two_qubit_pure(rng, size)))[0]
         else:
             values = bloch_fidelities(forms[k], *sample_bloch_vectors(rng, size))
         values = np.clip(values, edges[0], edges[-1])

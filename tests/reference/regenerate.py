@@ -2,11 +2,12 @@
 
 Each run is a ``spintransfer tune`` command, run in this process; its
 ``result.json``, less the ``output_dir`` the run wrote to, is stored under
-the run's name.  Between them the runs reach every branch of
+the run's name.  Between them the runs reach every finite branch of
 :func:`~spintransfer.analytics.mean_slope_bound`: the phase-corrected and
-the raw vacuum bound, the free-fermion occupied and raw two-qubit bounds,
-and the infinite phase-corrected two-qubit one.  ``tests/test_reference.py``
-reruns them and compares every number.  From the repository root:
+the raw vacuum bound, the free-fermion occupied bound, and the two-qubit
+envelope's bound on a raw and on a phase-corrected scan.
+``tests/test_reference.py`` reruns them and compares every number.  From
+the repository root:
 
     PYTHONPATH=src python tests/reference/regenerate.py
 

@@ -471,21 +471,45 @@ def test_target_crossing_is_the_last_before_the_optimum(kind, n_sites, grid, sha
 )
 def test_mean_slope_bound_bounds_the_mean(seed, n_sites, chain, scenario, phase_corrected,
                                           start, dt):
+    # the bound is finite wherever the law reads no pair row; for one qubit
     # every pair of neighbouring times on a short grid moves the mean by at
-    # most the bound times their distance
+    # most the bound times their distance (two qubits: the envelope test)
     spec = seeded_chain(seed, n_sites, chain)
     slopes = [propagator_slopes(*column) for column in analytics._law_columns(spec, scenario)]
     slope = mean_slope_bound(scenario, slopes, phase_corrected)
-    free = is_free_fermion(spec)
-    finite = scenario is Scenario.ONE_QUBIT_VACUUM or (
-        free and (scenario is Scenario.ONE_QUBIT_UNIFORM or not phase_corrected)
-    )
+    finite = scenario is Scenario.ONE_QUBIT_VACUUM or is_free_fermion(spec)
     assert np.isfinite(slope) == finite
-    if not finite:
+    if not finite or scenario is Scenario.TWO_QUBIT_VACUUM:
         return
     times = start + dt * np.arange(300)
     means = avg_fidelity_curve(spec, scenario, times, phase_corrected)
     assert np.abs(np.diff(means)).max() <= slope * np.diff(times).max() + 1e-13
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_sites=st.integers(5, 9),
+    start=st.floats(0.0, 200.0),
+    dt=st.floats(1e-3, 0.05),
+)
+def test_two_qubit_envelope_bounds_both_means(seed, n_sites, start, dt):
+    # on a free-fermion chain the modulus envelope that the two-qubit scan's
+    # coarse pass reads lies above the raw and the phase-corrected mean,
+    # within the scan's rounding allowance, and neighbouring times move it
+    # by at most the slope bound times their distance
+    spec = seeded_chain(seed, n_sites, "nearest")
+    scenario = Scenario.TWO_QUBIT_VACUUM
+    slopes = [propagator_slopes(*column) for column in analytics._law_columns(spec, scenario)]
+    slope = mean_slope_bound(scenario, slopes)
+    assert slope == mean_slope_bound(scenario, slopes, phase_corrected=True) < np.inf
+    times = start + dt * np.arange(300)
+    envelope = analytics._upper_curve(spec, scenario, times, False)
+    eigen = np.abs(sector_spectrum(spec, 1).eigenvalues).max()
+    allowance = analytics.SCAN_ROUNDING * np.finfo(float).eps * (eigen * times[-1] + n_sites)
+    for phase_corrected in (False, True):
+        means = avg_fidelity_curve(spec, scenario, times, phase_corrected)
+        assert (means <= envelope + allowance).all()
+    assert np.abs(np.diff(envelope)).max() <= slope * np.diff(times).max() + 1e-13
 
 
 def full_grid_tuning(spec, scenario, window, grid, phase_corrected) -> ProtocolTuning:
@@ -535,6 +559,26 @@ def test_pruned_scan_on_the_preset_ladder_windows(kind, aux):
     for lo, hi, grid in time_window_ladder(kind):
         pruned = find_optimal_time(spec, Scenario.ONE_QUBIT_VACUUM, (lo, hi), grid, aux)
         assert pruned == full_grid_tuning(spec, Scenario.ONE_QUBIT_VACUUM, (lo, hi), grid, aux)
+
+
+@pytest.mark.parametrize("aux", [True, False], ids=["corrected", "raw"])
+def test_two_qubit_scan_skips_chunks_under_the_envelope(monkeypatch, aux):
+    # the first ladder window of weak N = 9 two-qubit transfer, 20 chunks:
+    # the envelope's coarse pass rules some out, with the phase correction
+    # too, and the tuning is still the full grid's
+    spec = protocol_preset(Weak(0.005), 9, 2)
+    scenario, window, grid = Scenario.TWO_QUBIT_VACUUM, (0.0, 3200.0), 320_000
+    chunks, curve = [], analytics.avg_fidelity_curve
+
+    def counting_curve(spec, scenario, times, phase_corrected=False):
+        if np.size(times) > 1:  # a scan's, not the golden refinement's
+            chunks.append(np.size(times))
+        return curve(spec, scenario, times, phase_corrected)
+
+    monkeypatch.setattr(analytics, "avg_fidelity_curve", counting_curve)
+    tuning = find_optimal_time(spec, scenario, window, grid, aux)
+    assert len(chunks) < 20
+    assert tuning == full_grid_tuning(spec, scenario, window, grid, aux)
 
 
 def test_slope_bound_follows_the_law_columns(monkeypatch):

@@ -334,7 +334,7 @@ def stacked(laws) -> FidelityLaw:
     st.lists(continuous_affine_laws, min_size=2, max_size=5).map(stacked),
 ))
 def test_pdf_curve_padding_is_empty(pdf):
-    rows = np.array(pdf_curve_rows(pdf))
+    rows = np.column_stack(pdf_curve_rows(pdf))
     assert np.all(rows[:PDF_CURVE_PAD_CELLS, 1] == 0.0)
     assert np.all(rows[-PDF_CURVE_PAD_CELLS:, 1] == 0.0)
     # the f column is the midpoints of a grid with f_min and f_max among its
