@@ -36,14 +36,16 @@ together.
 
 Tuning maximizes the mean on a time grid, chunk by chunk.  A coarse pass
 bounds each chunk from every few grid times by an upper function of the mean
-with a known Lipschitz constant (:func:`mean_slope_bound`): the mean itself
-for one qubit, and for two qubits a modulus envelope of the receiver block,
-which bounds the raw and the phase-corrected mean alike.  A chunk's bound is
-its nearest coarse values plus that constant times half the coarse spacing
-plus a rounding allowance; chunks whose bound lies below the best value found
-are never evaluated, so the tuning is that of the full grid, bit for bit
+with a known Lipschitz constant, the two picked together by
+:func:`scan_bound`: the mean itself for one qubit, and for two qubits a
+modulus envelope of the receiver block (:func:`_two_qubit_envelope`), which
+bounds the raw and the phase-corrected mean alike.  A chunk's bound is its
+nearest coarse values plus that constant times half the coarse spacing plus
+a rounding allowance; chunks whose bound lies below the best value found are
+never evaluated, so the tuning is that of the full grid, bit for bit
 (Piyavskii, USSR Comput. Math. Math. Phys. 12(4), 1972; Shubert, SIAM J.
-Numer. Anal. 9(3), 1972).  The bound reads the columns the law reads
+Numer. Anal. 9(3), 1972).  The pruning itself (:func:`_pruned_curve`) sees
+only these functions and numbers.  The bound reads the columns the law reads
 (:func:`_law_columns`); it is infinite, and every chunk evaluated, wherever
 the law reads pair rows.
 
@@ -748,37 +750,6 @@ def avg_fidelity_curve(
     return out
 
 
-def mean_slope_bound(scenario: Scenario, slopes: list, phase_corrected: bool = False) -> float:
-    """Upper bound on the slope of :func:`_upper_curve` at every time: of
-    the mean for one qubit, of its modulus envelope for two.
-
-    ``slopes`` holds the :func:`~spintransfer.dynamics.propagator_slopes`
-    (R, C) of each column of :func:`_law_columns`, the amplitudes the mean
-    reads: R = sum_m |w_m L_m| and the centred C = min_c sum_m |w_m| |L_m -
-    c| of a = a_1^N (the first entry of the first column), or C_ij of the
-    receiver block g_ij of :func:`_two_qubit_law`.  Every amplitude has
-    modulus at most 1, and C bounds the slope of its modulus.
-
-    - vacuum, phase corrected: 1/2 + |a|^2/6 + |a|/3 moves at most (2/3) C;
-    - vacuum raw, and the occupied channel of a free-fermion chain (whose
-      mean 1/3 + |1 - a|^2/6 ignores the correction): 1/2 + |a|^2/6 +/- Re a/3
-      moves at most (C + R)/3;
-    - two qubits on a free-fermion chain, raw or phase corrected: the
-      envelope (min(e, 4)^2 + 4)/20 with e = (1 + |g11|)(1 + |g22|) +
-      |g12||g21| moves at most (2/5)(2 C11 + 2 C22 + C12 + C21);
-    - inf where the law reads pair rows (a second column).
-    """
-    if len(slopes) > 1:
-        return float("inf")
-    raw, centred = slopes[0]
-    if scenario is Scenario.TWO_QUBIT_VACUUM:
-        (c11, c12), (c21, c22) = centred
-        return float(0.4 * (2.0 * c11 + 2.0 * c22 + c12 + c21))
-    if scenario is Scenario.ONE_QUBIT_VACUUM and phase_corrected:
-        return float(2.0 * centred[0, 0] / 3.0)
-    return float((centred[0, 0] + raw[0, 0]) / 3.0)
-
-
 def check_grid(grid: int) -> None:
     """Raise ParameterError for a scan grid outside [MIN_SCAN_GRID, MAX_SCAN_GRID]."""
     if not MIN_SCAN_GRID <= grid <= MAX_SCAN_GRID:
@@ -799,16 +770,10 @@ def find_optimal_time(
     A grid scan over ``window`` picks the best sample; golden-section
     refinement around it narrows the time to a relative resolution of 1e-8.
     The scan evaluates only the TIME_CHUNK chunks of the grid that can hold
-    its maximum (:func:`_pruned_curve`): a coarse pass reads an upper
-    function of the mean (:func:`_upper_curve`) at every stride-th grid time
-    and the last, and each chunk's bound is its nearest coarse values plus
-    :func:`mean_slope_bound` times stride / 2 steps plus a rounding
-    allowance.  Chunks are evaluated in order of falling bound until the
-    next bound is below the best value found.  Where even a stride of 2
-    would add more than SCAN_SLACK to the bounds (a law that reads pair
-    rows has an infinite slope bound) or the grid is one chunk, every chunk
-    is evaluated, with no coarse pass.  The best sample, its value and so
-    the result are those of the full grid scan, bit for bit.
+    its maximum (:func:`_pruned_curve`), bounded from the upper function
+    and the slope bound that :func:`scan_bound` picks together, plus a
+    rounding allowance.  The best sample, its value and so the result are
+    those of the full grid scan, bit for bit.
     The window is finite, ordered and starts at 0 or later: a read-out
     before the transfer starts is no read-out, and :func:`plan_readout`
     nulls no phase at t <= 0.  A window whose phases carry no information
@@ -816,7 +781,8 @@ def find_optimal_time(
     t_hi with R the largest raw bound of
     :func:`~spintransfer.dynamics.propagator_slopes` over every column the
     law reads (:func:`_law_columns`, pair rows included), must stay within
-    MAX_PHASE_ROUNDING; :func:`mean_slope_bound` reads the same slopes.  The
+    MAX_PHASE_ROUNDING.  The one column table gives these slopes, which
+    :func:`scan_bound` reads too, and the two-qubit envelope's column.  The
     scan and the refinement run with numpy's overflow, invalid and divide
     errors raised; such an error, or a scanned or refined average that is
     not finite (a quiet NaN raises no error), is a NumericError naming the
@@ -832,10 +798,10 @@ def find_optimal_time(
     if t_lo < 0.0:
         raise ParameterError(f"time window {window} starts below 0")
     check_grid(grid)
-    slopes = [propagator_slopes(*column) for column in _law_columns(spec, scenario)]
-    rate = float(max(raw.max() for raw, _ in slopes))
-    slope = mean_slope_bound(scenario, slopes, phase_corrected)
-    rounding = np.finfo(float).eps * rate * t_hi
+    columns = _law_columns(spec, scenario)
+    slopes = [propagator_slopes(*column) for column in columns]
+    eps = np.finfo(float).eps
+    rounding = eps * float(max(raw.max() for raw, _ in slopes)) * t_hi
     if rounding > MAX_PHASE_ROUNDING:
         raise NumericError(
             f"time window {window} is too long to evaluate: its phases round by "
@@ -844,18 +810,21 @@ def find_optimal_time(
     scanned = (t_lo, t_hi, int(grid))
     ts = np.linspace(*scanned)
 
-    def objective(t: float) -> float:
-        return float(
-            avg_fidelity_curve(spec, scenario, np.array([t]), phase_corrected)[0]
-        )
+    def mean(times: np.ndarray) -> np.ndarray:
+        return avg_fidelity_curve(spec, scenario, times, phase_corrected)
 
+    upper, slope = scan_bound(scenario, columns, slopes, mean, phase_corrected)
+    # the scan's amplitude rounding (see _chunk_bounds); t_hi = max|ts|
+    eigen = float(np.abs(sector_spectrum(spec, 1).eigenvalues).max())
+    allowance = SCAN_ROUNDING * eps * (eigen * t_hi + spec.n_sites)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            curve = _pruned_curve(spec, scenario, ts, phase_corrected, slope)
+            curve = _pruned_curve(ts, mean, upper, slope, allowance)
             best = int(np.argmax(curve))
             lo = ts[max(best - 1, 0)]
             hi = ts[min(best + 1, len(ts) - 1)]
-            t_opt, f_opt = _golden_max(objective, lo, hi, rel_tol=1e-8)
+            t_opt, f_opt = _golden_max(lambda t: float(mean(np.array([t]))[0]), lo, hi,
+                                       rel_tol=1e-8)
     except FloatingPointError as exc:
         raise NumericError(
             f"the average fidelity on time window {window} meets a floating-point "
@@ -872,57 +841,110 @@ def find_optimal_time(
     return ProtocolTuning(t_opt, f_opt, phase_corrected, scanned)
 
 
-def _pruned_curve(
-    spec: ChainSpec, scenario: Scenario, ts: np.ndarray, phase_corrected: bool, slope: float
-) -> np.ndarray:
-    """:func:`avg_fidelity_curve` on the grid ``ts``, -inf on the chunks
-    that cannot hold its maximum.
+def scan_bound(scenario: Scenario, columns: list, slopes: list, mean, phase_corrected: bool):
+    """(upper, slope): the function the tuning scan's coarse pass reads, at
+    least ``mean`` at every time, and an upper bound on its slope.
 
-    Each TIME_CHUNK chunk is the slice :func:`avg_fidelity_curve` would
-    evaluate, taken in order of falling upper bound (:func:`_chunk_bounds`
-    with the :func:`mean_slope_bound` ``slope``; all infinite on a grid of
-    one chunk) until the next bound lies below the best value found.  A
-    skipped chunk holds no value that high, so the argmax and the value
-    there are those of the full grid, bit for bit.
+    ``columns`` is the :func:`_law_columns` table of the law, ``slopes``
+    the :func:`~spintransfer.dynamics.propagator_slopes` (R, C) of each
+    column, and ``mean`` the mean's curve on a time array.  R = sum_m |w_m
+    L_m| and the centred C = min_c sum_m |w_m| |L_m - c| bound the slope of
+    an amplitude and of its modulus; every amplitude has modulus at most 1.
+
+    - vacuum, phase corrected: the mean 1/2 + |a|^2/6 + |a|/3, a = a_1^N,
+      moves at most (2/3) C;
+    - vacuum raw, and the occupied channel of a free-fermion chain (whose
+      mean 1/3 + |1 - a|^2/6 ignores the correction): the mean 1/2 +
+      |a|^2/6 +/- Re a/3 moves at most (C + R)/3;
+    - two qubits on a free-fermion chain, raw or phase corrected: the
+      modulus envelope of :func:`_two_qubit_envelope` on the receiver
+      block g_ij moves at most (2/5)(2 C11 + 2 C22 + C12 + C21);
+    - where the law reads pair rows (a second column): the mean, with an
+      infinite slope bound.
+    """
+    if len(slopes) > 1:
+        return mean, float("inf")
+    raw, centred = slopes[0]
+    if scenario is Scenario.TWO_QUBIT_VACUUM:
+        (c11, c12), (c21, c22) = centred
+        return (lambda times: _two_qubit_envelope(columns[0], times),
+                float(0.4 * (2.0 * c11 + 2.0 * c22 + c12 + c21)))
+    if scenario is Scenario.ONE_QUBIT_VACUUM and phase_corrected:
+        return mean, float(2.0 * centred[0, 0] / 3.0)
+    return mean, float((centred[0, 0] + raw[0, 0]) / 3.0)
+
+
+def _two_qubit_envelope(column: tuple, times: np.ndarray) -> np.ndarray:
+    """The modulus envelope (min(e, 4)^2 + 4)/20, e = (1 + |g11|)(1 +
+    |g22|) + |g12||g21|, of the receiver block G that ``column`` (the one
+    free-fermion two-qubit column of :func:`_law_columns`) reads on
+    ``times``, in chunks of TIME_CHUNK times.
+
+    The two-qubit mean is (t1 + 4)/20 with t1 = |1 + g11' + g22' + det
+    G'|^2 <= 16 and G' = omega G for a unit omega (1, or the phase
+    correction's rotation), and |det G| <= |g11||g22| + |g12||g21|, so the
+    envelope bounds the raw and the phase-corrected mean alike.
+    """
+    out = np.empty(times.size)
+    for start in range(0, times.size, TIME_CHUNK):
+        block = np.abs(propagator_rows(*column, times[start : start + TIME_CHUNK]))
+        (g11, g12), (g21, g22) = block.transpose(1, 2, 0)
+        e = (1.0 + g11) * (1.0 + g22) + g12 * g21
+        out[start : start + TIME_CHUNK] = (np.minimum(e, 4.0) ** 2 + 4.0) / 20.0
+    return out
+
+
+def _pruned_curve(ts: np.ndarray, mean, upper, slope: float, allowance: float) -> np.ndarray:
+    """``mean`` on the grid ``ts``, -inf on the chunks that cannot hold its
+    maximum.
+
+    ``mean`` and ``upper`` map a time array to values; ``upper`` lies at
+    or above ``mean`` everywhere and moves at most ``slope`` per unit time.
+    Each TIME_CHUNK chunk is evaluated in order of falling upper bound
+    (:func:`_chunk_bounds`; all infinite on a grid of one chunk) until the
+    next bound lies below the best value found.  A skipped chunk holds no
+    value that high, so the argmax and the value there are those of the
+    full grid, bit for bit.
     """
     starts = range(0, ts.size, TIME_CHUNK)
     bounds = np.full(len(starts), np.inf)
     if len(starts) > 1:
-        bounds = _chunk_bounds(spec, scenario, ts, phase_corrected, slope)
+        bounds = _chunk_bounds(ts, upper, slope, allowance)
     curve = np.full(ts.size, -np.inf)
     best = -np.inf
     for k in np.argsort(-bounds, kind="stable"):
         if bounds[k] < best:
             break
         chunk = slice(starts[k], starts[k] + TIME_CHUNK)
-        curve[chunk] = avg_fidelity_curve(spec, scenario, ts[chunk], phase_corrected)
+        curve[chunk] = mean(ts[chunk])
         best = max(best, float(curve[chunk].max()))
     return curve
 
 
-def _chunk_bounds(
-    spec: ChainSpec, scenario: Scenario, ts: np.ndarray, phase_corrected: bool, slope: float
-) -> np.ndarray:
-    """Upper bounds on the mean over each TIME_CHUNK chunk of the grid ``ts``.
+def _chunk_bounds(ts: np.ndarray, upper, slope: float, allowance: float) -> np.ndarray:
+    """Upper bounds on the mean over each TIME_CHUNK chunk of the grid
+    ``ts``, from ``upper``, which lies at or above it and moves at most
+    ``slope`` per unit time.
 
     The stride is the longest of SCAN_STRIDE, SCAN_STRIDE / 2, ..., 2 whose
-    reach of stride / 2 steps moves :func:`_upper_curve` by at most
-    SCAN_SLACK at the rate ``slope``; where even 2 reaches further, every
-    bound is infinite, with no coarse pass.  A coarse pass reads the upper
-    curve at every stride-th grid time (an arithmetic grid, so
+    reach of stride / 2 steps moves ``upper`` by at most SCAN_SLACK; where
+    even 2 reaches further (an infinite ``slope`` among them), every bound
+    is infinite, with no coarse pass.  A coarse pass reads ``upper`` at
+    every stride-th grid time (an arithmetic grid, so
     :func:`~spintransfer.dynamics.propagator_rows` factors it) and the last
     one, so every grid time lies within the reach of a coarse time.  A
     chunk's bound is the largest coarse value within that reach of it, plus
     ``slope`` times the reach (and the times' own rounding, 4 eps max|t|),
-    plus a rounding allowance.
+    plus ``allowance``.
     The coarse and the chunk pass evaluate a time on different giant steps;
     each pass's amplitudes lie within the documented 4 eps max|L| max|t|
     sum_m |w_m| of the direct path's (sum_m |w_m| <= 1 for one source and one
     target), and within eps max|L| max|t| more of the exact ones.  The mean
     and the envelope move by at most 12/5 per unit change of the amplitudes
-    (two qubits; 2/3 for one), so SCAN_ROUNDING = 32 >= 2 * 5 * 12/5 covers
-    both passes, and N eps more the rounding of the sums over N modes.  A
-    chunk whose coarse values are not all finite has an infinite bound.
+    (two qubits; 2/3 for one), so an allowance of SCAN_ROUNDING eps (max|L|
+    max|t| + N), SCAN_ROUNDING = 32 >= 2 * 5 * 12/5, covers both passes and
+    the rounding of the sums over N modes.  A chunk whose coarse values are
+    not all finite has an infinite bound.
     """
     n_chunks = -(-ts.size // TIME_CHUNK)
     step = (ts[-1] - ts[0]) / (ts.size - 1)
@@ -931,17 +953,14 @@ def _chunk_bounds(
         if stride == 2:
             return np.full(n_chunks, np.inf)
         stride //= 2
-    values = _upper_curve(spec, scenario, ts[::stride], phase_corrected)
+    values = upper(ts[::stride])
     index = np.arange(0, ts.size, stride)
     if index[-1] != ts.size - 1:
         index = np.append(index, ts.size - 1)
-        values = np.append(values, _upper_curve(spec, scenario, ts[-1:], phase_corrected))
-    eps = np.finfo(float).eps
-    t_max = float(np.abs(ts).max())
+        values = np.append(values, upper(ts[-1:]))
     reach = stride // 2
-    eigen = float(np.abs(sector_spectrum(spec, 1).eigenvalues).max())
-    allowance = SCAN_ROUNDING * eps * (eigen * t_max + spec.n_sites)
-    slack = slope * (reach * step + 4.0 * eps * t_max) + allowance
+    t_max = float(np.abs(ts).max())
+    slack = slope * (reach * step + 4.0 * np.finfo(float).eps * t_max) + allowance
     bounds = []
     for start in range(0, ts.size, TIME_CHUNK):
         lo = np.searchsorted(index, start - reach)
@@ -949,34 +968,6 @@ def _chunk_bounds(
         cover = values[lo:hi]
         bounds.append(float(cover.max()) + slack if np.isfinite(cover).all() else np.inf)
     return np.array(bounds)
-
-
-def _upper_curve(
-    spec: ChainSpec, scenario: Scenario, times: np.ndarray, phase_corrected: bool
-) -> np.ndarray:
-    """An upper function of :func:`avg_fidelity_curve` on ``times``, the one
-    :func:`mean_slope_bound` bounds the slope of.
-
-    For one qubit it is the mean itself.  For two qubits on a free-fermion
-    chain (the one law :func:`mean_slope_bound` keeps finite) it is the
-    modulus envelope (min(e, 4)^2 + 4)/20, e = (1 + |g11|)(1 + |g22|) +
-    |g12||g21| of the receiver block G: the mean is (t1 + 4)/20 with t1 =
-    |1 + g11' + g22' + det G'|^2 <= 16 and G' = omega G for a unit omega (1,
-    or the phase correction's rotation), and |det G| <= |g11||g22| +
-    |g12||g21|, so the envelope bounds the raw and the phase-corrected mean
-    alike.  It reads the one column of :func:`_law_columns` in chunks of
-    TIME_CHUNK times.
-    """
-    if scenario is not Scenario.TWO_QUBIT_VACUUM:
-        return avg_fidelity_curve(spec, scenario, times, phase_corrected)
-    (column,) = _law_columns(spec, scenario)
-    out = np.empty(times.size)
-    for start in range(0, times.size, TIME_CHUNK):
-        block = np.abs(propagator_rows(*column, times[start : start + TIME_CHUNK]))
-        (g11, g12), (g21, g22) = block.transpose(1, 2, 0)
-        e = (1.0 + g11) * (1.0 + g22) + g12 * g21
-        out[start : start + TIME_CHUNK] = (np.minimum(e, 4.0) ** 2 + 4.0) / 20.0
-    return out
 
 
 def _golden_max(func, lo: float, hi: float, rel_tol: float) -> tuple[float, float]:

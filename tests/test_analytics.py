@@ -24,12 +24,12 @@ from spintransfer.analytics import (
     avg_fidelity_curve,
     fidelity_law,
     find_optimal_time,
-    mean_slope_bound,
     min_fidelity_closed_form,
     phase_null_field,
     plan_readout,
     quadratic_reduce_one_qubit,
     resolve_mode,
+    scan_bound,
     time_for_target_avg,
     time_window_ladder,
     tune_with_ladder,
@@ -475,14 +475,20 @@ def test_mean_slope_bound_bounds_the_mean(seed, n_sites, chain, scenario, phase_
     # every pair of neighbouring times on a short grid moves the mean by at
     # most the bound times their distance (two qubits: the envelope test)
     spec = seeded_chain(seed, n_sites, chain)
-    slopes = [propagator_slopes(*column) for column in analytics._law_columns(spec, scenario)]
-    slope = mean_slope_bound(scenario, slopes, phase_corrected)
+    columns = analytics._law_columns(spec, scenario)
+    slopes = [propagator_slopes(*column) for column in columns]
+
+    def mean(times):
+        return avg_fidelity_curve(spec, scenario, times, phase_corrected)
+
+    upper, slope = scan_bound(scenario, columns, slopes, mean, phase_corrected)
     finite = scenario is Scenario.ONE_QUBIT_VACUUM or is_free_fermion(spec)
     assert np.isfinite(slope) == finite
     if not finite or scenario is Scenario.TWO_QUBIT_VACUUM:
         return
+    assert upper is mean
     times = start + dt * np.arange(300)
-    means = avg_fidelity_curve(spec, scenario, times, phase_corrected)
+    means = mean(times)
     assert np.abs(np.diff(means)).max() <= slope * np.diff(times).max() + 1e-13
 
 
@@ -499,11 +505,12 @@ def test_two_qubit_envelope_bounds_both_means(seed, n_sites, start, dt):
     # by at most the slope bound times their distance
     spec = seeded_chain(seed, n_sites, "nearest")
     scenario = Scenario.TWO_QUBIT_VACUUM
-    slopes = [propagator_slopes(*column) for column in analytics._law_columns(spec, scenario)]
-    slope = mean_slope_bound(scenario, slopes)
-    assert slope == mean_slope_bound(scenario, slopes, phase_corrected=True) < np.inf
+    columns = analytics._law_columns(spec, scenario)
+    slopes = [propagator_slopes(*column) for column in columns]
+    upper, slope = scan_bound(scenario, columns, slopes, None, False)
+    assert slope == scan_bound(scenario, columns, slopes, None, True)[1] < np.inf
     times = start + dt * np.arange(300)
-    envelope = analytics._upper_curve(spec, scenario, times, False)
+    envelope = upper(times)
     eigen = np.abs(sector_spectrum(spec, 1).eigenvalues).max()
     allowance = analytics.SCAN_ROUNDING * np.finfo(float).eps * (eigen * times[-1] + n_sites)
     for phase_corrected in (False, True):
@@ -534,19 +541,64 @@ def full_grid_tuning(spec, scenario, window, grid, phase_corrected) -> ProtocolT
 @given(
     seed=st.integers(0, 2**31 - 1),
     n_sites=st.integers(5, 8),
+    chain=st.sampled_from(["nearest", "long_range", "zz"]),
     scenario=st.sampled_from(list(Scenario)),
     phase_corrected=st.booleans(),
     hi=st.floats(5.0, 300.0),
     grid=st.integers(2_000, 12_000),
 )
-def test_pruned_scan_is_the_full_grid_scan(seed, n_sites, scenario, phase_corrected, hi, grid):
-    # short chunks give these grids 4 to 24 chunks, most of them skipped
-    spec = make_random_chain(np.random.default_rng(seed), n_sites)
+def test_pruned_scan_is_the_full_grid_scan(seed, n_sites, chain, scenario, phase_corrected,
+                                           hi, grid):
+    # short chunks give these grids 4 to 24 chunks, most of them skipped on
+    # a free-fermion chain; a law that reads pair rows evaluates them all
+    spec = seeded_chain(seed, n_sites, chain)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analytics, "TIME_CHUNK", 512)
         pruned = find_optimal_time(spec, scenario, (0.0, hi), grid, phase_corrected)
         full = full_grid_tuning(spec, scenario, (0.0, hi), grid, phase_corrected)
     assert pruned == full
+
+
+@given(
+    terms=st.lists(
+        st.tuples(st.floats(0.01, 1.0), st.floats(0.05, 5.0), st.floats(-np.pi, np.pi)),
+        min_size=1, max_size=6,
+    ),
+    stride=st.sampled_from([32, 16, 8, 4, 2, 0]),
+    fill=st.floats(0.51, 0.99),
+    grid=st.integers(1_025, 6_000),
+)
+def test_pruned_curve_is_the_full_grid_on_cosine_sums(terms, stride, fill, grid):
+    # sum_k a_k cos(w_k t + phi_k) moves at most sum_k |a_k w_k| per unit
+    # time; the grid step puts the coarse pass at ``stride`` (0: none, since
+    # even stride 2 reaches past SCAN_SLACK), and the pruned scan's argmax
+    # and value are the full grid's
+    a, w, phi = (np.array(column)[:, None] for column in zip(*terms))
+    slope = float(np.abs(a * w).sum())
+    if stride:
+        step = fill * analytics.SCAN_SLACK / (slope * (stride // 2))
+    else:
+        step = analytics.SCAN_SLACK / (slope * fill)
+    ts = np.linspace(0.0, step * (grid - 1), grid)
+    eps = np.finfo(float).eps
+    # twice the rounding of one value: its phase, its cosine and the sum
+    allowance = 8.0 * eps * float((np.abs(a) * (w * ts[-1] + np.abs(phi) + len(a) + 1)).sum())
+    coarse = []
+
+    def mean(times):
+        return (a * np.cos(w * times + phi)).sum(axis=0)
+
+    def upper(times):
+        coarse.append(times.size)
+        return mean(times)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analytics, "TIME_CHUNK", 512)
+        curve = analytics._pruned_curve(ts, mean, upper, slope, allowance)
+    full = mean(ts)
+    best = int(np.argmax(curve))
+    assert best == int(np.argmax(full)) and curve[best] == full[best]
+    assert coarse[:1] == ([ts[::stride].size] if stride else [])
 
 
 @pytest.mark.parametrize(
@@ -632,6 +684,25 @@ def test_tuning_reads_each_column_slopes_once(monkeypatch, chain, scenario):
     monkeypatch.setattr(analytics, "propagator_slopes", counting_slopes)
     find_optimal_time(spec, scenario, (0.0, 50.0), 4_000, phase_corrected=False)
     assert calls == analytics._law_columns(spec, scenario)
+
+
+def test_raw_weak_scan_evaluates_few_grid_points(monkeypatch):
+    # the README weak N = 22 tune's rescan of the raw mean for
+    # avg_fidelity_no_aux: the (C + R)/3 bound on the mean itself leaves one
+    # chunk plus the coarse pass (7.2% of the grid); a bound through the |a|
+    # envelope would evaluate three quarters of it
+    points, curve = [], analytics.avg_fidelity_curve
+
+    def counting_curve(spec, scenario, times, phase_corrected=False):
+        if np.size(times) > 1:  # a scan's, not the golden refinement's
+            points.append(np.size(times))
+        return curve(spec, scenario, times, phase_corrected)
+
+    monkeypatch.setattr(analytics, "avg_fidelity_curve", counting_curve)
+    spec, grid = protocol_preset(Weak(0.005), 22), 400_000
+    find_optimal_time(spec, Scenario.ONE_QUBIT_VACUUM, (0.0, 80_000.0), grid,
+                      phase_corrected=False)
+    assert sum(points) <= 0.1 * grid
 
 
 def test_ladder_tuning_evaluates_few_grid_points(monkeypatch):
