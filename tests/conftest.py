@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -15,6 +18,22 @@ settings.register_profile(
     "spintransfer", derandomize=True, database=None, max_examples=25, deadline=None
 )
 settings.load_profile("spintransfer")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# tests/reference/regenerate.py: the one list of reference runs (RUNS) and
+# the digests of their pinned records
+_spec = importlib.util.spec_from_file_location("regenerate",
+                                               ROOT / "tests" / "reference" / "regenerate.py")
+regenerate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regenerate)
+
+
+def readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under README's ``heading``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split(heading, 1)[1]
+    return section.split(f"```{language}", 1)[1].split("```", 1)[0]
 
 
 def make_random_chain(rng: np.random.Generator, n_sites: int, long_range: bool = False) -> ChainSpec:

@@ -1,29 +1,41 @@
-"""Rewrite the pinned records of ``tests/reference``.
+"""The one list of spintransfer's reference runs, and the records they pin.
 
-``tune_records.json`` holds six ``spintransfer tune`` runs (``RUNS``), the
-``result.json`` of each less the ``output_dir`` it wrote to.  Between them
-they reach every finite slope bound of
-:func:`~spintransfer.analytics.scan_bound`: the phase-corrected and the raw
-vacuum bound, the free-fermion occupied bound, and the two-qubit envelope's
-bound on a raw and on a phase-corrected scan.
+``RUNS`` maps each reference run's name to its full ``spintransfer`` argv,
+less ``--out``:
 
-``pdf_records.json`` holds fourteen ``spintransfer pdf`` runs
-(``PDF_RUNS``):
-
-- the six README reference commands as written (``readme_*``);
-- CI's ``b22err --jitter`` (``ci_b22err_jitter``);
+- six ``tune`` runs that between them reach every finite slope bound of
+  :func:`~spintransfer.analytics.scan_bound`: the phase-corrected and the
+  raw vacuum bound, the free-fermion occupied bound, and the two-qubit
+  envelope's bound on a raw and on a phase-corrected scan;
+- the six ``pdf`` commands of README's "Reproducing the reference settings"
+  (``readme_*``) and ``b22err --jitter`` (``ci_b22err_jitter``);
 - the seven ``pdf`` ops of ``bench/run.py`` at ``--seed 1``, with the argv
-  that ``bench/run.py`` builds (``bench_<workload>_<op>``).
+  that ``bench/run.py`` builds (``bench_<workload>_<op>``), read from that
+  file;
+- ``certify --n-max 10`` (``certify``).
 
-For each it keeps ``result.json`` less ``output_dir``, the histogram
-counts, the row count of ``pdf_curve.csv`` and that file's cdf column
-interpolated at five fixed fidelities, and the sha256 of every written file
-(``result.json`` without its ``output_dir`` line).  ``certify_record.json``
-holds ``certify --n-max 10``: each check's name, ``passed`` and
-``detail`` in report order, and the sha256 of ``certification.json``.
+Three readers use it:
 
-``tests/test_reference.py`` reruns every run in process and compares.  From
-the repository root:
+- tier-1's README check, ``test_readme_runs_are_the_listed_ones`` in
+  ``tests/test_reference.py``: README's reference block and its "Command
+  line" ``tune`` and ``certify`` lines must be listed runs, word for word
+  and in order, so a README command edited without this list fails;
+- CI (``.github/workflows/tier1.yml``), which reads ``RUNS`` with
+  ``runpy``, runs each in a fresh process under ``PYTHONWARNINGS=error``,
+  and names the runs it repeats on one core and on all;
+- the record tests of ``tests/test_reference.py``, which rerun every run
+  in process and compare it with its pinned record.
+
+The records, split off ``RUNS`` by the command each run starts with:
+``tune_records.json`` holds each ``tune`` run's ``result.json`` less the
+``output_dir`` it wrote to.  ``pdf_records.json`` holds, for each ``pdf``
+run, ``result.json`` less ``output_dir``, the histogram counts, the row
+count of ``pdf_curve.csv`` and that file's cdf column interpolated at five
+fixed fidelities, and the sha256 of every written file (``result.json``
+without its ``output_dir`` line).  ``certify_record.json`` holds each of
+certify's checks' name, ``passed`` and ``detail`` in report order, and the
+sha256 of ``certification.json``.  :func:`main` rewrites them; from the
+repository root:
 
     PYTHONPATH=src python tests/reference/regenerate.py
 
@@ -47,43 +59,16 @@ import numpy as np
 from spintransfer import cli
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-RECORDS = os.path.join(HERE, "tune_records.json")
+TUNE_RECORDS = os.path.join(HERE, "tune_records.json")
 PDF_RECORDS = os.path.join(HERE, "pdf_records.json")
 CERTIFY_RECORD = os.path.join(HERE, "certify_record.json")
 BENCH_RUN = os.path.join(HERE, os.pardir, os.pardir, "bench", "run.py")
-
-RUNS = {
-    "weak_22_one_qubit_vacuum": ["--protocol", "weak", "--j0", "0.005", "--n-sites", "22",
-                                 "--scenario", "one_qubit_vacuum"],
-    "barrier_22_one_qubit_vacuum": ["--protocol", "barrier", "--h0", "200", "--n-sites", "22",
-                                    "--scenario", "one_qubit_vacuum"],
-    "perfect_22_one_qubit_vacuum": ["--protocol", "perfect", "--n-sites", "22",
-                                    "--scenario", "one_qubit_vacuum"],
-    "barrier_9_two_qubit": ["--protocol", "barrier", "--h0", "200", "--n-sites", "9",
-                            "--scenario", "two_qubit"],
-    "weak_9_two_qubit": ["--protocol", "weak", "--j0", "0.005", "--n-sites", "9",
-                         "--scenario", "two_qubit"],
-    "barrier_15_one_qubit_uniform": ["--protocol", "barrier", "--h0", "100", "--n-sites", "15",
-                                     "--scenario", "one_qubit_uniform"],
-}
 
 TARGET_22 = ["--scenario", "one_qubit_vacuum", "--mode", "target_avg:0.99",
              "--mc-samples", "1000000"]
 B22_ERROR = ["pdf", "--protocol", "barrier", "--h0", "200", "--n-sites", "22",
              "--scenario", "one_qubit_vacuum", "--mode", "timing_error:0.02"]
-README_PDF_RUNS = {
-    "readme_b22": ["pdf", "--protocol", "barrier", "--h0", "200", "--n-sites", "22", *TARGET_22],
-    "readme_w22": ["pdf", "--protocol", "weak", "--j0", "0.005", "--n-sites", "22", *TARGET_22],
-    "readme_p22": ["pdf", "--protocol", "perfect", "--n-sites", "22", *TARGET_22],
-    "readme_b22err": B22_ERROR,
-    "readme_b15u": ["pdf", "--protocol", "barrier", "--h0", "100", "--n-sites", "15",
-                    "--scenario", "one_qubit_uniform", "--mode", "target_avg:0.99"],
-    "readme_w9q2": ["pdf", "--protocol", "weak", "--j0", "0.005", "--n-sites", "9",
-                    "--scenario", "two_qubit", "--mode", "target_avg:0.99"],
-    "ci_b22err_jitter": [*B22_ERROR, "--jitter"],
-}
 BENCH_SEED = 1
-CERTIFY_ARGV = ["certify", "--n-max", "10"]
 
 # fractions of the pdf curve's f range at which its cdf column is pinned
 CDF_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -109,7 +94,35 @@ def bench_pdf_runs() -> dict:
     }
 
 
-PDF_RUNS = {**README_PDF_RUNS, **bench_pdf_runs()}
+# CI splits each argv on whitespace, unquoted: no word may hold whitespace
+# or a shell metacharacter (tests/test_reference.py checks)
+RUNS = {
+    "weak_22_one_qubit_vacuum": ["tune", "--protocol", "weak", "--j0", "0.005", "--n-sites", "22",
+                                 "--scenario", "one_qubit_vacuum"],
+    "barrier_22_one_qubit_vacuum": ["tune", "--protocol", "barrier", "--h0", "200",
+                                    "--n-sites", "22", "--scenario", "one_qubit_vacuum"],
+    "perfect_22_one_qubit_vacuum": ["tune", "--protocol", "perfect", "--n-sites", "22",
+                                    "--scenario", "one_qubit_vacuum"],
+    "barrier_9_two_qubit": ["tune", "--protocol", "barrier", "--h0", "200", "--n-sites", "9",
+                            "--scenario", "two_qubit"],
+    "weak_9_two_qubit": ["tune", "--protocol", "weak", "--j0", "0.005", "--n-sites", "9",
+                         "--scenario", "two_qubit"],
+    "barrier_15_one_qubit_uniform": ["tune", "--protocol", "barrier", "--h0", "100",
+                                     "--n-sites", "15", "--scenario", "one_qubit_uniform"],
+    "readme_b22": ["pdf", "--protocol", "barrier", "--h0", "200", "--n-sites", "22", *TARGET_22],
+    "readme_w22": ["pdf", "--protocol", "weak", "--j0", "0.005", "--n-sites", "22", *TARGET_22],
+    "readme_p22": ["pdf", "--protocol", "perfect", "--n-sites", "22", *TARGET_22],
+    "readme_b22err": B22_ERROR,
+    "readme_b15u": ["pdf", "--protocol", "barrier", "--h0", "100", "--n-sites", "15",
+                    "--scenario", "one_qubit_uniform", "--mode", "target_avg:0.99"],
+    "readme_w9q2": ["pdf", "--protocol", "weak", "--j0", "0.005", "--n-sites", "9",
+                    "--scenario", "two_qubit", "--mode", "target_avg:0.99"],
+    "ci_b22err_jitter": [*B22_ERROR, "--jitter"],
+    **bench_pdf_runs(),
+    "certify": ["certify", "--n-max", "10"],
+}
+TUNE_RUNS = {name: argv for name, argv in RUNS.items() if argv[0] == "tune"}
+PDF_RUNS = {name: argv for name, argv in RUNS.items() if argv[0] == "pdf"}
 
 
 def run(argv: list[str], out_dir: str) -> None:
@@ -126,13 +139,6 @@ def result_record(out_dir: str) -> dict:
         record = json.load(fh)
     del record["config"]["output_dir"]
     return record
-
-
-def tune_record(argv: list[str], out_dir: str) -> dict:
-    """The ``result.json`` of ``spintransfer tune`` with ``argv``, written
-    under ``out_dir``, less its ``output_dir``."""
-    run(["tune", *argv], out_dir)
-    return result_record(out_dir)
 
 
 def file_hashes(out_dir: str) -> dict:
@@ -183,15 +189,12 @@ def certify_record(out_dir: str) -> dict:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as scratch:
-        records = {name: tune_record(argv, os.path.join(scratch, name))
-                   for name, argv in RUNS.items()}
-        pdfs = {}
-        for name, argv in PDF_RUNS.items():
+        for name, argv in RUNS.items():
             run(argv, os.path.join(scratch, name))
-            pdfs[name] = pdf_record(os.path.join(scratch, name))
-        run(CERTIFY_ARGV, os.path.join(scratch, "certify"))
+        records = {name: result_record(os.path.join(scratch, name)) for name in TUNE_RUNS}
+        pdfs = {name: pdf_record(os.path.join(scratch, name)) for name in PDF_RUNS}
         certify = certify_record(os.path.join(scratch, "certify"))
-    cli.write_json(RECORDS, records)
+    cli.write_json(TUNE_RECORDS, records)
     cli.write_json(PDF_RECORDS, pdfs)
     cli.write_json(CERTIFY_RECORD, certify)
 

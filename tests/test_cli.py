@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import readme_block, regenerate
 from spintransfer.chain import ChainSpec, Perfect, protocol_preset
 from spintransfer.certify import (
     check_oracle_amplitudes,
@@ -313,13 +314,6 @@ def test_null_field_is_absent(tmp_path, field):
     assert null == absent
 
 
-def readme_block(heading: str, language: str) -> str:
-    """The first ``language`` code block under README's ``heading``."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split(heading, 1)[1]
-    return section.split(f"```{language}", 1)[1].split("```", 1)[0]
-
-
 def readme_experiment() -> dict:
     """The experiment.json of README's "Experiment configuration"."""
     return json.loads(readme_block("### Experiment configuration", "json"))
@@ -589,11 +583,14 @@ def counted_fork():
 os.fork = counted_fork
 caller = os.getpid()
 def in_helpers(action):
-    # the caller sleeps on its first such check while the helper claims
-    # the rest, so some of them call action in the helper
+    # the caller sleeps on its first such check only, while the helper
+    # claims the rest, so some of them call action in the helper
+    slept = []
     def check():
         if os.getpid() == caller:
-            time.sleep(0.5)
+            if not slept:
+                slept.append(1)
+                time.sleep(0.5)
             return certify.check_perfect_spectrum()
         action()
     for name in ('check_sector_dimensions', 'check_sector_hamiltonians',
@@ -807,9 +804,7 @@ def test_jitter_mixture_is_normalized(tmp_path):
     from spintransfer import cli
     from spintransfer.analytics import FidelityLaw, fidelity_law
 
-    args = ["pdf", "--protocol", "barrier", "--h0", "200", "--n-sites", "22",
-            "--scenario", "one_qubit_vacuum", "--mode", "timing_error:0.02", "--jitter",
-            "--out", str(tmp_path)]
+    args = [*regenerate.RUNS["ci_b22err_jitter"], "--out", str(tmp_path)]
     config = cli.load_config(cli.build_parser().parse_args(args))
     plan = cli._resolve_plan(config, cli._build_spec(config))
     law = fidelity_law(plan.spec, plan.scenario, plan.times)
@@ -1167,11 +1162,6 @@ def test_pdf_ks_gate(tmp_path, monkeypatch):
     assert read_json(out / "result.json")["ks_distance"] > bound
 
 
-README_BARRIER = ["pdf", "--protocol", "barrier", "--h0", "200", "--n-sites", "22",
-                  "--scenario", "one_qubit_vacuum", "--mode", "target_avg:0.99",
-                  "--mc-samples", "1000000"]
-
-
 def test_ks_gate_sees_a_wrong_sector_eigenvalue(tmp_path, monkeypatch):
     # the law reads the sector spectrum and the Monte Carlo the oracle's
     # channel: one one-excitation eigenvalue shifted by 1e-6 on the sector
@@ -1191,7 +1181,7 @@ def test_ks_gate_sees_a_wrong_sector_eigenvalue(tmp_path, monkeypatch):
     dynamics.sector_spectrum.cache_clear()
     out = tmp_path / "run"
     try:
-        code = run_cli(*README_BARRIER, "--out", str(out))
+        code = run_cli(*regenerate.RUNS["readme_b22"], "--out", str(out))
     finally:
         # the shifted sectors must not outlive the test
         dynamics.sector_spectrum.cache_clear()

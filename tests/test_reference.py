@@ -1,31 +1,34 @@
-"""The pinned records of ``tests/reference``.
+"""The reference runs of ``tests/reference/regenerate.py`` and their pinned records.
 
-Each run of ``tests/reference/regenerate.py`` is rerun in process and
-compared with its pinned record.  In every ``result.json`` the read-out
-times and the auxiliary field agree to relative 1e-8 (an exact 0 stays 0),
-the fidelities and the KS distance to absolute 1e-9, everything else
-exactly.  A ``pdf`` run's cdf digest agrees to absolute 1e-9 and its
-histogram counts to an L1 distance of 2 (one sample moved across a bin
-edge); certify's checks keep their names, order, outcome and detail.  The
-sha256 of every written file is compared by a test of its own, so byte
-drift with every number in bounds shows as that test's failure alone.
+Each run is rerun in process and compared with its pinned record.  In
+every ``result.json`` the read-out times and the auxiliary field agree to
+relative 1e-8 (an exact 0 stays 0), the fidelities and the KS distance to
+absolute 1e-9, everything else exactly.  A ``pdf`` run's cdf digest agrees
+to absolute 1e-9 and its histogram counts to an L1 distance of 2 (one
+sample moved across a bin edge); certify's checks keep their names, order,
+outcome and detail.  The sha256 of every written file is compared by a test
+of its own, so byte drift with every number in bounds shows as that test's
+failure alone.  README's reference commands are checked against the list.
 """
 
-import importlib.util
 import json
-from pathlib import Path
+import re
+import shlex
 
 import numpy as np
 import pytest
 
-REFERENCE = Path(__file__).parent / "reference"
-_spec = importlib.util.spec_from_file_location("regenerate", REFERENCE / "regenerate.py")
-regenerate = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(regenerate)
+from conftest import readme_block, regenerate
 
-PINNED = json.loads((REFERENCE / "tune_records.json").read_text(encoding="utf-8"))
-PINNED_PDF = json.loads((REFERENCE / "pdf_records.json").read_text(encoding="utf-8"))
-PINNED_CERTIFY = json.loads((REFERENCE / "certify_record.json").read_text(encoding="utf-8"))
+
+def read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+PINNED = read_json(regenerate.TUNE_RECORDS)
+PINNED_PDF = read_json(regenerate.PDF_RECORDS)
+PINNED_CERTIFY = read_json(regenerate.CERTIFY_RECORD)
 TIMES = ("t_opt", "t_readout", "b_aux")
 FIDELITIES = ("avg_fidelity", "avg_fidelity_no_aux", "f_min", "f_max", "ks_distance")
 
@@ -46,27 +49,35 @@ def written(tmp_path_factory):
     """Run name -> the directory its outputs went to, each run once per
     module: the number and the hash tests read the same files."""
     root = tmp_path_factory.mktemp("reference")
-    runs = {**regenerate.PDF_RUNS, "certify": regenerate.CERTIFY_ARGV}
     done = {}
 
     def outputs(name: str) -> str:
         if name not in done:
             done[name] = str(root / name)
-            regenerate.run(runs[name], done[name])
+            regenerate.run(regenerate.RUNS[name], done[name])
         return done[name]
 
     return outputs
 
 
 def test_every_run_is_pinned():
-    assert set(PINNED) == set(regenerate.RUNS)
+    assert set(PINNED) == set(regenerate.TUNE_RUNS)
     assert set(PINNED_PDF) == set(regenerate.PDF_RUNS)
 
 
-@pytest.mark.parametrize("name", sorted(regenerate.RUNS))
+def test_listed_argv_survives_shell_word_splitting():
+    # CI expands each listed argv unquoted, so a word with whitespace, a
+    # glob or another shell metacharacter would run another command
+    for name, argv in regenerate.RUNS.items():
+        assert re.fullmatch(r"[A-Za-z0-9_]+", name), name
+        for word in argv:
+            assert re.fullmatch(r"[A-Za-z0-9_.:-]+", word), (name, word)
+
+
+@pytest.mark.parametrize("name", sorted(regenerate.TUNE_RUNS))
 def test_tune_record_matches_the_pinned_one(name, tmp_path):
-    assert_record_matches(regenerate.tune_record(regenerate.RUNS[name], str(tmp_path)),
-                          PINNED[name])
+    regenerate.run(regenerate.RUNS[name], str(tmp_path))
+    assert_record_matches(regenerate.result_record(str(tmp_path)), PINNED[name])
 
 
 @pytest.mark.parametrize("name", sorted(regenerate.PDF_RUNS))
@@ -93,3 +104,38 @@ def test_certify_report_matches_the_pinned_one(written):
 
 def test_certify_report_hashes_as_pinned(written):
     assert regenerate.file_hashes(written("certify")) == PINNED_CERTIFY["sha256"]
+
+
+# README's "Command line" runs by output directory; its reference block's
+# out/<x> is the listed run readme_<x>
+COMMAND_LINE_RUNS = {"out/tune": "weak_22_one_qubit_vacuum", "out/cert": "certify"}
+
+
+def readme_runs(heading: str, language: str) -> list:
+    """(output directory, argv) of each ``spintransfer`` command in the
+    README code block under ``heading``, in order: continuation lines
+    joined, comments dropped, and ``spintransfer`` and ``--out DIR`` taken
+    off the argv."""
+    runs = []
+    for line in readme_block(heading, language).replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if not words:
+            continue
+        assert words[0] == "spintransfer", line
+        at = words.index("--out")
+        runs.append((words[at + 1], words[1:at] + words[at + 2:]))
+    return runs
+
+
+def test_readme_runs_are_the_listed_ones():
+    # every README reference command, and the Command line tune and
+    # certify examples, is the listed run of its name, argv for argv and
+    # in order, so neither README nor the list can change without the other
+    command_line = [(out, argv) for out, argv in readme_runs("## Command line", "")
+                    if argv[0] in ("tune", "certify")]
+    readme = [(COMMAND_LINE_RUNS.get(out, "readme_" + out.removeprefix("out/")), argv)
+              for out, argv in command_line + readme_runs(
+                  "### Reproducing the reference settings", "bash")]
+    names = [*COMMAND_LINE_RUNS.values(),
+             *(name for name in regenerate.RUNS if name.startswith("readme_"))]
+    assert readme == [(name, regenerate.RUNS[name]) for name in names]
